@@ -58,7 +58,7 @@ func run(args []string) error {
 		journal      = fs.String("journal", "", "journal directory to replay (required)")
 		statsfile    = fs.String("statsfile", "", "daemon stats snapshot to reconcile the replay against")
 		shards       = fs.Int("shards", 8, "shard count of the run that wrote the journals")
-		engineName   = fs.String("engine", "da", "per-shard engine: da, sa, adaptive (ha is not restorable)")
+		engineName   = fs.String("engine", "da", "per-shard engine: da, sa, adaptive")
 		adaptiveSpec = fs.String("adaptive", "", "adaptive-controller spec for -engine adaptive")
 		n            = fs.Int("n", 8, "processors")
 		t            = fs.Int("t", 3, "availability threshold")

@@ -84,7 +84,7 @@ func run(args []string) error {
 
 		shards     = fs.Int("shards", 8, "in-process server: shards")
 		queue      = fs.Int("queue", 256, "in-process server: per-shard queue")
-		engineName = fs.String("engine", "da", "in-process server: engine (da, sa, ha, adaptive)")
+		engineName = fs.String("engine", "da", "in-process server: engine (da, sa, adaptive)")
 		adaptSpec  = fs.String("adaptive", "", "in-process server: adaptive-controller spec for -engine adaptive")
 		n          = fs.Int("n", 8, "in-process server: processors")
 		t          = fs.Int("t", 3, "in-process server: availability threshold")

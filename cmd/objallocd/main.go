@@ -1,7 +1,7 @@
 // Command objallocd is the sharded allocation service daemon: the
 // multi-object directory partitioned over independent shards, each
-// running its own allocation engine (SA, DA, executed HA clusters, or
-// the online adaptive SA/DA controller) behind a batched mailbox with
+// running its own allocation engine (SA, DA, or the online adaptive
+// SA/DA controller) behind a batched mailbox with
 // admission control, served over HTTP.
 //
 // Usage:
@@ -88,7 +88,7 @@ func run(args []string, ready chan<- string) error {
 		shards       = fs.Int("shards", 8, "independent shards (objects are hashed across them)")
 		queue        = fs.Int("queue", 256, "per-shard mailbox capacity (admission control bound)")
 		batch        = fs.Int("batch", 64, "max requests per shard service round")
-		engineName   = fs.String("engine", "da", "per-shard engine: da, sa, ha, adaptive")
+		engineName   = fs.String("engine", "da", "per-shard engine: da, sa, adaptive (the executed ha clusters run under cmd/chaos)")
 		adaptiveSpec = fs.String("adaptive", "", "adaptive-controller spec for -engine adaptive, e.g. adaptive:window=8,hysteresis=2,decay=0.1,start=auto,region=on")
 		n            = fs.Int("n", 8, "processors")
 		t            = fs.Int("t", 3, "availability threshold")
@@ -100,7 +100,6 @@ func run(args []string, ready chan<- string) error {
 		noretry      = fs.Bool("noretry", false, "disable the retransmission discipline")
 		attempts     = fs.Int("attempts", 0, "retransmission cap per message (0 = default)")
 		seed         = fs.Int64("seed", 0, "fault-stream seed perturbation")
-		maxHAObjects = fs.Int("maxhaobjects", 64, "per-shard object cap under -engine ha")
 		journal      = fs.String("journal", "", "directory for per-shard request journals (group-committed once per service round)")
 		recoverJ     = fs.Bool("recover", false, "replay the per-shard journals on startup (requires -journal)")
 		checkpoint   = fs.Int("checkpoint", 0, "journal checkpoint cadence in records, so replay is O(tail) (0 = default 1024)")
@@ -194,13 +193,13 @@ func run(args []string, ready chan<- string) error {
 		Shards: *shards, Queue: *queue, Batch: *batch,
 		Engine: eng, Adaptive: aspec, N: *n, T: *t, Model: m,
 		Coalesce: mode, Seed: *seed,
-		Faults:   planPtr,
-		Retry:    netsim.RetryPolicy{Disabled: *noretry, MaxAttempts: *attempts},
-		Journal:  *journal, MaxHAObjects: *maxHAObjects,
+		Faults:  planPtr,
+		Retry:   netsim.RetryPolicy{Disabled: *noretry, MaxAttempts: *attempts},
+		Journal: *journal,
 		Recover: *recoverJ, CheckpointEvery: *checkpoint,
 		PanicAfter: *chaosPanic, DiskFaults: dplanPtr,
-		Obs:        cli.Obs(),
-		Trace:      tracer,
+		Obs:   cli.Obs(),
+		Trace: tracer,
 	})
 	if err != nil {
 		return err

@@ -86,7 +86,11 @@ func TestDiskFaultTransientIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A live scrape throughout, so -race covers every rebuild's
+			// state swap.
+			stop := pollDuring(t, s)
 			driveRange(t, s, objects, 0, perObject, workers)
+			stop()
 			s.Drain()
 			if got := detStats(s.Stats()); got != want {
 				t.Errorf("accounting diverged under %q:\n got %s\nwant %s", tc.spec, got, want)
@@ -320,7 +324,7 @@ func TestDedupedCounterCheckpointAuthority(t *testing.T) {
 		}
 		return r
 	}
-	do(1, model.R(0))                 // serviced; checkpoint {deduped:0}
+	do(1, model.R(0)) // serviced; checkpoint {deduped:0}
 	if r := do(1, model.R(0)); !r.Duplicate {
 		t.Fatal("resent seq 1 not deduplicated")
 	}
@@ -357,44 +361,50 @@ func httpGet(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-// FuzzReplayJournal feeds mutated journal bytes to the replay path: it
-// must either rebuild a state cleanly or return an error — never panic,
-// and never replay the same bytes to two different accountings.
+// FuzzReplayJournal feeds mutated journal bytes to the replay path,
+// under both battery rows (mobile selects the one with coalescing on
+// and an active loss/dup/delay plan, so the freshness-table restore,
+// coalesced-record verification and every fault draw are fuzzed too):
+// it must either rebuild a state cleanly or return an error — never
+// panic, and never replay the same bytes to two different accountings.
 func FuzzReplayJournal(f *testing.F) {
-	// Seed with a real journal produced by a drained server (records
-	// plus checkpoint lines), its torn truncations, and hand-built edge
+	// Seed with real journals produced by drained servers (records plus
+	// checkpoint lines), their torn truncations, and hand-built edge
 	// cases.
-	dir := f.TempDir()
-	s, err := New(diskFaultConfig(1, dir))
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		q := model.R(model.ProcessorID(i % 4))
-		if i%3 == 0 {
-			q = model.W(model.ProcessorID(i % 4))
+	fuzzConfig := func(mobile bool, dir string) Config {
+		if mobile {
+			return mobileRecoveryConfig(1, dir)
 		}
-		if _, err := s.Do(fmt.Sprintf("obj-%d", i%3), q); err != nil {
+		return diskFaultConfig(1, dir)
+	}
+	for _, mobile := range []bool{false, true} {
+		dir := f.TempDir()
+		s, err := New(fuzzConfig(mobile, dir))
+		if err != nil {
 			f.Fatal(err)
 		}
+		for i := 0; i < 24; i++ {
+			// Unreachable service errors still consume the request.
+			s.Do(fmt.Sprintf("obj-%d", i%3), requestAt(i%3, i/3, s.cfg.N))
+		}
+		s.Drain()
+		real, err := os.ReadFile(filepath.Join(dir, "shard-0.jsonl"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(real, mobile)
+		f.Add(real[:len(real)-7], mobile) // torn tail
+		f.Add(real[3:], mobile)           // corrupt head
 	}
-	s.Drain()
-	real, err := os.ReadFile(filepath.Join(dir, "shard-0.jsonl"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(real)
-	if len(real) > 10 {
-		f.Add(real[:len(real)-7]) // torn tail
-		f.Add(real[3:])           // corrupt head
-	}
-	f.Add([]byte(""))
-	f.Add([]byte("{\"object\":\"a\",\"op\":\"r\",\"p\":0,\"cost_milli\":0}\n"))
-	f.Add([]byte("{\"t\":\"ckpt\",\"objects\":[],\"completed\":0}\n"))
-	f.Add([]byte("{\"t\":\"ckpt\",\"completed\":9}\n{\"object\":\"a\",\"op\":\"w\"\n"))
-	f.Add([]byte("not json at all\n{\"object\":\"a\"}\n"))
+	f.Add([]byte(""), false)
+	f.Add([]byte("{\"object\":\"a\",\"op\":\"r\",\"p\":0,\"cost_milli\":0}\n"), false)
+	f.Add([]byte("{\"object\":\"a\",\"op\":\"r\",\"p\":1,\"cost_milli\":0,\"coalesced\":true}\n"), true)
+	f.Add([]byte("{\"t\":\"ckpt\",\"objects\":[],\"completed\":0}\n"), false)
+	f.Add([]byte("{\"t\":\"ckpt\",\"objects\":[],\"fresh\":{\"a\":2},\"streams\":{\"a\":7},\"completed\":1}\n{\"object\":\"a\",\"op\":\"r\",\"p\":1,\"cost_milli\":0,\"coalesced\":true}\n"), true)
+	f.Add([]byte("{\"t\":\"ckpt\",\"completed\":9}\n{\"object\":\"a\",\"op\":\"w\"\n"), false)
+	f.Add([]byte("not json at all\n{\"object\":\"a\"}\n"), true)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, mobile bool) {
 		if len(data) > 1<<20 {
 			return // replay is linear in size; huge inputs add no coverage
 		}
@@ -402,30 +412,23 @@ func FuzzReplayJournal(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cfg := diskFaultConfig(1, filepath.Dir(path))
+		cfg := fuzzConfig(mobile, filepath.Dir(path))
 		if err := cfg.Normalize(); err != nil {
 			t.Fatal(err)
 		}
-		st, validLen, err := replayJournal(path, &cfg, nil)
+		st, validLen, err := replayJournal(path, &cfg, cfg.Faults)
 		if err != nil {
 			return // a loud error is a correct outcome for mutated bytes
 		}
 		if validLen < 0 || validLen > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside [0,%d]", validLen, len(data))
 		}
-		st2, validLen2, err2 := replayJournal(path, &cfg, nil)
+		st2, validLen2, err2 := replayJournal(path, &cfg, cfg.Faults)
 		if err2 != nil {
 			t.Fatalf("replay accepted then rejected the same bytes: %v", err2)
 		}
-		if validLen2 != validLen ||
-			st.completed != st2.completed || st.reads != st2.reads ||
-			st.writes != st2.writes || st.coalesced != st2.coalesced ||
-			st.retrans != st2.retrans || st.unreach != st2.unreach ||
-			st.dups != st2.dups || st.deduped != st2.deduped ||
-			st.extra != st2.extra {
+		if validLen2 != validLen || st.ctr.load() != st2.ctr.load() || st.extra != st2.extra {
 			t.Fatalf("silent divergence: two replays of the same bytes disagree")
 		}
-		st.be.close()
-		st2.be.close()
 	})
 }

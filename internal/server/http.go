@@ -90,7 +90,8 @@ func parseOp(s string) (model.Request, bool) {
 //
 //	POST /v1/batch   — service a batch of requests in order; an optional
 //	                   traceparent header ties the batch's spans to the
-//	                   caller's trace
+//	                   caller's trace; a malformed request anywhere in
+//	                   the batch refuses all of it with 400
 //	GET  /v1/stats   — operational snapshot (Stats + ops counters and
 //	                   histogram snapshots)
 //	GET  /v1/metrics — Prometheus text exposition of the ops registry
@@ -130,15 +131,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
 		return
 	}
-	resp := BatchResponse{Results: make([]WireResult, 0, len(body.Requests))}
-	for _, wr := range body.Requests {
-		q, ok := parseOp(wr.Op)
-		if !ok {
-			http.Error(w, fmt.Sprintf("bad op %q (want r or w)", wr.Op), http.StatusBadRequest)
+	// Validate the whole batch before consuming any of it: a malformed
+	// request at index k must not leave 0..k-1 serviced, billed and
+	// journaled with their results thrown away.
+	reqs := make([]model.Request, len(body.Requests))
+	for i, wr := range body.Requests {
+		q, err := validate(&s.cfg, wr.Object, wr.Op, wr.Processor)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("bad request %d: %v", i, err), http.StatusBadRequest)
 			return
 		}
-		q.Processor = model.ProcessorID(wr.Processor)
-		res, err := s.do(wr.Object, q, parent, wr.Seq)
+		reqs[i] = q
+	}
+	resp := BatchResponse{Results: make([]WireResult, 0, len(body.Requests))}
+	for i, wr := range body.Requests {
+		res, err := s.submit(wr.Object, reqs[i], parent, wr.Seq)
 		if err != nil {
 			if ov, isOverload := err.(*Overloaded); isOverload {
 				resp.RetryAfterMS = ov.RetryAfter.Milliseconds()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -303,5 +304,60 @@ func TestParseOpRejectsUnknown(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown op status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestBatchValidatedBeforeConsumed checks a malformed request anywhere
+// in a batch refuses the whole batch with 400 before any of it is
+// admitted: nothing ahead of the bad index is serviced, billed or
+// journaled.
+func TestBatchValidatedBeforeConsumed(t *testing.T) {
+	const n = 4
+	s, err := New(Config{Shards: 2, N: n, T: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	good := `{"object":"a","op":"r","processor":0}`
+	for _, tc := range []struct{ name, bad string }{
+		{"bad op", `{"object":"a","op":"x","processor":0}`},
+		{"processor -1", `{"object":"a","op":"r","processor":-1}`},
+		{"processor N", fmt.Sprintf(`{"object":"a","op":"w","processor":%d}`, n)},
+		{"empty object", `{"object":"","op":"r","processor":0}`},
+	} {
+		for _, at := range []struct{ name, body string }{
+			{"index 0", `{"requests":[` + tc.bad + `,` + good + `]}`},
+			{"mid-batch", `{"requests":[` + good + `,` + good + `,` + tc.bad + `,` + good + `]}`},
+		} {
+			t.Run(tc.name+"/"+at.name, func(t *testing.T) {
+				resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(at.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("status = %d, want 400", resp.StatusCode)
+				}
+				if st := s.Stats(); st.Accepted != 0 {
+					t.Fatalf("malformed batch admitted %d requests", st.Accepted)
+				}
+			})
+		}
+	}
+	// The in-process entry point refuses the same shapes.
+	if _, err := s.Do("a", model.R(n)); err == nil {
+		t.Fatal("Do accepted processor N")
+	}
+	if _, err := s.Do("", model.R(0)); err == nil {
+		t.Fatal("Do accepted an empty object")
+	}
+	if _, err := s.Do("a", model.Request{Op: model.Op(7)}); err == nil {
+		t.Fatal("Do accepted an unknown op")
+	}
+	if st := s.Stats(); st.Accepted != 0 {
+		t.Fatalf("refused Do calls admitted %d requests", st.Accepted)
 	}
 }

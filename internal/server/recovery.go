@@ -4,13 +4,14 @@
 // Each shard journal is a JSONL file of request records (reqRecord)
 // interleaved with periodic checkpoint records (ckptRecord, one line
 // prefixed {"t":"ckpt"...}). Replay restores the latest durable
-// checkpoint, then re-applies the tail records through a fresh engine,
-// redrawing every fault-stream draw the live shard made — so the
-// rebuilt allocation schemes, adaptive-controller windows, fault
-// streams, coalescing tables and accounting are bit-identical to the
-// crashed shard's state as of its last committed round. Records whose
-// replayed cost disagrees with the recorded cost fail the replay loudly
-// (config mismatch or corrupt journal) instead of silently diverging.
+// checkpoint into a fresh shardState, then runs the tail records through
+// the same step function the live shard ran (state.go) — so the rebuilt
+// allocation schemes, adaptive-controller windows, fault streams,
+// coalescing tables and accounting are bit-identical to the crashed
+// shard's state as of its last committed round by construction, not by
+// a mirrored copy. Records whose replayed outcome disagrees with the
+// recorded one fail the replay loudly (config mismatch or corrupt
+// journal) instead of silently diverging.
 //
 // Torn tails: a SIGKILL can leave a partial final write. Only complete,
 // parseable lines are replayed; the torn tail is truncated before the
@@ -26,10 +27,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"objalloc/internal/cost"
-	"objalloc/internal/model"
 	"objalloc/internal/multiobject"
 	"objalloc/internal/netsim"
 )
@@ -57,70 +56,29 @@ const ckptTag = "ckpt"
 // with {"object":.
 var ckptPrefix = []byte(`{"t":`)
 
-// ckptRecord is a shard checkpoint: the complete per-object engine
-// state plus every piece of loop-confined shard state replay would
+// ckptRecord is a shard checkpoint: shardState's export — the complete
+// per-object engine state plus every table and counter replay would
 // otherwise have to reconstruct from the journal's full history.
 // Checkpoints are only taken when no delay-held task is in flight, so
 // the embedded fault-stream states account exactly for the records
 // preceding the checkpoint.
 type ckptRecord struct {
-	T         string                    `json:"t"` // ckptTag
-	Objects   []multiobject.ObjectState `json:"objects"`
-	Next      map[string]uint64         `json:"next,omitempty"`
-	Streams   map[string]uint64         `json:"streams,omitempty"`
-	Fresh     map[string]uint64         `json:"fresh,omitempty"`
-	TraceSeq  map[string]uint64         `json:"trace_seq,omitempty"`
-	Extra     cost.Counts               `json:"extra,omitzero"`
-	Completed uint64                    `json:"completed"`
-	Reads     uint64                    `json:"reads,omitempty"`
-	Writes    uint64                    `json:"writes,omitempty"`
-	Coalesced uint64                    `json:"coalesced,omitempty"`
-	Retrans   uint64                    `json:"retransmits,omitempty"`
-	Unreach   uint64                    `json:"unreachable,omitempty"`
-	Dups      uint64                    `json:"duplicates,omitempty"`
-	Deduped   uint64                    `json:"deduped,omitempty"`
-}
-
-// replayed is a shard's state rebuilt from its journal.
-type replayed struct {
-	be      backend
-	next    map[string]uint64
-	streams map[string]*uint64
-	fresh   map[string]model.Set // nil when coalescing is off
-	seq     map[string]uint64
-	extra   cost.Counts
-
-	completed, reads, writes uint64
-	coalesced, retrans       uint64
-	unreach, dups, deduped   uint64
-}
-
-func newReplayed(cfg *Config) (*replayed, error) {
-	if cfg.Engine == EngineHA {
-		return nil, fmt.Errorf("server: ha engine state is not restorable")
-	}
-	be, err := newDirectoryBackend(cfg)
-	if err != nil {
-		return nil, err
-	}
-	st := &replayed{
-		be:      be,
-		next:    make(map[string]uint64),
-		streams: make(map[string]*uint64),
-		seq:     make(map[string]uint64),
-	}
-	if cfg.coalesce {
-		st.fresh = make(map[string]model.Set)
-	}
-	return st, nil
+	T        string                    `json:"t"` // ckptTag
+	Objects  []multiobject.ObjectState `json:"objects"`
+	Next     map[string]uint64         `json:"next,omitempty"`
+	Streams  map[string]uint64         `json:"streams,omitempty"`
+	Fresh    map[string]uint64         `json:"fresh,omitempty"`
+	TraceSeq map[string]uint64         `json:"trace_seq,omitempty"`
+	Extra    cost.Counts               `json:"extra,omitzero"`
+	counters
 }
 
 // replayJournal rebuilds one shard's state from its journal file and
 // returns it together with the length of the valid prefix (everything
 // before a torn final line). A missing file replays to the empty state,
 // so -recover works on first boot.
-func replayJournal(path string, cfg *Config, plan *netsim.FaultPlan) (*replayed, int64, error) {
-	st, err := newReplayed(cfg)
+func replayJournal(path string, cfg *Config, plan *netsim.FaultPlan) (*shardState, int64, error) {
+	st, err := newShardState(cfg, plan)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -168,7 +126,7 @@ func replayJournal(path string, cfg *Config, plan *netsim.FaultPlan) (*replayed,
 		break
 	}
 	if ckpt != nil {
-		if err := st.restoreCheckpoint(ckpt); err != nil {
+		if err := st.restore(ckpt); err != nil {
 			return nil, 0, fmt.Errorf("server: journal %s: %w", path, err)
 		}
 	}
@@ -192,153 +150,34 @@ func replayJournal(path string, cfg *Config, plan *netsim.FaultPlan) (*replayed,
 			}
 			return nil, 0, fmt.Errorf("server: journal %s: corrupt record at line %d: %v", path, i+1, err)
 		}
-		if err := st.apply(cfg, plan, &rec); err != nil {
+		if err := st.replay(&rec); err != nil {
 			return nil, 0, fmt.Errorf("server: journal %s: line %d: %w", path, i+1, err)
 		}
 	}
 	return st, validLen, nil
 }
 
-func (st *replayed) restoreCheckpoint(c *ckptRecord) error {
-	if err := st.be.restore(c.Objects); err != nil {
+// replay re-services one journaled record through the same step the
+// live shard ran — validate, step, and step again as released if the
+// first drew a delay hold (the hold length only affected scheduling) —
+// then verifies the outcome against the recorded one, so a config
+// mismatch or a corrupt journal fails loudly instead of diverging.
+func (st *shardState) replay(rec *reqRecord) error {
+	q, err := validate(st.cfg, rec.Object, rec.Op, rec.P)
+	if err != nil {
 		return err
 	}
-	for obj, n := range c.Next {
-		st.next[obj] = n
+	out := st.step(rec.Object, q, rec.Seq, false)
+	if out.hold > 0 {
+		out = st.step(rec.Object, q, rec.Seq, true)
 	}
-	for obj, v := range c.Streams {
-		vv := v
-		st.streams[obj] = &vv
+	r := out.res
+	if r.Err != nil && rec.Err == "" {
+		return fmt.Errorf("record %s/%s/p%d replays to error %q, record has no error", rec.Object, rec.Op, rec.P, r.Err)
 	}
-	if st.fresh != nil {
-		for obj, s := range c.Fresh {
-			st.fresh[obj] = model.Set(s)
-		}
-	}
-	for obj, n := range c.TraceSeq {
-		st.seq[obj] = n
-	}
-	st.extra = c.Extra
-	st.completed = c.Completed
-	st.reads = c.Reads
-	st.writes = c.Writes
-	st.coalesced = c.Coalesced
-	st.retrans = c.Retrans
-	st.unreach = c.Unreach
-	st.dups = c.Dups
-	st.deduped = c.Deduped
-	return nil
-}
-
-// stream mirrors shard.stream: same seeding, so replay's redraws track
-// the live shard's draws exactly.
-func (st *replayed) stream(cfg *Config, plan *netsim.FaultPlan, object string) *uint64 {
-	s, ok := st.streams[object]
-	if !ok {
-		seed := (plan.Seed ^ uint64(cfg.Seed)) * 0x9e3779b97f4a7c15
-		v := seed ^ fnv64a(object)
-		s = &v
-		splitmix64(s)
-		st.streams[object] = s
-	}
-	return s
-}
-
-// apply re-services one journaled record, mirroring shard.process draw
-// for draw, and verifies the replayed outcome against the recorded one.
-func (st *replayed) apply(cfg *Config, plan *netsim.FaultPlan, rec *reqRecord) error {
-	st.seq[rec.Object]++
-	if rec.Seq != 0 && rec.Seq >= st.next[rec.Object] {
-		st.next[rec.Object] = rec.Seq + 1
-	}
-	q, ok := parseOp(rec.Op)
-	if !ok {
-		return fmt.Errorf("bad op %q", rec.Op)
-	}
-	if rec.P < 0 || rec.P >= cfg.N {
-		// Admission validates this bound on the live path; replay must
-		// not trust journal bytes it did not write.
-		return fmt.Errorf("processor %d outside [0,%d)", rec.P, cfg.N)
-	}
-	q.Processor = model.ProcessorID(rec.P)
-	var retransmits int
-	var retransCost float64
-	if plan != nil && plan.Active() && cfg.Engine != EngineHA {
-		s := st.stream(cfg, plan, rec.Object)
-		if plan.Delay > 0 && float01(s) < plan.Delay {
-			dmax := plan.DelayMax
-			if dmax < 1 {
-				dmax = 1
-			}
-			// Magnitude draw; the hold length only affects scheduling.
-			_ = splitmix64(s) % uint64(dmax)
-		}
-		if plan.Loss > 0 {
-			attempts := cfg.Retry.Attempts()
-			if cfg.Retry.Disabled {
-				attempts = 1
-			}
-			delivered := false
-			for a := 0; a < attempts; a++ {
-				if float01(s) < plan.Loss {
-					retransmits++
-				} else {
-					delivered = true
-					break
-				}
-			}
-			st.extra.Control += retransmits
-			retransCost = float64(retransmits) * cfg.Model.CC
-			st.retrans += uint64(retransmits)
-			if !delivered {
-				if rec.Err == "" {
-					return fmt.Errorf("replay draws unreachable, record has no error")
-				}
-				if err := st.verify(rec, milli(retransCost), retransmits, false); err != nil {
-					return err
-				}
-				st.unreach++
-				st.completed++
-				return nil
-			}
-		}
-		if plan.Dup > 0 && float01(s) < plan.Dup {
-			st.dups++
-		}
-	}
-	if st.fresh != nil && q.IsRead() && st.fresh[rec.Object].Contains(q.Processor) {
-		if err := st.verify(rec, milli(retransCost), retransmits, true); err != nil {
-			return err
-		}
-		st.coalesced++
-		st.reads++
-		st.completed++
-		return nil
-	}
-	a, err := st.be.apply(rec.Object, q)
-	if st.fresh != nil && err == nil {
-		if q.IsRead() {
-			st.fresh[rec.Object] = st.fresh[rec.Object].Add(q.Processor)
-		} else {
-			delete(st.fresh, rec.Object)
-		}
-	}
-	if q.IsRead() {
-		st.reads++
-	} else {
-		st.writes++
-	}
-	if err := st.verify(rec, milli(a.cost+retransCost), retransmits, false); err != nil {
-		return err
-	}
-	st.completed++
-	return nil
-}
-
-func (st *replayed) verify(rec *reqRecord, costMilli int64, retransmits int, coalesced bool) error {
-	if costMilli != rec.CostMilli || retransmits != rec.Retrans || coalesced != rec.Coalesced {
+	if milli(r.Cost) != rec.CostMilli || r.Retransmits != rec.Retrans || r.Coalesced != rec.Coalesced {
 		return fmt.Errorf("record %s/%s/p%d replays to cost=%d retransmits=%d coalesced=%t, recorded cost=%d retransmits=%d coalesced=%t (config mismatch or corrupt journal)",
-			rec.Object, rec.Op, rec.P, costMilli, retransmits, coalesced, rec.CostMilli, rec.Retrans, rec.Coalesced)
+			rec.Object, rec.Op, rec.P, milli(r.Cost), r.Retransmits, r.Coalesced, rec.CostMilli, rec.Retrans, rec.Coalesced)
 	}
 	return nil
 }
@@ -357,36 +196,16 @@ func ReplayDir(cfg Config) (Stats, error) {
 	if cfg.Journal == "" {
 		return Stats{}, fmt.Errorf("server: ReplayDir requires Config.Journal")
 	}
-	if cfg.Engine == EngineHA {
-		return Stats{}, fmt.Errorf("server: ha engine state is not restorable")
-	}
 	st := Stats{Engine: cfg.Engine.String(), Shards: cfg.Shards, Draining: true, Final: true}
-	var counts cost.Counts
 	for i := 0; i < cfg.Shards; i++ {
-		plan := cfg.Faults
-		if cfg.ShardFaults != nil {
-			plan = cfg.ShardFaults(i)
-		}
-		path := filepath.Join(cfg.Journal, fmt.Sprintf("shard-%d.jsonl", i))
-		rs, _, err := replayJournal(path, &cfg, plan)
+		rs, _, err := replayJournal(cfg.journalPath(i), &cfg, cfg.shardPlan(i))
 		if err != nil {
 			return Stats{}, err
 		}
-		ss := ShardStats{Shard: i, Accepted: rs.completed, Complete: rs.completed}
-		st.Accepted += rs.completed
-		st.Complete += rs.completed
-		st.Reads += rs.reads
-		st.Writes += rs.writes
-		st.Coalesce += rs.coalesced
-		st.Retrans += rs.retrans
-		st.Unreach += rs.unreach
-		st.Dups += rs.dups
-		st.Objects += rs.be.objects()
-		counts = counts.Add(rs.be.counts())
-		counts = counts.Add(rs.extra)
-		st.PerShard = append(st.PerShard, ss)
+		completed := st.add(rs, true)
+		st.Accepted += completed
+		st.PerShard = append(st.PerShard, ShardStats{Shard: i, Accepted: completed, Complete: completed})
 	}
-	st.Counts = counts
-	st.Cost = counts.Price(cfg.Model)
+	st.Deduped = 0 // the last checkpoint's value, not the run's: scheduling-dependent
 	return st, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"objalloc/internal/adaptive"
+	"objalloc/internal/cost"
 	"objalloc/internal/model"
 	"objalloc/internal/netsim"
 	"objalloc/internal/tracing"
@@ -32,13 +34,7 @@ func driveRange(t *testing.T, s *Server, objects, from, to, workers int) {
 			for o := w; o < objects; o += workers {
 				name := fmt.Sprintf("obj-%d", o)
 				for i := from; i < to; i++ {
-					var q model.Request
-					if (o+i)%3 == 0 {
-						q = model.W(model.ProcessorID((o + i) % s.cfg.N))
-					} else {
-						q = model.R(model.ProcessorID((o + i) % s.cfg.N))
-					}
-					if _, err := s.Do(name, q); err != nil {
+					if _, err := s.Do(name, requestAt(o, i, s.cfg.N)); err != nil {
 						var ov *Overloaded
 						if errors.As(err, &ov) {
 							i-- // retry: per-object order still intact
@@ -56,6 +52,21 @@ func driveRange(t *testing.T, s *Server, objects, from, to, workers int) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// requestAt is request i of object o's stream: every third request a
+// write, processors rotating — except that every fourth request repeats
+// its predecessor's processor, so a coalescing config sees back-to-back
+// reads from one processor (the only reads the freshness table serves).
+func requestAt(o, i, n int) model.Request {
+	p := o + i
+	if i%4 == 3 {
+		p--
+	}
+	if (o+i)%3 == 0 {
+		return model.W(model.ProcessorID(p % n))
+	}
+	return model.R(model.ProcessorID(p % n))
 }
 
 // detStats renders the deterministic accounting subset — everything the
@@ -87,65 +98,106 @@ func recoveryConfig(shards int, dir string) Config {
 	}
 }
 
+// mobileRecoveryConfig is the battery's second row: dynamic allocation
+// under the mobile cost model, where coalescing resolves on (the
+// freshness table must round-trip and coalesced records must verify),
+// with loss heavy enough to exhaust the retry budget (err records),
+// duplication draws and delay holds.
+func mobileRecoveryConfig(shards int, dir string) Config {
+	return Config{
+		Shards: shards, N: 6, T: 2,
+		Engine: EngineDA, Model: cost.MC(0.25, 1),
+		Seed:            11,
+		Faults:          &netsim.FaultPlan{Seed: 7, Loss: 0.3, Dup: 0.15, Delay: 0.2, DelayMax: 3},
+		Retry:           netsim.RetryPolicy{MaxAttempts: 2},
+		Journal:         dir,
+		CheckpointEvery: 8,
+	}
+}
+
+// recoveryConfigs is the table every recovery test runs over.
+var recoveryConfigs = []struct {
+	name string
+	cfg  func(shards int, dir string) Config
+}{
+	{"adaptive", recoveryConfig},
+	{"da-mobile", mobileRecoveryConfig},
+}
+
+// forRecoveryConfigs runs one recovery test body per battery row.
+func forRecoveryConfigs(t *testing.T, body func(t *testing.T, mk func(shards int, dir string) Config)) {
+	for _, rc := range recoveryConfigs {
+		t.Run(rc.name, func(t *testing.T) { body(t, rc.cfg) })
+	}
+}
+
 // A run split across a shutdown and a -recover restart must produce
 // accounting byte-identical to the same workload run uninterrupted:
 // journal replay restores every object's scheme, the adaptive
 // controller's window, and the fault-stream positions.
 func TestRecoverContinuesIdentically(t *testing.T) {
-	const objects, perObject, workers = 8, 20, 2
+	forRecoveryConfigs(t, func(t *testing.T, mk func(int, string) Config) {
+		const objects, perObject, workers = 8, 20, 2
 
-	full, err := New(recoveryConfig(2, t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveRange(t, full, objects, 0, perObject, workers)
-	full.Drain()
-	want := detStats(full.Stats())
+		full, err := New(mk(2, t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveRange(t, full, objects, 0, perObject, workers)
+		full.Drain()
+		want := detStats(full.Stats())
 
-	dir := t.TempDir()
-	first, err := New(recoveryConfig(2, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveRange(t, first, objects, 0, perObject/2, workers)
-	first.Drain()
+		dir := t.TempDir()
+		first, err := New(mk(2, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveRange(t, first, objects, 0, perObject/2, workers)
+		first.Drain()
 
-	cfg := recoveryConfig(2, dir)
-	cfg.Recover = true
-	second, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := second.Stats()
-	if st.Complete != uint64(objects*perObject/2) {
-		t.Fatalf("recovered server reports %d completed, want %d replayed", st.Complete, objects*perObject/2)
-	}
-	driveRange(t, second, objects, perObject/2, perObject, workers)
-	second.Drain()
-	if got := detStats(second.Stats()); got != want {
-		t.Fatalf("recovered run diverges from uninterrupted run:\n  got  %s\n  want %s", got, want)
-	}
+		cfg := mk(2, dir)
+		cfg.Recover = true
+		second, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := second.Stats()
+		if st.Complete != uint64(objects*perObject/2) {
+			t.Fatalf("recovered server reports %d completed, want %d replayed", st.Complete, objects*perObject/2)
+		}
+		driveRange(t, second, objects, perObject/2, perObject, workers)
+		second.Drain()
+		if got := detStats(second.Stats()); got != want {
+			t.Fatalf("recovered run diverges from uninterrupted run:\n  got  %s\n  want %s", got, want)
+		}
+	})
 }
 
 // ReplayDir reconstructs a drained run's deterministic accounting from
 // the journals alone.
 func TestReplayDirMatchesStats(t *testing.T) {
-	dir := t.TempDir()
-	s, err := New(recoveryConfig(2, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveRange(t, s, 8, 0, 15, 2)
-	s.Drain()
-	want := detStats(s.Stats())
+	forRecoveryConfigs(t, func(t *testing.T, mk func(int, string) Config) {
+		dir := t.TempDir()
+		s, err := New(mk(2, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveRange(t, s, 8, 0, 15, 2)
+		s.Drain()
+		live := s.Stats()
+		want := detStats(live)
+		if s.cfg.coalesce && (live.Coalesce == 0 || live.Dups == 0 || live.Unreach == 0) {
+			t.Fatalf("coalescing row is vacuous: coalesced=%d dups=%d unreach=%d", live.Coalesce, live.Dups, live.Unreach)
+		}
 
-	st, err := ReplayDir(recoveryConfig(2, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := detStats(st); got != want {
-		t.Fatalf("replay diverges from live stats:\n  got  %s\n  want %s", got, want)
-	}
+		st, err := ReplayDir(mk(2, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := detStats(st); got != want {
+			t.Fatalf("replay diverges from live stats:\n  got  %s\n  want %s", got, want)
+		}
+	})
 }
 
 // A torn final line — the partial write a crash mid-commit leaves — is
@@ -230,66 +282,100 @@ func TestCorruptMiddleFailsReplay(t *testing.T) {
 // aggregate accounting: replay preserves the shard-count-independence
 // of the determinism contract.
 func TestReplayDeterminismAcrossShardCounts(t *testing.T) {
-	var want string
-	for i, shards := range []int{1, 8} {
-		dir := t.TempDir()
-		s, err := New(recoveryConfig(shards, dir))
-		if err != nil {
-			t.Fatal(err)
+	forRecoveryConfigs(t, func(t *testing.T, mk func(int, string) Config) {
+		var want string
+		for i, shards := range []int{1, 8} {
+			dir := t.TempDir()
+			s, err := New(mk(shards, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveRange(t, s, 12, 0, 15, 4)
+			s.Drain()
+			st, err := ReplayDir(mk(shards, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := detStats(st); i == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("replay at %d shards diverges from 1 shard:\n  got  %s\n  want %s", shards, got, want)
+			}
 		}
-		driveRange(t, s, 12, 0, 15, 4)
-		s.Drain()
-		st, err := ReplayDir(recoveryConfig(shards, dir))
-		if err != nil {
-			t.Fatal(err)
+	})
+}
+
+// pollDuring scrapes Stats and /v1/healthz in a tight loop until the
+// returned stop function is called, so `go test -race` covers a live
+// scrape racing the supervisor while it installs a replayed state.
+func pollDuring(t *testing.T, s *Server) (stop func()) {
+	t.Helper()
+	ts := httptest.NewServer(s.Handler())
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			s.Stats()
+			resp, err := http.Get(ts.URL + "/v1/healthz")
+			if err != nil {
+				t.Errorf("healthz during recovery: %v", err)
+				return
+			}
+			resp.Body.Close()
 		}
-		if got := detStats(st); i == 0 {
-			want = got
-		} else if got != want {
-			t.Fatalf("replay at %d shards diverges from 1 shard:\n  got  %s\n  want %s", shards, got, want)
-		}
-	}
+	}()
+	return func() { close(quit); <-done; ts.Close() }
 }
 
 // An injected panic in every shard loop must be supervised back to
 // healthy: no accepted request is lost, the restart is counted, and the
-// accounting still matches a panic-free same-seed run.
+// accounting still matches a panic-free same-seed run — all under a
+// concurrent Stats/healthz scrape.
 func TestShardPanicRecovery(t *testing.T) {
-	const objects, perObject, workers = 8, 20, 4
+	forRecoveryConfigs(t, func(t *testing.T, mk func(int, string) Config) {
+		const objects, perObject, workers = 8, 20, 4
 
-	clean, err := New(recoveryConfig(2, t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveRange(t, clean, objects, 0, perObject, workers)
-	clean.Drain()
-	want := detStats(clean.Stats())
-
-	cfg := recoveryConfig(2, t.TempDir())
-	cfg.PanicAfter = 5
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveRange(t, s, objects, 0, perObject, workers)
-	s.Drain()
-	st := s.Stats()
-	if st.Accepted != st.Complete {
-		t.Fatalf("panic run lost requests: accepted %d, completed %d", st.Accepted, st.Complete)
-	}
-	var restarts uint64
-	for _, ss := range st.PerShard {
-		restarts += ss.Restarts
-		if ss.State != "" {
-			t.Fatalf("shard %d ended in state %q, want healthy", ss.Shard, ss.State)
+		clean, err := New(mk(2, t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if restarts == 0 {
-		t.Fatal("no supervised restarts recorded — the injected panic never fired")
-	}
-	if got := detStats(st); got != want {
-		t.Fatalf("post-panic accounting diverges from panic-free run:\n  got  %s\n  want %s", got, want)
-	}
+		driveRange(t, clean, objects, 0, perObject, workers)
+		clean.Drain()
+		want := detStats(clean.Stats())
+
+		cfg := mk(2, t.TempDir())
+		cfg.PanicAfter = 5
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := pollDuring(t, s)
+		driveRange(t, s, objects, 0, perObject, workers)
+		stop()
+		s.Drain()
+		st := s.Stats()
+		if st.Accepted != st.Complete {
+			t.Fatalf("panic run lost requests: accepted %d, completed %d", st.Accepted, st.Complete)
+		}
+		var restarts uint64
+		for _, ss := range st.PerShard {
+			restarts += ss.Restarts
+			if ss.State != "" {
+				t.Fatalf("shard %d ended in state %q, want healthy", ss.Shard, ss.State)
+			}
+		}
+		if restarts == 0 {
+			t.Fatal("no supervised restarts recorded — the injected panic never fired")
+		}
+		if got := detStats(st); got != want {
+			t.Fatalf("post-panic accounting diverges from panic-free run:\n  got  %s\n  want %s", got, want)
+		}
+	})
 }
 
 // Per-object sequence numbers make retries idempotent: a seq below the

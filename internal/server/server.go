@@ -1,8 +1,24 @@
 // Package server is the long-running sharded allocation service: a
 // multi-object distributed-database directory partitioned over N
 // independent shards, each running its own allocation engine (SA, DA or
-// the executed HA clusters) behind a batched request pipeline with
-// admission control and a graceful drain.
+// the adaptive controller that switches between them) behind a batched
+// request pipeline with admission control, a write-ahead journal and a
+// graceful drain.
+//
+// The package is three layers around one state machine. State: a
+// shardState (state.go) is everything a request's outcome depends on —
+// the engine directory, fault streams, freshness table, dedup horizons,
+// counters — and its step method is the only code that services a
+// request. Scheduling: the shard loop (shard.go) feeds step from a
+// mailbox, holds delayed requests, journals outcomes and releases acks
+// only after the round's commit; the supervisor (supervisor.go) restarts
+// a panicked loop on a state replayed from the journal. Verification:
+// replay (recovery.go) runs journal records through the same step and
+// checks each outcome against the record. Every serving engine honours
+// every guarantee below — determinism, checkpoint/recover, fault
+// streams, coalescing where it is free; the executed HA clusters, which
+// could honour none of them, are exercised by internal/ha, internal/chaos
+// and cmd/chaos instead.
 //
 // Objects are hashed to shards, so each object's requests are serviced by
 // exactly one shard goroutine in arrival order — which is what keeps the
@@ -21,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,7 +66,7 @@ const (
 	// engine, where the first read installed a local copy and a repeat
 	// local read costs nothing. Any Factory override disables it.
 	CoalesceAuto CoalesceMode = iota
-	// CoalesceOn forces coalescing on (directory engines only).
+	// CoalesceOn forces coalescing on (da and sa engines only).
 	CoalesceOn
 	// CoalesceOff disables coalescing.
 	CoalesceOff
@@ -66,8 +83,8 @@ type Config struct {
 	// Batch caps the number of requests coalesced into one service
 	// round; fewer than 1 means 64.
 	Batch int
-	// Engine selects the per-shard engine: EngineDA (default), EngineSA,
-	// EngineHA or EngineAdaptive.
+	// Engine selects the per-shard engine: EngineDA (default), EngineSA
+	// or EngineAdaptive.
 	Engine Engine
 	// Adaptive configures the EngineAdaptive controller (window,
 	// hysteresis, decay, start protocol, region test). The zero value
@@ -79,8 +96,9 @@ type Config struct {
 	T int
 	// Model prices the accounting; the zero model means cost.SC(0.25, 1).
 	Model cost.Model
-	// Factory overrides the directory engine's DOM factory (directory
-	// engines only); nil derives it from Engine.
+	// Factory overrides the engine's DOM factory; nil derives it from
+	// Engine. A factory whose algorithms cannot export their state
+	// disables checkpointing (the journal degrades to full replay).
 	Factory dom.Factory
 	// Placement maps a new object to its initial allocation scheme; nil
 	// places every object at {0..T-1}.
@@ -91,9 +109,8 @@ type Config struct {
 	// per-object request order = identical fault outcomes at any Shards.
 	Seed int64
 	// Faults, when non-nil, injects deterministic message faults into
-	// every shard: the directory engines draw loss/duplication/delay
-	// from per-object streams, the HA engine installs the plan on each
-	// object's real network.
+	// every shard: loss, duplication and delay are drawn from per-object
+	// streams.
 	Faults *netsim.FaultPlan
 	// ShardFaults, when non-nil, overrides Faults per shard (chaos
 	// experiments that stress one shard). Per-shard plans make the
@@ -103,10 +120,6 @@ type Config struct {
 	ShardFaults func(shard int) *netsim.FaultPlan
 	// Retry is the retransmission discipline applied to lost messages.
 	Retry netsim.RetryPolicy
-	// MaxHAObjects caps the per-shard object count under EngineHA
-	// (each object runs a real cluster of N goroutines); fewer than 1
-	// means 64.
-	MaxHAObjects int
 	// Journal, when non-empty, is a directory receiving one JSONL
 	// journal per shard. Records are group-committed (one write + fsync
 	// per service round) and replies are only sent after the commit, so
@@ -117,8 +130,7 @@ type Config struct {
 	// Recover, when set, rebuilds each shard's state from its journal
 	// at startup instead of starting empty: the latest checkpoint is
 	// restored and the tail records are re-applied deterministically.
-	// Requires Journal; directory engines only (the executed HA
-	// clusters cannot be snapshotted).
+	// Requires Journal.
 	Recover bool
 	// CheckpointEvery is the number of journal records between
 	// checkpoints; fewer than 1 means 1024.
@@ -190,9 +202,6 @@ func (cfg *Config) Normalize() error {
 			return err
 		}
 	}
-	if cfg.MaxHAObjects < 1 {
-		cfg.MaxHAObjects = 64
-	}
 	if cfg.DiskFaults != nil {
 		if err := cfg.DiskFaults.Validate(); err != nil {
 			return err
@@ -204,24 +213,13 @@ func (cfg *Config) Normalize() error {
 	if cfg.CheckpointEvery < 1 {
 		cfg.CheckpointEvery = 1024
 	}
-	if cfg.Recover {
-		if cfg.Journal == "" {
-			return fmt.Errorf("server: Recover requires a Journal directory")
-		}
-		if cfg.Engine == EngineHA {
-			return fmt.Errorf("server: ha engine state is not restorable (Recover requires a directory engine)")
-		}
-	}
-	if cfg.Engine == EngineHA && cfg.Factory != nil {
-		return fmt.Errorf("server: Factory override is a directory-engine option; the ha engine executes real clusters")
+	if cfg.Recover && cfg.Journal == "" {
+		return fmt.Errorf("server: Recover requires a Journal directory")
 	}
 	switch cfg.Coalesce {
 	case CoalesceAuto:
 		cfg.coalesce = cfg.Model.IsMobile() && cfg.Engine == EngineDA && cfg.Factory == nil
 	case CoalesceOn:
-		if cfg.Engine == EngineHA {
-			return fmt.Errorf("server: coalescing requires a directory engine (da or sa)")
-		}
 		if cfg.Engine == EngineAdaptive {
 			// Coalesced reads never reach the engine, so the controller's
 			// sliding window would miss them and mis-estimate the mix.
@@ -240,7 +238,7 @@ func (cfg *Config) Normalize() error {
 	if err := cfg.Adaptive.Normalize(); err != nil {
 		return err
 	}
-	if cfg.Factory == nil && cfg.Engine != EngineHA {
+	if cfg.Factory == nil {
 		if cfg.Engine == EngineAdaptive {
 			cfg.Factory = adaptive.Factory(cfg.Model, cfg.Adaptive)
 		} else {
@@ -248,6 +246,19 @@ func (cfg *Config) Normalize() error {
 		}
 	}
 	return nil
+}
+
+// shardPlan resolves one shard's message-fault plan.
+func (cfg *Config) shardPlan(shard int) *netsim.FaultPlan {
+	if cfg.ShardFaults != nil {
+		return cfg.ShardFaults(shard)
+	}
+	return cfg.Faults
+}
+
+// journalPath names one shard's journal file.
+func (cfg *Config) journalPath(shard int) string {
+	return filepath.Join(cfg.Journal, fmt.Sprintf("shard-%d.jsonl", shard))
 }
 
 // Result is one serviced request's outcome.
@@ -345,11 +356,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		plan := s.cfg.Faults
-		if s.cfg.ShardFaults != nil {
-			plan = s.cfg.ShardFaults(i)
-		}
-		sh, err := newShard(s, i, plan)
+		sh, err := newShard(s, i)
 		if err != nil {
 			for _, prev := range s.shards {
 				close(prev.mail)
@@ -364,65 +371,48 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-func newShard(s *Server, id int, plan *netsim.FaultPlan) (*shard, error) {
+func newShard(s *Server, id int) (*shard, error) {
 	cfg := &s.cfg
-	var be backend
-	var err error
-	if cfg.Engine == EngineHA {
-		be = newHABackend(cfg, plan)
-	} else {
-		be, err = newDirectoryBackend(cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
+	plan := cfg.shardPlan(id)
 	sh := &shard{
 		id:      id,
 		srv:     s,
 		mail:    make(chan *task, cfg.Queue),
-		be:      be,
-		faults:  plan,
+		inj:     cfg.DiskFaults.Injector(id),
 		heldObj: make(map[string]bool),
 		blocked: make(map[string][]*task),
-		streams: make(map[string]*uint64),
-		next:    make(map[string]uint64),
 
 		depthHist: s.ops.Histogram(fmt.Sprintf("shard%d.queue_depth", id), 0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
 		batchHist: s.ops.Histogram(fmt.Sprintf("shard%d.batch_size", id), 1, 2, 4, 8, 16, 32, 64, 128),
 		svcHist:   s.ops.Histogram(fmt.Sprintf("shard%d.service_rounds", id), 1, 2, 4, 8, 16, 32),
 	}
-	if cfg.Engine != EngineHA && cfg.coalesce {
-		sh.fresh = make(map[string]model.Set)
-	}
-	if cfg.Trace.Enabled() {
-		sh.seq = make(map[string]uint64)
-	}
-	sh.inj = cfg.DiskFaults.Injector(id)
-	if cfg.Journal != "" {
-		path := filepath.Join(cfg.Journal, fmt.Sprintf("shard-%d.jsonl", id))
-		if cfg.Recover {
-			// Rebuild the shard from its journal: restore the latest
-			// checkpoint, re-apply the tail, truncate any torn final
-			// line, then resume appending. Everything in the valid
-			// prefix was acked (or about to be — the client retries
-			// unacked requests and is answered idempotently), so the
-			// admission counter restarts equal to completed.
-			st, validLen, replayErr := replayJournal(path, cfg, plan)
-			if replayErr != nil {
-				be.close()
-				return nil, replayErr
-			}
-			if truncErr := os.Truncate(path, validLen); truncErr != nil && !os.IsNotExist(truncErr) {
-				be.close()
-				return nil, fmt.Errorf("server: journal %s: %w", path, truncErr)
-			}
-			sh.installReplayed(st)
-			sh.accepted.Store(st.completed)
-			sh.deduped.Store(st.deduped)
+	var st *shardState
+	var err error
+	if cfg.Recover {
+		// Rebuild the shard from its journal: restore the latest
+		// checkpoint, re-apply the tail, truncate any torn final line,
+		// then resume appending. Everything in the valid prefix was acked
+		// (or about to be — the client retries unacked requests and is
+		// answered idempotently), so the admission counter restarts equal
+		// to completed.
+		path := cfg.journalPath(id)
+		var validLen int64
+		if st, validLen, err = replayJournal(path, cfg, plan); err != nil {
+			return nil, err
 		}
-		sh.journal, err = openJournal(path, cfg.Recover, cfg.CheckpointEvery, sh.inj)
+		if err := os.Truncate(path, validLen); err != nil && !os.IsNotExist(err) {
+			return nil, fmt.Errorf("server: journal %s: %w", path, err)
+		}
+		sh.accepted.Store(st.ctr.completed.Load())
+	} else {
+		if st, err = newShardState(cfg, plan); err != nil {
+			return nil, err
+		}
+	}
+	sh.st.Store(st)
+	if cfg.Journal != "" {
+		sh.journal, err = openJournal(cfg.journalPath(id), cfg.Recover, cfg.CheckpointEvery, sh.inj)
 		if err != nil {
-			sh.be.close()
 			return nil, err
 		}
 	}
@@ -466,12 +456,17 @@ func (s *Server) DoTraced(object string, q model.Request, parent tracing.SpanCon
 // (Result.Duplicate) — the crash-safe contract behind the HTTP wire's
 // "seq" field.
 func (s *Server) do(object string, q model.Request, parent tracing.SpanContext, seq uint64) (Result, error) {
-	if object == "" {
-		return Result{}, fmt.Errorf("server: empty object name")
+	q, err := validate(&s.cfg, object, q.Op.String(), int(q.Processor))
+	if err != nil {
+		return Result{}, err
 	}
-	if q.Processor < 0 || int(q.Processor) >= s.cfg.N {
-		return Result{}, fmt.Errorf("server: processor %d outside [0,%d)", q.Processor, s.cfg.N)
-	}
+	return s.submit(object, q, parent, seq)
+}
+
+// submit admits one validated request to its shard and awaits the
+// outcome. Callers validate first, so a malformed request is refused
+// before it can enter — or half-consume — any schedule.
+func (s *Server) submit(object string, q model.Request, parent tracing.SpanContext, seq uint64) (Result, error) {
 	var t0 time.Time
 	if s.measure.Load() {
 		t0 = time.Now()
@@ -596,17 +591,12 @@ func (s *Server) Drain() {
 	close(s.drained)
 }
 
-// Close drains the pipeline and releases engine resources (the HA
-// engine's cluster goroutines in particular).
+// Close drains the pipeline. The engines hold no resources beyond
+// memory, so it never fails; the error return is the io.Closer shape
+// callers defer.
 func (s *Server) Close() error {
 	s.Drain()
-	var first error
-	for _, sh := range s.shards {
-		if err := sh.be.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return nil
 }
 
 // Draining reports whether Drain has begun.
@@ -616,7 +606,7 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// finalize runs after every shard loop has exited; backends are
+// finalize runs after every shard loop has exited; request states are
 // goroutine-confined to their shard loops, so this is the first moment
 // the server goroutine may touch them. It emits the deterministic
 // accounting — totals as counters, per-object stats as events sorted by
@@ -629,20 +619,10 @@ func (s *Server) finalize() {
 		return
 	}
 	all := s.allStats()
-	var counts cost.Counts
-	var completed, coalesced, retrans, unreach, dups uint64
-	for _, sh := range s.shards {
-		counts = counts.Add(sh.extra)
-		completed += sh.completed.Load()
-		coalesced += sh.coalesced.Load()
-		retrans += sh.retrans.Load()
-		unreach += sh.unreach.Load()
-		dups += sh.dups.Load()
-	}
+	total := s.snapshot(true)
 	costMilli := o.Histogram("server.object_cost_milli", 0, 100, 300, 1000, 3000, 10000, 30000, 100000)
 	var switches int64
 	for _, st := range all {
-		counts = counts.Add(st.Counts)
 		costMilli.Observe(int64(st.Cost * 1000))
 		o.Emit(obs.Event{Name: "object", Attrs: []obs.Attr{
 			obs.String("name", st.Name),
@@ -681,22 +661,22 @@ func (s *Server) finalize() {
 		o.Counter("server.policy_switches").Add(switches)
 	}
 	o.Counter("server.objects").Add(int64(len(all)))
-	o.Counter("server.requests").Add(int64(completed))
-	o.Counter("server.coalesced").Add(int64(coalesced))
-	o.Counter("server.retransmissions").Add(int64(retrans))
-	o.Counter("server.unreachable").Add(int64(unreach))
-	o.Counter("server.duplicates").Add(int64(dups))
-	o.Counter("server.msgs.control").Add(int64(counts.Control))
-	o.Counter("server.msgs.data").Add(int64(counts.Data))
-	o.Counter("server.io").Add(int64(counts.IO))
+	o.Counter("server.requests").Add(int64(total.Complete))
+	o.Counter("server.coalesced").Add(int64(total.Coalesce))
+	o.Counter("server.retransmissions").Add(int64(total.Retrans))
+	o.Counter("server.unreachable").Add(int64(total.Unreach))
+	o.Counter("server.duplicates").Add(int64(total.Dups))
+	o.Counter("server.msgs.control").Add(int64(total.Counts.Control))
+	o.Counter("server.msgs.data").Add(int64(total.Counts.Data))
+	o.Counter("server.io").Add(int64(total.Counts.IO))
 	s.cfg.Trace.SetSummary(tracing.Summary{
-		Requests:  int64(completed),
+		Requests:  int64(total.Complete),
 		Objects:   len(all),
 		Engine:    s.cfg.Engine.String(),
-		CostMilli: milli(counts.Price(s.cfg.Model)),
-		Control:   counts.Control,
-		Data:      counts.Data,
-		IO:        counts.IO,
+		CostMilli: milli(total.Cost),
+		Control:   total.Counts.Control,
+		Data:      total.Counts.Data,
+		IO:        total.Counts.IO,
 	})
 }
 
@@ -705,12 +685,12 @@ func (s *Server) finalize() {
 func (s *Server) allStats() []multiobject.Stats {
 	var all []multiobject.Stats
 	for _, sh := range s.shards {
-		all = append(all, sh.be.stats()...)
+		all = append(all, sh.st.Load().db.AllStats()...)
 	}
 	// Objects are partitioned by shard, so per-shard sorted slices merge
 	// into a globally sorted one with a plain merge; a sort keeps it
 	// simple and is O(n log n) once, at drain.
-	sortStats(all)
+	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 	return all
 }
 
@@ -753,19 +733,45 @@ type ShardStats struct {
 	Restarts uint64 `json:"restarts,omitempty"`
 }
 
+// add folds one shard state's request accounting into the snapshot and
+// returns its completed count. final also reads the engine-confined
+// totals (objects, counts, cost), which is legal only once the state's
+// owning loop has exited — or for a state replay just built.
+func (st *Stats) add(ss *shardState, final bool) (completed uint64) {
+	c := ss.ctr.load()
+	st.Complete += c.Completed
+	st.Reads += c.Reads
+	st.Writes += c.Writes
+	st.Coalesce += c.Coalesced
+	st.Retrans += c.Retrans
+	st.Unreach += c.Unreach
+	st.Dups += c.Dups
+	st.Deduped += c.Deduped
+	if final {
+		st.Objects += ss.db.Objects()
+		st.Counts = st.Counts.Add(ss.db.TotalCounts()).Add(ss.extra)
+		st.Cost = st.Counts.Price(ss.cfg.Model)
+	}
+	return c.Completed
+}
+
 // Stats returns the operational snapshot. Safe to call at any time.
-func (s *Server) Stats() Stats {
+func (s *Server) Stats() Stats { return s.snapshot(s.isFinal.Load()) }
+
+// snapshot builds Stats; final includes the engine-confined totals and
+// requires every shard loop to have exited.
+func (s *Server) snapshot(final bool) Stats {
 	st := Stats{
 		Engine:   s.cfg.Engine.String(),
 		Shards:   len(s.shards),
 		Draining: s.Draining(),
-		Final:    s.isFinal.Load(),
+		Final:    final,
 	}
 	for _, sh := range s.shards {
 		ss := ShardStats{
 			Shard:    sh.id,
 			Accepted: sh.accepted.Load(),
-			Complete: sh.completed.Load(),
+			Complete: st.add(sh.st.Load(), final),
 			Rejected: sh.rejected.Load(),
 			QueueLen: len(sh.mail),
 			QueueCap: cap(sh.mail),
@@ -776,26 +782,8 @@ func (s *Server) Stats() Stats {
 			ss.State = shardStateName(state)
 		}
 		st.Accepted += ss.Accepted
-		st.Complete += ss.Complete
 		st.Rejected += ss.Rejected
-		st.Reads += sh.reads.Load()
-		st.Writes += sh.writes.Load()
-		st.Coalesce += sh.coalesced.Load()
-		st.Retrans += sh.retrans.Load()
-		st.Unreach += sh.unreach.Load()
-		st.Dups += sh.dups.Load()
-		st.Deduped += sh.deduped.Load()
 		st.PerShard = append(st.PerShard, ss)
-	}
-	if st.Final {
-		var counts cost.Counts
-		for _, sh := range s.shards {
-			st.Objects += sh.be.objects()
-			counts = counts.Add(sh.be.counts())
-			counts = counts.Add(sh.extra)
-		}
-		st.Counts = counts
-		st.Cost = counts.Price(s.cfg.Model)
 	}
 	return st
 }

@@ -229,8 +229,8 @@ func TestCoalescingMobileDA(t *testing.T) {
 }
 
 func TestCoalesceModeValidation(t *testing.T) {
-	if _, err := New(Config{Engine: EngineHA, Coalesce: CoalesceOn}); err == nil {
-		t.Fatal("CoalesceOn accepted with the ha engine")
+	if _, err := New(Config{Engine: EngineAdaptive, Coalesce: CoalesceOn}); err == nil {
+		t.Fatal("CoalesceOn accepted with the adaptive engine")
 	}
 	s, err := New(Config{N: 4, T: 2, Model: cost.SC(0.25, 1)}) // stationary: auto stays off
 	if err != nil {
@@ -284,56 +284,6 @@ func TestFaultsDelayDrainsClean(t *testing.T) {
 	st := s.Stats()
 	if st.Accepted != 160 || st.Complete != 160 {
 		t.Fatalf("accepted %d completed %d, want 160/160 despite delays", st.Accepted, st.Complete)
-	}
-}
-
-func TestHAEngine(t *testing.T) {
-	s, err := New(Config{Shards: 2, Engine: EngineHA, N: 3, T: 2, MaxHAObjects: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for o := 0; o < 4; o++ {
-		name := fmt.Sprintf("ha-%d", o)
-		for i := 0; i < 6; i++ {
-			q := model.R(model.ProcessorID(i % 3))
-			if i%2 == 0 {
-				q = model.W(model.ProcessorID(i % 3))
-			}
-			if _, err := s.Do(name, q); err != nil {
-				t.Fatalf("ha Do: %v", err)
-			}
-		}
-	}
-	s.Drain()
-	st := s.Stats()
-	if st.Objects != 4 {
-		t.Fatalf("objects = %d, want 4", st.Objects)
-	}
-	if st.Counts.Control == 0 || st.Counts.IO == 0 {
-		t.Fatalf("executed engine billed no messages: %+v", st.Counts)
-	}
-	for _, os := range s.ObjectStats() {
-		if os.Scheme.IsEmpty() {
-			t.Fatalf("object %s has an empty scheme", os.Name)
-		}
-	}
-}
-
-func TestHAObjectCap(t *testing.T) {
-	s, err := New(Config{Shards: 1, Engine: EngineHA, N: 3, T: 2, MaxHAObjects: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for o := 0; o < 3; o++ {
-		_, err = s.Do(fmt.Sprintf("cap-%d", o), model.R(0))
-		if o < 2 && err != nil {
-			t.Fatalf("object %d refused under cap: %v", o, err)
-		}
-		if o == 2 && (err == nil || !strings.Contains(err.Error(), "capped")) {
-			t.Fatalf("object 2 error = %v, want cap error", err)
-		}
 	}
 }
 
@@ -493,7 +443,7 @@ func TestParseEngine(t *testing.T) {
 		in   string
 		want Engine
 		ok   bool
-	}{{"da", EngineDA, true}, {"", EngineDA, true}, {"SA", EngineSA, true}, {"ha", EngineHA, true}, {"bogus", 0, false}} {
+	}{{"da", EngineDA, true}, {"", EngineDA, true}, {"SA", EngineSA, true}, {"adaptive", EngineAdaptive, true}, {"ha", 0, false}, {"bogus", 0, false}} {
 		got, err := ParseEngine(tc.in)
 		if tc.ok != (err == nil) || (tc.ok && got != tc.want) {
 			t.Fatalf("ParseEngine(%q) = %v, %v", tc.in, got, err)
@@ -507,9 +457,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{N: 100}); err == nil {
 		t.Fatal("N > 64 accepted")
-	}
-	if _, err := New(Config{Engine: EngineHA, Factory: factoryFor(EngineSA)}); err == nil {
-		t.Fatal("Factory override accepted with ha engine")
 	}
 	if _, err := New(Config{Faults: &netsim.FaultPlan{Loss: 2}}); err == nil {
 		t.Fatal("invalid fault plan accepted")

@@ -7,13 +7,10 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"sync/atomic"
 
-	"objalloc/internal/cost"
 	"objalloc/internal/diskfault"
 	"objalloc/internal/model"
-	"objalloc/internal/multiobject"
 	"objalloc/internal/netsim"
 	"objalloc/internal/obs"
 	"objalloc/internal/tracing"
@@ -101,27 +98,28 @@ func shardStateName(v int32) string {
 	}
 }
 
-// shard is one partition: a mailbox, an engine and a service loop. All
-// non-atomic state below the marker is confined to the loop goroutine
-// (the supervisor, which runs the loop, during recovery).
+// shard is one partition: a mailbox, a request state and a service loop
+// that schedules requests through it. All non-atomic state below the
+// marker is confined to the loop goroutine (the supervisor, which runs
+// the loop, during recovery).
 type shard struct {
-	id     int
-	srv    *Server
-	mail   chan *task
-	be     backend
-	faults *netsim.FaultPlan
-	inj    *diskfault.Injector // journal failpoints; nil = real disk
+	id   int
+	srv  *Server
+	mail chan *task
+	inj  *diskfault.Injector // journal failpoints; nil = real disk
 
-	// loop-confined state.
+	// st is the request state (state.go). Only the loop goroutine stores
+	// to it — once at construction, then a whole replayed state per
+	// recovery — and only it touches anything but the counters; Stats
+	// scrapes load the pointer and read the counters atomically, so a
+	// swap under a live scrape is race-free.
+	st atomic.Pointer[shardState]
+
+	// loop-confined scheduling state.
 	round   uint64
 	held    []heldTask
 	heldObj map[string]bool
 	blocked map[string][]*task
-	fresh   map[string]model.Set // processors holding a current copy (coalescing); nil = off
-	streams map[string]*uint64   // per-object fault stream states
-	seq     map[string]uint64    // per-object trace sequence numbers; nil when tracing is off
-	next    map[string]uint64    // per-object next expected client seq (wire dedup)
-	extra   cost.Counts          // retransmission billing (control messages)
 	journal *journalWriter
 	pending []pendingAck // acks staged until the round's commit
 
@@ -158,21 +156,14 @@ type shard struct {
 	batchHist *obs.Histogram
 	svcHist   *obs.Histogram
 
-	// counters read concurrently by Stats.
-	accepted  atomic.Uint64
-	completed atomic.Uint64
-	rejected  atomic.Uint64
-	reads     atomic.Uint64
-	writes    atomic.Uint64
-	coalesced atomic.Uint64
-	retrans   atomic.Uint64
-	unreach   atomic.Uint64
-	dups      atomic.Uint64
-	deduped   atomic.Uint64
-	rounds    atomic.Uint64
-	streak    atomic.Uint32
-	state     atomic.Int32 // shardHealthy/shardDegraded/shardRecovering
-	restarts  atomic.Uint64
+	// scheduling counters read concurrently by Stats (the request
+	// accounting lives in st).
+	accepted atomic.Uint64
+	rejected atomic.Uint64
+	rounds   atomic.Uint64
+	streak   atomic.Uint32
+	state    atomic.Int32 // shardHealthy/shardDegraded/shardRecovering
+	restarts atomic.Uint64
 }
 
 // run is the shard's service loop: gather a batch from the mailbox,
@@ -274,9 +265,9 @@ func (sh *shard) commit() {
 	}
 }
 
-// checkpoint builds the shard's checkpoint record, or nil when one
-// cannot be taken right now: a delay-held task has consumed fault-
-// stream draws for a record not yet journaled, so a snapshot would
+// checkpoint exports the request state as a checkpoint record, or nil
+// when one cannot be taken right now: a delay-held task has consumed
+// fault-stream draws for a record not yet journaled, so a snapshot would
 // desync replay's redraws. An engine that cannot export (custom
 // non-restorable factory) disables checkpointing for good and the
 // journal degrades to full replay.
@@ -284,41 +275,10 @@ func (sh *shard) checkpoint() *ckptRecord {
 	if len(sh.held) > 0 {
 		return nil
 	}
-	objs, err := sh.be.exportObjects()
+	rec, err := sh.st.Load().export()
 	if err != nil {
 		sh.journal.ckptDisabled = true
 		return nil
-	}
-	rec := &ckptRecord{
-		T:         ckptTag,
-		Objects:   objs,
-		Extra:     sh.extra,
-		Completed: sh.completed.Load(),
-		Reads:     sh.reads.Load(),
-		Writes:    sh.writes.Load(),
-		Coalesced: sh.coalesced.Load(),
-		Retrans:   sh.retrans.Load(),
-		Unreach:   sh.unreach.Load(),
-		Dups:      sh.dups.Load(),
-		Deduped:   sh.deduped.Load(),
-	}
-	if len(sh.next) > 0 {
-		rec.Next = sh.next
-	}
-	if len(sh.streams) > 0 {
-		rec.Streams = make(map[string]uint64, len(sh.streams))
-		for obj, st := range sh.streams {
-			rec.Streams[obj] = *st
-		}
-	}
-	if len(sh.fresh) > 0 {
-		rec.Fresh = make(map[string]uint64, len(sh.fresh))
-		for obj, s := range sh.fresh {
-			rec.Fresh[obj] = uint64(s)
-		}
-	}
-	if len(sh.seq) > 0 {
-		rec.TraceSeq = sh.seq
 	}
 	return rec
 }
@@ -364,11 +324,12 @@ func (sh *shard) releaseHeld(t *task) {
 	}
 }
 
-// process services one task: duplicate detection, fault draws (delay,
-// loss, duplication) from the object's deterministic stream, then
-// coalescing, then the engine. released marks a task coming back from a
-// delay hold, which skips the (already drawn) delay fault and the
-// blocked-object check.
+// process schedules one task through the request state: per-object
+// order behind a delay-held task, wire-level duplicate detection, the
+// chaos failpoint, then one step — which either holds the task for a
+// drawn number of rounds or finishes it. released marks a task coming
+// back from a delay hold, which skips the blocked-object check (and, in
+// step, the already drawn delay fault).
 func (sh *shard) process(t *task, released bool) {
 	sh.cur = t
 	if t.tr != nil && t.tr.dequeued == 0 {
@@ -382,12 +343,13 @@ func (sh *shard) process(t *task, released bool) {
 		sh.blocked[t.object] = append(sh.blocked[t.object], t)
 		return
 	}
-	if t.seq != 0 && t.seq < sh.next[t.object] {
+	st := sh.st.Load()
+	if t.seq != 0 && t.seq < st.next[t.object] {
 		// A client retry of an already-serviced request (the ack was lost
 		// in a crash or on the wire): answer idempotently — zero cost, no
 		// journal record, no engine touch, and the admission slot is
 		// handed back so accepted still equals completed at drain.
-		sh.deduped.Add(1)
+		st.ctr.deduped.Add(1)
 		sh.refundAdmission(t)
 		sh.pending = append(sh.pending, pendingAck{t: t, r: Result{Object: t.object, Duplicate: true}})
 		return
@@ -399,102 +361,34 @@ func (sh *shard) process(t *task, released bool) {
 			panic(fmt.Sprintf("shard %d: injected chaos panic after %d requests", sh.id, sh.chaosSeen))
 		}
 	}
-	var retransmits int
-	var retransCost float64
-	if plan := sh.faults; plan != nil && plan.Active() && sh.srv.cfg.Engine != EngineHA {
-		st := sh.stream(t.object)
-		if !released && plan.Delay > 0 && float01(st) < plan.Delay {
-			dmax := plan.DelayMax
-			if dmax < 1 {
-				dmax = 1
-			}
-			d := 1 + int(splitmix64(st)%uint64(dmax))
-			t.holds = d
-			sh.held = append(sh.held, heldTask{t: t, release: sh.round + uint64(d)})
-			sh.heldObj[t.object] = true
-			return
-		}
-		if plan.Loss > 0 {
-			attempts := sh.srv.cfg.Retry.Attempts()
-			if sh.srv.cfg.Retry.Disabled {
-				attempts = 1
-			}
-			delivered := false
-			for a := 0; a < attempts; a++ {
-				if float01(st) < plan.Loss {
-					retransmits++
-				} else {
-					delivered = true
-					break
-				}
-			}
-			// Every lost attempt was a control message on the wire.
-			sh.extra.Control += retransmits
-			retransCost = float64(retransmits) * sh.srv.cfg.Model.CC
-			sh.retrans.Add(uint64(retransmits))
-			if !delivered {
-				sh.finish(t, Result{
-					Object:      t.object,
-					Cost:        retransCost,
-					Retransmits: retransmits,
-					Err:         netsim.Unreachable{Peer: t.req.Processor},
-				}, applied{})
-				sh.unreach.Add(1)
-				return
-			}
-		}
-		if plan.Dup > 0 && float01(st) < plan.Dup {
-			sh.dups.Add(1)
-		}
-	}
-	if sh.fresh != nil && t.req.IsRead() && sh.fresh[t.object].Contains(t.req.Processor) {
-		// Coalesced: this processor already holds a current copy, the
-		// read is local and free under the mobile model.
-		sh.coalesced.Add(1)
-		sh.reads.Add(1)
-		sh.finish(t, Result{Object: t.object, Cost: retransCost, Coalesced: true, Retransmits: retransmits}, applied{})
+	out := st.step(t.object, t.req, t.seq, released)
+	if out.hold > 0 {
+		t.holds = out.hold
+		sh.held = append(sh.held, heldTask{t: t, release: sh.round + uint64(out.hold)})
+		sh.heldObj[t.object] = true
 		return
 	}
-	a, err := sh.be.apply(t.object, t.req)
-	if sh.fresh != nil && err == nil {
-		if t.req.IsRead() {
-			// The saving read installed a copy at the reader.
-			sh.fresh[t.object] = sh.fresh[t.object].Add(t.req.Processor)
-		} else {
-			// A write invalidates every remote copy.
-			delete(sh.fresh, t.object)
-		}
-	}
-	if t.req.IsRead() {
-		sh.reads.Add(1)
-	} else {
-		sh.writes.Add(1)
-	}
-	sh.finish(t, Result{Object: t.object, Cost: a.cost + retransCost, Retransmits: retransmits, Err: err}, a)
+	sh.finish(t, out)
 }
 
-// finish completes a task: advance the dedup horizon, journal, metrics,
-// trace, and stage (or, unjournaled, send) the reply.
-func (sh *shard) finish(t *task, r Result, a applied) {
+// finish completes a stepped task: journal, metrics, trace, and stage
+// (or, unjournaled, send) the reply.
+func (sh *shard) finish(t *task, out outcome) {
 	sh.svcHist.Observe(int64(1 + t.holds))
-	if t.seq != 0 && t.seq >= sh.next[t.object] {
-		sh.next[t.object] = t.seq + 1
-	}
 	if sh.journal != nil {
-		if err := sh.journal.record(t, r); err != nil {
+		if err := sh.journal.record(t, out.res); err != nil {
 			sh.journalFault("record", err)
 		}
 	}
 	if t.tr != nil {
-		sh.emitTrace(t, r, a)
+		sh.emitTrace(t, out)
 	}
-	sh.completed.Add(1)
 	if sh.journal != nil {
 		// Group commit: the reply goes out after the round's fsync.
-		sh.pending = append(sh.pending, pendingAck{t: t, r: r})
+		sh.pending = append(sh.pending, pendingAck{t: t, r: out.res})
 	} else {
 		t.acked = true
-		t.done <- r
+		t.done <- out.res
 	}
 }
 
@@ -519,10 +413,9 @@ func milli(c float64) int64 { return int64(math.Round(c * 1000)) }
 // request root, its admission/queue/service children, and one
 // transition span per protocol switch the request triggered. Shard-
 // confined, so the per-object sequence numbers are deterministic.
-func (sh *shard) emitTrace(t *task, r Result, a applied) {
+func (sh *shard) emitTrace(t *task, out outcome) {
 	tc := sh.srv.cfg.Trace
-	seq := sh.seq[t.object]
-	sh.seq[t.object] = seq + 1
+	r, a, seq := out.res, out.detail, out.traceSeq
 	parentID := ""
 	var sc tracing.SpanContext
 	if t.tr.parent.Valid() {
@@ -541,28 +434,28 @@ func (sh *shard) emitTrace(t *task, r Result, a applied) {
 	if t.req.IsWrite() {
 		op = "w"
 	}
-	outcome := ""
+	tag := ""
 	var unreach netsim.Unreachable
 	switch {
 	case errors.As(r.Err, &unreach):
-		outcome = "unreachable"
+		tag = "unreachable"
 	case r.Err != nil:
-		outcome = "error"
+		tag = "error"
 	case r.Coalesced:
-		outcome = "coalesced"
+		tag = "coalesced"
 	}
-	if t.reprocessed && outcome == "" {
+	if t.reprocessed && tag == "" {
 		// The first attempt's spans already shipped before a panic threw
 		// the round away; tag the replay so traceview reconciles exactly.
-		outcome = "reprocessed"
+		tag = "reprocessed"
 	}
 	engine := sh.srv.cfg.Engine.String()
-	spans := make([]tracing.Span, 0, 4+len(a.transitions))
+	spans := make([]tracing.Span, 0, 4+len(a.Transitions))
 	spans = append(spans, tracing.Span{
 		Trace: trace, Span: root, Parent: parentID, Name: tracing.NameRequest,
 		Object: t.object, Op: op, Proc: int(t.req.Processor), Seq: seq, Shard: shardID,
-		Engine: engine, Protocol: a.protocol, CostMilli: milli(r.Cost),
-		Retransmits: r.Retransmits, Holds: t.holds, Outcome: outcome,
+		Engine: engine, Protocol: a.Protocol, CostMilli: milli(r.Cost),
+		Retransmits: r.Retransmits, Holds: t.holds, Outcome: tag,
 		StartNS: t.tr.start, DurNS: now - t.tr.start,
 	}, tracing.Span{
 		Trace: trace, Span: tracing.ChildID(sc, tracing.NameAdmission, 0).String(), Parent: root,
@@ -578,12 +471,12 @@ func (sh *shard) emitTrace(t *task, r Result, a applied) {
 	spans = append(spans, tracing.Span{
 		Trace: trace, Span: svcID, Parent: root,
 		Name: tracing.NameService, Object: t.object, Seq: seq, Shard: shardID,
-		Engine: engine, Protocol: a.protocol, CostMilli: milli(r.Cost),
-		Control: a.counts.Control + r.Retransmits, Data: a.counts.Data, IO: a.counts.IO,
-		Retransmits: r.Retransmits, Holds: t.holds, Outcome: outcome,
+		Engine: engine, Protocol: a.Protocol, CostMilli: milli(r.Cost),
+		Control: a.Counts.Control + r.Retransmits, Data: a.Counts.Data, IO: a.Counts.IO,
+		Retransmits: r.Retransmits, Holds: t.holds, Outcome: tag,
 		StartNS: t.tr.dequeued, DurNS: now - t.tr.dequeued,
 	})
-	for i, dtr := range a.transitions {
+	for i, dtr := range a.Transitions {
 		spans = append(spans, tracing.Span{
 			Trace: trace, Span: tracing.ChildID(sc, tracing.NameTransition, uint64(i)).String(), Parent: svcID,
 			Name: tracing.NameTransition, Object: t.object, Seq: seq, Shard: shardID,
@@ -591,24 +484,8 @@ func (sh *shard) emitTrace(t *task, r Result, a applied) {
 			CostMilli: milli(dtr.Counts.Price(sh.srv.cfg.Model)),
 		})
 	}
-	flagged := r.Err != nil || r.Retransmits > 0 || len(a.transitions) > 0 || t.reprocessed
+	flagged := r.Err != nil || r.Retransmits > 0 || len(a.Transitions) > 0 || t.reprocessed
 	tc.Submit(flagged, spans...)
-}
-
-// stream returns the object's fault stream state, seeding it on first
-// touch from (plan seed ⊕ config seed, object hash) — a function of the
-// object alone, never of the shard or the batch, so fault outcomes are
-// identical at any shard count.
-func (sh *shard) stream(object string) *uint64 {
-	st, ok := sh.streams[object]
-	if !ok {
-		seed := (sh.faults.Seed ^ uint64(sh.srv.cfg.Seed)) * 0x9e3779b97f4a7c15
-		v := seed ^ fnv64a(object)
-		st = &v
-		splitmix64(st) // burn one draw to decorrelate nearby seeds
-		sh.streams[object] = st
-	}
-	return st
 }
 
 // journalFile is the seam between journalWriter and the disk: *os.File
@@ -626,11 +503,11 @@ type journalFile interface {
 // write + fsync per service round. Every CheckpointEvery committed
 // records it appends a checkpoint record so replay is O(tail).
 type journalWriter struct {
-	f            journalFile
-	path         string
-	buf          bytes.Buffer
-	bufRecs      int   // records in buf, folded into sinceCkpt on commit
-	size         int64 // committed (write+fsync completed) bytes; the
+	f       journalFile
+	path    string
+	buf     bytes.Buffer
+	bufRecs int   // records in buf, folded into sinceCkpt on commit
+	size    int64 // committed (write+fsync completed) bytes; the
 	// recovery truncation point — anything beyond it was never acked
 	every        int // checkpoint cadence; <1 disables
 	sinceCkpt    int
@@ -768,23 +645,4 @@ func fnv64a(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// splitmix64 advances the state and returns the next value of the
-// splitmix64 stream (same generator netsim uses for its fault streams).
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float01 draws a uniform float in [0,1) from the stream.
-func float01(state *uint64) float64 {
-	return float64(splitmix64(state)>>11) / (1 << 53)
-}
-
-func sortStats(all []multiobject.Stats) {
-	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 }

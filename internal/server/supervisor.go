@@ -61,8 +61,8 @@ func (sh *shard) supervise() {
 			if durFails >= persistentFailureK {
 				inflight := sh.collectInflight()
 				// Roll the counters back to the durable prefix before
-				// fail-stopping: the last attempt's finish() increments
-				// counted work whose records never committed, and the
+				// fail-stopping: the last attempt's steps counted work
+				// whose records never committed, and the
 				// refused backlog hands its admission slots back — both
 				// sides must reflect durable truth or accepted and
 				// completed disagree at drain. Replay reads the committed
@@ -248,7 +248,7 @@ func (sh *shard) collectInflight() []*task {
 // uncommitted records (buffered, or written but never fsync-acked) are
 // discarded, the old file handle is closed and the file truncated by
 // path to the committed size, then the journal is replayed into a fresh
-// engine and installed and a fresh handle opened. Closing before
+// request state, which is installed whole, and a fresh handle opened. Closing before
 // truncating is the fsyncgate rule: after a failed fsync the kernel may
 // have dropped the dirty pages and marked them clean, so the old
 // descriptor's state is a lie — the only safe move is discard + reopen
@@ -267,8 +267,8 @@ func (sh *shard) recoverState() error {
 	if err := os.Truncate(sh.journal.path, sh.journal.size); err != nil {
 		return err
 	}
-	cfg := &sh.srv.cfg
-	st, _, err := replayJournal(sh.journal.path, cfg, sh.faults)
+	old := sh.st.Load()
+	st, _, err := replayJournal(sh.journal.path, old.cfg, old.plan)
 	if err != nil {
 		return err
 	}
@@ -278,34 +278,13 @@ func (sh *shard) recoverState() error {
 	}
 	nj.ckptDisabled = sh.journal.ckptDisabled
 	sh.journal = nj
-	sh.installReplayed(st)
+	// One pointer store swaps the engine, every table and the counters;
+	// a concurrent Stats scrape sees the old state or the new, never a
+	// mix. The admission counter is untouched: carried in-flight tasks
+	// are still admitted and will complete (or be failed) by the
+	// restarted loop.
+	sh.st.Store(st)
 	return nil
-}
-
-// installReplayed swaps the shard's engine and loop-confined state for
-// the replayed one. The admission counter is untouched: carried
-// in-flight tasks are still admitted and will complete (or be failed)
-// by the restarted loop.
-func (sh *shard) installReplayed(st *replayed) {
-	sh.be.close()
-	sh.be = st.be
-	sh.next = st.next
-	sh.streams = st.streams
-	if sh.fresh != nil {
-		sh.fresh = st.fresh
-	}
-	if sh.seq != nil {
-		sh.seq = st.seq
-	}
-	sh.extra = st.extra
-	sh.completed.Store(st.completed)
-	sh.reads.Store(st.reads)
-	sh.writes.Store(st.writes)
-	sh.coalesced.Store(st.coalesced)
-	sh.retrans.Store(st.retrans)
-	sh.unreach.Store(st.unreach)
-	sh.dups.Store(st.dups)
-	sh.deduped.Store(st.deduped)
 }
 
 // emitJournalFaultSpan records one always-sampled journal_fault span

@@ -244,7 +244,7 @@ func TestServerFacade(t *testing.T) {
 	if _, err := s.Do("obj", objalloc.R(1)); err != objalloc.ErrServerDraining {
 		t.Fatalf("post-drain error = %v, want ErrServerDraining", err)
 	}
-	if eng, err := objalloc.ParseServerEngine("ha"); err != nil || eng != objalloc.ServerEngineHA {
+	if eng, err := objalloc.ParseServerEngine("adaptive"); err != nil || eng != objalloc.ServerEngineAdaptive {
 		t.Fatalf("ParseServerEngine = %v, %v", eng, err)
 	}
 }

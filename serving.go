@@ -12,10 +12,9 @@ import (
 //
 // The server package turns the multi-object directory into a
 // long-running service: objects are hashed to independent shards, each
-// shard runs its own allocation engine (SA, DA, executed HA clusters,
-// or the online adaptive SA/DA controller — ServerEngineAdaptive,
-// configured via ServerConfig.Adaptive)
-// behind a batched mailbox with admission control, and a graceful drain
+// shard runs its own allocation engine (SA, DA, or the online adaptive
+// SA/DA controller — ServerEngineAdaptive, configured via
+// ServerConfig.Adaptive) behind a batched mailbox with admission control, and a graceful drain
 // completes every accepted request before shutdown. The objallocd daemon
 // (cmd/objallocd) serves this over HTTP; loadgen (cmd/loadgen) replays
 // workload streams against it.
@@ -42,7 +41,6 @@ type ServerEngine = server.Engine
 const (
 	ServerEngineDA       = server.EngineDA
 	ServerEngineSA       = server.EngineSA
-	ServerEngineHA       = server.EngineHA
 	ServerEngineAdaptive = server.EngineAdaptive
 )
 
