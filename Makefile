@@ -3,8 +3,11 @@
 # obscheck additionally vets the instrumentation package on its own and
 # runs the observability determinism tests under the race detector.
 # fuzzsmoke gives each committed fuzz target a 10-second budget,
-# serve-smoke boots the service daemon under real load and asserts a
-# clean zero-loss drain, trace-smoke checks end-to-end request tracing
+# experiments-check reruns every experiment and diffs the output against
+# the committed experiments_output.txt (the run is deterministic, so any
+# difference is a changed figure), serve-smoke boots the service daemon
+# under real load and asserts a clean zero-loss drain, trace-smoke
+# checks end-to-end request tracing
 # (schema-valid spans, exact cost reconciliation, byte-identical
 # deterministic traces across shard counts), crash-smoke SIGKILLs the
 # daemon mid-load and asserts the journal-recovered accounting is
@@ -15,9 +18,9 @@
 # dropped (go vet does not: an expression statement is legal Go), and
 # staticcheck runs when the tool is installed (it is skipped gracefully
 # otherwise — the build must not depend on network access).
-.PHONY: verify build vet test race bench obscheck fuzzsmoke serve-smoke trace-smoke crash-smoke syncvet staticcheck chaos profile
+.PHONY: verify build vet test race bench obscheck fuzzsmoke experiments-check serve-smoke trace-smoke crash-smoke syncvet staticcheck chaos profile
 
-verify: build vet test race obscheck fuzzsmoke serve-smoke trace-smoke crash-smoke syncvet staticcheck
+verify: build vet test race obscheck fuzzsmoke experiments-check serve-smoke trace-smoke crash-smoke syncvet staticcheck
 
 build:
 	go build ./...
@@ -31,11 +34,11 @@ test:
 race:
 	go test -shuffle=on -race ./...
 
-# bench runs every root benchmark with fixed -benchtime/-count and
-# writes BENCH_objalloc.json at the repo root — the perf trajectory
-# successive PRs diff against.
+# bench runs the repository's benchmark (bench/README.md): the four
+# workloads BENCHMARK.json declares, tracing off. It is the only source
+# of performance numbers; `go run ./bench -trace 1` adds the layer ladder.
 bench:
-	sh scripts/bench.sh
+	go run ./bench
 
 obscheck:
 	go vet ./internal/obs
@@ -48,6 +51,10 @@ fuzzsmoke:
 	go test -run none -fuzz FuzzParseDiskFaults -fuzztime 10s ./internal/chaos
 	go test -run none -fuzz FuzzParseAdaptiveSpec -fuzztime 10s ./internal/adaptive
 	go test -run none -fuzz FuzzReplayJournal -fuzztime 10s ./internal/server
+	go test -run none -fuzz FuzzOptCost -fuzztime 10s ./internal/opt
+
+experiments-check:
+	go run ./cmd/experiments | diff - experiments_output.txt
 
 serve-smoke:
 	sh scripts/serve_smoke.sh

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"objalloc/internal/cost"
-	"objalloc/internal/dom"
 	"objalloc/internal/engine"
 	"objalloc/internal/obs"
 )
@@ -32,7 +31,7 @@ type CrossoverSpec struct {
 	// Battery is the schedule battery whose worst-case ratios decide the
 	// winner at each probed cd.
 	Battery BatteryConfig
-	// Parallelism bounds the concurrent schedule measurements inside each
+	// Parallelism bounds the concurrent OPT solves inside each
 	// bisection step (the steps themselves are inherently sequential);
 	// zero or negative selects engine.DefaultParallelism.
 	Parallelism int
@@ -60,43 +59,32 @@ func (spec *CrossoverSpec) Normalize() error {
 // worst-case ratios. The paper's bounds only bracket this point inside
 // [0.5−cc, 1]; the measurement pins it down for a concrete battery.
 //
-// The bisection itself is sequential, but each probe measures SA and DA
-// over the whole battery — those 2×|battery| evaluations run on the
-// engine's worker pool. Cancelling the context aborts the probe in
-// flight and returns ctx.Err().
+// The battery is prepared once (see prepared). The bisection itself is
+// sequential, but each probe needs the OPT cost of every battery schedule
+// under the probed model — those |battery| solves run on the engine's
+// worker pool, and both algorithms are priced against them. Cancelling
+// the context aborts the probe in flight and returns ctx.Err().
 func Crossover(ctx context.Context, spec CrossoverSpec) (CrossoverResult, error) {
 	if err := spec.Normalize(); err != nil {
 		return CrossoverResult{}, err
 	}
 	cc, cdMax, iters := spec.CC, spec.CDMax, spec.Iters
-	scheds := spec.Battery.Build()
-	initial := spec.Battery.Initial()
-	factories := []dom.Factory{dom.StaticFactory, dom.DynamicFactory}
+	prep, err := prepare(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+	if err != nil {
+		return CrossoverResult{}, err
+	}
 	daWins := func(cd float64) (bool, error) {
 		m := cost.SC(cc, cd)
-		// One task per (factory, schedule) pair; the per-factory maxima
-		// are reduced in battery order, matching the serial WorstRatio.
-		ratios, err := engine.Collect(ctx, 2*len(scheds), spec.Parallelism, func(taskCtx context.Context, i int) (float64, error) {
-			meas, err := RatioContext(taskCtx, m, factories[i/len(scheds)], scheds[i%len(scheds)], initial, spec.Battery.T)
-			if err != nil {
-				return 0, err
-			}
-			return meas.Ratio, nil
+		// One task per schedule: its OPT cost under m, shared by both
+		// algorithms; the per-algorithm maxima are reduced in battery
+		// order, matching the serial WorstRatio.
+		optCosts, err := engine.Collect(ctx, len(prep.plans), spec.Parallelism, func(taskCtx context.Context, i int) (float64, error) {
+			return prep.plans[i].Cost(taskCtx, m)
 		})
 		if err != nil {
 			return false, err
 		}
-		sa, da := -1.0, -1.0
-		for _, r := range ratios[:len(scheds)] {
-			if r > sa {
-				sa = r
-			}
-		}
-		for _, r := range ratios[len(scheds):] {
-			if r > da {
-				da = r
-			}
-		}
+		sa, da := prep.worstSADA(m, optCosts)
 		win := da <= sa
 		if o := spec.Obs; o.Enabled() {
 			o.Emit(obs.Event{Name: "probe", Attrs: []obs.Attr{
@@ -132,12 +120,4 @@ func Crossover(ctx context.Context, spec CrossoverSpec) (CrossoverResult, error)
 		}
 	}
 	return CrossoverResult{CC: cc, CD: (lo + hi) / 2}, nil
-}
-
-// CrossoverAt is the pre-engine positional form of Crossover.
-//
-// Deprecated: use Crossover with a CrossoverSpec and a context;
-// CrossoverAt runs with context.Background and default parallelism.
-func CrossoverAt(cc, cdMax float64, iters int, battery BatteryConfig) (CrossoverResult, error) {
-	return Crossover(context.Background(), CrossoverSpec{CC: cc, CDMax: cdMax, Iters: iters, Battery: battery})
 }

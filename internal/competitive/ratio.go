@@ -18,7 +18,6 @@ import (
 
 	"objalloc/internal/cost"
 	"objalloc/internal/dom"
-	"objalloc/internal/engine"
 	"objalloc/internal/model"
 	"objalloc/internal/opt"
 )
@@ -35,30 +34,99 @@ type Measurement struct {
 	Ratio float64
 }
 
-// Ratio runs the algorithm produced by the factory on the schedule,
-// validates the resulting allocation schedule, and compares its cost
-// against the exact offline optimum.
-func Ratio(m cost.Model, f dom.Factory, sched model.Schedule, initial model.Set, t int) (Measurement, error) {
-	return RatioContext(context.Background(), m, f, sched, initial, t)
+// prepared is a schedule battery measured once. SA and DA are
+// cost-oblivious — dom.RunFactory takes no cost model — so an algorithm's
+// allocation schedule, and with it its integer cost.Counts, is the same
+// under every model; and opt.Compile's Plan holds everything about the OPT
+// instance that is model-independent. What is left per model is one
+// Plan.Cost per schedule and one Counts.Price per (algorithm, schedule).
+// cost.ScheduleCost is ScheduleCounts(...).Price(m), so pricing the stored
+// counts yields the very float a fresh run would. A prepared battery is
+// immutable and shared read-only by concurrent grid cells.
+type prepared struct {
+	scheds []model.Schedule
+	plans  []*opt.Plan
+	// counts[f][i] is the accounting of factory f's run on scheds[i].
+	counts [][]cost.Counts
 }
 
-// RatioContext is Ratio with cancellation: the dominating cost — the
-// offline-optimum DP — checks the context per request, so even a single
-// long measurement aborts promptly with ctx.Err().
-func RatioContext(ctx context.Context, m cost.Model, f dom.Factory, sched model.Schedule, initial model.Set, t int) (Measurement, error) {
-	las, err := dom.RunFactory(f, initial, t, sched)
-	if err != nil {
-		return Measurement{}, err
+// prepare runs every factory on every schedule, validates the resulting
+// allocation schedules, and compiles each schedule for the offline DP.
+func prepare(factories []dom.Factory, scheds []model.Schedule, initial model.Set, t int) (*prepared, error) {
+	if len(scheds) == 0 {
+		return nil, fmt.Errorf("competitive: empty schedule battery")
 	}
-	if err := las.Validate(initial, t); err != nil {
-		return Measurement{}, fmt.Errorf("competitive: algorithm produced invalid schedule: %w", err)
+	b := &prepared{
+		scheds: scheds,
+		plans:  make([]*opt.Plan, len(scheds)),
+		counts: make([][]cost.Counts, len(factories)),
 	}
-	algCost := cost.ScheduleCost(m, las, initial)
-	optCost, err := opt.SolveCostContext(ctx, m, sched, initial, t)
-	if err != nil {
-		return Measurement{}, err
+	for fi, f := range factories {
+		b.counts[fi] = make([]cost.Counts, len(scheds))
+		for i, s := range scheds {
+			las, err := dom.RunFactory(f, initial, t, s)
+			if err != nil {
+				return nil, err
+			}
+			if err := las.Validate(initial, t); err != nil {
+				return nil, fmt.Errorf("competitive: algorithm produced invalid schedule: %w", err)
+			}
+			b.counts[fi][i], _ = cost.ScheduleCounts(las, initial)
+		}
 	}
-	return Measurement{AlgCost: algCost, OptCost: optCost, Ratio: ratioOf(algCost, optCost)}, nil
+	for i, s := range scheds {
+		p, err := opt.Compile(s, initial, t)
+		if err != nil {
+			return nil, err
+		}
+		b.plans[i] = p
+	}
+	return b, nil
+}
+
+// optCosts solves the offline optimum of every schedule under m. The DP
+// polls the context per request, so cancelling aborts mid-battery.
+func (b *prepared) optCosts(ctx context.Context, m cost.Model) ([]float64, error) {
+	costs := make([]float64, len(b.plans))
+	for i, p := range b.plans {
+		c, err := p.Cost(ctx, m)
+		if err != nil {
+			return nil, err
+		}
+		costs[i] = c
+	}
+	return costs, nil
+}
+
+// measure prices factory f's run on schedule i against that schedule's
+// optimum cost under m.
+func (b *prepared) measure(f, i int, m cost.Model, optCost float64) Measurement {
+	algCost := b.counts[f][i].Price(m)
+	return Measurement{AlgCost: algCost, OptCost: optCost, Ratio: ratioOf(algCost, optCost)}
+}
+
+// worst reduces factory f's measurements in battery order with a strict
+// comparison: the first schedule attaining the maximum is the witness.
+func (b *prepared) worst(f int, m cost.Model, optCosts []float64) Worst {
+	var w Worst
+	w.Ratio = -1
+	for i, oc := range optCosts {
+		if meas := b.measure(f, i, m, oc); meas.Ratio > w.Ratio {
+			w.Measurement = meas
+			w.Schedule = b.scheds[i]
+		}
+	}
+	return w
+}
+
+// saDA is the pair of algorithms the paper compares, in the order the
+// sweep and the crossover prepare them.
+var saDA = []dom.Factory{dom.StaticFactory, dom.DynamicFactory}
+
+// worstSADA returns SA's and DA's worst ratios over a battery prepared
+// with saDA.
+func (b *prepared) worstSADA(m cost.Model, optCosts []float64) (sa, da float64) {
+	return b.worst(0, m, optCosts).Ratio, b.worst(1, m, optCosts).Ratio
 }
 
 func ratioOf(alg, optimal float64) float64 {
@@ -70,6 +138,39 @@ func ratioOf(alg, optimal float64) float64 {
 	default:
 		return math.Inf(1)
 	}
+}
+
+// Ratio runs the algorithm produced by the factory on the schedule,
+// validates the resulting allocation schedule, and compares its cost
+// against the exact offline optimum.
+func Ratio(m cost.Model, f dom.Factory, sched model.Schedule, initial model.Set, t int) (Measurement, error) {
+	return RatioContext(context.Background(), m, f, sched, initial, t)
+}
+
+// RatioContext is Ratio with cancellation: the dominating cost — the
+// offline-optimum DP — checks the context per request, so even a single
+// long measurement aborts promptly with ctx.Err(). It is the
+// one-schedule battery.
+func RatioContext(ctx context.Context, m cost.Model, f dom.Factory, sched model.Schedule, initial model.Set, t int) (Measurement, error) {
+	b, optCosts, err := priced(ctx, m, f, []model.Schedule{sched}, initial, t)
+	if err != nil {
+		return Measurement{}, err
+	}
+	return b.measure(0, 0, m, optCosts[0]), nil
+}
+
+// priced is the one-factory, one-model use of a prepared battery: prepare
+// it, then solve every schedule's optimum under m.
+func priced(ctx context.Context, m cost.Model, f dom.Factory, scheds []model.Schedule, initial model.Set, t int) (*prepared, []float64, error) {
+	b, err := prepare([]dom.Factory{f}, scheds, initial, t)
+	if err != nil {
+		return nil, nil, err
+	}
+	optCosts, err := b.optCosts(ctx, m)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, optCosts, nil
 }
 
 // Worst is the worst-case measurement over a battery of schedules.
@@ -86,68 +187,25 @@ func WorstRatio(m cost.Model, f dom.Factory, scheds []model.Schedule, initial mo
 }
 
 // WorstRatioContext is WorstRatio with cancellation threaded into every
-// measurement (the DP checks the context per request). The engine's task
-// bodies use this form so that cancelling a sweep aborts mid-cell, not
-// just between cells.
+// OPT solve (the DP checks the context per request).
 func WorstRatioContext(ctx context.Context, m cost.Model, f dom.Factory, scheds []model.Schedule, initial model.Set, t int) (Worst, error) {
-	if len(scheds) == 0 {
-		return Worst{}, fmt.Errorf("competitive: empty schedule battery")
-	}
-	var w Worst
-	w.Ratio = -1
-	for _, s := range scheds {
-		meas, err := RatioContext(ctx, m, f, s, initial, t)
-		if err != nil {
-			return Worst{}, err
-		}
-		if meas.Ratio > w.Ratio {
-			w.Measurement = meas
-			w.Schedule = s
-		}
-	}
-	return w, nil
-}
-
-// WorstRatioParallel is WorstRatio on the engine's worker pool: the
-// schedules are measured concurrently (bounded by parallelism; zero
-// selects the default) and the maximum is reduced in battery order with a
-// strict comparison, so the result — including the witness — is identical
-// to the serial WorstRatio. Cancelling the context aborts outstanding
-// measurements.
-func WorstRatioParallel(ctx context.Context, m cost.Model, f dom.Factory, scheds []model.Schedule, initial model.Set, t, parallelism int) (Worst, error) {
-	if len(scheds) == 0 {
-		return Worst{}, fmt.Errorf("competitive: empty schedule battery")
-	}
-	measurements, err := engine.Collect(ctx, len(scheds), parallelism, func(taskCtx context.Context, i int) (Measurement, error) {
-		return RatioContext(taskCtx, m, f, scheds[i], initial, t)
-	})
+	b, optCosts, err := priced(ctx, m, f, scheds, initial, t)
 	if err != nil {
 		return Worst{}, err
 	}
-	var w Worst
-	w.Ratio = -1
-	for i, meas := range measurements {
-		if meas.Ratio > w.Ratio {
-			w.Measurement = meas
-			w.Schedule = scheds[i]
-		}
-	}
-	return w, nil
+	return b.worst(0, m, optCosts), nil
 }
 
 // MeanRatio measures the algorithm on every schedule and returns the mean
 // ratio — the average-case view used by experiment E12.
 func MeanRatio(m cost.Model, f dom.Factory, scheds []model.Schedule, initial model.Set, t int) (float64, error) {
-	if len(scheds) == 0 {
-		return 0, fmt.Errorf("competitive: empty schedule battery")
+	b, optCosts, err := priced(context.Background(), m, f, scheds, initial, t)
+	if err != nil {
+		return 0, err
 	}
 	var sum float64
-	for _, s := range scheds {
-		meas, err := Ratio(m, f, s, initial, t)
-		if err != nil {
-			return 0, err
-		}
-		sum += meas.Ratio
+	for i, oc := range optCosts {
+		sum += b.measure(0, i, m, oc).Ratio
 	}
 	return sum / float64(len(scheds)), nil
 }

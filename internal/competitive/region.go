@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"objalloc/internal/cost"
-	"objalloc/internal/dom"
 	"objalloc/internal/engine"
 	"objalloc/internal/obs"
 )
@@ -156,18 +155,23 @@ func (spec *SweepSpec) Normalize() error {
 // grid and classifies each point both analytically and empirically.
 // Points with cc > cd are marked cannot-be-true and skipped.
 //
-// Grid cells are independent, so they are evaluated on the engine's
-// bounded worker pool; results are assembled in grid order and are
-// byte-identical to a serial run. Cancelling the context aborts the
-// remaining cells and returns ctx.Err().
+// SA and DA are cost-oblivious, so the battery is measured once and each
+// cell only re-prices it (see prepared). Grid cells are independent, so
+// they are evaluated on the engine's bounded worker pool; results are
+// assembled in grid order and are byte-identical to a serial run.
+// Cancelling the context aborts the remaining cells and returns ctx.Err().
 func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
-	battery := spec.Battery
-	// The battery is built once and shared read-only by all cells.
-	scheds := battery.Build()
-	initial := battery.Initial()
+	// The battery is built, run under both algorithms and compiled for
+	// the DP once, then shared read-only by all cells: a cell is one OPT
+	// cost per schedule under its model, priced against both algorithms'
+	// counts.
+	prep, err := prepare(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+	if err != nil {
+		return nil, err
+	}
 
 	type cell struct{ cc, cd float64 }
 	cells := make([]cell, 0, len(spec.CCs)*len(spec.CDs))
@@ -194,19 +198,15 @@ func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 		} else {
 			m = cost.SC(ccv, cdv)
 		}
-		sa, err := WorstRatioContext(ctx, m, dom.StaticFactory, scheds, initial, battery.T)
+		optCosts, err := prep.optCosts(ctx, m)
 		if err != nil {
-			return p, fmt.Errorf("competitive: sweep SA at cc=%g cd=%g: %w", ccv, cdv, err)
+			return p, fmt.Errorf("competitive: sweep at cc=%g cd=%g: %w", ccv, cdv, err)
 		}
-		da, err := WorstRatioContext(ctx, m, dom.DynamicFactory, scheds, initial, battery.T)
-		if err != nil {
-			return p, fmt.Errorf("competitive: sweep DA at cc=%g cd=%g: %w", ccv, cdv, err)
-		}
-		p.SAWorst, p.DAWorst = sa.Ratio, da.Ratio
+		p.SAWorst, p.DAWorst = prep.worstSADA(m, optCosts)
 		switch {
-		case sa.Ratio < da.Ratio:
+		case p.SAWorst < p.DAWorst:
 			p.Empirical = RegionSASuperior
-		case da.Ratio < sa.Ratio:
+		case p.DAWorst < p.SAWorst:
 			p.Empirical = RegionDASuperior
 		default:
 			p.Empirical = RegionUnknown
@@ -250,12 +250,4 @@ func emitSweep(o *obs.Obs, points []GridPoint) {
 		o.Counter("sweep.cells").Inc()
 		o.Counter("sweep.cells." + p.Empirical.String()).Inc()
 	}
-}
-
-// SweepGrid is the pre-engine positional form of Sweep.
-//
-// Deprecated: use Sweep with a SweepSpec and a context; SweepGrid runs
-// with context.Background and default parallelism.
-func SweepGrid(cds, ccs []float64, mobile bool, battery BatteryConfig) ([]GridPoint, error) {
-	return Sweep(context.Background(), SweepSpec{CDs: cds, CCs: ccs, Mobile: mobile, Battery: battery})
 }

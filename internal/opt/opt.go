@@ -60,74 +60,86 @@ type Result struct {
 	FinalScheme model.Set
 }
 
-// universe maps the sparse processor ids appearing in a problem instance to
-// the dense bit indices used by the DP.
-type universe struct {
-	ids []model.ProcessorID       // bit index -> processor id
-	idx map[model.ProcessorID]int // processor id -> bit index
+// Plan is a schedule compiled for the DP: the processor universe, each
+// request reduced to a dense bit and an operation, and the list of
+// feasible schemes — everything about an instance that does not depend on
+// the cost model. A Plan is immutable after Compile, so one Plan may be
+// priced under many models concurrently (a (cd, cc) plane sweep compiles
+// each battery schedule once and shares the Plans read-only across cells).
+type Plan struct {
+	// ids maps a dense bit index to the sparse processor id: the members
+	// of the initial scheme in ascending order, then the schedule's
+	// processors in order of first appearance.
+	ids  []model.ProcessorID
+	t    int
+	init uint32 // dense mask of the initial scheme
+	reqs []planReq
+	// feasible lists, ascending, the dense masks Y with |Y| >= t — the
+	// only states the DP can reach.
+	feasible []uint32
 }
 
-func newUniverse(sched model.Schedule, initial model.Set) (*universe, error) {
-	u := &universe{idx: make(map[model.ProcessorID]int)}
-	add := func(id model.ProcessorID) {
-		if _, ok := u.idx[id]; !ok {
-			u.idx[id] = len(u.ids)
-			u.ids = append(u.ids, id)
+// planReq is one request of a compiled schedule.
+type planReq struct {
+	bit  uint32 // dense mask of the requesting processor
+	read bool
+}
+
+// Compile validates an instance and builds its Plan.
+func Compile(sched model.Schedule, initial model.Set, t int) (*Plan, error) {
+	if t < 1 {
+		return nil, fmt.Errorf("opt: availability threshold t = %d, must be at least 1", t)
+	}
+	if initial.Size() < t {
+		return nil, fmt.Errorf("opt: initial scheme %v has fewer than t = %d members", initial, t)
+	}
+	p := &Plan{
+		t:    t,
+		ids:  make([]model.ProcessorID, 0, MaxUniverse),
+		reqs: make([]planReq, len(sched)),
+	}
+	initial.ForEach(func(id model.ProcessorID) { p.init |= p.bit(id) })
+	for k, q := range sched {
+		p.reqs[k] = planReq{bit: p.bit(q.Processor), read: q.IsRead()}
+	}
+	if len(p.ids) > MaxUniverse {
+		return nil, fmt.Errorf("opt: %d distinct processors exceed the exact solver's limit of %d", len(p.ids), MaxUniverse)
+	}
+	p.feasible = make([]uint32, 0, p.size())
+	for y := uint32(0); y < uint32(p.size()); y++ {
+		if bits.OnesCount32(y) >= t {
+			p.feasible = append(p.feasible, y)
 		}
 	}
-	initial.ForEach(add)
-	for _, q := range sched {
-		add(q.Processor)
-	}
-	if len(u.ids) > MaxUniverse {
-		return nil, fmt.Errorf("opt: %d distinct processors exceed the exact solver's limit of %d", len(u.ids), MaxUniverse)
-	}
-	return u, nil
+	return p, nil
 }
 
-func (u *universe) n() int { return len(u.ids) }
-
-// compress maps a model.Set over sparse ids to a dense DP mask.
-func (u *universe) compress(s model.Set) (uint32, error) {
-	var m uint32
-	var err error
-	s.ForEach(func(id model.ProcessorID) {
-		i, ok := u.idx[id]
-		if !ok {
-			err = fmt.Errorf("opt: processor %d not in universe", id)
-			return
+// bit returns the dense mask of a processor, assigning the next free bit
+// index on first sight. The universe is at most MaxUniverse ids in any
+// instance Compile accepts, so a linear scan beats a map.
+func (p *Plan) bit(id model.ProcessorID) uint32 {
+	for i, have := range p.ids {
+		if have == id {
+			return 1 << uint(i)
 		}
-		m |= 1 << uint(i)
-	})
-	return m, err
+	}
+	p.ids = append(p.ids, id)
+	return 1 << uint(len(p.ids)-1)
 }
+
+// size is the number of DP states, 2^n.
+func (p *Plan) size() int { return 1 << uint(len(p.ids)) }
 
 // expand maps a dense DP mask back to a model.Set.
-func (u *universe) expand(m uint32) model.Set {
+func (p *Plan) expand(m uint32) model.Set {
 	var s model.Set
 	for v := m; v != 0; v &= v - 1 {
-		s = s.Add(u.ids[bits.TrailingZeros32(v)])
+		s = s.Add(p.ids[bits.TrailingZeros32(v)])
 	}
 	return s
 }
 
 var inf = math.Inf(1)
-
-// solver holds the DP arrays for one instance.
-type solver struct {
-	u       *universe
-	m       cost.Model
-	t       int
-	dp      []float64
-	scratch []float64
-	// argScratch tracks, for each Z, the Y that attains g[Z] during the
-	// per-bit transform. Allocated only when reconstruction is requested.
-	argScratch []uint32
-	// parents[k][s] is the DP state before request k that led to state s
-	// after request k, or ^0 if unreached. Allocated only for
-	// reconstruction.
-	parents [][]uint32
-}
 
 // SolveCost returns the optimal offline cost without reconstructing an
 // allocation schedule; it uses O(2^n) memory regardless of schedule length.
@@ -135,16 +147,13 @@ func SolveCost(m cost.Model, sched model.Schedule, initial model.Set, t int) (fl
 	return SolveCostContext(context.Background(), m, sched, initial, t)
 }
 
-// SolveCostContext is SolveCost with cancellation: the DP checks the
-// context between requests and aborts with ctx.Err() when it is
-// cancelled. The DP relaxes O(n·2^n) states per request, so the check
-// granularity is fine enough to return promptly.
+// SolveCostContext is SolveCost with cancellation: Compile, then Cost.
 func SolveCostContext(ctx context.Context, m cost.Model, sched model.Schedule, initial model.Set, t int) (float64, error) {
-	s, err := newSolver(m, sched, initial, t, false)
+	p, err := Compile(sched, initial, t)
 	if err != nil {
 		return 0, err
 	}
-	return s.run(ctx, sched, initial, false)
+	return p.Cost(ctx, m)
 }
 
 // Solve returns the optimal offline cost together with one optimal
@@ -154,181 +163,165 @@ func Solve(m cost.Model, sched model.Schedule, initial model.Set, t int) (*Resul
 	return SolveContext(context.Background(), m, sched, initial, t)
 }
 
-// SolveContext is Solve with cancellation, as SolveCostContext.
+// SolveContext is Solve with cancellation: Compile, then Plan.Solve.
 func SolveContext(ctx context.Context, m cost.Model, sched model.Schedule, initial model.Set, t int) (*Result, error) {
-	s, err := newSolver(m, sched, initial, t, true)
+	p, err := Compile(sched, initial, t)
 	if err != nil {
 		return nil, err
 	}
-	best, err := s.run(ctx, sched, initial, true)
-	if err != nil {
-		return nil, err
-	}
-	alloc, final := s.traceback(sched, initial)
-	return &Result{Cost: best, Alloc: alloc, FinalScheme: final}, nil
+	return p.Solve(ctx, m)
 }
 
-func newSolver(m cost.Model, sched model.Schedule, initial model.Set, t int, trace bool) (*solver, error) {
+// Cost prices the plan under one model: the optimal offline cost. The DP
+// polls the context between requests and aborts with ctx.Err() when it is
+// cancelled; it relaxes O(n·2^n) states per request, so the check
+// granularity is fine enough to return promptly.
+func (p *Plan) Cost(ctx context.Context, m cost.Model) (float64, error) {
+	best, _, err := p.run(ctx, m, nil)
+	return best, err
+}
+
+// Solve prices the plan under one model and reconstructs one optimal
+// allocation schedule by traceback through the same relaxations as Cost.
+func (p *Plan) Solve(ctx context.Context, m cost.Model) (*Result, error) {
+	// parents[k*size+s] is the DP state before request k that led to
+	// state s after request k.
+	parents := make([]uint32, len(p.reqs)*p.size())
+	best, final, err := p.run(ctx, m, parents)
+	if err != nil {
+		return nil, err
+	}
+	alloc := p.traceback(parents, final)
+	return &Result{Cost: best, Alloc: alloc, FinalScheme: p.expand(final)}, nil
+}
+
+// run is the DP: it returns the minimum cost and the final state that
+// attains it (the lowest such mask). When parents is non-nil every
+// relaxation also records the predecessor state it chose.
+func (p *Plan) run(ctx context.Context, m cost.Model, parents []uint32) (float64, uint32, error) {
 	if err := m.Validate(); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	if t < 1 {
-		return nil, fmt.Errorf("opt: availability threshold t = %d, must be at least 1", t)
-	}
-	if initial.Size() < t {
-		return nil, fmt.Errorf("opt: initial scheme %v has fewer than t = %d members", initial, t)
-	}
-	u, err := newUniverse(sched, initial)
-	if err != nil {
-		return nil, err
-	}
-	size := 1 << uint(u.n())
-	s := &solver{
-		u:       u,
-		m:       m,
-		t:       t,
-		dp:      make([]float64, size),
-		scratch: make([]float64, size),
-	}
-	if trace {
-		s.argScratch = make([]uint32, size)
-		s.parents = make([][]uint32, len(sched))
-	}
-	return s, nil
-}
+	n, size := len(p.ids), p.size()
 
-func (s *solver) run(ctx context.Context, sched model.Schedule, initial model.Set, trace bool) (float64, error) {
-	init, err := s.u.compress(initial)
-	if err != nil {
-		return 0, err
+	// Three rows, allocated once: dp and next keep +Inf at every
+	// infeasible mask for the whole pass (the relaxations write feasible
+	// masks only); g is the write transform's workspace.
+	rows := make([]float64, 3*size)
+	dp, next, g := rows[:size], rows[size:2*size], rows[2*size:]
+	for i := range rows[:2*size] {
+		rows[i] = inf
 	}
-	for i := range s.dp {
-		s.dp[i] = inf
+	dp[p.init] = 0
+	var arg []uint32 // minTransform's minimizing Y per Z, for traceback
+	if parents != nil {
+		arg = make([]uint32, size)
 	}
-	s.dp[init] = 0
 
-	for k, q := range sched {
-		if err := ctx.Err(); err != nil {
-			return 0, err
+	pr := prices{
+		local:  m.CIO,               // read served by the reader's own copy
+		remote: m.CC + m.CIO + m.CD, // read served by one remote data processor
+	}
+	pr.saving = pr.remote + m.CIO // remote read that also saves locally
+	for sz := 1; sz <= n; sz++ {
+		// Writer inside X: transmit to the other |X|-1 members, output
+		// at all |X|. Writer outside X: transmit to all |X| members,
+		// output at all.
+		pr.writeIn[sz] = float64(sz-1)*m.CD + float64(sz)*m.CIO
+		pr.writeOut[sz] = float64(sz) * (m.CD + m.CIO)
+	}
+
+	done := ctx.Done()
+	for k, q := range p.reqs {
+		select {
+		case <-done:
+			return 0, 0, ctx.Err()
+		default:
 		}
 		var parent []uint32
-		if trace {
-			parent = make([]uint32, len(s.dp))
-			for i := range parent {
-				parent[i] = ^uint32(0)
-			}
-			s.parents[k] = parent
+		if parents != nil {
+			parent = parents[k*size : (k+1)*size]
 		}
-		bit, ok := s.u.idx[q.Processor]
-		if !ok {
-			return 0, fmt.Errorf("opt: processor %d missing from universe", q.Processor)
-		}
-		if q.IsRead() {
-			s.relaxRead(uint32(1)<<uint(bit), parent)
+		if q.read {
+			relaxRead(dp, next, p.feasible, q.bit, &pr, parent)
 		} else {
-			s.relaxWrite(uint32(1)<<uint(bit), parent)
+			copy(g, dp)
+			minTransform(g, arg, m.CC)
+			relaxWrite(g, next, p.feasible, q.bit, &pr, arg, parent)
 		}
+		dp, next = next, dp
 	}
 
-	best := inf
-	for _, c := range s.dp {
-		if c < best {
-			best = c
+	best, final := inf, uint32(0)
+	for _, y := range p.feasible {
+		if dp[y] < best {
+			best, final = dp[y], y
 		}
 	}
 	if math.IsInf(best, 1) {
-		return 0, fmt.Errorf("opt: no feasible allocation schedule (universe of %d processors, t = %d)", s.u.n(), s.t)
+		return 0, 0, fmt.Errorf("opt: no feasible allocation schedule (universe of %d processors, t = %d)", n, p.t)
 	}
-	return best, nil
+	return best, final, nil
+}
+
+// prices is a cost model laid out for the relaxations: every per-request
+// charge that does not depend on the DP state, computed once per pass.
+type prices struct {
+	local, remote, saving float64
+	// writeIn[s] and writeOut[s] are the transmission and output charges
+	// of a write whose execution set has s members, with the writer
+	// inside and outside that set.
+	writeIn, writeOut [MaxUniverse + 1]float64
 }
 
 // relaxRead performs the DP transition for a read by the processor whose
-// dense mask is ibit.
-func (s *solver) relaxRead(ibit uint32, parent []uint32) {
-	m := s.m
-	localCost := m.CIO                // read served by the reader's own copy
-	remoteCost := m.CC + m.CIO + m.CD // read served by one remote data processor
-	savingCost := remoteCost + m.CIO  // remote read that also saves locally
-	next := s.scratch
-	for i := range next {
-		next[i] = inf
-	}
-	for y, c := range s.dp {
-		if math.IsInf(c, 1) {
-			continue
-		}
-		yy := uint32(y)
-		// Non-saving read: scheme unchanged.
-		var nc float64
-		if yy&ibit != 0 {
-			nc = c + localCost
+// dense mask is ibit. A state without the reader is reached only by the
+// non-saving remote read that leaves it unchanged; a state with the reader
+// either by the saving read that just added it or by a local read.
+func relaxRead(dp, next []float64, feasible []uint32, ibit uint32, pr *prices, parent []uint32) {
+	for _, y := range feasible {
+		from := y
+		var c float64
+		if y&ibit == 0 {
+			c = dp[y] + pr.remote
 		} else {
-			nc = c + remoteCost
-		}
-		if nc < next[yy] {
-			next[yy] = nc
-			if parent != nil {
-				parent[yy] = yy
+			from = y ^ ibit
+			c = dp[from] + pr.saving
+			if lc := dp[y] + pr.local; lc < c {
+				c, from = lc, y
 			}
 		}
-		// Saving read: only useful when the reader is outside the scheme.
-		if yy&ibit == 0 {
-			ny := yy | ibit
-			sc := c + savingCost
-			if sc < next[ny] {
-				next[ny] = sc
-				if parent != nil {
-					parent[ny] = yy
-				}
-			}
+		next[y] = c
+		if parent != nil {
+			parent[y] = from
 		}
 	}
-	s.dp, s.scratch = next, s.dp
 }
 
 // relaxWrite performs the DP transition for a write by the processor whose
 // dense mask is ibit. The new scheme is the chosen execution set X,
-// |X| >= t. The invalidation term cc·|Y \ X'| is folded over all previous
-// states at once by minTransform.
-func (s *solver) relaxWrite(ibit uint32, parent []uint32) {
-	m := s.m
-	g, garg := s.minTransform(parent != nil)
-	next := s.scratch
-	for i := range next {
-		next[i] = inf
-	}
-	for x := 0; x < len(next); x++ {
-		xx := uint32(x)
-		sz := bits.OnesCount32(xx)
-		if sz < s.t {
-			continue
+// |X| >= t; the invalidation term cc·|Y \ X'| over all previous states Y
+// is g[X'], already folded by minTransform (X' is X, plus the writer when
+// it is outside X and so needs no invalidation message).
+func relaxWrite(g, next []float64, feasible []uint32, ibit uint32, pr *prices, arg, parent []uint32) {
+	for _, x := range feasible {
+		sz := bits.OnesCount32(x)
+		c := pr.writeIn[sz]
+		if x&ibit == 0 {
+			c = pr.writeOut[sz]
 		}
-		var c float64
-		var zz uint32
-		if xx&ibit != 0 {
-			// Writer inside X: transmit to the other |X|-1 members,
-			// output at all |X|; invalidate Y\X.
-			c = float64(sz-1)*m.CD + float64(sz)*m.CIO
-			zz = xx
-		} else {
-			// Writer outside X: transmit to all |X| members, output at
-			// all; invalidate Y\X\{i}.
-			c = float64(sz) * (m.CD + m.CIO)
-			zz = xx | ibit
-		}
-		total := g[zz] + c
-		if total < next[xx] {
-			next[xx] = total
-			if parent != nil {
-				parent[xx] = garg[zz]
-			}
+		z := x | ibit
+		next[x] = g[z] + c
+		if parent != nil {
+			parent[x] = arg[z]
 		}
 	}
-	s.dp, s.scratch = next, s.dp
 }
 
-// minTransform computes g[Z] = min over Y of (dp[Y] + cc·|Y \ Z|) for every
-// mask Z, in O(n·2^n), optionally tracking the minimizing Y for traceback.
+// minTransform turns h, on entry a copy of dp, into
+// g[Z] = min over Y of (dp[Y] + cc·|Y \ Z|) for every mask Z, in place and
+// in O(n·2^n); with arg non-nil it also records the minimizing Y for
+// traceback.
 //
 // Bits are folded one at a time. Invariant: after folding bit j, h[M] is
 // the minimum over all Y that agree with M on the unfolded bits of
@@ -337,94 +330,64 @@ func (s *solver) relaxWrite(ibit uint32, parent []uint32) {
 //
 //	h'[a] = min(h[a], h[b] + cc)   // Y may contain bit j although Z does not
 //	h'[b] = min(h[b], h[a])        // Y free to contain bit j or not
-func (s *solver) minTransform(trace bool) ([]float64, []uint32) {
-	cc := s.m.CC
-	h := s.scratch[:len(s.dp)]
-	copy(h, s.dp)
-	var harg []uint32
-	if trace {
-		harg = s.argScratch
-		for i := range harg {
-			harg[i] = uint32(i)
-		}
+//
+// The pairs of bit j are the two halves of each aligned block of 2·2^j
+// masks, so the pass walks blocks rather than testing every mask's bit.
+func minTransform(h []float64, arg []uint32, cc float64) {
+	for i := range arg {
+		arg[i] = uint32(i)
 	}
-	n := s.u.n()
-	for j := 0; j < n; j++ {
-		bit := uint32(1) << uint(j)
-		for a := uint32(0); a < uint32(len(h)); a++ {
-			if a&bit != 0 {
-				continue
-			}
-			b := a | bit
-			ha, hb := h[a], h[b]
-			// New value at a (Z without bit j).
-			if hb+cc < ha {
-				h[a] = hb + cc
-				if trace {
-					harg[a] = harg[b]
+	for bit := 1; bit < len(h); bit <<= 1 {
+		for base := 0; base < len(h); base += 2 * bit {
+			for a, b := base, base+bit; a < base+bit; a, b = a+1, b+1 {
+				ha, hb := h[a], h[b]
+				if hb+cc < ha {
+					h[a] = hb + cc
+					if arg != nil {
+						arg[a] = arg[b]
+					}
 				}
-			}
-			// New value at b (Z with bit j): Y with or without bit j,
-			// both free.
-			if ha < hb {
-				h[b] = ha
-				if trace {
-					harg[b] = harg[a]
+				if ha < hb {
+					h[b] = ha
+					if arg != nil {
+						arg[b] = arg[a]
+					}
 				}
 			}
 		}
 	}
-	if trace {
-		// h currently aliases s.scratch; copy results out so relaxWrite
-		// can reuse scratch. g values are small (2^n), copying is cheap.
-		g := make([]float64, len(h))
-		copy(g, h)
-		ga := make([]uint32, len(h))
-		copy(ga, harg)
-		return g, ga
-	}
-	g := make([]float64, len(h))
-	copy(g, h)
-	return g, nil
 }
 
 // traceback reconstructs one optimal allocation schedule from the parent
-// tables.
-func (s *solver) traceback(sched model.Schedule, initial model.Set) (model.AllocSchedule, model.Set) {
-	// Find the best final state.
-	bestState, bestCost := uint32(0), inf
-	for y, c := range s.dp {
-		if c < bestCost {
-			bestCost = c
-			bestState = uint32(y)
-		}
-	}
-	states := make([]uint32, len(sched)+1)
-	states[len(sched)] = bestState
-	for k := len(sched) - 1; k >= 0; k-- {
-		states[k] = s.parents[k][states[k+1]]
+// table, ending in state final.
+func (p *Plan) traceback(parents []uint32, final uint32) model.AllocSchedule {
+	size := p.size()
+	states := make([]uint32, len(p.reqs)+1)
+	states[len(p.reqs)] = final
+	for k := len(p.reqs) - 1; k >= 0; k-- {
+		states[k] = parents[k*size+int(states[k+1])]
 	}
 
-	alloc := make(model.AllocSchedule, len(sched))
-	for k, q := range sched {
-		before := s.u.expand(states[k])
-		after := s.u.expand(states[k+1])
-		if q.IsRead() {
-			if before == after {
-				// Non-saving read: local if possible, else from the
-				// smallest data processor.
-				exec := model.NewSet(q.Processor)
-				if !before.Contains(q.Processor) {
-					exec = model.NewSet(before.Min())
-				}
-				alloc[k] = model.Step{Request: q, Exec: exec}
-			} else {
-				// Saving read served by a data processor.
-				alloc[k] = model.Step{Request: q, Exec: model.NewSet(before.Min()), Saving: true}
+	alloc := make(model.AllocSchedule, len(p.reqs))
+	for k, q := range p.reqs {
+		id := p.ids[bits.TrailingZeros32(q.bit)]
+		before := p.expand(states[k])
+		after := p.expand(states[k+1])
+		switch {
+		case !q.read:
+			alloc[k] = model.Step{Request: model.W(id), Exec: after}
+		case before == after:
+			// Non-saving read: local if possible, else from the
+			// smallest data processor.
+			exec := model.NewSet(id)
+			if !before.Contains(id) {
+				exec = model.NewSet(before.Min())
 			}
-		} else {
-			alloc[k] = model.Step{Request: q, Exec: after}
+			alloc[k] = model.Step{Request: model.R(id), Exec: exec}
+		default:
+			// Saving read served by a data processor.
+			alloc[k] = model.Step{Request: model.R(id), Exec: model.NewSet(before.Min()), Saving: true}
 		}
 	}
-	return alloc, s.u.expand(states[len(sched)])
+	return alloc
 }

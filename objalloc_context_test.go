@@ -38,7 +38,9 @@ func TestFacadeSweepContextMatchesDeprecated(t *testing.T) {
 
 // Cancelling mid-sweep through the facade must surface context.Canceled.
 func TestFacadeSweepContextCancellation(t *testing.T) {
-	grid := make([]float64, 30)
+	// Large enough (11k admissible cells, over a second of work) that the
+	// sweep cannot finish before the cancel lands.
+	grid := make([]float64, 150)
 	for i := range grid {
 		grid[i] = 0.05 + float64(i)*0.06
 	}
