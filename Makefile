@@ -2,7 +2,10 @@
 # Tests run shuffled so inter-test ordering dependencies cannot hide.
 # obscheck additionally vets the instrumentation package on its own and
 # runs the observability determinism tests under the race detector.
-# fuzzsmoke gives each committed fuzz target a 10-second budget,
+# fuzzsmoke gives each committed fuzz target a 10-second budget (among
+# them FuzzWireDecode, which holds the /v1/batch codec to encoding/json
+# on arbitrary bytes, and FuzzHandleBatch, which holds the handler to
+# "2xx or 4xx, and a 4xx admits nothing"),
 # experiments-check reruns every experiment and diffs the output against
 # the committed experiments_output.txt (the run is deterministic, so any
 # difference is a changed figure), serve-smoke boots the service daemon
@@ -51,6 +54,8 @@ fuzzsmoke:
 	go test -run none -fuzz FuzzParseDiskFaults -fuzztime 10s ./internal/chaos
 	go test -run none -fuzz FuzzParseAdaptiveSpec -fuzztime 10s ./internal/adaptive
 	go test -run none -fuzz FuzzReplayJournal -fuzztime 10s ./internal/server
+	go test -run none -fuzz FuzzWireDecode -fuzztime 10s ./internal/server
+	go test -run none -fuzz FuzzHandleBatch -fuzztime 10s ./internal/server
 	go test -run none -fuzz FuzzOptCost -fuzztime 10s ./internal/opt
 
 experiments-check:

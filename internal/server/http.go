@@ -120,9 +120,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	var body BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	sc := getScratch()
+	defer putScratch(sc)
+	var err error
+	if sc.buf, err = readAll(sc.buf, http.MaxBytesReader(w, r.Body, maxBatchBytes)); err == nil {
+		err = decodeBatchRequest(sc.buf, &sc.body)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, fmt.Sprintf("batch body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
@@ -134,18 +138,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Validate the whole batch before consuming any of it: a malformed
 	// request at index k must not leave 0..k-1 serviced, billed and
 	// journaled with their results thrown away.
-	reqs := make([]model.Request, len(body.Requests))
-	for i, wr := range body.Requests {
-		q, err := validate(&s.cfg, wr.Object, wr.Op, wr.Processor)
+	wire := sc.body.Requests
+	for i := range wire {
+		q, err := validate(&s.cfg, wire[i].Object, wire[i].Op, wire[i].Processor)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad request %d: %v", i, err), http.StatusBadRequest)
 			return
 		}
-		reqs[i] = q
+		sc.reqs = append(sc.reqs, q)
 	}
-	resp := BatchResponse{Results: make([]WireResult, 0, len(body.Requests))}
-	for i, wr := range body.Requests {
-		res, err := s.submit(wr.Object, reqs[i], parent, wr.Seq)
+	resp := &sc.resp
+	if resp.Results == nil {
+		resp.Results = make([]WireResult, 0, len(wire)) // an empty reply says [], not null
+	}
+	for i := range wire {
+		wr := &wire[i]
+		res, err := s.submit(wr.Object, sc.reqs[i], parent, wr.Seq)
 		if err != nil {
 			if ov, isOverload := err.(*Overloaded); isOverload {
 				resp.RetryAfterMS = ov.RetryAfter.Milliseconds()
@@ -175,13 +183,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Done++
 	}
 	status := http.StatusOK
-	if resp.Done == 0 && len(body.Requests) > 0 {
+	if resp.Done == 0 && len(wire) > 0 {
 		if resp.Draining || resp.Unavailable {
 			status = http.StatusServiceUnavailable
 		} else {
 			status = http.StatusTooManyRequests
 		}
 	}
+	// The body was copied out by the decoder, so the reply is built in
+	// the same buffer and leaves in one write with its length declared
+	// (net/http would chunk anything over 2 KiB otherwise).
+	if sc.buf, err = appendBatchResponse(sc.buf[:0], resp); err != nil {
+		http.Error(w, fmt.Sprintf("encoding reply: %v", err), http.StatusInternalServerError)
+		return
+	}
+	sc.buf = append(sc.buf, '\n')
 	if resp.RetryAfterMS > 0 {
 		// The header is in whole seconds (RFC 9110); the body's
 		// retry_after_ms keeps the precise hint. Round up so a short
@@ -189,8 +205,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", strconv.FormatInt((resp.RetryAfterMS+999)/1000, 10))
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(sc.buf)))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp)
+	w.Write(sc.buf) // a failed write means the client is gone; its resend is deduplicated by seq
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -299,10 +316,9 @@ func (c *Client) Batch(reqs []WireRequest) (BatchResponse, error) {
 // traceparent header so the server's spans parent to the caller's
 // trace. A zero context sends no header.
 func (c *Client) BatchTraced(sc tracing.SpanContext, reqs []WireRequest) (BatchResponse, error) {
-	body, err := json.Marshal(BatchRequest{Requests: reqs})
-	if err != nil {
-		return BatchResponse{}, err
-	}
+	// The body is built fresh per call: the transport may still be
+	// reading it when an early reply (a 413) comes back.
+	body := appendBatchRequest(make([]byte, 0, 16+64*len(reqs)), &BatchRequest{Requests: reqs})
 	req, err := http.NewRequest(http.MethodPost, c.Base+"/v1/batch", bytes.NewReader(body))
 	if err != nil {
 		return BatchResponse{}, err
@@ -316,8 +332,13 @@ func (c *Client) BatchTraced(sc tracing.SpanContext, reqs []WireRequest) (BatchR
 		return BatchResponse{}, err
 	}
 	defer httpResp.Body.Close()
+	scratch := getScratch()
+	defer putScratch(scratch)
 	var resp BatchResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
+	if scratch.buf, err = readAll(scratch.buf, httpResp.Body); err == nil {
+		err = decodeBatchResponse(scratch.buf, &resp)
+	}
+	if err != nil {
 		return BatchResponse{}, fmt.Errorf("server: batch reply (HTTP %d): %w", httpResp.StatusCode, err)
 	}
 	return resp, nil

@@ -107,6 +107,33 @@ func TestBatchBodyLimit(t *testing.T) {
 	if err != nil || ok.Done != 1 {
 		t.Fatalf("normal batch after rejection: %+v, %v", ok, err)
 	}
+
+	// The 8 MiB the refused body grew its scratch to must not outlive
+	// it: whatever the pool hands later batches is small.
+	for i := 0; i < 64; i++ {
+		if sc := getScratch(); cap(sc.buf) > maxPooledBuf {
+			t.Fatalf("the pool kept a %d-byte buffer (bound %d)", cap(sc.buf), maxPooledBuf)
+		}
+	}
+	large := &batchScratch{buf: make([]byte, 0, maxPooledBuf+1)}
+	if large.reset() {
+		t.Fatal("reset kept a buffer over the bound")
+	}
+	wide := &batchScratch{body: BatchRequest{Requests: make([]WireRequest, 1, maxPooledBatch+1)}}
+	if wide.reset() {
+		t.Fatal("reset kept a batch over the bound")
+	}
+	small := &batchScratch{
+		buf:  append(make([]byte, 0, maxPooledBuf), "body"...),
+		body: BatchRequest{Requests: []WireRequest{{Object: "o"}, {Object: "p"}}[:1]},
+		resp: BatchResponse{Done: 1, Results: []WireResult{{Object: "o"}}},
+	}
+	if !small.reset() || cap(small.buf) != maxPooledBuf || len(small.buf) != 0 || small.resp.Done != 0 {
+		t.Fatalf("reset of a small scratch: %+v", small)
+	}
+	if reqs := small.body.Requests[:2]; len(small.body.Requests) != 0 || reqs[0].Object != "" || reqs[1].Object != "" {
+		t.Fatalf("reset left requests behind: %+v", reqs)
+	}
 }
 
 // TestClientBatchAllHonorsRetryHint stalls the single shard so its
@@ -359,5 +386,55 @@ func TestBatchValidatedBeforeConsumed(t *testing.T) {
 	}
 	if st := s.Stats(); st.Accepted != 0 {
 		t.Fatalf("refused Do calls admitted %d requests", st.Accepted)
+	}
+}
+
+// TestBatchRejectsTrailingData: the body is one JSON value and nothing
+// else. A second value or stray bytes after it refuse the whole batch
+// with 400 before any of it is admitted, and the client holds the reply
+// to the same rule.
+func TestBatchRejectsTrailingData(t *testing.T) {
+	s, err := New(Config{Shards: 2, N: 4, T: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	good := `{"requests":[{"object":"a","op":"r","processor":0}]}`
+	post := func(body string) int {
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tail := range []string{good, " garbage", "]", "}", "0", "\x00", "\n\n" + good} {
+		if code := post(good + tail); code != http.StatusBadRequest {
+			t.Errorf("tail %q: status = %d, want 400", tail, code)
+		}
+		if st := s.Stats(); st.Accepted != 0 {
+			t.Fatalf("tail %q admitted %d requests", tail, st.Accepted)
+		}
+	}
+	if code := post(" " + good + " \r\n\t"); code != http.StatusOK {
+		t.Errorf("surrounding whitespace: status = %d, want 200", code)
+	}
+
+	var tail string
+	canned := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte(`{"done":0,"results":[]}` + tail))
+	}))
+	defer canned.Close()
+	for _, tc := range []struct {
+		tail    string
+		wantErr bool
+	}{{"", false}, {"\n", false}, {`{"done":1}`, true}, {"x", true}} {
+		tail = tc.tail
+		if _, err := (&Client{Base: canned.URL}).Batch(nil); (err != nil) != tc.wantErr {
+			t.Errorf("reply tail %q: err = %v, want error %v", tc.tail, err, tc.wantErr)
+		}
 	}
 }

@@ -1,12 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 	"sync/atomic"
 
 	"objalloc/internal/diskfault"
@@ -376,9 +376,7 @@ func (sh *shard) process(t *task, released bool) {
 func (sh *shard) finish(t *task, out outcome) {
 	sh.svcHist.Observe(int64(1 + t.holds))
 	if sh.journal != nil {
-		if err := sh.journal.record(t, out.res); err != nil {
-			sh.journalFault("record", err)
-		}
+		sh.journal.record(t, out.res)
 	}
 	if t.tr != nil {
 		sh.emitTrace(t, out)
@@ -505,7 +503,7 @@ type journalFile interface {
 type journalWriter struct {
 	f       journalFile
 	path    string
-	buf     bytes.Buffer
+	buf     []byte
 	bufRecs int   // records in buf, folded into sinceCkpt on commit
 	size    int64 // committed (write+fsync completed) bytes; the
 	// recovery truncation point — anything beyond it was never acked
@@ -547,34 +545,36 @@ func openJournal(path string, appendTail bool, every int, inj *diskfault.Injecto
 	return j, nil
 }
 
-func (j *journalWriter) record(t *task, r Result) error {
-	errStr := ""
+// record appends one reqRecord line to the buffer: the bytes
+// json.Marshal(reqRecord{...}) would produce, through the wire codec's
+// helpers.
+func (j *journalWriter) record(t *task, r Result) {
+	b := appendString(append(j.buf, `{"object":`...), t.object)
+	b = appendString(append(b, `,"op":`...), t.req.Op.String())
+	b = strconv.AppendInt(append(b, `,"p":`...), int64(t.req.Processor), 10)
+	if t.seq != 0 {
+		b = strconv.AppendUint(append(b, `,"seq":`...), t.seq, 10)
+	}
+	b = strconv.AppendInt(append(b, `,"cost_milli":`...), milli(r.Cost), 10)
+	if r.Coalesced {
+		b = append(b, `,"coalesced":true`...)
+	}
+	if r.Retransmits != 0 {
+		b = strconv.AppendInt(append(b, `,"retransmits":`...), int64(r.Retransmits), 10)
+	}
 	if r.Err != nil {
-		errStr = r.Err.Error()
+		if msg := r.Err.Error(); msg != "" {
+			b = appendString(append(b, `,"err":`...), msg)
+		}
 	}
-	b, err := json.Marshal(reqRecord{
-		Object:    t.object,
-		Op:        t.req.Op.String(),
-		P:         int(t.req.Processor),
-		Seq:       t.seq,
-		CostMilli: milli(r.Cost),
-		Coalesced: r.Coalesced,
-		Retrans:   r.Retransmits,
-		Err:       errStr,
-	})
-	if err != nil {
-		return err
-	}
-	j.buf.Write(b)
-	j.buf.WriteByte('\n')
+	j.buf = append(b, '}', '\n')
 	j.bufRecs++
-	return nil
 }
 
 // discard drops the uncommitted buffer; the supervisor calls it before
 // rebuilding from the durable prefix.
 func (j *journalWriter) discard() {
-	j.buf.Reset()
+	j.buf = j.buf[:0]
 	j.bufRecs = 0
 }
 
@@ -582,16 +582,16 @@ func (j *journalWriter) discard() {
 // fsync). The committed size advances only after the fsync returns, so
 // j.size is always the recovery truncation point.
 func (j *journalWriter) commitRecords() error {
-	if j.buf.Len() == 0 {
+	if len(j.buf) == 0 {
 		return nil
 	}
-	if _, err := j.f.Write(j.buf.Bytes()); err != nil {
+	if _, err := j.f.Write(j.buf); err != nil {
 		return err
 	}
 	if err := j.f.Sync(); err != nil {
 		return err
 	}
-	j.size += int64(j.buf.Len())
+	j.size += int64(len(j.buf))
 	j.sinceCkpt += j.bufRecs
 	j.discard()
 	return nil

@@ -269,13 +269,6 @@ func OptimalCostContext(ctx context.Context, m CostModel, sched Schedule, initia
 	return opt.SolveCostContext(ctx, m, sched, initial, t)
 }
 
-// OptimalCost is the context-free form of OptimalCostContext.
-//
-// Deprecated: use OptimalCostContext so long solves can be cancelled.
-func OptimalCost(m CostModel, sched Schedule, initial Set, t int) (float64, error) {
-	return OptimalCostContext(context.Background(), m, sched, initial, t)
-}
-
 // OptimalResult carries the optimum's cost and one optimal allocation
 // schedule.
 type OptimalResult = opt.Result
@@ -283,13 +276,6 @@ type OptimalResult = opt.Result
 // OptimalContext additionally reconstructs an optimal allocation schedule.
 func OptimalContext(ctx context.Context, m CostModel, sched Schedule, initial Set, t int) (*OptimalResult, error) {
 	return opt.SolveContext(ctx, m, sched, initial, t)
-}
-
-// Optimal is the context-free form of OptimalContext.
-//
-// Deprecated: use OptimalContext so long solves can be cancelled.
-func Optimal(m CostModel, sched Schedule, initial Set, t int) (*OptimalResult, error) {
-	return OptimalContext(context.Background(), m, sched, initial, t)
 }
 
 // Measurement compares an algorithm's cost against the optimum on one
@@ -339,15 +325,6 @@ func SweepContext(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 	return competitive.Sweep(ctx, spec)
 }
 
-// Sweep measures SA and DA over a (cd, cc) grid, reproducing figure 1
-// (mobile=false) or figure 2 (mobile=true).
-//
-// Deprecated: use SweepContext with a SweepSpec; Sweep runs with
-// context.Background and default parallelism.
-func Sweep(cds, ccs []float64, mobile bool, battery BatteryConfig) ([]GridPoint, error) {
-	return SweepContext(context.Background(), SweepSpec{CDs: cds, CCs: ccs, Mobile: mobile, Battery: battery})
-}
-
 // RenderGrid draws a sweep as an ASCII region map in the style of the
 // paper's figures.
 func RenderGrid(points []GridPoint, empirical bool) string {
@@ -368,14 +345,6 @@ type SearchResult = competitive.SearchResult
 // parallelism. Cancelling the context aborts outstanding restarts.
 func SearchWorstCaseContext(ctx context.Context, cfg SearchConfig) (SearchResult, error) {
 	return competitive.Search(ctx, cfg)
-}
-
-// SearchWorstCase is the context-free form of SearchWorstCaseContext.
-//
-// Deprecated: use SearchWorstCaseContext so long searches can be
-// cancelled.
-func SearchWorstCase(cfg SearchConfig) (SearchResult, error) {
-	return SearchWorstCaseContext(context.Background(), cfg)
 }
 
 // ShrinkWitness minimizes an adversarial witness while keeping its ratio
@@ -400,14 +369,6 @@ func CrossoverContext(ctx context.Context, spec CrossoverSpec) (CrossoverResult,
 	return competitive.Crossover(ctx, spec)
 }
 
-// Crossover is the positional, context-free form of CrossoverContext.
-//
-// Deprecated: use CrossoverContext with a CrossoverSpec; Crossover runs
-// with context.Background and default parallelism.
-func Crossover(cc, cdMax float64, iters int, battery BatteryConfig) (CrossoverResult, error) {
-	return CrossoverContext(context.Background(), CrossoverSpec{CC: cc, CDMax: cdMax, Iters: iters, Battery: battery})
-}
-
 // ScheduleFamily generates the k-th member of a growing schedule family.
 type ScheduleFamily = competitive.Family
 
@@ -425,15 +386,6 @@ type FitSpec = competitive.FitSpec
 // the context aborts outstanding measurements.
 func FitAsymptoticContext(ctx context.Context, spec FitSpec) (AsymptoticFit, error) {
 	return competitive.FitAsymptotic(ctx, spec)
-}
-
-// FitAsymptotic is the positional, context-free form of
-// FitAsymptoticContext.
-//
-// Deprecated: use FitAsymptoticContext with a FitSpec; FitAsymptotic runs
-// with context.Background and default parallelism.
-func FitAsymptotic(m CostModel, f Factory, family ScheduleFamily, ks []int, initial Set, t int) (AsymptoticFit, error) {
-	return FitAsymptoticContext(context.Background(), FitSpec{Model: m, Factory: f, Family: family, Ks: ks, Initial: initial, T: t})
 }
 
 // ---- Executable distributed system ----
@@ -577,13 +529,6 @@ type BeamResult = opt.BeamResult
 // aborts with ctx.Err() when it is cancelled.
 func OptimalBeamContext(ctx context.Context, m CostModel, sched Schedule, initial Set, t, width int) (*BeamResult, error) {
 	return opt.BeamContext(ctx, m, sched, initial, t, width)
-}
-
-// OptimalBeam is the context-free form of OptimalBeamContext.
-//
-// Deprecated: use OptimalBeamContext so long searches can be cancelled.
-func OptimalBeam(m CostModel, sched Schedule, initial Set, t, width int) (*BeamResult, error) {
-	return OptimalBeamContext(context.Background(), m, sched, initial, t, width)
 }
 
 // ---- Heterogeneous costs (§6 extension) ----

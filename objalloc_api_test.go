@@ -2,139 +2,11 @@ package objalloc_test
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"objalloc"
+	"objalloc/internal/sim"
 )
-
-// smallBattery is a fast battery for equivalence tests.
-func smallBattery() objalloc.BatteryConfig {
-	b := objalloc.DefaultBattery()
-	b.RandomSchedules, b.RandomLength, b.NemesisRounds = 1, 10, 8
-	return b
-}
-
-// The deprecated positional wrappers must be pure delegations: on a fixed
-// seed their results are identical — field for field — to calling the
-// *Context form with the equivalent spec.
-
-func TestWrapperEquivalenceSweep(t *testing.T) {
-	cds, ccs := []float64{0.5, 1.5}, []float64{0.2}
-	battery := smallBattery()
-	old, err := objalloc.Sweep(cds, ccs, false, battery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := objalloc.SweepSpec{CDs: cds, CCs: ccs, Mobile: false, Battery: battery}
-	ctx, err := objalloc.SweepContext(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old, ctx) {
-		t.Fatalf("Sweep diverges from SweepContext:\n%+v\nvs\n%+v", old, ctx)
-	}
-}
-
-func TestWrapperEquivalenceSearch(t *testing.T) {
-	cfg := objalloc.SearchConfig{
-		Model: objalloc.SC(0.25, 1), Factory: objalloc.DynamicFactory,
-		N: 4, T: 2, Length: 8, Restarts: 3, Steps: 20, Seed: 7,
-	}
-	old, err := objalloc.SearchWorstCase(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCtx, err := objalloc.SearchWorstCaseContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old, viaCtx) {
-		t.Fatalf("SearchWorstCase diverges:\n%+v\nvs\n%+v", old, viaCtx)
-	}
-}
-
-func TestWrapperEquivalenceCrossover(t *testing.T) {
-	battery := smallBattery()
-	old, err := objalloc.Crossover(0.2, 2.0, 4, battery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCtx, err := objalloc.CrossoverContext(context.Background(),
-		objalloc.CrossoverSpec{CC: 0.2, CDMax: 2.0, Iters: 4, Battery: battery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old != viaCtx {
-		t.Fatalf("Crossover diverges: %+v vs %+v", old, viaCtx)
-	}
-}
-
-func TestWrapperEquivalenceFit(t *testing.T) {
-	family := func(k int) objalloc.Schedule {
-		var s objalloc.Schedule
-		s = append(s, objalloc.W(0))
-		for i := 0; i < k; i++ {
-			s = append(s, objalloc.R(1))
-		}
-		return s
-	}
-	m := objalloc.SC(0.25, 1)
-	ks := []int{2, 4, 8}
-	initial := objalloc.NewSet(0, 1)
-	old, err := objalloc.FitAsymptotic(m, objalloc.StaticFactory, family, ks, initial, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCtx, err := objalloc.FitAsymptoticContext(context.Background(), objalloc.FitSpec{
-		Model: m, Factory: objalloc.StaticFactory, Family: family, Ks: ks, Initial: initial, T: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old != viaCtx {
-		t.Fatalf("FitAsymptotic diverges: %+v vs %+v", old, viaCtx)
-	}
-}
-
-func TestWrapperEquivalenceOptimal(t *testing.T) {
-	m := objalloc.SC(0.25, 1)
-	sched := objalloc.MustParseSchedule("w1 r2 r3 w0 r1")
-	initial := objalloc.NewSet(0, 1)
-	oldCost, err := objalloc.OptimalCost(m, sched, initial, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxCost, err := objalloc.OptimalCostContext(context.Background(), m, sched, initial, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldCost != ctxCost {
-		t.Fatalf("OptimalCost %v != OptimalCostContext %v", oldCost, ctxCost)
-	}
-	oldRes, err := objalloc.Optimal(m, sched, initial, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxRes, err := objalloc.OptimalContext(context.Background(), m, sched, initial, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldRes, ctxRes) {
-		t.Fatalf("Optimal diverges: %+v vs %+v", oldRes, ctxRes)
-	}
-	oldBeam, err := objalloc.OptimalBeam(m, sched, initial, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxBeam, err := objalloc.OptimalBeamContext(context.Background(), m, sched, initial, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldBeam, ctxBeam) {
-		t.Fatalf("OptimalBeam diverges: %+v vs %+v", oldBeam, ctxBeam)
-	}
-}
 
 // Every evaluation spec shares the Normalize contract, and the entry
 // points surface its validation errors.
@@ -160,7 +32,7 @@ func TestSpecNormalize(t *testing.T) {
 	if good.Restarts != 1 || good.InitialTemp == 0 || good.Cooling == 0 {
 		t.Fatalf("defaults not resolved: %+v", good)
 	}
-	if _, err := objalloc.SearchWorstCase(objalloc.SearchConfig{}); err == nil {
+	if _, err := objalloc.SearchWorstCaseContext(context.Background(), objalloc.SearchConfig{}); err == nil {
 		t.Fatal("entry point did not surface the Normalize error")
 	}
 }
@@ -185,7 +57,7 @@ func TestClusterOptionsEquivalence(t *testing.T) {
 		objalloc.WithAvailability(2),
 		objalloc.WithInitial(objalloc.NewSet(0, 1)),
 	))
-	cfgCounts, cfgScheme := build(objalloc.NewClusterFromConfig(objalloc.ClusterConfig{
+	cfgCounts, cfgScheme := build(sim.New(objalloc.ClusterConfig{
 		N: 5, T: 2, Protocol: objalloc.ProtocolDA, Initial: objalloc.NewSet(0, 1),
 	}))
 	if optCounts != cfgCounts || optScheme != cfgScheme {

@@ -16,12 +16,13 @@ func contextBattery() objalloc.BatteryConfig {
 	return battery
 }
 
-// The deprecated positional facade and the context facade must agree: the
-// wrapper is a delegation, not a second implementation.
+// A sweep left to its defaults — background context, default
+// parallelism, which is all the removed positional Sweep did — and one
+// pinned to Parallelism 4 must agree point for point.
 func TestFacadeSweepContextMatchesDeprecated(t *testing.T) {
 	battery := contextBattery()
 	cds, ccs := []float64{0.5, 1.5}, []float64{0.2}
-	oldPoints, err := objalloc.Sweep(cds, ccs, false, battery)
+	oldPoints, err := objalloc.SweepContext(context.Background(), objalloc.SweepSpec{CDs: cds, CCs: ccs, Battery: battery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestFacadeSweepContextMatchesDeprecated(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprintf("%+v", oldPoints) != fmt.Sprintf("%+v", newPoints) {
-		t.Errorf("SweepContext disagrees with deprecated Sweep:\nold: %+v\nnew: %+v", oldPoints, newPoints)
+		t.Errorf("SweepContext at Parallelism 4 disagrees with the default:\ndefault: %+v\nat 4: %+v", oldPoints, newPoints)
 	}
 }
 
@@ -117,12 +118,12 @@ func TestFacadeSearchContextDeterministic(t *testing.T) {
 	}
 
 	cfg.Parallelism = 0
-	deprecated, err := objalloc.SearchWorstCase(cfg)
+	byDefault, err := objalloc.SearchWorstCaseContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deprecated.Ratio != serial.Ratio {
-		t.Errorf("deprecated SearchWorstCase ratio %.6f != context form %.6f", deprecated.Ratio, serial.Ratio)
+	if byDefault.Ratio != serial.Ratio {
+		t.Errorf("default-parallelism ratio %.6f != serial %.6f", byDefault.Ratio, serial.Ratio)
 	}
 }
 

@@ -1,6 +1,7 @@
 package objalloc_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -33,16 +34,16 @@ func TestFacadeEndToEnd(t *testing.T) {
 	initial := objalloc.NewSet(0, 1)
 	m := objalloc.SC(0.3, 1.2)
 
-	optCost, err := objalloc.OptimalCost(m, sched, initial, 2)
+	optCost, err := objalloc.OptimalCostContext(context.Background(), m, sched, initial, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := objalloc.Optimal(m, sched, initial, 2)
+	res, err := objalloc.OptimalContext(context.Background(), m, sched, initial, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cost != optCost {
-		t.Errorf("Optimal cost %g != OptimalCost %g", res.Cost, optCost)
+		t.Errorf("OptimalContext cost %g != OptimalCostContext %g", res.Cost, optCost)
 	}
 
 	alg, err := objalloc.NewStatic(initial, 2)
@@ -128,7 +129,7 @@ func TestFacadeWorkloadsAndSweep(t *testing.T) {
 	battery.RandomSchedules = 1
 	battery.RandomLength = 10
 	battery.NemesisRounds = 5
-	points, err := objalloc.Sweep([]float64{0.5, 1.5}, []float64{0.2}, false, battery)
+	points, err := objalloc.SweepContext(context.Background(), objalloc.SweepSpec{CDs: []float64{0.5, 1.5}, CCs: []float64{0.2}, Battery: battery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestFacadeOfflineApproximations(t *testing.T) {
 	m := objalloc.SC(0.3, 1.2)
 
 	lb := objalloc.OptimalLowerBound(m, sched, 2)
-	beam, err := objalloc.OptimalBeam(m, sched, initial, 2, 16)
+	beam, err := objalloc.OptimalBeamContext(context.Background(), m, sched, initial, 2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestFacadeCacheManager(t *testing.T) {
 
 func TestFacadeSearchShrinkCrossover(t *testing.T) {
 	m := objalloc.SC(0.4, 1.1)
-	res, err := objalloc.SearchWorstCase(objalloc.SearchConfig{
+	res, err := objalloc.SearchWorstCaseContext(context.Background(), objalloc.SearchConfig{
 		Model: m, Factory: objalloc.StaticFactory,
 		N: 4, T: 2, Length: 10, Restarts: 2, Steps: 60, Seed: 3, Anneal: true,
 	})
@@ -351,7 +352,7 @@ func TestFacadeSearchShrinkCrossover(t *testing.T) {
 
 	battery := objalloc.DefaultBattery()
 	battery.RandomSchedules, battery.RandomLength, battery.NemesisRounds = 1, 12, 10
-	cr, err := objalloc.Crossover(0.2, 2.0, 6, battery)
+	cr, err := objalloc.CrossoverContext(context.Background(), objalloc.CrossoverSpec{CC: 0.2, CDMax: 2.0, Iters: 6, Battery: battery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,15 +383,17 @@ func TestFacadeTopologyAwareDAAndFit(t *testing.T) {
 		t.Errorf("aware DA served from %v", st.Exec)
 	}
 
-	fit, err := objalloc.FitAsymptotic(objalloc.SC(0.4, 1.1), objalloc.StaticFactory,
-		func(k int) objalloc.Schedule {
+	fit, err := objalloc.FitAsymptoticContext(context.Background(), objalloc.FitSpec{
+		Model: objalloc.SC(0.4, 1.1), Factory: objalloc.StaticFactory,
+		Family: func(k int) objalloc.Schedule {
 			var s objalloc.Schedule
 			for i := 0; i < k; i++ {
 				s = append(s, objalloc.R(5))
 			}
 			return s
 		},
-		[]int{5, 10, 20}, objalloc.NewSet(0, 1), 2)
+		Ks: []int{5, 10, 20}, Initial: objalloc.NewSet(0, 1), T: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +406,7 @@ func TestFacadeTopologyAwareDAAndFit(t *testing.T) {
 func ExampleSweep() {
 	battery := objalloc.DefaultBattery()
 	battery.RandomSchedules, battery.RandomLength, battery.NemesisRounds = 1, 12, 20
-	points, _ := objalloc.Sweep([]float64{0.2, 1.5}, []float64{0.1}, false, battery)
+	points, _ := objalloc.SweepContext(context.Background(), objalloc.SweepSpec{CDs: []float64{0.2, 1.5}, CCs: []float64{0.1}, Battery: battery})
 	for _, p := range points {
 		fmt.Printf("cc=%.1f cd=%.1f analytic=%v\n", p.CC, p.CD, p.Analytic)
 	}
@@ -503,7 +506,7 @@ func TestGrandTour(t *testing.T) {
 	// 5. The figure cell this deployment sits in: DA superior.
 	battery := objalloc.DefaultBattery()
 	battery.RandomSchedules, battery.RandomLength, battery.NemesisRounds = 2, 20, 30
-	points, err := objalloc.Sweep([]float64{1.5}, []float64{0.2}, false, battery)
+	points, err := objalloc.SweepContext(context.Background(), objalloc.SweepSpec{CDs: []float64{1.5}, CCs: []float64{0.2}, Battery: battery})
 	if err != nil {
 		t.Fatal(err)
 	}

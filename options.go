@@ -180,21 +180,3 @@ func NewHACluster(n int, opts ...ClusterOption) (*HACluster, error) {
 		Retry:    o.retry,
 	})
 }
-
-// NewClusterFromConfig builds a cluster from a full ClusterConfig —
-// the advanced fields (AdoptStores, FirstSeq) have no option form.
-//
-// Deprecated: use NewCluster with ClusterOptions.
-func NewClusterFromConfig(cfg ClusterConfig) (*Cluster, error) { return sim.New(cfg) }
-
-// NewQuorumClusterFromConfig builds a quorum cluster from a full
-// QuorumConfig.
-//
-// Deprecated: use NewQuorumCluster with ClusterOptions.
-func NewQuorumClusterFromConfig(cfg QuorumConfig) (*QuorumCluster, error) { return quorum.New(cfg) }
-
-// NewHAClusterFromConfig builds a highly-available cluster from a full
-// HAConfig.
-//
-// Deprecated: use NewHACluster with ClusterOptions.
-func NewHAClusterFromConfig(cfg HAConfig) (*HACluster, error) { return ha.New(cfg) }
