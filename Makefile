@@ -18,12 +18,15 @@
 # recovery from injected shard panics, transient disk-fault runs that
 # must stay byte-identical, and a dead-disk run that must fail-stop),
 # syncvet flags journal Sync/Close calls whose error is silently
-# dropped (go vet does not: an expression statement is legal Go), and
+# dropped (go vet does not: an expression statement is legal Go),
+# benchvet fails if a _test.go in the repository root declares a
+# Benchmark (bench/ is the only benchmark; paper claims are gated by
+# named tests and experiments-check), and
 # staticcheck runs when the tool is installed (it is skipped gracefully
 # otherwise — the build must not depend on network access).
-.PHONY: verify build vet test race bench obscheck fuzzsmoke experiments-check serve-smoke trace-smoke crash-smoke syncvet staticcheck chaos profile
+.PHONY: verify build vet test race bench obscheck fuzzsmoke experiments-check serve-smoke trace-smoke crash-smoke syncvet benchvet staticcheck loc chaos profile
 
-verify: build vet test race obscheck fuzzsmoke experiments-check serve-smoke trace-smoke crash-smoke syncvet staticcheck
+verify: build vet test race obscheck fuzzsmoke experiments-check serve-smoke trace-smoke crash-smoke syncvet benchvet staticcheck
 
 build:
 	go build ./...
@@ -86,12 +89,34 @@ syncvet:
 		echo "syncvet: internal/server Sync/Close errors all handled"; \
 	fi
 
+# The root package had a second benchmark system once (31 Benchmark*
+# that nothing ran or recorded); this keeps it from regrowing unnoticed.
+benchvet:
+	@bad=$$(grep -n -E '^func Benchmark' *_test.go || true); \
+	if [ -n "$$bad" ]; then \
+		echo "benchvet: Benchmark in the repository root (perf numbers come from bench/, paper claims from named tests):"; \
+		echo "$$bad"; \
+		exit 1; \
+	else \
+		echo "benchvet: no Benchmark in the repository root"; \
+	fi
+
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
 		echo "staticcheck not installed; skipping"; \
 	fi
+
+# loc prints lines of Go per package, non-test and test (wc -l): the
+# table ROADMAP aim 2 asks every PR to report in CHANGES.md.
+loc:
+	@for d in $$(go list -f '{{.Dir}}' ./...); do \
+		p=$${d#$$PWD}; p=$${p#/}; \
+		n=$$(ls $$d/*.go | grep -v '_test\.go$$' | xargs cat 2>/dev/null | wc -l); \
+		t=$$(ls $$d/*_test.go 2>/dev/null | xargs cat 2>/dev/null | wc -l); \
+		printf '%-28s %6d %6d\n' "$${p:-.}" $$n $$t; \
+	done | awk '{print; n+=$$2; t+=$$3} END {printf "%-28s %6d %6d\n", "total", n, t}'
 
 # chaos runs an invariant-checked fault-injection pass over all three
 # protocol engines: deterministic loss/dup/delay plus churn where the

@@ -1,0 +1,62 @@
+package modelflags
+
+import (
+	"flag"
+	"io"
+	"os"
+	"strings"
+	"testing"
+)
+
+// TestModelFlagParity pins the model flag set both tools share: the 14
+// names and defaults objallocd and journalcheck declared separately
+// before this package existed, registered by each binary through Bind
+// (a second declaration of one of them on the same flag set panics), and
+// a bad -coalesce or -engine value refused in the words both used.
+func TestModelFlagParity(t *testing.T) {
+	want := map[string]string{
+		"shards": "8", "engine": "da", "adaptive": "", "n": "8", "t": "3",
+		"cc": "0.25", "cd": "1", "mobile": "false", "coalesce": "auto",
+		"faults": "", "noretry": "false", "attempts": "0", "seed": "0",
+		"disk-faults": "",
+	}
+	newSet := func(name string) (*flag.FlagSet, *Flags) {
+		fs := flag.NewFlagSet(name, flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		return fs, Bind(fs)
+	}
+	fs, _ := newSet("parity")
+	got := map[string]string{}
+	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+	if len(got) != len(want) {
+		t.Errorf("Bind registered %d flags, want %d: %v", len(got), len(want), got)
+	}
+	for name, def := range want {
+		if d, ok := got[name]; !ok || d != def {
+			t.Errorf("flag -%s: default %q (registered %v), want %q", name, d, ok, def)
+		}
+	}
+
+	for _, tool := range []string{"objallocd", "journalcheck"} {
+		src, err := os.ReadFile("../../" + tool + "/main.go")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(src), "modelflags.Bind(fs)") {
+			t.Errorf("cmd/%s does not take its model flags from modelflags.Bind", tool)
+		}
+	}
+	for _, tc := range []struct{ arg, wantErr string }{
+		{"-coalesce=sometimes", `unknown -coalesce "sometimes" (want auto, on or off)`},
+		{"-engine=ha", `server: unknown engine "ha" (want da, sa or adaptive; the ha clusters run under cmd/chaos, not the server)`},
+		{"-adaptive=window=8", "-adaptive requires -engine adaptive (got da)"},
+	} {
+		fs, flags := newSet("reject")
+		if err := fs.Parse([]string{tc.arg}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := flags.Config(); err == nil || err.Error() != tc.wantErr {
+			t.Errorf("%s: error %v, want %q", tc.arg, err, tc.wantErr)
+		}
+	}
+}

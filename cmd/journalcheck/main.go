@@ -37,10 +37,7 @@ import (
 	"log"
 	"os"
 
-	"objalloc/internal/adaptive"
-	"objalloc/internal/chaos"
-	"objalloc/internal/cost"
-	"objalloc/internal/netsim"
+	"objalloc/cmd/internal/modelflags"
 	"objalloc/internal/server"
 )
 
@@ -55,22 +52,9 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("journalcheck", flag.ContinueOnError)
 	var (
-		journal      = fs.String("journal", "", "journal directory to replay (required)")
-		statsfile    = fs.String("statsfile", "", "daemon stats snapshot to reconcile the replay against")
-		shards       = fs.Int("shards", 8, "shard count of the run that wrote the journals")
-		engineName   = fs.String("engine", "da", "per-shard engine: da, sa, adaptive")
-		adaptiveSpec = fs.String("adaptive", "", "adaptive-controller spec for -engine adaptive")
-		n            = fs.Int("n", 8, "processors")
-		t            = fs.Int("t", 3, "availability threshold")
-		cc           = fs.Float64("cc", 0.25, "control-message cost")
-		cd           = fs.Float64("cd", 1, "data-message cost")
-		mobile       = fs.Bool("mobile", false, "mobile-computers model instead of stationary")
-		coalesceName = fs.String("coalesce", "auto", "read coalescing: auto, on, off")
-		faults       = fs.String("faults", "", "fault schedule of the original run")
-		noretry      = fs.Bool("noretry", false, "retransmission discipline was disabled")
-		attempts     = fs.Int("attempts", 0, "retransmission cap per message (0 = default)")
-		seed         = fs.Int64("seed", 0, "fault-stream seed perturbation of the original run")
-		diskFaults   = fs.String("disk-faults", "", "disk-fault plan of the original run (validated for flag parity; replay does not inject)")
+		journal   = fs.String("journal", "", "journal directory to replay (required)")
+		statsfile = fs.String("statsfile", "", "daemon stats snapshot to reconcile the replay against")
+		model     = modelflags.Bind(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,51 +63,12 @@ func run(args []string) error {
 		return fmt.Errorf("-journal is required")
 	}
 
-	eng, err := server.ParseEngine(*engineName)
+	cfg, err := model.Config()
 	if err != nil {
 		return err
 	}
-	if *adaptiveSpec != "" && eng != server.EngineAdaptive {
-		return fmt.Errorf("-adaptive requires -engine adaptive (got %s)", eng)
-	}
-	aspec, err := adaptive.ParseSpec(*adaptiveSpec)
-	if err != nil {
-		return err
-	}
-	var mode server.CoalesceMode
-	switch *coalesceName {
-	case "auto":
-		mode = server.CoalesceAuto
-	case "on":
-		mode = server.CoalesceOn
-	case "off":
-		mode = server.CoalesceOff
-	default:
-		return fmt.Errorf("unknown -coalesce %q (want auto, on or off)", *coalesceName)
-	}
-	m := cost.SC(*cc, *cd)
-	if *mobile {
-		m = cost.MC(*cc, *cd)
-	}
-	plan, err := chaos.ParseFaults(*faults)
-	if err != nil {
-		return err
-	}
-	var planPtr *netsim.FaultPlan
-	if plan.Active() {
-		planPtr = &plan
-	}
-	if _, err := chaos.ParseDiskFaults(*diskFaults); err != nil {
-		return err
-	}
-
-	st, err := server.ReplayDir(server.Config{
-		Shards: *shards, Engine: eng, Adaptive: aspec, N: *n, T: *t,
-		Model: m, Coalesce: mode, Seed: *seed,
-		Faults:  planPtr,
-		Retry:   netsim.RetryPolicy{Disabled: *noretry, MaxAttempts: *attempts},
-		Journal: *journal,
-	})
+	cfg.Journal = *journal
+	st, err := server.ReplayDir(cfg)
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}

@@ -62,11 +62,7 @@ import (
 	"syscall"
 	"time"
 
-	"objalloc/internal/adaptive"
-	"objalloc/internal/chaos"
-	"objalloc/internal/cost"
-	"objalloc/internal/diskfault"
-	"objalloc/internal/netsim"
+	"objalloc/cmd/internal/modelflags"
 	"objalloc/internal/obs"
 	"objalloc/internal/server"
 	"objalloc/internal/tracing"
@@ -85,26 +81,13 @@ func main() {
 func run(args []string, ready chan<- string) error {
 	fs := flag.NewFlagSet("objallocd", flag.ContinueOnError)
 	var (
-		shards       = fs.Int("shards", 8, "independent shards (objects are hashed across them)")
+		model        = modelflags.Bind(fs)
 		queue        = fs.Int("queue", 256, "per-shard mailbox capacity (admission control bound)")
 		batch        = fs.Int("batch", 64, "max requests per shard service round")
-		engineName   = fs.String("engine", "da", "per-shard engine: da, sa, adaptive (the executed ha clusters run under cmd/chaos)")
-		adaptiveSpec = fs.String("adaptive", "", "adaptive-controller spec for -engine adaptive, e.g. adaptive:window=8,hysteresis=2,decay=0.1,start=auto,region=on")
-		n            = fs.Int("n", 8, "processors")
-		t            = fs.Int("t", 3, "availability threshold")
-		cc           = fs.Float64("cc", 0.25, "control-message cost")
-		cd           = fs.Float64("cd", 1, "data-message cost")
-		mobile       = fs.Bool("mobile", false, "mobile-computers model (I/O cost 0) instead of stationary")
-		coalesceName = fs.String("coalesce", "auto", "read coalescing: auto, on, off")
-		faults       = fs.String("faults", "", "fault schedule (key=value, comma-separated; empty disables)")
-		noretry      = fs.Bool("noretry", false, "disable the retransmission discipline")
-		attempts     = fs.Int("attempts", 0, "retransmission cap per message (0 = default)")
-		seed         = fs.Int64("seed", 0, "fault-stream seed perturbation")
 		journal      = fs.String("journal", "", "directory for per-shard request journals (group-committed once per service round)")
 		recoverJ     = fs.Bool("recover", false, "replay the per-shard journals on startup (requires -journal)")
 		checkpoint   = fs.Int("checkpoint", 0, "journal checkpoint cadence in records, so replay is O(tail) (0 = default 1024)")
 		chaosPanic   = fs.Int64("chaos-panic", 0, "panic each shard loop after this many serviced requests, exercising the supervisor (0 disables)")
-		diskFaults   = fs.String("disk-faults", "", "deterministic disk-fault plan for the journal (key=value, comma-separated; requires -journal; empty disables)")
 		addr         = fs.String("addr", "127.0.0.1:0", "HTTP listen address")
 		addrfile     = fs.String("addrfile", "", "write the bound address to this file once listening")
 		statsfile    = fs.String("statsfile", "", "write the final stats JSON to this file on drain")
@@ -119,47 +102,9 @@ func run(args []string, ready chan<- string) error {
 		return err
 	}
 
-	eng, err := server.ParseEngine(*engineName)
+	cfg, err := model.Config()
 	if err != nil {
 		return err
-	}
-	if *adaptiveSpec != "" && eng != server.EngineAdaptive {
-		return fmt.Errorf("-adaptive requires -engine adaptive (got %s)", eng)
-	}
-	aspec, err := adaptive.ParseSpec(*adaptiveSpec)
-	if err != nil {
-		return err
-	}
-	var mode server.CoalesceMode
-	switch *coalesceName {
-	case "auto":
-		mode = server.CoalesceAuto
-	case "on":
-		mode = server.CoalesceOn
-	case "off":
-		mode = server.CoalesceOff
-	default:
-		return fmt.Errorf("unknown -coalesce %q (want auto, on or off)", *coalesceName)
-	}
-	m := cost.SC(*cc, *cd)
-	if *mobile {
-		m = cost.MC(*cc, *cd)
-	}
-	plan, err := chaos.ParseFaults(*faults)
-	if err != nil {
-		return err
-	}
-	var planPtr *netsim.FaultPlan
-	if plan.Active() {
-		planPtr = &plan
-	}
-	dplan, err := chaos.ParseDiskFaults(*diskFaults)
-	if err != nil {
-		return err
-	}
-	var dplanPtr *diskfault.Plan
-	if dplan.Active() {
-		dplanPtr = &dplan
 	}
 
 	cli, err := obs.StartCLI(obs.CLIOptions{Metrics: *metrics, PprofAddr: *pprofAddr, Label: "objallocd"})
@@ -189,18 +134,11 @@ func run(args []string, ready chan<- string) error {
 		return fmt.Errorf("-trace-deterministic and -trace-sample require -trace")
 	}
 
-	srv, err := server.New(server.Config{
-		Shards: *shards, Queue: *queue, Batch: *batch,
-		Engine: eng, Adaptive: aspec, N: *n, T: *t, Model: m,
-		Coalesce: mode, Seed: *seed,
-		Faults:  planPtr,
-		Retry:   netsim.RetryPolicy{Disabled: *noretry, MaxAttempts: *attempts},
-		Journal: *journal,
-		Recover: *recoverJ, CheckpointEvery: *checkpoint,
-		PanicAfter: *chaosPanic, DiskFaults: dplanPtr,
-		Obs:   cli.Obs(),
-		Trace: tracer,
-	})
+	cfg.Queue, cfg.Batch = *queue, *batch
+	cfg.Journal, cfg.Recover, cfg.CheckpointEvery = *journal, *recoverJ, *checkpoint
+	cfg.PanicAfter = *chaosPanic
+	cfg.Obs, cfg.Trace = cli.Obs(), tracer
+	srv, err := server.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -216,7 +154,7 @@ func run(args []string, ready chan<- string) error {
 			return err
 		}
 	}
-	log.Printf("listening on %s (%d shards, engine %s, queue %d, batch %d)", bound, *shards, eng, *queue, *batch)
+	log.Printf("listening on %s (%d shards, engine %s, queue %d, batch %d)", bound, cfg.Shards, cfg.Engine, *queue, *batch)
 	if ready != nil {
 		ready <- bound
 	}

@@ -120,6 +120,21 @@ func TestKThresholdDelaysReplication(t *testing.T) {
 	if !a.Scheme().Contains(5) {
 		t.Error("processor 5 did not join")
 	}
+
+	// Ablation A1: on a read-heavy hotspot the delay costs — waiting for
+	// the 4th read is ~13% dearer than DA's replicate-on-first-read.
+	sched := workload.Hotspot(rand.New(rand.NewSource(6)), 6, 300, 0.1, model.NewSet(4, 5), 0.8)
+	initial, m := model.NewSet(0, 1), cost.SC(0.2, 1.5)
+	price := func(k int) float64 {
+		las, err := dom.RunFactory(KThresholdFactory(k), initial, 2, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cost.ScheduleCost(m, las, initial)
+	}
+	if r := price(4) / price(1); r < 1.10 || r > 1.16 {
+		t.Errorf("A1: k4/k1 cost = %.4f, want ~1.13", r)
+	}
 }
 
 func TestKThresholdWriteResetsProgress(t *testing.T) {

@@ -1,14 +1,15 @@
 package chaos
 
-import "testing"
+import (
+	"testing"
 
-// FuzzParseFaults throws arbitrary strings at the fault-schedule decoder:
-// it must never panic, and every accepted plan must validate and survive a
-// format→parse round trip.
-// FuzzParseDiskFaults throws arbitrary strings at the disk-fault plan
-// decoder: it must never panic, and every accepted plan must validate
-// and survive a format→parse round trip (FormatDiskFaults emits the
-// seed, so the round trip is exact).
+	"objalloc/internal/diskfault"
+)
+
+// FuzzParseDiskFaults throws arbitrary strings at the -disk-faults plan
+// decoder (diskfault.ParsePlan): it must never panic, and every accepted
+// plan must validate and survive a format→parse round trip (FormatPlan
+// emits the seed, so the round trip is exact).
 func FuzzParseDiskFaults(f *testing.F) {
 	f.Add("")
 	f.Add("writeerr=0.01")
@@ -20,14 +21,14 @@ func FuzzParseDiskFaults(f *testing.F) {
 	f.Add("enospclen=9999999999999999999")
 	f.Add("stallmax=forever")
 	f.Fuzz(func(t *testing.T, s string) {
-		plan, err := ParseDiskFaults(s)
+		plan, err := diskfault.ParsePlan(s)
 		if err != nil {
 			return
 		}
 		if verr := plan.Validate(); verr != nil {
 			t.Fatalf("accepted %q but plan invalid: %v", s, verr)
 		}
-		back, err := ParseDiskFaults(FormatDiskFaults(plan))
+		back, err := diskfault.ParsePlan(diskfault.FormatPlan(plan))
 		if err != nil {
 			t.Fatalf("formatted form of %q rejected: %v", s, err)
 		}
@@ -37,6 +38,9 @@ func FuzzParseDiskFaults(f *testing.F) {
 	})
 }
 
+// FuzzParseFaults throws arbitrary strings at the fault-schedule decoder:
+// it must never panic, and every accepted plan must validate and survive a
+// format→parse round trip.
 func FuzzParseFaults(f *testing.F) {
 	f.Add("")
 	f.Add("loss=0.1")

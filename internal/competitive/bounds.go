@@ -43,7 +43,3 @@ func DABound(m cost.Model) float64 {
 
 // DALowerBound is Proposition 2: DA is not α-competitive for any α < 1.5.
 const DALowerBound = 1.5
-
-// SALowerBound is Proposition 1: SA is not α-competitive for any
-// α < 1 + cc + cd in the stationary model (i.e. Theorem 1 is tight).
-func SALowerBound(m cost.Model) float64 { return SABound(m) }

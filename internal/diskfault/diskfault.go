@@ -109,10 +109,6 @@ func (p Plan) Active() bool {
 		p.ENOSPCAt > 0 || p.PersistAfter > 0
 }
 
-// Persistent reports whether the plan contains an unbounded failure
-// mode (a dead disk) rather than only transient faults.
-func (p Plan) Persistent() bool { return p.PersistAfter > 0 }
-
 // Validate checks every probability is in [0,1] and bounds are sane.
 func (p Plan) Validate() error {
 	for _, pr := range []struct {

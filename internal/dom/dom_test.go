@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"objalloc/internal/cost"
 	"objalloc/internal/model"
 )
 
@@ -91,6 +92,17 @@ func TestRotatingPicker(t *testing.T) {
 		if seen[id] != 2 {
 			t.Errorf("rotating picker served %d times from %d, want 2 (%v)", seen[id], id, seen)
 		}
+	}
+
+	// Ablation A2: which replica serves a remote read is cost-neutral
+	// under homogeneous prices — rotating and min-id cost exactly the same.
+	initial, m := model.NewSet(0, 1, 2), cost.SC(0.3, 1.2)
+	sched := randomSchedule(rand.New(rand.NewSource(7)), 6, 300, 0.2)
+	algMin, _ := NewStatic(initial, 3)
+	algRot, _ := NewStatic(initial, 3)
+	algRot.(*Static).WithPicker(RotatingPicker())
+	if rot, min := cost.ScheduleCost(m, Run(algRot, sched), initial), cost.ScheduleCost(m, Run(algMin, sched), initial); rot != min {
+		t.Errorf("A2: rotating picker cost %v != min-id picker cost %v", rot, min)
 	}
 }
 

@@ -260,13 +260,6 @@ func (nw *Network) Faults() FaultPlan {
 	return nw.plan
 }
 
-// Lossy reports whether an active fault plan is installed.
-func (nw *Network) Lossy() bool {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.plan.Active()
-}
-
 // SetObs attaches an instrumentation bundle: every dropped message emits
 // one "net.drop" event (with its reason) and bumps the net.drop.*
 // counters; duplications and delays are recorded likewise. Events from

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -151,6 +152,24 @@ func TestAdaptiveSnapshotDeterminism(t *testing.T) {
 			t.Fatalf("adaptive snapshot at shards=%d workers=%d diverges from serial baseline:\n%s\nvs\n%s",
 				tc.shards, tc.workers, got, want)
 		}
+	}
+
+	// E25 end to end: with every transition billed, the switching engine
+	// serves the mix-flip stream for less than the better fixed engine.
+	total := func(eng Engine) float64 {
+		s, err := New(Config{
+			Shards: 3, Engine: eng, Adaptive: adaptive.Spec{Window: 8, Hysteresis: 2},
+			N: 6, T: 3, Model: cost.SC(0.25, 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveSchedule(t, s, 12, 4, adversary.MixFlip(5, 0, 40, 3))
+		s.Drain()
+		return s.Stats().Cost
+	}
+	if got, best := total(EngineAdaptive), math.Min(total(EngineSA), total(EngineDA)); got >= best {
+		t.Errorf("adaptive engine cost %.1f not below the best fixed engine's %.1f", got, best)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -110,6 +111,36 @@ func TestDiskFaultTransientIdentical(t *testing.T) {
 	}
 }
 
+// TestJournalFaultIsNotAPanic pins the two ways a service loop can stop
+// early apart: a journal fault reaches the supervisor as a typed error
+// (server.journal_faults, never server.recovered_panics), a panic — here
+// the PanicAfter failpoint — through recover(). Both rebuild from the
+// durable prefix, so the accounting matches the undisturbed run's.
+func TestJournalFaultIsNotAPanic(t *testing.T) {
+	plan, err := diskfault.ParsePlan("syncerrat=2,enospcat=7,enospclen=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(disturb func(*Config)) (faults, panics int64, accounting string) {
+		cfg := diskFaultConfig(2, t.TempDir())
+		disturb(&cfg)
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveRange(t, s, 6, 0, 15, 1)
+		s.Drain()
+		return opsCounter(s, "server.journal_faults"), opsCounter(s, "server.recovered_panics"), detStats(s.Stats())
+	}
+	_, _, want := run(func(*Config) {})
+	if faults, panics, got := run(func(cfg *Config) { cfg.DiskFaults = &plan }); faults < 1 || panics != 0 || got != want {
+		t.Errorf("transient disk faults: journal_faults %d (want >= 1), recovered_panics %d (want 0), accounting\n got %s\nwant %s", faults, panics, got, want)
+	}
+	if faults, panics, got := run(func(cfg *Config) { cfg.PanicAfter = 10 }); faults != 0 || panics < 1 || got != want {
+		t.Errorf("PanicAfter: journal_faults %d (want 0), recovered_panics %d (want >= 1), accounting\n got %s\nwant %s", faults, panics, got, want)
+	}
+}
+
 // TestDiskFaultFailStop drives a dead disk (every journal op fails from
 // the first) into the supervisor's escalation: after persistentFailureK
 // consecutive no-progress journal faults the shard must fail-stop —
@@ -161,9 +192,11 @@ func TestDiskFaultFailStop(t *testing.T) {
 	if !resp.Unavailable || resp.Done != 0 || resp.RetryAfterMS <= 0 {
 		t.Errorf("batch reply %+v, want Unavailable with a retry hint and Done 0", resp)
 	}
-	if _, err := c.BatchAll([]WireRequest{{Object: "obj-0", Op: "r", Processor: 0}}, 10); err == nil ||
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := c.BatchAllCtx(ctx, tracing.SpanContext{}, []WireRequest{{Object: "obj-0", Op: "r", Processor: 0}}); err == nil ||
 		!strings.Contains(err.Error(), "unavailable") {
-		t.Errorf("BatchAll against a failed shard: %v, want a terminal unavailable error", err)
+		t.Errorf("BatchAllCtx against a failed shard: %v, want a terminal unavailable error", err)
 	}
 	code, body := httpGet(t, srv.URL+"/v1/healthz")
 	if code != 503 || !strings.Contains(body, `"status":"failed"`) {
@@ -412,14 +445,14 @@ func FuzzReplayJournal(f *testing.F) {
 		if err := cfg.Normalize(); err != nil {
 			t.Fatal(err)
 		}
-		st, validLen, err := replayJournal(path, &cfg, cfg.Faults)
+		st, validLen, err := replayJournal(path, &cfg)
 		if err != nil {
 			return // a loud error is a correct outcome for mutated bytes
 		}
 		if validLen < 0 || validLen > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside [0,%d]", validLen, len(data))
 		}
-		st2, validLen2, err2 := replayJournal(path, &cfg, cfg.Faults)
+		st2, validLen2, err2 := replayJournal(path, &cfg)
 		if err2 != nil {
 			t.Fatalf("replay accepted then rejected the same bytes: %v", err2)
 		}

@@ -344,56 +344,25 @@ func (c *Client) BatchTraced(sc tracing.SpanContext, reqs []WireRequest) (BatchR
 	return resp, nil
 }
 
-// BatchAll submits reqs end to end, honoring the server's admission
-// hints: after a partial batch it resubmits the unserviced tail
-// (preserving per-object order), sleeping out each Overloaded reply's
-// RetryAfter hint, for at most maxRetries overload rounds. It stops
-// early when the server is draining; the returned results cover the
-// requests actually serviced.
-func (c *Client) BatchAll(reqs []WireRequest, maxRetries int) ([]WireResult, error) {
-	var out []WireResult
-	retries := 0
-	for len(reqs) > 0 {
-		resp, err := c.Batch(reqs)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, resp.Results...)
-		reqs = reqs[resp.Done:]
-		if len(reqs) == 0 || resp.Draining {
-			break
-		}
-		if resp.Unavailable {
-			// A fail-stopped shard will not recover in-process; retrying
-			// would loop until the budget anyway.
-			return out, fmt.Errorf("server: shard unavailable (persistent durability failure), %d requests unserviced", len(reqs))
-		}
-		if resp.Done == 0 || resp.RetryAfterMS > 0 {
-			if retries++; retries > maxRetries {
-				return out, fmt.Errorf("server: still overloaded after %d retries (%d requests unserviced)", maxRetries, len(reqs))
-			}
-			time.Sleep(time.Duration(resp.RetryAfterMS) * time.Millisecond)
-		}
-	}
-	return out, nil
-}
-
 // Retry pacing for BatchAllCtx's transport-error loop.
 const (
 	retryBackoffBase = 10 * time.Millisecond
 	retryBackoffCap  = 500 * time.Millisecond
 )
 
-// BatchAllCtx is BatchAll with a context deadline instead of a retry
-// budget, built to survive a server restart window: transport errors
-// (connection refused or reset while the daemon is down) are retried
-// with capped exponential backoff, Retry-After hints are slept out, and
+// BatchAllCtx submits reqs end to end, honoring the server's admission
+// hints until ctx's deadline: after a partial batch it resubmits the
+// unserviced tail (preserving per-object order), sleeping out each
+// Overloaded reply's RetryAfter hint. It is built to survive a server
+// restart window: transport errors (connection refused or reset while
+// the daemon is down) are retried with capped exponential backoff, and
 // both sleeps carry seeded jitter (Client.Seed) so concurrent clients
 // desynchronize. Combined with per-object sequence numbers on the
 // requests, a retried batch is billed exactly once: the restarted
 // server answers already-serviced sequences idempotently. The loop
-// stops at ctx's deadline, when the server reports draining, or when
-// every request has been serviced.
+// stops at ctx's deadline, when the server reports draining or a
+// fail-stopped shard, or when every request has been serviced; the
+// returned results cover the requests actually serviced.
 func (c *Client) BatchAllCtx(ctx context.Context, sc tracing.SpanContext, reqs []WireRequest) ([]WireResult, error) {
 	state := uint64(c.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	splitmix64(&state)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -137,7 +138,7 @@ func TestBatchBodyLimit(t *testing.T) {
 }
 
 // TestClientBatchAllHonorsRetryHint stalls the single shard so its
-// 1-slot queue fills, then checks BatchAll resubmits the unserviced
+// 1-slot queue fills, then checks BatchAllCtx resubmits the unserviced
 // tail after the server's Overloaded retry hint until everything
 // completes.
 func TestClientBatchAllHonorsRetryHint(t *testing.T) {
@@ -164,7 +165,7 @@ func TestClientBatchAllHonorsRetryHint(t *testing.T) {
 	}
 
 	// Release the stall only after the server has rejected at least one
-	// request, proving BatchAll really hit the overload path.
+	// request, proving BatchAllCtx really hit the overload path.
 	go func() {
 		for s.shards[0].rejected.Load() == 0 {
 			time.Sleep(time.Millisecond)
@@ -178,12 +179,14 @@ func TestClientBatchAllHonorsRetryHint(t *testing.T) {
 		{Object: "filler", Op: "w", Processor: 1},
 		{Object: "other", Op: "r", Processor: 0},
 	}
-	results, err := c.BatchAll(reqs, 100)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	results, err := c.BatchAllCtx(ctx, tracing.SpanContext{}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != len(reqs) {
-		t.Fatalf("BatchAll serviced %d/%d requests", len(results), len(reqs))
+		t.Fatalf("BatchAllCtx serviced %d/%d requests", len(results), len(reqs))
 	}
 	for i, r := range results {
 		if r.Object != reqs[i].Object || r.Op != reqs[i].Op {

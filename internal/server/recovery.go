@@ -30,7 +30,6 @@ import (
 
 	"objalloc/internal/cost"
 	"objalloc/internal/multiobject"
-	"objalloc/internal/netsim"
 )
 
 // reqRecord is one completed request in the journal. Field order
@@ -77,8 +76,8 @@ type ckptRecord struct {
 // returns it together with the length of the valid prefix (everything
 // before a torn final line). A missing file replays to the empty state,
 // so -recover works on first boot.
-func replayJournal(path string, cfg *Config, plan *netsim.FaultPlan) (*shardState, int64, error) {
-	st, err := newShardState(cfg, plan)
+func replayJournal(path string, cfg *Config) (*shardState, int64, error) {
+	st, err := newShardState(cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -198,7 +197,7 @@ func ReplayDir(cfg Config) (Stats, error) {
 	}
 	st := Stats{Engine: cfg.Engine.String(), Shards: cfg.Shards, Draining: true, Final: true}
 	for i := 0; i < cfg.Shards; i++ {
-		rs, _, err := replayJournal(cfg.journalPath(i), &cfg, cfg.shardPlan(i))
+		rs, _, err := replayJournal(cfg.journalPath(i), &cfg)
 		if err != nil {
 			return Stats{}, err
 		}

@@ -112,12 +112,6 @@ type Config struct {
 	// every shard: loss, duplication and delay are drawn from per-object
 	// streams.
 	Faults *netsim.FaultPlan
-	// ShardFaults, when non-nil, overrides Faults per shard (chaos
-	// experiments that stress one shard). Per-shard plans make the
-	// fault outcomes depend on the object→shard mapping, so the
-	// any-shard-count determinism guarantee only holds with a single
-	// uniform plan.
-	ShardFaults func(shard int) *netsim.FaultPlan
 	// Retry is the retransmission discipline applied to lost messages.
 	Retry netsim.RetryPolicy
 	// Journal, when non-empty, is a directory receiving one JSONL
@@ -248,14 +242,6 @@ func (cfg *Config) Normalize() error {
 	return nil
 }
 
-// shardPlan resolves one shard's message-fault plan.
-func (cfg *Config) shardPlan(shard int) *netsim.FaultPlan {
-	if cfg.ShardFaults != nil {
-		return cfg.ShardFaults(shard)
-	}
-	return cfg.Faults
-}
-
 // journalPath names one shard's journal file.
 func (cfg *Config) journalPath(shard int) string {
 	return filepath.Join(cfg.Journal, fmt.Sprintf("shard-%d.jsonl", shard))
@@ -373,7 +359,6 @@ func New(cfg Config) (*Server, error) {
 
 func newShard(s *Server, id int) (*shard, error) {
 	cfg := &s.cfg
-	plan := cfg.shardPlan(id)
 	sh := &shard{
 		id:      id,
 		srv:     s,
@@ -397,7 +382,7 @@ func newShard(s *Server, id int) (*shard, error) {
 		// to completed.
 		path := cfg.journalPath(id)
 		var validLen int64
-		if st, validLen, err = replayJournal(path, cfg, plan); err != nil {
+		if st, validLen, err = replayJournal(path, cfg); err != nil {
 			return nil, err
 		}
 		if err := os.Truncate(path, validLen); err != nil && !os.IsNotExist(err) {
@@ -405,7 +390,7 @@ func newShard(s *Server, id int) (*shard, error) {
 		}
 		sh.accepted.Store(st.ctr.completed.Load())
 	} else {
-		if st, err = newShardState(cfg, plan); err != nil {
+		if st, err = newShardState(cfg); err != nil {
 			return nil, err
 		}
 	}

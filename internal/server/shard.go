@@ -134,15 +134,11 @@ type shard struct {
 	lastPanic *task
 	panics    int
 
-	// journalErr is the durability fault behind the most recent loop
-	// panic, set just before the panic and consumed by the supervisor
-	// (same goroutine, so no synchronization needed). faultSpans is
-	// the ordinal for journal_fault trace IDs. failCause is the fault
-	// that escalated the shard to failed: written by the supervisor
-	// strictly before the shardFailed state.Store, read by admission
-	// goroutines strictly after a state.Load observes shardFailed, so
-	// the atomic orders the plain field.
-	journalErr error
+	// faultSpans is the ordinal for journal_fault trace IDs. failCause
+	// is the fault that escalated the shard to failed: written by the
+	// supervisor strictly before the shardFailed state.Store, read by
+	// admission goroutines strictly after a state.Load observes
+	// shardFailed, so the atomic orders the plain field.
 	faultSpans uint64
 	failCause  error
 
@@ -172,15 +168,18 @@ type shard struct {
 // the round's replies — acked implies durable. After the mailbox closes
 // it keeps advancing rounds until every held task has been released —
 // accepted requests never get lost. carry, non-nil after a recovered
-// panic, is the in-flight backlog serviced before any new work. Panics
-// propagate to the supervisor.
-func (sh *shard) run(carry []*task) {
+// fault or panic, is the in-flight backlog serviced before any new
+// work. A journal fault ends the loop and is returned; panics propagate
+// to the supervisor.
+func (sh *shard) run(carry []*task) *journalFaultError {
 	open := true
 	batch := make([]*task, 0, sh.srv.cfg.Batch)
 	if len(carry) > 0 {
 		sh.round++
 		sh.rounds.Add(1)
-		sh.serviceRound(carry)
+		if fault := sh.serviceRound(carry); fault != nil {
+			return fault
+		}
 	}
 	for open || len(sh.held) > 0 {
 		if hook := sh.srv.cfg.testBeforeRound; hook != nil {
@@ -216,17 +215,20 @@ func (sh *shard) run(carry []*task) {
 		if len(batch) > 0 {
 			sh.batchHist.Observe(int64(len(batch)))
 		}
-		sh.serviceRound(batch)
+		if fault := sh.serviceRound(batch); fault != nil {
+			return fault
+		}
 		if open && len(sh.held) > 0 && len(batch) == 0 {
 			// Spinning rounds forward to release holds; be polite.
 			gosched()
 		}
 	}
+	return nil
 }
 
 // serviceRound processes one round's batch, releases due holds, commits
 // the journal and flushes the round's staged replies.
-func (sh *shard) serviceRound(batch []*task) {
+func (sh *shard) serviceRound(batch []*task) *journalFaultError {
 	sh.curBatch, sh.curIdx = batch, 0
 	for i, t := range batch {
 		sh.curIdx = i
@@ -235,22 +237,22 @@ func (sh *shard) serviceRound(batch []*task) {
 	}
 	sh.curBatch, sh.curIdx = nil, 0
 	sh.tickHeld()
-	sh.commit()
+	return sh.commit()
 }
 
 // commit durably appends the round's journal records (group commit:
 // one write + fsync per round), then sends the staged replies, then
-// tries the periodic checkpoint. A record-commit failure panics with
+// tries the periodic checkpoint. A record-commit failure returns with
 // the replies still staged: the supervisor rebuilds from the durable
 // prefix and reprocesses the round, so no ack ever precedes durability.
 // The checkpoint commit runs strictly after the acks went out, so a
-// checkpoint fault panics with nothing staged — the round's records are
+// checkpoint fault returns with nothing staged — the round's records are
 // already durable and reprocessing them would double-bill; replay
 // rebuilds the identical state from the records alone.
-func (sh *shard) commit() {
+func (sh *shard) commit() *journalFaultError {
 	if sh.journal != nil {
 		if err := sh.journal.commitRecords(); err != nil {
-			sh.journalFault("commit", err)
+			return sh.journalFault("commit", err)
 		}
 	}
 	for _, p := range sh.pending {
@@ -260,9 +262,10 @@ func (sh *shard) commit() {
 	sh.pending = sh.pending[:0]
 	if sh.journal != nil {
 		if err := sh.journal.commitCheckpoint(sh.checkpoint); err != nil {
-			sh.journalFault("checkpoint", err)
+			return sh.journalFault("checkpoint", err)
 		}
 	}
+	return nil
 }
 
 // checkpoint exports the request state as a checkpoint record, or nil
@@ -390,15 +393,24 @@ func (sh *shard) finish(t *task, out outcome) {
 	}
 }
 
-// journalFault records a durability fault — the typed cause for the
-// supervisor, the ops counter, and an always-sampled trace span — then
-// panics so the supervisor rebuilds from the durable prefix. The panic
-// value carries the error so escalation policy can inspect it.
-func (sh *shard) journalFault(op string, err error) {
-	sh.journalErr = err
+// journalFaultError is a durability fault on a shard's journal: op
+// ("commit" or "checkpoint") failed with err. It ends the service loop
+// as a value, not a panic, so the supervisor can tell an expected
+// ENOSPC from a bug: it rebuilds from the durable prefix either way,
+// but only journal faults feed the fail-stop escalation.
+type journalFaultError struct {
+	op  string
+	err error
+}
+
+func (e *journalFaultError) Error() string { return "journal " + e.op + ": " + e.err.Error() }
+
+// journalFault records a durability fault — the ops counter and an
+// always-sampled trace span — and returns it typed for the supervisor.
+func (sh *shard) journalFault(op string, err error) *journalFaultError {
 	sh.srv.ops.Counter("server.journal_faults").Add(1)
 	sh.emitJournalFaultSpan(op, err)
-	panic(fmt.Sprintf("shard %d: journal %s: %v", sh.id, op, err))
+	return &journalFaultError{op: op, err: err}
 }
 
 // milli converts a priced cost into integer milli-units, the span,

@@ -77,8 +77,7 @@ func (c *liveCounters) store(v counters) {
 // an installed state, the replaying goroutine for one being rebuilt —
 // and readable by the server goroutine once the loops have exited.
 type shardState struct {
-	cfg  *Config           // normalized, immutable
-	plan *netsim.FaultPlan // this shard's message-fault plan; nil = none
+	cfg *Config // normalized, immutable
 
 	db      *multiobject.DB
 	next    map[string]uint64    // per-object next expected client seq (wire dedup horizon)
@@ -89,7 +88,7 @@ type shardState struct {
 	ctr     liveCounters
 }
 
-func newShardState(cfg *Config, plan *netsim.FaultPlan) (*shardState, error) {
+func newShardState(cfg *Config) (*shardState, error) {
 	db, err := multiobject.Open(multiobject.Config{
 		Factory:   cfg.Factory,
 		T:         cfg.T,
@@ -101,7 +100,6 @@ func newShardState(cfg *Config, plan *netsim.FaultPlan) (*shardState, error) {
 	}
 	st := &shardState{
 		cfg:     cfg,
-		plan:    plan,
 		db:      db,
 		next:    make(map[string]uint64),
 		streams: make(map[string]*uint64),
@@ -155,7 +153,7 @@ type outcome struct {
 func (st *shardState) step(object string, q model.Request, seq uint64, released bool) (out outcome) {
 	out.res.Object = object
 	delivered := true
-	if plan := st.plan; plan != nil && plan.Active() {
+	if plan := st.cfg.Faults; plan != nil && plan.Active() {
 		s := st.stream(object)
 		if !released && plan.Delay > 0 && float01(s) < plan.Delay {
 			out.hold = 1 + int(splitmix64(s)%uint64(max(plan.DelayMax, 1)))
@@ -230,7 +228,7 @@ func (st *shardState) step(object string, q model.Request, seq uint64, released 
 func (st *shardState) stream(object string) *uint64 {
 	s, ok := st.streams[object]
 	if !ok {
-		seed := (st.plan.Seed ^ uint64(st.cfg.Seed)) * 0x9e3779b97f4a7c15
+		seed := (st.cfg.Faults.Seed ^ uint64(st.cfg.Seed)) * 0x9e3779b97f4a7c15
 		v := seed ^ fnv64a(object)
 		s = &v
 		splitmix64(s) // burn one draw to decorrelate nearby seeds

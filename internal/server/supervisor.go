@@ -1,12 +1,14 @@
 // Shard supervision: each shard's service loop runs under a supervisor
-// that recovers panics, rebuilds the shard's state from its durable
-// journal, requeues the in-flight tasks in per-object order and
-// restarts the loop with capped exponential backoff. A transient
-// durability fault heals through that cycle; a persistent one —
-// consecutive journal faults with no committed-byte progress — fail-
-// stops the shard instead of rebuild-looping forever. The shard's state
-// (healthy | degraded | recovering | failed) and restart count are
-// surfaced via /v1/healthz and the server.shard_restarts /
+// that takes the loop's journal faults (typed errors) and recovers its
+// panics (bugs, or the -chaos-panic failpoint), rebuilds the shard's
+// state from its durable journal, requeues the in-flight tasks in
+// per-object order and restarts the loop with capped exponential
+// backoff. A transient durability fault heals through that cycle; a
+// persistent one — consecutive journal faults with no committed-byte
+// progress — fail-stops the shard instead of rebuild-looping forever.
+// The shard's state (healthy | degraded | recovering | failed) and
+// restart count are surfaced via /v1/healthz and the
+// server.shard_restarts / server.journal_faults /
 // server.recovered_panics / server.shard_failed ops counters.
 package server
 
@@ -29,10 +31,11 @@ const maxRecoveryBackoff = 100 * time.Millisecond
 const persistentFailureK = 3
 
 // supervise is the shard goroutine: it runs the service loop, and on a
-// panic collects the in-flight tasks, rebuilds the shard from its
-// journal and restarts the loop with the backlog carried in front of
-// any new work. A task that panics the loop twice in a row is abandoned
-// with an error reply so one poisoned request cannot wedge the shard.
+// journal fault or a panic collects the in-flight tasks, rebuilds the
+// shard from its journal and restarts the loop with the backlog carried
+// in front of any new work. A task that panics the loop twice in a row
+// is abandoned with an error reply so one poisoned request cannot wedge
+// the shard.
 func (sh *shard) supervise() {
 	defer sh.srv.wg.Done()
 	var carry []*task
@@ -40,14 +43,12 @@ func (sh *shard) supervise() {
 	lastSize := int64(-1) // committed journal bytes at the last journal fault
 	durFails := 0         // consecutive journal faults without progress
 	for {
-		if sh.runRecovered(carry) {
+		fault, finished := sh.runRecovered(carry)
+		if finished {
 			break
 		}
 		sh.state.Store(shardDegraded)
-		sh.srv.ops.Counter("server.recovered_panics").Add(1)
-		cause := sh.journalErr
-		sh.journalErr = nil
-		if cause != nil && sh.journal != nil {
+		if fault != nil {
 			// Transient vs persistent: a fault is only making progress if
 			// the committed prefix grew since the previous fault. K
 			// consecutive no-progress faults ⇒ the disk is not coming
@@ -69,7 +70,7 @@ func (sh *shard) supervise() {
 				// bytes directly, so it works on a dead disk; if it fails
 				// anyway the stale counters still force a nonzero exit.
 				_ = sh.recoverState()
-				sh.failStop(inflight, cause)
+				sh.failStop(inflight, fault.err)
 				return
 			}
 		} else {
@@ -143,36 +144,27 @@ func (sh *shard) failStop(carry []*task, cause error) {
 	if sh.journal != nil {
 		_ = sh.journal.f.Close()
 	}
+	refusal := &Unavailable{Shard: sh.id, RetryAfter: failedRetryAfter, Cause: cause}
 	for _, t := range carry {
-		sh.failUnavailable(t, cause)
+		sh.failTask(t, refusal)
 	}
 	for t := range sh.mail {
-		sh.failUnavailable(t, cause)
+		sh.failTask(t, refusal)
 	}
 }
 
-// failUnavailable refuses one task with the typed Unavailable error,
-// handing its admission slot back so accepted still reconciles with
-// completed at drain.
-func (sh *shard) failUnavailable(t *task, cause error) {
-	if t.acked {
-		return
-	}
-	t.acked = true
-	sh.refundAdmission(t)
-	t.done <- Result{Object: t.object, Err: &Unavailable{Shard: sh.id, RetryAfter: failedRetryAfter, Cause: cause}}
-}
-
-// runRecovered runs the service loop and reports whether it finished
-// normally (drain complete) rather than panicking.
-func (sh *shard) runRecovered(carry []*task) (finished bool) {
+// runRecovered runs the service loop. finished reports a normal end
+// (drain complete); otherwise fault is the journal fault that stopped
+// the loop, or nil after a recovered panic — a genuine bug or the
+// -chaos-panic failpoint, which is all recovered_panics counts.
+func (sh *shard) runRecovered(carry []*task) (fault *journalFaultError, finished bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			finished = false
+			sh.srv.ops.Counter("server.recovered_panics").Add(1)
 		}
 	}()
-	sh.run(carry)
-	return true
+	fault = sh.run(carry)
+	return fault, fault == nil
 }
 
 // failTask replies with an error for a task that will never be
@@ -267,8 +259,7 @@ func (sh *shard) recoverState() error {
 	if err := os.Truncate(sh.journal.path, sh.journal.size); err != nil {
 		return err
 	}
-	old := sh.st.Load()
-	st, _, err := replayJournal(sh.journal.path, old.cfg, old.plan)
+	st, _, err := replayJournal(sh.journal.path, &sh.srv.cfg)
 	if err != nil {
 		return err
 	}
@@ -289,8 +280,8 @@ func (sh *shard) recoverState() error {
 
 // emitJournalFaultSpan records one always-sampled journal_fault span
 // per durability fault, emitted on the shard goroutine just before the
-// fault's panic unwinds the loop. The IDs derive from (seed, shard,
-// fault ordinal), deterministic like every other ID in the trace.
+// fault ends the loop. The IDs derive from (seed, shard, fault ordinal),
+// deterministic like every other ID in the trace.
 func (sh *shard) emitJournalFaultSpan(op string, err error) {
 	tc := sh.srv.cfg.Trace
 	if !tc.Enabled() {

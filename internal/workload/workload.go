@@ -97,18 +97,23 @@ func Regular(rng *rand.Rand, phases []Phase) (model.Schedule, error) {
 		}
 		var items []weighted
 		var total float64
-		for p, w := range ph.ReadRate {
-			if w > 0 {
-				items = append(items, weighted{model.R(p), w})
-				total += w
+		// Readers then writers, each by processor id: ranging over the
+		// maps directly would let Go's randomized iteration order pick
+		// the schedule.
+		add := func(rates map[model.ProcessorID]float64, op func(model.ProcessorID) model.Request) {
+			ids := make([]model.ProcessorID, 0, len(rates))
+			for p := range rates {
+				ids = append(ids, p)
+			}
+			for _, p := range model.SortedIDs(ids) {
+				if w := rates[p]; w > 0 {
+					items = append(items, weighted{op(p), w})
+					total += w
+				}
 			}
 		}
-		for p, w := range ph.WriteRate {
-			if w > 0 {
-				items = append(items, weighted{model.W(p), w})
-				total += w
-			}
-		}
+		add(ph.ReadRate, model.R)
+		add(ph.WriteRate, model.W)
 		if total <= 0 {
 			return nil, fmt.Errorf("workload: phase %d has no positive rates", pi)
 		}

@@ -9,33 +9,30 @@
 // failover, and the experiment harness that regenerates the paper's
 // figures.
 //
-// The package is a facade: it re-exports the curated public surface of the
-// internal packages so applications import only objalloc. The five entry
-// points are:
+// The package is a facade over the internal packages, cut to its
+// traffic: it exports what the programs under examples/ and the facade
+// tests use, plus the named types of what those calls take and return,
+// and nothing else (the cmd/ binaries import the internal packages
+// directly). The entry points are:
 //
-//   - Schedules and the cost model: ParseSchedule, R, W, SC, MC,
+//   - Schedules and the cost model: MustParseSchedule, R, W, SC, MC,
 //     ScheduleCost — the formal model of §3.
 //   - Online algorithms: NewStatic, NewDynamic, Run — §4.2.
-//   - The offline optimum and competitive measurement: OptimalCost, Ratio,
-//     Sweep — §4.1's methodology and the figures.
+//   - The offline optimum and competitive measurement:
+//     OptimalCostContext, Ratio, SweepContext — §4.1's methodology and
+//     the figures.
 //   - The executable distributed system: NewCluster (SA/DA protocols over
 //     a simulated network and per-processor databases) and NewHACluster
 //     (DA with quorum-consensus failover, §2).
-//   - The multi-object database directory: OpenDB.
-//
-// Every evaluation spec and cluster config additionally accepts an *Obs —
-// the instrumentation bundle (structured event sink, metric registry,
-// progress observer); see the "Instrumentation layer" section.
+//   - The multi-object database directory (OpenDB) and the sharded
+//     service over it (NewServer).
 package objalloc
 
 import (
 	"context"
-	"io"
 	"math/rand"
-	"time"
 
 	"objalloc/internal/adaptive"
-	"objalloc/internal/adversary"
 	"objalloc/internal/advisor"
 	"objalloc/internal/baseline"
 	"objalloc/internal/cache"
@@ -65,11 +62,8 @@ import (
 // Every long-running evaluation entry point (plane sweeps, adversarial
 // search, crossover bisection, asymptotic fits, the offline optimum) has a
 // context-aware form that runs on a shared bounded worker pool and can be
-// cancelled. The context-free forms below are kept as thin deprecated
-// wrappers so existing callers build unchanged; they run with
-// context.Background and the default parallelism. Parallel runs are
-// deterministic: for the same seed the results are byte-identical to a
-// serial (Parallelism: 1) run.
+// cancelled. Parallel runs are deterministic: for the same seed the
+// results are byte-identical to a serial (Parallelism: 1) run.
 
 // DefaultParallelism is the worker count used when a spec leaves its
 // Parallelism field at zero: one worker per usable CPU.
@@ -89,10 +83,6 @@ type Request = model.Request
 // Schedule is a totally ordered sequence of requests to one object.
 type Schedule = model.Schedule
 
-// Step is one request of an allocation schedule together with its
-// execution set and saving-read flag.
-type Step = model.Step
-
 // AllocSchedule is a schedule with execution sets: the output of a DOM
 // algorithm.
 type AllocSchedule = model.AllocSchedule
@@ -109,10 +99,8 @@ func R(p ProcessorID) Request { return model.R(p) }
 // W returns a write request issued by p.
 func W(p ProcessorID) Request { return model.W(p) }
 
-// ParseSchedule parses the paper's notation, e.g. "w2 r4 w3 r1 r2".
-func ParseSchedule(text string) (Schedule, error) { return model.ParseSchedule(text) }
-
-// MustParseSchedule is ParseSchedule panicking on error.
+// MustParseSchedule parses the paper's notation, e.g. "w2 r4 w3 r1 r2",
+// panicking on a malformed schedule.
 func MustParseSchedule(text string) Schedule { return model.MustParseSchedule(text) }
 
 // ---- Cost model (§3.2, §3.3) ----
@@ -174,91 +162,13 @@ func KThresholdFactory(k int) Factory { return baseline.KThresholdFactory(k) }
 // Run feeds a schedule through an algorithm's online steps.
 func Run(alg Algorithm, sched Schedule) AllocSchedule { return dom.Run(alg, sched) }
 
-// ---- Adaptive allocation controller ----
-//
-// The adaptive controller estimates each object's read/write mix over a
-// sliding window and switches the object between SA and DA live, billing
-// protocol transitions (copy installs and invalidations) at paper
-// prices. It is the online answer to the paper's figures 1 and 2: where
-// the cost model alone decides the winner the controller pins to it; in
-// the contested region it follows the observed workload. The sharded
-// service runs it per object as ServerEngineAdaptive.
-
-// AdaptiveSpec tunes the controller: window length, switch hysteresis,
-// exponential decay, starting protocol and the analytic region test. The
-// zero value means the defaults (window 64, hysteresis 4, start auto,
-// region test on).
+// AdaptiveSpec tunes the sharded service's adaptive engine
+// (ServerEngineAdaptive): a per-object controller that estimates the
+// read/write mix over a sliding window and switches the object between SA
+// and DA live, billing protocol transitions at paper prices. The zero
+// value means the defaults (window 64, hysteresis 4, start auto, region
+// test on).
 type AdaptiveSpec = adaptive.Spec
-
-// AdaptiveController is the window-estimating SA/DA switcher; it
-// implements Algorithm plus Transitions, WindowStat and Estimates.
-type AdaptiveController = adaptive.Controller
-
-// AlgorithmTransition records one live protocol switch: the step that
-// triggered it, the protocols involved, and the billed transition
-// counts.
-type AlgorithmTransition = dom.Transition
-
-// Transitioner is implemented by algorithms that switch protocols
-// mid-schedule and expose the billed transitions.
-type Transitioner = dom.Transitioner
-
-// AdaptiveWindowStat is a controller's sliding-window snapshot: decayed
-// read/write mass, the protocol in force, and whether it is adapting.
-type AdaptiveWindowStat = dom.WindowStat
-
-// ParseAdaptiveSpec parses the compact controller syntax, e.g.
-// "adaptive:window=8,hysteresis=2,decay=0.1,start=auto,region=on" (the
-// "adaptive:" prefix is optional). AdaptiveSpec.String is its inverse.
-func ParseAdaptiveSpec(s string) (AdaptiveSpec, error) { return adaptive.ParseSpec(s) }
-
-// NewAdaptive returns an adaptive controller for one object.
-func NewAdaptive(m CostModel, spec AdaptiveSpec, initial Set, t int) (*AdaptiveController, error) {
-	return adaptive.New(m, spec, initial, t)
-}
-
-// AdaptiveFactory is the Factory form of NewAdaptive.
-func AdaptiveFactory(m CostModel, spec AdaptiveSpec) Factory { return adaptive.Factory(m, spec) }
-
-// TransitionCounts prices a protocol switch from one allocation scheme
-// to another: installs (to minus from) cost a control message, a data
-// message and an I/O each; invalidations (from minus to) a control
-// message each.
-func TransitionCounts(from, to Set) Counts { return cost.TransitionCounts(from, to) }
-
-// AdaptiveRunCost executes a schedule through an algorithm and returns
-// its total cost including any protocol-transition bills, the combined
-// counts, and the number of switches. For a plain Algorithm it agrees
-// with ScheduleCost.
-func AdaptiveRunCost(m CostModel, alg Algorithm, sched Schedule) (float64, Counts, int) {
-	return adaptive.RunCost(m, alg, sched)
-}
-
-// AdaptiveCase is one named schedule of a regret evaluation.
-type AdaptiveCase = adaptive.Case
-
-// AdaptiveRegretSpec configures a regret evaluation: the adaptive
-// controller against both pure protocols and the offline optimum over a
-// battery of schedules (adversarial mix flips plus seeded workloads by
-// default). Zero Parallelism means DefaultParallelism.
-type AdaptiveRegretSpec = adaptive.RegretSpec
-
-// AdaptiveRegretPoint is one case's outcome: the four costs, the switch
-// count, and the vs-OPT / vs-best-fixed ratios.
-type AdaptiveRegretPoint = adaptive.RegretPoint
-
-// AdaptiveContext runs the regret evaluation on the parallel engine.
-// Results are in case order and byte-identical to a serial run of the
-// same seed; cancelling the context aborts the remaining cases.
-func AdaptiveContext(ctx context.Context, spec AdaptiveRegretSpec) ([]AdaptiveRegretPoint, error) {
-	return adaptive.Regret(ctx, spec)
-}
-
-// MixFlipSchedule is the adaptive controller's adversary: alternating
-// read-heavy and write-heavy phases that punish any fixed protocol.
-func MixFlipSchedule(reader, writer ProcessorID, phase, flips int) Schedule {
-	return adversary.MixFlip(reader, writer, phase, flips)
-}
 
 // ---- Offline optimum and competitiveness (§4.1) ----
 
@@ -424,17 +334,11 @@ type ClusterConfig = sim.Config
 // with NewCluster (see options.go for the ClusterOption family).
 type Cluster = sim.Cluster
 
-// QuorumConfig describes a quorum-consensus cluster.
-type QuorumConfig = quorum.Config
-
 // QuorumCluster is a majority/weighted-voting replicated system. Build
 // one with NewQuorumCluster.
 type QuorumCluster = quorum.Cluster
 
-// HAConfig describes a DA cluster with quorum failover (§2).
-type HAConfig = ha.Config
-
-// HACluster runs DA in normal mode and fails over to quorum consensus when
+// HACluster runs DA in normal mode and fails over to quorum consensus (§2) when
 // a member of F ∪ {p} crashes, failing back after missing-writes recovery.
 // Build one with NewHACluster.
 type HACluster = ha.Cluster
@@ -453,20 +357,11 @@ type FaultPlan = netsim.FaultPlan
 // exactly when a FaultPlan is active.
 type RetryPolicy = netsim.RetryPolicy
 
-// Unreachable is the retransmission discipline's give-up error: the peer
-// did not acknowledge within the retry budget.
-type Unreachable = netsim.Unreachable
-
-// ReliabilityOverhead aggregates retransmissions, acknowledgements and
-// drops — the traffic billed apart from the paper's cost model.
-type ReliabilityOverhead = ha.Overhead
-
 // ChaosEngine selects the protocol stack a chaos scenario exercises.
 type ChaosEngine = chaos.Engine
 
 // Chaos engines.
 const (
-	ChaosDA     = chaos.EngineDA
 	ChaosQuorum = chaos.EngineQuorum
 	ChaosHA     = chaos.EngineHA
 )
@@ -481,9 +376,6 @@ type ChaosStep = chaos.Step
 // ChaosResult summarizes a chaos run: operation counts, cost accounting,
 // reliability overhead, and any invariant violations.
 type ChaosResult = chaos.Result
-
-// ChaosViolation is one invariant breach, pinned to the step exposing it.
-type ChaosViolation = chaos.Violation
 
 // ChaosContext runs an invariant-checked chaos scenario: after every step
 // it asserts reads return the latest committed version, replicas never
@@ -500,10 +392,6 @@ func ChaosContext(ctx context.Context, sc ChaosScenario, o *Obs) (ChaosResult, e
 func ChaosSearchContext(ctx context.Context, base ChaosScenario, count, workers int) ([]ChaosResult, error) {
 	return chaos.Search(ctx, base, count, workers)
 }
-
-// ShrinkChaos delta-debugs a failing scenario to a minimal reproducer
-// that still violates the same invariant.
-func ShrinkChaos(sc ChaosScenario) ChaosScenario { return chaos.Shrink(sc) }
 
 // ParseFaults decodes the textual fault-schedule syntax, e.g.
 // "loss=0.1,dup=0.05,delay=0.2,delaymax=4"; FormatFaults is its inverse.
@@ -658,11 +546,10 @@ func NewCacheManager(cfg CacheConfig) (*CacheManager, error) { return cache.New(
 // FeedPolicy selects permanent (SA) or temporary (DA) standing orders.
 type FeedPolicy = feed.Policy
 
-// Feed policies.
-const (
-	PermanentOrders = feed.PermanentOrders
-	TemporaryOrders = feed.TemporaryOrders
-)
+// TemporaryOrders is the DA mapping of feed standing orders: t−1
+// permanent orders plus temporary ones that lapse at the next append. The
+// zero FeedPolicy is the SA mapping, permanent orders.
+const TemporaryOrders = feed.TemporaryOrders
 
 // FeedConfig describes an append-only object sequence deployment.
 type FeedConfig = feed.Config
@@ -691,65 +578,10 @@ func LoadTrace(path string) (*TraceRecord, error) { return trace.Load(path) }
 
 // Obs bundles the instrumentation a run carries: a metric Registry, a
 // structured event Sink, and a progress Observer. Any field (and the *Obs
-// itself) may be nil; unobserved code paths pay one nil-check. Assign an
-// Obs to a spec (SweepSpec.Obs, SearchConfig.Obs, ...) or a cluster config
-// (ClusterConfig.Obs, QuorumConfig.Obs, HAConfig.Obs) to instrument it.
+// itself) may be nil; unobserved code paths pay one nil-check. It is the
+// type of the Obs field of every evaluation spec and of ChaosContext's
+// last argument; the cmd drivers build theirs with internal/obs.
 type Obs = obs.Obs
-
-// ObsRegistry holds named counters and histograms with atomic updates.
-type ObsRegistry = obs.Registry
-
-// ObsSnapshot is a sorted point-in-time dump of a registry, suitable for
-// deterministic assertions and JSON encoding.
-type ObsSnapshot = obs.Snapshot
-
-// ObsEvent is one structured event: a name plus ordered attributes.
-type ObsEvent = obs.Event
-
-// ObsAttr is one key/value attribute of an event.
-type ObsAttr = obs.Attr
-
-// ObsSink receives structured events.
-type ObsSink = obs.Sink
-
-// ObsObserver receives engine lifecycle callbacks (run start/end, task
-// start/end) for progress reporting and telemetry.
-type ObsObserver = obs.Observer
-
-// ObsProgress is the stderr progress reporter used by the cmd drivers.
-type ObsProgress = obs.Progress
-
-// NewObsRegistry returns an empty metric registry.
-func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
-
-// NewObsJSONL returns a sink writing one JSON object per event to w, with
-// deterministic field order.
-func NewObsJSONL(w io.Writer) *obs.JSONLSink { return obs.NewJSONL(w) }
-
-// NewObsMemSink returns an in-memory sink for tests and event-stream
-// post-processing.
-func NewObsMemSink() *obs.MemSink { return obs.NewMem() }
-
-// ObsNull is a sink that discards every event.
-var ObsNull ObsSink = obs.Null
-
-// NewObsProgress returns an Observer printing progress lines (done/total,
-// in-flight, rate, ETA) to w at most every interval.
-func NewObsProgress(w io.Writer, label string, interval time.Duration) *ObsProgress {
-	return obs.NewProgress(w, label, interval)
-}
-
-// ObsCLIOptions is the observability surface the cmd drivers expose as
-// flags: a metrics JSONL path, stderr progress, a pprof/expvar address and
-// an optional CPU profile.
-type ObsCLIOptions = obs.CLIOptions
-
-// ObsCLI is a running driver observability setup; Close flushes the
-// metrics file (events + final registry snapshot) and stops everything.
-type ObsCLI = obs.CLI
-
-// StartObsCLI builds the Obs bundle for a driver run from parsed flags.
-func StartObsCLI(opts ObsCLIOptions) (*ObsCLI, error) { return obs.StartCLI(opts) }
 
 // ---- Multi-object database ----
 

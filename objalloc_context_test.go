@@ -3,7 +3,6 @@ package objalloc_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -14,27 +13,6 @@ func contextBattery() objalloc.BatteryConfig {
 	battery := objalloc.DefaultBattery()
 	battery.RandomSchedules, battery.RandomLength, battery.NemesisRounds = 2, 12, 10
 	return battery
-}
-
-// A sweep left to its defaults — background context, default
-// parallelism, which is all the removed positional Sweep did — and one
-// pinned to Parallelism 4 must agree point for point.
-func TestFacadeSweepContextMatchesDeprecated(t *testing.T) {
-	battery := contextBattery()
-	cds, ccs := []float64{0.5, 1.5}, []float64{0.2}
-	oldPoints, err := objalloc.SweepContext(context.Background(), objalloc.SweepSpec{CDs: cds, CCs: ccs, Battery: battery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newPoints, err := objalloc.SweepContext(context.Background(), objalloc.SweepSpec{
-		CDs: cds, CCs: ccs, Battery: battery, Parallelism: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", oldPoints) != fmt.Sprintf("%+v", newPoints) {
-		t.Errorf("SweepContext at Parallelism 4 disagrees with the default:\ndefault: %+v\nat 4: %+v", oldPoints, newPoints)
-	}
 }
 
 // Cancelling mid-sweep through the facade must surface context.Canceled.

@@ -402,8 +402,8 @@ func TestFacadeTopologyAwareDAAndFit(t *testing.T) {
 	}
 }
 
-// ExampleSweep regenerates a miniature Figure 1.
-func ExampleSweep() {
+// ExampleSweepContext regenerates a miniature Figure 1.
+func ExampleSweepContext() {
 	battery := objalloc.DefaultBattery()
 	battery.RandomSchedules, battery.RandomLength, battery.NemesisRounds = 1, 12, 20
 	points, _ := objalloc.SweepContext(context.Background(), objalloc.SweepSpec{CDs: []float64{0.2, 1.5}, CCs: []float64{0.1}, Battery: battery})

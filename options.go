@@ -8,7 +8,7 @@ import (
 
 // ClusterOption configures a cluster built by NewCluster,
 // NewQuorumCluster or NewHACluster. Options that do not apply to the
-// cluster kind being built (WithProtocol on a quorum cluster, WithQuorums
+// cluster kind being built (WithProtocol on a quorum cluster, WithPreload
 // on a plain one) are ignored, so option sets can be shared across kinds.
 type ClusterOption func(*clusterOptions)
 
@@ -18,16 +18,10 @@ type clusterOptions struct {
 	initial    Set
 	hasInitial bool
 	newStore   func(id ProcessorID) (Store, error)
-	obs        *Obs
 	faults     *FaultPlan
-	retry      RetryPolicy
 	seed       uint64
 	hasSeed    bool
-
-	readQ, writeQ int
-	weights       []int
-	preload       bool
-	readRepair    bool
+	preload    bool
 }
 
 func buildClusterOptions(opts []ClusterOption) clusterOptions {
@@ -83,21 +77,10 @@ func WithStores(newStore func(id ProcessorID) (Store, error)) ClusterOption {
 	return func(o *clusterOptions) { o.newStore = newStore }
 }
 
-// WithObs attaches the instrumentation bundle.
-func WithObs(obs *Obs) ClusterOption {
-	return func(o *clusterOptions) { o.obs = obs }
-}
-
 // WithFaults installs a deterministic fault plan on the cluster's network
-// and engages the retransmission discipline (unless WithRetryPolicy
-// disables it).
+// and engages the retransmission discipline.
 func WithFaults(plan FaultPlan) ClusterOption {
 	return func(o *clusterOptions) { o.faults = &plan }
-}
-
-// WithRetryPolicy tunes the retransmission discipline.
-func WithRetryPolicy(r RetryPolicy) ClusterOption {
-	return func(o *clusterOptions) { o.retry = r }
 }
 
 // WithSeed overrides the fault plan's seed, giving a replayable variant
@@ -106,27 +89,10 @@ func WithSeed(seed uint64) ClusterOption {
 	return func(o *clusterOptions) { o.seed = seed; o.hasSeed = true }
 }
 
-// WithQuorums sets explicit read/write quorum sizes (quorum clusters;
-// zero means majority).
-func WithQuorums(read, write int) ClusterOption {
-	return func(o *clusterOptions) { o.readQ, o.writeQ = read, write }
-}
-
-// WithWeights assigns per-processor voting weights (quorum clusters).
-func WithWeights(weights ...int) ClusterOption {
-	return func(o *clusterOptions) { o.weights = weights }
-}
-
 // WithPreload installs version 1 on every processor at start (quorum
 // clusters), modeling a fresh statically replicated system.
 func WithPreload(on bool) ClusterOption {
 	return func(o *clusterOptions) { o.preload = on }
-}
-
-// WithReadRepair makes quorum reads push the latest version to stale
-// voters they discover.
-func WithReadRepair(on bool) ClusterOption {
-	return func(o *clusterOptions) { o.readRepair = on }
 }
 
 // NewCluster builds and starts a simulated distributed system of n
@@ -141,9 +107,7 @@ func NewCluster(n int, opts ...ClusterOption) (*Cluster, error) {
 		Protocol: o.protocol,
 		Initial:  o.resolvedInitial(),
 		NewStore: o.newStore,
-		Obs:      o.obs,
 		Faults:   o.resolvedFaults(),
-		Retry:    o.retry,
 	})
 }
 
@@ -152,16 +116,10 @@ func NewCluster(n int, opts ...ClusterOption) (*Cluster, error) {
 func NewQuorumCluster(n int, opts ...ClusterOption) (*QuorumCluster, error) {
 	o := buildClusterOptions(opts)
 	return quorum.New(quorum.Config{
-		N:           n,
-		ReadQuorum:  o.readQ,
-		WriteQuorum: o.writeQ,
-		Weights:     o.weights,
-		NewStore:    o.newStore,
-		Preload:     o.preload,
-		ReadRepair:  o.readRepair,
-		Obs:         o.obs,
-		Faults:      o.resolvedFaults(),
-		Retry:       o.retry,
+		N:        n,
+		NewStore: o.newStore,
+		Preload:  o.preload,
+		Faults:   o.resolvedFaults(),
 	})
 }
 
@@ -175,8 +133,6 @@ func NewHACluster(n int, opts ...ClusterOption) (*HACluster, error) {
 		T:        o.t,
 		Initial:  o.resolvedInitial(),
 		NewStore: o.newStore,
-		Obs:      o.obs,
 		Faults:   o.resolvedFaults(),
-		Retry:    o.retry,
 	})
 }
