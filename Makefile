@@ -17,6 +17,10 @@
 # byte-identical to an uninterrupted same-seed run (plus supervised
 # recovery from injected shard panics, transient disk-fault runs that
 # must stay byte-identical, and a dead-disk run that must fail-stop),
+# chaos-check runs the invariant-checked fault-injection pass over all
+# three executed engines and diffs its counts against the committed
+# golden (they are a pure function of the seed, so any changed digit is a
+# changed protocol),
 # syncvet flags journal Sync/Close calls whose error is silently
 # dropped (go vet does not: an expression statement is legal Go),
 # benchvet fails if a _test.go in the repository root declares a
@@ -24,9 +28,9 @@
 # named tests and experiments-check), and
 # staticcheck runs when the tool is installed (it is skipped gracefully
 # otherwise — the build must not depend on network access).
-.PHONY: verify build vet test race bench obscheck fuzzsmoke experiments-check serve-smoke trace-smoke crash-smoke syncvet benchvet staticcheck loc chaos profile
+.PHONY: verify build vet test race bench obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet staticcheck loc chaos profile
 
-verify: build vet test race obscheck fuzzsmoke experiments-check serve-smoke trace-smoke crash-smoke syncvet benchvet staticcheck
+verify: build vet test race obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet staticcheck
 
 build:
 	go build ./...
@@ -125,6 +129,15 @@ chaos:
 	go run ./cmd/chaos -engine da -n 6 -t 3 -steps 2000 -seed 1
 	go run ./cmd/chaos -engine quorum -n 6 -t 3 -steps 2000 -seed 1 -churn 0.02
 	go run ./cmd/chaos -engine ha -n 6 -t 3 -steps 2000 -seed 1 -churn 0.02
+
+# chaos-check is the Type-1 gate on the executed protocols: message, I/O
+# and retransmission counts of `make chaos` are a pure function of the
+# seed, so one run suffices and any difference from the golden is a bug
+# (or a deliberate protocol change, which regenerates the golden with
+# `make -s chaos > internal/chaos/testdata/make_chaos.golden`).
+chaos-check:
+	@$(MAKE) -s chaos | diff - internal/chaos/testdata/make_chaos.golden
+	@echo "chaos-check: counts match internal/chaos/testdata/make_chaos.golden"
 
 # profile runs a small figure-1 sweep under CPU profiling and leaves the
 # profile next to the metrics stream; inspect with `go tool pprof`.

@@ -22,81 +22,25 @@
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 
+	"objalloc/cmd/internal/figure"
 	"objalloc/internal/competitive"
-	"objalloc/internal/engine"
-	"objalloc/internal/obs"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("figure1: ")
-	var (
-		maxCost  = flag.Float64("max", 2.0, "largest cc and cd value on the grid")
-		steps    = flag.Int("steps", 10, "grid points per axis")
-		n        = flag.Int("n", 5, "processors in the battery")
-		t        = flag.Int("t", 2, "availability threshold")
-		seed     = flag.Int64("seed", 1994, "battery seed")
-		rounds   = flag.Int("rounds", 60, "nemesis schedule rounds")
-		parallel = flag.Int("parallel", engine.DefaultParallelism(), "concurrent grid cells")
-		metrics  = flag.String("metrics", "", "write instrumentation events and a final registry snapshot to this JSONL file")
-		progress = flag.Bool("progress", false, "report sweep progress on stderr")
-		pprof    = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	)
-	flag.Parse()
-	if *steps < 2 || *maxCost <= 0 {
+	run := figure.Parse("figure1", true)
+	if run.Steps < 2 || run.MaxCost <= 0 {
 		log.Fatal("need -steps >= 2 and -max > 0")
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	cli, err := obs.StartCLI(obs.CLIOptions{
-		Metrics: *metrics, Progress: *progress, PprofAddr: *pprof,
-		CPUProfile: *cpuProf, Label: "figure1",
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		if err := cli.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}()
-
-	battery := competitive.DefaultBattery()
-	battery.N, battery.T, battery.Seed, battery.NemesisRounds = *n, *t, *seed, *rounds
-
-	grid := make([]float64, *steps)
-	for i := range grid {
-		grid[i] = *maxCost * float64(i+1) / float64(*steps)
-	}
-	points, err := competitive.Sweep(ctx, competitive.SweepSpec{
-		CDs: grid, CCs: grid, Battery: battery, Parallelism: *parallel,
-		Obs: cli.Obs(),
-	})
-	if err != nil {
-		cli.Close()
-		log.Fatal(err)
-	}
-
-	fmt.Println("Figure 1 — stationary-computing cost model (cio = 1)")
-	fmt.Println()
-	fmt.Println("Analytic regions (paper's theorems and propositions):")
-	fmt.Print(competitive.RenderGrid(points, false))
-	fmt.Println()
-	fmt.Println("Empirical regions (measured worst-case ratio vs the exact offline optimum):")
-	fmt.Print(competitive.RenderGrid(points, true))
-	fmt.Println()
-	fmt.Println("Measured worst-case ratios:")
-	fmt.Print(competitive.RenderRatios(points))
+	points, done := run.Sweep(false)
+	defer done()
+	figure.Print(points,
+		"Figure 1 — stationary-computing cost model (cio = 1)",
+		"Analytic regions (paper's theorems and propositions):",
+		"Empirical regions (measured worst-case ratio vs the exact offline optimum):")
 
 	// Sanity: empirical must agree with analytic wherever the bounds
 	// decide the winner.

@@ -16,91 +16,36 @@
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/signal"
 
+	"objalloc/cmd/internal/figure"
 	"objalloc/internal/adversary"
 	"objalloc/internal/competitive"
 	"objalloc/internal/cost"
 	"objalloc/internal/dom"
-	"objalloc/internal/engine"
 	"objalloc/internal/model"
-	"objalloc/internal/obs"
 	"objalloc/internal/stats"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("figure2: ")
-	var (
-		maxCost  = flag.Float64("max", 2.0, "largest cc and cd value on the grid")
-		steps    = flag.Int("steps", 10, "grid points per axis")
-		n        = flag.Int("n", 5, "processors in the battery")
-		t        = flag.Int("t", 2, "availability threshold")
-		seed     = flag.Int64("seed", 1994, "battery seed")
-		rounds   = flag.Int("rounds", 60, "nemesis schedule rounds")
-		parallel = flag.Int("parallel", engine.DefaultParallelism(), "concurrent grid cells")
-		metrics  = flag.String("metrics", "", "write instrumentation events and a final registry snapshot to this JSONL file")
-		progress = flag.Bool("progress", false, "report sweep progress on stderr")
-		pprof    = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
-	)
-	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	cli, err := obs.StartCLI(obs.CLIOptions{
-		Metrics: *metrics, Progress: *progress, PprofAddr: *pprof, Label: "figure2",
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		if err := cli.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}()
-
-	battery := competitive.DefaultBattery()
-	battery.N, battery.T, battery.Seed, battery.NemesisRounds = *n, *t, *seed, *rounds
-
-	grid := make([]float64, *steps)
-	for i := range grid {
-		grid[i] = *maxCost * float64(i+1) / float64(*steps)
-	}
-	points, err := competitive.Sweep(ctx, competitive.SweepSpec{
-		CDs: grid, CCs: grid, Mobile: true, Battery: battery, Parallelism: *parallel,
-		Obs: cli.Obs(),
-	})
-	if err != nil {
-		cli.Close()
-		log.Fatal(err)
-	}
-
-	fmt.Println("Figure 2 — mobile-computing cost model (cio = 0)")
-	fmt.Println()
-	fmt.Println("Analytic regions:")
-	fmt.Print(competitive.RenderGrid(points, false))
-	fmt.Println()
-	fmt.Println("Empirical regions:")
-	fmt.Print(competitive.RenderGrid(points, true))
-	fmt.Println()
-	fmt.Println("Measured worst-case ratios:")
-	fmt.Print(competitive.RenderRatios(points))
+	run := figure.Parse("figure2", false)
+	points, done := run.Sweep(true)
+	defer done()
+	figure.Print(points,
+		"Figure 2 — mobile-computing cost model (cio = 0)",
+		"Analytic regions:",
+		"Empirical regions:")
 
 	// Proposition 3's divergence, made visible: SA's ratio on the read-run
 	// nemesis grows linearly with the run length.
 	fmt.Println()
 	fmt.Println("Proposition 3 — SA's ratio diverges with the nemesis run length:")
 	m := cost.MC(0.3, 1.0)
-	initial := model.FullSet(*t)
+	initial := model.FullSet(run.T)
 	tbl := stats.NewTable("run length k", "SA cost / OPT cost")
 	for _, k := range []int{4, 8, 16, 32, 64, 128} {
-		meas, err := competitive.Ratio(m, dom.StaticFactory, adversary.SAPunisher(model.ProcessorID(*t), k), initial, *t)
+		meas, err := competitive.Ratio(m, dom.StaticFactory, adversary.SAPunisher(model.ProcessorID(run.T), k), initial, run.T)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -94,7 +94,7 @@ func run(args []string, ready chan<- string) error {
 		drainTimeout = fs.Duration("draintimeout", 30*time.Second, "max time to wait for the graceful drain")
 		metrics      = fs.String("metrics", "", "write instrumentation events and a final registry snapshot to this JSONL file")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof and expvar on this address")
-		traceFile    = fs.String("trace", "", "write request trace spans to this JSONL file on drain")
+		traceFile    = fs.String("trace", "", "stream request trace spans to this JSONL file as requests complete, the summary line on drain (with -trace-deterministic: everything on drain)")
 		traceDet     = fs.Bool("trace-deterministic", false, "zero wall-clock trace fields (same-seed traces byte-identical at any -shards)")
 		traceSample  = fs.Float64("trace-sample", 1, "tail-sampling rate for unflagged requests (flagged ones are always kept)")
 	)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"objalloc/internal/cost"
@@ -42,7 +43,7 @@ type Result struct {
 	// Counts is the paper-model cost accounting of the whole run.
 	Counts cost.Counts
 	// Overhead is the reliability-layer traffic billed apart from Counts.
-	Overhead ha.Overhead
+	Overhead netsim.Overhead
 	// Violations holds every invariant breach; a clean run has none. The
 	// runner stops at the first one — the cluster's state is no longer
 	// trustworthy past a broken invariant.
@@ -52,17 +53,26 @@ type Result struct {
 // Failed reports whether the run breached any invariant.
 func (r Result) Failed() bool { return len(r.Violations) > 0 }
 
-// harness adapts one protocol stack to the runner.
-type harness interface {
-	read(p model.ProcessorID) (storage.Version, error)
-	write(p model.ProcessorID, data []byte) (storage.Version, error)
-	crash(p model.ProcessorID) error
-	restart(p model.ProcessorID) error
-	holderSeqs() []uint64
-	mode() string
-	counts() cost.Counts
-	overhead() ha.Overhead
-	close()
+// cluster is the surface the runner drives; sim.Cluster, quorum.Cluster
+// and ha.Cluster all provide it.
+type cluster interface {
+	Read(p model.ProcessorID) (storage.Version, error)
+	Write(p model.ProcessorID, data []byte) (storage.Version, error)
+	Crash(p model.ProcessorID) error
+	Restart(p model.ProcessorID) error
+	HolderSeqs() []uint64
+	Counts() cost.Counts
+	ReliabilityOverhead() netsim.Overhead
+	Close()
+}
+
+// harness is one protocol stack under test, plus the two things the
+// stacks really differ in: what bringing a processor back entails, and
+// which mode is in charge.
+type harness struct {
+	cluster
+	restart func(p model.ProcessorID) error
+	mode    func() string
 }
 
 // minHolders is the engine's t-availability floor with nobody crashed; the
@@ -79,69 +89,6 @@ func minHolders(e Engine, n, t int, mode string) int {
 	}
 }
 
-type simHarness struct{ c *sim.Cluster }
-
-func (h simHarness) read(p model.ProcessorID) (storage.Version, error) { return h.c.Read(p) }
-func (h simHarness) write(p model.ProcessorID, d []byte) (storage.Version, error) {
-	return h.c.Write(p, d)
-}
-func (h simHarness) crash(p model.ProcessorID) error   { return h.c.Network().Crash(p) }
-func (h simHarness) restart(p model.ProcessorID) error { return h.c.Network().Restart(p) }
-func (h simHarness) holderSeqs() []uint64              { return h.c.HolderSeqs() }
-func (h simHarness) mode() string                      { return "da" }
-func (h simHarness) counts() cost.Counts               { return h.c.Counts() }
-func (h simHarness) overhead() ha.Overhead             { return overheadOf(h.c.Network().Stats()) }
-func (h simHarness) close()                            { h.c.Close() }
-
-type quorumHarness struct{ c *quorum.Cluster }
-
-func (h quorumHarness) read(p model.ProcessorID) (storage.Version, error) { return h.c.Read(p) }
-func (h quorumHarness) write(p model.ProcessorID, d []byte) (storage.Version, error) {
-	return h.c.Write(p, d)
-}
-func (h quorumHarness) crash(p model.ProcessorID) error { return h.c.Crash(p) }
-func (h quorumHarness) restart(p model.ProcessorID) error {
-	// Missing-writes catch-up (§2.4): the restarted replica recovers the
-	// latest version through a quorum read, so it rejoins as a holder.
-	if err := h.c.Restart(p); err != nil {
-		return err
-	}
-	_, err := h.c.Recover(p)
-	return err
-}
-func (h quorumHarness) holderSeqs() []uint64  { return h.c.HolderSeqs() }
-func (h quorumHarness) mode() string          { return "quorum" }
-func (h quorumHarness) counts() cost.Counts   { return h.c.Counts() }
-func (h quorumHarness) overhead() ha.Overhead { return overheadOf(h.c.Network().Stats()) }
-func (h quorumHarness) close()                { h.c.Close() }
-
-type haHarness struct{ c *ha.Cluster }
-
-func (h haHarness) read(p model.ProcessorID) (storage.Version, error) { return h.c.Read(p) }
-func (h haHarness) write(p model.ProcessorID, d []byte) (storage.Version, error) {
-	return h.c.Write(p, d)
-}
-func (h haHarness) crash(p model.ProcessorID) error   { return h.c.Crash(p) }
-func (h haHarness) restart(p model.ProcessorID) error { return h.c.Restart(p) }
-func (h haHarness) holderSeqs() []uint64              { return h.c.HolderSeqs() }
-func (h haHarness) mode() string {
-	if h.c.Mode() == ha.ModeQuorum {
-		return "quorum"
-	}
-	return "da"
-}
-func (h haHarness) counts() cost.Counts   { return h.c.Counts() }
-func (h haHarness) overhead() ha.Overhead { return h.c.ReliabilityOverhead() }
-func (h haHarness) close()                { h.c.Close() }
-
-func overheadOf(st netsim.Stats) ha.Overhead {
-	return ha.Overhead{
-		Retrans: st.RetransControl + st.RetransData,
-		Acks:    st.AckControl,
-		Dropped: st.Dropped,
-	}
-}
-
 func open(sc Scenario, o *obs.Obs) (harness, error) {
 	switch sc.Engine {
 	case EngineDA:
@@ -150,28 +97,37 @@ func open(sc Scenario, o *obs.Obs) (harness, error) {
 			Obs: o, Faults: &sc.Faults, Retry: sc.Retry,
 		})
 		if err != nil {
-			return nil, err
+			return harness{}, err
 		}
-		return simHarness{c}, nil
+		return harness{c, c.Restart, func() string { return "da" }}, nil
 	case EngineQuorum:
 		c, err := quorum.New(quorum.Config{
 			N: sc.N, Preload: true, Obs: o, Faults: &sc.Faults, Retry: sc.Retry,
 		})
 		if err != nil {
-			return nil, err
+			return harness{}, err
 		}
-		return quorumHarness{c}, nil
+		// Missing-writes catch-up (§2.4): the restarted replica recovers the
+		// latest version through a quorum read, so it rejoins as a holder.
+		restart := func(p model.ProcessorID) error {
+			if err := c.Restart(p); err != nil {
+				return err
+			}
+			_, err := c.Recover(p)
+			return err
+		}
+		return harness{c, restart, func() string { return "quorum" }}, nil
 	case EngineHA:
 		c, err := ha.New(ha.Config{
 			N: sc.N, T: sc.T, Initial: model.FullSet(sc.T),
 			Obs: o, Faults: &sc.Faults, Retry: sc.Retry,
 		})
 		if err != nil {
-			return nil, err
+			return harness{}, err
 		}
-		return haHarness{c}, nil
+		return harness{c, c.Restart, func() string { return strings.ToLower(c.Mode().String()) }}, nil
 	default:
-		return nil, fmt.Errorf("chaos: unknown engine %v", sc.Engine)
+		return harness{}, fmt.Errorf("chaos: unknown engine %v", sc.Engine)
 	}
 }
 
@@ -216,12 +172,12 @@ func RunContext(ctx context.Context, sc Scenario, o *obs.Obs) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	defer h.close()
+	defer h.Close()
 
 	res := Result{Engine: sc.Engine, Seed: sc.Seed}
 	latest := uint64(1) // every engine preloads version 1
 	var crashed model.Set
-	prevSeqs := h.holderSeqs()
+	prevSeqs := h.HolderSeqs()
 	prevMode := h.mode()
 
 	fail := func(i int, invariant, format string, args ...any) {
@@ -265,7 +221,7 @@ func RunContext(ctx context.Context, sc Scenario, o *obs.Obs) (Result, error) {
 			res.Reads++
 			done := make(chan opResult, 1)
 			go func() {
-				v, rerr := h.read(step.Proc)
+				v, rerr := h.Read(step.Proc)
 				done <- opResult{v, rerr}
 			}()
 			select {
@@ -283,7 +239,7 @@ func RunContext(ctx context.Context, sc Scenario, o *obs.Obs) (Result, error) {
 			res.Writes++
 			done := make(chan opResult, 1)
 			go func() {
-				v, werr := h.write(step.Proc, []byte(fmt.Sprintf("w%d", i)))
+				v, werr := h.Write(step.Proc, []byte(fmt.Sprintf("w%d", i)))
 				done <- opResult{v, werr}
 			}()
 			select {
@@ -306,7 +262,7 @@ func RunContext(ctx context.Context, sc Scenario, o *obs.Obs) (Result, error) {
 			}
 		case StepCrash:
 			res.Crashes++
-			if err := h.crash(step.Proc); err != nil {
+			if err := h.Crash(step.Proc); err != nil {
 				forward(i)
 				return res, fmt.Errorf("chaos: step %d crash(%d): %w", i, step.Proc, err)
 			}
@@ -328,7 +284,7 @@ func RunContext(ctx context.Context, sc Scenario, o *obs.Obs) (Result, error) {
 
 		// Invariants. holderSeqs quiesces, so delayed messages land and
 		// outstanding handlers finish before the state is inspected.
-		seqs := h.holderSeqs()
+		seqs := h.HolderSeqs()
 		mode := h.mode()
 
 		if mode != prevMode && step.Kind != StepCrash && step.Kind != StepRestart {
@@ -369,7 +325,7 @@ func RunContext(ctx context.Context, sc Scenario, o *obs.Obs) (Result, error) {
 		}
 	}
 	res.FinalSeq = latest
-	res.Counts = h.counts()
-	res.Overhead = h.overhead()
+	res.Counts = h.Counts()
+	res.Overhead = h.ReliabilityOverhead()
 	return res, nil
 }

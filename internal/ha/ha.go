@@ -84,6 +84,22 @@ type Config struct {
 	Retry netsim.RetryPolicy
 }
 
+// engine is the surface of the protocol in charge that the mode switch
+// drives; sim.Cluster and quorum.Cluster both get all of it but Read and
+// Write from the processor runtime they share (netsim.Runtime).
+type engine interface {
+	Read(p model.ProcessorID) (storage.Version, error)
+	Write(p model.ProcessorID, data []byte) (storage.Version, error)
+	Crash(id model.ProcessorID) error
+	Restart(id model.ProcessorID) error
+	Counts() cost.Counts
+	ReliabilityOverhead() Overhead
+	HolderSeqs() []uint64
+	Network() *netsim.Network
+	Quiesce()
+	Close()
+}
+
 // Cluster is the mode-switching engine.
 type Cluster struct {
 	mu sync.Mutex
@@ -93,8 +109,9 @@ type Cluster struct {
 	anchor model.ProcessorID
 	stores []storage.Store
 
-	mode      Mode
-	da        *sim.Cluster
+	// eng is the engine in charge; q is the same engine while it is the
+	// quorum one (degraded mode) and nil in normal mode.
+	eng       engine
 	q         *quorum.Cluster
 	crashed   model.Set
 	latestSeq uint64
@@ -111,23 +128,7 @@ type Cluster struct {
 // Overhead aggregates the reliability-layer traffic that is billed apart
 // from the paper's cost model: retransmissions, acknowledgements, and
 // dropped messages.
-type Overhead struct {
-	Retrans int // retransmitted control + data messages
-	Acks    int // TWriteAck/TInvalAck reliability acknowledgements
-	Dropped int // messages dropped for any reason
-}
-
-func overheadOf(st netsim.Stats) Overhead {
-	return Overhead{
-		Retrans: st.RetransControl + st.RetransData,
-		Acks:    st.AckControl,
-		Dropped: st.Dropped,
-	}
-}
-
-func (o Overhead) plus(p Overhead) Overhead {
-	return Overhead{Retrans: o.Retrans + p.Retrans, Acks: o.Acks + p.Acks, Dropped: o.Dropped + p.Dropped}
-}
+type Overhead = netsim.Overhead
 
 // New builds the cluster in DA mode.
 func New(cfg Config) (*Cluster, error) {
@@ -160,7 +161,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.da = da
+	h.eng = da
 	return h, nil
 }
 
@@ -172,7 +173,14 @@ func (h *Cluster) adopt(id model.ProcessorID) (storage.Store, error) {
 func (h *Cluster) Mode() Mode {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.mode
+	return h.modeLocked()
+}
+
+func (h *Cluster) modeLocked() Mode {
+	if h.q != nil {
+		return ModeQuorum
+	}
+	return ModeDA
 }
 
 // Crashed returns the set of processors currently down.
@@ -190,35 +198,25 @@ var errNodeDown = errors.New("ha: issuing processor is down")
 // that the failure detector confirms crashed, the cluster fails over to
 // quorum consensus and the read is retried there.
 func (h *Cluster) Read(p model.ProcessorID) (storage.Version, error) {
-	for attempt := 0; ; attempt++ {
-		h.mu.Lock()
-		if h.closed {
-			h.mu.Unlock()
-			return storage.Version{}, errors.New("ha: cluster closed")
-		}
-		if h.crashed.Contains(p) {
-			h.mu.Unlock()
-			return storage.Version{}, errNodeDown
-		}
-		mode, da, q := h.mode, h.da, h.q
-		h.mu.Unlock()
-		var v storage.Version
-		var err error
-		if mode == ModeDA {
-			v, err = da.Read(p)
-		} else {
-			v, err = q.Read(p)
-		}
-		if err != nil && attempt == 0 && mode == ModeDA && h.reactUnreachable(err) {
-			continue
-		}
-		return v, err
-	}
+	return h.do(p, func(e engine) (storage.Version, error) { return e.Read(p) })
 }
 
 // Write services a write request issued at processor p under the current
 // mode, with the same give-up → failover → retry path as Read.
 func (h *Cluster) Write(p model.ProcessorID, data []byte) (storage.Version, error) {
+	v, err := h.do(p, func(e engine) (storage.Version, error) { return e.Write(p, data) })
+	if err == nil {
+		h.mu.Lock()
+		if v.Seq > h.latestSeq {
+			h.latestSeq = v.Seq
+		}
+		h.mu.Unlock()
+	}
+	return v, err
+}
+
+// do runs one request issued at processor p on the engine in charge.
+func (h *Cluster) do(p model.ProcessorID, op func(engine) (storage.Version, error)) (storage.Version, error) {
 	for attempt := 0; ; attempt++ {
 		h.mu.Lock()
 		if h.closed {
@@ -229,25 +227,11 @@ func (h *Cluster) Write(p model.ProcessorID, data []byte) (storage.Version, erro
 			h.mu.Unlock()
 			return storage.Version{}, errNodeDown
 		}
-		mode, da, q := h.mode, h.da, h.q
+		eng, mode := h.eng, h.modeLocked()
 		h.mu.Unlock()
-
-		var v storage.Version
-		var err error
-		if mode == ModeDA {
-			v, err = da.Write(p, data)
-		} else {
-			v, err = q.Write(p, data)
-		}
+		v, err := op(eng)
 		if err != nil && attempt == 0 && mode == ModeDA && h.reactUnreachable(err) {
 			continue
-		}
-		if err == nil {
-			h.mu.Lock()
-			if v.Seq > h.latestSeq {
-				h.latestSeq = v.Seq
-			}
-			h.mu.Unlock()
 		}
 		return v, err
 	}
@@ -267,10 +251,10 @@ func (h *Cluster) reactUnreachable(err error) bool {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed || h.mode != ModeDA || h.crashed.Contains(u.Peer) {
+	if h.closed || h.q != nil || h.crashed.Contains(u.Peer) {
 		return false
 	}
-	if !h.da.Network().Crashed(u.Peer) {
+	if !h.eng.Network().Crashed(u.Peer) {
 		// The peer is up as far as the failure detector knows: the retry
 		// budget drowned in losses. Surface the error; failing over on a
 		// phantom would be a mode transition without a membership change.
@@ -296,17 +280,12 @@ func (h *Cluster) Crash(id model.ProcessorID) error {
 		return nil
 	}
 	h.crashed = h.crashed.Add(id)
-	essential := h.core.Contains(id) || id == h.anchor
-	switch {
-	case h.mode == ModeDA && essential:
+	if h.q == nil && (h.core.Contains(id) || id == h.anchor) {
 		return h.failoverLocked()
-	case h.mode == ModeDA:
-		// DA tolerates non-essential crashes: the node simply stops
-		// answering; invalidations to it are dropped by the network.
-		return h.da.Network().Crash(id)
-	default:
-		return h.q.Crash(id)
 	}
+	// DA tolerates non-essential crashes: the node simply stops answering;
+	// invalidations to it are dropped by the network.
+	return h.eng.Crash(id)
 }
 
 // failoverLocked tears the DA engine down and starts the quorum engine over
@@ -316,9 +295,8 @@ func (h *Cluster) Crash(id model.ProcessorID) error {
 // full write quorum of live processors. Without this step a quorum read
 // (or a write's version-number vote) could miss every holder and regress.
 func (h *Cluster) failoverLocked() error {
-	h.accumulate(h.da.Network().Stats())
-	h.da.Close()
-	h.da = nil
+	retired := h.eng.Network().Stats()
+	h.eng.Close()
 	q, err := quorum.New(quorum.Config{
 		N: h.cfg.N, NewStore: h.adopt, Obs: h.cfg.Obs,
 		Faults: h.cfg.Faults, Retry: h.cfg.Retry,
@@ -361,8 +339,7 @@ func (h *Cluster) failoverLocked() error {
 		q.Quiesce()
 	}
 
-	h.q = q
-	h.mode = ModeQuorum
+	h.install(q, q, retired)
 	return nil
 }
 
@@ -379,7 +356,7 @@ func (h *Cluster) Restart(id model.ProcessorID) error {
 		return nil
 	}
 	h.crashed = h.crashed.Remove(id)
-	if h.mode == ModeDA {
+	if h.q == nil {
 		// A recovering non-essential processor may hold a copy whose
 		// invalidation was lost while it was down; it must not serve
 		// local reads from it. Discard the copy — the node rejoins the
@@ -388,7 +365,7 @@ func (h *Cluster) Restart(id model.ProcessorID) error {
 		if err := h.stores[id].Invalidate(); err != nil {
 			return fmt.Errorf("ha: restart %d: %w", id, err)
 		}
-		return h.da.Network().Restart(id)
+		return h.eng.Restart(id)
 	}
 	if err := h.q.Restart(id); err != nil {
 		return err
@@ -416,9 +393,8 @@ func (h *Cluster) failbackLocked() error {
 		}
 	}
 	latest := h.q.LatestSeq()
-	h.accumulate(h.q.Network().Stats())
+	retired := h.q.Network().Stats()
 	h.q.Close()
-	h.q = nil
 	for id := model.ProcessorID(0); int(id) < h.cfg.N; id++ {
 		if !scheme.Contains(id) {
 			if err := h.stores[id].Invalidate(); err != nil {
@@ -435,43 +411,33 @@ func (h *Cluster) failbackLocked() error {
 		return fmt.Errorf("ha: failback: %w", err)
 	}
 	// Non-essential processors still down stay down in the new engine.
-	h.crashed.ForEach(func(id model.ProcessorID) { da.Network().Crash(id) })
-	h.da = da
-	h.mode = ModeDA
+	h.crashed.ForEach(func(id model.ProcessorID) { da.Crash(id) })
+	h.install(da, nil, retired)
 	if latest > h.latestSeq {
 		h.latestSeq = latest
 	}
 	return nil
 }
 
-// accumulate folds a torn-down engine's network counters into the running
-// total before the engine is closed.
-func (h *Cluster) accumulate(st netsim.Stats) {
-	h.baseNet.Control += st.ControlSent
-	h.baseNet.Data += st.DataSent
-	h.baseOverhead = h.baseOverhead.plus(overheadOf(st))
+// install completes a mode switch: the network counters the torn-down
+// engine had reached are folded into the running totals and next takes
+// charge. A switch that fails before this leaves the closed engine in
+// place, whose counters stay readable and whose operations report the
+// closure.
+func (h *Cluster) install(next engine, q *quorum.Cluster, retired netsim.Stats) {
+	h.baseNet.Control += retired.ControlSent
+	h.baseNet.Data += retired.DataSent
+	h.baseOverhead = h.baseOverhead.Plus(retired.Overhead())
+	h.eng, h.q = next, q
 }
 
 // Counts returns the cumulative message and I/O accounting across all
-// modes since the cluster started.
+// modes since the cluster started. The local databases outlive the
+// engines, so the engine in charge reports the whole lifetime's I/O.
 func (h *Cluster) Counts() cost.Counts {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	counts := h.baseNet
-	if h.da != nil {
-		st := h.da.Network().Stats()
-		counts.Control += st.ControlSent
-		counts.Data += st.DataSent
-	}
-	if h.q != nil {
-		st := h.q.Network().Stats()
-		counts.Control += st.ControlSent
-		counts.Data += st.DataSent
-	}
-	for _, s := range h.stores {
-		counts.IO += s.Stats().Total()
-	}
-	return counts
+	return h.baseNet.Add(h.eng.Counts())
 }
 
 // Cost prices the cumulative accounting.
@@ -483,45 +449,24 @@ func (h *Cluster) Cost(m cost.Model) float64 { return h.Counts().Price(m) }
 func (h *Cluster) ReliabilityOverhead() Overhead {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	ov := h.baseOverhead
-	if h.da != nil {
-		ov = ov.plus(overheadOf(h.da.Network().Stats()))
-	}
-	if h.q != nil {
-		ov = ov.plus(overheadOf(h.q.Network().Stats()))
-	}
-	return ov
+	return h.baseOverhead.Plus(h.eng.ReliabilityOverhead())
+}
+
+// current returns the engine in charge.
+func (h *Cluster) current() engine {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.eng
 }
 
 // Quiesce blocks until the active engine is fully settled, including any
 // artificially delayed messages. The chaos runner calls it between steps.
-func (h *Cluster) Quiesce() {
-	h.mu.Lock()
-	da, q := h.da, h.q
-	h.mu.Unlock()
-	if da != nil {
-		da.Quiesce()
-	}
-	if q != nil {
-		q.Quiesce()
-	}
-}
+func (h *Cluster) Quiesce() { h.current().Quiesce() }
 
 // HolderSeqs returns, per processor, the sequence number of the locally
 // held copy (0 when none), after quiescing the active engine. Invariant
 // checkers use it for t-availability and per-processor monotonicity.
-func (h *Cluster) HolderSeqs() []uint64 {
-	h.Quiesce()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]uint64, len(h.stores))
-	for i, s := range h.stores {
-		if v, ok := s.Peek(); ok {
-			out[i] = v.Seq
-		}
-	}
-	return out
-}
+func (h *Cluster) HolderSeqs() []uint64 { return h.current().HolderSeqs() }
 
 // LatestSeq returns the highest committed version number.
 func (h *Cluster) LatestSeq() uint64 {
@@ -538,12 +483,7 @@ func (h *Cluster) Close() {
 		return
 	}
 	h.closed = true
-	if h.da != nil {
-		h.da.Close()
-	}
-	if h.q != nil {
-		h.q.Close()
-	}
+	h.eng.Close()
 	for _, s := range h.stores {
 		s.Close()
 	}

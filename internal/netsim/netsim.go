@@ -16,6 +16,11 @@
 // senders never block and the protocols layered on top (package sim,
 // package quorum) cannot deadlock on backpressure.
 //
+// Runtime (runtime.go) is the one processor runtime those protocols run
+// on: per-processor actors over the endpoints, the quiescence tracker fed
+// by the delivery trace hook, the driver's retry loop, and the accounting
+// reads. The protocols supply message handlers and nothing else.
+//
 // Reliability accounting is kept separate from the paper's cost model:
 // first transmissions bill ControlSent/DataSent, retransmissions
 // (Message.Attempt > 0) bill RetransControl/RetransData, and the

@@ -3,13 +3,13 @@ package quorum
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"objalloc/internal/model"
 	"objalloc/internal/netsim"
 	"objalloc/internal/storage"
 )
 
+// cmdKind is the kind of a driver command and of the operation it starts.
 type cmdKind int
 
 const (
@@ -31,12 +31,7 @@ type command struct {
 	targets model.Set
 	data    []byte
 	version storage.Version
-	reply   chan result
-}
-
-type result struct {
-	version storage.Version
-	err     error
+	reply   chan netsim.Result
 }
 
 type opPhase int
@@ -50,7 +45,7 @@ const (
 // op is an in-flight quorum operation's state machine on its issuing node.
 type op struct {
 	kind      cmdKind
-	reply     chan result
+	reply     chan netsim.Result
 	targets   model.Set
 	awaiting  int
 	phase     opPhase
@@ -68,101 +63,26 @@ type op struct {
 	votes map[model.ProcessorID]uint64
 }
 
-// node is one processor of the quorum cluster.
+// node is the protocol state of one processor of the quorum cluster: the
+// runtime's handler for its driver commands and network messages.
 type node struct {
 	c     *Cluster
 	id    model.ProcessorID
 	store storage.Store
-	ep    *netsim.Endpoint
-
-	cmds chan command
-	msgs chan netsim.Message
-	quit chan struct{}
-	wg   sync.WaitGroup
+	net   *netsim.Network
 
 	ops map[uint64]*op
 }
 
-func newNode(c *Cluster, id model.ProcessorID, st storage.Store) (*node, error) {
-	ep, err := c.net.Endpoint(id)
-	if err != nil {
-		return nil, err
-	}
-	return &node{
-		c:     c,
-		id:    id,
-		store: st,
-		ep:    ep,
-		cmds:  make(chan command, 16),
-		msgs:  make(chan netsim.Message, 64),
-		quit:  make(chan struct{}),
-		ops:   make(map[uint64]*op),
-	}, nil
-}
-
-func (n *node) start() {
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for {
-			m, ok := n.ep.Recv()
-			if !ok {
-				close(n.msgs)
-				return
-			}
-			n.msgs <- m
-		}
-	}()
-	n.wg.Add(1)
-	go n.loop()
-}
-
-func (n *node) stop() {
-	close(n.quit)
-	n.wg.Wait()
-}
-
-func (n *node) submit(cmd command) bool {
-	select {
-	case n.cmds <- cmd:
-		return true
-	case <-n.quit:
-		return false
-	}
-}
-
-func (n *node) loop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.quit:
-			return
-		case cmd := <-n.cmds:
-			n.handleCommand(cmd)
-			n.c.track.done()
-		case m, ok := <-n.msgs:
-			if !ok {
-				return
-			}
-			n.handleMessage(m)
-			if m.Type != netsim.TNack {
-				// TNack bounces are synthetic (untraced, untracked);
-				// everything else was counted at delivery.
-				n.c.track.done()
-			}
-		}
-	}
-}
-
-func (n *node) handleCommand(cmd command) {
+func (n *node) HandleCommand(cmd command) {
 	switch cmd.kind {
 	case cmdInstall:
 		// Missing-writes catch-up: install the recovered version locally.
 		if err := n.store.Put(cmd.version); err != nil {
-			cmd.reply <- result{err: err}
+			cmd.reply <- netsim.Result{Err: err}
 			return
 		}
-		cmd.reply <- result{version: cmd.version}
+		cmd.reply <- netsim.Result{Version: cmd.version}
 	case cmdRead, cmdWrite:
 		n.beginVoting(cmd)
 	case cmdKick:
@@ -187,15 +107,15 @@ func (n *node) kick(corr uint64, attempt int) {
 	case phaseVotes:
 		o.targets.ForEach(func(t model.ProcessorID) {
 			if t != n.id && !o.got.Contains(t) {
-				n.c.net.Send(netsim.Message{From: n.id, To: t, Type: netsim.TVoteReq, Seq: corr, Attempt: attempt})
+				n.net.Send(netsim.Message{From: n.id, To: t, Type: netsim.TVoteReq, Seq: corr, Attempt: attempt})
 			}
 		})
 	case phaseFetch:
-		n.c.net.Send(netsim.Message{From: n.id, To: o.maxHolder, Type: netsim.TQuorumRead, Seq: corr, Attempt: attempt})
+		n.net.Send(netsim.Message{From: n.id, To: o.maxHolder, Type: netsim.TQuorumRead, Seq: corr, Attempt: attempt})
 	case phaseAcks:
 		o.targets.ForEach(func(t model.ProcessorID) {
 			if t != n.id && !o.got.Contains(t) {
-				n.c.net.Send(netsim.Message{From: n.id, To: t, Type: netsim.TQuorumWrite, Seq: corr, Version: o.ver, Attempt: attempt})
+				n.net.Send(netsim.Message{From: n.id, To: t, Type: netsim.TQuorumWrite, Seq: corr, Version: o.ver, Attempt: attempt})
 			}
 		})
 	}
@@ -209,7 +129,7 @@ func (n *node) abort(corr uint64) {
 		return
 	}
 	n.c.cfg.Obs.Counter("quorum.giveup").Inc()
-	n.finish(corr, o, result{err: fmt.Errorf("%w: retry budget exhausted in phase %d", ErrUnavailable, o.phase)})
+	n.finish(corr, o, netsim.Result{Err: fmt.Errorf("%w: retry budget exhausted in phase %d", ErrUnavailable, o.phase)})
 }
 
 // beginVoting starts phase one of a read or write: collect version numbers
@@ -237,7 +157,7 @@ func (n *node) beginVoting(cmd command) {
 			return
 		}
 		o.awaiting++
-		n.c.net.Send(netsim.Message{From: n.id, To: t, Type: netsim.TVoteReq, Seq: corr})
+		n.net.Send(netsim.Message{From: n.id, To: t, Type: netsim.TVoteReq, Seq: corr})
 	})
 	if o.awaiting == 0 {
 		n.advance(corr, o)
@@ -251,15 +171,15 @@ func (n *node) advance(corr uint64, o *op) {
 		o.phase = phaseFetch
 		switch {
 		case o.maxHolder < 0:
-			n.finish(corr, o, result{err: storage.ErrNoObject})
+			n.finish(corr, o, netsim.Result{Err: storage.ErrNoObject})
 		case o.maxHolder == n.id:
 			v, err := n.store.Get()
 			if err == nil {
 				n.maybeRepair(o, v)
 			}
-			n.finish(corr, o, result{version: v, err: err})
+			n.finish(corr, o, netsim.Result{Version: v, Err: err})
 		default:
-			n.c.net.Send(netsim.Message{From: n.id, To: o.maxHolder, Type: netsim.TQuorumRead, Seq: corr})
+			n.net.Send(netsim.Message{From: n.id, To: o.maxHolder, Type: netsim.TQuorumRead, Seq: corr})
 		}
 	case cmdWrite:
 		o.phase = phaseAcks
@@ -267,7 +187,7 @@ func (n *node) advance(corr uint64, o *op) {
 		v := storage.Version{Seq: o.maxSeq + 1, Writer: int(n.id), Data: o.data}
 		if o.targets.Contains(n.id) {
 			if err := n.store.Put(v); err != nil {
-				n.finish(corr, o, result{err: err})
+				n.finish(corr, o, netsim.Result{Err: err})
 				return
 			}
 		}
@@ -279,17 +199,17 @@ func (n *node) advance(corr uint64, o *op) {
 				return
 			}
 			o.awaiting++
-			n.c.net.Send(netsim.Message{From: n.id, To: t, Type: netsim.TQuorumWrite, Seq: corr, Version: v})
+			n.net.Send(netsim.Message{From: n.id, To: t, Type: netsim.TQuorumWrite, Seq: corr, Version: v})
 		})
 		if o.awaiting == 0 {
-			n.finish(corr, o, result{version: v})
+			n.finish(corr, o, netsim.Result{Version: v})
 		}
 	default:
 		panic(fmt.Sprintf("quorum: advance on %v", o.kind))
 	}
 }
 
-func (n *node) finish(corr uint64, o *op, res result) {
+func (n *node) finish(corr uint64, o *op, res netsim.Result) {
 	delete(n.ops, corr)
 	o.reply <- res
 }
@@ -318,11 +238,11 @@ func (n *node) maybeRepair(o *op, latest storage.Version) {
 			_ = n.store.Put(latest)
 			continue
 		}
-		n.c.net.Send(netsim.Message{From: n.id, To: voter, Type: netsim.TWritePush, Seq: latest.Seq, Version: latest})
+		n.net.Send(netsim.Message{From: n.id, To: voter, Type: netsim.TWritePush, Seq: latest.Seq, Version: latest})
 	}
 }
 
-func (n *node) handleMessage(m netsim.Message) {
+func (n *node) HandleMessage(m netsim.Message) {
 	switch m.Type {
 	case netsim.TVoteReq:
 		// Version numbers are catalog metadata: answering costs one
@@ -334,7 +254,7 @@ func (n *node) handleMessage(m netsim.Message) {
 		if v, ok := n.store.Peek(); ok {
 			seq = v.Seq
 		}
-		n.c.net.Send(netsim.Message{From: n.id, To: m.From, Type: netsim.TVoteReply, Seq: m.Seq, Version: storage.Version{Seq: seq}, Attempt: m.Attempt})
+		n.net.Send(netsim.Message{From: n.id, To: m.From, Type: netsim.TVoteReply, Seq: m.Seq, Version: storage.Version{Seq: seq}, Attempt: m.Attempt})
 
 	case netsim.TVoteReply:
 		o, ok := n.ops[m.Seq]
@@ -365,7 +285,7 @@ func (n *node) handleMessage(m netsim.Message) {
 		if err == nil {
 			reply.Version = v
 		}
-		n.c.net.Send(reply)
+		n.net.Send(reply)
 
 	case netsim.TQuorumReadReply:
 		o, ok := n.ops[m.Seq]
@@ -373,11 +293,11 @@ func (n *node) handleMessage(m netsim.Message) {
 			return
 		}
 		if m.Version.IsZero() {
-			n.finish(m.Seq, o, result{err: storage.ErrNoObject})
+			n.finish(m.Seq, o, netsim.Result{Err: storage.ErrNoObject})
 			return
 		}
 		n.maybeRepair(o, m.Version)
-		n.finish(m.Seq, o, result{version: m.Version})
+		n.finish(m.Seq, o, netsim.Result{Version: m.Version})
 
 	case netsim.TWritePush:
 		// Read-repair install: only move forward, never regress.
@@ -395,7 +315,7 @@ func (n *node) handleMessage(m netsim.Message) {
 				return
 			}
 		}
-		n.c.net.Send(netsim.Message{From: n.id, To: m.From, Type: netsim.TQuorumAck, Seq: m.Seq, Attempt: m.Attempt})
+		n.net.Send(netsim.Message{From: n.id, To: m.From, Type: netsim.TQuorumAck, Seq: m.Seq, Attempt: m.Attempt})
 
 	case netsim.TQuorumAck:
 		o, ok := n.ops[m.Seq]
@@ -405,7 +325,7 @@ func (n *node) handleMessage(m netsim.Message) {
 		o.got = o.got.Add(m.From)
 		o.awaiting--
 		if o.awaiting == 0 {
-			n.finish(m.Seq, o, result{version: storage.Version{Seq: o.maxSeq, Writer: int(n.id)}})
+			n.finish(m.Seq, o, netsim.Result{Version: storage.Version{Seq: o.maxSeq, Writer: int(n.id)}})
 		}
 
 	case netsim.TNack:
@@ -416,7 +336,7 @@ func (n *node) handleMessage(m netsim.Message) {
 		switch m.Orig {
 		case netsim.TVoteReq, netsim.TQuorumRead, netsim.TQuorumWrite:
 			if o, ok := n.ops[m.Seq]; ok {
-				n.finish(m.Seq, o, result{err: fmt.Errorf("%w: %w", ErrUnavailable, netsim.Unreachable{Peer: m.From})})
+				n.finish(m.Seq, o, netsim.Result{Err: fmt.Errorf("%w: %w", ErrUnavailable, netsim.Unreachable{Peer: m.From})})
 			}
 		}
 	}

@@ -30,9 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"objalloc/internal/cost"
 	"objalloc/internal/model"
 	"objalloc/internal/netsim"
 	"objalloc/internal/obs"
@@ -132,24 +130,18 @@ func (c Config) weight(id model.ProcessorID) int {
 	return c.Weights[id]
 }
 
-// Cluster is a running quorum-replicated system.
-type Cluster struct {
-	cfg   Config
-	net   *netsim.Network
-	nodes []*node
+type runtime = netsim.Runtime[command]
 
-	// lossy is set when a fault plan is active; retries additionally
-	// requires the retransmission discipline not to be disabled.
-	lossy   bool
-	retries bool
-	corrSeq atomic.Uint64 // driver-side operation correlation ids
+// Cluster is a running quorum-replicated system. The embedded processor
+// runtime supplies the network, the actors, quiescence and the accounting
+// reads (Counts, Cost, HolderSeqs, StoreOf, Network, Quiesce, Close, ...).
+type Cluster struct {
+	*runtime
+	cfg Config
 
 	mu      sync.Mutex
 	alive   model.Set
-	track   *tracker
 	seqHint uint64 // highest version number the driver has observed
-
-	closeOnce sync.Once
 }
 
 // New builds and starts the cluster.
@@ -157,51 +149,25 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, net: netsim.New(cfg.N), alive: model.FullSet(cfg.N), track: newTracker()}
-	if cfg.Faults != nil && cfg.Faults.Active() {
-		if err := c.net.InstallFaults(*cfg.Faults); err != nil {
-			return nil, err
-		}
-		c.lossy = true
-		c.retries = !cfg.Retry.Disabled
+	rt, err := netsim.NewRuntime[command](cfg.N, cfg.NewStore, cfg.Obs, cfg.Faults, cfg.Retry)
+	if err != nil {
+		return nil, fmt.Errorf("quorum: %w", err)
 	}
-	c.net.SetObs(cfg.Obs)
-	c.net.Trace(func(_ netsim.Message, delivered bool) {
-		if delivered {
-			c.track.add(1)
-		}
-	})
-	newStore := cfg.NewStore
-	if newStore == nil {
-		newStore = func(model.ProcessorID) (storage.Store, error) { return storage.NewMem(), nil }
-	}
-	for i := 0; i < cfg.N; i++ {
-		id := model.ProcessorID(i)
-		st, err := newStore(id)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("quorum: store for %d: %w", id, err)
-		}
+	c := &Cluster{runtime: rt, cfg: cfg, alive: model.FullSet(cfg.N)}
+	for _, st := range rt.Stores() {
 		if cfg.Preload && !st.HasCopy() {
 			if err := st.Put(storage.Version{Seq: 1, Writer: -1, Data: []byte("initial")}); err != nil {
-				c.Close()
 				return nil, err
 			}
 			st.ResetStats()
 		}
-		n, err := newNode(c, id, st)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.nodes = append(c.nodes, n)
 		if v, ok := st.Peek(); ok && v.Seq > c.seqHint {
 			c.seqHint = v.Seq
 		}
 	}
-	for _, n := range c.nodes {
-		n.start()
-	}
+	rt.Start(func(id model.ProcessorID, st storage.Store) netsim.Handler[command] {
+		return &node{c: c, id: id, store: st, net: rt.Network(), ops: make(map[uint64]*op)}
+	})
 	return c, nil
 }
 
@@ -209,7 +175,7 @@ func New(cfg Config) (*Cluster, error) {
 // dropped. Its local database contents survive for a later Restart.
 // Crashing an unknown processor is an error.
 func (c *Cluster) Crash(id model.ProcessorID) error {
-	if err := c.net.Crash(id); err != nil {
+	if err := c.runtime.Crash(id); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -222,7 +188,7 @@ func (c *Cluster) Crash(id model.ProcessorID) error {
 // last held. Use Recover to bring its copy up to date. Restarting an
 // unknown processor is an error.
 func (c *Cluster) Restart(id model.ProcessorID) error {
-	if err := c.net.Restart(id); err != nil {
+	if err := c.runtime.Restart(id); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -279,80 +245,31 @@ func (c *Cluster) Read(p model.ProcessorID) (storage.Version, error) {
 }
 
 func (c *Cluster) read(p model.ProcessorID) (storage.Version, error) {
-	n, err := c.node(p)
-	if err != nil {
+	if _, err := c.StoreOf(p); err != nil {
 		return storage.Version{}, err
 	}
 	targets, err := c.quorumOf(p, c.cfg.ReadQuorum)
 	if err != nil {
 		return storage.Version{}, err
 	}
-	return c.perform(n, command{kind: cmdRead, targets: targets, reply: make(chan result, 1)})
+	return c.perform(p, command{kind: cmdRead, targets: targets})
 }
 
-// perform submits a read or write to the issuing node's event loop and
-// waits for its result. On a lossy network with retries enabled it drives
-// the operation's retransmission discipline: after each quiescence round
-// whose backoff has elapsed it kicks the node into retransmitting the
-// phase's outstanding requests, and when the attempt budget is exhausted
-// it aborts the operation with an ErrUnavailable-wrapped Unreachable.
-func (c *Cluster) perform(n *node, cmd command) (storage.Version, error) {
-	cmd.corr = c.corrSeq.Add(1)
-	if !c.submitTracked(n, cmd) {
-		return storage.Version{}, errClusterClosed
-	}
-	if !c.retries {
-		res := <-cmd.reply
-		return res.version, res.err
-	}
-	maxAttempts := c.cfg.Retry.Attempts()
-	attempt, nextKick := 0, 1
-	for round := 1; ; round++ {
-		c.settle()
-		select {
-		case res := <-cmd.reply:
-			return res.version, res.err
-		default:
-		}
-		if round < nextKick {
-			continue
-		}
-		attempt++
+// perform runs a read or write on its issuing node and waits for the
+// result. Under the retransmission discipline the driver kicks the node
+// into retransmitting the current phase's outstanding requests, and when
+// the attempt budget is exhausted aborts the operation with an
+// ErrUnavailable-wrapped Unreachable.
+func (c *Cluster) perform(p model.ProcessorID, cmd command) (storage.Version, error) {
+	cmd.corr = c.NextCorr()
+	cmd.reply = make(chan netsim.Result, 1)
+	return c.Perform(p, cmd, cmd.reply, func(attempt int, giveUp bool) command {
 		kind := cmdKick
-		if attempt > maxAttempts {
+		if giveUp {
 			kind = cmdAbort
 		}
-		if !c.submitTracked(n, command{kind: kind, corr: cmd.corr, attempt: attempt}) {
-			return storage.Version{}, errClusterClosed
-		}
-		if kind == cmdAbort {
-			res := <-cmd.reply
-			return res.version, res.err
-		}
-		nextKick = round + c.cfg.Retry.Backoff(attempt)
-	}
-}
-
-// submitTracked hands a command to a node's event loop, accounting it as
-// outstanding work until the handler finishes.
-func (c *Cluster) submitTracked(n *node, cmd command) bool {
-	c.track.add(1)
-	if !n.submit(cmd) {
-		c.track.done()
-		return false
-	}
-	return true
-}
-
-// settle waits for full quiescence: no outstanding tracked work and no
-// held (delayed) messages anywhere in the network.
-func (c *Cluster) settle() {
-	for {
-		c.track.wait()
-		if c.net.ReleaseAll() == 0 {
-			return
-		}
-	}
+		return command{kind: kind, corr: cmd.corr, attempt: attempt}
+	})
 }
 
 // Write executes a quorum write issued by processor p: version numbers are
@@ -374,15 +291,14 @@ func (c *Cluster) Write(p model.ProcessorID, data []byte) (storage.Version, erro
 }
 
 func (c *Cluster) write(p model.ProcessorID, data []byte) (storage.Version, error) {
-	n, err := c.node(p)
-	if err != nil {
+	if _, err := c.StoreOf(p); err != nil {
 		return storage.Version{}, err
 	}
 	targets, err := c.quorumOf(p, c.cfg.WriteQuorum)
 	if err != nil {
 		return storage.Version{}, err
 	}
-	v, err := c.perform(n, command{kind: cmdWrite, targets: targets, data: data, reply: make(chan result, 1)})
+	v, err := c.perform(p, command{kind: cmdWrite, targets: targets, data: data})
 	if err == nil {
 		c.mu.Lock()
 		if v.Seq > c.seqHint {
@@ -411,12 +327,12 @@ func (c *Cluster) Recover(id model.ProcessorID) (missed uint64, err error) {
 }
 
 func (c *Cluster) recover(id model.ProcessorID) (missed uint64, err error) {
-	n, err := c.node(id)
+	st, err := c.StoreOf(id)
 	if err != nil {
 		return 0, err
 	}
 	before := uint64(0)
-	if v, ok := n.store.Peek(); ok {
+	if v, ok := st.Peek(); ok {
 		before = v.Seq
 	}
 	latest, err := c.read(id)
@@ -424,30 +340,17 @@ func (c *Cluster) recover(id model.ProcessorID) (missed uint64, err error) {
 		return 0, fmt.Errorf("quorum: recover %d: %w", id, err)
 	}
 	if latest.Seq > before {
-		done := make(chan result, 1)
-		if !c.submitTracked(n, command{kind: cmdInstall, version: latest, reply: done}) {
-			return 0, errClusterClosed
+		done := make(chan netsim.Result, 1)
+		if err := c.Submit(id, command{kind: cmdInstall, version: latest, reply: done}); err != nil {
+			return 0, err
 		}
-		if res := <-done; res.err != nil {
-			return 0, res.err
+		if res := <-done; res.Err != nil {
+			return 0, res.Err
 		}
 		return latest.Seq - before, nil
 	}
 	return 0, nil
 }
-
-// Counts returns the accumulated message and I/O accounting.
-func (c *Cluster) Counts() cost.Counts {
-	st := c.net.Stats()
-	counts := cost.Counts{Control: st.ControlSent, Data: st.DataSent}
-	for _, n := range c.nodes {
-		counts.IO += n.store.Stats().Total()
-	}
-	return counts
-}
-
-// Cost prices the accumulated accounting under the model.
-func (c *Cluster) Cost(m cost.Model) float64 { return c.Counts().Price(m) }
 
 // LatestSeq returns the highest committed version number the driver has
 // observed (for test assertions).
@@ -455,95 +358,4 @@ func (c *Cluster) LatestSeq() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.seqHint
-}
-
-// StoreOf exposes a processor's local database for failover handover and
-// test assertions.
-func (c *Cluster) StoreOf(id model.ProcessorID) (storage.Store, error) {
-	n, err := c.node(id)
-	if err != nil {
-		return nil, err
-	}
-	return n.store, nil
-}
-
-// Quiesce blocks until every in-flight message and command has been
-// processed — e.g. until fire-and-forget read repairs have settled — and
-// no artificially delayed message is still held by the network.
-func (c *Cluster) Quiesce() { c.settle() }
-
-// HolderSeqs returns, per processor, the sequence number of the locally
-// held copy (0 when none), after quiescing the cluster. The chaos runner's
-// invariant checker uses it for per-processor version monotonicity.
-func (c *Cluster) HolderSeqs() []uint64 {
-	c.settle()
-	out := make([]uint64, len(c.nodes))
-	for i, n := range c.nodes {
-		if v, ok := n.store.Peek(); ok {
-			out[i] = v.Seq
-		}
-	}
-	return out
-}
-
-// Network exposes the underlying network for accounting and fault
-// injection by the failover layer and tests.
-func (c *Cluster) Network() *netsim.Network { return c.net }
-
-// Close stops all processors and the network.
-func (c *Cluster) Close() {
-	c.closeOnce.Do(func() {
-		c.net.Close()
-		for _, n := range c.nodes {
-			n.stop()
-		}
-	})
-}
-
-func (c *Cluster) node(p model.ProcessorID) (*node, error) {
-	if int(p) < 0 || int(p) >= len(c.nodes) {
-		return nil, fmt.Errorf("quorum: unknown processor %d", p)
-	}
-	return c.nodes[p], nil
-}
-
-var errClusterClosed = errors.New("quorum: cluster closed")
-
-// tracker mirrors sim's quiescence tracker.
-type tracker struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-}
-
-func newTracker() *tracker {
-	t := &tracker{}
-	t.cond = sync.NewCond(&t.mu)
-	return t
-}
-
-func (t *tracker) add(k int) {
-	t.mu.Lock()
-	t.n += k
-	t.mu.Unlock()
-}
-
-func (t *tracker) done() {
-	t.mu.Lock()
-	t.n--
-	if t.n == 0 {
-		t.cond.Broadcast()
-	}
-	if t.n < 0 {
-		panic("quorum: tracker underflow")
-	}
-	t.mu.Unlock()
-}
-
-func (t *tracker) wait() {
-	t.mu.Lock()
-	for t.n != 0 {
-		t.cond.Wait()
-	}
-	t.mu.Unlock()
 }

@@ -314,7 +314,9 @@ func (c *Client) Batch(reqs []WireRequest) (BatchResponse, error) {
 
 // BatchTraced posts one batch under the given trace context, sent as a
 // traceparent header so the server's spans parent to the caller's
-// trace. A zero context sends no header.
+// trace. A zero context sends no header. A reply whose done count is
+// negative, exceeds the batch or disagrees with its results is a decode
+// error, so callers may slice reqs[resp.Done:] unchecked.
 func (c *Client) BatchTraced(sc tracing.SpanContext, reqs []WireRequest) (BatchResponse, error) {
 	// The body is built fresh per call: the transport may still be
 	// reading it when an early reply (a 413) comes back.
@@ -337,6 +339,11 @@ func (c *Client) BatchTraced(sc tracing.SpanContext, reqs []WireRequest) (BatchR
 	var resp BatchResponse
 	if scratch.buf, err = readAll(scratch.buf, httpResp.Body); err == nil {
 		err = decodeBatchResponse(scratch.buf, &resp)
+	}
+	if err == nil && (resp.Done < 0 || resp.Done > len(reqs) || len(resp.Results) != resp.Done) {
+		// Callers slice their batch at Done; a count the request cannot
+		// have produced is a malformed reply, not an index.
+		err = fmt.Errorf("done = %d with %d results for %d requests", resp.Done, len(resp.Results), len(reqs))
 	}
 	if err != nil {
 		return BatchResponse{}, fmt.Errorf("server: batch reply (HTTP %d): %w", httpResp.StatusCode, err)

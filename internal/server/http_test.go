@@ -441,3 +441,48 @@ func TestBatchRejectsTrailingData(t *testing.T) {
 		}
 	}
 }
+
+// TestClientRejectsImpossibleDone: the client slices its batch at the
+// reply's done count, so a count the batch cannot have produced — beyond
+// the batch, negative, or disagreeing with the results — must come back
+// as a decode error, never as an index (it used to panic the caller with
+// "slice bounds out of range").
+func TestClientRejectsImpossibleDone(t *testing.T) {
+	var body string
+	canned := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte(body))
+	}))
+	defer canned.Close()
+	c := &Client{Base: canned.URL}
+	reqs := []WireRequest{{Object: "a", Op: "r", Processor: 0}}
+	one := `{"object":"a","op":"r","processor":0,"cost":0}`
+	for _, tc := range []struct {
+		body    string
+		wantErr bool
+	}{
+		{`{"done":99,"results":[]}`, true},
+		{`{"done":-1,"results":[]}`, true},
+		{`{"done":2,"results":[` + one + `,` + one + `]}`, true}, // beyond the batch
+		{`{"done":1,"results":[]}`, true},                        // results disagree
+		{`{"done":0,"results":[` + one + `]}`, true},
+		{`{"done":1,"results":[` + one + `]}`, false},
+		{`{"done":0,"results":[],"retry_after_ms":5}`, false},
+	} {
+		body = tc.body
+		resp, err := c.Batch(reqs)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("reply %s: err = %v, want error %v", tc.body, err, tc.wantErr)
+		}
+		if err == nil {
+			_ = reqs[resp.Done:] // what BatchAllCtx and loadgen do next
+		}
+	}
+	// The retrying client treats the malformed reply like any failed
+	// round trip: it gives up at its deadline without having panicked.
+	body = `{"done":99,"results":[]}`
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if out, err := c.BatchAllCtx(ctx, tracing.SpanContext{}, reqs); err == nil || len(out) != 0 {
+		t.Errorf("BatchAllCtx on a malformed reply: %d results, err = %v", len(out), err)
+	}
+}

@@ -528,10 +528,6 @@ func (s *Server) emitRejected(sh *shard, t *task, ov *Overloaded) {
 	}
 	now := tc.Now()
 	trace, root := sc.Trace.String(), sc.Span.String()
-	shardID := sh.id
-	if tc.Deterministic() {
-		shardID = -1
-	}
 	op := "r"
 	if t.req.IsWrite() {
 		op = "w"
@@ -542,12 +538,12 @@ func (s *Server) emitRejected(sh *shard, t *task, ov *Overloaded) {
 	}
 	tc.Submit(true, tracing.Span{
 		Trace: trace, Span: root, Parent: parentID, Name: tracing.NameRequest,
-		Object: t.object, Op: op, Proc: int(t.req.Processor), Seq: seq, Shard: shardID,
+		Object: t.object, Op: op, Proc: int(t.req.Processor), Seq: seq, Shard: sh.id,
 		Engine: s.cfg.Engine.String(), Outcome: "overloaded",
 		StartNS: t.tr.start, DurNS: now - t.tr.start,
 	}, tracing.Span{
 		Trace: trace, Span: tracing.ChildID(sc, tracing.NameAdmission, 0).String(), Parent: root,
-		Name: tracing.NameAdmission, Object: t.object, Seq: seq, Shard: shardID,
+		Name: tracing.NameAdmission, Object: t.object, Seq: seq, Shard: sh.id,
 		QueueLen: queueLen, Outcome: "overloaded",
 		StartNS: t.tr.start, DurNS: now - t.tr.start,
 	})

@@ -158,7 +158,7 @@ type shard struct {
 	rejected atomic.Uint64
 	rounds   atomic.Uint64
 	streak   atomic.Uint32
-	state    atomic.Int32 // shardHealthy/shardDegraded/shardRecovering
+	state    atomic.Int32 // shardHealthy/shardDegraded/shardRecovering/shardFailed
 	restarts atomic.Uint64
 }
 
@@ -436,10 +436,6 @@ func (sh *shard) emitTrace(t *task, out outcome) {
 	}
 	now := tc.Now()
 	trace, root := sc.Trace.String(), sc.Span.String()
-	shardID := sh.id
-	if tc.Deterministic() {
-		shardID = -1 // the assignment depends on the shard count
-	}
 	op := "r"
 	if t.req.IsWrite() {
 		op = "w"
@@ -463,24 +459,24 @@ func (sh *shard) emitTrace(t *task, out outcome) {
 	spans := make([]tracing.Span, 0, 4+len(a.Transitions))
 	spans = append(spans, tracing.Span{
 		Trace: trace, Span: root, Parent: parentID, Name: tracing.NameRequest,
-		Object: t.object, Op: op, Proc: int(t.req.Processor), Seq: seq, Shard: shardID,
+		Object: t.object, Op: op, Proc: int(t.req.Processor), Seq: seq, Shard: sh.id,
 		Engine: engine, Protocol: a.Protocol, CostMilli: milli(r.Cost),
 		Retransmits: r.Retransmits, Holds: t.holds, Outcome: tag,
 		StartNS: t.tr.start, DurNS: now - t.tr.start,
 	}, tracing.Span{
 		Trace: trace, Span: tracing.ChildID(sc, tracing.NameAdmission, 0).String(), Parent: root,
-		Name: tracing.NameAdmission, Object: t.object, Seq: seq, Shard: shardID,
+		Name: tracing.NameAdmission, Object: t.object, Seq: seq, Shard: sh.id,
 		StartNS: t.tr.start, DurNS: t.tr.enqueued - t.tr.start,
 	}, tracing.Span{
 		Trace: trace, Span: tracing.ChildID(sc, tracing.NameQueue, 0).String(), Parent: root,
-		Name: tracing.NameQueue, Object: t.object, Seq: seq, Shard: shardID,
+		Name: tracing.NameQueue, Object: t.object, Seq: seq, Shard: sh.id,
 		QueueLen: t.tr.queueLen,
 		StartNS:  t.tr.enqueued, DurNS: t.tr.dequeued - t.tr.enqueued,
 	})
 	svcID := tracing.ChildID(sc, tracing.NameService, 0).String()
 	spans = append(spans, tracing.Span{
 		Trace: trace, Span: svcID, Parent: root,
-		Name: tracing.NameService, Object: t.object, Seq: seq, Shard: shardID,
+		Name: tracing.NameService, Object: t.object, Seq: seq, Shard: sh.id,
 		Engine: engine, Protocol: a.Protocol, CostMilli: milli(r.Cost),
 		Control: a.Counts.Control + r.Retransmits, Data: a.Counts.Data, IO: a.Counts.IO,
 		Retransmits: r.Retransmits, Holds: t.holds, Outcome: tag,
@@ -489,7 +485,7 @@ func (sh *shard) emitTrace(t *task, out outcome) {
 	for i, dtr := range a.Transitions {
 		spans = append(spans, tracing.Span{
 			Trace: trace, Span: tracing.ChildID(sc, tracing.NameTransition, uint64(i)).String(), Parent: svcID,
-			Name: tracing.NameTransition, Object: t.object, Seq: seq, Shard: shardID,
+			Name: tracing.NameTransition, Object: t.object, Seq: seq, Shard: sh.id,
 			Engine: engine, From: dtr.From, To: dtr.To, Step: dtr.Step,
 			CostMilli: milli(dtr.Counts.Price(sh.srv.cfg.Model)),
 		})

@@ -290,13 +290,9 @@ func (sh *shard) emitJournalFaultSpan(op string, err error) {
 	n := sh.faultSpans
 	sh.faultSpans++
 	sc := tracing.DeriveRequest(sh.srv.cfg.Seed, fmt.Sprintf("shard-%d-journal", sh.id), n)
-	shardID := sh.id
-	if tc.Deterministic() {
-		shardID = -1
-	}
 	tc.Submit(true, tracing.Span{
 		Trace: sc.Trace.String(), Span: sc.Span.String(), Name: tracing.NameJournalFault,
-		Shard: shardID, Op: op, Outcome: "fault", Err: err.Error(),
+		Shard: sh.id, Op: op, Outcome: "fault", Err: err.Error(),
 		StartNS: tc.Now(),
 	})
 }
@@ -311,14 +307,10 @@ func (sh *shard) emitRecoverSpan(start int64, carried int) {
 		return
 	}
 	sc := tracing.DeriveRequest(sh.srv.cfg.Seed, fmt.Sprintf("shard-%d", sh.id), sh.restarts.Load())
-	shardID := sh.id
-	if tc.Deterministic() {
-		shardID = -1
-	}
 	now := tc.Now()
 	tc.Submit(true, tracing.Span{
 		Trace: sc.Trace.String(), Span: sc.Span.String(), Name: tracing.NameRecover,
-		Shard: shardID, Outcome: "recovered", QueueLen: carried,
+		Shard: sh.id, Outcome: "recovered", QueueLen: carried,
 		StartNS: start, DurNS: now - start,
 	})
 }

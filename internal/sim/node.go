@@ -2,13 +2,13 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"objalloc/internal/model"
 	"objalloc/internal/netsim"
 	"objalloc/internal/storage"
 )
 
+// cmdKind selects what a driver command asks of a processor's handler.
 type cmdKind int
 
 const (
@@ -30,14 +30,9 @@ type command struct {
 	attempt     int             // retransmission number for cmdRetryRead
 	round       int             // quiescence round for cmdOutbox
 	version     storage.Version // write payload
-	readReply   chan readResult
+	reply       chan netsim.Result
 	writeDone   chan error
 	outboxReply chan outboxStatus
-}
-
-type readResult struct {
-	version storage.Version
-	err     error
 }
 
 // outboxStatus is a node's answer to one cmdOutbox poll.
@@ -60,21 +55,17 @@ type outEntry struct {
 	due      int // earliest quiescence round for the next retransmission
 }
 
-// node is one processor: an event loop over driver commands and network
-// messages, a local database, and (for DA members of F) a join-list.
+// node is the protocol state of one processor — the runtime's handler for
+// its driver commands and network messages: a local database and (for DA
+// members of F) a join-list.
 type node struct {
 	c     *Cluster
 	id    model.ProcessorID
 	store storage.Store
-	ep    *netsim.Endpoint
-
-	cmds chan command
-	msgs chan netsim.Message
-	quit chan struct{}
-	wg   sync.WaitGroup
+	net   *netsim.Network
 
 	// pending maps correlation id -> the driver waiting for a read reply.
-	pending map[uint64]chan readResult
+	pending map[uint64]chan netsim.Result
 	// maxSeen is the highest version sequence number this node has
 	// witnessed (installed, invalidated away, or written); duplicated or
 	// delayed pushes at or below it are acknowledged but not re-installed,
@@ -98,20 +89,13 @@ type node struct {
 	extra model.ProcessorID
 }
 
-func newNode(c *Cluster, id model.ProcessorID, st storage.Store) (*node, error) {
-	ep, err := c.net.Endpoint(id)
-	if err != nil {
-		return nil, err
-	}
+func newNode(c *Cluster, id model.ProcessorID, st storage.Store) *node {
 	n := &node{
 		c:       c,
 		id:      id,
 		store:   st,
-		ep:      ep,
-		cmds:    make(chan command, 16),
-		msgs:    make(chan netsim.Message, 64),
-		quit:    make(chan struct{}),
-		pending: make(map[uint64]chan readResult),
+		net:     c.Network(),
+		pending: make(map[uint64]chan netsim.Result),
 		served:  make(map[uint64]bool),
 		outbox:  make(map[outKey]*outEntry),
 		extra:   -1,
@@ -129,68 +113,13 @@ func newNode(c *Cluster, id model.ProcessorID, st storage.Store) (*node, error) 
 			}
 		}
 	}
-	return n, nil
+	return n
 }
 
-func (n *node) start() {
-	// Pump: endpoint mailbox -> event loop channel.
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for {
-			m, ok := n.ep.Recv()
-			if !ok {
-				close(n.msgs)
-				return
-			}
-			n.msgs <- m
-		}
-	}()
-	n.wg.Add(1)
-	go n.loop()
-}
-
-func (n *node) stop() {
-	close(n.quit)
-	n.wg.Wait()
-}
-
-func (n *node) submit(cmd command) bool {
-	select {
-	case n.cmds <- cmd:
-		return true
-	case <-n.quit:
-		return false
-	}
-}
-
-func (n *node) loop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.quit:
-			return
-		case cmd := <-n.cmds:
-			n.handleCommand(cmd)
-			n.c.track.done()
-		case m, ok := <-n.msgs:
-			if !ok {
-				return
-			}
-			n.handleMessage(m)
-			if m.Type != netsim.TNack {
-				// TNack bounces are synthetic (untraced, untracked);
-				// everything else was counted at delivery.
-				n.c.track.done()
-			}
-		}
-	}
-}
-
-func (n *node) handleCommand(cmd command) {
+func (n *node) HandleCommand(cmd command) {
 	switch cmd.kind {
 	case cmdRead:
-		n.startRead(cmd.corr, cmd.readReply)
+		n.startRead(cmd.corr, cmd.reply)
 	case cmdWrite:
 		cmd.writeDone <- n.doWrite(cmd.version)
 	case cmdRetryRead:
@@ -206,14 +135,14 @@ func (n *node) handleCommand(cmd command) {
 // are read directly; otherwise a read request goes to the serving replica
 // and the reply handler resolves the driver's channel. The correlation id
 // is driver-generated so the driver can retransmit or abandon the read.
-func (n *node) startRead(corr uint64, reply chan readResult) {
+func (n *node) startRead(corr uint64, reply chan netsim.Result) {
 	if n.hasValidCopy() {
 		v, err := n.store.Get()
-		reply <- readResult{version: v, err: err}
+		reply <- netsim.Result{Version: v, Err: err}
 		return
 	}
 	n.pending[corr] = reply
-	n.c.net.Send(netsim.Message{From: n.id, To: n.serverReplica(), Type: netsim.TReadReq, Seq: corr})
+	n.net.Send(netsim.Message{From: n.id, To: n.serverReplica(), Type: netsim.TReadReq, Seq: corr})
 }
 
 // retryRead retransmits a read request that is still unanswered.
@@ -222,7 +151,7 @@ func (n *node) retryRead(corr uint64, attempt int) {
 		return // answered (or nacked) in the meantime
 	}
 	n.c.cfg.Obs.Counter("sim.read.retries").Inc()
-	n.c.net.Send(netsim.Message{From: n.id, To: n.serverReplica(), Type: netsim.TReadReq, Seq: corr, Attempt: attempt})
+	n.net.Send(netsim.Message{From: n.id, To: n.serverReplica(), Type: netsim.TReadReq, Seq: corr, Attempt: attempt})
 }
 
 // failRead gives up on a still-pending read: the retry budget is spent.
@@ -233,7 +162,7 @@ func (n *node) failRead(corr uint64) {
 	}
 	delete(n.pending, corr)
 	n.c.cfg.Obs.Counter("sim.read.giveup").Inc()
-	reply <- readResult{err: netsim.Unreachable{Peer: n.serverReplica()}}
+	reply <- netsim.Result{Err: netsim.Unreachable{Peer: n.serverReplica()}}
 }
 
 // hasValidCopy reports whether the local database holds the latest version.
@@ -282,8 +211,8 @@ func (n *node) doWrite(v storage.Version) error {
 // retransmission discipline is engaged, records it in the outbox until the
 // destination acknowledges it.
 func (n *node) sendReliable(m netsim.Message) {
-	n.c.net.Send(m)
-	if n.c.retries {
+	n.net.Send(m)
+	if n.c.Retries() {
 		n.outbox[outKey{to: m.To, typ: m.Type, seq: m.Seq}] = &outEntry{m: m, due: 1}
 	}
 }
@@ -305,7 +234,7 @@ func (n *node) pollOutbox(round int) outboxStatus {
 			e.attempts++
 			m := e.m
 			m.Attempt = e.attempts
-			n.c.net.Send(m)
+			n.net.Send(m)
 			e.due = round + n.c.cfg.Retry.Backoff(e.attempts)
 		}
 	}
@@ -345,7 +274,7 @@ func (n *node) invalidationDuty(writer model.ProcessorID, seq uint64, x model.Se
 	}
 }
 
-func (n *node) handleMessage(m netsim.Message) {
+func (n *node) HandleMessage(m netsim.Message) {
 	switch m.Type {
 	case netsim.TReadReq:
 		n.serveRead(m)
@@ -376,8 +305,8 @@ func (n *node) applyInvalidate(m netsim.Message) {
 	if v, ok := n.store.Peek(); !ok || m.Seq == 0 || v.Seq <= m.Seq {
 		_ = n.store.Invalidate()
 	}
-	if n.c.lossy {
-		n.c.net.Send(netsim.Message{From: n.id, To: m.From, Type: netsim.TInvalAck, Seq: m.Seq})
+	if n.c.Lossy() {
+		n.net.Send(netsim.Message{From: n.id, To: m.From, Type: netsim.TInvalAck, Seq: m.Seq})
 	}
 }
 
@@ -390,7 +319,7 @@ func (n *node) handleNack(m netsim.Message) {
 		// than burning the retry budget.
 		if reply, ok := n.pending[m.Seq]; ok {
 			delete(n.pending, m.Seq)
-			reply <- readResult{err: netsim.Unreachable{Peer: m.From}}
+			reply <- netsim.Result{Err: netsim.Unreachable{Peer: m.From}}
 		}
 	case netsim.TWritePush, netsim.TInvalidate:
 		// The destination is down; stop retrying. The paper's failure
@@ -419,13 +348,13 @@ func (n *node) serveRead(m netsim.Message) {
 	if err != nil {
 		// No valid copy (possible only under failures): reply with the
 		// zero version; the reader surfaces the error.
-		n.c.net.Send(netsim.Message{From: n.id, To: m.From, Type: netsim.TReadReply, Seq: m.Seq, Attempt: attempt})
+		n.net.Send(netsim.Message{From: n.id, To: m.From, Type: netsim.TReadReply, Seq: m.Seq, Attempt: attempt})
 		return
 	}
 	if n.inF {
 		n.joinList[m.From] = true
 	}
-	n.c.net.Send(netsim.Message{From: n.id, To: m.From, Type: netsim.TReadReply, Seq: m.Seq, Version: v, Attempt: attempt})
+	n.net.Send(netsim.Message{From: n.id, To: m.From, Type: netsim.TReadReply, Seq: m.Seq, Version: v, Attempt: attempt})
 }
 
 // finishRead completes a read this processor issued remotely. Under DA the
@@ -438,7 +367,7 @@ func (n *node) finishRead(m netsim.Message) {
 	}
 	delete(n.pending, m.Seq)
 	if m.Version.IsZero() {
-		reply <- readResult{err: storage.ErrNoObject}
+		reply <- netsim.Result{Err: storage.ErrNoObject}
 		return
 	}
 	if n.c.cfg.Protocol == DA && m.Version.Seq >= n.maxSeen {
@@ -446,12 +375,12 @@ func (n *node) finishRead(m netsim.Message) {
 		// skipped for a version the node already knows to be obsolete
 		// (a delayed reply overtaken by a newer invalidation).
 		if err := n.store.Put(m.Version); err != nil {
-			reply <- readResult{err: err}
+			reply <- netsim.Result{Err: err}
 			return
 		}
 		n.maxSeen = m.Version.Seq
 	}
-	reply <- readResult{version: m.Version}
+	reply <- netsim.Result{Version: m.Version}
 }
 
 // applyPush applies a propagated write. A DA member of F additionally
@@ -478,7 +407,7 @@ func (n *node) applyPush(m netsim.Message) {
 // engaged; on a reliable network pushes are unacknowledged, keeping the
 // executed message count identical to the paper's cost model.
 func (n *node) ackPush(m netsim.Message) {
-	if n.c.lossy {
-		n.c.net.Send(netsim.Message{From: n.id, To: m.From, Type: netsim.TWriteAck, Seq: m.Seq})
+	if n.c.Lossy() {
+		n.net.Send(netsim.Message{From: n.id, To: m.From, Type: netsim.TWriteAck, Seq: m.Seq})
 	}
 }

@@ -22,12 +22,9 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"objalloc/internal/cost"
 	"objalloc/internal/model"
 	"objalloc/internal/netsim"
 	"objalloc/internal/obs"
@@ -121,26 +118,21 @@ func (c Config) validate() error {
 	return nil
 }
 
+// runtime is the processor runtime the protocol executes on; embedding it
+// gives the cluster its network, actors, quiescence and accounting
+// (Counts, Cost, HolderSeqs, Network, Crash, Restart, Quiesce, Close, ...).
+type runtime = netsim.Runtime[command]
+
 // Cluster is a running distributed system executing one protocol for one
 // replicated object.
 type Cluster struct {
+	*runtime
 	cfg    Config
 	core   model.Set         // DA's F (empty for SA)
 	anchor model.ProcessorID // DA's designated p (unused for SA)
-	net    *netsim.Network
-	nodes  []*node
-
-	// lossy is set when a fault plan is active; retries additionally
-	// requires the retransmission discipline not to be disabled.
-	lossy   bool
-	retries bool
-	corrSeq atomic.Uint64 // driver-side read correlation ids
 
 	mu      sync.Mutex
 	nextSeq uint64 // write sequencer (the concurrency-control total order)
-	track   *tracker
-
-	closeOnce sync.Once
 }
 
 // New builds and starts the cluster: stores are created, the initial
@@ -154,65 +146,33 @@ func New(cfg Config) (*Cluster, error) {
 	if firstSeq == 0 {
 		firstSeq = 1
 	}
-	c := &Cluster{cfg: cfg, net: netsim.New(cfg.N), track: newTracker(), nextSeq: firstSeq}
-	if cfg.Faults != nil && cfg.Faults.Active() {
-		if err := c.net.InstallFaults(*cfg.Faults); err != nil {
-			return nil, err
-		}
-		c.lossy = true
-		c.retries = !cfg.Retry.Disabled
+	rt, err := netsim.NewRuntime[command](cfg.N, cfg.NewStore, cfg.Obs, cfg.Faults, cfg.Retry)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	c.net.SetObs(cfg.Obs)
+	c := &Cluster{runtime: rt, cfg: cfg, nextSeq: firstSeq}
 	if cfg.Protocol == DA {
 		for k := 0; k < cfg.T-1; k++ {
 			c.core = c.core.Add(cfg.Initial.Member(k))
 		}
 		c.anchor = cfg.Initial.Member(cfg.T - 1)
 	}
-	// Every delivered message is one unit of outstanding work until its
-	// handler finishes.
-	c.net.Trace(func(_ netsim.Message, delivered bool) {
-		if delivered {
-			c.track.add(1)
-		}
-	})
-
-	newStore := cfg.NewStore
-	if newStore == nil {
-		newStore = func(model.ProcessorID) (storage.Store, error) { return storage.NewMem(), nil }
-	}
-	initialVersion := storage.Version{Seq: 1, Writer: -1, Data: []byte("initial")}
-	for i := 0; i < cfg.N; i++ {
-		id := model.ProcessorID(i)
-		st, err := newStore(id)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("sim: store for %d: %w", id, err)
-		}
-		if !cfg.AdoptStores {
-			if cfg.Initial.Contains(id) {
+	if !cfg.AdoptStores {
+		initialVersion := storage.Version{Seq: 1, Writer: -1, Data: []byte("initial")}
+		for i, st := range rt.Stores() {
+			if cfg.Initial.Contains(model.ProcessorID(i)) {
 				if err := st.Put(initialVersion); err != nil {
-					c.Close()
-					return nil, fmt.Errorf("sim: preload %d: %w", id, err)
+					return nil, fmt.Errorf("sim: preload %d: %w", i, err)
 				}
 			}
 			st.ResetStats()
 		}
-		n, err := newNode(c, id, st)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.nodes = append(c.nodes, n)
 	}
-	for _, n := range c.nodes {
-		n.start()
-	}
+	rt.Start(func(id model.ProcessorID, st storage.Store) netsim.Handler[command] {
+		return newNode(c, id, st)
+	})
 	return c, nil
 }
-
-// errClusterClosed is returned by operations on a closed cluster.
-var errClusterClosed = errors.New("sim: cluster closed")
 
 // Read executes a read request issued by processor p and returns the
 // version it observed. Reads may be issued concurrently. On a lossy
@@ -221,58 +181,17 @@ var errClusterClosed = errors.New("sim: cluster closed")
 // once the retry budget is exhausted; a crashed server fails the read
 // immediately via the failure detector's bounce.
 func (c *Cluster) Read(p model.ProcessorID) (storage.Version, error) {
-	n, err := c.node(p)
-	if err != nil {
-		return storage.Version{}, err
-	}
-	corr := c.corrSeq.Add(1)
-	reply := make(chan readResult, 1)
-	if !c.submitTracked(n, command{kind: cmdRead, corr: corr, readReply: reply}) {
-		return storage.Version{}, errClusterClosed
-	}
-	if !c.retries {
-		res := <-reply
-		return res.version, res.err
-	}
-	maxAttempts := c.cfg.Retry.Attempts()
-	for attempt := 1; ; attempt++ {
-		c.settle()
-		select {
-		case res := <-reply:
-			return res.version, res.err
-		default:
-		}
+	corr := c.NextCorr()
+	reply := make(chan netsim.Result, 1)
+	return c.Perform(p, command{kind: cmdRead, corr: corr, reply: reply}, reply, func(attempt int, giveUp bool) command {
 		kind := cmdRetryRead
-		if attempt > maxAttempts {
-			// Budget exhausted: have the node resolve the pending read
-			// with an Unreachable error (unless a reply or nack races in
-			// first, which wins).
+		if giveUp {
+			// Have the node resolve the pending read with an Unreachable
+			// error (unless a reply or nack races in first, which wins).
 			kind = cmdFailRead
 		}
-		if !c.submitTracked(n, command{kind: kind, corr: corr, attempt: attempt}) {
-			return storage.Version{}, errClusterClosed
-		}
-		if kind == cmdFailRead {
-			res := <-reply
-			return res.version, res.err
-		}
-		// Capped exponential backoff in quiescence rounds: later retries
-		// wait through more settle rounds before retransmitting.
-		for b := c.cfg.Retry.Backoff(attempt); b > 1; b-- {
-			c.settle()
-		}
-	}
-}
-
-// submitTracked hands a command to a node's event loop, accounting it as
-// outstanding work until the handler finishes.
-func (c *Cluster) submitTracked(n *node, cmd command) bool {
-	c.track.add(1)
-	if !n.submit(cmd) {
-		c.track.done()
-		return false
-	}
-	return true
+		return command{kind: kind, corr: corr, attempt: attempt}
+	})
 }
 
 // Write executes a write request issued by processor p, assigning it the
@@ -281,8 +200,8 @@ func (c *Cluster) submitTracked(n *node, cmd command) bool {
 // quiesced, so a subsequent request observes the new allocation scheme —
 // the sequential semantics of the paper's schedules.
 func (c *Cluster) Write(p model.ProcessorID, data []byte) (storage.Version, error) {
-	n, err := c.node(p)
-	if err != nil {
+	// An unknown processor must not take a place in the write order.
+	if _, err := c.StoreOf(p); err != nil {
 		return storage.Version{}, err
 	}
 	c.mu.Lock()
@@ -290,18 +209,18 @@ func (c *Cluster) Write(p model.ProcessorID, data []byte) (storage.Version, erro
 	v := storage.Version{Seq: c.nextSeq, Writer: int(p), Data: data}
 	c.mu.Unlock()
 	done := make(chan error, 1)
-	if !c.submitTracked(n, command{kind: cmdWrite, version: v, writeDone: done}) {
-		return storage.Version{}, errClusterClosed
+	if err := c.Submit(p, command{kind: cmdWrite, version: v, writeDone: done}); err != nil {
+		return storage.Version{}, err
 	}
 	if err := <-done; err != nil {
 		return storage.Version{}, err
 	}
-	if c.retries {
+	if c.Retries() {
 		if err := c.flushOutboxes(); err != nil {
 			return storage.Version{}, err
 		}
 	}
-	c.settle()
+	c.Quiesce()
 	return v, nil
 }
 
@@ -312,13 +231,13 @@ func (c *Cluster) Write(p model.ProcessorID, data []byte) (storage.Version, erro
 // netsim.Unreachable error.
 func (c *Cluster) flushOutboxes() error {
 	for round := 1; ; round++ {
-		c.settle()
+		c.Quiesce()
 		outstanding := 0
 		var gaveUp []model.ProcessorID
-		for _, n := range c.nodes {
+		for p := model.ProcessorID(0); int(p) < c.cfg.N; p++ {
 			reply := make(chan outboxStatus, 1)
-			if !c.submitTracked(n, command{kind: cmdOutbox, round: round, outboxReply: reply}) {
-				return errClusterClosed
+			if err := c.Submit(p, command{kind: cmdOutbox, round: round, outboxReply: reply}); err != nil {
+				return err
 			}
 			st := <-reply
 			outstanding += st.outstanding
@@ -333,23 +252,6 @@ func (c *Cluster) flushOutboxes() error {
 		}
 	}
 }
-
-// settle waits for full quiescence: no outstanding tracked work and no
-// held (delayed) messages anywhere in the network. Releasing held
-// messages can spawn new work, so the two alternate to a fixpoint.
-func (c *Cluster) settle() {
-	for {
-		c.track.wait()
-		if c.net.ReleaseAll() == 0 {
-			return
-		}
-	}
-}
-
-// Quiesce blocks until the cluster is fully settled — all in-flight
-// messages (including artificially delayed ones) delivered and handled.
-// The chaos runner calls it between steps.
-func (c *Cluster) Quiesce() { c.settle() }
 
 // Run executes a schedule sequentially and returns the per-request observed
 // versions for reads (writes contribute their created version). On an
@@ -369,9 +271,9 @@ func (c *Cluster) Run(sched model.Schedule) ([]storage.Version, error) {
 		}
 	}
 	for i, q := range sched {
-		var before obsSnapshot
+		var before netsim.Traffic
 		if o.Enabled() {
-			before = c.obsSnap()
+			before = c.Traffic()
 		}
 		if hook != nil {
 			hook.TaskStart(i)
@@ -389,7 +291,7 @@ func (c *Cluster) Run(sched model.Schedule) ([]storage.Version, error) {
 			return nil, fmt.Errorf("sim: request %d (%v): %w", i, q, err)
 		}
 		if o.Enabled() {
-			prevScheme = c.emitRequest(o, i, q, before, c.obsSnap(), prevScheme)
+			prevScheme = c.emitRequest(o, i, q, c.Traffic().Since(before), prevScheme)
 		}
 	}
 	return out, nil
@@ -414,9 +316,9 @@ func (c *Cluster) RunConcurrent(sched model.Schedule) ([]storage.Version, error)
 	}
 	i := 0
 	for i < len(sched) {
-		var before obsSnapshot
+		var before netsim.Traffic
 		if o.Enabled() {
-			before = c.obsSnap()
+			before = c.Traffic()
 		}
 		if sched[i].IsWrite() {
 			if hook != nil {
@@ -431,7 +333,7 @@ func (c *Cluster) RunConcurrent(sched model.Schedule) ([]storage.Version, error)
 			}
 			out[i] = v
 			if o.Enabled() {
-				prevScheme = c.emitRequest(o, i, sched[i], before, c.obsSnap(), prevScheme)
+				prevScheme = c.emitRequest(o, i, sched[i], c.Traffic().Since(before), prevScheme)
 			}
 			i++
 			continue
@@ -461,37 +363,23 @@ func (c *Cluster) RunConcurrent(sched model.Schedule) ([]storage.Version, error)
 			}
 		}
 		// Quiesce so saving-read joins settle before the next write.
-		c.settle()
+		c.Quiesce()
 		if o.Enabled() {
 			// Reads of one burst interleave freely; the aggregate deltas
 			// after quiescence are deterministic even though per-read
 			// attribution is not.
-			prevScheme = c.emitReadBurst(o, i, j-i, before, c.obsSnap(), prevScheme)
+			prevScheme = c.emitReadBurst(o, i, j-i, c.Traffic().Since(before), prevScheme)
 		}
 		i = j
 	}
 	return out, nil
 }
 
-// Counts returns the integer cost accounting accumulated so far: control
-// and data messages from the network, I/Os summed over all local databases.
-func (c *Cluster) Counts() cost.Counts {
-	st := c.net.Stats()
-	counts := cost.Counts{Control: st.ControlSent, Data: st.DataSent}
-	for _, n := range c.nodes {
-		counts.IO += n.store.Stats().Total()
-	}
-	return counts
-}
-
-// Cost prices the accumulated accounting under the model.
-func (c *Cluster) Cost(m cost.Model) float64 { return c.Counts().Price(m) }
-
 // ResetCounts zeroes the message and I/O counters (e.g. between phases).
 func (c *Cluster) ResetCounts() {
-	c.net.ResetStats()
-	for _, n := range c.nodes {
-		n.store.ResetStats()
+	c.Network().ResetStats()
+	for _, st := range c.Stores() {
+		st.ResetStats()
 	}
 }
 
@@ -499,14 +387,14 @@ func (c *Cluster) ResetCounts() {
 // database holds the latest version. It quiesces first so in-flight
 // invalidations settle.
 func (c *Cluster) Scheme() model.Set {
-	c.settle()
+	seqs := c.HolderSeqs()
 	c.mu.Lock()
 	latest := c.nextSeq
 	c.mu.Unlock()
 	var s model.Set
-	for _, n := range c.nodes {
-		if v, ok := n.store.Peek(); ok && v.Seq == latest {
-			s = s.Add(n.id)
+	for i, seq := range seqs {
+		if seq == latest {
+			s = s.Add(model.ProcessorID(i))
 		}
 	}
 	return s
@@ -525,86 +413,10 @@ type NodeLoad struct {
 // traffic and the I/O. Useful for load-balance analysis of the "arbitrary
 // processor of Q" policy.
 func (c *Cluster) Loads() []NodeLoad {
-	out := make([]NodeLoad, len(c.nodes))
-	for i, n := range c.nodes {
-		out[i] = NodeLoad{ID: n.id, IO: n.store.Stats(), Net: c.net.NodeStatsOf(n.id)}
+	out := make([]NodeLoad, c.cfg.N)
+	for i, st := range c.Stores() {
+		id := model.ProcessorID(i)
+		out[i] = NodeLoad{ID: id, IO: st.Stats(), Net: c.Network().NodeStatsOf(id)}
 	}
 	return out
-}
-
-// HolderSeqs returns, per processor, the sequence number of the locally
-// held copy (0 when none), after quiescing the cluster. The chaos runner's
-// invariant checker uses it for t-availability and per-processor version
-// monotonicity.
-func (c *Cluster) HolderSeqs() []uint64 {
-	c.settle()
-	out := make([]uint64, len(c.nodes))
-	for i, n := range c.nodes {
-		if v, ok := n.store.Peek(); ok {
-			out[i] = v.Seq
-		}
-	}
-	return out
-}
-
-// Network exposes the underlying network for fault injection in tests and
-// experiments.
-func (c *Cluster) Network() *netsim.Network { return c.net }
-
-// Close stops all processors and the network.
-func (c *Cluster) Close() {
-	c.closeOnce.Do(func() {
-		c.net.Close()
-		for _, n := range c.nodes {
-			n.stop()
-		}
-	})
-}
-
-func (c *Cluster) node(p model.ProcessorID) (*node, error) {
-	if int(p) < 0 || int(p) >= len(c.nodes) {
-		return nil, fmt.Errorf("sim: unknown processor %d", p)
-	}
-	return c.nodes[p], nil
-}
-
-// tracker counts outstanding work items (delivered-but-unprocessed messages
-// and in-flight driver commands) so the driver can wait for the system to
-// quiesce.
-type tracker struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-}
-
-func newTracker() *tracker {
-	t := &tracker{}
-	t.cond = sync.NewCond(&t.mu)
-	return t
-}
-
-func (t *tracker) add(k int) {
-	t.mu.Lock()
-	t.n += k
-	t.mu.Unlock()
-}
-
-func (t *tracker) done() {
-	t.mu.Lock()
-	t.n--
-	if t.n == 0 {
-		t.cond.Broadcast()
-	}
-	if t.n < 0 {
-		panic("sim: tracker underflow")
-	}
-	t.mu.Unlock()
-}
-
-func (t *tracker) wait() {
-	t.mu.Lock()
-	for t.n != 0 {
-		t.cond.Wait()
-	}
-	t.mu.Unlock()
 }

@@ -190,8 +190,9 @@ const (
 	// is not part of any request's tree.
 	NameRecover = "shard_recover"
 	// NameJournalFault marks one injected-or-real durability fault on a
-	// shard journal (emitted just before the loop panic that hands the
-	// shard to its supervisor). Always sampled, like NameRecover.
+	// shard journal (emitted just before the fault ends the service loop
+	// and is returned, as a typed error, to the shard's supervisor).
+	// Always sampled, like NameRecover.
 	NameJournalFault = "journal_fault"
 )
 
@@ -382,10 +383,17 @@ func (t *Tracer) Sampled(trace string, flagged bool) bool {
 
 // Submit records one finished request's spans. The flagged bit marks
 // requests the tail sampler must keep (errors, retransmissions,
-// protocol switches, admission rejections).
+// protocol switches, admission rejections). In deterministic mode the
+// spans' Shard is normalized to -1 here, for every submitter: the
+// assignment depends on the shard count.
 func (t *Tracer) Submit(flagged bool, spans ...Span) {
 	if t == nil || len(spans) == 0 {
 		return
+	}
+	if t.cfg.Deterministic {
+		for i := range spans {
+			spans[i].Shard = -1
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -21,8 +21,9 @@
 #
 #   4. Transient disk faults at 1 and 8 shards: a torn record write, an
 #      ENOSPC streak mid-commit and an injected fsync failure all hit
-#      the journal mid-run; each fault panics the shard, the supervisor
-#      rebuilds it from the durable prefix, and the drained accounting
+#      the journal mid-run; each fault ends the shard's service loop
+#      with a typed error (no panic), the supervisor rebuilds the shard
+#      from the durable prefix, and the drained accounting
 #      must be byte-identical to a fault-free same-seed run at the same
 #      shard count. journalcheck (with the parity -disk-faults flag)
 #      reconciles the surviving journal against the fault-free stats.
