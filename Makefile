@@ -4,8 +4,11 @@
 # runs the observability determinism tests under the race detector.
 # fuzzsmoke gives each committed fuzz target a 10-second budget (among
 # them FuzzWireDecode, which holds the /v1/batch codec to encoding/json
-# on arbitrary bytes, and FuzzHandleBatch, which holds the handler to
-# "2xx or 4xx, and a 4xx admits nothing"),
+# on arbitrary bytes, FuzzHandleBatch, which holds the handler to
+# "2xx or 4xx, and a 4xx admits nothing", and FuzzOptCost, which holds
+# the OPT solver to brute force and to its own traceback, and the grid
+# pass to the solver: Plan.Costs under two models ≡ two Plan.Cost calls,
+# bit for bit),
 # experiments-check reruns every experiment and diffs the output against
 # the committed experiments_output.txt (the run is deterministic, so any
 # difference is a changed figure), serve-smoke boots the service daemon
@@ -139,9 +142,17 @@ chaos-check:
 	@$(MAKE) -s chaos | diff - internal/chaos/testdata/make_chaos.golden
 	@echo "chaos-check: counts match internal/chaos/testdata/make_chaos.golden"
 
-# profile runs a small figure-1 sweep under CPU profiling and leaves the
-# profile next to the metrics stream; inspect with `go tool pprof`.
+# profile runs a figure-1 sweep under CPU profiling and leaves the profile
+# next to the metrics stream; inspect with `go tool pprof`. The grid is
+# 200×200 (20 k admissible cells, under a second) and the map goes to
+# /dev/null: the 6×6 grid this target used to run finishes in 2 ms, between
+# two samples of the profiler. The
+# hot symbols are the grid pass of internal/opt (opt.(*Plan).costsPass:
+# foldWrite, relaxReadModels, relaxWriteModels), then
+# competitive.(*prepared).measureSchedule; the one-model kernel
+# (opt.(*Plan).run, minTransform) runs only for a grid with a single
+# admissible cell, so it no longer appears here.
 profile:
-	go run ./cmd/figure1 -steps 6 -cpuprofile figure1.cpu.pprof -metrics figure1.metrics.jsonl -progress
+	go run ./cmd/figure1 -steps 200 -cpuprofile figure1.cpu.pprof -metrics figure1.metrics.jsonl -progress > /dev/null
 	@echo "wrote figure1.cpu.pprof and figure1.metrics.jsonl"
 	@echo "inspect with: go tool pprof figure1.cpu.pprof"

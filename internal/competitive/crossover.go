@@ -59,18 +59,24 @@ func (spec *CrossoverSpec) Normalize() error {
 // worst-case ratios. The paper's bounds only bracket this point inside
 // [0.5−cc, 1]; the measurement pins it down for a concrete battery.
 //
-// The battery is prepared once (see prepared). The bisection itself is
-// sequential, but each probe needs the OPT cost of every battery schedule
-// under the probed model — those |battery| solves run on the engine's
-// worker pool, and both algorithms are priced against them. Cancelling
-// the context aborts the probe in flight and returns ctx.Err().
+// The battery is measured once (see prepared), a schedule per task on the
+// engine's worker pool. The bisection itself is sequential, but each probe
+// needs the OPT cost of every battery schedule under the probed model —
+// those |battery| solves run on the same pool, and both algorithms are
+// priced against them. Cancelling the context aborts the probe in flight
+// and returns ctx.Err().
 func Crossover(ctx context.Context, spec CrossoverSpec) (CrossoverResult, error) {
 	if err := spec.Normalize(); err != nil {
 		return CrossoverResult{}, err
 	}
 	cc, cdMax, iters := spec.CC, spec.CDMax, spec.Iters
-	prep, err := prepare(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+	prep, err := newPrepared(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
 	if err != nil {
+		return CrossoverResult{}, err
+	}
+	if err := engine.Map(ctx, len(prep.scheds), spec.Parallelism, func(_ context.Context, i int) error {
+		return prep.measureSchedule(i)
+	}); err != nil {
 		return CrossoverResult{}, err
 	}
 	daWins := func(cd float64) (bool, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"objalloc/internal/cost"
 	"objalloc/internal/dom"
 	"objalloc/internal/model"
+	"objalloc/internal/opt"
 )
 
 // BLIS Type-1 determinism: a parallel run must be byte-identical to a
@@ -42,6 +44,79 @@ func TestSweepParallelIdenticalToSerial(t *testing.T) {
 				t.Errorf("parallel sweep differs from serial:\nserial:   %s\nparallel: %s", s, p)
 			}
 		})
+	}
+}
+
+// The schedule-major sweep against the cell-by-cell definition: on a grid
+// of 820 admissible cells — five model chunks per schedule at n = 8 —
+// every 37th admissible cell must carry the very bits WorstRatioContext
+// computes for that cell's model alone, at Parallelism 1 and 4.
+func TestSweepMatchesWorstRatioPerCell(t *testing.T) {
+	axis := make([]float64, 40)
+	for i := range axis {
+		axis[i] = 0.05 + float64(i)*0.05
+	}
+	battery := BatteryConfig{N: 8, T: 3, RandomSchedules: 2, RandomLength: 16, NemesisRounds: 12, Seed: 1994}
+	if cells, chunk := 820, opt.ModelChunk(battery.N); cells <= 2*chunk {
+		t.Fatalf("%d admissible cells are not several chunks of %d", cells, chunk)
+	}
+	scheds, initial := battery.Build(), battery.Initial()
+	ctx := context.Background()
+	for _, parallelism := range []int{1, 4} {
+		points, err := Sweep(ctx, SweepSpec{CDs: axis, CCs: axis, Battery: battery, Parallelism: parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		admissible, checked := 0, 0
+		for _, p := range points {
+			if p.Analytic == RegionCannotBeTrue {
+				continue
+			}
+			if admissible++; admissible%37 != 0 {
+				continue
+			}
+			m := cost.SC(p.CC, p.CD)
+			sa, err := WorstRatioContext(ctx, m, dom.StaticFactory, scheds, initial, battery.T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			da, err := WorstRatioContext(ctx, m, dom.DynamicFactory, scheds, initial, battery.T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(p.SAWorst) != math.Float64bits(sa.Ratio) || math.Float64bits(p.DAWorst) != math.Float64bits(da.Ratio) {
+				t.Errorf("Parallelism %d, cc=%g cd=%g: sweep SA %b DA %b, per cell SA %b DA %b",
+					parallelism, p.CC, p.CD, p.SAWorst, p.DAWorst, sa.Ratio, da.Ratio)
+			}
+			checked++
+		}
+		if admissible != 820 || checked != 22 {
+			t.Fatalf("grid has %d admissible cells, %d checked; want 820 and 22", admissible, checked)
+		}
+	}
+}
+
+// A schedule the offline DP cannot take fails the sweep with that
+// schedule's error — the first such schedule in battery order, whichever
+// one the pool reached first (the longest are dispatched first).
+func TestSweepReportsFirstFailingSchedule(t *testing.T) {
+	battery := BatteryConfig{N: 20, T: 2, RandomSchedules: 2, RandomLength: 60, NemesisRounds: 4, Seed: 3}
+	var want error
+	for _, s := range battery.Build() {
+		if _, want = opt.Compile(s, battery.Initial(), battery.T); want != nil {
+			break
+		}
+	}
+	if want == nil {
+		t.Fatal("every schedule of a 20-processor battery compiled")
+	}
+	for _, parallelism := range []int{1, 4} {
+		_, err := Sweep(context.Background(), SweepSpec{
+			CDs: []float64{0.5, 1.5}, CCs: []float64{0.2, 0.4}, Battery: battery, Parallelism: parallelism,
+		})
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("Parallelism %d: err = %v, want %v", parallelism, err, want)
+		}
 	}
 }
 

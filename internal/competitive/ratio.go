@@ -38,64 +38,61 @@ type Measurement struct {
 // cost-oblivious — dom.RunFactory takes no cost model — so an algorithm's
 // allocation schedule, and with it its integer cost.Counts, is the same
 // under every model; and opt.Compile's Plan holds everything about the OPT
-// instance that is model-independent. What is left per model is one
-// Plan.Cost per schedule and one Counts.Price per (algorithm, schedule).
-// cost.ScheduleCost is ScheduleCounts(...).Price(m), so pricing the stored
-// counts yields the very float a fresh run would. A prepared battery is
-// immutable and shared read-only by concurrent grid cells.
+// instance that is model-independent. What is left per model is one OPT
+// cost per schedule (Plan.Cost, or Plan.Costs for many models at once) and
+// one Counts.Price per (algorithm, schedule). cost.ScheduleCost is
+// ScheduleCounts(...).Price(m), so pricing the stored counts yields the
+// very float a fresh run would.
+//
+// The battery is measured a schedule at a time (measureSchedule), each
+// call filling only its own index, so the schedules may be measured
+// concurrently; a measured schedule is read-only from then on.
 type prepared struct {
-	scheds []model.Schedule
-	plans  []*opt.Plan
+	factories []dom.Factory
+	scheds    []model.Schedule
+	initial   model.Set
+	t         int
+	plans     []*opt.Plan
 	// counts[f][i] is the accounting of factory f's run on scheds[i].
 	counts [][]cost.Counts
 }
 
-// prepare runs every factory on every schedule, validates the resulting
-// allocation schedules, and compiles each schedule for the offline DP.
-func prepare(factories []dom.Factory, scheds []model.Schedule, initial model.Set, t int) (*prepared, error) {
+// newPrepared allocates the battery's tables; nothing is measured yet.
+func newPrepared(factories []dom.Factory, scheds []model.Schedule, initial model.Set, t int) (*prepared, error) {
 	if len(scheds) == 0 {
 		return nil, fmt.Errorf("competitive: empty schedule battery")
 	}
 	b := &prepared{
-		scheds: scheds,
+		factories: factories, scheds: scheds, initial: initial, t: t,
 		plans:  make([]*opt.Plan, len(scheds)),
 		counts: make([][]cost.Counts, len(factories)),
 	}
-	for fi, f := range factories {
-		b.counts[fi] = make([]cost.Counts, len(scheds))
-		for i, s := range scheds {
-			las, err := dom.RunFactory(f, initial, t, s)
-			if err != nil {
-				return nil, err
-			}
-			if err := las.Validate(initial, t); err != nil {
-				return nil, fmt.Errorf("competitive: algorithm produced invalid schedule: %w", err)
-			}
-			b.counts[fi][i], _ = cost.ScheduleCounts(las, initial)
-		}
-	}
-	for i, s := range scheds {
-		p, err := opt.Compile(s, initial, t)
-		if err != nil {
-			return nil, err
-		}
-		b.plans[i] = p
+	for f := range b.counts {
+		b.counts[f] = make([]cost.Counts, len(scheds))
 	}
 	return b, nil
 }
 
-// optCosts solves the offline optimum of every schedule under m. The DP
-// polls the context per request, so cancelling aborts mid-battery.
-func (b *prepared) optCosts(ctx context.Context, m cost.Model) ([]float64, error) {
-	costs := make([]float64, len(b.plans))
-	for i, p := range b.plans {
-		c, err := p.Cost(ctx, m)
+// measureSchedule runs every factory on schedule i, validates the
+// resulting allocation schedules and keeps their counts, and compiles the
+// schedule for the offline DP.
+func (b *prepared) measureSchedule(i int) error {
+	for f, factory := range b.factories {
+		las, err := dom.RunFactory(factory, b.initial, b.t, b.scheds[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		costs[i] = c
+		if err := las.Validate(b.initial, b.t); err != nil {
+			return fmt.Errorf("competitive: algorithm produced invalid schedule: %w", err)
+		}
+		b.counts[f][i], _ = cost.ScheduleCounts(las, b.initial)
 	}
-	return costs, nil
+	p, err := opt.Compile(b.scheds[i], b.initial, b.t)
+	if err != nil {
+		return err
+	}
+	b.plans[i] = p
+	return nil
 }
 
 // measure prices factory f's run on schedule i against that schedule's
@@ -159,16 +156,22 @@ func RatioContext(ctx context.Context, m cost.Model, f dom.Factory, sched model.
 	return b.measure(0, 0, m, optCosts[0]), nil
 }
 
-// priced is the one-factory, one-model use of a prepared battery: prepare
-// it, then solve every schedule's optimum under m.
+// priced is the one-factory, one-model use of a battery: measure each
+// schedule and solve its optimum under m. The DP polls the context per
+// request, so cancelling aborts mid-battery.
 func priced(ctx context.Context, m cost.Model, f dom.Factory, scheds []model.Schedule, initial model.Set, t int) (*prepared, []float64, error) {
-	b, err := prepare([]dom.Factory{f}, scheds, initial, t)
+	b, err := newPrepared([]dom.Factory{f}, scheds, initial, t)
 	if err != nil {
 		return nil, nil, err
 	}
-	optCosts, err := b.optCosts(ctx, m)
-	if err != nil {
-		return nil, nil, err
+	optCosts := make([]float64, len(scheds))
+	for i := range scheds {
+		if err := b.measureSchedule(i); err != nil {
+			return nil, nil, err
+		}
+		if optCosts[i], err = b.plans[i].Cost(ctx, m); err != nil {
+			return nil, nil, err
+		}
 	}
 	return b, optCosts, nil
 }

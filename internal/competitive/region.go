@@ -3,10 +3,13 @@ package competitive
 import (
 	"context"
 	"fmt"
+	"sort"
+	"sync"
 
 	"objalloc/internal/cost"
 	"objalloc/internal/engine"
 	"objalloc/internal/obs"
+	"objalloc/internal/opt"
 )
 
 // Region classifies one point of the (cd, cc) plane, as in the paper's
@@ -102,7 +105,7 @@ type GridPoint struct {
 	// Analytic is the classification from the paper's bounds.
 	Analytic Region
 	// SAWorst and DAWorst are the measured worst-case ratios over the
-	// battery (NaN in the cannot-be-true region, which is skipped).
+	// battery (left 0 in the cannot-be-true region, which is skipped).
 	SAWorst, DAWorst float64
 	// Empirical is the classification by measured worst case: whichever
 	// algorithm has the strictly lower worst ratio.
@@ -119,19 +122,20 @@ type SweepSpec struct {
 	// Mobile selects the MC cost model (figure 2) instead of SC
 	// (figure 1).
 	Mobile bool
-	// Battery is the schedule battery measured at every grid point.
+	// Battery is the schedule battery every grid point is measured over.
 	Battery BatteryConfig
-	// Parallelism bounds the number of grid cells evaluated concurrently;
-	// zero or negative selects engine.DefaultParallelism (GOMAXPROCS).
-	// Results are identical for every value of Parallelism.
+	// Parallelism bounds the number of engine tasks run concurrently — a
+	// task is one battery schedule priced under one chunk of the grid's
+	// models; zero or negative selects engine.DefaultParallelism
+	// (GOMAXPROCS). Results are identical for every value of Parallelism.
 	Parallelism int
 	// Seed, when nonzero, overrides Battery.Seed.
 	Seed int64
-	// Obs attaches the instrumentation layer: the engine reports task
-	// progress through its Observer, and after the sweep completes one
-	// "cell" event per grid point is emitted in grid order (so the event
-	// stream is identical for every Parallelism). Nil disables
-	// instrumentation.
+	// Obs attaches the instrumentation layer: the engine reports the
+	// progress of its (schedule, model-chunk) tasks through the Observer,
+	// and after the sweep completes one "cell" event per grid point is
+	// emitted in grid order (so the event stream is identical for every
+	// Parallelism). Nil disables instrumentation.
 	Obs *obs.Obs
 }
 
@@ -155,54 +159,106 @@ func (spec *SweepSpec) Normalize() error {
 // grid and classifies each point both analytically and empirically.
 // Points with cc > cd are marked cannot-be-true and skipped.
 //
-// SA and DA are cost-oblivious, so the battery is measured once and each
-// cell only re-prices it (see prepared). Grid cells are independent, so
-// they are evaluated on the engine's bounded worker pool; results are
-// assembled in grid order and are byte-identical to a serial run.
-// Cancelling the context aborts the remaining cells and returns ctx.Err().
+// The sweep is schedule-major. SA and DA are cost-oblivious, so a schedule
+// is measured once (see prepared) and then priced under every admissible
+// cell's model in one pass of the offline DP per chunk of models
+// (opt.Plan.Costs). One engine task is one (schedule, model-chunk) pair;
+// the tasks fill a [schedule][cell] matrix of OPT costs by index, and each
+// cell's worst ratios are reduced from its column in battery order
+// afterwards, so the points are byte-identical to a serial run whatever
+// order the pool ran the tasks in. Cancelling the context aborts the
+// passes in flight and returns ctx.Err().
 func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
-	// The battery is built, run under both algorithms and compiled for
-	// the DP once, then shared read-only by all cells: a cell is one OPT
-	// cost per schedule under its model, priced against both algorithms'
-	// counts.
-	prep, err := prepare(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+	points := make([]GridPoint, 0, len(spec.CCs)*len(spec.CDs))
+	var models []cost.Model // the admissible cells' models, in grid order
+	var cellOf []int        // cellOf[j] is the point models[j] prices
+	for _, ccv := range spec.CCs {
+		for _, cdv := range spec.CDs {
+			p := GridPoint{CC: ccv, CD: cdv}
+			m := cost.SC(ccv, cdv)
+			if spec.Mobile {
+				p.Analytic, m = AnalyticRegionMC(ccv, cdv), cost.MC(ccv, cdv)
+			} else {
+				p.Analytic = AnalyticRegionSC(ccv, cdv)
+			}
+			if p.Analytic == RegionCannotBeTrue {
+				p.Empirical = RegionCannotBeTrue
+			} else {
+				if err := m.Validate(); err != nil {
+					return nil, fmt.Errorf("competitive: sweep at cc=%g cd=%g: %w", ccv, cdv, err)
+				}
+				models, cellOf = append(models, m), append(cellOf, len(points))
+			}
+			points = append(points, p)
+		}
+	}
+	prep, err := newPrepared(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
 	if err != nil {
 		return nil, err
 	}
+	nSched, nModels := len(prep.scheds), len(models)
 
-	type cell struct{ cc, cd float64 }
-	cells := make([]cell, 0, len(spec.CCs)*len(spec.CDs))
-	for _, ccv := range spec.CCs {
-		for _, cdv := range spec.CDs {
-			cells = append(cells, cell{ccv, cdv})
-		}
+	// Longest schedule first: the nemesis families are several times the
+	// length of the random mixes and the battery lists them last, where
+	// one of them would be the tail a lone worker finishes.
+	order := make([]int, nSched)
+	for i := range order {
+		order[i] = i
 	}
-	points, err := engine.CollectObserved(ctx, len(cells), spec.Parallelism, spec.Obs.Hook(), func(ctx context.Context, i int) (GridPoint, error) {
-		ccv, cdv := cells[i].cc, cells[i].cd
-		p := GridPoint{CC: ccv, CD: cdv}
-		if spec.Mobile {
-			p.Analytic = AnalyticRegionMC(ccv, cdv)
-		} else {
-			p.Analytic = AnalyticRegionSC(ccv, cdv)
+	sort.SliceStable(order, func(a, b int) bool { return len(prep.scheds[order[a]]) > len(prep.scheds[order[b]]) })
+
+	// A task's models are at most one pass of the DP (no battery schedule
+	// has more than Battery.N processors), so a large grid spreads each
+	// schedule over the pool instead of pinning it to one worker. Every
+	// schedule has at least one task, which measures it even when no cell
+	// is admissible.
+	chunk := opt.ModelChunk(spec.Battery.N)
+	perSched := max(1, (nModels+chunk-1)/chunk)
+	optCosts := make([]float64, nSched*nModels) // [schedule][cell]
+	measured := make([]struct {
+		once sync.Once
+		err  error
+	}, nSched)
+	measure := func(s int) error { // measures schedule s, once
+		measured[s].once.Do(func() { measured[s].err = prep.measureSchedule(s) })
+		return measured[s].err
+	}
+	err = engine.MapObserved(ctx, nSched*perSched, spec.Parallelism, spec.Obs.Hook(), func(ctx context.Context, i int) error {
+		s, lo := order[i/perSched], i%perSched*chunk
+		if err := measure(s); err != nil {
+			return err
 		}
-		if p.Analytic == RegionCannotBeTrue {
-			p.Empirical = RegionCannotBeTrue
-			return p, nil
-		}
-		var m cost.Model
-		if spec.Mobile {
-			m = cost.MC(ccv, cdv)
-		} else {
-			m = cost.SC(ccv, cdv)
-		}
-		optCosts, err := prep.optCosts(ctx, m)
+		costs, err := prep.plans[s].Costs(ctx, models[lo:min(lo+chunk, nModels)])
 		if err != nil {
-			return p, fmt.Errorf("competitive: sweep at cc=%g cd=%g: %w", ccv, cdv, err)
+			return err
 		}
-		p.SAWorst, p.DAWorst = prep.worstSADA(m, optCosts)
+		copy(optCosts[s*nModels+lo:], costs)
+		return nil
+	})
+	if err != nil {
+		// Measuring is deterministic and takes no context, so unless the
+		// run was cancelled, report the failure of the first schedule in
+		// battery order — not of whichever the pool reached first.
+		if ctx.Err() == nil {
+			for s := range measured {
+				if err := measure(s); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return nil, err
+	}
+
+	column := make([]float64, nSched)
+	for j, m := range models {
+		for s := range column {
+			column[s] = optCosts[s*nModels+j]
+		}
+		p := &points[cellOf[j]]
+		p.SAWorst, p.DAWorst = prep.worstSADA(m, column)
 		switch {
 		case p.SAWorst < p.DAWorst:
 			p.Empirical = RegionSASuperior
@@ -211,10 +267,6 @@ func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 		default:
 			p.Empirical = RegionUnknown
 		}
-		return p, nil
-	})
-	if err != nil {
-		return points, err
 	}
 	emitSweep(spec.Obs, points)
 	return points, nil
@@ -222,8 +274,8 @@ func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 
 // emitSweep renders the finished sweep into the instrumentation layer: one
 // "cell" event per grid point, in grid order, plus registry totals. It runs
-// single-threaded after Collect has assembled the points, so the emission
-// is deterministic regardless of how the cells were scheduled.
+// single-threaded after the points are reduced, so the emission is
+// deterministic regardless of how the tasks were scheduled.
 func emitSweep(o *obs.Obs, points []GridPoint) {
 	if !o.Enabled() {
 		return

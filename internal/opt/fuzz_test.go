@@ -61,8 +61,9 @@ func fuzzInstance(data []byte) (sched model.Schedule, initial model.Set, t int, 
 // FuzzOptCost checks the compiled-plan solver against everything else in
 // the package that knows the optimum: exhaustive enumeration on tiny
 // instances, the traceback's own allocation schedule priced step by step,
-// and fresh one-shot solves under a second model (a Plan must carry no
-// state from one model's pass into the next).
+// fresh one-shot solves under a second model (a Plan must carry no state
+// from one model's pass into the next), and the grid pass — Costs under
+// both models at once must equal the two Cost calls bit for bit.
 func FuzzOptCost(f *testing.F) {
 	f.Add([]byte{})                                              // empty schedule, n = t = 1
 	f.Add([]byte{4, 1, 0x12, 0x85, 0x03})                        // empty schedule, n = 5, t = 2
@@ -71,6 +72,8 @@ func FuzzOptCost(f *testing.F) {
 	f.Add([]byte{3, 1, 0x21, 0x03, 0x03, 11, 3, 3, 10, 2, 2, 2}) // writers outside the initial scheme
 	f.Add([]byte{5, 2, 0x32, 0xa1, 0x15, 5, 5, 13, 4, 3, 12, 0, 1, 2, 8, 3, 4, 5, 5, 5})
 	f.Add([]byte{1, 0, 0x00, 0x80, 0x00, 1, 1, 1, 9, 1, 1}) // free messages; MC with cc = cd = 0
+	// Write-heavy, n = 6, t = 3: most requests run the write fold.
+	f.Add([]byte{5, 2, 0x12, 0x21, 0x23, 8, 13, 10, 4, 9, 12, 11, 8, 2, 13, 13, 9, 10, 5, 12, 8, 11})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sched, initial, tAvail, m, m2 := fuzzInstance(data)
 		ctx := context.Background()
@@ -126,6 +129,14 @@ func FuzzOptCost(f *testing.F) {
 		}
 		if got != fresh || again != fresh || got2 != fresh2 {
 			t.Fatalf("shared plan: %b then %b under %v, %b under %v; fresh solves %b and %b", got, again, m, got2, m2, fresh, fresh2)
+		}
+
+		both, err := plan.Costs(ctx, []cost.Model{m, m2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(both[0]) != math.Float64bits(got) || math.Float64bits(both[1]) != math.Float64bits(got2) {
+			t.Fatalf("Costs %b, %b; Cost %b under %v, %b under %v", both[0], both[1], got, m, got2, m2)
 		}
 	})
 }

@@ -29,6 +29,21 @@
 // whole DP runs in O(L·n·2^n) time and O(2^n) space (plus O(L·2^n) when an
 // optimal allocation schedule is reconstructed).
 //
+// A write reads g only at masks that contain the writer (g[X'] above), and
+// the transform's value does not depend on the order the bits are folded
+// in: a candidate Y reaches Z as dp[Y] with cc added once per bit of Y \ Z,
+// and a min of non-NaN floats is the same in any order. The pass that
+// prices a plan under many models at once (Plan.Costs) therefore folds the
+// writer's bit first — g[b] = min(dp[b], dp[a]), no cc, keeping only the
+// masks b that contain the writer — and the other n-1 bits over that half
+// alone, 2^(n-1) + (n-1)·2^(n-2) pair updates instead of n·2^(n-1), with
+// every value bit-identical to the full transform's. Its rows are laid out
+// [state][model]: each pair update or relaxation is one contiguous loop
+// over the models, so M models cost one walk over the requests and the
+// masks instead of M. The one-model pass (Plan.Cost, Plan.Solve) keeps the
+// full transform, whose arg table the traceback needs; it is the reference
+// Costs is tested against bit for bit.
+//
 // The DP state space limits the universe to MaxUniverse processors; this is
 // a limit of the yardstick only — the online algorithms themselves scale to
 // model.MaxProcessors.
@@ -64,8 +79,9 @@ type Result struct {
 // request reduced to a dense bit and an operation, and the list of
 // feasible schemes — everything about an instance that does not depend on
 // the cost model. A Plan is immutable after Compile, so one Plan may be
-// priced under many models concurrently (a (cd, cc) plane sweep compiles
-// each battery schedule once and shares the Plans read-only across cells).
+// priced under many models, concurrently (Cost) or in one pass (Costs): a
+// (cd, cc) plane sweep compiles each battery schedule once and prices it
+// under every cell's model.
 type Plan struct {
 	// ids maps a dense bit index to the sparse processor id: the members
 	// of the initial scheme in ascending order, then the schedule's
@@ -218,18 +234,7 @@ func (p *Plan) run(ctx context.Context, m cost.Model, parents []uint32) (float64
 		arg = make([]uint32, size)
 	}
 
-	pr := prices{
-		local:  m.CIO,               // read served by the reader's own copy
-		remote: m.CC + m.CIO + m.CD, // read served by one remote data processor
-	}
-	pr.saving = pr.remote + m.CIO // remote read that also saves locally
-	for sz := 1; sz <= n; sz++ {
-		// Writer inside X: transmit to the other |X|-1 members, output
-		// at all |X|. Writer outside X: transmit to all |X| members,
-		// output at all.
-		pr.writeIn[sz] = float64(sz-1)*m.CD + float64(sz)*m.CIO
-		pr.writeOut[sz] = float64(sz) * (m.CD + m.CIO)
-	}
+	pr := newPrices(m, n)
 
 	done := ctx.Done()
 	for k, q := range p.reqs {
@@ -272,6 +277,25 @@ type prices struct {
 	// of a write whose execution set has s members, with the writer
 	// inside and outside that set.
 	writeIn, writeOut [MaxUniverse + 1]float64
+}
+
+// newPrices lays m out for a universe of n processors. Both passes (run
+// and costsPass) take their charges from here, so a charge is the same
+// float in either — also where the compiler fuses a multiply-add.
+func newPrices(m cost.Model, n int) prices {
+	pr := prices{
+		local:  m.CIO,               // read served by the reader's own copy
+		remote: m.CC + m.CIO + m.CD, // read served by one remote data processor
+	}
+	pr.saving = pr.remote + m.CIO // remote read that also saves locally
+	for sz := 1; sz <= n; sz++ {
+		// Writer inside X: transmit to the other |X|-1 members, output
+		// at all |X|. Writer outside X: transmit to all |X| members,
+		// output at all.
+		pr.writeIn[sz] = float64(sz-1)*m.CD + float64(sz)*m.CIO
+		pr.writeOut[sz] = float64(sz) * (m.CD + m.CIO)
+	}
+	return pr
 }
 
 // relaxRead performs the DP transition for a read by the processor whose

@@ -228,9 +228,9 @@ type SweepSpec = competitive.SweepSpec
 
 // SweepContext measures SA and DA over a (cd, cc) grid on the parallel
 // engine, reproducing figure 1 (Mobile: false) or figure 2 (Mobile: true).
-// Grid cells are evaluated concurrently; the results are in grid order and
-// byte-identical to a serial run of the same seed. Cancelling the context
-// aborts the remaining cells and returns ctx.Err().
+// Battery schedules are priced concurrently, each under every cell's model;
+// the results are in grid order and byte-identical to a serial run of the
+// same seed. Cancelling the context aborts the sweep and returns ctx.Err().
 func SweepContext(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 	return competitive.Sweep(ctx, spec)
 }
