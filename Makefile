@@ -1,7 +1,6 @@
 # Tier-1 verification: build, vet, test, race-test. All four must pass.
 # Tests run shuffled so inter-test ordering dependencies cannot hide.
-# obscheck additionally vets the instrumentation package on its own and
-# runs the observability determinism tests under the race detector.
+# fmtcheck fails if gofmt would change any file.
 # fuzzsmoke gives each committed fuzz target a 10-second budget (among
 # them FuzzWireDecode, which holds the /v1/batch codec to encoding/json
 # on arbitrary bytes, FuzzHandleBatch, which holds the handler to
@@ -31,12 +30,20 @@
 # named tests and experiments-check), and
 # staticcheck runs when the tool is installed (it is skipped gracefully
 # otherwise — the build must not depend on network access).
-.PHONY: verify build vet test race bench obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet staticcheck loc chaos profile
+.PHONY: verify build fmtcheck vet test race bench obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet staticcheck loc chaos profile
 
-verify: build vet test race obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet staticcheck
+verify: build fmtcheck vet test race fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet staticcheck
 
 build:
 	go build ./...
+
+fmtcheck:
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then \
+		echo "fmtcheck: gofmt would change:"; \
+		echo "$$bad"; \
+		exit 1; \
+	fi
 
 vet:
 	go vet ./...
@@ -53,6 +60,8 @@ race:
 bench:
 	go run ./bench
 
+# obscheck is the observability slice of vet and race, for local use
+# after touching internal/obs; verify runs both over ./... already.
 obscheck:
 	go vet ./internal/obs
 	go test -race -run 'TestSweepObsDeterminism|TestSearchObsDeterminism' ./internal/competitive

@@ -67,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := chaos.ParseFaults(*faults)
+	plan, err := netsim.ParseFaults(*faults)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func main() {
 		cli.Close()
 		log.Fatal(err)
 	}
-	fmt.Printf("engine %s  n=%d t=%d seed=%d  faults %q\n", eng, *n, *t, *seed, chaos.FormatFaults(plan))
+	fmt.Printf("engine %s  n=%d t=%d seed=%d  faults %q\n", eng, *n, *t, *seed, netsim.FormatFaults(plan))
 	fmt.Printf("steps %d (reads %d, writes %d, crashes %d, restarts %d), final version %d\n",
 		res.StepsRun, res.Reads, res.Writes, res.Crashes, res.Restarts, res.FinalSeq)
 	fmt.Printf("cost: %d control, %d data, %d I/O\n", res.Counts.Control, res.Counts.Data, res.Counts.IO)
@@ -157,7 +157,7 @@ func main() {
 // report prints a shrunk reproducer.
 func report(small chaos.Scenario) {
 	fmt.Printf("\nminimal reproducer: engine %s n=%d t=%d seed=%d faults %q, %d step(s):\n",
-		small.Engine, small.N, small.T, small.Seed, chaos.FormatFaults(small.Faults), len(small.Schedule))
+		small.Engine, small.N, small.T, small.Seed, netsim.FormatFaults(small.Faults), len(small.Schedule))
 	for i, st := range small.Schedule {
 		fmt.Printf("  %3d %v\n", i, st)
 	}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"objalloc/internal/adaptive"
-	"objalloc/internal/chaos"
 	"objalloc/internal/cost"
 	"objalloc/internal/diskfault"
 	"objalloc/internal/netsim"
@@ -81,7 +80,7 @@ func (f *Flags) Config() (server.Config, error) {
 		Model: m, Coalesce: mode, Seed: *f.seed,
 		Retry: netsim.RetryPolicy{Disabled: *f.noretry, MaxAttempts: *f.attempts},
 	}
-	plan, err := chaos.ParseFaults(*f.faults)
+	plan, err := netsim.ParseFaults(*f.faults)
 	if err != nil {
 		return server.Config{}, err
 	}

@@ -217,7 +217,7 @@ func TestShrinkMinimizesFailure(t *testing.T) {
 	if !again.Failed() {
 		t.Fatal("shrunk scenario no longer fails")
 	}
-	t.Logf("shrunk %d steps to %d (faults %q)", res.StepsRun, len(small.Schedule), FormatFaults(small.Faults))
+	t.Logf("shrunk %d steps to %d (faults %q)", res.StepsRun, len(small.Schedule), netsim.FormatFaults(small.Faults))
 }
 
 // TestShrinkOnPassingScenarioIsIdentity leaves healthy scenarios alone.
@@ -261,11 +261,11 @@ func TestFaultsRoundTrip(t *testing.T) {
 		"loss=0.15,dup=0.1,delay=0.2,delaymax=4,flap=0.01,flaplen=3",
 	}
 	for _, s := range cases {
-		plan, err := ParseFaults(s)
+		plan, err := netsim.ParseFaults(s)
 		if err != nil {
 			t.Fatalf("%q: %v", s, err)
 		}
-		back, err := ParseFaults(FormatFaults(plan))
+		back, err := netsim.ParseFaults(netsim.FormatFaults(plan))
 		if err != nil {
 			t.Fatalf("%q re-parse: %v", s, err)
 		}
@@ -274,7 +274,7 @@ func TestFaultsRoundTrip(t *testing.T) {
 		}
 	}
 	for _, s := range []string{"loss", "loss=x", "bogus=1", "loss=1.5", "delaymax=-1", "seed=abc"} {
-		if _, err := ParseFaults(s); err == nil {
+		if _, err := netsim.ParseFaults(s); err == nil {
 			t.Errorf("%q accepted", s)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"objalloc/internal/diskfault"
+	"objalloc/internal/netsim"
 )
 
 // FuzzParseDiskFaults throws arbitrary strings at the -disk-faults plan
@@ -51,14 +52,14 @@ func FuzzParseFaults(f *testing.F) {
 	f.Add("loss=NaN")
 	f.Add("delaymax=9999999999999999999")
 	f.Fuzz(func(t *testing.T, s string) {
-		plan, err := ParseFaults(s)
+		plan, err := netsim.ParseFaults(s)
 		if err != nil {
 			return
 		}
 		if verr := plan.Validate(); verr != nil {
 			t.Fatalf("accepted %q but plan invalid: %v", s, verr)
 		}
-		back, err := ParseFaults(FormatFaults(plan))
+		back, err := netsim.ParseFaults(netsim.FormatFaults(plan))
 		if err != nil {
 			t.Fatalf("formatted form of %q rejected: %v", s, err)
 		}

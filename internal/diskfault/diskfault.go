@@ -14,8 +14,8 @@
 //   - fsync failures with fsyncgate-correct semantics: a failed fsync
 //     DROPS the dirty (unsynced) bytes — the page cache marked them
 //     clean on error, exactly the Postgres-discovered kernel behavior —
-//     and poisons the handle, so the only safe continuation is discard
-//     + reopen + rebuild from the durable prefix. A retried fsync on
+//     and poisons the handle, so the only safe continuation is discard,
+//     reopen and rebuild from the durable prefix. A retried fsync on
 //     the poisoned handle fails with ErrSyncRetried rather than
 //     silently "succeeding", which is how the harness proves the
 //     caller never trusts a post-failure fsync.

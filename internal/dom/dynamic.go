@@ -124,15 +124,14 @@ func (d *Dynamic) Step(q model.Request) model.Step {
 		}
 		// Non-data processor: fetch from a member of F and save,
 		// joining the allocation scheme.
-		var server model.ProcessorID
-		if d.f.IsEmpty() {
+		candidates := d.f
+		if candidates.IsEmpty() {
 			// t = 1 degenerate case: F is empty; serve from any data
 			// processor. The paper assumes t >= 2, where F is never
 			// empty; this keeps t = 1 well-defined.
-			server = d.pick(d.scheme)
-		} else {
-			server = d.pick(d.f)
+			candidates = d.scheme
 		}
+		server := d.pick(i, candidates)
 		d.scheme = d.scheme.Add(i)
 		return model.Step{Request: q, Exec: model.NewSet(server), Saving: true}
 	}

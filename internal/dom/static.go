@@ -23,19 +23,19 @@ type Static struct {
 	pick Picker
 }
 
-// Picker chooses one member of a non-empty set; it is the policy behind
-// "an arbitrary processor in Q". Deterministic pickers make runs
-// reproducible.
-type Picker func(model.Set) model.ProcessorID
+// Picker chooses which member of a non-empty candidate set serves a
+// reader outside it; it is the policy behind "an arbitrary processor in
+// Q". Deterministic pickers make runs reproducible.
+type Picker func(reader model.ProcessorID, candidates model.Set) model.ProcessorID
 
 // MinPicker always chooses the smallest processor id of the set.
-func MinPicker(s model.Set) model.ProcessorID { return s.Min() }
+func MinPicker(_ model.ProcessorID, s model.Set) model.ProcessorID { return s.Min() }
 
 // RotatingPicker returns a Picker that cycles through the members of
 // whatever set it is given, spreading load across them.
 func RotatingPicker() Picker {
 	i := 0
-	return func(s model.Set) model.ProcessorID {
+	return func(_ model.ProcessorID, s model.Set) model.ProcessorID {
 		id := s.Member(i % s.Size())
 		i++
 		return id
@@ -105,5 +105,5 @@ func (s *Static) Step(q model.Request) model.Step {
 	if s.q.Contains(q.Processor) {
 		return model.Step{Request: q, Exec: model.NewSet(q.Processor)}
 	}
-	return model.Step{Request: q, Exec: model.NewSet(s.pick(s.q))}
+	return model.Step{Request: q, Exec: model.NewSet(s.pick(q.Processor, s.q))}
 }

@@ -200,11 +200,9 @@ func (m Model) ScheduleCost(a model.AllocSchedule, initial model.Set) float64 {
 	return total
 }
 
-// CheapestServerPicker returns a dom.Picker that serves each request from
-// the member of the candidate set with the cheapest request+data round
-// trip to the reader. Because dom.Picker does not see the reader, the
-// picker is curried per reader: use PickerFor inside custom algorithms, or
-// ServerFor directly.
+// ServerFor is the topology-aware dom.Picker: the member of the
+// candidate set with the cheapest request+data round trip to the reader
+// (the smallest id among equals).
 func (m Model) ServerFor(reader model.ProcessorID, candidates model.Set) model.ProcessorID {
 	best := candidates.Min()
 	bestCost := m.Control[reader][best] + m.Data[best][reader]
@@ -231,18 +229,12 @@ func (m Model) EvaluateFactory(f dom.Factory, initial model.Set, t int, sched mo
 	return m.ScheduleCost(las, initial), las, nil
 }
 
-// AwareDynamic is DA with a topology-aware read policy: a non-data
-// processor's read is served by the member of F with the cheapest
-// request+data round trip to the reader, instead of an arbitrary member.
-// Under homogeneous prices it coincides with dom.Dynamic; under clustered
-// topologies it keeps remote reads inside the reader's cluster whenever F
-// spans clusters.
-type AwareDynamic struct {
-	m      Model
-	f      model.Set
-	anchor model.ProcessorID
-	scheme model.Set
-}
+// AwareDynamic is DA (§4.2.2) with a topology-aware read policy:
+// dom.Dynamic with ServerFor as its picker, in place of an arbitrary
+// member of F. Under homogeneous prices it coincides with plain DA; under
+// clustered topologies it keeps remote reads inside the reader's cluster
+// whenever F spans clusters.
+type AwareDynamic struct{ *dom.Dynamic }
 
 // NewAwareDynamic builds the topology-aware DA: core F = the t-1 smallest
 // members of initial, designated processor = the next member.
@@ -250,14 +242,11 @@ func NewAwareDynamic(m Model, initial model.Set, t int) (*AwareDynamic, error) {
 	if t < 2 {
 		return nil, fmt.Errorf("hetero: AwareDynamic requires t >= 2")
 	}
-	if initial.Size() < t {
-		return nil, fmt.Errorf("hetero: initial scheme %v smaller than t = %d", initial, t)
+	da, err := dom.NewDynamic(initial, t)
+	if err != nil {
+		return nil, err
 	}
-	var f model.Set
-	for k := 0; k < t-1; k++ {
-		f = f.Add(initial.Member(k))
-	}
-	return &AwareDynamic{m: m, f: f, anchor: initial.Member(t - 1), scheme: initial}, nil
+	return &AwareDynamic{da.(*dom.Dynamic).WithPicker(m.ServerFor)}, nil
 }
 
 // AwareDynamicFactory returns the dom.Factory form.
@@ -269,27 +258,3 @@ func AwareDynamicFactory(m Model) dom.Factory {
 
 // Name implements dom.Algorithm.
 func (a *AwareDynamic) Name() string { return "DA-aware" }
-
-// Scheme implements dom.Algorithm.
-func (a *AwareDynamic) Scheme() model.Set { return a.scheme }
-
-// Step implements dom.Algorithm.
-func (a *AwareDynamic) Step(q model.Request) model.Step {
-	i := q.Processor
-	if q.IsRead() {
-		if a.scheme.Contains(i) {
-			return model.Step{Request: q, Exec: model.NewSet(i)}
-		}
-		server := a.m.ServerFor(i, a.f)
-		a.scheme = a.scheme.Add(i)
-		return model.Step{Request: q, Exec: model.NewSet(server), Saving: true}
-	}
-	var exec model.Set
-	if a.f.Contains(i) || i == a.anchor {
-		exec = a.f.Add(a.anchor)
-	} else {
-		exec = a.f.Add(i)
-	}
-	a.scheme = exec
-	return model.Step{Request: q, Exec: exec}
-}

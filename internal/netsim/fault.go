@@ -3,6 +3,8 @@ package netsim
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"objalloc/internal/model"
 )
@@ -258,4 +260,88 @@ func (l *link) dueHeldLocked(all bool) []heldMessage {
 		return out[i].seq < out[j].seq
 	})
 	return out
+}
+
+// ParseFaults decodes the -faults flag syntax: comma-separated key=value
+// pairs, e.g.
+//
+//	loss=0.15,dup=0.1,delay=0.2,delaymax=4,flap=0.01,flaplen=3
+//
+// Keys are loss, dup, delay, delaymax, flap, flaplen, and seed; unknown
+// keys, malformed numbers, and out-of-range probabilities are errors. The
+// empty string is a valid no-fault plan.
+func ParseFaults(s string) (FaultPlan, error) {
+	var plan FaultPlan
+	if strings.TrimSpace(s) == "" {
+		return plan, nil
+	}
+	for _, part := range strings.Split(s, ",") {
+		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok {
+			return plan, fmt.Errorf("netsim: fault term %q is not key=value", part)
+		}
+		key = strings.TrimSpace(key)
+		val = strings.TrimSpace(val)
+		switch key {
+		case "loss", "dup", "delay", "flap":
+			f, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				return plan, fmt.Errorf("netsim: fault %s: %w", key, err)
+			}
+			switch key {
+			case "loss":
+				plan.Loss = f
+			case "dup":
+				plan.Dup = f
+			case "delay":
+				plan.Delay = f
+			case "flap":
+				plan.Flap = f
+			}
+		case "delaymax", "flaplen":
+			n, err := strconv.Atoi(val)
+			if err != nil {
+				return plan, fmt.Errorf("netsim: fault %s: %w", key, err)
+			}
+			if key == "delaymax" {
+				plan.DelayMax = n
+			} else {
+				plan.FlapLen = n
+			}
+		case "seed":
+			n, err := strconv.ParseUint(val, 10, 64)
+			if err != nil {
+				return plan, fmt.Errorf("netsim: fault seed: %w", err)
+			}
+			plan.Seed = n
+		default:
+			return plan, fmt.Errorf("netsim: unknown fault key %q", key)
+		}
+	}
+	if err := plan.Validate(); err != nil {
+		return FaultPlan{}, err
+	}
+	return plan, nil
+}
+
+// FormatFaults renders a plan back into ParseFaults syntax (omitting zero
+// terms and the seed, which the scenario carries separately).
+func FormatFaults(p FaultPlan) string {
+	var terms []string
+	add := func(k string, v float64) {
+		if v != 0 {
+			terms = append(terms, k+"="+strconv.FormatFloat(v, 'g', -1, 64))
+		}
+	}
+	add("loss", p.Loss)
+	add("dup", p.Dup)
+	add("delay", p.Delay)
+	if p.DelayMax != 0 {
+		terms = append(terms, "delaymax="+strconv.Itoa(p.DelayMax))
+	}
+	add("flap", p.Flap)
+	if p.FlapLen != 0 {
+		terms = append(terms, "flaplen="+strconv.Itoa(p.FlapLen))
+	}
+	return strings.Join(terms, ",")
 }

@@ -23,10 +23,8 @@ type CLIOptions struct {
 	// Empty disables the file. The file is deterministic: same seed, same
 	// bytes, for any parallelism.
 	Metrics string
-	// Progress enables periodic progress lines on stderr.
+	// Progress enables progress lines on stderr, at most one a second.
 	Progress bool
-	// ProgressInterval rate-limits progress lines; zero means one second.
-	ProgressInterval time.Duration
 	// PprofAddr, when non-empty, serves net/http/pprof and expvar (the
 	// registry appears under the "objalloc" var) on this address.
 	PprofAddr string
@@ -71,15 +69,11 @@ func StartCLI(opts CLIOptions) (*CLI, error) {
 		o.Sink = c.sink
 	}
 	if opts.Progress {
-		interval := opts.ProgressInterval
-		if interval == 0 {
-			interval = time.Second
-		}
 		label := opts.Label
 		if label == "" {
 			label = "progress"
 		}
-		c.progress = NewProgress(os.Stderr, label, interval)
+		c.progress = NewProgress(os.Stderr, label, time.Second)
 		o.Observer = c.progress
 	}
 	if opts.PprofAddr != "" {

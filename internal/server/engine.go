@@ -3,8 +3,6 @@ package server
 import (
 	"fmt"
 	"strings"
-
-	"objalloc/internal/dom"
 )
 
 // Engine selects the per-shard object-management engine. Every engine
@@ -57,12 +55,4 @@ func ParseEngine(s string) (Engine, error) {
 	default:
 		return 0, fmt.Errorf("server: unknown engine %q (want da, sa or adaptive; the ha clusters run under cmd/chaos, not the server)", s)
 	}
-}
-
-// factoryFor resolves a fixed-protocol engine's DOM factory.
-func factoryFor(e Engine) dom.Factory {
-	if e == EngineSA {
-		return dom.StaticFactory
-	}
-	return dom.DynamicFactory
 }

@@ -54,6 +54,21 @@ func (u *Unavailable) Error() string {
 // Unwrap exposes the escalating fault to errors.Is/As.
 func (u *Unavailable) Unwrap() error { return u.Cause }
 
+// Refused is the client's view of a 4xx reply other than 429: the server
+// rejected the batch as sent (a malformed request, a body over the size
+// limit), and will reject a resend the same way.
+type Refused struct {
+	// Status is the HTTP status code.
+	Status int
+	// Message is the reply body: the server's diagnostic.
+	Message string
+}
+
+// Error implements error.
+func (r *Refused) Error() string {
+	return fmt.Sprintf("server: batch refused (HTTP %d): %s", r.Status, r.Message)
+}
+
 // failedRetryAfter is the probe interval advertised by a failed shard.
 const failedRetryAfter = time.Second
 

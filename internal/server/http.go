@@ -314,9 +314,10 @@ func (c *Client) Batch(reqs []WireRequest) (BatchResponse, error) {
 
 // BatchTraced posts one batch under the given trace context, sent as a
 // traceparent header so the server's spans parent to the caller's
-// trace. A zero context sends no header. A reply whose done count is
-// negative, exceeds the batch or disagrees with its results is a decode
-// error, so callers may slice reqs[resp.Done:] unchecked.
+// trace. A zero context sends no header. A 4xx other than 429 is a
+// *Refused. A reply whose done count is negative, exceeds the batch or
+// disagrees with its results is a decode error, so callers may slice
+// reqs[resp.Done:] unchecked.
 func (c *Client) BatchTraced(sc tracing.SpanContext, reqs []WireRequest) (BatchResponse, error) {
 	// The body is built fresh per call: the transport may still be
 	// reading it when an early reply (a 413) comes back.
@@ -337,7 +338,11 @@ func (c *Client) BatchTraced(sc tracing.SpanContext, reqs []WireRequest) (BatchR
 	scratch := getScratch()
 	defer putScratch(scratch)
 	var resp BatchResponse
-	if scratch.buf, err = readAll(scratch.buf, httpResp.Body); err == nil {
+	scratch.buf, err = readAll(scratch.buf, httpResp.Body)
+	if code := httpResp.StatusCode; err == nil && code/100 == 4 && code != http.StatusTooManyRequests {
+		return BatchResponse{}, &Refused{Status: code, Message: string(bytes.TrimSpace(scratch.buf))}
+	}
+	if err == nil {
 		err = decodeBatchResponse(scratch.buf, &resp)
 	}
 	if err == nil && (resp.Done < 0 || resp.Done > len(reqs) || len(resp.Results) != resp.Done) {
@@ -368,8 +373,9 @@ const (
 // requests, a retried batch is billed exactly once: the restarted
 // server answers already-serviced sequences idempotently. The loop
 // stops at ctx's deadline, when the server reports draining or a
-// fail-stopped shard, or when every request has been serviced; the
-// returned results cover the requests actually serviced.
+// fail-stopped shard or refuses the batch as sent (*Refused), or when
+// every request has been serviced; the returned results cover the
+// requests actually serviced.
 func (c *Client) BatchAllCtx(ctx context.Context, sc tracing.SpanContext, reqs []WireRequest) ([]WireResult, error) {
 	state := uint64(c.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	splitmix64(&state)
@@ -387,6 +393,10 @@ func (c *Client) BatchAllCtx(ctx context.Context, sc tracing.SpanContext, reqs [
 		}
 		resp, err := c.BatchTraced(sc, reqs)
 		if err != nil {
+			var refused *Refused
+			if errors.As(err, &refused) {
+				return out, fmt.Errorf("server: %d requests unserviced: %w", len(reqs), err)
+			}
 			// Transport error: the daemon may be restarting. Per-object
 			// order is preserved because the whole tail is resent.
 			if serr := sleepCtx(ctx, jitter(backoff)); serr != nil {

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -484,5 +486,39 @@ func TestClientRejectsImpossibleDone(t *testing.T) {
 	defer cancel()
 	if out, err := c.BatchAllCtx(ctx, tracing.SpanContext{}, reqs); err == nil || len(out) != 0 {
 		t.Errorf("BatchAllCtx on a malformed reply: %d results, err = %v", len(out), err)
+	}
+}
+
+// TestClientReturnsPermanentRefusal: a 4xx other than 429 will be
+// repeated for a resend, so the retrying client must hand the server's
+// diagnostic back at once, with what was serviced before it, instead of
+// re-posting until its deadline and reporting only that (it used to: 9
+// posts over a 2 s deadline, then "context deadline exceeded").
+func TestClientReturnsPermanentRefusal(t *testing.T) {
+	s := newFuzzServer(t) // N = 4
+	var posts atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if posts.Add(1) == 1 {
+			// A partial reply first, so the refusal arrives with results in hand.
+			fmt.Fprint(w, `{"done":1,"results":[{"object":"a","op":"r","processor":0,"cost":1}],"retry_after_ms":1}`)
+			return
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	reqs := []WireRequest{{Object: "a", Op: "r", Processor: 0}, {Object: "a", Op: "r", Processor: 99}}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	out, err := (&Client{Base: ts.URL}).BatchAllCtx(ctx, tracing.SpanContext{}, reqs)
+	var refused *Refused
+	if !errors.As(err, &refused) || refused.Status != http.StatusBadRequest || !strings.Contains(err.Error(), "processor 99 outside [0,4)") {
+		t.Fatalf("err = %v, want a *Refused carrying the 400 and the server's message", err)
+	}
+	if len(out) != 1 || posts.Load() != 2 || time.Since(start) > time.Second {
+		t.Errorf("%d results after %d posts in %s, want 1 after 2 (one partial, one refused) well under the 2 s deadline", len(out), posts.Load(), time.Since(start))
+	}
+	if s.Stats().Accepted != 0 {
+		t.Errorf("the refused batch admitted %d requests", s.Stats().Accepted)
 	}
 }

@@ -64,7 +64,7 @@ const (
 	// CoalesceAuto enables coalescing exactly when it is provably free:
 	// the mobile-computers model (CIO = 0) under the dynamic-allocation
 	// engine, where the first read installed a local copy and a repeat
-	// local read costs nothing. Any Factory override disables it.
+	// local read costs nothing.
 	CoalesceAuto CoalesceMode = iota
 	// CoalesceOn forces coalescing on (da and sa engines only).
 	CoalesceOn
@@ -96,13 +96,6 @@ type Config struct {
 	T int
 	// Model prices the accounting; the zero model means cost.SC(0.25, 1).
 	Model cost.Model
-	// Factory overrides the engine's DOM factory; nil derives it from
-	// Engine. A factory whose algorithms cannot export their state
-	// disables checkpointing (the journal degrades to full replay).
-	Factory dom.Factory
-	// Placement maps a new object to its initial allocation scheme; nil
-	// places every object at {0..T-1}.
-	Placement func(name string) model.Set
 	// Coalesce selects the read-coalescing mode.
 	Coalesce CoalesceMode
 	// Seed perturbs every per-object fault stream; fixed seed + fixed
@@ -154,7 +147,10 @@ type Config struct {
 	// at any Shards/parallelism — see package tracing.
 	Trace *tracing.Tracer
 
-	coalesce bool // resolved by Normalize
+	// Resolved by Normalize: whether reads coalesce, and the engine's DOM
+	// factory. Every object starts at {0..T-1}.
+	coalesce bool
+	factory  dom.Factory
 
 	// testBeforeRound, when non-nil, runs at the top of every service
 	// round; tests use it to stall a shard and force overload.
@@ -212,7 +208,7 @@ func (cfg *Config) Normalize() error {
 	}
 	switch cfg.Coalesce {
 	case CoalesceAuto:
-		cfg.coalesce = cfg.Model.IsMobile() && cfg.Engine == EngineDA && cfg.Factory == nil
+		cfg.coalesce = cfg.Model.IsMobile() && cfg.Engine == EngineDA
 	case CoalesceOn:
 		if cfg.Engine == EngineAdaptive {
 			// Coalesced reads never reach the engine, so the controller's
@@ -225,19 +221,16 @@ func (cfg *Config) Normalize() error {
 	default:
 		return fmt.Errorf("server: unknown coalesce mode %d", cfg.Coalesce)
 	}
-	if cfg.Placement == nil {
-		t := cfg.T
-		cfg.Placement = func(string) model.Set { return model.FullSet(t) }
-	}
 	if err := cfg.Adaptive.Normalize(); err != nil {
 		return err
 	}
-	if cfg.Factory == nil {
-		if cfg.Engine == EngineAdaptive {
-			cfg.Factory = adaptive.Factory(cfg.Model, cfg.Adaptive)
-		} else {
-			cfg.Factory = factoryFor(cfg.Engine)
-		}
+	switch cfg.Engine {
+	case EngineAdaptive:
+		cfg.factory = adaptive.Factory(cfg.Model, cfg.Adaptive)
+	case EngineSA:
+		cfg.factory = dom.StaticFactory
+	default:
+		cfg.factory = dom.DynamicFactory
 	}
 	return nil
 }

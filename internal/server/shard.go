@@ -271,19 +271,12 @@ func (sh *shard) commit() *journalFaultError {
 // checkpoint exports the request state as a checkpoint record, or nil
 // when one cannot be taken right now: a delay-held task has consumed
 // fault-stream draws for a record not yet journaled, so a snapshot would
-// desync replay's redraws. An engine that cannot export (custom
-// non-restorable factory) disables checkpointing for good and the
-// journal degrades to full replay.
-func (sh *shard) checkpoint() *ckptRecord {
+// desync replay's redraws.
+func (sh *shard) checkpoint() (*ckptRecord, error) {
 	if len(sh.held) > 0 {
-		return nil
+		return nil, nil
 	}
-	rec, err := sh.st.Load().export()
-	if err != nil {
-		sh.journal.ckptDisabled = true
-		return nil
-	}
-	return rec
+	return sh.st.Load().export()
 }
 
 // tickHeld releases every held task whose round has come, in hold order.
@@ -515,9 +508,8 @@ type journalWriter struct {
 	bufRecs int   // records in buf, folded into sinceCkpt on commit
 	size    int64 // committed (write+fsync completed) bytes; the
 	// recovery truncation point — anything beyond it was never acked
-	every        int // checkpoint cadence; <1 disables
-	sinceCkpt    int
-	ckptDisabled bool
+	every     int // checkpoint cadence; <1 disables
+	sinceCkpt int
 }
 
 // openJournal opens a shard journal. appendTail resumes an existing
@@ -607,14 +599,14 @@ func (j *journalWriter) commitRecords() error {
 
 // commitCheckpoint appends a checkpoint record durably when the cadence
 // has elapsed and ckpt yields one. A nil ckpt result (held tasks in
-// flight, or a non-restorable engine) just postpones the checkpoint.
-func (j *journalWriter) commitCheckpoint(ckpt func() *ckptRecord) error {
-	if j.every <= 0 || j.ckptDisabled || j.sinceCkpt < j.every || ckpt == nil {
+// flight) just postpones the checkpoint.
+func (j *journalWriter) commitCheckpoint(ckpt func() (*ckptRecord, error)) error {
+	if j.every <= 0 || j.sinceCkpt < j.every {
 		return nil
 	}
-	rec := ckpt()
+	rec, err := ckpt()
 	if rec == nil {
-		return nil
+		return err
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {

@@ -89,12 +89,7 @@ type shardState struct {
 }
 
 func newShardState(cfg *Config) (*shardState, error) {
-	db, err := multiobject.Open(multiobject.Config{
-		Factory:   cfg.Factory,
-		T:         cfg.T,
-		Placement: cfg.Placement,
-		Model:     cfg.Model,
-	})
+	db, err := multiobject.Open(multiobject.Config{Factory: cfg.factory, T: cfg.T, Model: cfg.Model})
 	if err != nil {
 		return nil, err
 	}
@@ -252,8 +247,8 @@ func float01(state *uint64) float64 {
 	return float64(splitmix64(state)>>11) / (1 << 53)
 }
 
-// export serializes the state as a checkpoint record. It fails only
-// when the engine cannot export (a custom non-restorable Factory).
+// export serializes the state as a checkpoint record. The three engines
+// all export, so a failure here is a bug surfacing as a checkpoint fault.
 func (st *shardState) export() (*ckptRecord, error) {
 	objs, err := st.db.Export()
 	if err != nil {

@@ -267,7 +267,6 @@ func (sh *shard) recoverState() error {
 	if err != nil {
 		return err
 	}
-	nj.ckptDisabled = sh.journal.ckptDisabled
 	sh.journal = nj
 	// One pointer store swaps the engine, every table and the counters;
 	// a concurrent Stats scrape sees the old state or the new, never a

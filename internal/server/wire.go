@@ -3,20 +3,20 @@ package server
 // The /v1/batch wire codec (DESIGN S30). The four wire structs are
 // fixed, so nothing about them needs discovering per request: the
 // encoders append exactly the bytes encoding/json emits for them, and
-// the decoder accepts exactly the inputs json.Unmarshal accepts for
-// them, with the same resulting value. The handler, the client and the
-// journal writer share it; encoding/json stays where nothing is
-// per-request (stats, healthz, checkpoints, replay).
+// the decoders recognise exactly those bytes — what every client in the
+// tree sends — and leave any other text to json.Unmarshal, so the
+// language accepted is encoding/json's because encoding/json reads it.
+// The handler, the client and the journal writer share the codec;
+// encoding/json alone stays where nothing is per-request (stats,
+// healthz, checkpoints, replay).
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"sync"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"objalloc/internal/model"
@@ -161,440 +161,225 @@ func appendBatchResponse(b []byte, resp *BatchResponse) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// wireField is one member of a wire struct's schema: its JSON key and
-// how to decode the value under it.
-type wireField[T any] struct {
-	key string
-	set func(d *wireDecoder, v *T) error
-}
-
-var (
-	wireRequestFields = []wireField[WireRequest]{
-		{"object", func(d *wireDecoder, r *WireRequest) error { return d.str(&r.Object) }},
-		{"op", func(d *wireDecoder, r *WireRequest) error { return d.str(&r.Op) }},
-		{"processor", func(d *wireDecoder, r *WireRequest) error { return decodeNumber(d, &r.Processor, true, atoi) }},
-		{"seq", func(d *wireDecoder, r *WireRequest) error { return decodeNumber(d, &r.Seq, true, atou64) }},
-	}
-	batchRequestFields = []wireField[BatchRequest]{
-		{"requests", func(d *wireDecoder, b *BatchRequest) error {
-			return decodeSlice(d, wireRequestFields, &b.Requests)
-		}},
-	}
-	wireResultFields = []wireField[WireResult]{
-		{"object", func(d *wireDecoder, r *WireResult) error { return d.str(&r.Object) }},
-		{"op", func(d *wireDecoder, r *WireResult) error { return d.str(&r.Op) }},
-		{"processor", func(d *wireDecoder, r *WireResult) error { return decodeNumber(d, &r.Processor, true, atoi) }},
-		{"cost", func(d *wireDecoder, r *WireResult) error { return decodeNumber(d, &r.Cost, false, atof64) }},
-		{"coalesced", func(d *wireDecoder, r *WireResult) error { return d.bool(&r.Coalesced) }},
-		{"retransmits", func(d *wireDecoder, r *WireResult) error { return decodeNumber(d, &r.Retransmits, true, atoi) }},
-		{"duplicate", func(d *wireDecoder, r *WireResult) error { return d.bool(&r.Duplicate) }},
-		{"err", func(d *wireDecoder, r *WireResult) error { return d.str(&r.Err) }},
-	}
-	batchResponseFields = []wireField[BatchResponse]{
-		{"done", func(d *wireDecoder, b *BatchResponse) error { return decodeNumber(d, &b.Done, true, atoi) }},
-		{"results", func(d *wireDecoder, b *BatchResponse) error {
-			return decodeSlice(d, wireResultFields, &b.Results)
-		}},
-		{"retry_after_ms", func(d *wireDecoder, b *BatchResponse) error { return decodeNumber(d, &b.RetryAfterMS, true, atoi64) }},
-		{"draining", func(d *wireDecoder, b *BatchResponse) error { return d.bool(&b.Draining) }},
-		{"unavailable", func(d *wireDecoder, b *BatchResponse) error { return d.bool(&b.Unavailable) }},
-	}
-)
-
-// decodeBatchRequest is json.Unmarshal(data, req) without reflection:
-// it fails on exactly the inputs Unmarshal fails on (trailing bytes
-// included) and otherwise leaves req as Unmarshal would.
+// decodeBatchRequest is json.Unmarshal(data, req): the bytes
+// appendBatchRequest writes are recognised in one pass without
+// reflection, and any other text is encoding/json's to read or refuse.
 func decodeBatchRequest(data []byte, req *BatchRequest) error {
-	return decodeWire(data, batchRequestFields, req)
+	if recogniseBatchRequest(data, req) {
+		return nil
+	}
+	return json.Unmarshal(data, req)
 }
 
-// decodeBatchResponse is json.Unmarshal(data, resp), likewise.
+// decodeBatchResponse is json.Unmarshal(data, resp), likewise over
+// appendBatchResponse's bytes.
 func decodeBatchResponse(data []byte, resp *BatchResponse) error {
-	return decodeWire(data, batchResponseFields, resp)
-}
-
-func decodeWire[T any](data []byte, fields []wireField[T], v *T) error {
-	d := wireDecoder{data: data}
-	d.space()
-	if err := decodeObject(&d, fields, v); err != nil {
-		return err
-	}
-	if d.space(); d.pos < len(d.data) {
-		return d.errorf("data after the top-level value")
-	}
-	return nil
-}
-
-// maxWireDepth is encoding/json's nesting limit: the 10 001st open
-// bracket is an error.
-const maxWireDepth = 10000
-
-// wireDecoder is a cursor over one JSON text. Every value method
-// starts at the value's first byte and leaves pos just past its last.
-type wireDecoder struct {
-	data  []byte
-	pos   int
-	depth int    // brackets open at pos
-	tmp   []byte // unquoted text of the last string that needed rewriting
-}
-
-func (d *wireDecoder) errorf(format string, args ...any) error {
-	return fmt.Errorf("wire: offset %d: %s", d.pos, fmt.Sprintf(format, args...))
-}
-
-func (d *wireDecoder) space() {
-	for d.pos < len(d.data) {
-		if c := d.data[d.pos]; c != ' ' && c != '\n' && c != '\t' && c != '\r' {
-			return
-		}
-		d.pos++
-	}
-}
-
-// consume steps over c if it is the next byte.
-func (d *wireDecoder) consume(c byte) bool {
-	if d.pos < len(d.data) && d.data[d.pos] == c {
-		d.pos++
-		return true
-	}
-	return false
-}
-
-// literal steps over lit if the text continues with it. A longer word
-// (nullx) is caught by whoever looks for the next delimiter.
-func (d *wireDecoder) literal(lit string) bool {
-	if len(d.data)-d.pos >= len(lit) && string(d.data[d.pos:d.pos+len(lit)]) == lit {
-		d.pos += len(lit)
-		return true
-	}
-	return false
-}
-
-// each walks a container — an object's members or an array's elements
-// — calling item at the start of every one. It owns the brackets, the
-// commas and the depth limit, for both schemas and for skipped values.
-func (d *wireDecoder) each(opening, closing byte, item func() error) error {
-	if !d.consume(opening) {
-		return d.errorf("want %q", opening)
-	}
-	if d.depth++; d.depth > maxWireDepth {
-		return d.errorf("exceeded max depth")
-	}
-	d.space()
-	for first := true; !d.consume(closing); first = false {
-		if !first && !d.consume(',') {
-			return d.errorf("want ',' or %q", closing)
-		}
-		d.space()
-		if err := item(); err != nil {
-			return err
-		}
-		d.space()
-	}
-	d.depth--
-	return nil
-}
-
-// decodeObject decodes the next value into v the way encoding/json
-// decodes into a struct: null leaves v alone; an object sets, member by
-// member in input order, the field whose key matches exactly or else
-// under Unicode case folding, on top of what v already holds, and
-// validates and skips members no field claims; anything else is an
-// error. A nil schema skips a whole object.
-func decodeObject[T any](d *wireDecoder, fields []wireField[T], v *T) error {
-	if d.literal("null") {
+	if recogniseBatchResponse(data, resp) {
 		return nil
 	}
-	// Members nearly always arrive in schema order, so the search for
-	// each key starts where the previous one matched.
-	next := 0
-	return d.each('{', '}', func() error {
-		key, err := d.string()
-		if err != nil {
-			return err
-		}
-		if d.space(); !d.consume(':') {
-			return d.errorf("want ':' after object key")
-		}
-		d.space()
-		f := findField(fields, key, next)
-		if f < 0 {
-			return d.skip()
-		}
-		next = f + 1
-		return fields[f].set(d, v)
-	})
+	return json.Unmarshal(data, resp)
 }
 
-func findField[T any](fields []wireField[T], key []byte, hint int) int {
-	if hint < len(fields) && string(key) == fields[hint].key {
-		return hint
+// recogniseBatchRequest reads data into req as json.Unmarshal would and
+// reports true if data is in appendBatchRequest's form; if not, it
+// reports false with req, backing array included, as it found it.
+func recogniseBatchRequest(data []byte, req *BatchRequest) bool {
+	c := canon{data: data, ok: true}
+	c.lit(`{"requests":`)
+	requests, wrote := elements(&c, req.Requests, (*canon).request)
+	c.lit(`}`)
+	if !c.end() {
+		clear(wrote)
+		return false
 	}
-	for i := range fields {
-		if string(key) == fields[i].key {
-			return i
-		}
-	}
-	for i := range fields {
-		if bytes.EqualFold(key, []byte(fields[i].key)) {
-			return i
-		}
-	}
-	return -1
+	req.Requests = requests
+	return true
 }
 
-// decodeSlice decodes the next value into *p the way encoding/json
-// decodes into a slice of structs: null makes it nil; an array decodes
-// element i on top of whatever the slice's backing array already holds
-// at i (zero beyond its capacity), truncates to the count read, and
-// turns zero elements into a fresh empty slice.
-func decodeSlice[T any](d *wireDecoder, fields []wireField[T], p *[]T) error {
-	if d.literal("null") {
-		*p = nil
-		return nil
+// recogniseBatchResponse is the same over appendBatchResponse's form.
+func recogniseBatchResponse(data []byte, resp *BatchResponse) bool {
+	c, out := canon{data: data, ok: true}, *resp
+	c.lit(`{"done":`)
+	out.Done = c.int()
+	c.lit(`,"results":`)
+	results, wrote := elements(&c, resp.Results, (*canon).result)
+	out.Results = results
+	if c.has(`,"retry_after_ms":`) {
+		out.RetryAfterMS = int64(c.uint()) // 18 digits fit
 	}
-	s, n := *p, 0
-	err := d.each('[', ']', func() error {
-		if n >= cap(s) {
-			var zero T
-			s = append(s[:n], zero)
-		} else if n >= len(s) {
-			s = s[:n+1]
+	if c.has(`,"draining":true`) {
+		out.Draining = true
+	}
+	if c.has(`,"unavailable":true`) {
+		out.Unavailable = true
+	}
+	c.lit(`}`)
+	if !c.end() {
+		clear(wrote)
+		return false
+	}
+	*resp = out
+	return true
+}
+
+// canon is a cursor over a text being tried against the encoders'
+// canonical form: members in declaration order with omitempty's gaps,
+// no space between tokens, strings of unescaped printable ASCII,
+// integers of at most 18 digits with no sign or leading zero, costs as
+// digits[.digits]. ok turns false at the first byte that is anything
+// else and stays false, so a caller reads a whole value and asks once.
+// A text that passes is read as json.Unmarshal reads it; one that does
+// not is declined, which decides nothing about whether it is valid.
+type canon struct {
+	data []byte
+	pos  int
+	ok   bool
+}
+
+// has steps over s if the text continues with it.
+func (c *canon) has(s string) bool {
+	if !c.ok || len(c.data)-c.pos < len(s) || string(c.data[c.pos:c.pos+len(s)]) != s {
+		return false
+	}
+	c.pos += len(s)
+	return true
+}
+
+// lit declines unless the text continues with s.
+func (c *canon) lit(s string) {
+	c.ok = c.has(s)
+}
+
+// end reports whether the text was canonical to its last byte, allowing
+// the white space a framing newline leaves after the top-level value.
+func (c *canon) end() bool {
+	for c.has(" ") || c.has("\n") || c.has("\t") || c.has("\r") {
+	}
+	return c.ok && c.pos == len(c.data)
+}
+
+func (c *canon) str() string {
+	c.lit(`"`)
+	for i := c.pos; c.ok && i < len(c.data); i++ {
+		b := c.data[i]
+		if b == '"' {
+			s := string(c.data[c.pos:i])
+			c.pos = i + 1
+			return s
 		}
-		n++
-		return decodeObject(d, fields, &s[n-1])
-	})
+		c.ok = ' ' <= b && b <= '~' && b != '\\'
+	}
+	c.ok = false
+	return ""
+}
+
+// digits steps over a run of decimal digits and returns it.
+func (c *canon) digits() []byte {
+	start := c.pos
+	for c.pos < len(c.data) && c.data[c.pos]-'0' <= 9 {
+		c.pos++
+	}
+	return c.data[start:c.pos]
+}
+
+func (c *canon) uint() (v uint64) {
+	d := c.digits()
+	if len(d) == 0 || len(d) > 18 || len(d) > 1 && d[0] == '0' {
+		c.ok = false
+	}
+	for _, b := range d {
+		v = v*10 + uint64(b-'0')
+	}
+	return v
+}
+
+func (c *canon) int() int {
+	v := c.uint()
+	if v > math.MaxInt {
+		c.ok = false
+	}
+	return int(v)
+}
+
+// float reads the 'f' form appendFloat writes for a non-negative cost,
+// through the conversion encoding/json uses.
+func (c *canon) float() float64 {
+	start := c.pos
+	c.uint()
+	if c.has(".") && len(c.digits()) == 0 {
+		c.ok = false
+	}
+	f, err := strconv.ParseFloat(string(c.data[start:c.pos]), 64)
 	if err != nil {
-		return err
+		c.ok = false
 	}
-	if n == 0 {
+	return f
+}
+
+func (c *canon) request(r *WireRequest) {
+	c.lit(`{"object":`)
+	r.Object = c.str()
+	c.lit(`,"op":`)
+	r.Op = c.str()
+	c.lit(`,"processor":`)
+	r.Processor = c.int()
+	if c.has(`,"seq":`) {
+		r.Seq = c.uint()
+	}
+	c.lit(`}`)
+}
+
+func (c *canon) result(r *WireResult) {
+	c.lit(`{"object":`)
+	r.Object = c.str()
+	c.lit(`,"op":`)
+	r.Op = c.str()
+	c.lit(`,"processor":`)
+	r.Processor = c.int()
+	c.lit(`,"cost":`)
+	r.Cost = c.float()
+	r.Coalesced = c.has(`,"coalesced":true`)
+	if c.has(`,"retransmits":`) {
+		r.Retransmits = c.int()
+	}
+	r.Duplicate = c.has(`,"duplicate":true`)
+	if c.has(`,"err":`) {
+		r.Err = c.str()
+	}
+	c.lit(`}`)
+}
+
+// elements reads null or an array of canonical elements the way
+// json.Unmarshal reads one into old: null is nil, [] a fresh empty
+// slice, and element i lands on old's backing array at i while that
+// lasts. Unmarshal decodes on top of what the array holds there, and a
+// decline must hand it back as it was, so an element is written only
+// over a zero value — what the pooled scratch and a fresh destination
+// hold — and wrote is the part of old's array to clear on a decline.
+func elements[T comparable](c *canon, old []T, elem func(*canon, *T)) (s, wrote []T) {
+	if c.has("null") {
+		return nil, nil
+	}
+	c.lit("[")
+	var zero T
+	s = old[:0]
+	for n := 0; c.ok && !c.has("]"); n++ {
+		if n > 0 {
+			c.lit(",")
+		}
+		if n < cap(s) && s[:n+1][n] != zero {
+			c.ok = false
+			break
+		}
+		s = append(s, zero)
+		elem(c, &s[n])
+	}
+	wrote = old[:min(len(s), cap(old))]
+	if len(s) == 0 {
 		s = []T{}
 	}
-	*p = s[:n]
-	return nil
+	return s, wrote
 }
-
-// skip validates and steps over one value of any type.
-func (d *wireDecoder) skip() error {
-	if d.pos == len(d.data) {
-		return d.errorf("unexpected end of input")
-	}
-	switch d.data[d.pos] {
-	case '{':
-		return decodeObject[struct{}](d, nil, nil)
-	case '[':
-		return d.each('[', ']', d.skip)
-	case '"':
-		_, err := d.string()
-		return err
-	case 't', 'f', 'n':
-		if d.literal("true") || d.literal("false") || d.literal("null") {
-			return nil
-		}
-		return d.errorf("invalid literal")
-	}
-	_, _, err := d.number()
-	return err
-}
-
-// string reads a JSON string and returns its text. Bytes needing no
-// rewriting are returned as a slice of the input; otherwise the text is
-// built in d.tmp and stays valid until the next rewritten string.
-// Escapes are resolved and invalid UTF-8 (lone surrogate escapes
-// included) becomes U+FFFD, as in encoding/json.
-func (d *wireDecoder) string() ([]byte, error) {
-	if !d.consume('"') {
-		return nil, d.errorf("want a string")
-	}
-	for i := d.pos; i < len(d.data); {
-		c := d.data[i]
-		switch {
-		case c == '"':
-			text := d.data[d.pos:i]
-			d.pos = i + 1
-			return text, nil
-		case c == '\\' || c < ' ':
-			return d.unquote(i)
-		case c < utf8.RuneSelf:
-			i++
-		default:
-			r, size := utf8.DecodeRune(d.data[i:])
-			if r == utf8.RuneError && size == 1 {
-				return d.unquote(i)
-			}
-			i += size
-		}
-	}
-	d.pos = len(d.data)
-	return nil, d.errorf("unterminated string")
-}
-
-// unquote finishes string from the first byte, at i, that cannot be
-// returned in place; data[pos:i] is the clean prefix.
-func (d *wireDecoder) unquote(i int) ([]byte, error) {
-	d.tmp = append(d.tmp[:0], d.data[d.pos:i]...)
-	for d.pos = i; d.pos < len(d.data); {
-		c := d.data[d.pos]
-		switch {
-		case c == '"':
-			d.pos++
-			return d.tmp, nil
-		case c < ' ':
-			return nil, d.errorf("control byte in string")
-		case c == '\\':
-			if err := d.escape(); err != nil {
-				return nil, err
-			}
-		case c < utf8.RuneSelf:
-			d.tmp = append(d.tmp, c)
-			d.pos++
-		default:
-			r, size := utf8.DecodeRune(d.data[d.pos:])
-			d.tmp = utf8.AppendRune(d.tmp, r)
-			d.pos += size
-		}
-	}
-	return nil, d.errorf("unterminated string")
-}
-
-// escape resolves the escape sequence at pos into d.tmp.
-func (d *wireDecoder) escape() error {
-	if d.pos+1 >= len(d.data) {
-		return d.errorf("unterminated string")
-	}
-	c := d.data[d.pos+1]
-	switch c {
-	case '"', '\\', '/':
-	case 'b':
-		c = '\b'
-	case 'f':
-		c = '\f'
-	case 'n':
-		c = '\n'
-	case 'r':
-		c = '\r'
-	case 't':
-		c = '\t'
-	case 'u':
-		r := hex4(d.data[d.pos:])
-		if r < 0 {
-			return d.errorf("invalid \\u escape")
-		}
-		d.pos += 6
-		if utf16.IsSurrogate(r) {
-			// A high surrogate pairs with a low one right behind it;
-			// anything else leaves one U+FFFD and is read on its own.
-			if pair := utf16.DecodeRune(r, hex4(d.data[d.pos:])); pair != unicode.ReplacementChar {
-				d.pos += 6
-				r = pair
-			} else {
-				r = unicode.ReplacementChar
-			}
-		}
-		d.tmp = utf8.AppendRune(d.tmp, r)
-		return nil
-	default:
-		return d.errorf("invalid escape")
-	}
-	d.tmp = append(d.tmp, c)
-	d.pos += 2
-	return nil
-}
-
-// hex4 returns the code unit of a \uXXXX escape at the start of s, or
-// -1 if s does not start with one.
-func hex4(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
-	}
-	r, err := strconv.ParseUint(string(s[2:6]), 16, 16) // no sign, prefix or underscore in base 16
-	if err != nil {
-		return -1
-	}
-	return rune(r)
-}
-
-// number reads a number literal by the JSON grammar; integral reports
-// that it has neither fraction nor exponent.
-func (d *wireDecoder) number() (lit []byte, integral bool, err error) {
-	start := d.pos
-	d.consume('-')
-	digits := func() bool {
-		from := d.pos
-		for d.pos < len(d.data) && '0' <= d.data[d.pos] && d.data[d.pos] <= '9' {
-			d.pos++
-		}
-		return d.pos > from
-	}
-	if !d.consume('0') && !digits() {
-		return nil, false, d.errorf("want a number")
-	}
-	integral = true
-	if d.consume('.') {
-		if integral = false; !digits() {
-			return nil, false, d.errorf("want a digit after '.'")
-		}
-	}
-	if d.consume('e') || d.consume('E') {
-		if integral = false; !d.consume('+') {
-			d.consume('-')
-		}
-		if !digits() {
-			return nil, false, d.errorf("want a digit in the exponent")
-		}
-	}
-	return d.data[start:d.pos], integral, nil
-}
-
-func (d *wireDecoder) str(p *string) error {
-	if d.literal("null") {
-		return nil
-	}
-	b, err := d.string()
-	if err == nil {
-		*p = string(b)
-	}
-	return err
-}
-
-func (d *wireDecoder) bool(p *bool) error {
-	switch {
-	case d.literal("null"):
-	case d.literal("true"):
-		*p = true
-	case d.literal("false"):
-		*p = false
-	default:
-		return d.errorf("want a boolean")
-	}
-	return nil
-}
-
-// decodeNumber stores a number literal as parse reads it; null leaves
-// *p alone. With integral set, a fraction or exponent is a type error
-// (3.0 is not an int), and so is anything parse refuses (range).
-func decodeNumber[T any](d *wireDecoder, p *T, integral bool, parse func([]byte) (T, error)) error {
-	if d.literal("null") {
-		return nil
-	}
-	lit, isInt, err := d.number()
-	if err != nil {
-		return err
-	}
-	n, err := parse(lit)
-	if err != nil || integral && !isInt {
-		return d.errorf("number %s does not fit a %T", lit, n)
-	}
-	*p = n
-	return nil
-}
-
-// The conversions stay in direct calls so that string(b) stays off the
-// heap.
-func atoi(b []byte) (int, error)       { return strconv.Atoi(string(b)) }
-func atoi64(b []byte) (int64, error)   { return strconv.ParseInt(string(b), 10, 64) }
-func atou64(b []byte) (uint64, error)  { return strconv.ParseUint(string(b), 10, 64) }
-func atof64(b []byte) (float64, error) { return strconv.ParseFloat(string(b), 64) }
 
 // maxPooledBuf and maxPooledBatch bound what an idle batchScratch may
 // keep: a body can be 8 MiB (maxBatchBytes), and one such batch must

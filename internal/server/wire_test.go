@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -225,6 +226,10 @@ var wireDecodeSeeds = []string{
 	`{"results":[{"coalesced":1}]}`, `{"results":[{"coalesced":"true"}]}`, `{"results":[{"cost":"1"}]}`, `{"done":[]}`, `{"draining":{}}`,
 }
 
+// maxWireDepth is encoding/json's nesting limit — the 10 001st open
+// bracket is an error — which the deep fuzz seeds straddle.
+const maxWireDepth = 10000
+
 // FuzzWireDecode is the decoder's contract: for any bytes, both
 // decoders fail exactly when json.Unmarshal fails and otherwise
 // produce the value it produces.
@@ -357,5 +362,204 @@ func TestHandleBatchAllocBudget(t *testing.T) {
 		t.Fatalf("%.1f allocations per %d-request batch, budget %d", got, size, batchAllocBudget)
 	} else {
 		t.Logf("%.1f allocations per %d-request batch (budget %d)", got, size, batchAllocBudget)
+	}
+}
+
+// plainString reports whether the encoder writes s as it stands and the
+// recogniser reads it: printable ASCII with nothing appendString escapes.
+func plainString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || strings.IndexByte(`"\<>&`, c) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// plainInt: no sign, at most 18 digits.
+func plainInt(v int) bool { return v >= 0 && int64(v) < 1e18 }
+
+// plainCost: non-negative, in appendFloat's 'f' form with at most 18
+// integer digits.
+func plainCost(f float64) bool { return !math.Signbit(f) && (f == 0 || f >= 1e-6 && f < 1e18) }
+
+func plainRequest(req *BatchRequest) bool {
+	for _, r := range req.Requests {
+		if !plainString(r.Object) || !plainString(r.Op) || !plainInt(r.Processor) || r.Seq >= 1e18 {
+			return false
+		}
+	}
+	return true
+}
+
+func plainResponse(resp *BatchResponse) bool {
+	for _, r := range resp.Results {
+		if !plainString(r.Object) || !plainString(r.Op) || !plainString(r.Err) || !plainInt(r.Processor) || !plainInt(r.Retransmits) || !plainCost(r.Cost) {
+			return false
+		}
+	}
+	return plainInt(resp.Done) && plainInt(int(resp.RetryAfterMS))
+}
+
+// TestRecogniserAcceptsWhatTheEncodersWrite: over random values, the
+// recogniser accepts the encoder's bytes exactly when every string,
+// integer and cost is in the plain class, declines the rest (escapes,
+// non-ASCII, signs, 19-digit integers, exponents), and either way the
+// decoder it fronts agrees with json.Unmarshal.
+func TestRecogniserAcceptsWhatTheEncodersWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	plainWords := []string{"", "a", "obj-17", "r", "w", " /'~", "unreachable: peer 3"}
+	word := func(s *string) { *s = plainWords[rng.Intn(len(plainWords))] }
+	count := func(v *int) { *v = rng.Intn(1e6) }
+	var accepted, declined [2]int
+	for i := 0; i < 4000; i++ {
+		req, resp := randBatchRequest(rng), randBatchResponse(rng)
+		if rng.Intn(2) == 0 { // move both values into the plain class
+			for j := range req.Requests {
+				r := &req.Requests[j]
+				word(&r.Object)
+				word(&r.Op)
+				count(&r.Processor)
+				r.Seq %= 1e18
+			}
+			count(&resp.Done)
+			resp.RetryAfterMS = int64(rng.Intn(3) * 250)
+			for j := range resp.Results {
+				r := &resp.Results[j]
+				word(&r.Object)
+				word(&r.Op)
+				word(&r.Err)
+				count(&r.Processor)
+				count(&r.Retransmits)
+				r.Cost = []float64{0, 1, 1.25, 1e-6, 123456789.125, 999999999999999872}[rng.Intn(6)]
+			}
+		}
+		data := appendBatchRequest(nil, &req)
+		var gotReq BatchRequest
+		if got, want := recogniseBatchRequest(data, &gotReq), plainRequest(&req); got != want {
+			t.Fatalf("request %s: recognised = %v, want %v", data, got, want)
+		} else if got {
+			accepted[0]++
+		} else {
+			declined[0]++
+		}
+		checkDecodeRequest(t, data)
+
+		data, err := appendBatchResponse(nil, &resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gotResp BatchResponse
+		if got, want := recogniseBatchResponse(append(data, '\n'), &gotResp), plainResponse(&resp); got != want {
+			t.Fatalf("response %s: recognised = %v, want %v", data, got, want)
+		} else if got {
+			accepted[1]++
+		} else {
+			declined[1]++
+		}
+		checkDecodeResponse(t, data)
+	}
+	for i, kind := range []string{"requests", "responses"} {
+		if accepted[i] < 1000 || declined[i] < 1000 {
+			t.Errorf("%s: %d accepted, %d declined — the test wants plenty of both", kind, accepted[i], declined[i])
+		}
+	}
+}
+
+// TestRecogniserDeclineLeavesDestination cuts a canonical body short at
+// every offset and flips each of its bytes in turn. Whatever the
+// recogniser declines must leave the destination — scalar fields, slice
+// header, and the backing array to its capacity — exactly as it was, for
+// that is what json.Unmarshal is then handed; accepted or declined (a
+// changed letter in a name is still canonical), the decoder must read
+// the text as Unmarshal reads it. The destinations are the pooled
+// scratch's shape (zeroed spare capacity, here less than the batch, so
+// that growth happens too) and one holding stale values, which the
+// recogniser must not write over at all.
+func TestRecogniserDeclineLeavesDestination(t *testing.T) {
+	reqBody := appendBatchRequest(nil, &BatchRequest{Requests: []WireRequest{
+		{Object: "obj-1", Op: "r", Processor: 3, Seq: 7}, {Object: "obj-22", Op: "w", Processor: 0}, {Object: "c", Op: "r", Processor: 12, Seq: 1},
+	}})
+	checkDeclines(t, reqBody, recogniseBatchRequest, decodeBatchRequest,
+		func(r *BatchRequest) []WireRequest { return r.Requests },
+		func(r *BatchRequest) { r.Requests = make([]WireRequest, 1, 2) },
+		func(r *BatchRequest) {
+			r.Requests = append(make([]WireRequest, 0, 4), WireRequest{}, WireRequest{Object: "old", Seq: 9}, WireRequest{Op: "w"})[:1]
+		})
+
+	respBody, err := appendBatchResponse(nil, &BatchResponse{Done: 3, RetryAfterMS: 4, Draining: true, Unavailable: true, Results: []WireResult{
+		{Object: "obj-1", Op: "r", Processor: 3, Cost: 1.25}, {Object: "obj-22", Op: "w", Cost: 2, Coalesced: true, Retransmits: 2, Duplicate: true, Err: "x"}, {Object: "c", Op: "r", Processor: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDeclines(t, append(respBody, '\n'), recogniseBatchResponse, decodeBatchResponse,
+		func(r *BatchResponse) []WireResult { return r.Results },
+		func(r *BatchResponse) {
+			*r = BatchResponse{Done: 42, RetryAfterMS: 43, Draining: true, Results: make([]WireResult, 1, 2)}
+		},
+		func(r *BatchResponse) {
+			*r = BatchResponse{Unavailable: true, Results: append(make([]WireResult, 0, 4), WireResult{}, WireResult{Err: "old", Cost: 9}, WireResult{Duplicate: true})[:1]}
+		})
+}
+
+// checkDeclines runs body, each of its proper prefixes and each of its
+// one-byte corruptions through recognise, into every destination the
+// prepare functions build; elems names the destination's slice.
+func checkDeclines[T any, E comparable](t *testing.T, body []byte, recognise func([]byte, *T) bool, decode func([]byte, *T) error, elems func(*T) []E, prepares ...func(*T)) {
+	t.Helper()
+	for _, prepare := range prepares {
+		try := func(data []byte) {
+			var dst T
+			prepare(&dst)
+			before := dst
+			was := elems(&before)
+			backing := slices.Clone(was[:cap(was)])
+			if !recognise(data, &dst) {
+				now := elems(&dst)
+				if !reflect.DeepEqual(dst, before) || cap(now) != cap(was) || &now[0] != &was[0] || !slices.Equal(was[:cap(was)], backing) {
+					t.Fatalf("declined %q and left %#v (backing %#v), was %#v (backing %#v)", data, dst, was[:cap(was)], before, backing)
+				}
+			}
+			checkDecode(t, data, decode, prepare)
+		}
+		try(body)
+		for i := range body {
+			try(body[:i])
+			for _, flip := range []byte{0x01, 0x10, 0x80} {
+				data := bytes.Clone(body)
+				data[i] ^= flip
+				try(data)
+			}
+		}
+	}
+}
+
+// TestRecogniserTakesGeneratedTraffic: the bodies bench/, cmd/loadgen
+// and crash_smoke.sh's curl post — obj-%d names, r or w, a processor, a
+// per-object seq from 1 — are recognised, and so is the reply the
+// handler writes for them. This is the gate on the serve path falling
+// back unnoticed: TestHandleBatchAllocBudget reads 145 against 139 when
+// every request body goes to encoding/json, inside its budget of 150.
+func TestRecogniserTakesGeneratedTraffic(t *testing.T) {
+	h := newFuzzServer(t).Handler()
+	batch := make([]WireRequest, 32)
+	for i := range batch {
+		batch[i] = WireRequest{Object: fmt.Sprintf("obj-%d", i*7%64), Op: "rw"[i%2 : i%2+1], Processor: i % 4, Seq: uint64(i/64 + 1)}
+	}
+	for _, body := range [][]byte{
+		appendBatchRequest(nil, &BatchRequest{Requests: batch}),
+		[]byte(`{"requests":[{"object":"a","op":"r","processor":0}]}`), // crash_smoke.sh
+	} {
+		var req BatchRequest
+		if !recogniseBatchRequest(body, &req) {
+			t.Fatalf("request body not recognised: %s", body)
+		}
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		var resp BatchResponse
+		if rw.Code != http.StatusOK || !recogniseBatchResponse(rw.Body.Bytes(), &resp) || resp.Done != len(req.Requests) {
+			t.Fatalf("HTTP %d, reply not recognised or short: %s", rw.Code, rw.Body.Bytes())
+		}
 	}
 }

@@ -395,10 +395,10 @@ func ChaosSearchContext(ctx context.Context, base ChaosScenario, count, workers 
 
 // ParseFaults decodes the textual fault-schedule syntax, e.g.
 // "loss=0.1,dup=0.05,delay=0.2,delaymax=4"; FormatFaults is its inverse.
-func ParseFaults(s string) (FaultPlan, error) { return chaos.ParseFaults(s) }
+func ParseFaults(s string) (FaultPlan, error) { return netsim.ParseFaults(s) }
 
 // FormatFaults renders a plan in ParseFaults syntax.
-func FormatFaults(p FaultPlan) string { return chaos.FormatFaults(p) }
+func FormatFaults(p FaultPlan) string { return netsim.FormatFaults(p) }
 
 // ---- Offline approximations for large systems ----
 
