@@ -27,12 +27,15 @@
 # dropped (go vet does not: an expression statement is legal Go),
 # benchvet fails if a _test.go in the repository root declares a
 # Benchmark (bench/ is the only benchmark; paper claims are gated by
-# named tests and experiments-check), and
+# named tests and experiments-check),
+# seqvet fails if the executed protocols regrow a goroutine, a condition
+# variable or a wall-clock wait (one goroutine runs them; their counts are
+# a function of their inputs), and
 # staticcheck runs when the tool is installed (it is skipped gracefully
 # otherwise — the build must not depend on network access).
-.PHONY: verify build fmtcheck vet test race bench obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet staticcheck loc chaos profile
+.PHONY: verify build fmtcheck vet test race bench obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet staticcheck loc chaos profile
 
-verify: build fmtcheck vet test race fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet staticcheck
+verify: build fmtcheck vet test race fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet staticcheck
 
 build:
 	go build ./...
@@ -115,6 +118,27 @@ benchvet:
 		exit 1; \
 	else \
 		echo "benchvet: no Benchmark in the repository root"; \
+	fi
+
+# The executed protocols run in the caller's goroutine on netsim.Runtime's
+# run-to-quiescence loop, which is what makes every count they print a
+# function of the seed. A `go` statement in their non-test code hands the
+# delivery order back to the scheduler; a condition variable or a
+# wall-clock wait is the machinery that came with it (the network's
+# Endpoint keeps its blocking Recv, so netsim is held to this in
+# runtime.go only). chaos.Search's parallelism is the engine pool over
+# whole scenarios, each of which runs on its own goroutine-free cluster.
+seqvet:
+	@all=$$(ls internal/netsim/*.go internal/sim/*.go internal/quorum/*.go internal/ha/*.go internal/chaos/*.go | grep -v '_test\.go$$'); \
+	clocked=$$(echo "$$all" | grep -v '^internal/netsim/'; echo internal/netsim/runtime.go); \
+	bad=$$(grep -n -E '^[[:space:]]*go[[:space:]]+[a-zA-Z_(]' $$all; \
+		grep -n -E 'sync\.NewCond|time\.After|time\.Sleep' $$clocked; true); \
+	if [ -n "$$bad" ]; then \
+		echo "seqvet: goroutine, condition variable or wall-clock wait in the executed protocols (netsim.Runtime runs them in one goroutine):"; \
+		echo "$$bad"; \
+		exit 1; \
+	else \
+		echo "seqvet: executed protocols start no goroutine and wait on no clock"; \
 	fi
 
 staticcheck:

@@ -53,8 +53,7 @@ func main() {
 		search     = flag.Int("search", 0, "run this many seed-derived scenario variants instead of one run")
 		parallel   = flag.Int("parallel", engine.DefaultParallelism(), "concurrent variants during -search")
 		shrink     = flag.Bool("shrink", false, "delta-debug a failing scenario to a minimal reproducer")
-		opTimeout  = flag.Duration("optimeout", 0, "per-operation hang timeout (0 = 10s; lower it when shrinking -noretry scenarios)")
-		metrics    = flag.String("metrics", "", "write canonicalized instrumentation events and a final registry snapshot to this JSONL file")
+		metrics    = flag.String("metrics", "", "write the instrumentation events (in the order they happen, stamped with their step) and a final registry snapshot to this JSONL file")
 		progress   = flag.Bool("progress", false, "report progress on stderr")
 		pprof      = flag.String("pprof", "", "serve net/http/pprof and expvar on this address")
 	)
@@ -74,8 +73,7 @@ func main() {
 	sc := chaos.Scenario{
 		Engine: eng, N: *n, T: *t, Seed: *seed, Steps: *steps,
 		Faults: plan, Churn: *churn, WriteFrac: *writeFrac,
-		Retry:     netsim.RetryPolicy{Disabled: *noretry, MaxAttempts: *attempts},
-		OpTimeout: *opTimeout,
+		Retry: netsim.RetryPolicy{Disabled: *noretry, MaxAttempts: *attempts},
 	}
 
 	cli, err := obs.StartCLI(obs.CLIOptions{

@@ -1,5 +1,5 @@
 // Command domsim runs the message-level distributed system simulator: SA
-// or DA executed as real protocols (goroutine per processor, billed
+// or DA executed as real protocols (a message handler per processor, billed
 // point-to-point messages, per-processor local databases, join-lists and
 // invalidations), driven by a generated workload. It reports the integer
 // message/I/O accounting, the priced cost under both the stationary and
@@ -57,7 +57,7 @@ func main() {
 		cd         = flag.Float64("cd", 1.2, "data message cost")
 		seed       = flag.Int64("seed", 1, "workload seed")
 		diskDir    = flag.String("disk", "", "directory for disk-backed local databases (default: in-memory)")
-		concurrent = flag.Bool("concurrent", false, "run reads between writes concurrently")
+		concurrent = flag.Bool("concurrent", false, "issue each run of reads between writes as one burst, all in flight at once")
 		verify     = flag.Bool("verify", false, "cross-check executed counts against the analytic cost model")
 		showLoads  = flag.Bool("loads", false, "print per-processor load distribution")
 		recordPath = flag.String("record", "", "capture the run as a JSON trace at this path")

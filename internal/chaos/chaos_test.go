@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"objalloc/internal/netsim"
 	"objalloc/internal/obs"
@@ -66,9 +65,8 @@ func TestRetriesAreLoadBearing(t *testing.T) {
 		t.Run(eng.String(), func(t *testing.T) {
 			sc := Scenario{
 				Engine: eng, N: 6, T: 3, Seed: 42, Steps: 400,
-				Faults:    netsim.FaultPlan{Loss: 0.3, Delay: 0.2, DelayMax: 4},
-				Retry:     netsim.RetryPolicy{Disabled: true},
-				OpTimeout: 500 * time.Millisecond,
+				Faults: netsim.FaultPlan{Loss: 0.3, Delay: 0.2, DelayMax: 4},
+				Retry:  netsim.RetryPolicy{Disabled: true},
 			}
 			res, err := Run(sc, nil)
 			if err != nil {
@@ -192,9 +190,8 @@ func TestScenarioValidation(t *testing.T) {
 func TestShrinkMinimizesFailure(t *testing.T) {
 	sc := Scenario{
 		Engine: EngineDA, N: 5, T: 2, Seed: 3, Steps: 120,
-		Faults:    netsim.FaultPlan{Loss: 0.35, Dup: 0.05, Delay: 0.2, DelayMax: 3, Flap: 0.01, FlapLen: 2},
-		Retry:     netsim.RetryPolicy{Disabled: true},
-		OpTimeout: 200 * time.Millisecond,
+		Faults: netsim.FaultPlan{Loss: 0.35, Dup: 0.05, Delay: 0.2, DelayMax: 3, Flap: 0.01, FlapLen: 2},
+		Retry:  netsim.RetryPolicy{Disabled: true},
 	}
 	res, err := Run(sc, nil)
 	if err != nil {

@@ -2,10 +2,9 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
 	"objalloc/internal/cost"
 	"objalloc/internal/ha"
@@ -131,12 +130,6 @@ func open(sc Scenario, o *obs.Obs) (harness, error) {
 	}
 }
 
-// opResult carries one operation's outcome across the timeout guard.
-type opResult struct {
-	v   storage.Version
-	err error
-}
-
 // Run executes the scenario and checks the invariants after every step;
 // it is RunContext with a background context.
 func Run(sc Scenario, o *obs.Obs) (Result, error) {
@@ -149,19 +142,19 @@ func Run(sc Scenario, o *obs.Obs) (Result, error) {
 //
 // Observability: when o is non-nil, the engines' raw events (drops,
 // duplications, retransmission counters, per-operation records) are
-// captured per step, sorted canonically, and re-emitted into o prefixed
-// with the step index — node goroutines race each other inside a step, so
-// the per-step sort is what makes two runs of the same seed produce
-// byte-identical event streams. The runner adds its own "chaos.step" event
-// per step and a "chaos.violation" event per breach.
+// captured per step and re-emitted into o prefixed with the step index, in
+// the order they happened — a drop before the retransmission it causes.
+// Two runs of the same seed produce byte-identical event streams. The
+// runner adds its own "chaos.step" event per step and a "chaos.violation"
+// event per breach.
 func RunContext(ctx context.Context, sc Scenario, o *obs.Obs) (Result, error) {
 	if err := sc.normalize(); err != nil {
 		return Result{}, err
 	}
 	steps := sc.Expand()
 
-	// The engines write into a private mem sink; forward() canonicalizes
-	// each step's batch into the caller's sink.
+	// The engines write into a private mem sink; forward() stamps each
+	// step's batch with the step index and passes it to the caller's sink.
 	var inner *obs.Obs
 	var mem *obs.MemSink
 	if o.Enabled() {
@@ -196,15 +189,7 @@ func RunContext(ctx context.Context, sc Scenario, o *obs.Obs) (Result, error) {
 		if mem == nil {
 			return
 		}
-		batch := mem.Drain()
-		sort.SliceStable(batch, func(a, b int) bool {
-			ea, eb := batch[a], batch[b]
-			if ea.Name != eb.Name {
-				return ea.Name < eb.Name
-			}
-			return fmt.Sprint(ea.Attrs) < fmt.Sprint(eb.Attrs)
-		})
-		for _, e := range batch {
+		for _, e := range mem.Drain() {
 			e.Attrs = append([]obs.Attr{obs.Int("step", i)}, e.Attrs...)
 			o.Emit(e)
 		}
@@ -215,50 +200,38 @@ func RunContext(ctx context.Context, sc Scenario, o *obs.Obs) (Result, error) {
 			return res, err
 		}
 		res.StepsRun = i + 1
-		var hung bool
+		var stalled bool
 		switch step.Kind {
 		case StepRead:
 			res.Reads++
-			done := make(chan opResult, 1)
-			go func() {
-				v, rerr := h.Read(step.Proc)
-				done <- opResult{v, rerr}
-			}()
-			select {
-			case r := <-done:
-				if r.err != nil {
-					fail(i, "op-success", "read at live processor %d failed: %v", step.Proc, r.err)
-				} else if r.v.Seq != latest {
-					fail(i, "read-latest", "read at %d observed seq %d, latest committed is %d", step.Proc, r.v.Seq, latest)
-				}
-			case <-time.After(sc.OpTimeout):
-				fail(i, "op-terminates", "read at %d still blocked after %v", step.Proc, sc.OpTimeout)
-				hung = true
+			v, err := h.Read(step.Proc)
+			switch {
+			case errors.Is(err, netsim.ErrStalled):
+				fail(i, "op-terminates", "read at %d never completes: %v", step.Proc, err)
+				stalled = true
+			case err != nil:
+				fail(i, "op-success", "read at live processor %d failed: %v", step.Proc, err)
+			case v.Seq != latest:
+				fail(i, "read-latest", "read at %d observed seq %d, latest committed is %d", step.Proc, v.Seq, latest)
 			}
 		case StepWrite:
 			res.Writes++
-			done := make(chan opResult, 1)
-			go func() {
-				v, werr := h.Write(step.Proc, []byte(fmt.Sprintf("w%d", i)))
-				done <- opResult{v, werr}
-			}()
-			select {
-			case r := <-done:
-				if r.err != nil {
-					fail(i, "op-success", "write at live processor %d failed: %v", step.Proc, r.err)
-					if r.v.Seq > latest {
-						latest = r.v.Seq // the commit may have landed before propagation gave up
-					}
-				} else {
-					if r.v.Seq <= latest && latest > 1 {
-						fail(i, "write-monotone", "write at %d got seq %d, not above %d", step.Proc, r.v.Seq, latest)
-					}
-					latest = r.v.Seq
-					res.FinalSeq = latest
+			v, err := h.Write(step.Proc, []byte(fmt.Sprintf("w%d", i)))
+			switch {
+			case errors.Is(err, netsim.ErrStalled):
+				fail(i, "op-terminates", "write at %d never completes: %v", step.Proc, err)
+				stalled = true
+			case err != nil:
+				fail(i, "op-success", "write at live processor %d failed: %v", step.Proc, err)
+				if v.Seq > latest {
+					latest = v.Seq // the commit may have landed before propagation gave up
 				}
-			case <-time.After(sc.OpTimeout):
-				fail(i, "op-terminates", "write at %d still blocked after %v", step.Proc, sc.OpTimeout)
-				hung = true
+			default:
+				if v.Seq <= latest && latest > 1 {
+					fail(i, "write-monotone", "write at %d got seq %d, not above %d", step.Proc, v.Seq, latest)
+				}
+				latest = v.Seq
+				res.FinalSeq = latest
 			}
 		case StepCrash:
 			res.Crashes++
@@ -275,7 +248,7 @@ func RunContext(ctx context.Context, sc Scenario, o *obs.Obs) (Result, error) {
 			}
 			crashed = crashed.Remove(step.Proc)
 		}
-		if hung {
+		if stalled {
 			// The cluster has a stranded operation; its state can no
 			// longer be checked meaningfully.
 			forward(i)

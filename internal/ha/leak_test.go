@@ -1,27 +1,31 @@
 package ha
 
 import (
+	"errors"
 	"runtime"
 	"testing"
-	"time"
 
 	"objalloc/internal/model"
+	"objalloc/internal/netsim"
 	"objalloc/internal/quorum"
 	"objalloc/internal/sim"
 	"objalloc/internal/storage"
 )
 
 // TestCloseIsIdempotentAndLeakFree: every executed stack runs on the one
-// processor runtime, so one check covers them all — after Close (called
-// twice) no actor goroutine is left, for SA, DA, quorum, and an ha cluster
-// that went through a failover → failback cycle (which closes two engines
-// on the way).
+// processor runtime, so one check covers them all — the runtime starts no
+// goroutine while a cluster runs, none is left after Close (called twice),
+// and an operation after Close reports the closure, for SA, DA, quorum,
+// and an ha cluster that went through a failover → failback cycle (which
+// closes two engines on the way).
 func TestCloseIsIdempotentAndLeakFree(t *testing.T) {
 	const n = 5
-	drive := func(t *testing.T, c interface {
+	type cluster interface {
 		Read(model.ProcessorID) (storage.Version, error)
 		Write(model.ProcessorID, []byte) (storage.Version, error)
-	}) {
+		Close()
+	}
+	drive := func(t *testing.T, c cluster) {
 		t.Helper()
 		for p := model.ProcessorID(0); p < n; p++ {
 			if _, err := c.Write(p, []byte("w")); err != nil {
@@ -32,28 +36,28 @@ func TestCloseIsIdempotentAndLeakFree(t *testing.T) {
 			}
 		}
 	}
-	simStack := func(protocol sim.Protocol) func(t *testing.T) func() {
-		return func(t *testing.T) func() {
+	simStack := func(protocol sim.Protocol) func(t *testing.T) cluster {
+		return func(t *testing.T) cluster {
 			c, err := sim.New(sim.Config{N: n, T: 2, Protocol: protocol, Initial: model.FullSet(2)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			drive(t, c)
-			return c.Close
+			return c
 		}
 	}
-	stacks := map[string]func(t *testing.T) (close func()){
+	stacks := map[string]func(t *testing.T) cluster{
 		"SA": simStack(sim.SA),
 		"DA": simStack(sim.DA),
-		"quorum": func(t *testing.T) func() {
+		"quorum": func(t *testing.T) cluster {
 			c, err := quorum.New(quorum.Config{N: n, Preload: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			drive(t, c)
-			return c.Close
+			return c
 		},
-		"ha": func(t *testing.T) func() {
+		"ha": func(t *testing.T) cluster {
 			h, err := New(Config{N: n, T: 2, Initial: model.FullSet(2)})
 			if err != nil {
 				t.Fatal(err)
@@ -74,28 +78,27 @@ func TestCloseIsIdempotentAndLeakFree(t *testing.T) {
 				t.Fatalf("mode %v after recovery", h.Mode())
 			}
 			drive(t, h)
-			return h.Close
+			return h
 		},
 	}
 	for name, run := range stacks {
 		t.Run(name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			closeFn := run(t)
-			// Two goroutines per processor; the slack absorbs goroutines of an
-			// earlier test that were still retiring when baseline was read.
-			if during := runtime.NumGoroutine(); during < baseline+n {
-				t.Fatalf("%d goroutines while running, baseline %d: the actors are not where this test looks", during, baseline)
+			c := run(t)
+			// Handlers run in the caller's goroutine: a running cluster adds
+			// none. (A goroutine of an earlier test may still be retiring, so
+			// the count can fall, never rise.)
+			if during := runtime.NumGoroutine(); during > baseline {
+				t.Fatalf("%d goroutines while running, baseline %d: something started one", during, baseline)
 			}
-			closeFn()
-			closeFn()
-			// Close has waited for every actor to finish; the scheduler may
-			// still be retiring the last of them.
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > baseline {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), baseline)
-				}
-				time.Sleep(time.Millisecond)
+			c.Close()
+			c.Close()
+			if after := runtime.NumGoroutine(); after > baseline {
+				t.Fatalf("%d goroutines after Close, baseline %d", after, baseline)
+			}
+			// ha reports the closure with an error of its own.
+			if _, err := c.Read(1); err == nil || (name != "ha" && !errors.Is(err, netsim.ErrClosed)) {
+				t.Fatalf("read after Close: got %v, want ErrClosed", err)
 			}
 		})
 	}

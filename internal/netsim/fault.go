@@ -14,8 +14,8 @@ import (
 // flaps (bursts of consecutive drops). All randomness derives from Seed
 // through a per-link splitmix64 stream advanced once per send on that
 // link, so a plan's behavior is a pure function of (Seed, link, per-link
-// send index) — independent of goroutine scheduling — and chaos runs are
-// replayable from the seed alone.
+// send index) — independent of what the other links carry — and chaos runs
+// are replayable from the seed alone.
 //
 // The zero FaultPlan is inert: Active() reports false and the network
 // behaves exactly as an un-faulted one.

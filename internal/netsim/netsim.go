@@ -17,9 +17,9 @@
 // package quorum) cannot deadlock on backpressure.
 //
 // Runtime (runtime.go) is the one processor runtime those protocols run
-// on: per-processor actors over the endpoints, the quiescence tracker fed
-// by the delivery trace hook, the driver's retry loop, and the accounting
-// reads. The protocols supply message handlers and nothing else.
+// on: a single-threaded run-to-quiescence loop over the endpoints'
+// mailboxes, the driver's retry loop, and the accounting reads. The
+// protocols supply message handlers and nothing else.
 //
 // Reliability accounting is kept separate from the paper's cost model:
 // first transmissions bill ControlSent/DataSent, retransmissions
@@ -125,18 +125,19 @@ func (t Type) DefaultKind() Kind {
 	}
 }
 
+var typeNames = [NumTypes]string{
+	TReadReq: "read-req", TReadReply: "read-reply", TWritePush: "write-push",
+	TInvalidate: "invalidate", TJoin: "join",
+	TVoteReq: "vote-req", TVoteReply: "vote-reply",
+	TQuorumRead: "quorum-read", TQuorumReadReply: "quorum-read-reply",
+	TQuorumWrite: "quorum-write", TQuorumAck: "quorum-ack",
+	TWriteAck: "write-ack", TInvalAck: "inval-ack", TNack: "nack",
+}
+
 // String implements fmt.Stringer.
 func (t Type) String() string {
-	names := map[Type]string{
-		TReadReq: "read-req", TReadReply: "read-reply", TWritePush: "write-push",
-		TInvalidate: "invalidate", TJoin: "join",
-		TVoteReq: "vote-req", TVoteReply: "vote-reply",
-		TQuorumRead: "quorum-read", TQuorumReadReply: "quorum-read-reply",
-		TQuorumWrite: "quorum-write", TQuorumAck: "quorum-ack",
-		TWriteAck: "write-ack", TInvalAck: "inval-ack", TNack: "nack",
-	}
-	if n, ok := names[t]; ok {
-		return n
+	if t >= 0 && int(t) < NumTypes {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("Type(%d)", int(t))
 }
@@ -223,8 +224,7 @@ type Network struct {
 	// delivery is decided: delivered=true when it is enqueued into the
 	// destination mailbox (including released held messages and
 	// duplicate copies), delivered=false when it is dropped. Synthetic
-	// TNack bounces are not traced. Used by the engines' quiescence
-	// trackers and by fidelity tests.
+	// TNack bounces are not traced. Used by the fault-layer tests.
 	trace func(Message, bool)
 }
 
@@ -267,11 +267,9 @@ func (nw *Network) Faults() FaultPlan {
 
 // SetObs attaches an instrumentation bundle: every dropped message emits
 // one "net.drop" event (with its reason) and bumps the net.drop.*
-// counters; duplications and delays are recorded likewise. Events from
-// concurrent senders are emitted in delivery-decision order, which is not
-// deterministic across runs — deterministic consumers should read the
-// counters (commutative) or canonicalize the event stream, as the chaos
-// runner does.
+// counters; duplications and delays are recorded likewise. Events are
+// emitted in delivery-decision order, which under Runtime — one handler at
+// a time, messages taken in a fixed order — is the same on every run.
 func (nw *Network) SetObs(o *obs.Obs) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -33,6 +34,22 @@ func TestStringers(t *testing.T) {
 	}
 	if Kind(9).String() == "" || Type(99).String() == "" {
 		t.Error("unknown enums should still render")
+	}
+	// Every message type has its own name; values outside the table keep
+	// the numeric form.
+	seen := map[string]Type{}
+	for typ := Type(0); int(typ) < NumTypes; typ++ {
+		name := typ.String()
+		if prev, dup := seen[name]; name == "" || dup {
+			t.Errorf("Type(%d) renders %q (also Type(%d))", int(typ), name, int(prev))
+		}
+		seen[name] = typ
+	}
+	if got := Type(NumTypes).String(); got != fmt.Sprintf("Type(%d)", NumTypes) {
+		t.Errorf("Type(NumTypes) = %q", got)
+	}
+	if got := Type(-1).String(); got != "Type(-1)" {
+		t.Errorf("Type(-1) = %q", got)
 	}
 }
 

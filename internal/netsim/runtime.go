@@ -12,9 +12,10 @@ import (
 	"objalloc/internal/storage"
 )
 
-// Handler is the protocol half of one processor. The runtime's event loop
-// calls it for every driver command and every delivered message, one call
-// at a time, so a handler's state needs no locking.
+// Handler is the protocol half of one processor. The runtime calls it for
+// every driver command and every delivered message, one call at a time
+// across the whole cluster, so a handler's state needs no locking. It acts
+// by sending on the network; it must not call back into the runtime.
 type Handler[C any] interface {
 	HandleCommand(cmd C)
 	HandleMessage(m Message)
@@ -30,18 +31,35 @@ type Result struct {
 // ErrClosed is returned by operations on a closed runtime.
 var ErrClosed = errors.New("netsim: cluster closed")
 
+// ErrStalled is returned for an operation whose reply has not arrived
+// although nothing is left to deliver (and, under the retransmission
+// discipline, the retry budget is spent): a message it waited for was lost
+// and nobody will resend it.
+var ErrStalled = errors.New("netsim: operation stalled: no reply and nothing left to deliver")
+
 // Runtime is what the executed protocols (packages sim and quorum) run
-// on: the billing network, one local database and one actor per
-// processor, the quiescence tracker that lets a sequential driver wait
-// for a message cascade to finish, the driver side of the retransmission
-// discipline, and the accounting reads every caller of a cluster makes.
-// A protocol supplies its command type C, one Handler per processor, and
-// nothing else; it embeds the runtime to export the reads.
+// on: the billing network, one local database and one handler per
+// processor, the run-to-quiescence loop that delivers their messages, the
+// driver side of the retransmission discipline, and the accounting reads
+// every caller of a cluster makes. A protocol supplies its command type C,
+// one Handler per processor, and nothing else; it embeds the runtime to
+// export the reads.
+//
+// It starts no goroutine, as the paper's model has no thread: a request
+// costs the messages and I/Os it causes, and the only freedom is the order
+// in which deliverable messages are handled. Submit runs a handler in the
+// caller's goroutine and Quiesce takes messages in one fixed order, so
+// every count is a function of the inputs.
 type Runtime[C any] struct {
 	net    *Network
 	stores []storage.Store
-	procs  []*proc[C]
-	track  tracker
+
+	// mu serialises the methods that run handlers (Submit, Perform,
+	// PerformAll, Quiesce) and Close, so concurrent callers take turns.
+	mu       sync.Mutex
+	handlers []Handler[C]
+	mailbox  []*Endpoint
+	closed   bool
 
 	// lossy is set when a fault plan is active; retries additionally
 	// requires the retransmission discipline not to be disabled.
@@ -49,16 +67,13 @@ type Runtime[C any] struct {
 	retries bool
 	retry   RetryPolicy
 	corr    atomic.Uint64
-
-	closeOnce sync.Once
 }
 
 // NewRuntime builds the network (with the fault plan, when one is active)
 // and the n local databases; newStore nil means in-memory stores. No
-// processor runs until Start.
+// processor has a handler until Start.
 func NewRuntime[C any](n int, newStore func(model.ProcessorID) (storage.Store, error), o *obs.Obs, faults *FaultPlan, retry RetryPolicy) (*Runtime[C], error) {
 	rt := &Runtime[C]{net: New(n), retry: retry}
-	rt.track.cond = sync.NewCond(&rt.track.mu)
 	if faults != nil && faults.Active() {
 		if err := rt.net.InstallFaults(*faults); err != nil {
 			return nil, err
@@ -67,13 +82,6 @@ func NewRuntime[C any](n int, newStore func(model.ProcessorID) (storage.Store, e
 		rt.retries = !retry.Disabled
 	}
 	rt.net.SetObs(o)
-	// Every delivered message is one unit of outstanding work until its
-	// handler finishes.
-	rt.net.Trace(func(_ Message, delivered bool) {
-		if delivered {
-			rt.track.add()
-		}
-	})
 	if newStore == nil {
 		newStore = func(model.ProcessorID) (storage.Store, error) { return storage.NewMem(), nil }
 	}
@@ -87,158 +95,142 @@ func NewRuntime[C any](n int, newStore func(model.ProcessorID) (storage.Store, e
 	return rt, nil
 }
 
-// Start creates every processor's handler, then sets all their event
-// loops running.
+// Start creates every processor's handler.
 func (rt *Runtime[C]) Start(handler func(id model.ProcessorID, st storage.Store) Handler[C]) {
 	for i, st := range rt.stores {
 		id := model.ProcessorID(i)
-		rt.procs = append(rt.procs, &proc[C]{
-			rt: rt,
-			h:  handler(id, st),
-			ep: rt.net.endpoints[id],
-			// The buffers only let the pump and the driver run ahead of
-			// the loop; the endpoint's mailbox is what is unbounded.
-			cmds: make(chan C, 16),
-			msgs: make(chan Message, 64),
-			quit: make(chan struct{}),
-		})
-	}
-	for _, p := range rt.procs {
-		p.wg.Add(2)
-		go p.pump()
-		go p.loop()
+		rt.handlers = append(rt.handlers, handler(id, st))
+		rt.mailbox = append(rt.mailbox, rt.net.endpoints[id])
 	}
 }
 
-// proc is one processor's actor: a pump from the endpoint's mailbox and
-// one event loop over driver commands and delivered messages.
-type proc[C any] struct {
-	rt *Runtime[C]
-	h  Handler[C]
-	ep *Endpoint
-
-	cmds chan C
-	msgs chan Message
-	quit chan struct{}
-	wg   sync.WaitGroup
-}
-
-func (p *proc[C]) pump() {
-	defer p.wg.Done()
-	for {
-		m, ok := p.ep.Recv()
-		if !ok {
-			close(p.msgs)
-			return
-		}
-		select {
-		case p.msgs <- m:
-		case <-p.quit:
-			return
-		}
-	}
-}
-
-func (p *proc[C]) loop() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.quit:
-			return
-		case cmd := <-p.cmds:
-			p.h.HandleCommand(cmd)
-			p.rt.track.done()
-		case m, ok := <-p.msgs:
-			if !ok {
-				return
-			}
-			p.h.HandleMessage(m)
-			if m.Type != TNack {
-				// TNack bounces are synthetic (untraced, untracked);
-				// everything else was counted at delivery.
-				p.rt.track.done()
-			}
-		}
-	}
-}
-
-// Submit hands a command to processor p's event loop, accounting it as
-// outstanding work until the handler finishes.
+// Submit runs processor p's handler on cmd in the caller's goroutine. The
+// messages the handler sends wait in their destinations' mailboxes for the
+// next Quiesce.
 func (rt *Runtime[C]) Submit(p model.ProcessorID, cmd C) error {
-	if int(p) < 0 || int(p) >= len(rt.procs) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.submit(p, cmd)
+}
+
+func (rt *Runtime[C]) submit(p model.ProcessorID, cmd C) error {
+	if int(p) < 0 || int(p) >= len(rt.handlers) {
 		return fmt.Errorf("netsim: unknown processor %d", p)
 	}
-	pr := rt.procs[p]
-	select {
-	case <-pr.quit:
-		return ErrClosed
-	default:
-	}
-	rt.track.add()
-	select {
-	case pr.cmds <- cmd:
-		return nil
-	case <-pr.quit:
-		rt.track.done()
+	if rt.closed {
 		return ErrClosed
 	}
+	rt.handlers[p].HandleCommand(cmd)
+	return nil
 }
 
 // NextCorr returns a fresh driver-side correlation id for an operation.
 func (rt *Runtime[C]) NextCorr() uint64 { return rt.corr.Add(1) }
 
-// Perform submits op to processor p and waits for the result its handler
-// sends on reply. On a lossy network with retries enabled it drives the
-// operation's retransmission discipline: after each quiescence round
-// whose capped exponential backoff has elapsed it submits
-// retry(attempt, false), which makes the handler retransmit whatever the
-// operation still waits for, and once the attempt budget is spent
-// retry(attempt, true), which must make the handler resolve the
-// operation with an error unless a reply raced in first.
+// Op is one driver-issued operation: Cmd starts it on processor P, whose
+// handler sends the outcome on Reply (buffered, capacity one). Retry is
+// only called on a lossy network with retries enabled: Retry(attempt,
+// false) makes the handler retransmit whatever the operation still waits
+// for, and Retry(attempt, true), once the attempt budget is spent, must
+// make it resolve the operation with an error unless a reply arrived first.
+type Op[C any] struct {
+	P     model.ProcessorID
+	Cmd   C
+	Reply <-chan Result
+	Retry func(attempt int, giveUp bool) C
+}
+
+// Perform is PerformAll for a single operation.
 func (rt *Runtime[C]) Perform(p model.ProcessorID, op C, reply <-chan Result, retry func(attempt int, giveUp bool) C) (storage.Version, error) {
-	if err := rt.Submit(p, op); err != nil {
-		return storage.Version{}, err
+	res := rt.PerformAll([]Op[C]{{P: p, Cmd: op, Reply: reply, Retry: retry}})[0]
+	return res.Version, res.Err
+}
+
+// PerformAll runs a group of concurrent operations: every operation is
+// handed to its handler before any message is delivered — all are in
+// flight at once, the concurrency of the paper's §3.1 — and the cluster
+// then runs to quiescence. With retries engaged, each quiescence round
+// whose capped exponential backoff has elapsed kicks the unanswered
+// operations into retransmitting, and the one after the attempt budget
+// makes them give up. Results come in the order of ops, ErrStalled for an
+// operation still unanswered; the cluster is quiescent on return.
+func (rt *Runtime[C]) PerformAll(ops []Op[C]) []Result {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	out := make([]Result, len(ops))
+	pending := make([]int, 0, len(ops)) // operations started and not yet answered
+	for i, op := range ops {
+		if out[i].Err = rt.submit(op.P, op.Cmd); out[i].Err == nil {
+			pending = append(pending, i)
+		}
+	}
+	// settled quiesces and reports whether every operation is answered.
+	settled := func() bool {
+		rt.quiesce()
+		rest := pending[:0]
+		for _, i := range pending {
+			select {
+			case out[i] = <-ops[i].Reply:
+			default:
+				rest = append(rest, i)
+			}
+		}
+		pending = rest
+		return len(pending) == 0
 	}
 	if rt.retries {
 		maxAttempts := rt.retry.Attempts()
 		for attempt, nextKick, round := 0, 1, 1; attempt <= maxAttempts; round++ {
-			rt.Quiesce()
-			select {
-			case res := <-reply:
-				return res.Version, res.Err
-			default:
+			if settled() {
+				return out
 			}
 			if round < nextKick {
 				continue
 			}
 			attempt++
-			if err := rt.Submit(p, retry(attempt, attempt > maxAttempts)); err != nil {
-				return storage.Version{}, err
+			for _, i := range pending {
+				// Not refused: its first command went through under this lock.
+				_ = rt.submit(ops[i].P, ops[i].Retry(attempt, attempt > maxAttempts))
 			}
 			nextKick = round + rt.retry.Backoff(attempt)
 		}
 	}
-	res := <-reply
-	return res.Version, res.Err
+	settled()
+	for _, i := range pending {
+		out[i].Err = ErrStalled
+	}
+	return out
 }
 
-// Quiesce blocks until the cluster is fully settled: no outstanding
-// tracked work and no held (delayed) message anywhere in the network.
-// Releasing held messages can spawn new work, so the two alternate to a
+// Quiesce runs the cluster until it is fully settled: no mailbox holds a
+// message and the network holds no delayed one. Deliverable messages are
+// handled in sweeps over the processors, lowest id first, one message per
+// processor per sweep; when a sweep finds nothing the held messages are
+// released, which can make more deliverable, so the two alternate to a
 // fixpoint.
 func (rt *Runtime[C]) Quiesce() {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.quiesce()
+}
+
+// quiesce is the one place the next message to handle is chosen.
+func (rt *Runtime[C]) quiesce() {
 	for {
-		rt.track.wait()
+		for handled := true; handled; {
+			handled = false
+			for p, ep := range rt.mailbox {
+				if m, ok := ep.TryRecv(); ok {
+					rt.handlers[p].HandleMessage(m)
+					handled = true
+				}
+			}
+		}
 		if rt.net.ReleaseAll() == 0 {
 			return
 		}
 	}
 }
-
-// AwaitHandlers blocks until every delivered message and submitted
-// command has been handled; unlike Quiesce it leaves delayed messages
-// held.
-func (rt *Runtime[C]) AwaitHandlers() { rt.track.wait() }
 
 // Lossy reports whether a fault plan is active on the network.
 func (rt *Runtime[C]) Lossy() bool { return rt.lossy }
@@ -301,16 +293,13 @@ func (rt *Runtime[C]) Cost(m cost.Model) float64 { return rt.Counts().Price(m) }
 // traffic billed apart from the paper's cost model.
 func (rt *Runtime[C]) ReliabilityOverhead() Overhead { return rt.net.Stats().Overhead() }
 
-// Close stops all processors and the network; it returns once every
-// actor goroutine has exited. Closing twice is harmless.
+// Close shuts the network down; every later operation reports ErrClosed.
+// Closing twice is harmless.
 func (rt *Runtime[C]) Close() {
-	rt.closeOnce.Do(func() {
-		rt.net.Close()
-		for _, p := range rt.procs {
-			close(p.quit)
-			p.wg.Wait()
-		}
-	})
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.closed = true
+	rt.net.Close()
 }
 
 // Overhead aggregates the reliability-layer traffic that is billed apart
@@ -388,39 +377,4 @@ func (t Traffic) Attrs(o *obs.Obs, prefix string) []obs.Attr {
 	o.Counter(prefix + ".msg.control").Add(int64(t.Control))
 	o.Counter(prefix + ".msg.data").Add(int64(t.Data))
 	return attrs
-}
-
-// tracker counts outstanding work items (delivered-but-unprocessed
-// messages and in-flight driver commands) so the driver can wait for the
-// system to quiesce.
-type tracker struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-}
-
-func (t *tracker) add() {
-	t.mu.Lock()
-	t.n++
-	t.mu.Unlock()
-}
-
-func (t *tracker) done() {
-	t.mu.Lock()
-	t.n--
-	if t.n == 0 {
-		t.cond.Broadcast()
-	}
-	if t.n < 0 {
-		panic("netsim: tracker underflow")
-	}
-	t.mu.Unlock()
-}
-
-func (t *tracker) wait() {
-	t.mu.Lock()
-	for t.n != 0 {
-		t.cond.Wait()
-	}
-	t.mu.Unlock()
 }

@@ -17,14 +17,19 @@ type relay struct {
 	id      model.ProcessorID
 	n       int
 	handled *atomic.Int64
+	// reply, when non-nil, is told when a cascade reaches its last hop.
+	reply chan<- Result
 }
 
 func (r *relay) HandleCommand(hops int) { r.forward(uint64(hops)) }
 
 func (r *relay) HandleMessage(m Message) {
 	r.handled.Add(1)
-	if m.Seq > 0 {
+	switch {
+	case m.Seq > 0:
 		r.forward(m.Seq - 1)
+	case r.reply != nil:
+		r.reply <- Result{}
 	}
 }
 
@@ -35,21 +40,26 @@ func (r *relay) forward(hops uint64) {
 
 func newRelay(t *testing.T, n int, faults *FaultPlan) (*Runtime[int], *atomic.Int64) {
 	t.Helper()
-	rt, err := NewRuntime[int](n, nil, nil, faults, RetryPolicy{})
+	return newRelayReplying(t, n, faults, RetryPolicy{}, nil)
+}
+
+func newRelayReplying(t *testing.T, n int, faults *FaultPlan, retry RetryPolicy, reply chan<- Result) (*Runtime[int], *atomic.Int64) {
+	t.Helper()
+	rt, err := NewRuntime[int](n, nil, nil, faults, retry)
 	if err != nil {
 		t.Fatal(err)
 	}
 	handled := new(atomic.Int64)
 	rt.Start(func(id model.ProcessorID, _ storage.Store) Handler[int] {
-		return &relay{rt: rt, id: id, n: n, handled: handled}
+		return &relay{rt: rt, id: id, n: n, handled: handled, reply: reply}
 	})
 	return rt, handled
 }
 
-// TestRuntimeQuiesceUnderDelay: Quiesce returns only once no tracked work
-// is outstanding and the network holds no delayed message — so every
-// message of the cascade has been handled — even when most messages are
-// artificially held.
+// TestRuntimeQuiesceUnderDelay: Quiesce returns only once no mailbox holds
+// a message and the network holds no delayed one — so every message of the
+// cascade has been handled — even when most messages are artificially
+// held.
 func TestRuntimeQuiesceUnderDelay(t *testing.T) {
 	const n, hops, cascades = 4, 40, 3
 	rt, handled := newRelay(t, n, &FaultPlan{Seed: 7, Delay: 0.6, DelayMax: 5})
@@ -61,11 +71,10 @@ func TestRuntimeQuiesceUnderDelay(t *testing.T) {
 			}
 		}
 		rt.Quiesce()
-		rt.track.mu.Lock()
-		outstanding := rt.track.n
-		rt.track.mu.Unlock()
-		if outstanding != 0 {
-			t.Fatalf("round %d: Quiesce returned with %d tracked items outstanding", round, outstanding)
+		for p, ep := range rt.mailbox {
+			if ep.Len() != 0 {
+				t.Fatalf("round %d: Quiesce returned with %d messages in mailbox %d", round, ep.Len(), p)
+			}
 		}
 		rt.net.mu.Lock()
 		for k, l := range rt.net.links {
@@ -85,17 +94,32 @@ func TestRuntimeQuiesceUnderDelay(t *testing.T) {
 	}
 }
 
-// TestTrackerUnderflowPanics: finishing more work than was tracked is a
-// bug in the runtime's accounting and must not pass silently.
-func TestTrackerUnderflowPanics(t *testing.T) {
-	rt, _ := newRelay(t, 1, nil)
+// TestPerformStalledWithoutRetries: with loss and the retransmission
+// discipline disabled, an operation whose message is lost can never
+// complete. Perform says so with ErrStalled as soon as nothing is left to
+// deliver — it does not block — and the runtime stays usable: a later
+// operation whose messages all get through succeeds.
+func TestPerformStalledWithoutRetries(t *testing.T) {
+	const n, hops = 3, 2
+	reply := make(chan Result, 1)
+	rt, _ := newRelayReplying(t, n, &FaultPlan{Seed: 1, Loss: 0.4}, RetryPolicy{Disabled: true}, reply)
 	defer rt.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("tracker underflow did not panic")
+	stalled := 0
+	for i := 0; i < 50; i++ {
+		_, err := rt.Perform(model.ProcessorID(i%n), hops, reply, nil)
+		switch {
+		case errors.Is(err, ErrStalled):
+			stalled++
+		case err != nil:
+			t.Fatalf("operation %d: %v", i, err)
+		case stalled > 0:
+			if st := rt.net.Stats(); st.DroppedLoss < stalled {
+				t.Fatalf("%d operations stalled on %d losses", stalled, st.DroppedLoss)
+			}
+			return // an operation after a stalled one went through
 		}
-	}()
-	rt.track.done()
+	}
+	t.Fatalf("%d of 50 operations stalled, none succeeded after one: want both", stalled)
 }
 
 // TestRuntimeSubmitAfterClose: a command submitted to a closed runtime is

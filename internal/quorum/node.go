@@ -265,8 +265,8 @@ func (n *node) HandleMessage(m netsim.Message) {
 		// Ties on the version number break toward the lowest processor id.
 		// Every vote is awaited before the fetch target is chosen, so this
 		// makes the choice a function of the vote set alone — reply arrival
-		// order (which goroutine scheduling controls) cannot influence which
-		// link carries the fetch, keeping faulted runs seed-deterministic.
+		// order (which loss, delay and the runtime's delivery order decide)
+		// cannot influence which link carries the fetch.
 		if m.Version.Seq > 0 && (o.maxHolder < 0 || m.Version.Seq > o.maxSeq ||
 			(m.Version.Seq == o.maxSeq && m.From < o.maxHolder)) {
 			o.maxSeq, o.maxHolder = m.Version.Seq, m.From

@@ -5,17 +5,16 @@ import (
 	"objalloc/internal/obs"
 )
 
-// observed runs op between two quiesced accounting snapshots and emits one
-// "quorum_<kind>" event with the deltas. Quiescing keeps fire-and-forget
-// traffic (read repairs, surplus vote replies) attributed to the operation
-// that caused it, which is why the deltas are only meaningful under a
-// sequential driver. op returns one result attribute appended to the event
-// on success ("seq" for reads/writes, "missed" for recovery).
+// observed runs op between two accounting snapshots and emits one
+// "quorum_<kind>" event with the deltas. Every operation returns with the
+// cluster quiescent, so fire-and-forget traffic (read repairs, surplus
+// vote replies) is attributed to the operation that caused it; the deltas
+// are meaningful under a sequential driver, whose snapshots bracket
+// exactly one operation. op returns one result attribute appended to the
+// event on success ("seq" for reads/writes, "missed" for recovery).
 func (c *Cluster) observed(o *obs.Obs, kind string, p model.ProcessorID, op func() (obs.Attr, error)) error {
-	c.AwaitHandlers()
 	before := c.Traffic()
 	result, err := op()
-	c.AwaitHandlers()
 	d := c.Traffic().Since(before)
 
 	attrs := append([]obs.Attr{obs.Int("proc", int(p))}, d.Attrs(o, "quorum")...)

@@ -133,8 +133,9 @@ func (c Config) weight(id model.ProcessorID) int {
 type runtime = netsim.Runtime[command]
 
 // Cluster is a running quorum-replicated system. The embedded processor
-// runtime supplies the network, the actors, quiescence and the accounting
-// reads (Counts, Cost, HolderSeqs, StoreOf, Network, Quiesce, Close, ...).
+// runtime supplies the network, message delivery, quiescence and the
+// accounting reads (Counts, Cost, HolderSeqs, StoreOf, Network, Quiesce,
+// Close, ...).
 type Cluster struct {
 	*runtime
 	cfg Config

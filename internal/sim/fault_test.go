@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"objalloc/internal/model"
 	"objalloc/internal/netsim"
@@ -13,8 +12,8 @@ import (
 // TestRunConcurrentMidRunCrashCleanError is the regression test for the
 // failure mode where a crash injected mid-run through the raw network left
 // RunConcurrent hanging forever on a read reply that would never come. The
-// failure detector's nack must surface a clean error instead — no hang, no
-// tracker underflow, no double-count.
+// failure detector's nack must surface a clean error instead — no stall,
+// no double-count.
 func TestRunConcurrentMidRunCrashCleanError(t *testing.T) {
 	c := newCluster(t, DA, 6, 3)
 	// DA: F = {0, 1}, p = 2. Remote reads are served by min(F) = 0.
@@ -25,33 +24,24 @@ func TestRunConcurrentMidRunCrashCleanError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	done := make(chan error, 1)
-	go func() {
-		// Processor 5 holds no copy, so its reads go to the crashed
-		// server 0.
-		sched := model.Schedule{model.R(5), model.R(5), model.R(5)}
-		_, err := c.RunConcurrent(sched)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("reads against a crashed server should fail")
-		}
-		var u netsim.Unreachable
-		if !errors.As(err, &u) {
-			t.Fatalf("want netsim.Unreachable, got %v", err)
-		}
-		if u.Peer != 0 {
-			t.Fatalf("unreachable peer = %d, want 0", u.Peer)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("RunConcurrent hung on mid-run crash")
+	// Processor 5 holds no copy, so its reads go to the crashed server 0.
+	_, err := c.RunConcurrent(model.Schedule{model.R(5), model.R(5), model.R(5)})
+	if err == nil {
+		t.Fatal("reads against a crashed server should fail")
+	}
+	if errors.Is(err, netsim.ErrStalled) {
+		t.Fatalf("RunConcurrent stalled on mid-run crash: %v", err)
+	}
+	var u netsim.Unreachable
+	if !errors.As(err, &u) {
+		t.Fatalf("want netsim.Unreachable, got %v", err)
+	}
+	if u.Peer != 0 {
+		t.Fatalf("unreachable peer = %d, want 0", u.Peer)
 	}
 
 	// The cluster must still be functional for processors with local
-	// copies, and counters must not have been corrupted (Scheme quiesces,
-	// which would panic on tracker underflow).
+	// copies, and settle (Scheme quiesces).
 	if _, err := c.Read(3); err != nil {
 		t.Fatalf("local read after crash: %v", err)
 	}
@@ -158,24 +148,9 @@ func TestLossyWithoutRetriesViolates(t *testing.T) {
 			latest = v.Seq
 			continue
 		}
-		done := make(chan struct {
-			seq uint64
-			err error
-		}, 1)
-		go func() {
-			v, rerr := c.Read(p)
-			done <- struct {
-				seq uint64
-				err error
-			}{v.Seq, rerr}
-		}()
-		select {
-		case r := <-done:
-			if r.err != nil || r.seq != latest {
-				violated = true
-			}
-		case <-time.After(200 * time.Millisecond):
-			// Read hung on a lost message with nobody retransmitting.
+		// A read whose request or reply is lost with nobody retransmitting
+		// reports netsim.ErrStalled.
+		if v, rerr := c.Read(p); rerr != nil || v.Seq != latest {
 			violated = true
 		}
 	}

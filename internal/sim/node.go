@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"objalloc/internal/model"
 	"objalloc/internal/netsim"
@@ -82,7 +84,7 @@ type node struct {
 	// DA state on members of F.
 	inF      bool
 	minF     bool
-	joinList map[model.ProcessorID]bool
+	joinList model.Set
 	// extra is the one non-F member installed by the most recent write
 	// (initially the designated processor p); tracked by the smallest
 	// member of F, which owns its invalidation. -1 means none.
@@ -106,7 +108,6 @@ func newNode(c *Cluster, id model.ProcessorID, st storage.Store) *node {
 	if c.cfg.Protocol == DA {
 		n.inF = c.core.Contains(id)
 		if n.inF {
-			n.joinList = make(map[model.ProcessorID]bool)
 			n.minF = id == c.core.Min()
 			if n.minF {
 				n.extra = c.anchor
@@ -219,11 +220,21 @@ func (n *node) sendReliable(m netsim.Message) {
 
 // pollOutbox is one quiescence round of the retransmission discipline:
 // entries whose backoff round has arrived are retransmitted; entries whose
-// budget is spent are dropped and reported as given up.
+// budget is spent are dropped and reported as given up. The outbox is
+// walked in (to, type, seq) order, so what is retransmitted first — and
+// which peer a failed write names — does not hang on Go's map order.
 func (n *node) pollOutbox(round int) outboxStatus {
 	var st outboxStatus
 	maxAttempts := n.c.cfg.Retry.Attempts()
-	for k, e := range n.outbox {
+	keys := make([]outKey, 0, len(n.outbox))
+	for k := range n.outbox {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b outKey) int {
+		return cmp.Or(cmp.Compare(a.to, b.to), cmp.Compare(a.typ, b.typ), cmp.Compare(a.seq, b.seq))
+	})
+	for _, k := range keys {
+		e := n.outbox[k]
 		if e.attempts >= maxAttempts {
 			delete(n.outbox, k)
 			st.gaveUp = append(st.gaveUp, k.to)
@@ -260,12 +271,12 @@ func (n *node) execSet(writer model.ProcessorID) model.Set {
 // previous write. Summed over F, the messages sent are exactly the paper's
 // |Y \ X| invalidations.
 func (n *node) invalidationDuty(writer model.ProcessorID, seq uint64, x model.Set) {
-	for joiner := range n.joinList {
+	n.joinList.ForEach(func(joiner model.ProcessorID) {
 		if joiner != writer && !x.Contains(joiner) {
 			n.sendReliable(netsim.Message{From: n.id, To: joiner, Type: netsim.TInvalidate, Seq: seq})
 		}
-		delete(n.joinList, joiner)
-	}
+	})
+	n.joinList = model.EmptySet
 	if n.minF {
 		if n.extra >= 0 && n.extra != writer && !x.Contains(n.extra) {
 			n.sendReliable(netsim.Message{From: n.id, To: n.extra, Type: netsim.TInvalidate, Seq: seq})
@@ -352,7 +363,7 @@ func (n *node) serveRead(m netsim.Message) {
 		return
 	}
 	if n.inF {
-		n.joinList[m.From] = true
+		n.joinList = n.joinList.Add(m.From)
 	}
 	n.net.Send(netsim.Message{From: n.id, To: m.From, Type: netsim.TReadReply, Seq: m.Seq, Version: v, Attempt: attempt})
 }

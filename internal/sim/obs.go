@@ -7,10 +7,10 @@ import (
 )
 
 // emitRequest emits the per-request event and bumps the registry, given
-// the traffic d the request caused and the allocation scheme before it. It returns the scheme after the request, which callers
-// thread through as the next request's "before" scheme. Only called on
-// observed clusters; the driver is sequential here, so emission order is
-// schedule order and the resulting event stream is deterministic.
+// the traffic d the request caused and the allocation scheme before it. It
+// returns the scheme after the request, which callers thread through as
+// the next request's "before" scheme. Only called on observed clusters;
+// emission order is schedule order.
 func (c *Cluster) emitRequest(o *obs.Obs, index int, q model.Request, d netsim.Traffic, prevScheme model.Set) model.Set {
 	kind := "write"
 	if q.IsRead() {
@@ -41,10 +41,10 @@ func (c *Cluster) emitRequest(o *obs.Obs, index int, q model.Request, d netsim.T
 }
 
 // emitReadBurst emits the aggregate event of one maximal run of concurrent
-// reads (RunConcurrent's §3.1 semantics). Individual reads of the burst
-// interleave nondeterministically, so per-read attribution would be
-// meaningless; the aggregate deltas are deterministic because the burst is
-// quiesced before the snapshot.
+// reads (RunConcurrent's §3.1 semantics). The reads of a burst are all in
+// flight before any reply is handled, so which of them a message belongs
+// to is not a question the model answers; the burst's deltas are a
+// function of the schedule, like every other count.
 func (c *Cluster) emitReadBurst(o *obs.Obs, index, count int, d netsim.Traffic, prevScheme model.Set) model.Set {
 	scheme := c.Scheme()
 	attrs := []obs.Attr{

@@ -3,22 +3,26 @@
 // local databases (package storage), rather than as the abstract
 // execution-set bookkeeping of package dom.
 //
-// Each processor is a goroutine that owns a local database and a mailbox
-// and reacts to protocol messages: read requests, object transfers, write
-// propagations, and invalidations. DA's join-lists (§2, §4.2.2) are real
-// per-processor state on the members of F; invalidation control messages
-// really flow. Every message is billed by the network and every local
-// database input/output is counted by the store, so an executed schedule
-// yields an integer cost accounting (cost.Counts) that integration tests
-// compare — exactly, not approximately — against the analytic cost model
-// applied to the corresponding dom allocation schedule. That equality is
-// experiment E15 and is what justifies trusting the analytic experiments.
+// Each processor owns a local database and a mailbox and reacts to
+// protocol messages: read requests, object transfers, write propagations,
+// and invalidations. There are no threads in it, as there are none in the
+// paper's model: netsim.Runtime delivers the messages one at a time in a
+// fixed order, so an execution is a function of its inputs. DA's
+// join-lists (§2, §4.2.2) are real per-processor state on the members of
+// F; invalidation control messages really flow. Every message is billed by
+// the network and every local database input/output is counted by the
+// store, so an executed schedule yields an integer cost accounting
+// (cost.Counts) that integration tests compare — exactly, not
+// approximately — against the analytic cost model applied to the
+// corresponding dom allocation schedule. That equality is experiment E15
+// and is what justifies trusting the analytic experiments.
 //
 // The driver issues writes in a total order (the paper assumes a
 // concurrency-control mechanism, §3.1); reads between consecutive writes
-// may execute concurrently (RunConcurrent), and every read observes the
-// version written by the most recent write — asserted by the
-// linearizability tests.
+// may execute concurrently (RunConcurrent: every read of the burst is in
+// flight before any reply is handled), and every read observes the version
+// written by the most recent write — asserted by the linearizability
+// tests.
 package sim
 
 import (
@@ -119,7 +123,7 @@ func (c Config) validate() error {
 }
 
 // runtime is the processor runtime the protocol executes on; embedding it
-// gives the cluster its network, actors, quiescence and accounting
+// gives the cluster its network, delivery loop, quiescence and accounting
 // (Counts, Cost, HolderSeqs, Network, Crash, Restart, Quiesce, Close, ...).
 type runtime = netsim.Runtime[command]
 
@@ -137,7 +141,7 @@ type Cluster struct {
 
 // New builds and starts the cluster: stores are created, the initial
 // allocation scheme is preloaded with version 1 of the object, counters are
-// zeroed, and every processor's event loop is running.
+// zeroed, and every processor has its protocol handler.
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -175,23 +179,33 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // Read executes a read request issued by processor p and returns the
-// version it observed. Reads may be issued concurrently. On a lossy
-// network with retries enabled the driver retransmits the read request
-// under capped exponential backoff and gives up with netsim.Unreachable
-// once the retry budget is exhausted; a crashed server fails the read
-// immediately via the failure detector's bounce.
+// version it observed. On a lossy network with retries enabled the driver
+// retransmits the read request under capped exponential backoff and gives
+// up with netsim.Unreachable once the retry budget is exhausted; a crashed
+// server fails the read immediately via the failure detector's bounce; and
+// a read whose request or reply was lost with retries disabled reports
+// netsim.ErrStalled.
 func (c *Cluster) Read(p model.ProcessorID) (storage.Version, error) {
+	res := c.PerformAll([]netsim.Op[command]{c.readOp(p)})[0]
+	return res.Version, res.Err
+}
+
+// readOp is the runtime operation of one read issued by processor p.
+func (c *Cluster) readOp(p model.ProcessorID) netsim.Op[command] {
 	corr := c.NextCorr()
 	reply := make(chan netsim.Result, 1)
-	return c.Perform(p, command{kind: cmdRead, corr: corr, reply: reply}, reply, func(attempt int, giveUp bool) command {
-		kind := cmdRetryRead
-		if giveUp {
-			// Have the node resolve the pending read with an Unreachable
-			// error (unless a reply or nack races in first, which wins).
-			kind = cmdFailRead
-		}
-		return command{kind: kind, corr: corr, attempt: attempt}
-	})
+	return netsim.Op[command]{
+		P: p, Cmd: command{kind: cmdRead, corr: corr, reply: reply}, Reply: reply,
+		Retry: func(attempt int, giveUp bool) command {
+			kind := cmdRetryRead
+			if giveUp {
+				// Have the node resolve the pending read with an Unreachable
+				// error (unless a reply or nack got there first, which wins).
+				kind = cmdFailRead
+			}
+			return command{kind: kind, corr: corr, attempt: attempt}
+		},
+	}
 }
 
 // Write executes a write request issued by processor p, assigning it the
@@ -259,6 +273,19 @@ func (c *Cluster) flushOutboxes() error {
 // with its message/I/O deltas and scheme transition, and the Observer sees
 // each request as one task.
 func (c *Cluster) Run(sched model.Schedule) ([]storage.Version, error) {
+	return c.run(sched, false)
+}
+
+// RunConcurrent executes the schedule with the paper's §3.1 concurrency:
+// writes are totally ordered, but each maximal run of consecutive reads is
+// one burst — every read of it is in flight before any reply is handled —
+// that settles before the next write. Returned versions appear in schedule
+// order; an observed cluster emits one "readburst" event per burst.
+func (c *Cluster) RunConcurrent(sched model.Schedule) ([]storage.Version, error) {
+	return c.run(sched, true)
+}
+
+func (c *Cluster) run(sched model.Schedule, bursts bool) ([]storage.Version, error) {
 	out := make([]storage.Version, len(sched))
 	o := c.cfg.Obs
 	var prevScheme model.Set
@@ -270,7 +297,17 @@ func (c *Cluster) Run(sched model.Schedule) ([]storage.Version, error) {
 			defer hook.RunDone()
 		}
 	}
-	for i, q := range sched {
+	// done reports request k's outcome to the observer and wraps its error.
+	done := func(k int, err error) error {
+		if hook != nil {
+			hook.TaskDone(k, err)
+		}
+		if err != nil {
+			err = fmt.Errorf("sim: request %d (%v): %w", k, sched[k], err)
+		}
+		return err
+	}
+	for i := 0; i < len(sched); {
 		var before netsim.Traffic
 		if o.Enabled() {
 			before = c.Traffic()
@@ -278,99 +315,48 @@ func (c *Cluster) Run(sched model.Schedule) ([]storage.Version, error) {
 		if hook != nil {
 			hook.TaskStart(i)
 		}
-		var err error
-		if q.IsRead() {
-			out[i], err = c.Read(q.Processor)
-		} else {
-			out[i], err = c.Write(q.Processor, []byte(fmt.Sprintf("w%d@%d", q.Processor, i)))
-		}
-		if hook != nil {
-			hook.TaskDone(i, err)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sim: request %d (%v): %w", i, q, err)
-		}
-		if o.Enabled() {
-			prevScheme = c.emitRequest(o, i, q, c.Traffic().Since(before), prevScheme)
-		}
-	}
-	return out, nil
-}
-
-// RunConcurrent executes the schedule with the paper's §3.1 concurrency:
-// writes are totally ordered, but each maximal run of consecutive reads is
-// issued concurrently (one goroutine per read) and joined before the next
-// write. Returned versions appear in schedule order.
-func (c *Cluster) RunConcurrent(sched model.Schedule) ([]storage.Version, error) {
-	out := make([]storage.Version, len(sched))
-	errs := make([]error, len(sched))
-	o := c.cfg.Obs
-	var prevScheme model.Set
-	var hook obs.Observer
-	if o.Enabled() {
-		prevScheme = c.Scheme()
-		if hook = o.Hook(); hook != nil {
-			hook.RunStart(len(sched))
-			defer hook.RunDone()
-		}
-	}
-	i := 0
-	for i < len(sched) {
-		var before netsim.Traffic
-		if o.Enabled() {
-			before = c.Traffic()
-		}
-		if sched[i].IsWrite() {
-			if hook != nil {
-				hook.TaskStart(i)
+		q := sched[i]
+		if q.IsWrite() || !bursts {
+			var err error
+			if q.IsRead() {
+				out[i], err = c.Read(q.Processor)
+			} else {
+				out[i], err = c.Write(q.Processor, []byte(fmt.Sprintf("w%d@%d", q.Processor, i)))
 			}
-			v, err := c.Write(sched[i].Processor, []byte(fmt.Sprintf("w%d@%d", sched[i].Processor, i)))
-			if hook != nil {
-				hook.TaskDone(i, err)
+			if err = done(i, err); err != nil {
+				return nil, err
 			}
-			if err != nil {
-				return nil, fmt.Errorf("sim: request %d (%v): %w", i, sched[i], err)
-			}
-			out[i] = v
 			if o.Enabled() {
-				prevScheme = c.emitRequest(o, i, sched[i], c.Traffic().Since(before), prevScheme)
+				prevScheme = c.emitRequest(o, i, q, c.Traffic().Since(before), prevScheme)
 			}
 			i++
 			continue
 		}
-		j := i
-		for j < len(sched) && sched[j].IsRead() {
-			j++
+		burst := []netsim.Op[command]{c.readOp(q.Processor)}
+		for j := i + 1; j < len(sched) && sched[j].IsRead(); j++ {
+			if hook != nil {
+				hook.TaskStart(j)
+			}
+			burst = append(burst, c.readOp(sched[j].Processor))
 		}
-		var wg sync.WaitGroup
-		for k := i; k < j; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				if hook != nil {
-					hook.TaskStart(k)
-				}
-				out[k], errs[k] = c.Read(sched[k].Processor)
-				if hook != nil {
-					hook.TaskDone(k, errs[k])
-				}
-			}(k)
-		}
-		wg.Wait()
-		for k := i; k < j; k++ {
-			if errs[k] != nil {
-				return nil, fmt.Errorf("sim: request %d (%v): %w", k, sched[k], errs[k])
+		// The saving-read joins have settled when the burst returns.
+		var firstErr error
+		for k, res := range c.PerformAll(burst) {
+			out[i+k] = res.Version
+			if err := done(i+k, res.Err); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
-		// Quiesce so saving-read joins settle before the next write.
-		c.Quiesce()
-		if o.Enabled() {
-			// Reads of one burst interleave freely; the aggregate deltas
-			// after quiescence are deterministic even though per-read
-			// attribution is not.
-			prevScheme = c.emitReadBurst(o, i, j-i, c.Traffic().Since(before), prevScheme)
+		if firstErr != nil {
+			return nil, firstErr
 		}
-		i = j
+		if o.Enabled() {
+			// One event per burst: its reads share their messages' fate (who
+			// is served before whose copy is saved), so the burst, not the
+			// read, is the unit the traffic belongs to.
+			prevScheme = c.emitReadBurst(o, i, len(burst), c.Traffic().Since(before), prevScheme)
+		}
+		i += len(burst)
 	}
 	return out, nil
 }

@@ -252,6 +252,62 @@ func TestConcurrentDuplicateReadsCostAtLeastSequential(t *testing.T) {
 	}
 }
 
+// TestRunConcurrentDeterministic: a read burst is every read in flight
+// before any reply is handled, so its counts are a function of the
+// schedule even when a reader repeats inside a burst — the case a
+// goroutine per read answered differently from run to run. The repeat can
+// only cost more than the sequential run (each in-flight read misses
+// locally), and without one the two agree exactly.
+func TestRunConcurrentDeterministic(t *testing.T) {
+	const n = 6
+	counts := func(sched model.Schedule, concurrent bool) cost.Counts {
+		t.Helper()
+		c := newCluster(t, DA, n, 3)
+		run := c.Run
+		if concurrent {
+			run = c.RunConcurrent
+		}
+		if _, err := run(sched); err != nil {
+			t.Fatal(err)
+		}
+		return c.Counts()
+	}
+	rng := rand.New(rand.NewSource(3))
+	repeated := workload.Uniform(rng, n, 300, 0.2)
+	var burst model.Set
+	repeats := 0
+	for _, q := range repeated {
+		switch {
+		case q.IsWrite():
+			burst = model.EmptySet
+		case burst.Contains(q.Processor):
+			repeats++
+		default:
+			burst = burst.Add(q.Processor)
+		}
+	}
+	if repeats == 0 {
+		t.Fatal("no reader repeats inside a burst — the test is vacuous")
+	}
+	first := counts(repeated, true)
+	for i := 1; i < 20; i++ {
+		if got := counts(repeated, true); got != first {
+			t.Fatalf("run %d: counts %v, first run %v", i, got, first)
+		}
+	}
+	seq := counts(repeated, false)
+	if first.Control < seq.Control || first.Data < seq.Data || first.IO < seq.IO {
+		t.Fatalf("concurrent counts %v undercut sequential %v", first, seq)
+	}
+	if first == seq {
+		t.Fatalf("%d repeated readers cost nothing extra: %v", repeats, first)
+	}
+	distinct := distinctReaderSchedule(rng, n, 16)
+	if conc, seq := counts(distinct, true), counts(distinct, false); conc != seq {
+		t.Fatalf("distinct readers: concurrent counts %v != sequential %v", conc, seq)
+	}
+}
+
 func TestCostPricing(t *testing.T) {
 	c := newCluster(t, SA, 4, 2)
 	if _, err := c.Read(3); err != nil { // remote read: 1cc + 1cd + 1io

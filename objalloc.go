@@ -329,8 +329,9 @@ const (
 // ClusterConfig describes a simulated distributed system.
 type ClusterConfig = sim.Config
 
-// Cluster is a running distributed system: one goroutine per processor,
-// a billed message network, and per-processor local databases. Build one
+// Cluster is a running distributed system: one protocol handler per
+// processor, a billed message network, and per-processor local databases,
+// run by a single-threaded deterministic delivery loop. Build one
 // with NewCluster (see options.go for the ClusterOption family).
 type Cluster = sim.Cluster
 

@@ -96,8 +96,8 @@ func WithPreload(on bool) ClusterOption {
 }
 
 // NewCluster builds and starts a simulated distributed system of n
-// processors: one goroutine per processor, a billed message network, and
-// per-processor local databases. By default it runs DA with t = 2 and
+// processors: one protocol handler per processor, a billed message network,
+// and per-processor local databases. By default it runs DA with t = 2 and
 // initial scheme {0..t-1}; see the ClusterOption family.
 func NewCluster(n int, opts ...ClusterOption) (*Cluster, error) {
 	o := buildClusterOptions(opts)
