@@ -30,12 +30,14 @@
 # named tests and experiments-check),
 # seqvet fails if the executed protocols regrow a goroutine, a condition
 # variable or a wall-clock wait (one goroutine runs them; their counts are
-# a function of their inputs), and
+# a function of their inputs),
+# depsvet fails if the daemon links the laboratory again (the offline
+# solver, sweeps and generators, or the executed clusters), and
 # staticcheck runs when the tool is installed (it is skipped gracefully
 # otherwise — the build must not depend on network access).
-.PHONY: verify build fmtcheck vet test race bench obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet staticcheck loc chaos profile
+.PHONY: verify build fmtcheck vet test race bench obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet depsvet staticcheck loc chaos profile
 
-verify: build fmtcheck vet test race fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet staticcheck
+verify: build fmtcheck vet test race fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet depsvet staticcheck
 
 build:
 	go build ./...
@@ -75,6 +77,7 @@ fuzzsmoke:
 	go test -run none -fuzz FuzzParseFaults -fuzztime 10s ./internal/chaos
 	go test -run none -fuzz FuzzParseDiskFaults -fuzztime 10s ./internal/chaos
 	go test -run none -fuzz FuzzParseAdaptiveSpec -fuzztime 10s ./internal/adaptive
+	go test -run none -fuzz FuzzKVSpec -fuzztime 10s ./internal/kvspec
 	go test -run none -fuzz FuzzReplayJournal -fuzztime 10s ./internal/server
 	go test -run none -fuzz FuzzWireDecode -fuzztime 10s ./internal/server
 	go test -run none -fuzz FuzzHandleBatch -fuzztime 10s ./internal/server
@@ -139,6 +142,24 @@ seqvet:
 		exit 1; \
 	else \
 		echo "seqvet: executed protocols start no goroutine and wait on no clock"; \
+	fi
+
+# objallocd serves the controller and the two protocols; it does not run
+# the laboratory. The offline side (competitive, opt, engine, workload,
+# adversary) came in once through internal/adaptive, for two pure functions
+# of (cc, cd) and a harness only tests call; the executed clusters (sim,
+# quorum, ha, chaos) run under cmd/chaos and domsim. An import that brings
+# any of them back belongs on the other side of that line.
+depsvet:
+	@deps=$$(go list -deps ./cmd/objallocd) || exit 1; \
+	deps=$$(echo "$$deps" | grep '^objalloc/internal/'); \
+	bad=$$(echo "$$deps" | grep -E '^objalloc/internal/(competitive|opt|engine|workload|adversary|sim|quorum|ha|chaos)$$' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "depsvet: cmd/objallocd links packages the daemon does not serve (go list -deps ./cmd/objallocd):"; \
+		echo "$$bad"; \
+		exit 1; \
+	else \
+		echo "depsvet: cmd/objallocd links $$(echo "$$deps" | wc -l) internal packages, none of the laboratory"; \
 	fi
 
 staticcheck:

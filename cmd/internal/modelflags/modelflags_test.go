@@ -6,6 +6,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"objalloc/internal/netsim"
+	"objalloc/internal/server"
 )
 
 // TestModelFlagParity pins the model flag set both tools share: the 14
@@ -58,5 +61,43 @@ func TestModelFlagParity(t *testing.T) {
 		if _, err := flags.Config(); err == nil || err.Error() != tc.wantErr {
 			t.Errorf("%s: error %v, want %q", tc.arg, err, tc.wantErr)
 		}
+	}
+}
+
+// TestConfigRejectsLinkFlaps: the service draws faults from per-object
+// streams and has no links, so a plan with flap or flaplen would be an
+// active fault run that injects nothing. Normalize refuses it, and with
+// it New and everything -faults reaches through Config; the plan itself
+// stays legal for cmd/chaos and domsim, which run real links.
+func TestConfigRejectsLinkFlaps(t *testing.T) {
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "-faults") || !strings.Contains(err.Error(), "flap") {
+			t.Errorf("%s: error %v, want a refusal naming -faults and flap", what, err)
+		}
+	}
+	for _, plan := range []netsim.FaultPlan{{Flap: 0.5}, {FlapLen: 3}, {Loss: 0.1, Flap: 0.01, FlapLen: 3}} {
+		cfg := server.Config{Faults: &plan}
+		refused("Normalize", cfg.Normalize())
+		_, err := server.New(server.Config{Faults: &plan})
+		refused("New", err)
+	}
+	for _, arg := range []string{"-faults=flap=0.5,flaplen=3", "-faults=loss=0.1,FLAP=0.01"} {
+		fs := flag.NewFlagSet("flaps", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		flags := Bind(fs)
+		if err := fs.Parse([]string{arg}); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := flags.Config()
+		if err != nil {
+			t.Fatalf("%s: Config refused a legal plan: %v", arg, err)
+		}
+		_, err = server.New(cfg)
+		refused(arg, err)
+	}
+	ok := server.Config{Faults: &netsim.FaultPlan{Loss: 0.1, Dup: 0.1, Delay: 0.1, DelayMax: 3}}
+	if err := ok.Normalize(); err != nil {
+		t.Errorf("a plan without flaps is refused: %v", err)
 	}
 }

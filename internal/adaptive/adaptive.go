@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"objalloc/internal/competitive"
 	"objalloc/internal/cost"
 	"objalloc/internal/dom"
 	"objalloc/internal/model"
@@ -61,14 +60,14 @@ func New(m cost.Model, spec Spec, initial model.Set, t int) (*Controller, error)
 	}
 	c := &Controller{spec: spec, model: m, initial: initial, t: t}
 
-	region := competitive.RegionUnknown
+	region := cost.RegionUnknown
 	if !spec.IgnoreRegion {
-		region = analyticRegion(m)
+		region = m.Region()
 	}
 	start := spec.Start
 	if start == "auto" {
 		switch region {
-		case competitive.RegionSASuperior:
+		case cost.RegionSASuperior:
 			start = "sa"
 		default:
 			// DA wherever the bounds do not hand the point to SA: the
@@ -80,8 +79,8 @@ func New(m cost.Model, spec Spec, initial model.Set, t int) (*Controller, error)
 	// Pin when the spec disables switching or the paper's bounds already
 	// decide the point; a pinned controller is the pure protocol.
 	c.pinned = spec.Pinned() ||
-		(region == competitive.RegionSASuperior && start == "sa") ||
-		(region == competitive.RegionDASuperior && start == "da")
+		(region == cost.RegionSASuperior && start == "sa") ||
+		(region == cost.RegionDASuperior && start == "da")
 
 	var err error
 	if c.inner, err = c.protocol(start); err != nil {
@@ -102,16 +101,6 @@ func Factory(m cost.Model, spec Spec) dom.Factory {
 	return func(initial model.Set, t int) (dom.Algorithm, error) {
 		return New(m, spec, initial, t)
 	}
-}
-
-// analyticRegion classifies the cost model with the paper's figure 1/2
-// bounds, normalizing prices per I/O for the stationary test (the figures
-// assume cio = 1).
-func analyticRegion(m cost.Model) competitive.Region {
-	if m.IsMobile() {
-		return competitive.AnalyticRegionMC(m.CC, m.CD)
-	}
-	return competitive.AnalyticRegionSC(m.CC/m.CIO, m.CD/m.CIO)
 }
 
 // protocol creates a fresh instance of the named protocol starting from

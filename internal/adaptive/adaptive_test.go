@@ -1,8 +1,6 @@
 package adaptive
 
 import (
-	"context"
-	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -21,9 +19,14 @@ func initialScheme(t int) model.Set {
 	return s
 }
 
+type testCase struct {
+	Name  string
+	Sched model.Schedule
+}
+
 // testBattery is a small mixed battery: adversarial families plus seeded
 // stochastic workloads.
-func testBattery(t *testing.T, n int) []Case {
+func testBattery(t *testing.T, n int) []testCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	uni, err := workload.FromSpec(rng, "uniform:n=6,len=200,pwrite=0.4")
@@ -35,7 +38,7 @@ func testBattery(t *testing.T, n int) []Case {
 		t.Fatal(err)
 	}
 	out := model.ProcessorID(n - 1)
-	return []Case{
+	return []testCase{
 		{Name: "mixflip", Sched: adversary.MixFlip(out, 0, 40, 3)},
 		{Name: "readrun", Sched: adversary.SAPunisher(out, 80)},
 		{Name: "pingpong", Sched: adversary.PingPong(0, out, 40)},
@@ -207,77 +210,5 @@ func TestTransitionBilling(t *testing.T) {
 	}
 	if total != counts.Price(m) {
 		t.Fatalf("total %.6g != priced counts %.6g", total, counts.Price(m))
-	}
-}
-
-// Regret is deterministic: parallel and serial runs produce identical
-// points (via JSON) for several seeds.
-func TestRegretDeterminism(t *testing.T) {
-	for _, seed := range []int64{1, 42, 9001} {
-		spec := RegretSpec{
-			Model: cost.SC(0.25, 1),
-			Spec:  Spec{Window: 8, Hysteresis: 2},
-			N:     6, T: 2,
-			Seed: seed,
-		}
-		serialSpec := spec
-		serialSpec.Parallelism = 1
-		serial, err := Regret(context.Background(), serialSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallelSpec := spec
-		parallelSpec.Parallelism = 8
-		parallel, err := Regret(context.Background(), parallelSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sj, _ := json.Marshal(serial)
-		pj, _ := json.Marshal(parallel)
-		if string(sj) != string(pj) {
-			t.Fatalf("seed %d: parallel regret differs from serial:\n%s\n%s", seed, sj, pj)
-		}
-	}
-}
-
-// The default battery's regret points are sane: every ratio is >= 1 when
-// OPT is exact, and the mix-flip case beats both fixed protocols.
-func TestRegretBattery(t *testing.T) {
-	points, err := Regret(context.Background(), RegretSpec{
-		Model: cost.SC(0.25, 1),
-		Spec:  Spec{Window: 8, Hysteresis: 2},
-		N:     6, T: 2,
-		Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]RegretPoint{}
-	for _, p := range points {
-		byName[p.Case] = p
-		if p.Exact && p.VsOpt < 1-1e-9 {
-			t.Errorf("case %q: adaptive %.6g beat exact OPT %.6g", p.Case, p.Adaptive, p.Opt)
-		}
-	}
-	mf, ok := byName["mixflip"]
-	if !ok {
-		t.Fatal("default battery is missing the mixflip case")
-	}
-	if mf.VsBestFixed >= 1 {
-		t.Errorf("mixflip: adaptive did not beat best fixed (ratio %.4g, SA=%.4g DA=%.4g adaptive=%.4g)",
-			mf.VsBestFixed, mf.SA, mf.DA, mf.Adaptive)
-	}
-	if mf.Switches == 0 {
-		t.Error("mixflip: no switches recorded")
-	}
-}
-
-// Cancellation propagates.
-func TestRegretCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Regret(ctx, RegretSpec{Model: cost.SC(0.25, 1), N: 6, T: 2})
-	if err == nil {
-		t.Fatal("cancelled regret returned nil error")
 	}
 }

@@ -1,10 +1,16 @@
-package adaptive
+// Package regret is the offline harness of experiment E25: it measures the
+// adaptive controller against pure SA, pure DA and the offline optimum over
+// a schedule battery. It lives apart from package adaptive so that a binary
+// serving the controller (objallocd) does not link the laboratory —
+// adversary, engine, opt, workload — that only this measurement needs.
+package regret
 
 import (
 	"context"
 	"fmt"
 	"math"
 
+	"objalloc/internal/adaptive"
 	"objalloc/internal/adversary"
 	"objalloc/internal/cost"
 	"objalloc/internal/dom"
@@ -30,7 +36,7 @@ type RegretSpec struct {
 	Model cost.Model
 	// Spec configures the adaptive controller under test. The zero value
 	// selects the defaults.
-	Spec Spec
+	Spec adaptive.Spec
 	// N is the number of processors and T the availability threshold of
 	// the battery's schedules.
 	N, T int
@@ -145,11 +151,11 @@ func Regret(ctx context.Context, spec RegretSpec) ([]RegretPoint, error) {
 		cs := spec.Cases[i]
 		p := RegretPoint{Case: cs.Name, Requests: len(cs.Sched)}
 
-		ctrl, err := New(spec.Model, spec.Spec, spec.Initial, spec.T)
+		ctrl, err := adaptive.New(spec.Model, spec.Spec, spec.Initial, spec.T)
 		if err != nil {
 			return p, fmt.Errorf("adaptive: regret case %q: %w", cs.Name, err)
 		}
-		p.Adaptive, _, p.Switches = RunCost(spec.Model, ctrl, cs.Sched)
+		p.Adaptive, _, p.Switches = adaptive.RunCost(spec.Model, ctrl, cs.Sched)
 
 		for _, fixed := range []struct {
 			f    dom.Factory
@@ -159,7 +165,7 @@ func Regret(ctx context.Context, spec RegretSpec) ([]RegretPoint, error) {
 			if err != nil {
 				return p, fmt.Errorf("adaptive: regret case %q: %w", cs.Name, err)
 			}
-			*fixed.cost, _, _ = RunCost(spec.Model, alg, cs.Sched)
+			*fixed.cost, _, _ = adaptive.RunCost(spec.Model, alg, cs.Sched)
 		}
 
 		p.Opt, err = opt.SolveCostContext(ctx, spec.Model, cs.Sched, spec.Initial, spec.T)

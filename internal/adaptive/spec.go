@@ -14,16 +14,17 @@
 // hysteresis run of consecutive requests. Every switch is billed through
 // cost.TransitionCounts — replica installs and invalidations at paper
 // prices — so adaptive cost is directly comparable to pure SA, pure DA and
-// the offline optimum. The regret harness in this package measures exactly
-// those ratios.
+// the offline optimum. The regret harness (package adaptive/regret)
+// measures exactly those ratios.
 package adaptive
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
+
+	"objalloc/internal/kvspec"
 )
 
 // Defaults used when the corresponding Spec field is zero.
@@ -133,13 +134,13 @@ func (s Spec) String() string {
 }
 
 // ParseSpec parses the compact textual controller specification the CLIs
-// accept, in the same shape as workload.FromSpec:
+// accept (grammar: package kvspec):
 //
 //	adaptive[:key=value[,key=value...]]
 //
-// The leading "adaptive" name is optional when the string contains no
-// colon, so both "adaptive:window=8,hysteresis=2" and "window=8" parse.
-// Keys (all optional):
+// The leading "adaptive" name is optional, so both
+// "adaptive:window=8,hysteresis=2" and "window=8" parse. Keys (all
+// optional):
 //
 //	window      sliding-window length in requests; "inf" disables adaptation
 //	hysteresis  consecutive requests before a switch; "inf" means never
@@ -150,85 +151,43 @@ func (s Spec) String() string {
 // An empty string yields the normalized zero Spec (all defaults). The
 // returned Spec is normalized.
 func ParseSpec(spec string) (Spec, error) {
-	body := strings.TrimSpace(spec)
-	if i := strings.IndexByte(body, ':'); i >= 0 {
-		name := strings.ToLower(strings.TrimSpace(body[:i]))
-		if name != "adaptive" {
-			return Spec{}, fmt.Errorf("adaptive: unknown controller %q in spec %q", name, spec)
-		}
-		body = body[i+1:]
-	} else if strings.EqualFold(body, "adaptive") {
-		body = ""
+	p, err := kvspec.Parse("adaptive", spec)
+	if err != nil {
+		return Spec{}, err
 	}
-
-	params := map[string]string{}
-	if body != "" {
-		for _, kv := range strings.Split(body, ",") {
-			parts := strings.SplitN(kv, "=", 2)
-			if len(parts) != 2 || strings.TrimSpace(parts[0]) == "" {
-				return Spec{}, fmt.Errorf("adaptive: malformed parameter %q in spec %q", kv, spec)
-			}
-			key := strings.ToLower(strings.TrimSpace(parts[0]))
-			if _, dup := params[key]; dup {
-				return Spec{}, fmt.Errorf("adaptive: duplicate parameter %q in spec %q", key, spec)
-			}
-			params[key] = strings.TrimSpace(parts[1])
-		}
+	if p.Name != "" && p.Name != "adaptive" {
+		return Spec{}, fmt.Errorf("adaptive: unknown controller %q in spec %q", p.Name, spec)
 	}
-
-	var s Spec
-	used := map[string]bool{}
-	intOrInf := func(key string) (int, error) {
-		used[key] = true
-		raw, ok := params[key]
+	intOrInf := func(key string) int {
+		raw, ok := p.Lookup(key)
 		if !ok {
-			return 0, nil
+			return 0
 		}
 		if strings.EqualFold(raw, "inf") {
-			return Disabled, nil
+			return Disabled
 		}
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 1 {
-			return 0, fmt.Errorf("adaptive: bad %s=%q in spec %q (want a positive integer or \"inf\")", key, raw, spec)
+		v := p.Int(key, 0)
+		if v < 1 {
+			p.Bad(key, `a positive integer or "inf"`)
 		}
-		return v, nil
+		return v
 	}
-	var err error
-	if s.Window, err = intOrInf("window"); err != nil {
-		return Spec{}, err
+	s := Spec{Window: intOrInf("window"), Hysteresis: intOrInf("hysteresis"), Decay: p.Float("decay", 0)}
+	if !(s.Decay >= 0 && s.Decay < 1) {
+		p.Bad("decay", "a value in [0, 1)")
 	}
-	if s.Hysteresis, err = intOrInf("hysteresis"); err != nil {
-		return Spec{}, err
-	}
-	used["decay"] = true
-	if raw, ok := params["decay"]; ok {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || math.IsNaN(v) || v < 0 || v >= 1 {
-			return Spec{}, fmt.Errorf("adaptive: bad decay=%q in spec %q (want a value in [0, 1))", raw, spec)
-		}
-		s.Decay = v
-	}
-	used["start"] = true
-	s.Start = params["start"]
-	used["region"] = true
-	if raw, ok := params["region"]; ok {
+	s.Start, _ = p.Lookup("start")
+	if raw, ok := p.Lookup("region"); ok {
 		switch strings.ToLower(raw) {
 		case "on":
 		case "off":
 			s.IgnoreRegion = true
 		default:
-			return Spec{}, fmt.Errorf("adaptive: bad region=%q in spec %q (want on or off)", raw, spec)
+			p.Bad("region", "on or off")
 		}
 	}
-	var unknown []string
-	for key := range params {
-		if !used[key] {
-			unknown = append(unknown, key)
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		return Spec{}, fmt.Errorf("adaptive: unknown parameter %q in spec %q", unknown[0], spec)
+	if err := p.Err(); err != nil {
+		return Spec{}, err
 	}
 	if err := s.Normalize(); err != nil {
 		return Spec{}, err

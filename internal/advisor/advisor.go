@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 
-	"objalloc/internal/competitive"
 	"objalloc/internal/cost"
 	"objalloc/internal/dom"
 	"objalloc/internal/model"
@@ -57,19 +56,12 @@ func (c Choice) String() string {
 
 // Analytic recommends from the cost model alone, per figures 1 and 2.
 func Analytic(m cost.Model) Choice {
-	var region competitive.Region
-	if m.IsMobile() {
-		region = competitive.AnalyticRegionMC(m.CC, m.CD)
-	} else {
-		// The figures are drawn for cio = 1; normalize.
-		region = competitive.AnalyticRegionSC(m.CC/m.CIO, m.CD/m.CIO)
-	}
-	switch region {
-	case competitive.RegionCannotBeTrue:
+	switch m.Region() {
+	case cost.RegionCannotBeTrue:
 		return ChooseInvalid
-	case competitive.RegionSASuperior:
+	case cost.RegionSASuperior:
 		return ChooseSA
-	case competitive.RegionDASuperior:
+	case cost.RegionDASuperior:
 		return ChooseDA
 	default:
 		return ChooseEither

@@ -317,17 +317,21 @@ func TestAnalyticRegionBoundaries(t *testing.T) {
 		{0.5, 1.0, RegionUnknown},   // cd = 1 exactly: not strictly inside DA region
 	}
 	for _, c := range cases {
-		if got := AnalyticRegionSC(c.cc, c.cd); got != c.want {
-			t.Errorf("AnalyticRegionSC(%g,%g) = %v, want %v", c.cc, c.cd, got, c.want)
+		if got := cost.SC(c.cc, c.cd).Region(); got != c.want {
+			t.Errorf("SC(%g,%g).Region() = %v, want %v", c.cc, c.cd, got, c.want)
+		}
+		// The figure is drawn per I/O: scaling all three prices moves nothing.
+		if got := (cost.Model{CC: 4 * c.cc, CD: 4 * c.cd, CIO: 4}).Region(); got != c.want {
+			t.Errorf("cost(%g,%g,cio=4).Region() = %v, want %v", 4*c.cc, 4*c.cd, got, c.want)
 		}
 	}
-	if AnalyticRegionMC(0.5, 0.2) != RegionCannotBeTrue {
+	if cost.MC(0.5, 0.2).Region() != RegionCannotBeTrue {
 		t.Error("MC cc>cd not flagged")
 	}
-	if AnalyticRegionMC(0, 0) != RegionUnknown {
+	if cost.MC(0, 0).Region() != RegionUnknown {
 		t.Error("MC degenerate origin should be unknown")
 	}
-	if AnalyticRegionMC(0.2, 0.8) != RegionDASuperior {
+	if cost.MC(0.2, 0.8).Region() != RegionDASuperior {
 		t.Error("MC admissible point should be DA")
 	}
 }

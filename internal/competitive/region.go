@@ -12,92 +12,17 @@ import (
 	"objalloc/internal/opt"
 )
 
-// Region classifies one point of the (cd, cc) plane, as in the paper's
-// figures 1 and 2.
-type Region int
+// Region and its four values live beside the model they classify
+// (cost.Model.Region); these aliases stay only because bench/ compiles
+// against them, so the [benchmark] PR that may edit bench/ can drop them.
+type Region = cost.Region
 
 const (
-	// RegionCannotBeTrue marks cc > cd: a data message (which carries the
-	// object in addition to the control fields) cannot cost less than a
-	// control message.
-	RegionCannotBeTrue Region = iota
-	// RegionSASuperior marks points where static allocation has the lower
-	// worst-case cost.
-	RegionSASuperior
-	// RegionDASuperior marks points where dynamic allocation has the
-	// lower worst-case cost.
-	RegionDASuperior
-	// RegionUnknown marks points where the paper's bounds do not separate
-	// the two algorithms (the gap between DA's upper and lower bound).
-	RegionUnknown
+	RegionCannotBeTrue = cost.RegionCannotBeTrue
+	RegionSASuperior   = cost.RegionSASuperior
+	RegionDASuperior   = cost.RegionDASuperior
+	RegionUnknown      = cost.RegionUnknown
 )
-
-// String implements fmt.Stringer.
-func (r Region) String() string {
-	switch r {
-	case RegionCannotBeTrue:
-		return "cannot-be-true"
-	case RegionSASuperior:
-		return "SA"
-	case RegionDASuperior:
-		return "DA"
-	case RegionUnknown:
-		return "unknown"
-	default:
-		return fmt.Sprintf("Region(%d)", int(r))
-	}
-}
-
-// Rune is the single-character rendering used in the ASCII figures.
-func (r Region) Rune() rune {
-	switch r {
-	case RegionCannotBeTrue:
-		return 'x'
-	case RegionSASuperior:
-		return 'S'
-	case RegionDASuperior:
-		return 'D'
-	default:
-		return '?'
-	}
-}
-
-// AnalyticRegionSC classifies a stationary-model point from the paper's
-// bounds (figure 1):
-//
-//   - cc > cd cannot be true;
-//   - cd > 1 (the data message costs more than one I/O): SA's tight lower
-//     bound 1+cc+cd exceeds DA's upper bound 2+cc, so DA is superior;
-//   - cc + cd < 0.5: SA's upper bound 1+cc+cd is below DA's lower bound
-//     1.5, so SA is superior;
-//   - otherwise the bounds leave the point unknown.
-func AnalyticRegionSC(cc, cd float64) Region {
-	switch {
-	case cc > cd:
-		return RegionCannotBeTrue
-	case cd > 1:
-		return RegionDASuperior
-	case cc+cd < 0.5:
-		return RegionSASuperior
-	default:
-		return RegionUnknown
-	}
-}
-
-// AnalyticRegionMC classifies a mobile-model point (figure 2): SA is not
-// competitive at all (Proposition 3) while DA is (Theorem 4), so DA is
-// superior on the whole admissible half-plane.
-func AnalyticRegionMC(cc, cd float64) Region {
-	switch {
-	case cc > cd:
-		return RegionCannotBeTrue
-	case cd == 0:
-		// All communication free: every algorithm costs zero.
-		return RegionUnknown
-	default:
-		return RegionDASuperior
-	}
-}
 
 // GridPoint is one measured point of a plane sweep.
 type GridPoint struct {
@@ -177,13 +102,11 @@ func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 	var cellOf []int        // cellOf[j] is the point models[j] prices
 	for _, ccv := range spec.CCs {
 		for _, cdv := range spec.CDs {
-			p := GridPoint{CC: ccv, CD: cdv}
 			m := cost.SC(ccv, cdv)
 			if spec.Mobile {
-				p.Analytic, m = AnalyticRegionMC(ccv, cdv), cost.MC(ccv, cdv)
-			} else {
-				p.Analytic = AnalyticRegionSC(ccv, cdv)
+				m = cost.MC(ccv, cdv)
 			}
+			p := GridPoint{CC: ccv, CD: cdv, Analytic: m.Region()}
 			if p.Analytic == RegionCannotBeTrue {
 				p.Empirical = RegionCannotBeTrue
 			} else {

@@ -38,6 +38,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"objalloc/internal/kvspec"
 )
 
 // Injected fault sentinels. Callers match with errors.Is; every injected
@@ -150,8 +152,8 @@ func (p Plan) stallMax() time.Duration {
 	return p.StallMax
 }
 
-// ParsePlan decodes the -disk-faults flag syntax: comma-separated
-// key=value pairs, e.g.
+// ParsePlan decodes the -disk-faults flag syntax (grammar: package
+// kvspec, the list alone — the language has no names), e.g.
 //
 //	writeerr=0.01,shortwrite=0.005,syncerr=0.01,enospc=0.002,enospclen=3,stall=0.01,stallmax=2ms,seed=7
 //
@@ -161,69 +163,27 @@ func (p Plan) stallMax() time.Duration {
 // persistafter (1-based op indexes). The empty string is a valid
 // no-fault plan.
 func ParsePlan(s string) (Plan, error) {
-	var plan Plan
-	if strings.TrimSpace(s) == "" {
-		return plan, nil
+	kv, err := kvspec.ParseList("diskfault", s)
+	if err != nil {
+		return Plan{}, err
 	}
-	for _, part := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("diskfault: term %q is not key=value", part)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		switch key {
-		case "writeerr", "shortwrite", "syncerr", "enospc", "stall":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return Plan{}, fmt.Errorf("diskfault: %s: %w", key, err)
-			}
-			switch key {
-			case "writeerr":
-				plan.WriteErr = f
-			case "shortwrite":
-				plan.ShortWrite = f
-			case "syncerr":
-				plan.SyncErr = f
-			case "enospc":
-				plan.ENOSPC = f
-			case "stall":
-				plan.Stall = f
-			}
-		case "enospclen", "writeerrat", "shortat", "syncerrat", "enospcat", "persistafter":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return Plan{}, fmt.Errorf("diskfault: %s: %w", key, err)
-			}
-			switch key {
-			case "enospclen":
-				plan.ENOSPCLen = n
-			case "writeerrat":
-				plan.WriteErrAt = n
-			case "shortat":
-				plan.ShortAt = n
-			case "syncerrat":
-				plan.SyncErrAt = n
-			case "enospcat":
-				plan.ENOSPCAt = n
-			case "persistafter":
-				plan.PersistAfter = n
-			}
-		case "stallmax":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return Plan{}, fmt.Errorf("diskfault: stallmax: %w", err)
-			}
-			plan.StallMax = d
-		case "seed":
-			n, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return Plan{}, fmt.Errorf("diskfault: seed: %w", err)
-			}
-			plan.Seed = n
-		default:
-			return Plan{}, fmt.Errorf("diskfault: unknown key %q", key)
-		}
+	plan := Plan{
+		Seed:         kv.Uint64("seed", 0),
+		WriteErr:     kv.Float("writeerr", 0),
+		ShortWrite:   kv.Float("shortwrite", 0),
+		SyncErr:      kv.Float("syncerr", 0),
+		ENOSPC:       kv.Float("enospc", 0),
+		ENOSPCLen:    kv.Int("enospclen", 0),
+		Stall:        kv.Float("stall", 0),
+		StallMax:     kv.Duration("stallmax", 0),
+		WriteErrAt:   kv.Int("writeerrat", 0),
+		ShortAt:      kv.Int("shortat", 0),
+		SyncErrAt:    kv.Int("syncerrat", 0),
+		ENOSPCAt:     kv.Int("enospcat", 0),
+		PersistAfter: kv.Int("persistafter", 0),
+	}
+	if err := kv.Err(); err != nil {
+		return Plan{}, err
 	}
 	if err := plan.Validate(); err != nil {
 		return Plan{}, err

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"objalloc/internal/kvspec"
 	"objalloc/internal/model"
 )
 
@@ -193,7 +194,7 @@ func (r DropReason) Structural() bool {
 // counter (the link's virtual clock), the end tick of the current flap
 // burst, and the delivery queue of held (delayed) messages.
 type link struct {
-	rng       uint64
+	rng       Stream
 	tick      uint64
 	downUntil uint64
 	held      []heldMessage
@@ -205,27 +206,27 @@ type heldMessage struct {
 	m   Message
 }
 
-// splitmix64 advances the state and returns the next 64-bit value.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9E3779B97F4A7C15
-	z := *state
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
+// Stream is a seeded splitmix64 stream, the generator behind every draw a
+// FaultPlan causes: one per link here, one per object in package server.
+// The value is the whole state, so a checkpoint stores it as a uint64.
+type Stream uint64
+
+// Next advances the stream and returns the next 64-bit value.
+func (s *Stream) Next() uint64 {
+	*s += 0x9E3779B97F4A7C15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
 }
 
-// float01 draws a uniform float in [0,1).
-func float01(state *uint64) float64 {
-	return float64(splitmix64(state)>>11) / (1 << 53)
-}
+// Float01 draws a uniform float in [0,1).
+func (s *Stream) Float01() float64 { return float64(s.Next()>>11) / (1 << 53) }
 
-func linkSeed(root uint64, from, to model.ProcessorID) uint64 {
-	s := root ^ (uint64(from)+1)*0xA24BAED4963EE407 ^ (uint64(to)+1)*0x9FB21C651E98DF25
+func linkSeed(root uint64, from, to model.ProcessorID) Stream {
+	s := Stream(root ^ (uint64(from)+1)*0xA24BAED4963EE407 ^ (uint64(to)+1)*0x9FB21C651E98DF25)
 	// One scramble so adjacent (from,to) pairs decorrelate.
-	return splitmix64(&s)
+	return Stream(s.Next())
 }
 
 func (nw *Network) linkOf(from, to model.ProcessorID) *link {
@@ -262,8 +263,8 @@ func (l *link) dueHeldLocked(all bool) []heldMessage {
 	return out
 }
 
-// ParseFaults decodes the -faults flag syntax: comma-separated key=value
-// pairs, e.g.
+// ParseFaults decodes the -faults flag syntax (grammar: package kvspec,
+// the list alone — the language has no names), e.g.
 //
 //	loss=0.15,dup=0.1,delay=0.2,delaymax=4,flap=0.01,flaplen=3
 //
@@ -271,52 +272,21 @@ func (l *link) dueHeldLocked(all bool) []heldMessage {
 // keys, malformed numbers, and out-of-range probabilities are errors. The
 // empty string is a valid no-fault plan.
 func ParseFaults(s string) (FaultPlan, error) {
-	var plan FaultPlan
-	if strings.TrimSpace(s) == "" {
-		return plan, nil
+	kv, err := kvspec.ParseList("netsim", s)
+	if err != nil {
+		return FaultPlan{}, err
 	}
-	for _, part := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return plan, fmt.Errorf("netsim: fault term %q is not key=value", part)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		switch key {
-		case "loss", "dup", "delay", "flap":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return plan, fmt.Errorf("netsim: fault %s: %w", key, err)
-			}
-			switch key {
-			case "loss":
-				plan.Loss = f
-			case "dup":
-				plan.Dup = f
-			case "delay":
-				plan.Delay = f
-			case "flap":
-				plan.Flap = f
-			}
-		case "delaymax", "flaplen":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return plan, fmt.Errorf("netsim: fault %s: %w", key, err)
-			}
-			if key == "delaymax" {
-				plan.DelayMax = n
-			} else {
-				plan.FlapLen = n
-			}
-		case "seed":
-			n, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return plan, fmt.Errorf("netsim: fault seed: %w", err)
-			}
-			plan.Seed = n
-		default:
-			return plan, fmt.Errorf("netsim: unknown fault key %q", key)
-		}
+	plan := FaultPlan{
+		Seed:     kv.Uint64("seed", 0),
+		Loss:     kv.Float("loss", 0),
+		Dup:      kv.Float("dup", 0),
+		Delay:    kv.Float("delay", 0),
+		DelayMax: kv.Int("delaymax", 0),
+		Flap:     kv.Float("flap", 0),
+		FlapLen:  kv.Int("flaplen", 0),
+	}
+	if err := kv.Err(); err != nil {
+		return FaultPlan{}, err
 	}
 	if err := plan.Validate(); err != nil {
 		return FaultPlan{}, err

@@ -351,10 +351,10 @@ func (nw *Network) routeLocked(m Message, dels *[]delivery) {
 		switch {
 		case l.tick <= l.downUntil:
 			reason = DropFlap
-		case nw.plan.Flap > 0 && float01(&l.rng) < nw.plan.Flap:
+		case nw.plan.Flap > 0 && l.rng.Float01() < nw.plan.Flap:
 			l.downUntil = l.tick + nw.plan.flapLen()
 			reason = DropFlap
-		case nw.plan.Loss > 0 && float01(&l.rng) < nw.plan.Loss:
+		case nw.plan.Loss > 0 && l.rng.Float01() < nw.plan.Loss:
 			reason = DropLoss
 		}
 	}
@@ -362,18 +362,18 @@ func (nw *Network) routeLocked(m Message, dels *[]delivery) {
 		nw.dropLocked(m, reason, dels)
 	} else {
 		delayed := false
-		if l != nil && nw.plan.Delay > 0 && float01(&l.rng) < nw.plan.Delay {
+		if l != nil && nw.plan.Delay > 0 && l.rng.Float01() < nw.plan.Delay {
 			delayed = true
 			nw.stats.Delayed++
 			nw.holdSeq++
-			due := l.tick + 1 + splitmix64(&l.rng)%nw.plan.delayMax()
+			due := l.tick + 1 + l.rng.Next()%nw.plan.delayMax()
 			l.held = append(l.held, heldMessage{due: due, seq: nw.holdSeq, m: m})
 			nw.emitFaultLocked("net.delay", m, DropNone)
 		}
 		if !delayed {
 			nw.deliverLocked(m, dels)
 		}
-		if l != nil && nw.plan.Dup > 0 && float01(&l.rng) < nw.plan.Dup {
+		if l != nil && nw.plan.Dup > 0 && l.rng.Float01() < nw.plan.Dup {
 			nw.stats.Duplicated++
 			nw.emitFaultLocked("net.dup", m, DropNone)
 			nw.deliverLocked(m, dels)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"objalloc/internal/model"
+	"objalloc/internal/netsim"
 	"objalloc/internal/obs"
 	"objalloc/internal/tracing"
 )
@@ -377,13 +378,13 @@ const (
 // every request has been serviced; the returned results cover the
 // requests actually serviced.
 func (c *Client) BatchAllCtx(ctx context.Context, sc tracing.SpanContext, reqs []WireRequest) ([]WireResult, error) {
-	state := uint64(c.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-	splitmix64(&state)
+	state := netsim.Stream(uint64(c.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d)
+	state.Next()
 	jitter := func(d time.Duration) time.Duration {
 		if d <= 0 {
-			return time.Duration(splitmix64(&state) % uint64(retryBackoffBase))
+			return time.Duration(state.Next() % uint64(retryBackoffBase))
 		}
-		return d + time.Duration(splitmix64(&state)%uint64(d/4+1))
+		return d + time.Duration(state.Next()%uint64(d/4+1))
 	}
 	var out []WireResult
 	backoff := retryBackoffBase

@@ -103,7 +103,7 @@ type Config struct {
 	Seed int64
 	// Faults, when non-nil, injects deterministic message faults into
 	// every shard: loss, duplication and delay are drawn from per-object
-	// streams.
+	// streams. Link flaps are refused: the service has no links.
 	Faults *netsim.FaultPlan
 	// Retry is the retransmission discipline applied to lost messages.
 	Retry netsim.RetryPolicy
@@ -190,6 +190,9 @@ func (cfg *Config) Normalize() error {
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
 			return err
+		}
+		if cfg.Faults.Flap > 0 || cfg.Faults.FlapLen > 0 {
+			return fmt.Errorf("server: Faults (-faults) sets flap/flaplen: link flaps are per-link; the service draws faults from per-object streams")
 		}
 	}
 	if cfg.DiskFaults != nil {

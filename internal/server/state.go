@@ -80,11 +80,11 @@ type shardState struct {
 	cfg *Config // normalized, immutable
 
 	db      *multiobject.DB
-	next    map[string]uint64    // per-object next expected client seq (wire dedup horizon)
-	streams map[string]*uint64   // per-object fault stream states
-	fresh   map[string]model.Set // processors holding a current copy (coalescing); nil = off
-	seq     map[string]uint64    // per-object trace sequence numbers; nil = tracing off
-	extra   cost.Counts          // retransmission billing (control messages)
+	next    map[string]uint64         // per-object next expected client seq (wire dedup horizon)
+	streams map[string]*netsim.Stream // per-object fault stream states
+	fresh   map[string]model.Set      // processors holding a current copy (coalescing); nil = off
+	seq     map[string]uint64         // per-object trace sequence numbers; nil = tracing off
+	extra   cost.Counts               // retransmission billing (control messages)
 	ctr     liveCounters
 }
 
@@ -97,7 +97,7 @@ func newShardState(cfg *Config) (*shardState, error) {
 		cfg:     cfg,
 		db:      db,
 		next:    make(map[string]uint64),
-		streams: make(map[string]*uint64),
+		streams: make(map[string]*netsim.Stream),
 	}
 	if cfg.coalesce {
 		st.fresh = make(map[string]model.Set)
@@ -150,8 +150,8 @@ func (st *shardState) step(object string, q model.Request, seq uint64, released 
 	delivered := true
 	if plan := st.cfg.Faults; plan != nil && plan.Active() {
 		s := st.stream(object)
-		if !released && plan.Delay > 0 && float01(s) < plan.Delay {
-			out.hold = 1 + int(splitmix64(s)%uint64(max(plan.DelayMax, 1)))
+		if !released && plan.Delay > 0 && s.Float01() < plan.Delay {
+			out.hold = 1 + int(s.Next()%uint64(max(plan.DelayMax, 1)))
 			return out
 		}
 		if plan.Loss > 0 {
@@ -161,7 +161,7 @@ func (st *shardState) step(object string, q model.Request, seq uint64, released 
 			}
 			delivered = false
 			for a := 0; a < attempts && !delivered; a++ {
-				if float01(s) < plan.Loss {
+				if s.Float01() < plan.Loss {
 					out.res.Retransmits++
 				} else {
 					delivered = true
@@ -171,7 +171,7 @@ func (st *shardState) step(object string, q model.Request, seq uint64, released 
 			st.extra.Control += out.res.Retransmits
 			st.ctr.retrans.Add(uint64(out.res.Retransmits))
 		}
-		if delivered && plan.Dup > 0 && float01(s) < plan.Dup {
+		if delivered && plan.Dup > 0 && s.Float01() < plan.Dup {
 			st.ctr.dups.Add(1)
 		}
 	}
@@ -220,31 +220,16 @@ func (st *shardState) step(object string, q model.Request, seq uint64, released 
 // touch from (plan seed ⊕ config seed, object hash) — a function of the
 // object alone, never of the shard or the batch, so fault outcomes are
 // identical at any shard count.
-func (st *shardState) stream(object string) *uint64 {
+func (st *shardState) stream(object string) *netsim.Stream {
 	s, ok := st.streams[object]
 	if !ok {
 		seed := (st.cfg.Faults.Seed ^ uint64(st.cfg.Seed)) * 0x9e3779b97f4a7c15
-		v := seed ^ fnv64a(object)
+		v := netsim.Stream(seed ^ fnv64a(object))
 		s = &v
-		splitmix64(s) // burn one draw to decorrelate nearby seeds
+		s.Next() // burn one draw to decorrelate nearby seeds
 		st.streams[object] = s
 	}
 	return s
-}
-
-// splitmix64 advances the state and returns the next value of the
-// splitmix64 stream (same generator netsim uses for its fault streams).
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float01 draws a uniform float in [0,1) from the stream.
-func float01(state *uint64) float64 {
-	return float64(splitmix64(state)>>11) / (1 << 53)
 }
 
 // export serializes the state as a checkpoint record. The three engines
@@ -263,7 +248,7 @@ func (st *shardState) export() (*ckptRecord, error) {
 		counters: st.ctr.load(),
 	}
 	for obj, s := range st.streams {
-		rec.Streams[obj] = *s
+		rec.Streams[obj] = uint64(*s)
 	}
 	for obj, s := range st.fresh {
 		rec.Fresh[obj] = uint64(s)
@@ -280,7 +265,8 @@ func (st *shardState) restore(c *ckptRecord) error {
 	}
 	maps.Copy(st.next, c.Next)
 	for obj, v := range c.Streams {
-		st.streams[obj] = &v
+		s := netsim.Stream(v)
+		st.streams[obj] = &s
 	}
 	if st.fresh != nil {
 		for obj, s := range c.Fresh {

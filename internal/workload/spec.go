@@ -3,18 +3,18 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"strings"
 
+	"objalloc/internal/kvspec"
 	"objalloc/internal/model"
 )
 
 // FromSpec builds a schedule from a compact textual specification, the
-// format the CLIs accept:
+// format the CLIs accept (grammar: package kvspec):
 //
 //	name[:key=value[,key=value...]]
 //
-// Names and their keys (all keys optional):
+// Names and their keys (all keys optional, all numbers non-negative):
 //
 //	uniform     n, len, pwrite
 //	zipf        n, len, pwrite, s
@@ -26,144 +26,58 @@ import (
 //
 // Examples: "uniform:n=6,len=300,pwrite=0.2", "mobile:n=8,moves=50,reads=4".
 func FromSpec(rng *rand.Rand, spec string) (model.Schedule, error) {
-	name := spec
-	params := map[string]string{}
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		name = spec[:i]
-		for _, kv := range strings.Split(spec[i+1:], ",") {
-			parts := strings.SplitN(kv, "=", 2)
-			if len(parts) != 2 || parts[0] == "" {
-				return nil, fmt.Errorf("workload: malformed parameter %q in spec %q", kv, spec)
-			}
-			params[strings.ToLower(strings.TrimSpace(parts[0]))] = strings.TrimSpace(parts[1])
-		}
-	}
-
-	used := map[string]bool{}
-	intOf := func(key string, def int) (int, error) {
-		used[key] = true
-		raw, ok := params[key]
-		if !ok {
-			return def, nil
-		}
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			return 0, fmt.Errorf("workload: bad %s=%q in spec %q", key, raw, spec)
-		}
-		return v, nil
-	}
-	floatOf := func(key string, def float64) (float64, error) {
-		used[key] = true
-		raw, ok := params[key]
-		if !ok {
-			return def, nil
-		}
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || v < 0 {
-			return 0, fmt.Errorf("workload: bad %s=%q in spec %q", key, raw, spec)
-		}
-		return v, nil
-	}
-	setOf := func(key string, def model.Set) (model.Set, error) {
-		used[key] = true
-		raw, ok := params[key]
-		if !ok {
-			return def, nil
-		}
-		// Sets use ';' between elements so they survive the ','-separated
-		// parameter list, e.g. hot={4;5}.
-		s, err := model.ParseSet(strings.ReplaceAll(raw, ";", ","))
-		if err != nil {
-			return 0, fmt.Errorf("workload: bad %s=%q in spec %q: %v", key, raw, spec, err)
-		}
-		return s, nil
-	}
-
-	var sched model.Schedule
-	var err error
-	build := func() error {
-		switch strings.ToLower(name) {
-		case "uniform":
-			n, e1 := intOf("n", 6)
-			length, e2 := intOf("len", 200)
-			pw, e3 := floatOf("pwrite", 0.3)
-			if err := firstErr(e1, e2, e3); err != nil {
-				return err
-			}
-			sched = Uniform(rng, n, length, pw)
-		case "zipf":
-			n, e1 := intOf("n", 6)
-			length, e2 := intOf("len", 200)
-			pw, e3 := floatOf("pwrite", 0.3)
-			s, e4 := floatOf("s", 1.8)
-			if err := firstErr(e1, e2, e3, e4); err != nil {
-				return err
-			}
-			sched = Zipf(rng, n, length, pw, s)
-		case "bursty":
-			n, e1 := intOf("n", 6)
-			bursts, e2 := intOf("bursts", 50)
-			bl, e3 := floatOf("burstlen", 5)
-			pw, e4 := floatOf("pwrite", 0.3)
-			if err := firstErr(e1, e2, e3, e4); err != nil {
-				return err
-			}
-			sched = Bursty(rng, n, bursts, bl, pw)
-		case "hotspot":
-			n, e1 := intOf("n", 6)
-			length, e2 := intOf("len", 200)
-			pw, e3 := floatOf("pwrite", 0.3)
-			hot, e4 := setOf("hot", model.NewSet(model.ProcessorID(4)))
-			frac, e5 := floatOf("frac", 0.8)
-			if err := firstErr(e1, e2, e3, e4, e5); err != nil {
-				return err
-			}
-			sched = Hotspot(rng, n, length, pw, hot, frac)
-		case "mobile":
-			n, e1 := intOf("n", 8)
-			moves, e2 := intOf("moves", 50)
-			reads, e3 := floatOf("reads", 4)
-			if err := firstErr(e1, e2, e3); err != nil {
-				return err
-			}
-			sched = MobileTrace(rng, n, moves, reads)
-		case "publishing":
-			n, e1 := intOf("n", 8)
-			revisions, e2 := intOf("revisions", 40)
-			readers, e3 := intOf("readers", 6)
-			if err := firstErr(e1, e2, e3); err != nil {
-				return err
-			}
-			sched = Publishing(rng, n, revisions, model.NewSet(0, 1), readers)
-		case "satellite":
-			n, e1 := intOf("n", 6)
-			objects, e2 := intOf("objects", 60)
-			reads, e3 := floatOf("reads", 3)
-			if err := firstErr(e1, e2, e3); err != nil {
-				return err
-			}
-			sched = AppendOnly(rng, n, objects, reads)
-		default:
-			return fmt.Errorf("workload: unknown workload %q in spec %q", name, spec)
-		}
-		return nil
-	}
-	if err = build(); err != nil {
+	p, err := kvspec.Parse("workload", spec)
+	if err != nil {
 		return nil, err
 	}
-	for key := range params {
-		if !used[key] {
-			return nil, fmt.Errorf("workload: unknown parameter %q for workload %q", key, name)
+	num := func(key string, def int) int { return nonNegative(p, key, p.Int(key, def)) }
+	flt := func(key string, def float64) float64 { return nonNegative(p, key, p.Float(key, def)) }
+
+	// Every case reads its keys first and builds only once p.Err has
+	// passed them: a generator is never handed a rejected value.
+	var build func() model.Schedule
+	switch p.Name {
+	case "uniform":
+		n, length, pw := num("n", 6), num("len", 200), flt("pwrite", 0.3)
+		build = func() model.Schedule { return Uniform(rng, n, length, pw) }
+	case "zipf":
+		n, length, pw, s := num("n", 6), num("len", 200), flt("pwrite", 0.3), flt("s", 1.8)
+		build = func() model.Schedule { return Zipf(rng, n, length, pw, s) }
+	case "bursty":
+		n, bursts, bl, pw := num("n", 6), num("bursts", 50), flt("burstlen", 5), flt("pwrite", 0.3)
+		build = func() model.Schedule { return Bursty(rng, n, bursts, bl, pw) }
+	case "hotspot":
+		n, length, pw, frac := num("n", 6), num("len", 200), flt("pwrite", 0.3), flt("frac", 0.8)
+		hot := model.NewSet(model.ProcessorID(4))
+		if raw, ok := p.Lookup("hot"); ok {
+			// Sets use ';' between elements so they survive the
+			// ','-separated parameter list, e.g. hot={4;5}.
+			if hot, err = model.ParseSet(strings.ReplaceAll(raw, ";", ",")); err != nil {
+				p.Bad("hot", "a set such as {4;5}: "+err.Error())
+			}
 		}
+		build = func() model.Schedule { return Hotspot(rng, n, length, pw, hot, frac) }
+	case "mobile":
+		n, moves, reads := num("n", 8), num("moves", 50), flt("reads", 4)
+		build = func() model.Schedule { return MobileTrace(rng, n, moves, reads) }
+	case "publishing":
+		n, revisions, readers := num("n", 8), num("revisions", 40), num("readers", 6)
+		build = func() model.Schedule { return Publishing(rng, n, revisions, model.NewSet(0, 1), readers) }
+	case "satellite":
+		n, objects, reads := num("n", 6), num("objects", 60), flt("reads", 3)
+		build = func() model.Schedule { return AppendOnly(rng, n, objects, reads) }
+	default:
+		return nil, fmt.Errorf("workload: unknown workload %q in spec %q", p.Name, spec)
 	}
-	return sched, nil
+	if err := p.Err(); err != nil {
+		return nil, err
+	}
+	return build(), nil
 }
 
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+func nonNegative[T int | float64](p *kvspec.Spec, key string, v T) T {
+	if v < 0 {
+		p.Bad(key, "a non-negative number")
 	}
-	return nil
+	return v
 }
