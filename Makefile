@@ -35,7 +35,10 @@
 # solver, sweeps and generators, or the executed clusters), and
 # staticcheck runs when the tool is installed (it is skipped gracefully
 # otherwise — the build must not depend on network access).
-.PHONY: verify build fmtcheck vet test race bench obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet depsvet staticcheck loc chaos profile
+# Outside verify: bench (the repository's benchmark), allocs (bytes,
+# mallocs and GC cycles of a figure-1 sweep and of one grid pass — a
+# measuring aid), profile, loc, chaos, obscheck.
+.PHONY: verify build fmtcheck vet test race bench allocs obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet depsvet staticcheck loc chaos profile
 
 verify: build fmtcheck vet test race fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet depsvet staticcheck
 
@@ -64,6 +67,17 @@ race:
 # of performance numbers; `go run ./bench -trace 1` adds the layer ladder.
 bench:
 	go run ./bench
+
+# allocs prints what the offline engine asks of the allocator: bytes and
+# mallocs per bench-shaped sweep (the 6×6 figure-1 grid, eight battery seeds
+# in rotation) with GC cycles per 1 000 sweeps, serial and at the default
+# parallelism, and the same per call of opt.Plan.Cost/Costs. The counts
+# repeat run to run; the ns/op beside them are for orientation only — speed
+# claims come from `make bench`. TestSweepAllocationBudget and
+# TestPricingAllocations gate the counts in `make test`.
+allocs:
+	go test -run '^$$' -bench BenchmarkSweep -benchtime 200x -benchmem ./internal/competitive
+	go test -run '^$$' -bench BenchmarkCosts -benchtime 200x -benchmem ./internal/opt
 
 # obscheck is the observability slice of vet and race, for local use
 # after touching internal/obs; verify runs both over ./... already.
@@ -205,7 +219,15 @@ chaos-check:
 # foldWrite, relaxReadModels, relaxWriteModels), then
 # competitive.(*prepared).measureSchedule; the one-model kernel
 # (opt.(*Plan).run, minTransform) runs only for a grid with a single
-# admissible cell, so it no longer appears here.
+# admissible cell, so it no longer appears here. Nor does the runtime: a
+# pass used to make and zero a fresh 1 MiB of rows, which put
+# runtime.memclrNoHeapPointers (4-6 % of samples) and the collector's
+# scanblock/greyobject beside costsPass here, and on the small bench-shaped
+# sweep mallocgc, gcBgMarkWorker, memclrNoHeapPointers, bgscavenge/madvise,
+# bgsweep and futex at ~28 % against costsPass's 60 %; with the rows pooled
+# costsPass is ~85 % there and what is left of the runtime is futex (the
+# engine pool parking) and a mark worker at ~2 % each. `make allocs` counts
+# what this profile can only sample.
 profile:
 	go run ./cmd/figure1 -steps 200 -cpuprofile figure1.cpu.pprof -metrics figure1.metrics.jsonl -progress > /dev/null
 	@echo "wrote figure1.cpu.pprof and figure1.metrics.jsonl"

@@ -200,7 +200,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		want, _ := cost.ScheduleCounts(las, initial)
+		want := cost.TotalCounts(las, initial)
 		if counts == want {
 			fmt.Printf("verify: executed counts match the analytic cost model exactly (%v)\n", want)
 		} else {

@@ -511,7 +511,7 @@ func e15Fidelity() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			want, _ := cost.ScheduleCounts(las, initial)
+			want := cost.TotalCounts(las, initial)
 			if got == want {
 				matches++
 			} else {

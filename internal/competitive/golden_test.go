@@ -100,23 +100,3 @@ func TestGoldenSweep(t *testing.T) {
 		})
 	}
 }
-
-// A sweep is schedule-major: each battery schedule is run under both
-// algorithms, counted and compiled once, inside its own task, and priced
-// under all 21 admissible cells by one grid pass — one block of DP rows,
-// one price table and one cost slice per schedule, whatever the grid
-// size. The measured serial 6×6 sweep is 341 allocations; the cell-major
-// design it replaced (a block of rows per cell and schedule) measured 706,
-// and re-running the algorithms per cell, or allocating per request in the
-// DP, 25.7k, so the budget catches any of them creeping back.
-func TestSweepAllocationBudget(t *testing.T) {
-	spec := SweepSpec{CDs: goldenAxis, CCs: goldenAxis, Battery: DefaultBattery(), Parallelism: 1}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := Sweep(context.Background(), spec); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs >= 600 {
-		t.Errorf("serial 6x6 sweep allocated %.0f objects, budget is under 600", allocs)
-	}
-}

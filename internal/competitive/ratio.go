@@ -41,7 +41,7 @@ type Measurement struct {
 // instance that is model-independent. What is left per model is one OPT
 // cost per schedule (Plan.Cost, or Plan.Costs for many models at once) and
 // one Counts.Price per (algorithm, schedule). cost.ScheduleCost is
-// ScheduleCounts(...).Price(m), so pricing the stored counts yields the
+// TotalCounts(...).Price(m), so pricing the stored counts yields the
 // very float a fresh run would.
 //
 // The battery is measured a schedule at a time (measureSchedule), each
@@ -73,19 +73,32 @@ func newPrepared(factories []dom.Factory, scheds []model.Schedule, initial model
 	return b, nil
 }
 
-// measureSchedule runs every factory on schedule i, validates the
-// resulting allocation schedules and keeps their counts, and compiles the
-// schedule for the offline DP.
+// measureSchedule runs every factory on schedule i, checking each step the
+// algorithm takes as model.AllocSchedule.Validate would and adding up its
+// counts as cost.TotalCounts would — without holding the allocation
+// schedule, of which only the total is kept — and compiles the schedule
+// for the offline DP.
 func (b *prepared) measureSchedule(i int) error {
 	for f, factory := range b.factories {
-		las, err := dom.RunFactory(factory, b.initial, b.t, b.scheds[i])
+		alg, err := factory(b.initial, b.t)
 		if err != nil {
 			return err
 		}
-		if err := las.Validate(b.initial, b.t); err != nil {
-			return fmt.Errorf("competitive: algorithm produced invalid schedule: %w", err)
+		if v := model.CheckInitial(b.initial, b.t); v != nil {
+			return invalidSchedule(v)
 		}
-		b.counts[f][i], _ = cost.ScheduleCounts(las, b.initial)
+		var total cost.Counts
+		scheme := b.initial
+		for k, q := range b.scheds[i] {
+			st := alg.Step(q)
+			next, v := model.CheckStep(k, st, scheme, b.t)
+			if v != nil {
+				return invalidSchedule(v)
+			}
+			total = total.Add(cost.StepCounts(st, scheme))
+			scheme = next
+		}
+		b.counts[f][i] = total
 	}
 	p, err := opt.Compile(b.scheds[i], b.initial, b.t)
 	if err != nil {
@@ -93,6 +106,10 @@ func (b *prepared) measureSchedule(i int) error {
 	}
 	b.plans[i] = p
 	return nil
+}
+
+func invalidSchedule(v *model.Violation) error {
+	return fmt.Errorf("competitive: algorithm produced invalid schedule: %w", v)
 }
 
 // measure prices factory f's run on schedule i against that schedule's

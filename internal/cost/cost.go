@@ -178,23 +178,37 @@ func TransitionCounts(from, to model.Set) Counts {
 	}
 }
 
-// ScheduleCounts returns the total integer accounting of an allocation
-// schedule executed from the given initial allocation scheme, together with
-// per-step counts. COST(I, τ) of the paper is ScheduleCounts(...).Price(m).
+// TotalCounts returns the total integer accounting of an allocation
+// schedule executed from the given initial allocation scheme. COST(I, τ) of
+// the paper is TotalCounts(...).Price(m).
+func TotalCounts(a model.AllocSchedule, initial model.Set) Counts {
+	return scheduleCounts(a, initial, nil)
+}
+
+// ScheduleCounts is TotalCounts together with the per-step counts, for the
+// callers that look at the steps.
 func ScheduleCounts(a model.AllocSchedule, initial model.Set) (total Counts, perStep []Counts) {
 	perStep = make([]Counts, len(a))
+	return scheduleCounts(a, initial, perStep), perStep
+}
+
+// scheduleCounts sums the steps' counts, keeping each in perStep when that
+// is not nil.
+func scheduleCounts(a model.AllocSchedule, initial model.Set, perStep []Counts) (total Counts) {
 	scheme := initial
 	for i, st := range a {
-		perStep[i] = StepCounts(st, scheme)
-		total = total.Add(perStep[i])
+		c := StepCounts(st, scheme)
+		if perStep != nil {
+			perStep[i] = c
+		}
+		total = total.Add(c)
 		scheme = model.NextScheme(scheme, st)
 	}
-	return total, perStep
+	return total
 }
 
 // ScheduleCost prices a whole allocation schedule under model m: the sum of
 // the costs of its requests (§3.2's COST(I, τ)).
 func ScheduleCost(m Model, a model.AllocSchedule, initial model.Set) float64 {
-	total, _ := ScheduleCounts(a, initial)
-	return total.Price(m)
+	return TotalCounts(a, initial).Price(m)
 }

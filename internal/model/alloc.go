@@ -126,29 +126,54 @@ func (v Violation) Error() string {
 //  5. the allocation scheme at every request — i.e. before every step —
 //     and the final scheme have at least t members. For a write this means
 //     |Exec| >= t.
+//
+// It is CheckInitial followed by CheckStep on every step; a caller that
+// produces the steps one at a time calls the two itself and never holds
+// the schedule.
 func (a AllocSchedule) Validate(initial Set, t int) error {
-	if initial.Size() < t {
-		return &Violation{Index: -1, Reason: fmt.Sprintf("initial scheme %v has %d members, t-availability requires %d", initial, initial.Size(), t)}
+	if v := CheckInitial(initial, t); v != nil {
+		return v
 	}
 	scheme := initial
 	for i, st := range a {
-		if st.Exec.IsEmpty() {
-			return &Violation{Index: i, Reason: fmt.Sprintf("%v has an empty execution set", st.Request)}
+		next, v := CheckStep(i, st, scheme, t)
+		if v != nil {
+			return v
 		}
-		switch {
-		case st.Request.IsRead():
-			if !st.Exec.Intersects(scheme) {
-				return &Violation{Index: i, Reason: fmt.Sprintf("read %v has execution set %v disjoint from allocation scheme %v", st.Request, st.Exec, scheme)}
-			}
-		case st.Saving:
-			return &Violation{Index: i, Reason: fmt.Sprintf("write %v marked as saving-read", st.Request)}
-		}
-		scheme = NextScheme(scheme, st)
-		if scheme.Size() < t {
-			return &Violation{Index: i, Reason: fmt.Sprintf("allocation scheme %v after %v has %d members, t-availability requires %d", scheme, st.Request, scheme.Size(), t)}
-		}
+		scheme = next
 	}
 	return nil
+}
+
+// CheckInitial is check 1 of Validate: nil, or the violation of the
+// initial scheme.
+func CheckInitial(initial Set, t int) *Violation {
+	if initial.Size() < t {
+		return &Violation{Index: -1, Reason: fmt.Sprintf("initial scheme %v has %d members, t-availability requires %d", initial, initial.Size(), t)}
+	}
+	return nil
+}
+
+// CheckStep is checks 2 to 5 of Validate for step i of an allocation
+// schedule, given the allocation scheme before it: it returns the scheme
+// after the step, or the step's first violation.
+func CheckStep(i int, st Step, scheme Set, t int) (Set, *Violation) {
+	if st.Exec.IsEmpty() {
+		return scheme, &Violation{Index: i, Reason: fmt.Sprintf("%v has an empty execution set", st.Request)}
+	}
+	switch {
+	case st.Request.IsRead():
+		if !st.Exec.Intersects(scheme) {
+			return scheme, &Violation{Index: i, Reason: fmt.Sprintf("read %v has execution set %v disjoint from allocation scheme %v", st.Request, st.Exec, scheme)}
+		}
+	case st.Saving:
+		return scheme, &Violation{Index: i, Reason: fmt.Sprintf("write %v marked as saving-read", st.Request)}
+	}
+	next := NextScheme(scheme, st)
+	if next.Size() < t {
+		return scheme, &Violation{Index: i, Reason: fmt.Sprintf("allocation scheme %v after %v has %d members, t-availability requires %d", next, st.Request, next.Size(), t)}
+	}
+	return next, nil
 }
 
 // CorrespondsTo reports whether the allocation schedule corresponds to the

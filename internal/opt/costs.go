@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"objalloc/internal/cost"
 )
@@ -30,13 +31,39 @@ func ModelChunk(n int) int {
 	return max(1, rowBudget/(3*8<<uint(n)))
 }
 
+// workspace is the scratch memory of a DP pass — its three rows and, for a
+// grid pass, the transposed price table — kept from one pass to the next so
+// that pricing a schedule allocates nothing in the steady state. A pass
+// takes the floats it needs with whatever an earlier pass left in them and
+// never reads one it has not written first: dp and next are filled with
+// +Inf before the first request, g is written whole by every write (copy
+// in run; foldWrite's first loop covers every mask relaxWriteModels reads)
+// before it is read, and of the price table only the rows of execution-set
+// size 0 stay unwritten, which no relaxation reads (|X| >= t >= 1).
+// TestWorkspaceReuseIsExact prices out of a workspace poisoned with NaN.
+type workspace struct{ buf []float64 }
+
+// floats returns n floats of the workspace, growing it first if need be.
+func (w *workspace) floats(n int) []float64 {
+	if cap(w.buf) < n {
+		w.buf = make([]float64, n)
+	}
+	return w.buf[:n]
+}
+
+// workspaces holds the idle workspaces, at most one pass's memory each
+// (rowBudget plus a price table for a grid pass, three rows of 2^n for a
+// one-model pass), and only until the collector next clears the pool.
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
 // Costs prices the plan under every model of a list: Costs(ctx, ms)[j] is,
 // bit for bit, Cost(ctx, ms[j]). Every model is validated before anything
 // is allocated, so an invalid one returns the error Cost would and no
 // partial result. The models are priced a chunk (see ModelChunk) at a
 // time, each chunk in one walk over the requests that relaxes all of its
 // models together; a chunk of one model is the one-model pass itself. Like
-// Cost, a pass polls the context between requests.
+// Cost, a pass polls the context between requests. The returned slice is
+// the call's only allocation.
 func (p *Plan) Costs(ctx context.Context, models []cost.Model) ([]float64, error) {
 	for _, m := range models {
 		if err := m.Validate(); err != nil {
@@ -44,26 +71,30 @@ func (p *Plan) Costs(ctx context.Context, models []cost.Model) ([]float64, error
 		}
 	}
 	out := make([]float64, len(models))
-	chunk := min(ModelChunk(len(p.ids)), len(models))
-	var rows []float64
-	for lo := 0; lo < len(models); lo += chunk {
-		hi := min(lo+chunk, len(models))
-		if hi-lo == 1 {
-			c, err := p.Cost(ctx, models[lo])
-			if err != nil {
-				return nil, err
-			}
-			out[lo] = c
-			continue
-		}
-		if rows == nil {
-			rows = make([]float64, 3*p.size()*chunk)
-		}
-		if err := p.costsPass(ctx, models[lo:hi], rows, out[lo:hi]); err != nil {
-			return nil, err
-		}
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	if err := p.costs(ctx, models, ws, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// costs is Costs for validated models, out of a given workspace.
+func (p *Plan) costs(ctx context.Context, models []cost.Model, ws *workspace, out []float64) error {
+	chunk := min(ModelChunk(len(p.ids)), len(models))
+	for lo := 0; lo < len(models); lo += chunk {
+		hi := min(lo+chunk, len(models))
+		var err error
+		if hi-lo == 1 {
+			out[lo], _, err = p.run(ctx, models[lo], nil, ws)
+		} else {
+			err = p.costsPass(ctx, models[lo:hi], ws, out[lo:hi])
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // modelPrices is prices transposed for a grid pass: one row of len(models)
@@ -75,9 +106,14 @@ type modelPrices struct {
 	writeIn, writeOut []float64
 }
 
-func newModelPrices(models []cost.Model, n int) modelPrices {
+// priceTableLen is the number of floats newModelPrices lays m models out
+// in for a universe of n processors.
+func priceTableLen(m, n int) int { return (4 + 2*(n+1)) * m }
+
+// newModelPrices fills tab, priceTableLen(len(models), n) floats, leaving
+// the two rows of execution-set size 0 as it found them.
+func newModelPrices(models []cost.Model, n int, tab []float64) modelPrices {
 	m := len(models)
-	tab := make([]float64, (4+2*(n+1))*m)
 	mp := modelPrices{cc: tab[:m], local: tab[m : 2*m], remote: tab[2*m : 3*m], saving: tab[3*m : 4*m]}
 	mp.writeIn, mp.writeOut = tab[4*m:(4+n+1)*m], tab[(4+n+1)*m:]
 	for j, mod := range models {
@@ -97,15 +133,16 @@ func newModelPrices(models []cost.Model, n int) modelPrices {
 // expressions run evaluates, in an order that cannot change their value
 // (see foldWrite), which is what makes a sweep priced through it
 // bit-identical to one priced cell by cell.
-func (p *Plan) costsPass(ctx context.Context, models []cost.Model, rows, out []float64) error {
+func (p *Plan) costsPass(ctx context.Context, models []cost.Model, ws *workspace, out []float64) error {
 	n, m := len(p.ids), len(models)
 	span := p.size() * m
-	dp, next, g := rows[:span], rows[span:2*span], rows[2*span:3*span]
-	for i := range rows[:2*span] {
-		rows[i] = inf
+	mem := ws.floats(3*span + priceTableLen(m, n))
+	dp, next, g := mem[:span], mem[span:2*span], mem[2*span:3*span]
+	for i := range mem[:2*span] {
+		mem[i] = inf
 	}
 	clear(modelRow(dp, p.init, m))
-	mp := newModelPrices(models, n)
+	mp := newModelPrices(models, n, mem[3*span:])
 	all := uint32(p.size() - 1)
 
 	done := ctx.Done()

@@ -159,6 +159,7 @@ func BenchmarkCosts(b *testing.B) {
 	ctx := context.Background()
 	models := gridModels(21)
 	b.Run("Cost/models=21", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, m := range models {
 				if _, err := plan.Cost(ctx, m); err != nil {
@@ -168,6 +169,7 @@ func BenchmarkCosts(b *testing.B) {
 		}
 	})
 	b.Run("Costs/models=21", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := plan.Costs(ctx, models); err != nil {
 				b.Fatal(err)
@@ -175,6 +177,7 @@ func BenchmarkCosts(b *testing.B) {
 		}
 	})
 	b.Run("Cost/models=1", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := plan.Cost(ctx, models[0]); err != nil {
 				b.Fatal(err)
@@ -182,11 +185,76 @@ func BenchmarkCosts(b *testing.B) {
 		}
 	})
 	b.Run("costsPass/models=1", func(b *testing.B) {
-		rows, out := make([]float64, 3*plan.size()), make([]float64, 1)
+		b.ReportAllocs()
+		ws, out := new(workspace), make([]float64, 1)
 		for i := 0; i < b.N; i++ {
-			if err := plan.costsPass(ctx, models[:1], rows, out); err != nil {
+			if err := plan.costsPass(ctx, models[:1], ws, out); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// A pass may be handed a workspace in any state: here one workspace serves
+// plans of three universe sizes, each under lists of one model, two, the
+// figure grid's 21 and a chunk and one more, and is filled with NaN
+// before every use — a float read before the pass wrote it turns a cost
+// into NaN. Every cost must carry the bits of a pass over fresh memory.
+func TestWorkspaceReuseIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	ctx := context.Background()
+	var plans []*Plan
+	for _, n := range []int{3, 5, 8} {
+		sched, initial, tAvail := costsInstance(rng, n, 40, 0.4)
+		plan, err := Compile(sched, initial, tAvail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, plan)
+	}
+	ws := new(workspace)
+	poison := func() {
+		buf := ws.buf[:cap(ws.buf)]
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+	}
+	for round := 0; round < 2; round++ { // the second round never grows ws
+		for _, plan := range plans {
+			n := len(plan.ids)
+			for _, count := range []int{1, 2, 21, ModelChunk(n) + 1} {
+				models := gridModels(count)
+				got := make([]float64, count)
+				poison()
+				if err := plan.costs(ctx, models, ws, got); err != nil {
+					t.Fatal(err)
+				}
+				for j, c := range got {
+					want, _, err := plan.run(ctx, models[j], nil, new(workspace))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(c) != math.Float64bits(want) {
+						t.Fatalf("round %d, n = %d, model %d of %d: %b out of a poisoned workspace, %b out of a fresh one",
+							round, n, j, count, c, want)
+					}
+				}
+			}
+		}
+	}
+	// The traceback reads the same rows.
+	plan := plans[1]
+	parents := make([]uint32, len(plan.reqs)*plan.size())
+	poison()
+	best, final, err := plan.run(ctx, gridBase[0], parents, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plan.Solve(ctx, gridBase[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(best) != math.Float64bits(want.Cost) || plan.expand(final) != want.FinalScheme {
+		t.Errorf("run out of a poisoned workspace = %b ending in %v, Solve = %b ending in %v", best, plan.expand(final), want.Cost, want.FinalScheme)
+	}
 }

@@ -193,7 +193,9 @@ func SolveContext(ctx context.Context, m cost.Model, sched model.Schedule, initi
 // cancelled; it relaxes O(n·2^n) states per request, so the check
 // granularity is fine enough to return promptly.
 func (p *Plan) Cost(ctx context.Context, m cost.Model) (float64, error) {
-	best, _, err := p.run(ctx, m, nil)
+	ws := workspaces.Get().(*workspace)
+	best, _, err := p.run(ctx, m, nil, ws)
+	workspaces.Put(ws)
 	return best, err
 }
 
@@ -203,7 +205,9 @@ func (p *Plan) Solve(ctx context.Context, m cost.Model) (*Result, error) {
 	// parents[k*size+s] is the DP state before request k that led to
 	// state s after request k.
 	parents := make([]uint32, len(p.reqs)*p.size())
-	best, final, err := p.run(ctx, m, parents)
+	ws := workspaces.Get().(*workspace)
+	best, final, err := p.run(ctx, m, parents, ws)
+	workspaces.Put(ws)
 	if err != nil {
 		return nil, err
 	}
@@ -213,17 +217,18 @@ func (p *Plan) Solve(ctx context.Context, m cost.Model) (*Result, error) {
 
 // run is the DP: it returns the minimum cost and the final state that
 // attains it (the lowest such mask). When parents is non-nil every
-// relaxation also records the predecessor state it chose.
-func (p *Plan) run(ctx context.Context, m cost.Model, parents []uint32) (float64, uint32, error) {
+// relaxation also records the predecessor state it chose. The rows come
+// from ws (see workspace for why nothing needs clearing).
+func (p *Plan) run(ctx context.Context, m cost.Model, parents []uint32, ws *workspace) (float64, uint32, error) {
 	if err := m.Validate(); err != nil {
 		return 0, 0, err
 	}
 	n, size := len(p.ids), p.size()
 
-	// Three rows, allocated once: dp and next keep +Inf at every
-	// infeasible mask for the whole pass (the relaxations write feasible
-	// masks only); g is the write transform's workspace.
-	rows := make([]float64, 3*size)
+	// Three rows: dp and next keep +Inf at every infeasible mask for the
+	// whole pass (the relaxations write feasible masks only); g is the
+	// write transform's scratch row.
+	rows := ws.floats(3 * size)
 	dp, next, g := rows[:size], rows[size:2*size], rows[2*size:]
 	for i := range rows[:2*size] {
 		rows[i] = inf

@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -520,5 +522,59 @@ func TestClientReturnsPermanentRefusal(t *testing.T) {
 	}
 	if s.Stats().Accepted != 0 {
 		t.Errorf("the refused batch admitted %d requests", s.Stats().Accepted)
+	}
+}
+
+// TestStatsCarriesRuntimeCounters checks GET /v1/stats carries the
+// runtime's memory counters, and that the two a scraper may wait on — GC
+// cycles and bytes allocated — only grow.
+func TestStatsCarriesRuntimeCounters(t *testing.T) {
+	s, err := New(Config{Shards: 2, N: 4, T: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Runtime map[string]uint64 `json:"runtime"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"num_gc", "total_alloc_bytes", "heap_inuse_bytes", "goroutines"} {
+		if _, ok := body.Runtime[name]; !ok {
+			t.Errorf("/v1/stats runtime object has no %q: %v", name, body.Runtime)
+		}
+	}
+
+	c := &Client{Base: ts.URL}
+	first, err := c.StatsFull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := c.Batch([]WireRequest{{Object: "a", Op: "w", Processor: i % 4}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	second, err := c.StatsFull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := first.Runtime, second.Runtime
+	if a.TotalAllocBytes == 0 || a.HeapInuseBytes == 0 || a.Goroutines == 0 {
+		t.Errorf("runtime counters not filled: %+v", a)
+	}
+	if b.NumGC <= a.NumGC || b.TotalAllocBytes <= a.TotalAllocBytes {
+		t.Errorf("after 100 requests and a GC cycle the counters went %+v -> %+v", a, b)
 	}
 }
