@@ -28,9 +28,9 @@
 # benchvet fails if a _test.go in the repository root declares a
 # Benchmark (bench/ is the only benchmark; paper claims are gated by
 # named tests and experiments-check),
-# seqvet fails if the executed protocols regrow a goroutine, a condition
-# variable or a wall-clock wait (one goroutine runs them; their counts are
-# a function of their inputs),
+# seqvet fails if the executed protocols regrow a goroutine, a channel, a
+# condition variable or a wall-clock wait (one goroutine runs them, a driver
+# call is a method call; their counts are a function of their inputs),
 # depsvet fails if the daemon links the laboratory again (the offline
 # solver, sweeps and generators, or the executed clusters), and
 # staticcheck runs when the tool is installed (it is skipped gracefully
@@ -140,22 +140,23 @@ benchvet:
 # The executed protocols run in the caller's goroutine on netsim.Runtime's
 # run-to-quiescence loop, which is what makes every count they print a
 # function of the seed. A `go` statement in their non-test code hands the
-# delivery order back to the scheduler; a condition variable or a
-# wall-clock wait is the machinery that came with it (the network's
-# Endpoint keeps its blocking Recv, so netsim is held to this in
-# runtime.go only). chaos.Search's parallelism is the engine pool over
-# whole scenarios, each of which runs on its own goroutine-free cluster.
+# delivery order back to the scheduler; a channel, a condition variable or
+# a wall-clock wait is the machinery that came with it — with one goroutine
+# there is nobody to hand a value to or to wake, so a driver call is a
+# method call and a mailbox a queue under the network's lock (comments are
+# held to the channel rule too: write "chan" or an arrow there and it
+# fails). chaos.Search's parallelism is the engine pool over whole
+# scenarios, each of which runs on its own goroutine-free cluster.
 seqvet:
 	@all=$$(ls internal/netsim/*.go internal/sim/*.go internal/quorum/*.go internal/ha/*.go internal/chaos/*.go | grep -v '_test\.go$$'); \
-	clocked=$$(echo "$$all" | grep -v '^internal/netsim/'; echo internal/netsim/runtime.go); \
 	bad=$$(grep -n -E '^[[:space:]]*go[[:space:]]+[a-zA-Z_(]' $$all; \
-		grep -n -E 'sync\.NewCond|time\.After|time\.Sleep' $$clocked; true); \
+		grep -n -E '(^|[^a-zA-Z_])chan[[:space:]]|<-|sync\.NewCond|time\.After|time\.Sleep' $$all; true); \
 	if [ -n "$$bad" ]; then \
-		echo "seqvet: goroutine, condition variable or wall-clock wait in the executed protocols (netsim.Runtime runs them in one goroutine):"; \
+		echo "seqvet: goroutine, channel, condition variable or wall-clock wait in the executed protocols (netsim.Runtime runs them in one goroutine):"; \
 		echo "$$bad"; \
 		exit 1; \
 	else \
-		echo "seqvet: executed protocols start no goroutine and wait on no clock"; \
+		echo "seqvet: executed protocols start no goroutine, pass no channel and wait on no clock"; \
 	fi
 
 # objallocd serves the controller and the two protocols; it does not run

@@ -14,7 +14,9 @@
 // Delivery is asynchronous and per-link FIFO (except where a FaultPlan
 // deliberately reorders): each endpoint owns an unbounded mailbox, so
 // senders never block and the protocols layered on top (package sim,
-// package quorum) cannot deadlock on backpressure.
+// package quorum) cannot deadlock on backpressure. Nothing blocks on a
+// mailbox either: it is a queue under the network's one lock, and whoever
+// wants the next message takes it with TryRecv.
 //
 // Runtime (runtime.go) is the one processor runtime those protocols run
 // on: a single-threaded run-to-quiescence loop over the endpoints'
@@ -239,7 +241,7 @@ func New(n int) *Network {
 	}
 	for i := 0; i < n; i++ {
 		id := model.ProcessorID(i)
-		nw.endpoints[id] = newEndpoint(id)
+		nw.endpoints[id] = &Endpoint{id: id, nw: nw}
 		nw.perNode[id] = &NodeStats{}
 	}
 	return nw
@@ -295,25 +297,14 @@ func (nw *Network) Endpoint(id model.ProcessorID) (*Endpoint, error) {
 	return ep, nil
 }
 
-// delivery is one decided enqueue, applied after the network lock is
-// released so mailbox signalling never nests inside it.
-type delivery struct {
-	ep *Endpoint
-	m  Message
-}
-
 // Send transmits a message. The message is billed unconditionally; it is
 // delivered unless the network is closed, the destination has crashed, the
 // link is partitioned, the destination id is unknown, or the fault plan
 // drops it. Send never blocks.
 func (nw *Network) Send(m Message) {
 	nw.mu.Lock()
-	var dels []delivery
-	nw.routeLocked(m, &dels)
-	nw.mu.Unlock()
-	for _, d := range dels {
-		d.ep.enqueue(d.m)
-	}
+	defer nw.mu.Unlock()
+	nw.routeLocked(m)
 }
 
 // ReleaseAll flushes every held (delayed) message network-wide, in hold
@@ -322,26 +313,21 @@ func (nw *Network) Send(m Message) {
 // from their quiescence loops so bounded delay cannot outlive a settle.
 func (nw *Network) ReleaseAll() int {
 	nw.mu.Lock()
+	defer nw.mu.Unlock()
 	var all []heldMessage
 	for _, l := range nw.links {
 		all = append(all, l.dueHeldLocked(true)...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	var dels []delivery
 	for _, h := range all {
-		nw.redeliverLocked(h.m, &dels)
+		nw.redeliverLocked(h.m)
 	}
-	n := len(all)
-	nw.mu.Unlock()
-	for _, d := range dels {
-		d.ep.enqueue(d.m)
-	}
-	return n
+	return len(all)
 }
 
 // routeLocked bills m, applies structural checks and the fault plan, and
-// appends the resulting enqueues to dels.
-func (nw *Network) routeLocked(m Message, dels *[]delivery) {
+// enqueues what is to be delivered now.
+func (nw *Network) routeLocked(m Message) {
 	nw.billLocked(m)
 	reason := nw.structuralLocked(m)
 	var l *link
@@ -359,7 +345,7 @@ func (nw *Network) routeLocked(m Message, dels *[]delivery) {
 		}
 	}
 	if reason != DropNone {
-		nw.dropLocked(m, reason, dels)
+		nw.dropLocked(m, reason)
 	} else {
 		delayed := false
 		if l != nil && nw.plan.Delay > 0 && l.rng.Float01() < nw.plan.Delay {
@@ -371,17 +357,17 @@ func (nw *Network) routeLocked(m Message, dels *[]delivery) {
 			nw.emitFaultLocked("net.delay", m, DropNone)
 		}
 		if !delayed {
-			nw.deliverLocked(m, dels)
+			nw.deliverLocked(m)
 		}
 		if l != nil && nw.plan.Dup > 0 && l.rng.Float01() < nw.plan.Dup {
 			nw.stats.Duplicated++
 			nw.emitFaultLocked("net.dup", m, DropNone)
-			nw.deliverLocked(m, dels)
+			nw.deliverLocked(m)
 		}
 	}
 	if l != nil {
 		for _, h := range l.dueHeldLocked(false) {
-			nw.redeliverLocked(h.m, dels)
+			nw.redeliverLocked(h.m)
 		}
 	}
 }
@@ -407,16 +393,16 @@ func (nw *Network) structuralLocked(m Message) DropReason {
 // redeliverLocked finishes a held message's journey: structural state is
 // re-checked (the destination may have crashed while the message was in
 // flight), then the message is enqueued or dropped.
-func (nw *Network) redeliverLocked(m Message, dels *[]delivery) {
+func (nw *Network) redeliverLocked(m Message) {
 	switch {
 	case nw.closed:
-		nw.dropLocked(m, DropClosed, dels)
+		nw.dropLocked(m, DropClosed)
 	case nw.endpoints[m.To] == nil:
-		nw.dropLocked(m, DropUnknown, dels)
+		nw.dropLocked(m, DropUnknown)
 	case nw.crashed[m.To]:
-		nw.dropLocked(m, DropCrashedDest, dels)
+		nw.dropLocked(m, DropCrashedDest)
 	default:
-		nw.deliverLocked(m, dels)
+		nw.deliverLocked(m)
 	}
 }
 
@@ -461,9 +447,9 @@ func (nw *Network) billLocked(m Message) {
 	}
 }
 
-// deliverLocked records a successful delivery decision and queues the
-// enqueue for after the lock is released.
-func (nw *Network) deliverLocked(m Message, dels *[]delivery) {
+// deliverLocked records a successful delivery decision and puts the message
+// in the destination's mailbox.
+func (nw *Network) deliverLocked(m Message) {
 	ep := nw.endpoints[m.To]
 	if ep == nil {
 		return
@@ -471,13 +457,13 @@ func (nw *Network) deliverLocked(m Message, dels *[]delivery) {
 	if nw.trace != nil && m.Type != TNack {
 		nw.trace(m, true)
 	}
-	*dels = append(*dels, delivery{ep, m})
+	ep.queue = append(ep.queue, m)
 }
 
 // dropLocked records a drop, emits its event, and — for structural drops
 // of real traffic — bounces a synthetic TNack to a live sender, modeling
 // the fail-stop perfect failure detector.
-func (nw *Network) dropLocked(m Message, reason DropReason, dels *[]delivery) {
+func (nw *Network) dropLocked(m Message, reason DropReason) {
 	if m.Type == TNack {
 		return // a bounce that cannot be delivered is simply gone
 	}
@@ -495,10 +481,10 @@ func (nw *Network) dropLocked(m Message, reason DropReason, dels *[]delivery) {
 	if reason.Structural() && !nw.closed && !nw.crashed[m.From] {
 		if sep, ok := nw.endpoints[m.From]; ok {
 			nw.stats.Nacks++
-			*dels = append(*dels, delivery{sep, Message{
+			sep.queue = append(sep.queue, Message{
 				From: m.To, To: m.From, Type: TNack,
 				Seq: m.Seq, Orig: m.Type, Attempt: m.Attempt,
-			}})
+			})
 		}
 	}
 }
@@ -557,14 +543,13 @@ func (nw *Network) ResetStats() {
 // error (it used to silently register the id as crashed).
 func (nw *Network) Crash(id model.ProcessorID) error {
 	nw.mu.Lock()
+	defer nw.mu.Unlock()
 	ep, ok := nw.endpoints[id]
 	if !ok {
-		nw.mu.Unlock()
 		return fmt.Errorf("netsim: crash of unknown processor %d", id)
 	}
 	nw.crashed[id] = true
-	nw.mu.Unlock()
-	ep.drain()
+	ep.queue = nil
 	return nil
 }
 
@@ -622,72 +607,38 @@ func linkKey(a, b model.ProcessorID) [2]model.ProcessorID {
 	return [2]model.ProcessorID{a, b}
 }
 
-// Close shuts every endpoint down; pending Recv calls return ok = false.
-// Held (delayed) messages are discarded.
+// Close shuts the network down: queued and held (delayed) messages are
+// discarded, and every later send is billed and dropped. Closing twice is
+// harmless.
 func (nw *Network) Close() {
 	nw.mu.Lock()
+	defer nw.mu.Unlock()
 	if nw.closed {
-		nw.mu.Unlock()
 		return
 	}
 	nw.closed = true
 	nw.links = make(map[[2]model.ProcessorID]*link)
-	eps := make([]*Endpoint, 0, len(nw.endpoints))
 	for _, ep := range nw.endpoints {
-		eps = append(eps, ep)
-	}
-	nw.mu.Unlock()
-	for _, ep := range eps {
-		ep.close()
+		ep.queue = nil
 	}
 }
 
-// Endpoint is a processor's unbounded FIFO mailbox.
+// Endpoint is a processor's unbounded FIFO mailbox. Its queue is guarded by
+// its network's lock: the network appends under it while routing, and
+// TryRecv and Len take it.
 type Endpoint struct {
-	id     model.ProcessorID
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Message
-	closed bool
-}
-
-func newEndpoint(id model.ProcessorID) *Endpoint {
-	ep := &Endpoint{id: id}
-	ep.cond = sync.NewCond(&ep.mu)
-	return ep
+	id    model.ProcessorID
+	nw    *Network
+	queue []Message
 }
 
 // ID returns the processor this endpoint belongs to.
 func (ep *Endpoint) ID() model.ProcessorID { return ep.id }
 
-func (ep *Endpoint) enqueue(m Message) {
-	ep.mu.Lock()
-	if !ep.closed {
-		ep.queue = append(ep.queue, m)
-		ep.cond.Signal()
-	}
-	ep.mu.Unlock()
-}
-
-// Recv blocks until a message arrives or the endpoint is closed.
-func (ep *Endpoint) Recv() (Message, bool) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	for len(ep.queue) == 0 && !ep.closed {
-		ep.cond.Wait()
-	}
-	if len(ep.queue) == 0 {
-		return Message{}, false
-	}
-	m := ep.queue[0]
-	ep.queue = ep.queue[1:]
-	return m, true
-}
-
-// TryRecv returns the next message without blocking.
+// TryRecv takes the next message, if there is one.
 func (ep *Endpoint) TryRecv() (Message, bool) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
+	ep.nw.mu.Lock()
+	defer ep.nw.mu.Unlock()
 	if len(ep.queue) == 0 {
 		return Message{}, false
 	}
@@ -698,20 +649,7 @@ func (ep *Endpoint) TryRecv() (Message, bool) {
 
 // Len returns the number of queued messages.
 func (ep *Endpoint) Len() int {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
+	ep.nw.mu.Lock()
+	defer ep.nw.mu.Unlock()
 	return len(ep.queue)
-}
-
-func (ep *Endpoint) drain() {
-	ep.mu.Lock()
-	ep.queue = nil
-	ep.mu.Unlock()
-}
-
-func (ep *Endpoint) close() {
-	ep.mu.Lock()
-	ep.closed = true
-	ep.cond.Broadcast()
-	ep.mu.Unlock()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"objalloc/internal/model"
 	"objalloc/internal/storage"
@@ -61,9 +60,9 @@ func TestSendRecv(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.Send(Message{From: 0, To: 1, Type: TReadReq, Seq: 42})
-	m, ok := ep.Recv()
+	m, ok := ep.TryRecv()
 	if !ok {
-		t.Fatal("Recv failed")
+		t.Fatal("TryRecv failed")
 	}
 	if m.From != 0 || m.To != 1 || m.Type != TReadReq || m.Seq != 42 {
 		t.Errorf("got %+v", m)
@@ -78,7 +77,7 @@ func TestFIFOOrder(t *testing.T) {
 		nw.Send(Message{From: 0, To: 1, Type: TReadReq, Seq: i})
 	}
 	for i := uint64(0); i < 100; i++ {
-		m, ok := ep.Recv()
+		m, ok := ep.TryRecv()
 		if !ok || m.Seq != i {
 			t.Fatalf("message %d: got %+v ok=%v", i, m, ok)
 		}
@@ -135,7 +134,7 @@ func TestCrashDropsAndDiscards(t *testing.T) {
 	}
 	nw.Restart(1)
 	nw.Send(Message{From: 0, To: 1, Type: TReadReq})
-	if _, ok := ep.Recv(); !ok {
+	if _, ok := ep.TryRecv(); !ok {
 		t.Error("message after restart not delivered")
 	}
 }
@@ -152,36 +151,43 @@ func TestPartitionAndHeal(t *testing.T) {
 	if nw.Stats().Dropped != 2 {
 		t.Errorf("dropped = %d", nw.Stats().Dropped)
 	}
-	if _, ok := ep2.Recv(); !ok {
+	if _, ok := ep2.TryRecv(); !ok {
 		t.Error("unaffected link blocked")
 	}
 	nw.Heal(0, 1)
 	nw.Send(Message{From: 0, To: 1, Type: TReadReq})
-	if _, ok := ep1.Recv(); !ok {
+	if _, ok := ep1.TryRecv(); !ok {
 		t.Error("healed link still blocked")
 	}
 }
 
-func TestCloseUnblocksRecv(t *testing.T) {
-	nw := New(1)
-	ep, _ := nw.Endpoint(0)
-	done := make(chan bool)
-	go func() {
-		_, ok := ep.Recv()
-		done <- ok
-	}()
-	time.Sleep(10 * time.Millisecond)
-	nw.Close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Error("Recv returned ok after close")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Recv did not unblock on close")
+// TestCloseDiscardsAndIsIdempotent: closing the network throws away what
+// was queued, a later send is billed and dropped like any send nobody can
+// receive, and a second Close changes nothing.
+func TestCloseDiscardsAndIsIdempotent(t *testing.T) {
+	nw := New(2)
+	ep, _ := nw.Endpoint(1)
+	nw.Send(Message{From: 0, To: 1, Type: TReadReq})
+	if ep.Len() != 1 {
+		t.Fatalf("queued %d before Close, want 1", ep.Len())
 	}
-	// Double close is harmless.
 	nw.Close()
+	if m, ok := ep.TryRecv(); ok {
+		t.Errorf("TryRecv after Close returned %+v", m)
+	}
+	nw.Send(Message{From: 0, To: 1, Type: TReadReq})
+	if ep.Len() != 0 {
+		t.Error("a send after Close was delivered")
+	}
+	want := Stats{ControlSent: 2, Dropped: 1}
+	want.PerType[TReadReq] = 2
+	if st := nw.Stats(); st != want {
+		t.Errorf("stats after Close = %+v, want %+v", st, want)
+	}
+	nw.Close()
+	if st := nw.Stats(); st != want || ep.Len() != 0 {
+		t.Errorf("second Close changed the network: stats %+v, %d queued", st, ep.Len())
+	}
 }
 
 func TestTryRecv(t *testing.T) {
@@ -223,7 +229,7 @@ func TestDataPayloadDelivered(t *testing.T) {
 	ep, _ := nw.Endpoint(1)
 	v := storage.Version{Seq: 9, Writer: 0, Data: []byte("payload")}
 	nw.Send(Message{From: 0, To: 1, Type: TWritePush, Seq: 9, Version: v})
-	m, ok := ep.Recv()
+	m, ok := ep.TryRecv()
 	if !ok || m.Version.Seq != 9 || string(m.Version.Data) != "payload" {
 		t.Errorf("payload = %+v ok=%v", m, ok)
 	}

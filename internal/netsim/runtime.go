@@ -13,16 +13,16 @@ import (
 )
 
 // Handler is the protocol half of one processor. The runtime calls it for
-// every driver command and every delivered message, one call at a time
-// across the whole cluster, so a handler's state needs no locking. It acts
-// by sending on the network; it must not call back into the runtime.
-type Handler[C any] interface {
-	HandleCommand(cmd C)
+// every delivered message, and the driver reaches the same state through Do
+// and Perform — one call at a time across the whole cluster, so a handler's
+// state needs no locking. It acts by sending on the network; it must not
+// call back into the runtime.
+type Handler interface {
 	HandleMessage(m Message)
 }
 
 // Result is the outcome of one driver-issued operation, as the issuing
-// processor's handler reports it on the operation's reply channel.
+// processor reports it to the operation's done function.
 type Result struct {
 	Version storage.Version
 	Err     error
@@ -41,23 +41,23 @@ var ErrStalled = errors.New("netsim: operation stalled: no reply and nothing lef
 // on: the billing network, one local database and one handler per
 // processor, the run-to-quiescence loop that delivers their messages, the
 // driver side of the retransmission discipline, and the accounting reads
-// every caller of a cluster makes. A protocol supplies its command type C,
-// one Handler per processor, and nothing else; it embeds the runtime to
-// export the reads.
+// every caller of a cluster makes. A protocol supplies one Handler per
+// processor and nothing else; it embeds the runtime to export the reads.
 //
 // It starts no goroutine, as the paper's model has no thread: a request
 // costs the messages and I/Os it causes, and the only freedom is the order
-// in which deliverable messages are handled. Submit runs a handler in the
-// caller's goroutine and Quiesce takes messages in one fixed order, so
-// every count is a function of the inputs.
-type Runtime[C any] struct {
+// in which deliverable messages are handled. A driver call is a function
+// run in the caller's goroutine (Do, an Op's Start and Retry) and Quiesce
+// takes messages in one fixed order, so every count is a function of the
+// inputs.
+type Runtime struct {
 	net    *Network
 	stores []storage.Store
 
-	// mu serialises the methods that run handlers (Submit, Perform,
+	// mu serialises everything that touches protocol state (Do, Perform,
 	// PerformAll, Quiesce) and Close, so concurrent callers take turns.
 	mu       sync.Mutex
-	handlers []Handler[C]
+	handlers []Handler
 	mailbox  []*Endpoint
 	closed   bool
 
@@ -72,8 +72,8 @@ type Runtime[C any] struct {
 // NewRuntime builds the network (with the fault plan, when one is active)
 // and the n local databases; newStore nil means in-memory stores. No
 // processor has a handler until Start.
-func NewRuntime[C any](n int, newStore func(model.ProcessorID) (storage.Store, error), o *obs.Obs, faults *FaultPlan, retry RetryPolicy) (*Runtime[C], error) {
-	rt := &Runtime[C]{net: New(n), retry: retry}
+func NewRuntime(n int, newStore func(model.ProcessorID) (storage.Store, error), o *obs.Obs, faults *FaultPlan, retry RetryPolicy) (*Runtime, error) {
+	rt := &Runtime{net: New(n), retry: retry}
 	if faults != nil && faults.Active() {
 		if err := rt.net.InstallFaults(*faults); err != nil {
 			return nil, err
@@ -96,7 +96,7 @@ func NewRuntime[C any](n int, newStore func(model.ProcessorID) (storage.Store, e
 }
 
 // Start creates every processor's handler.
-func (rt *Runtime[C]) Start(handler func(id model.ProcessorID, st storage.Store) Handler[C]) {
+func (rt *Runtime) Start(handler func(id model.ProcessorID, st storage.Store) Handler) {
 	for i, st := range rt.stores {
 		id := model.ProcessorID(i)
 		rt.handlers = append(rt.handlers, handler(id, st))
@@ -104,64 +104,78 @@ func (rt *Runtime[C]) Start(handler func(id model.ProcessorID, st storage.Store)
 	}
 }
 
-// Submit runs processor p's handler on cmd in the caller's goroutine. The
-// messages the handler sends wait in their destinations' mailboxes for the
-// next Quiesce.
-func (rt *Runtime[C]) Submit(p model.ProcessorID, cmd C) error {
+// Do runs fn — a step of processor p's protocol — in the caller's goroutine
+// under the runtime's lock. The messages it sends wait in their
+// destinations' mailboxes for the next Quiesce. A crashed processor is not
+// refused here: the retransmission discipline polls every processor's
+// outbox, down or not.
+func (rt *Runtime) Do(p model.ProcessorID, fn func()) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.submit(p, cmd)
+	if err := rt.admit(p); err != nil {
+		return err
+	}
+	fn()
+	return nil
 }
 
-func (rt *Runtime[C]) submit(p model.ProcessorID, cmd C) error {
+// admit refuses a driver call on an unknown processor or a closed runtime.
+func (rt *Runtime) admit(p model.ProcessorID) error {
 	if int(p) < 0 || int(p) >= len(rt.handlers) {
 		return fmt.Errorf("netsim: unknown processor %d", p)
 	}
 	if rt.closed {
 		return ErrClosed
 	}
-	rt.handlers[p].HandleCommand(cmd)
 	return nil
 }
 
 // NextCorr returns a fresh driver-side correlation id for an operation.
-func (rt *Runtime[C]) NextCorr() uint64 { return rt.corr.Add(1) }
+func (rt *Runtime) NextCorr() uint64 { return rt.corr.Add(1) }
 
-// Op is one driver-issued operation: Cmd starts it on processor P, whose
-// handler sends the outcome on Reply (buffered, capacity one). Retry is
+// Op is one driver-issued operation: Start begins it on processor P, whose
+// protocol calls done once, with the outcome, when it has one. Retry is
 // only called on a lossy network with retries enabled: Retry(attempt,
-// false) makes the handler retransmit whatever the operation still waits
+// false) makes the processor retransmit whatever the operation still waits
 // for, and Retry(attempt, true), once the attempt budget is spent, must
-// make it resolve the operation with an error unless a reply arrived first.
-type Op[C any] struct {
+// make it resolve the operation with an error unless a reply arrived first;
+// an operation that answers from within Start is never retried.
+type Op struct {
 	P     model.ProcessorID
-	Cmd   C
-	Reply <-chan Result
-	Retry func(attempt int, giveUp bool) C
+	Start func(done func(Result))
+	Retry func(attempt int, giveUp bool)
 }
 
 // Perform is PerformAll for a single operation.
-func (rt *Runtime[C]) Perform(p model.ProcessorID, op C, reply <-chan Result, retry func(attempt int, giveUp bool) C) (storage.Version, error) {
-	res := rt.PerformAll([]Op[C]{{P: p, Cmd: op, Reply: reply, Retry: retry}})[0]
+func (rt *Runtime) Perform(op Op) (storage.Version, error) {
+	res := rt.PerformAll([]Op{op})[0]
 	return res.Version, res.Err
 }
 
 // PerformAll runs a group of concurrent operations: every operation is
-// handed to its handler before any message is delivered — all are in
-// flight at once, the concurrency of the paper's §3.1 — and the cluster
-// then runs to quiescence. With retries engaged, each quiescence round
-// whose capped exponential backoff has elapsed kicks the unanswered
-// operations into retransmitting, and the one after the attempt budget
-// makes them give up. Results come in the order of ops, ErrStalled for an
-// operation still unanswered; the cluster is quiescent on return.
-func (rt *Runtime[C]) PerformAll(ops []Op[C]) []Result {
+// started before any message is delivered — all are in flight at once, the
+// concurrency of the paper's §3.1 — and the cluster then runs to
+// quiescence. An operation at a crashed processor is refused with
+// Unreachable{Peer: P} before it starts: the processor issues nothing, so
+// nothing may be billed or numbered on its behalf. With retries engaged,
+// each quiescence round whose capped exponential backoff has elapsed kicks
+// the unanswered operations into retransmitting, and the one after the
+// attempt budget makes them give up. Results come in the order of ops,
+// ErrStalled for an operation still unanswered; the cluster is quiescent on
+// return.
+func (rt *Runtime) PerformAll(ops []Op) []Result {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	out := make([]Result, len(ops))
+	answered := make([]bool, len(ops))
 	pending := make([]int, 0, len(ops)) // operations started and not yet answered
 	for i, op := range ops {
-		if out[i].Err = rt.submit(op.P, op.Cmd); out[i].Err == nil {
+		if out[i].Err = rt.admit(op.P); out[i].Err == nil && rt.net.Crashed(op.P) {
+			out[i].Err = Unreachable{Peer: op.P}
+		}
+		if out[i].Err == nil {
 			pending = append(pending, i)
+			op.Start(func(res Result) { out[i], answered[i] = res, true })
 		}
 	}
 	// settled quiesces and reports whether every operation is answered.
@@ -169,9 +183,7 @@ func (rt *Runtime[C]) PerformAll(ops []Op[C]) []Result {
 		rt.quiesce()
 		rest := pending[:0]
 		for _, i := range pending {
-			select {
-			case out[i] = <-ops[i].Reply:
-			default:
+			if !answered[i] {
 				rest = append(rest, i)
 			}
 		}
@@ -189,8 +201,7 @@ func (rt *Runtime[C]) PerformAll(ops []Op[C]) []Result {
 			}
 			attempt++
 			for _, i := range pending {
-				// Not refused: its first command went through under this lock.
-				_ = rt.submit(ops[i].P, ops[i].Retry(attempt, attempt > maxAttempts))
+				ops[i].Retry(attempt, attempt > maxAttempts)
 			}
 			nextKick = round + rt.retry.Backoff(attempt)
 		}
@@ -208,14 +219,14 @@ func (rt *Runtime[C]) PerformAll(ops []Op[C]) []Result {
 // processor per sweep; when a sweep finds nothing the held messages are
 // released, which can make more deliverable, so the two alternate to a
 // fixpoint.
-func (rt *Runtime[C]) Quiesce() {
+func (rt *Runtime) Quiesce() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.quiesce()
 }
 
 // quiesce is the one place the next message to handle is chosen.
-func (rt *Runtime[C]) quiesce() {
+func (rt *Runtime) quiesce() {
 	for {
 		for handled := true; handled; {
 			handled = false
@@ -233,21 +244,21 @@ func (rt *Runtime[C]) quiesce() {
 }
 
 // Lossy reports whether a fault plan is active on the network.
-func (rt *Runtime[C]) Lossy() bool { return rt.lossy }
+func (rt *Runtime) Lossy() bool { return rt.lossy }
 
 // Retries reports whether the retransmission discipline is engaged.
-func (rt *Runtime[C]) Retries() bool { return rt.retries }
+func (rt *Runtime) Retries() bool { return rt.retries }
 
 // Network exposes the underlying network for accounting and fault
 // injection by the failover layer, tests and experiments.
-func (rt *Runtime[C]) Network() *Network { return rt.net }
+func (rt *Runtime) Network() *Network { return rt.net }
 
 // Stores returns the local databases, indexed by processor id.
-func (rt *Runtime[C]) Stores() []storage.Store { return rt.stores }
+func (rt *Runtime) Stores() []storage.Store { return rt.stores }
 
 // StoreOf exposes one processor's local database, for failover handover
 // and test assertions; an unknown processor is an error.
-func (rt *Runtime[C]) StoreOf(id model.ProcessorID) (storage.Store, error) {
+func (rt *Runtime) StoreOf(id model.ProcessorID) (storage.Store, error) {
 	if int(id) < 0 || int(id) >= len(rt.stores) {
 		return nil, fmt.Errorf("netsim: unknown processor %d", id)
 	}
@@ -257,17 +268,17 @@ func (rt *Runtime[C]) StoreOf(id model.ProcessorID) (storage.Store, error) {
 // Crash makes the processor unreachable: it stops answering and its
 // messages are dropped. Its local database contents survive for a later
 // Restart. Crashing an unknown processor is an error.
-func (rt *Runtime[C]) Crash(id model.ProcessorID) error { return rt.net.Crash(id) }
+func (rt *Runtime) Crash(id model.ProcessorID) error { return rt.net.Crash(id) }
 
 // Restart brings a crashed processor back with whatever its local
 // database last held. Restarting an unknown processor is an error.
-func (rt *Runtime[C]) Restart(id model.ProcessorID) error { return rt.net.Restart(id) }
+func (rt *Runtime) Restart(id model.ProcessorID) error { return rt.net.Restart(id) }
 
 // HolderSeqs returns, per processor, the sequence number of the locally
 // held copy (0 when none), after quiescing the cluster. The chaos
 // runner's invariant checker uses it for t-availability and per-processor
 // version monotonicity.
-func (rt *Runtime[C]) HolderSeqs() []uint64 {
+func (rt *Runtime) HolderSeqs() []uint64 {
 	rt.Quiesce()
 	out := make([]uint64, len(rt.stores))
 	for i, st := range rt.stores {
@@ -281,21 +292,21 @@ func (rt *Runtime[C]) HolderSeqs() []uint64 {
 // Counts returns the integer cost accounting accumulated so far: control
 // and data messages from the network, I/Os summed over all local
 // databases.
-func (rt *Runtime[C]) Counts() cost.Counts {
+func (rt *Runtime) Counts() cost.Counts {
 	t := rt.Traffic()
 	return cost.Counts{Control: t.Control, Data: t.Data, IO: t.Inputs + t.Outputs}
 }
 
 // Cost prices the accumulated accounting under the model.
-func (rt *Runtime[C]) Cost(m cost.Model) float64 { return rt.Counts().Price(m) }
+func (rt *Runtime) Cost(m cost.Model) float64 { return rt.Counts().Price(m) }
 
 // ReliabilityOverhead returns the reliability-layer traffic so far — the
 // traffic billed apart from the paper's cost model.
-func (rt *Runtime[C]) ReliabilityOverhead() Overhead { return rt.net.Stats().Overhead() }
+func (rt *Runtime) ReliabilityOverhead() Overhead { return rt.net.Stats().Overhead() }
 
 // Close shuts the network down; every later operation reports ErrClosed.
 // Closing twice is harmless.
-func (rt *Runtime[C]) Close() {
+func (rt *Runtime) Close() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.closed = true
@@ -335,7 +346,7 @@ type Traffic struct {
 }
 
 // Traffic returns the cumulative accounting.
-func (rt *Runtime[C]) Traffic() Traffic {
+func (rt *Runtime) Traffic() Traffic {
 	st := rt.net.Stats()
 	t := Traffic{Control: st.ControlSent, Data: st.DataSent, PerType: st.PerType}
 	for _, s := range rt.stores {

@@ -10,50 +10,65 @@ import (
 )
 
 // relay is a toy protocol for exercising the runtime on its own: a
-// command of k hops sends a message around the ring that is forwarded
+// cascade of k hops sends a message around the ring that is forwarded
 // until its hop count reaches zero.
 type relay struct {
-	rt      *Runtime[int]
-	id      model.ProcessorID
-	n       int
-	handled *atomic.Int64
-	// reply, when non-nil, is told when a cascade reaches its last hop.
-	reply chan<- Result
+	rg *ring
+	id model.ProcessorID
 }
 
-func (r *relay) HandleCommand(hops int) { r.forward(uint64(hops)) }
+// ring is a runtime running the relay protocol.
+type ring struct {
+	*Runtime
+	relays  []*relay
+	handled atomic.Int64
+	// done, when non-nil, is told when a cascade reaches its last hop: one
+	// cascade runs at a time where it is set.
+	done func(Result)
+}
 
 func (r *relay) HandleMessage(m Message) {
-	r.handled.Add(1)
+	r.rg.handled.Add(1)
 	switch {
 	case m.Seq > 0:
 		r.forward(m.Seq - 1)
-	case r.reply != nil:
-		r.reply <- Result{}
+	case r.rg.done != nil:
+		r.rg.done(Result{})
 	}
 }
 
 func (r *relay) forward(hops uint64) {
-	next := model.ProcessorID((int(r.id) + 1) % r.n)
-	r.rt.Network().Send(Message{From: r.id, To: next, Type: TInvalidate, Seq: hops})
+	next := model.ProcessorID((int(r.id) + 1) % len(r.rg.relays))
+	r.rg.Network().Send(Message{From: r.id, To: next, Type: TInvalidate, Seq: hops})
 }
 
-func newRelay(t *testing.T, n int, faults *FaultPlan) (*Runtime[int], *atomic.Int64) {
+func newRelay(t *testing.T, n int, faults *FaultPlan, retry RetryPolicy) *ring {
 	t.Helper()
-	return newRelayReplying(t, n, faults, RetryPolicy{}, nil)
-}
-
-func newRelayReplying(t *testing.T, n int, faults *FaultPlan, retry RetryPolicy, reply chan<- Result) (*Runtime[int], *atomic.Int64) {
-	t.Helper()
-	rt, err := NewRuntime[int](n, nil, nil, faults, retry)
+	rt, err := NewRuntime(n, nil, nil, faults, retry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	handled := new(atomic.Int64)
-	rt.Start(func(id model.ProcessorID, _ storage.Store) Handler[int] {
-		return &relay{rt: rt, id: id, n: n, handled: handled, reply: reply}
+	rg := &ring{Runtime: rt}
+	rt.Start(func(id model.ProcessorID, _ storage.Store) Handler {
+		r := &relay{rg: rg, id: id}
+		rg.relays = append(rg.relays, r)
+		return r
 	})
-	return rt, handled
+	return rg
+}
+
+// submit starts a cascade of the given length at processor p through Do.
+func (rg *ring) submit(p model.ProcessorID, hops uint64) error {
+	return rg.Do(p, func() { rg.relays[p].forward(hops) })
+}
+
+// cascade is the operation of one cascade started at p: it is answered
+// when the last hop is handled.
+func (rg *ring) cascade(p model.ProcessorID, hops uint64) Op {
+	return Op{P: p, Start: func(done func(Result)) {
+		rg.done = done
+		rg.relays[p].forward(hops)
+	}}
 }
 
 // TestRuntimeQuiesceUnderDelay: Quiesce returns only once no mailbox holds
@@ -62,11 +77,11 @@ func newRelayReplying(t *testing.T, n int, faults *FaultPlan, retry RetryPolicy,
 // held.
 func TestRuntimeQuiesceUnderDelay(t *testing.T) {
 	const n, hops, cascades = 4, 40, 3
-	rt, handled := newRelay(t, n, &FaultPlan{Seed: 7, Delay: 0.6, DelayMax: 5})
+	rt := newRelay(t, n, &FaultPlan{Seed: 7, Delay: 0.6, DelayMax: 5}, RetryPolicy{})
 	defer rt.Close()
 	for round := 1; round <= 5; round++ {
 		for p := 0; p < cascades; p++ {
-			if err := rt.Submit(model.ProcessorID(p), hops); err != nil {
+			if err := rt.submit(model.ProcessorID(p), hops); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -85,7 +100,7 @@ func TestRuntimeQuiesceUnderDelay(t *testing.T) {
 		rt.net.mu.Unlock()
 		// No loss or duplication in the plan: each cascade is hops+1
 		// messages, all handled by now.
-		if got, want := handled.Load(), int64(round*cascades*(hops+1)); got != want {
+		if got, want := rt.handled.Load(), int64(round*cascades*(hops+1)); got != want {
 			t.Fatalf("round %d: %d messages handled at quiescence, want %d", round, got, want)
 		}
 	}
@@ -101,12 +116,11 @@ func TestRuntimeQuiesceUnderDelay(t *testing.T) {
 // operation whose messages all get through succeeds.
 func TestPerformStalledWithoutRetries(t *testing.T) {
 	const n, hops = 3, 2
-	reply := make(chan Result, 1)
-	rt, _ := newRelayReplying(t, n, &FaultPlan{Seed: 1, Loss: 0.4}, RetryPolicy{Disabled: true}, reply)
+	rt := newRelay(t, n, &FaultPlan{Seed: 1, Loss: 0.4}, RetryPolicy{Disabled: true})
 	defer rt.Close()
 	stalled := 0
 	for i := 0; i < 50; i++ {
-		_, err := rt.Perform(model.ProcessorID(i%n), hops, reply, nil)
+		_, err := rt.Perform(rt.cascade(model.ProcessorID(i%n), hops))
 		switch {
 		case errors.Is(err, ErrStalled):
 			stalled++
@@ -122,27 +136,25 @@ func TestPerformStalledWithoutRetries(t *testing.T) {
 	t.Fatalf("%d of 50 operations stalled, none succeeded after one: want both", stalled)
 }
 
-// TestRuntimeSubmitAfterClose: a command submitted to a closed runtime is
-// reported as closed rather than queued for a loop that has exited, and
-// Close is idempotent.
+// TestRuntimeSubmitAfterClose: a driver call on a closed runtime is
+// reported as closed rather than run, and Close is idempotent.
 func TestRuntimeSubmitAfterClose(t *testing.T) {
-	rt, _ := newRelay(t, 3, nil)
-	if err := rt.Submit(0, 2); err != nil {
+	rt := newRelay(t, 3, nil, RetryPolicy{})
+	if err := rt.submit(0, 2); err != nil {
 		t.Fatal(err)
 	}
 	rt.Quiesce()
 	rt.Close()
 	rt.Close()
 	for i := 0; i < 100; i++ {
-		if err := rt.Submit(model.ProcessorID(i%3), 1); !errors.Is(err, ErrClosed) {
+		if err := rt.submit(model.ProcessorID(i%3), 1); !errors.Is(err, ErrClosed) {
 			t.Fatalf("submit %d after Close: got %v, want ErrClosed", i, err)
 		}
 	}
-	reply := make(chan Result, 1)
-	if _, err := rt.Perform(1, 1, reply, nil); !errors.Is(err, ErrClosed) {
+	if _, err := rt.Perform(rt.cascade(1, 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Perform after Close: got %v, want ErrClosed", err)
 	}
-	if err := rt.Submit(9, 1); err == nil || errors.Is(err, ErrClosed) {
+	if err := rt.submit(9, 1); err == nil || errors.Is(err, ErrClosed) {
 		t.Fatalf("submit to unknown processor: got %v", err)
 	}
 }

@@ -104,3 +104,40 @@ func TestLossyQuorumDeterministic(t *testing.T) {
 		t.Fatalf("same seed, different stats:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestCrashedIssuerRefused: a crashed processor issues nothing. A read or a
+// write at it is refused with Unreachable naming the issuer before a vote
+// request is billed (it used to stall after billing three the processor
+// never sent), and the same operations go through once it is back.
+func TestCrashedIssuerRefused(t *testing.T) {
+	const down = model.ProcessorID(3)
+	c := newCluster(t, 5)
+	if err := c.Crash(down); err != nil {
+		t.Fatal(err)
+	}
+	before, latest := c.Counts(), c.LatestSeq()
+	_, werr := c.Write(down, []byte("lost"))
+	_, rerr := c.Read(down)
+	for what, err := range map[string]error{"write": werr, "read": rerr} {
+		var u netsim.Unreachable
+		if !errors.As(err, &u) || u.Peer != down {
+			t.Errorf("%s at crashed %d: got %v, want Unreachable{%d}", what, down, err, down)
+		}
+	}
+	if got := c.Counts(); got != before {
+		t.Errorf("refused operations were billed: %v, was %v", got, before)
+	}
+	if got := c.LatestSeq(); got != latest {
+		t.Errorf("LatestSeq moved from %d to %d on a refused write", latest, got)
+	}
+	if err := c.Restart(down); err != nil {
+		t.Fatal(err)
+	}
+	v, err := c.Write(down, []byte("kept"))
+	if err != nil || v.Seq != latest+1 {
+		t.Fatalf("write after restart = seq %d, %v; want seq %d", v.Seq, err, latest+1)
+	}
+	if r, err := c.Read(down); err != nil || r.Seq != v.Seq {
+		t.Fatalf("read after restart = seq %d, %v; want seq %d", r.Seq, err, v.Seq)
+	}
+}

@@ -9,30 +9,13 @@ import (
 	"objalloc/internal/storage"
 )
 
-// cmdKind is the kind of a driver command and of the operation it starts.
-type cmdKind int
+// opKind says which of the two voting operations an op is.
+type opKind int
 
 const (
-	cmdRead cmdKind = iota
-	cmdWrite
-	cmdInstall
-	// cmdKick retransmits the outstanding requests of a still-running
-	// operation's current phase (lossy mode).
-	cmdKick
-	// cmdAbort resolves a still-running operation with an error — the
-	// driver's retry budget is exhausted.
-	cmdAbort
+	opRead opKind = iota
+	opWrite
 )
-
-type command struct {
-	kind    cmdKind
-	corr    uint64 // operation correlation id (driver-generated)
-	attempt int    // retransmission number for cmdKick
-	targets model.Set
-	data    []byte
-	version storage.Version
-	reply   chan netsim.Result
-}
 
 type opPhase int
 
@@ -44,8 +27,8 @@ const (
 
 // op is an in-flight quorum operation's state machine on its issuing node.
 type op struct {
-	kind      cmdKind
-	reply     chan netsim.Result
+	kind      opKind
+	done      func(netsim.Result)
 	targets   model.Set
 	awaiting  int
 	phase     opPhase
@@ -63,8 +46,8 @@ type op struct {
 	votes map[model.ProcessorID]uint64
 }
 
-// node is the protocol state of one processor of the quorum cluster: the
-// runtime's handler for its driver commands and network messages.
+// node is the protocol state of one processor of the quorum cluster: what
+// the driver's calls and the runtime's message deliveries act on.
 type node struct {
 	c     *Cluster
 	id    model.ProcessorID
@@ -74,23 +57,9 @@ type node struct {
 	ops map[uint64]*op
 }
 
-func (n *node) HandleCommand(cmd command) {
-	switch cmd.kind {
-	case cmdInstall:
-		// Missing-writes catch-up: install the recovered version locally.
-		if err := n.store.Put(cmd.version); err != nil {
-			cmd.reply <- netsim.Result{Err: err}
-			return
-		}
-		cmd.reply <- netsim.Result{Version: cmd.version}
-	case cmdRead, cmdWrite:
-		n.beginVoting(cmd)
-	case cmdKick:
-		n.kick(cmd.corr, cmd.attempt)
-	case cmdAbort:
-		n.abort(cmd.corr)
-	}
-}
+// install is the missing-writes catch-up: the recovered version goes into
+// the local database.
+func (n *node) install(v storage.Version) error { return n.store.Put(v) }
 
 // kick retransmits the outstanding requests of an operation's current
 // phase: vote requests to voters that have not answered, the fetch to the
@@ -135,14 +104,13 @@ func (n *node) abort(corr uint64) {
 // beginVoting starts phase one of a read or write: collect version numbers
 // from the quorum. The local vote is immediate (a catalog lookup); remote
 // votes are control-message round trips.
-func (n *node) beginVoting(cmd command) {
-	corr := cmd.corr
-	o := &op{kind: cmd.kind, reply: cmd.reply, targets: cmd.targets, data: cmd.data, phase: phaseVotes, maxHolder: -1}
-	if cmd.kind == cmdRead && n.c.cfg.ReadRepair {
-		o.votes = make(map[model.ProcessorID]uint64, cmd.targets.Size())
+func (n *node) beginVoting(kind opKind, corr uint64, targets model.Set, data []byte, done func(netsim.Result)) {
+	o := &op{kind: kind, done: done, targets: targets, data: data, phase: phaseVotes, maxHolder: -1}
+	if kind == opRead && n.c.cfg.ReadRepair {
+		o.votes = make(map[model.ProcessorID]uint64, targets.Size())
 	}
 	n.ops[corr] = o
-	if cmd.targets.Contains(n.id) {
+	if targets.Contains(n.id) {
 		var seq uint64
 		if v, ok := n.store.Peek(); ok {
 			seq = v.Seq
@@ -152,7 +120,7 @@ func (n *node) beginVoting(cmd command) {
 			o.votes[n.id] = seq
 		}
 	}
-	cmd.targets.ForEach(func(t model.ProcessorID) {
+	targets.ForEach(func(t model.ProcessorID) {
 		if t == n.id {
 			return
 		}
@@ -167,7 +135,7 @@ func (n *node) beginVoting(cmd command) {
 // advance moves an operation past the voting phase once every vote is in.
 func (n *node) advance(corr uint64, o *op) {
 	switch o.kind {
-	case cmdRead:
+	case opRead:
 		o.phase = phaseFetch
 		switch {
 		case o.maxHolder < 0:
@@ -181,7 +149,7 @@ func (n *node) advance(corr uint64, o *op) {
 		default:
 			n.net.Send(netsim.Message{From: n.id, To: o.maxHolder, Type: netsim.TQuorumRead, Seq: corr})
 		}
-	case cmdWrite:
+	case opWrite:
 		o.phase = phaseAcks
 		o.got = model.EmptySet // fresh dedup set for the ack phase
 		v := storage.Version{Seq: o.maxSeq + 1, Writer: int(n.id), Data: o.data}
@@ -211,7 +179,7 @@ func (n *node) advance(corr uint64, o *op) {
 
 func (n *node) finish(corr uint64, o *op, res netsim.Result) {
 	delete(n.ops, corr)
-	o.reply <- res
+	o.done(res)
 }
 
 // maybeRepair pushes the freshly read version to every voter whose vote

@@ -130,7 +130,7 @@ func (c Config) weight(id model.ProcessorID) int {
 	return c.Weights[id]
 }
 
-type runtime = netsim.Runtime[command]
+type runtime = netsim.Runtime
 
 // Cluster is a running quorum-replicated system. The embedded processor
 // runtime supplies the network, message delivery, quiescence and the
@@ -138,7 +138,8 @@ type runtime = netsim.Runtime[command]
 // Close, ...).
 type Cluster struct {
 	*runtime
-	cfg Config
+	cfg   Config
+	nodes []*node // protocol state, indexed by processor id
 
 	mu      sync.Mutex
 	alive   model.Set
@@ -150,7 +151,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	rt, err := netsim.NewRuntime[command](cfg.N, cfg.NewStore, cfg.Obs, cfg.Faults, cfg.Retry)
+	rt, err := netsim.NewRuntime(cfg.N, cfg.NewStore, cfg.Obs, cfg.Faults, cfg.Retry)
 	if err != nil {
 		return nil, fmt.Errorf("quorum: %w", err)
 	}
@@ -166,8 +167,10 @@ func New(cfg Config) (*Cluster, error) {
 			c.seqHint = v.Seq
 		}
 	}
-	rt.Start(func(id model.ProcessorID, st storage.Store) netsim.Handler[command] {
-		return &node{c: c, id: id, store: st, net: rt.Network(), ops: make(map[uint64]*op)}
+	rt.Start(func(id model.ProcessorID, st storage.Store) netsim.Handler {
+		n := &node{c: c, id: id, store: st, net: rt.Network(), ops: make(map[uint64]*op)}
+		c.nodes = append(c.nodes, n)
+		return n
 	})
 	return c, nil
 }
@@ -253,23 +256,28 @@ func (c *Cluster) read(p model.ProcessorID) (storage.Version, error) {
 	if err != nil {
 		return storage.Version{}, err
 	}
-	return c.perform(p, command{kind: cmdRead, targets: targets})
+	return c.perform(p, opRead, targets, nil)
 }
 
 // perform runs a read or write on its issuing node and waits for the
 // result. Under the retransmission discipline the driver kicks the node
 // into retransmitting the current phase's outstanding requests, and when
 // the attempt budget is exhausted aborts the operation with an
-// ErrUnavailable-wrapped Unreachable.
-func (c *Cluster) perform(p model.ProcessorID, cmd command) (storage.Version, error) {
-	cmd.corr = c.NextCorr()
-	cmd.reply = make(chan netsim.Result, 1)
-	return c.Perform(p, cmd, cmd.reply, func(attempt int, giveUp bool) command {
-		kind := cmdKick
-		if giveUp {
-			kind = cmdAbort
-		}
-		return command{kind: kind, corr: cmd.corr, attempt: attempt}
+// ErrUnavailable-wrapped Unreachable. An operation whose issuing processor
+// is crashed never starts: the runtime refuses it with Unreachable{Peer: p}
+// before a vote request is billed.
+func (c *Cluster) perform(p model.ProcessorID, kind opKind, targets model.Set, data []byte) (storage.Version, error) {
+	corr := c.NextCorr()
+	return c.Perform(netsim.Op{
+		P:     p,
+		Start: func(done func(netsim.Result)) { c.nodes[p].beginVoting(kind, corr, targets, data, done) },
+		Retry: func(attempt int, giveUp bool) {
+			if giveUp {
+				c.nodes[p].abort(corr)
+			} else {
+				c.nodes[p].kick(corr, attempt)
+			}
+		},
 	})
 }
 
@@ -299,7 +307,7 @@ func (c *Cluster) write(p model.ProcessorID, data []byte) (storage.Version, erro
 	if err != nil {
 		return storage.Version{}, err
 	}
-	v, err := c.perform(p, command{kind: cmdWrite, targets: targets, data: data})
+	v, err := c.perform(p, opWrite, targets, data)
 	if err == nil {
 		c.mu.Lock()
 		if v.Seq > c.seqHint {
@@ -341,12 +349,12 @@ func (c *Cluster) recover(id model.ProcessorID) (missed uint64, err error) {
 		return 0, fmt.Errorf("quorum: recover %d: %w", id, err)
 	}
 	if latest.Seq > before {
-		done := make(chan netsim.Result, 1)
-		if err := c.Submit(id, command{kind: cmdInstall, version: latest, reply: done}); err != nil {
+		var ierr error
+		if err := c.Do(id, func() { ierr = c.nodes[id].install(latest) }); err != nil {
 			return 0, err
 		}
-		if res := <-done; res.Err != nil {
-			return 0, res.Err
+		if ierr != nil {
+			return 0, ierr
 		}
 		return latest.Seq - before, nil
 	}

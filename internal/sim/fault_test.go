@@ -188,3 +188,50 @@ func TestLossyDeterministicCounts(t *testing.T) {
 		t.Fatalf("same seed, different stats:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestCrashedIssuerRefused: a crashed processor issues nothing. A read or a
+// write at it — alone or inside a burst — is refused with Unreachable naming
+// the issuer before a message is billed or a place in the write order is
+// taken (a write it "issued" used to be acknowledged having reached nobody),
+// and the same operations go through once the processor is back.
+func TestCrashedIssuerRefused(t *testing.T) {
+	const down = model.ProcessorID(3)
+	for _, p := range []Protocol{SA, DA} {
+		c := newCluster(t, p, 5, 2)
+		if err := c.Crash(down); err != nil {
+			t.Fatal(err)
+		}
+		before := c.Counts()
+		_, werr := c.Write(down, []byte("lost"))
+		_, rerr := c.Read(down)
+		_, berr := c.RunConcurrent(model.Schedule{model.R(down), model.R(down)})
+		for what, err := range map[string]error{"write": werr, "read": rerr, "burst": berr} {
+			var u netsim.Unreachable
+			if !errors.As(err, &u) || u.Peer != down {
+				t.Errorf("%v: %s at crashed %d: got %v, want Unreachable{%d}", p, what, down, err, down)
+			}
+		}
+		if got := c.Counts(); got != before {
+			t.Errorf("%v: refused operations were billed: %v, was %v", p, got, before)
+		}
+		if err := c.Restart(down); err != nil {
+			t.Fatal(err)
+		}
+		// The refused write took no sequence number: the next one is 2.
+		v, err := c.Write(down, []byte("kept"))
+		if err != nil || v.Seq != 2 {
+			t.Fatalf("%v: write after restart = seq %d, %v; want seq 2", p, v.Seq, err)
+		}
+		for _, sched := range []model.Schedule{{model.R(down)}, {model.R(4), model.R(down)}} {
+			got, err := c.RunConcurrent(sched)
+			if err != nil {
+				t.Fatalf("%v: %v after restart: %v", p, sched, err)
+			}
+			for i, r := range got {
+				if r.Seq != v.Seq {
+					t.Errorf("%v: %v after restart saw seq %d, want %d", p, sched[i], r.Seq, v.Seq)
+				}
+			}
+		}
+	}
+}

@@ -10,34 +10,7 @@ import (
 	"objalloc/internal/storage"
 )
 
-// cmdKind selects what a driver command asks of a processor's handler.
-type cmdKind int
-
-const (
-	cmdRead cmdKind = iota
-	cmdWrite
-	// cmdRetryRead retransmits a still-pending read request (lossy mode).
-	cmdRetryRead
-	// cmdFailRead resolves a still-pending read with Unreachable — the
-	// driver's retry budget is exhausted.
-	cmdFailRead
-	// cmdOutbox reports and retransmits the node's unacknowledged pushes
-	// and invalidations (lossy mode, one poll per quiescence round).
-	cmdOutbox
-)
-
-type command struct {
-	kind        cmdKind
-	corr        uint64          // read correlation id (driver-generated)
-	attempt     int             // retransmission number for cmdRetryRead
-	round       int             // quiescence round for cmdOutbox
-	version     storage.Version // write payload
-	reply       chan netsim.Result
-	writeDone   chan error
-	outboxReply chan outboxStatus
-}
-
-// outboxStatus is a node's answer to one cmdOutbox poll.
+// outboxStatus is a node's answer to one outbox poll.
 type outboxStatus struct {
 	outstanding int                 // unacknowledged entries still being retried
 	gaveUp      []model.ProcessorID // peers whose retry budget is exhausted
@@ -57,8 +30,8 @@ type outEntry struct {
 	due      int // earliest quiescence round for the next retransmission
 }
 
-// node is the protocol state of one processor — the runtime's handler for
-// its driver commands and network messages: a local database and (for DA
+// node is the protocol state of one processor — what the driver's calls
+// and the runtime's message deliveries act on: a local database and (for DA
 // members of F) a join-list.
 type node struct {
 	c     *Cluster
@@ -66,8 +39,9 @@ type node struct {
 	store storage.Store
 	net   *netsim.Network
 
-	// pending maps correlation id -> the driver waiting for a read reply.
-	pending map[uint64]chan netsim.Result
+	// pending maps correlation id -> how a read still waiting for its reply
+	// reports its outcome to the driver.
+	pending map[uint64]func(netsim.Result)
 	// maxSeen is the highest version sequence number this node has
 	// witnessed (installed, invalidated away, or written); duplicated or
 	// delayed pushes at or below it are acknowledged but not re-installed,
@@ -97,7 +71,7 @@ func newNode(c *Cluster, id model.ProcessorID, st storage.Store) *node {
 		id:      id,
 		store:   st,
 		net:     c.Network(),
-		pending: make(map[uint64]chan netsim.Result),
+		pending: make(map[uint64]func(netsim.Result)),
 		served:  make(map[uint64]bool),
 		outbox:  make(map[outKey]*outEntry),
 		extra:   -1,
@@ -117,32 +91,17 @@ func newNode(c *Cluster, id model.ProcessorID, st storage.Store) *node {
 	return n
 }
 
-func (n *node) HandleCommand(cmd command) {
-	switch cmd.kind {
-	case cmdRead:
-		n.startRead(cmd.corr, cmd.reply)
-	case cmdWrite:
-		cmd.writeDone <- n.doWrite(cmd.version)
-	case cmdRetryRead:
-		n.retryRead(cmd.corr, cmd.attempt)
-	case cmdFailRead:
-		n.failRead(cmd.corr)
-	case cmdOutbox:
-		cmd.outboxReply <- n.pollOutbox(cmd.round)
-	}
-}
-
 // startRead begins servicing a read issued at this processor. Local copies
 // are read directly; otherwise a read request goes to the serving replica
-// and the reply handler resolves the driver's channel. The correlation id
-// is driver-generated so the driver can retransmit or abandon the read.
-func (n *node) startRead(corr uint64, reply chan netsim.Result) {
+// and the reply handler reports the outcome through done. The correlation
+// id is driver-generated so the driver can retransmit or abandon the read.
+func (n *node) startRead(corr uint64, done func(netsim.Result)) {
 	if n.hasValidCopy() {
 		v, err := n.store.Get()
-		reply <- netsim.Result{Version: v, Err: err}
+		done(netsim.Result{Version: v, Err: err})
 		return
 	}
-	n.pending[corr] = reply
+	n.pending[corr] = done
 	n.net.Send(netsim.Message{From: n.id, To: n.serverReplica(), Type: netsim.TReadReq, Seq: corr})
 }
 
@@ -157,13 +116,13 @@ func (n *node) retryRead(corr uint64, attempt int) {
 
 // failRead gives up on a still-pending read: the retry budget is spent.
 func (n *node) failRead(corr uint64) {
-	reply, ok := n.pending[corr]
+	done, ok := n.pending[corr]
 	if !ok {
 		return
 	}
 	delete(n.pending, corr)
 	n.c.cfg.Obs.Counter("sim.read.giveup").Inc()
-	reply <- netsim.Result{Err: netsim.Unreachable{Peer: n.serverReplica()}}
+	done(netsim.Result{Err: netsim.Unreachable{Peer: n.serverReplica()}})
 }
 
 // hasValidCopy reports whether the local database holds the latest version.
@@ -328,9 +287,9 @@ func (n *node) handleNack(m netsim.Message) {
 	case netsim.TReadReq:
 		// The serving replica is down: fail the read immediately rather
 		// than burning the retry budget.
-		if reply, ok := n.pending[m.Seq]; ok {
+		if done, ok := n.pending[m.Seq]; ok {
 			delete(n.pending, m.Seq)
-			reply <- netsim.Result{Err: netsim.Unreachable{Peer: m.From}}
+			done(netsim.Result{Err: netsim.Unreachable{Peer: m.From}})
 		}
 	case netsim.TWritePush, netsim.TInvalidate:
 		// The destination is down; stop retrying. The paper's failure
@@ -372,13 +331,13 @@ func (n *node) serveRead(m netsim.Message) {
 // copy is saved to the local database — the saving-read that joins the
 // allocation scheme. Under SA the object only reaches main memory.
 func (n *node) finishRead(m netsim.Message) {
-	reply, ok := n.pending[m.Seq]
+	done, ok := n.pending[m.Seq]
 	if !ok {
 		return // stale reply after failover reset; drop
 	}
 	delete(n.pending, m.Seq)
 	if m.Version.IsZero() {
-		reply <- netsim.Result{Err: storage.ErrNoObject}
+		done(netsim.Result{Err: storage.ErrNoObject})
 		return
 	}
 	if n.c.cfg.Protocol == DA && m.Version.Seq >= n.maxSeen {
@@ -386,12 +345,12 @@ func (n *node) finishRead(m netsim.Message) {
 		// skipped for a version the node already knows to be obsolete
 		// (a delayed reply overtaken by a newer invalidation).
 		if err := n.store.Put(m.Version); err != nil {
-			reply <- netsim.Result{Err: err}
+			done(netsim.Result{Err: err})
 			return
 		}
 		n.maxSeen = m.Version.Seq
 	}
-	reply <- netsim.Result{Version: m.Version}
+	done(netsim.Result{Version: m.Version})
 }
 
 // applyPush applies a propagated write. A DA member of F additionally

@@ -125,13 +125,14 @@ func (c Config) validate() error {
 // runtime is the processor runtime the protocol executes on; embedding it
 // gives the cluster its network, delivery loop, quiescence and accounting
 // (Counts, Cost, HolderSeqs, Network, Crash, Restart, Quiesce, Close, ...).
-type runtime = netsim.Runtime[command]
+type runtime = netsim.Runtime
 
 // Cluster is a running distributed system executing one protocol for one
 // replicated object.
 type Cluster struct {
 	*runtime
 	cfg    Config
+	nodes  []*node           // protocol state, indexed by processor id
 	core   model.Set         // DA's F (empty for SA)
 	anchor model.ProcessorID // DA's designated p (unused for SA)
 
@@ -150,7 +151,7 @@ func New(cfg Config) (*Cluster, error) {
 	if firstSeq == 0 {
 		firstSeq = 1
 	}
-	rt, err := netsim.NewRuntime[command](cfg.N, cfg.NewStore, cfg.Obs, cfg.Faults, cfg.Retry)
+	rt, err := netsim.NewRuntime(cfg.N, cfg.NewStore, cfg.Obs, cfg.Faults, cfg.Retry)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
@@ -172,8 +173,10 @@ func New(cfg Config) (*Cluster, error) {
 			st.ResetStats()
 		}
 	}
-	rt.Start(func(id model.ProcessorID, st storage.Store) netsim.Handler[command] {
-		return newNode(c, id, st)
+	rt.Start(func(id model.ProcessorID, st storage.Store) netsim.Handler {
+		n := newNode(c, id, st)
+		c.nodes = append(c.nodes, n)
+		return n
 	})
 	return c, nil
 }
@@ -184,57 +187,54 @@ func New(cfg Config) (*Cluster, error) {
 // up with netsim.Unreachable once the retry budget is exhausted; a crashed
 // server fails the read immediately via the failure detector's bounce; and
 // a read whose request or reply was lost with retries disabled reports
-// netsim.ErrStalled.
+// netsim.ErrStalled. A read issued at a crashed processor is refused with
+// netsim.Unreachable{Peer: p}.
 func (c *Cluster) Read(p model.ProcessorID) (storage.Version, error) {
-	res := c.PerformAll([]netsim.Op[command]{c.readOp(p)})[0]
-	return res.Version, res.Err
+	return c.Perform(c.readOp(p))
 }
 
-// readOp is the runtime operation of one read issued by processor p.
-func (c *Cluster) readOp(p model.ProcessorID) netsim.Op[command] {
+// readOp is the runtime operation of one read issued by processor p. The
+// runtime calls Start and Retry only once it has admitted p.
+func (c *Cluster) readOp(p model.ProcessorID) netsim.Op {
 	corr := c.NextCorr()
-	reply := make(chan netsim.Result, 1)
-	return netsim.Op[command]{
-		P: p, Cmd: command{kind: cmdRead, corr: corr, reply: reply}, Reply: reply,
-		Retry: func(attempt int, giveUp bool) command {
-			kind := cmdRetryRead
+	return netsim.Op{
+		P:     p,
+		Start: func(done func(netsim.Result)) { c.nodes[p].startRead(corr, done) },
+		Retry: func(attempt int, giveUp bool) {
 			if giveUp {
 				// Have the node resolve the pending read with an Unreachable
 				// error (unless a reply or nack got there first, which wins).
-				kind = cmdFailRead
+				c.nodes[p].failRead(corr)
+			} else {
+				c.nodes[p].retryRead(corr, attempt)
 			}
-			return command{kind: kind, corr: corr, attempt: attempt}
 		},
 	}
 }
 
 // Write executes a write request issued by processor p, assigning it the
 // next position in the write total order. It returns the version written.
-// Write blocks until the whole propagation-and-invalidation cascade has
-// quiesced, so a subsequent request observes the new allocation scheme —
-// the sequential semantics of the paper's schedules.
+// Write returns only when the whole propagation-and-invalidation cascade
+// has quiesced, so a subsequent request observes the new allocation scheme
+// — the sequential semantics of the paper's schedules. A write issued at a
+// crashed processor is refused with netsim.Unreachable{Peer: p}.
 func (c *Cluster) Write(p model.ProcessorID, data []byte) (storage.Version, error) {
-	// An unknown processor must not take a place in the write order.
-	if _, err := c.StoreOf(p); err != nil {
+	v, err := c.Perform(netsim.Op{P: p, Start: func(done func(netsim.Result)) {
+		// The place in the write order is taken here, once the runtime has
+		// admitted p: an unknown or crashed processor must not take one —
+		// a write it "issued" would reach nobody and be acknowledged.
+		c.mu.Lock()
+		c.nextSeq++
+		v := storage.Version{Seq: c.nextSeq, Writer: int(p), Data: data}
+		c.mu.Unlock()
+		done(netsim.Result{Version: v, Err: c.nodes[p].doWrite(v)})
+	}})
+	if err == nil && c.Retries() {
+		err = c.flushOutboxes()
+	}
+	if err != nil {
 		return storage.Version{}, err
 	}
-	c.mu.Lock()
-	c.nextSeq++
-	v := storage.Version{Seq: c.nextSeq, Writer: int(p), Data: data}
-	c.mu.Unlock()
-	done := make(chan error, 1)
-	if err := c.Submit(p, command{kind: cmdWrite, version: v, writeDone: done}); err != nil {
-		return storage.Version{}, err
-	}
-	if err := <-done; err != nil {
-		return storage.Version{}, err
-	}
-	if c.Retries() {
-		if err := c.flushOutboxes(); err != nil {
-			return storage.Version{}, err
-		}
-	}
-	c.Quiesce()
 	return v, nil
 }
 
@@ -248,12 +248,11 @@ func (c *Cluster) flushOutboxes() error {
 		c.Quiesce()
 		outstanding := 0
 		var gaveUp []model.ProcessorID
-		for p := model.ProcessorID(0); int(p) < c.cfg.N; p++ {
-			reply := make(chan outboxStatus, 1)
-			if err := c.Submit(p, command{kind: cmdOutbox, round: round, outboxReply: reply}); err != nil {
+		for p, n := range c.nodes {
+			var st outboxStatus
+			if err := c.Do(model.ProcessorID(p), func() { st = n.pollOutbox(round) }); err != nil {
 				return err
 			}
-			st := <-reply
 			outstanding += st.outstanding
 			gaveUp = append(gaveUp, st.gaveUp...)
 		}
@@ -332,7 +331,7 @@ func (c *Cluster) run(sched model.Schedule, bursts bool) ([]storage.Version, err
 			i++
 			continue
 		}
-		burst := []netsim.Op[command]{c.readOp(q.Processor)}
+		burst := []netsim.Op{c.readOp(q.Processor)}
 		for j := i + 1; j < len(sched) && sched[j].IsRead(); j++ {
 			if hook != nil {
 				hook.TaskStart(j)

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"objalloc/internal/cost"
@@ -341,6 +343,60 @@ func TestLinearizabilityUnderConcurrentReads(t *testing.T) {
 			if versions[i].Seq != latest {
 				t.Fatalf("%v: concurrent read %d (%v) saw seq %d, latest %d", p, i, q, versions[i].Seq, latest)
 			}
+		}
+	}
+}
+
+// TestConcurrentCallersSerialised: the cluster may be called from many
+// goroutines — Cluster.mu orders the writes and Runtime.mu everything that
+// touches protocol state — and stays correct when it is: with twenty readers
+// running against a writer, every read returns a version at least as new as
+// the last write that had returned before the read began. Run under -race.
+func TestConcurrentCallersSerialised(t *testing.T) {
+	const n, readers, readsEach, writes = 6, 20, 15, 40
+	for _, p := range []Protocol{SA, DA} {
+		c := newCluster(t, p, n, 2)
+		var written atomic.Uint64 // seq of the last write that has returned
+		written.Store(1)
+		var wg sync.WaitGroup
+		errs := make([]error, readers+1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				v, err := c.Write(model.ProcessorID(i%n), []byte("w"))
+				if err != nil {
+					errs[readers] = err
+					return
+				}
+				written.Store(v.Seq)
+			}
+		}()
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for i := 0; i < readsEach; i++ {
+					floor := written.Load()
+					v, err := c.Read(model.ProcessorID((r + i) % n))
+					if err == nil && v.Seq < floor {
+						err = fmt.Errorf("read %d saw seq %d after write %d had returned", i, v.Seq, floor)
+					}
+					if err != nil {
+						errs[r] = err
+						return
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("%v: caller %d: %v", p, i, err)
+			}
+		}
+		if v, err := c.Read(n - 1); err != nil || v.Seq != writes+1 {
+			t.Errorf("%v: final read = seq %d, %v; want seq %d", p, v.Seq, err, writes+1)
 		}
 	}
 }
