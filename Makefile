@@ -32,15 +32,18 @@
 # condition variable or a wall-clock wait (one goroutine runs them, a driver
 # call is a method call; their counts are a function of their inputs),
 # depsvet fails if the daemon links the laboratory again (the offline
-# solver, sweeps and generators, or the executed clusters), and
+# solver, sweeps and generators, or the executed clusters), crossvet runs
+# the OPT solver and the sweeps on the pure-Go row kernels (GOARCH=386,
+# which this box runs natively) and vets the whole tree for arm64, so the
+# platforms without kernels_amd64.s keep building and keep every figure, and
 # staticcheck runs when the tool is installed (it is skipped gracefully
 # otherwise — the build must not depend on network access).
 # Outside verify: bench (the repository's benchmark), allocs (bytes,
 # mallocs and GC cycles of a figure-1 sweep and of one grid pass — a
 # measuring aid), profile, loc, chaos, obscheck.
-.PHONY: verify build fmtcheck vet test race bench allocs obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet depsvet staticcheck loc chaos profile
+.PHONY: verify build fmtcheck vet test race bench allocs obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet depsvet crossvet staticcheck loc chaos profile
 
-verify: build fmtcheck vet test race fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet depsvet staticcheck
+verify: build fmtcheck vet test race fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet depsvet crossvet staticcheck
 
 build:
 	go build ./...
@@ -177,6 +180,13 @@ depsvet:
 		echo "depsvet: cmd/objallocd links $$(echo "$$deps" | wc -l) internal packages, none of the laboratory"; \
 	fi
 
+# The grid pass's row kernels are SSE2 assembly on amd64 and their Go
+# reference everywhere else; go vet's asmdecl checks the assembly's frames
+# against its declarations on amd64 (vet), this checks the other side.
+crossvet:
+	GOARCH=386 go test ./internal/opt ./internal/competitive
+	GOARCH=arm64 go vet ./...
+
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
@@ -217,7 +227,8 @@ chaos-check:
 # /dev/null: the 6×6 grid this target used to run finishes in 2 ms, between
 # two samples of the profiler. The
 # hot symbols are the grid pass of internal/opt (opt.(*Plan).costsPass:
-# foldWrite, relaxReadModels, relaxWriteModels), then
+# foldWrite, relaxReadModels, relaxWriteModels, and under them the row
+# kernels foldRow, addRow, addMinRow, minRow), then
 # competitive.(*prepared).measureSchedule; the one-model kernel
 # (opt.(*Plan).run, minTransform) runs only for a grid with a single
 # admissible cell, so it no longer appears here. Nor does the runtime: a

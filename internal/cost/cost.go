@@ -23,6 +23,7 @@ package cost
 
 import (
 	"fmt"
+	"math"
 
 	"objalloc/internal/model"
 )
@@ -53,10 +54,18 @@ func MC(cc, cd float64) Model { return Model{CC: cc, CD: cd, CIO: 0} }
 // it is an instance of the mobile-computing model.
 func (m Model) IsMobile() bool { return m.CIO == 0 }
 
-// Validate checks that the model is meaningful: all prices non-negative and
-// a data message at least as expensive as a control message (the "cannot be
-// true" region of figures 1 and 2 is cc > cd).
+// Validate checks that the model is meaningful: all prices finite and
+// non-negative, and a data message at least as expensive as a control
+// message (the "cannot be true" region of figures 1 and 2 is cc > cd).
 func (m Model) Validate() error {
+	for _, p := range [...]struct {
+		field string
+		v     float64
+	}{{"CC", m.CC}, {"CD", m.CD}, {"CIO", m.CIO}} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("cost: non-finite price %s = %g in model %+v", p.field, p.v, m)
+		}
+	}
 	if m.CC < 0 || m.CD < 0 || m.CIO < 0 {
 		return fmt.Errorf("cost: negative price in model %+v", m)
 	}

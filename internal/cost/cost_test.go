@@ -3,6 +3,7 @@ package cost
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -39,6 +40,23 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Model{CC: -1, CD: 1, CIO: 1}).Validate(); err == nil {
 		t.Error("negative price validated")
+	}
+	// A price that is not finite is refused by name: NaN passes both
+	// comparisons above, and an infinite CD makes 0·cd NaN in the DP.
+	for _, c := range []struct {
+		m     Model
+		field string
+	}{
+		{Model{CC: 0.5, CD: math.Inf(1)}, "CD"},
+		{Model{CC: math.NaN()}, "CC"},
+		{Model{CIO: math.NaN()}, "CIO"},
+		{Model{CIO: math.Inf(1)}, "CIO"},
+		{Model{CC: math.Inf(-1), CD: 1}, "CC"},
+	} {
+		err := c.m.Validate()
+		if err == nil || !strings.Contains(err.Error(), "non-finite price "+c.field+" ") {
+			t.Errorf("%+v: Validate = %v, want a non-finite %s", c.m, err, c.field)
+		}
 	}
 }
 

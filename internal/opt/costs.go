@@ -129,10 +129,10 @@ func newModelPrices(models []cost.Model, n int, tab []float64) modelPrices {
 // costsPass is the DP of run for len(models) >= 2 models at once, without
 // traceback. The rows are laid out [state][model]: the m floats of state Y
 // are rows[Y*m : (Y+1)*m], so every relaxation is a loop over states whose
-// body is a contiguous loop over models. Per model it evaluates the float
-// expressions run evaluates, in an order that cannot change their value
-// (see foldWrite), which is what makes a sweep priced through it
-// bit-identical to one priced cell by cell.
+// body is one row kernel (kernels.go) over the models. Per model it
+// evaluates the float expressions run evaluates, in an order that cannot
+// change their value (see foldWrite), which is what makes a sweep priced
+// through it bit-identical to one priced cell by cell.
 func (p *Plan) costsPass(ctx context.Context, models []cost.Model, ws *workspace, out []float64) error {
 	n, m := len(p.ids), len(models)
 	span := p.size() * m
@@ -191,17 +191,11 @@ func relaxReadModels(dp, next []float64, feasible []uint32, ibit uint32, mp *mod
 		dst := modelRow(next, y, m)
 		stay := modelRow(dp, y, m)[:len(dst)]
 		if y&ibit == 0 {
-			remote := mp.remote[:len(dst)]
-			for j := range dst {
-				dst[j] = stay[j] + remote[j]
-			}
+			addRow(dst, stay, mp.remote[:len(dst)])
 			continue
 		}
 		join := modelRow(dp, y^ibit, m)[:len(dst)]
-		saving, local := mp.saving[:len(dst)], mp.local[:len(dst)]
-		for j := range dst {
-			dst[j] = min(join[j]+saving[j], stay[j]+local[j])
-		}
+		addMinRow(dst, join, mp.saving[:len(dst)], stay, mp.local[:len(dst)])
 	}
 }
 
@@ -221,12 +215,8 @@ func foldWrite(dp, g []float64, all, ibit uint32, cc []float64) {
 	m := len(cc)
 	rest := all &^ ibit
 	for sub := uint32(0); ; sub = (sub - rest) & rest {
-		with := modelRow(dp, sub|ibit, m)
-		without := modelRow(dp, sub, m)[:len(with)]
-		dst := modelRow(g, sub|ibit, m)[:len(with)]
-		for j, v := range with {
-			dst[j] = min(v, without[j])
-		}
+		dst := modelRow(g, sub|ibit, m)
+		minRow(dst, modelRow(dp, sub|ibit, m)[:len(dst)], modelRow(dp, sub, m)[:len(dst)])
 		if sub == rest {
 			break
 		}
@@ -240,13 +230,7 @@ func foldWrite(dp, g []float64, all, ibit uint32, cc []float64) {
 		for sub := uint32(0); ; sub = (sub - free) & free {
 			a := sub | ibit
 			ga := modelRow(g, a, m)
-			gb := modelRow(g, a|bit, m)[:len(ga)]
-			cc := cc[:len(ga)]
-			for j, ha := range ga {
-				hb := gb[j]
-				ga[j] = min(ha, hb+cc[j])
-				gb[j] = min(hb, ha)
-			}
+			foldRow(ga, modelRow(g, a|bit, m)[:len(ga)], cc[:len(ga)])
 			if sub == free {
 				break
 			}
@@ -264,10 +248,6 @@ func relaxWriteModels(g, next []float64, feasible []uint32, ibit uint32, mp *mod
 			charge = mp.writeOut[sz*m : (sz+1)*m]
 		}
 		dst := modelRow(next, x, m)
-		src := modelRow(g, x|ibit, m)[:len(dst)]
-		charge = charge[:len(dst)]
-		for j := range dst {
-			dst[j] = src[j] + charge[j]
-		}
+		addRow(dst, modelRow(g, x|ibit, m)[:len(dst)], charge[:len(dst)])
 	}
 }

@@ -104,17 +104,20 @@ func TestCostsEmptyModelList(t *testing.T) {
 }
 
 // An invalid model anywhere in the list fails the whole call with the
-// error Cost gives for that model, before any pass runs.
+// error Cost gives for that model, before any pass runs: Validate's, not
+// "no feasible allocation schedule" (which a non-finite price used to
+// produce by making every cost +Inf or NaN).
 func TestCostsInvalidModel(t *testing.T) {
 	plan, err := Compile(model.MustParseSchedule("r2 w0 r3"), model.NewSet(0, 1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, bad := range []cost.Model{cost.SC(2, 1), cost.SC(-0.1, 1)} {
+	for _, bad := range []cost.Model{cost.SC(2, 1), cost.SC(-0.1, 1),
+		{CC: 0.5, CD: math.Inf(1)}, {CC: math.NaN()}, {CIO: math.NaN()}, {CIO: math.Inf(1)}} {
 		_, want := plan.Cost(ctx, bad)
-		if want == nil {
-			t.Fatalf("Cost accepted %v", bad)
+		if verr := bad.Validate(); verr == nil || want == nil || want.Error() != verr.Error() {
+			t.Fatalf("%+v: Cost error %v, Validate error %v", bad, want, verr)
 		}
 		for _, at := range []int{0, 3, 20} {
 			models := gridModels(21)
