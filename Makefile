@@ -28,9 +28,10 @@
 # benchvet fails if a _test.go in the repository root declares a
 # Benchmark (bench/ is the only benchmark; paper claims are gated by
 # named tests and experiments-check),
-# seqvet fails if the executed protocols regrow a goroutine, a channel, a
-# condition variable or a wall-clock wait (one goroutine runs them, a driver
-# call is a method call; their counts are a function of their inputs),
+# seqvet fails if the executed protocols or the feed regrow a goroutine, a
+# channel, a condition variable, a wall-clock wait or a sync/atomic import
+# (one owner runs them in one goroutine, a driver call is a method call;
+# their counts are a function of their inputs),
 # depsvet fails if the daemon links the laboratory again (the offline
 # solver, sweeps and generators, or the executed clusters), crossvet runs
 # the OPT solver and the sweeps on the pure-Go row kernels (GOARCH=386,
@@ -146,20 +147,25 @@ benchvet:
 # delivery order back to the scheduler; a channel, a condition variable or
 # a wall-clock wait is the machinery that came with it — with one goroutine
 # there is nobody to hand a value to or to wake, so a driver call is a
-# method call and a mailbox a queue under the network's lock (comments are
-# held to the channel rule too: write "chan" or an arrow there and it
-# fails). chaos.Search's parallelism is the engine pool over whole
-# scenarios, each of which runs on its own goroutine-free cluster.
+# method call and a mailbox a plain queue (comments are held to the channel
+# rule too: write "chan" or an arrow there and it fails). A cluster has one
+# owner, as a bufio.Writer does, so a sync or sync/atomic import is a lock
+# that lets a second caller in, and whichever caller wins it decides which
+# operation starts first: concurrent reads are a PerformAll burst instead.
+# internal/feed wraps a cluster and is held to the same rules.
+# chaos.Search's parallelism is the engine pool over whole scenarios, each
+# of which runs on its own cluster.
 seqvet:
-	@all=$$(ls internal/netsim/*.go internal/sim/*.go internal/quorum/*.go internal/ha/*.go internal/chaos/*.go | grep -v '_test\.go$$'); \
+	@all=$$(ls internal/netsim/*.go internal/sim/*.go internal/quorum/*.go internal/ha/*.go internal/chaos/*.go internal/feed/*.go | grep -v '_test\.go$$'); \
 	bad=$$(grep -n -E '^[[:space:]]*go[[:space:]]+[a-zA-Z_(]' $$all; \
-		grep -n -E '(^|[^a-zA-Z_])chan[[:space:]]|<-|sync\.NewCond|time\.After|time\.Sleep' $$all; true); \
+		grep -n -E '(^|[^a-zA-Z_])chan[[:space:]]|<-|sync\.NewCond|time\.After|time\.Sleep' $$all; \
+		grep -n -E '"sync(/atomic)?"' $$all; true); \
 	if [ -n "$$bad" ]; then \
-		echo "seqvet: goroutine, channel, condition variable or wall-clock wait in the executed protocols (netsim.Runtime runs them in one goroutine):"; \
+		echo "seqvet: goroutine, channel, condition variable, wall-clock wait or sync/atomic import in the executed protocols (one owner runs them in one goroutine):"; \
 		echo "$$bad"; \
 		exit 1; \
 	else \
-		echo "seqvet: executed protocols start no goroutine, pass no channel and wait on no clock"; \
+		echo "seqvet: executed protocols and feed start no goroutine, pass no channel, wait on no clock and take no lock"; \
 	fi
 
 # objallocd serves the controller and the two protocols; it does not run

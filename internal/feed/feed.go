@@ -21,7 +21,6 @@ package feed
 
 import (
 	"fmt"
-	"sync"
 
 	"objalloc/internal/cost"
 	"objalloc/internal/model"
@@ -71,9 +70,9 @@ type Config struct {
 	NewStore func(id model.ProcessorID) (storage.Store, error)
 }
 
-// Feed is a running append-only object sequence.
+// Feed is a running append-only object sequence. It is not safe for
+// concurrent use; one owner at a time.
 type Feed struct {
-	mu      sync.Mutex
 	cluster *sim.Cluster
 	seq     int // objects published so far
 }
@@ -110,8 +109,6 @@ func Open(cfg Config) (*Feed, error) {
 // standing orders on the previous object are invalidated, exactly as §6.2
 // prescribes.
 func (f *Feed) Publish(station model.ProcessorID, object []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if _, err := f.cluster.Write(station, object); err != nil {
 		return 0, err
 	}
@@ -133,11 +130,7 @@ func (f *Feed) Latest(station model.ProcessorID) ([]byte, int, error) {
 }
 
 // Published returns the number of objects published so far.
-func (f *Feed) Published() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.seq
-}
+func (f *Feed) Published() int { return f.seq }
 
 // Holders returns the stations currently storing the latest object — the
 // standing-order holders plus, under TemporaryOrders, the stations whose

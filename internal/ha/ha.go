@@ -26,7 +26,6 @@ package ha
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"objalloc/internal/cost"
 	"objalloc/internal/model"
@@ -100,10 +99,9 @@ type engine interface {
 	Close()
 }
 
-// Cluster is the mode-switching engine.
+// Cluster is the mode-switching engine. It is not safe for concurrent use;
+// one owner at a time.
 type Cluster struct {
-	mu sync.Mutex
-
 	cfg    Config
 	core   model.Set
 	anchor model.ProcessorID
@@ -171,12 +169,6 @@ func (h *Cluster) adopt(id model.ProcessorID) (storage.Store, error) {
 
 // Mode returns the protocol currently in charge.
 func (h *Cluster) Mode() Mode {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.modeLocked()
-}
-
-func (h *Cluster) modeLocked() Mode {
 	if h.q != nil {
 		return ModeQuorum
 	}
@@ -184,11 +176,7 @@ func (h *Cluster) modeLocked() Mode {
 }
 
 // Crashed returns the set of processors currently down.
-func (h *Cluster) Crashed() model.Set {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.crashed
-}
+func (h *Cluster) Crashed() model.Set { return h.crashed }
 
 // errNodeDown is returned when a request is issued at a crashed processor.
 var errNodeDown = errors.New("ha: issuing processor is down")
@@ -205,36 +193,31 @@ func (h *Cluster) Read(p model.ProcessorID) (storage.Version, error) {
 // mode, with the same give-up → failover → retry path as Read.
 func (h *Cluster) Write(p model.ProcessorID, data []byte) (storage.Version, error) {
 	v, err := h.do(p, func(e engine) (storage.Version, error) { return e.Write(p, data) })
-	if err == nil {
-		h.mu.Lock()
-		if v.Seq > h.latestSeq {
-			h.latestSeq = v.Seq
-		}
-		h.mu.Unlock()
+	if err == nil && v.Seq > h.latestSeq {
+		h.latestSeq = v.Seq
 	}
 	return v, err
 }
 
-// do runs one request issued at processor p on the engine in charge.
+// do runs one request issued at processor p on the engine in charge. A
+// DA-mode request that fails on a peer reactUnreachable confirms down runs
+// once more, on the engine then in charge.
 func (h *Cluster) do(p model.ProcessorID, op func(engine) (storage.Version, error)) (storage.Version, error) {
-	for attempt := 0; ; attempt++ {
-		h.mu.Lock()
-		if h.closed {
-			h.mu.Unlock()
-			return storage.Version{}, errors.New("ha: cluster closed")
-		}
+	if h.closed {
+		return storage.Version{}, fmt.Errorf("ha: %w", netsim.ErrClosed)
+	}
+	if h.crashed.Contains(p) {
+		return storage.Version{}, errNodeDown
+	}
+	da := h.Mode() == ModeDA
+	v, err := op(h.eng)
+	if err != nil && da && h.reactUnreachable(err) {
 		if h.crashed.Contains(p) {
-			h.mu.Unlock()
 			return storage.Version{}, errNodeDown
 		}
-		eng, mode := h.eng, h.modeLocked()
-		h.mu.Unlock()
-		v, err := op(eng)
-		if err != nil && attempt == 0 && mode == ModeDA && h.reactUnreachable(err) {
-			continue
-		}
-		return v, err
+		return op(h.eng)
 	}
+	return v, err
 }
 
 // reactUnreachable inspects an error from a DA-mode operation. When the
@@ -249,8 +232,6 @@ func (h *Cluster) reactUnreachable(err error) bool {
 	if !errors.As(err, &u) {
 		return false
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.closed || h.q != nil || h.crashed.Contains(u.Peer) {
 		return false
 	}
@@ -262,7 +243,7 @@ func (h *Cluster) reactUnreachable(err error) bool {
 	}
 	h.crashed = h.crashed.Add(u.Peer)
 	if h.core.Contains(u.Peer) || u.Peer == h.anchor {
-		return h.failoverLocked() == nil
+		return h.failover() == nil
 	}
 	return true
 }
@@ -271,8 +252,6 @@ func (h *Cluster) reactUnreachable(err error) bool {
 // member of F ∪ {p}) and the cluster is in DA mode, the cluster fails over
 // to quorum consensus over the surviving replicas.
 func (h *Cluster) Crash(id model.ProcessorID) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if int(id) < 0 || int(id) >= h.cfg.N {
 		return fmt.Errorf("ha: crash of unknown processor %d", id)
 	}
@@ -281,20 +260,20 @@ func (h *Cluster) Crash(id model.ProcessorID) error {
 	}
 	h.crashed = h.crashed.Add(id)
 	if h.q == nil && (h.core.Contains(id) || id == h.anchor) {
-		return h.failoverLocked()
+		return h.failover()
 	}
 	// DA tolerates non-essential crashes: the node simply stops answering;
 	// invalidations to it are dropped by the network.
 	return h.eng.Crash(id)
 }
 
-// failoverLocked tears the DA engine down and starts the quorum engine over
+// failover tears the DA engine down and starts the quorum engine over
 // the same local databases, then runs the transition step of the
 // missing-writes algorithm: DA keeps as few as t copies, which is fewer
 // than a majority, so the latest surviving version is replicated onto a
 // full write quorum of live processors. Without this step a quorum read
 // (or a write's version-number vote) could miss every holder and regress.
-func (h *Cluster) failoverLocked() error {
+func (h *Cluster) failover() error {
 	retired := h.eng.Network().Stats()
 	h.eng.Close()
 	q, err := quorum.New(quorum.Config{
@@ -347,8 +326,6 @@ func (h *Cluster) failoverLocked() error {
 // up with the missing-writes recovery; when every member of F ∪ {p} is
 // alive again the cluster fails back to DA.
 func (h *Cluster) Restart(id model.ProcessorID) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if int(id) < 0 || int(id) >= h.cfg.N {
 		return fmt.Errorf("ha: restart of unknown processor %d", id)
 	}
@@ -374,16 +351,16 @@ func (h *Cluster) Restart(id model.ProcessorID) error {
 		return fmt.Errorf("ha: recover %d: %w", id, err)
 	}
 	if !h.crashed.Intersects(h.core.Add(h.anchor)) {
-		return h.failbackLocked()
+		return h.failback()
 	}
 	return nil
 }
 
-// failbackLocked restores DA mode: every member of F ∪ {p} catches up to
+// failback restores DA mode: every member of F ∪ {p} catches up to
 // the latest version (missing-writes), every other replica is dropped (only
 // scheme members may answer reads locally under DA), and a DA engine adopts
 // the stores.
-func (h *Cluster) failbackLocked() error {
+func (h *Cluster) failback() error {
 	scheme := h.core.Add(h.anchor)
 	for id := model.ProcessorID(0); int(id) < h.cfg.N; id++ {
 		if scheme.Contains(id) {
@@ -434,11 +411,7 @@ func (h *Cluster) install(next engine, q *quorum.Cluster, retired netsim.Stats) 
 // Counts returns the cumulative message and I/O accounting across all
 // modes since the cluster started. The local databases outlive the
 // engines, so the engine in charge reports the whole lifetime's I/O.
-func (h *Cluster) Counts() cost.Counts {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.baseNet.Add(h.eng.Counts())
-}
+func (h *Cluster) Counts() cost.Counts { return h.baseNet.Add(h.eng.Counts()) }
 
 // Cost prices the cumulative accounting.
 func (h *Cluster) Cost(m cost.Model) float64 { return h.Counts().Price(m) }
@@ -447,38 +420,23 @@ func (h *Cluster) Cost(m cost.Model) float64 { return h.Counts().Price(m) }
 // (retransmissions, acks, drops) across all modes since the cluster
 // started — the traffic billed apart from the paper's cost model.
 func (h *Cluster) ReliabilityOverhead() Overhead {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.baseOverhead.Plus(h.eng.ReliabilityOverhead())
 }
 
-// current returns the engine in charge.
-func (h *Cluster) current() engine {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.eng
-}
-
-// Quiesce blocks until the active engine is fully settled, including any
+// Quiesce runs the active engine until it is fully settled, including any
 // artificially delayed messages. The chaos runner calls it between steps.
-func (h *Cluster) Quiesce() { h.current().Quiesce() }
+func (h *Cluster) Quiesce() { h.eng.Quiesce() }
 
 // HolderSeqs returns, per processor, the sequence number of the locally
 // held copy (0 when none), after quiescing the active engine. Invariant
 // checkers use it for t-availability and per-processor monotonicity.
-func (h *Cluster) HolderSeqs() []uint64 { return h.current().HolderSeqs() }
+func (h *Cluster) HolderSeqs() []uint64 { return h.eng.HolderSeqs() }
 
 // LatestSeq returns the highest committed version number.
-func (h *Cluster) LatestSeq() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.latestSeq
-}
+func (h *Cluster) LatestSeq() uint64 { return h.latestSeq }
 
 // Close tears down whichever engine is running.
 func (h *Cluster) Close() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.closed {
 		return
 	}

@@ -15,7 +15,7 @@ import (
 // TestCloseIsIdempotentAndLeakFree: every executed stack runs on the one
 // processor runtime, so one check covers them all — the runtime starts no
 // goroutine while a cluster runs, none is left after Close (called twice),
-// and an operation after Close reports the closure, for SA, DA, quorum,
+// and an operation after Close reports netsim.ErrClosed, for SA, DA, quorum,
 // and an ha cluster that went through a failover → failback cycle (which
 // closes two engines on the way).
 func TestCloseIsIdempotentAndLeakFree(t *testing.T) {
@@ -96,8 +96,7 @@ func TestCloseIsIdempotentAndLeakFree(t *testing.T) {
 			if after := runtime.NumGoroutine(); after > baseline {
 				t.Fatalf("%d goroutines after Close, baseline %d", after, baseline)
 			}
-			// ha reports the closure with an error of its own.
-			if _, err := c.Read(1); err == nil || (name != "ha" && !errors.Is(err, netsim.ErrClosed)) {
+			if _, err := c.Read(1); !errors.Is(err, netsim.ErrClosed) {
 				t.Fatalf("read after Close: got %v, want ErrClosed", err)
 			}
 		})

@@ -12,10 +12,11 @@ import (
 )
 
 // ExecutedDB is the executed counterpart of DB: every object is backed by
-// a real protocol cluster (package sim) — goroutines, messages, local
-// databases — rather than by analytic bookkeeping. Objects remain
-// independent, as in the paper's model; each gets its own cluster on
-// creation.
+// a real protocol cluster (package sim) — message handlers, billed
+// messages, local databases — rather than by analytic bookkeeping. Objects
+// remain independent, as in the paper's model; each gets its own cluster on
+// creation. The lock guards the directory only: a cluster has one owner at
+// a time, so concurrent callers must work on different objects.
 //
 // ExecutedDB demonstrates, and its tests verify, that the analytic lift of
 // DB is faithful: driving the same per-object request sequences through

@@ -239,9 +239,9 @@ func (nw *Network) linkOf(from, to model.ProcessorID) *link {
 	return l
 }
 
-// dueHeldLocked removes and returns, in (due, hold-order) order, every
+// dueHeld removes and returns, in (due, hold-order) order, every
 // held message of l whose time has come. all releases everything.
-func (l *link) dueHeldLocked(all bool) []heldMessage {
+func (l *link) dueHeld(all bool) []heldMessage {
 	if len(l.held) == 0 {
 		return nil
 	}

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"objalloc/internal/model"
@@ -12,7 +11,6 @@ import (
 // traceLog collects the delivery decisions of a network run so two runs
 // can be compared event for event.
 type traceLog struct {
-	mu  sync.Mutex
 	log []struct {
 		m         Message
 		delivered bool
@@ -21,12 +19,10 @@ type traceLog struct {
 
 func (t *traceLog) hook() func(Message, bool) {
 	return func(m Message, delivered bool) {
-		t.mu.Lock()
 		t.log = append(t.log, struct {
 			m         Message
 			delivered bool
 		}{m, delivered})
-		t.mu.Unlock()
 	}
 }
 

@@ -15,8 +15,9 @@
 // deliberately reorders): each endpoint owns an unbounded mailbox, so
 // senders never block and the protocols layered on top (package sim,
 // package quorum) cannot deadlock on backpressure. Nothing blocks on a
-// mailbox either: it is a queue under the network's one lock, and whoever
-// wants the next message takes it with TryRecv.
+// mailbox either: it is a plain queue, and whoever wants the next message
+// takes it with TryRecv. A network has one owner at a time, as its Runtime
+// does: nothing in it is safe for concurrent use.
 //
 // Runtime (runtime.go) is the one processor runtime those protocols run
 // on: a single-threaded run-to-quiescence loop over the endpoints'
@@ -34,7 +35,6 @@ package netsim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"objalloc/internal/model"
 	"objalloc/internal/obs"
@@ -202,9 +202,9 @@ type NodeStats struct {
 	ControlReceived, DataReceived int
 }
 
-// Network is the simulated interconnect.
+// Network is the simulated interconnect. It is not safe for concurrent
+// use; one owner at a time.
 type Network struct {
-	mu        sync.Mutex
 	endpoints map[model.ProcessorID]*Endpoint
 	crashed   map[model.ProcessorID]bool
 	blocked   map[[2]model.ProcessorID]bool
@@ -241,7 +241,7 @@ func New(n int) *Network {
 	}
 	for i := 0; i < n; i++ {
 		id := model.ProcessorID(i)
-		nw.endpoints[id] = &Endpoint{id: id, nw: nw}
+		nw.endpoints[id] = &Endpoint{id: id}
 		nw.perNode[id] = &NodeStats{}
 	}
 	return nw
@@ -253,43 +253,27 @@ func (nw *Network) InstallFaults(plan FaultPlan) error {
 	if err := plan.Validate(); err != nil {
 		return err
 	}
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	nw.plan = plan
 	nw.links = make(map[[2]model.ProcessorID]*link)
 	return nil
 }
 
 // Faults returns the installed fault plan (zero value when none).
-func (nw *Network) Faults() FaultPlan {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.plan
-}
+func (nw *Network) Faults() FaultPlan { return nw.plan }
 
 // SetObs attaches an instrumentation bundle: every dropped message emits
 // one "net.drop" event (with its reason) and bumps the net.drop.*
 // counters; duplications and delays are recorded likewise. Events are
 // emitted in delivery-decision order, which under Runtime — one handler at
 // a time, messages taken in a fixed order — is the same on every run.
-func (nw *Network) SetObs(o *obs.Obs) {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	nw.o = o
-}
+func (nw *Network) SetObs(o *obs.Obs) { nw.o = o }
 
-// Trace installs a callback invoked under the network lock for every
-// delivery decision; see the trace field for the exact contract.
-func (nw *Network) Trace(fn func(m Message, delivered bool)) {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	nw.trace = fn
-}
+// Trace installs a callback invoked for every delivery decision; see the
+// trace field for the exact contract.
+func (nw *Network) Trace(fn func(m Message, delivered bool)) { nw.trace = fn }
 
 // Endpoint returns the mailbox of the given processor.
 func (nw *Network) Endpoint(id model.ProcessorID) (*Endpoint, error) {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	ep, ok := nw.endpoints[id]
 	if !ok {
 		return nil, fmt.Errorf("netsim: unknown processor %d", id)
@@ -300,36 +284,11 @@ func (nw *Network) Endpoint(id model.ProcessorID) (*Endpoint, error) {
 // Send transmits a message. The message is billed unconditionally; it is
 // delivered unless the network is closed, the destination has crashed, the
 // link is partitioned, the destination id is unknown, or the fault plan
-// drops it. Send never blocks.
+// drops it. Send never blocks: what is delivered now is enqueued, what the
+// plan delays is held on its link.
 func (nw *Network) Send(m Message) {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	nw.routeLocked(m)
-}
-
-// ReleaseAll flushes every held (delayed) message network-wide, in hold
-// order, re-checking crash/shutdown state at release time. It returns the
-// number of messages released (delivered or dropped). The engines call it
-// from their quiescence loops so bounded delay cannot outlive a settle.
-func (nw *Network) ReleaseAll() int {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	var all []heldMessage
-	for _, l := range nw.links {
-		all = append(all, l.dueHeldLocked(true)...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	for _, h := range all {
-		nw.redeliverLocked(h.m)
-	}
-	return len(all)
-}
-
-// routeLocked bills m, applies structural checks and the fault plan, and
-// enqueues what is to be delivered now.
-func (nw *Network) routeLocked(m Message) {
-	nw.billLocked(m)
-	reason := nw.structuralLocked(m)
+	nw.bill(m)
+	reason := nw.structural(m)
 	var l *link
 	if reason == DropNone && nw.plan.Active() {
 		l = nw.linkOf(m.From, m.To)
@@ -345,7 +304,7 @@ func (nw *Network) routeLocked(m Message) {
 		}
 	}
 	if reason != DropNone {
-		nw.dropLocked(m, reason)
+		nw.drop(m, reason)
 	} else {
 		delayed := false
 		if l != nil && nw.plan.Delay > 0 && l.rng.Float01() < nw.plan.Delay {
@@ -354,26 +313,42 @@ func (nw *Network) routeLocked(m Message) {
 			nw.holdSeq++
 			due := l.tick + 1 + l.rng.Next()%nw.plan.delayMax()
 			l.held = append(l.held, heldMessage{due: due, seq: nw.holdSeq, m: m})
-			nw.emitFaultLocked("net.delay", m, DropNone)
+			nw.emitFault("net.delay", m, DropNone)
 		}
 		if !delayed {
-			nw.deliverLocked(m)
+			nw.deliver(m)
 		}
 		if l != nil && nw.plan.Dup > 0 && l.rng.Float01() < nw.plan.Dup {
 			nw.stats.Duplicated++
-			nw.emitFaultLocked("net.dup", m, DropNone)
-			nw.deliverLocked(m)
+			nw.emitFault("net.dup", m, DropNone)
+			nw.deliver(m)
 		}
 	}
 	if l != nil {
-		for _, h := range l.dueHeldLocked(false) {
-			nw.redeliverLocked(h.m)
+		for _, h := range l.dueHeld(false) {
+			nw.redeliver(h.m)
 		}
 	}
 }
 
-// structuralLocked returns the fail-stop drop reason for m, or DropNone.
-func (nw *Network) structuralLocked(m Message) DropReason {
+// ReleaseAll flushes every held (delayed) message network-wide, in hold
+// order, re-checking crash/shutdown state at release time. It returns the
+// number of messages released (delivered or dropped). The engines call it
+// from their quiescence loops so bounded delay cannot outlive a settle.
+func (nw *Network) ReleaseAll() int {
+	var all []heldMessage
+	for _, l := range nw.links {
+		all = append(all, l.dueHeld(true)...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	for _, h := range all {
+		nw.redeliver(h.m)
+	}
+	return len(all)
+}
+
+// structural returns the fail-stop drop reason for m, or DropNone.
+func (nw *Network) structural(m Message) DropReason {
 	switch {
 	case nw.closed:
 		return DropClosed
@@ -390,26 +365,26 @@ func (nw *Network) structuralLocked(m Message) DropReason {
 	}
 }
 
-// redeliverLocked finishes a held message's journey: structural state is
+// redeliver finishes a held message's journey: structural state is
 // re-checked (the destination may have crashed while the message was in
 // flight), then the message is enqueued or dropped.
-func (nw *Network) redeliverLocked(m Message) {
+func (nw *Network) redeliver(m Message) {
 	switch {
 	case nw.closed:
-		nw.dropLocked(m, DropClosed)
+		nw.drop(m, DropClosed)
 	case nw.endpoints[m.To] == nil:
-		nw.dropLocked(m, DropUnknown)
+		nw.drop(m, DropUnknown)
 	case nw.crashed[m.To]:
-		nw.dropLocked(m, DropCrashedDest)
+		nw.drop(m, DropCrashedDest)
 	default:
-		nw.deliverLocked(m)
+		nw.deliver(m)
 	}
 }
 
-// billLocked records the send in the accounting appropriate to its class:
+// bill records the send in the accounting appropriate to its class:
 // first transmissions in the paper's counters, retransmissions and
 // reliability acks in the overhead counters. TNack is synthetic and free.
-func (nw *Network) billLocked(m Message) {
+func (nw *Network) bill(m Message) {
 	if m.Type == TNack {
 		return
 	}
@@ -447,9 +422,9 @@ func (nw *Network) billLocked(m Message) {
 	}
 }
 
-// deliverLocked records a successful delivery decision and puts the message
+// deliver records a successful delivery decision and puts the message
 // in the destination's mailbox.
-func (nw *Network) deliverLocked(m Message) {
+func (nw *Network) deliver(m Message) {
 	ep := nw.endpoints[m.To]
 	if ep == nil {
 		return
@@ -460,10 +435,10 @@ func (nw *Network) deliverLocked(m Message) {
 	ep.queue = append(ep.queue, m)
 }
 
-// dropLocked records a drop, emits its event, and — for structural drops
+// drop records a drop, emits its event, and — for structural drops
 // of real traffic — bounces a synthetic TNack to a live sender, modeling
 // the fail-stop perfect failure detector.
-func (nw *Network) dropLocked(m Message, reason DropReason) {
+func (nw *Network) drop(m Message, reason DropReason) {
 	if m.Type == TNack {
 		return // a bounce that cannot be delivered is simply gone
 	}
@@ -477,7 +452,7 @@ func (nw *Network) dropLocked(m Message, reason DropReason) {
 	if nw.trace != nil {
 		nw.trace(m, false)
 	}
-	nw.emitFaultLocked("net.drop", m, reason)
+	nw.emitFault("net.drop", m, reason)
 	if reason.Structural() && !nw.closed && !nw.crashed[m.From] {
 		if sep, ok := nw.endpoints[m.From]; ok {
 			nw.stats.Nacks++
@@ -489,8 +464,8 @@ func (nw *Network) dropLocked(m Message, reason DropReason) {
 	}
 }
 
-// emitFaultLocked emits one fault event and bumps its counters.
-func (nw *Network) emitFaultLocked(name string, m Message, reason DropReason) {
+// emitFault emits one fault event and bumps its counters.
+func (nw *Network) emitFault(name string, m Message, reason DropReason) {
 	o := nw.o
 	if o == nil {
 		return
@@ -512,16 +487,10 @@ func (nw *Network) emitFaultLocked(name string, m Message, reason DropReason) {
 }
 
 // Stats returns a snapshot of the counters.
-func (nw *Network) Stats() Stats {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.stats
-}
+func (nw *Network) Stats() Stats { return nw.stats }
 
 // NodeStatsOf returns a snapshot of one processor's traffic counters.
 func (nw *Network) NodeStatsOf(id model.ProcessorID) NodeStats {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	if ns := nw.perNode[id]; ns != nil {
 		return *ns
 	}
@@ -530,8 +499,6 @@ func (nw *Network) NodeStatsOf(id model.ProcessorID) NodeStats {
 
 // ResetStats zeroes the counters (e.g. between experiment phases).
 func (nw *Network) ResetStats() {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	nw.stats = Stats{}
 	for _, ns := range nw.perNode {
 		*ns = NodeStats{}
@@ -542,8 +509,6 @@ func (nw *Network) ResetStats() {
 // queued messages are discarded. Crashing an unknown processor is an
 // error (it used to silently register the id as crashed).
 func (nw *Network) Crash(id model.ProcessorID) error {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	ep, ok := nw.endpoints[id]
 	if !ok {
 		return fmt.Errorf("netsim: crash of unknown processor %d", id)
@@ -556,8 +521,6 @@ func (nw *Network) Crash(id model.ProcessorID) error {
 // Restart makes a crashed processor reachable again. Restarting an
 // unknown processor is an error; restarting a live one is a no-op.
 func (nw *Network) Restart(id model.ProcessorID) error {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	if _, ok := nw.endpoints[id]; !ok {
 		return fmt.Errorf("netsim: restart of unknown processor %d", id)
 	}
@@ -566,17 +529,11 @@ func (nw *Network) Restart(id model.ProcessorID) error {
 }
 
 // Crashed reports whether the processor is currently crashed.
-func (nw *Network) Crashed(id model.ProcessorID) bool {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.crashed[id]
-}
+func (nw *Network) Crashed(id model.ProcessorID) bool { return nw.crashed[id] }
 
 // Partition blocks the (bidirectional) link between a and b. Both
 // processors must exist.
 func (nw *Network) Partition(a, b model.ProcessorID) error {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	if _, ok := nw.endpoints[a]; !ok {
 		return fmt.Errorf("netsim: partition of unknown processor %d", a)
 	}
@@ -590,8 +547,6 @@ func (nw *Network) Partition(a, b model.ProcessorID) error {
 
 // Heal unblocks the link between a and b. Both processors must exist.
 func (nw *Network) Heal(a, b model.ProcessorID) error {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	if _, ok := nw.endpoints[a]; !ok {
 		return fmt.Errorf("netsim: heal of unknown processor %d", a)
 	}
@@ -611,8 +566,6 @@ func linkKey(a, b model.ProcessorID) [2]model.ProcessorID {
 // discarded, and every later send is billed and dropped. Closing twice is
 // harmless.
 func (nw *Network) Close() {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	if nw.closed {
 		return
 	}
@@ -623,12 +576,10 @@ func (nw *Network) Close() {
 	}
 }
 
-// Endpoint is a processor's unbounded FIFO mailbox. Its queue is guarded by
-// its network's lock: the network appends under it while routing, and
-// TryRecv and Len take it.
+// Endpoint is a processor's unbounded FIFO mailbox: its network appends to
+// the queue while routing, and TryRecv takes from its head.
 type Endpoint struct {
 	id    model.ProcessorID
-	nw    *Network
 	queue []Message
 }
 
@@ -637,8 +588,6 @@ func (ep *Endpoint) ID() model.ProcessorID { return ep.id }
 
 // TryRecv takes the next message, if there is one.
 func (ep *Endpoint) TryRecv() (Message, bool) {
-	ep.nw.mu.Lock()
-	defer ep.nw.mu.Unlock()
 	if len(ep.queue) == 0 {
 		return Message{}, false
 	}
@@ -648,8 +597,4 @@ func (ep *Endpoint) TryRecv() (Message, bool) {
 }
 
 // Len returns the number of queued messages.
-func (ep *Endpoint) Len() int {
-	ep.nw.mu.Lock()
-	defer ep.nw.mu.Unlock()
-	return len(ep.queue)
-}
+func (ep *Endpoint) Len() int { return len(ep.queue) }

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"objalloc/internal/model"
@@ -206,18 +205,11 @@ func TestTryRecv(t *testing.T) {
 func TestTraceCallback(t *testing.T) {
 	nw := New(2)
 	defer nw.Close()
-	var mu sync.Mutex
 	var seen []bool
-	nw.Trace(func(m Message, delivered bool) {
-		mu.Lock()
-		seen = append(seen, delivered)
-		mu.Unlock()
-	})
+	nw.Trace(func(m Message, delivered bool) { seen = append(seen, delivered) })
 	nw.Send(Message{From: 0, To: 1, Type: TReadReq})
 	nw.Crash(1)
 	nw.Send(Message{From: 0, To: 1, Type: TReadReq})
-	mu.Lock()
-	defer mu.Unlock()
 	if len(seen) != 2 || !seen[0] || seen[1] {
 		t.Errorf("trace = %v", seen)
 	}
@@ -235,22 +227,19 @@ func TestDataPayloadDelivered(t *testing.T) {
 	}
 }
 
-func TestConcurrentSendersAllDelivered(t *testing.T) {
+// TestInterleavedSendersAllDelivered: eight senders interleaved round-robin
+// into one mailbox — every send is billed and delivered, and each sender's
+// messages arrive in the order it sent them.
+func TestInterleavedSendersAllDelivered(t *testing.T) {
 	nw := New(9)
 	defer nw.Close()
 	ep, _ := nw.Endpoint(8)
 	const perSender, senders = 200, 8
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < perSender; i++ {
-				nw.Send(Message{From: model.ProcessorID(s), To: 8, Type: TReadReq})
-			}
-		}(s)
+	for i := 0; i < perSender; i++ {
+		for s := 0; s < senders; s++ {
+			nw.Send(Message{From: model.ProcessorID(s), To: 8, Type: TReadReq, Seq: uint64(i)})
+		}
 	}
-	wg.Wait()
 	if got := ep.Len(); got != perSender*senders {
 		t.Errorf("delivered %d, want %d", got, perSender*senders)
 	}
@@ -258,11 +247,20 @@ func TestConcurrentSendersAllDelivered(t *testing.T) {
 	if st.ControlSent != perSender*senders || st.Dropped != 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	// Per-sender FIFO: sequence numbers from each sender arrive in order.
-	// (Seq was zero above; just drain the queue.)
+	var next [senders]uint64 // the Seq each sender's next message must carry
 	for i := 0; i < perSender*senders; i++ {
-		if _, ok := ep.TryRecv(); !ok {
+		m, ok := ep.TryRecv()
+		if !ok {
 			t.Fatalf("queue shorter than reported at %d", i)
+		}
+		if m.Seq != next[m.From] {
+			t.Fatalf("message %d from sender %d carries seq %d, want %d", i, m.From, m.Seq, next[m.From])
+		}
+		next[m.From]++
+	}
+	for s, n := range next {
+		if n != perSender {
+			t.Errorf("sender %d: %d messages received, want %d", s, n, perSender)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"objalloc/internal/cost"
 	"objalloc/internal/model"
@@ -14,9 +12,9 @@ import (
 
 // Handler is the protocol half of one processor. The runtime calls it for
 // every delivered message, and the driver reaches the same state through Do
-// and Perform — one call at a time across the whole cluster, so a handler's
-// state needs no locking. It acts by sending on the network; it must not
-// call back into the runtime.
+// and Perform. The runtime has one owner, so there is one call at a time
+// across the whole cluster and a handler's state needs no locking. It acts
+// by sending on the network; it must not call back into the runtime.
 type Handler interface {
 	HandleMessage(m Message)
 }
@@ -49,14 +47,12 @@ var ErrStalled = errors.New("netsim: operation stalled: no reply and nothing lef
 // in which deliverable messages are handled. A driver call is a function
 // run in the caller's goroutine (Do, an Op's Start and Retry) and Quiesce
 // takes messages in one fixed order, so every count is a function of the
-// inputs.
+// inputs. Like its Network, a Runtime is not safe for concurrent use; one
+// owner at a time — which operations run together is a PerformAll burst,
+// not a race between callers.
 type Runtime struct {
-	net    *Network
-	stores []storage.Store
-
-	// mu serialises everything that touches protocol state (Do, Perform,
-	// PerformAll, Quiesce) and Close, so concurrent callers take turns.
-	mu       sync.Mutex
+	net      *Network
+	stores   []storage.Store
 	handlers []Handler
 	mailbox  []*Endpoint
 	closed   bool
@@ -66,7 +62,7 @@ type Runtime struct {
 	lossy   bool
 	retries bool
 	retry   RetryPolicy
-	corr    atomic.Uint64
+	corr    uint64
 }
 
 // NewRuntime builds the network (with the fault plan, when one is active)
@@ -104,14 +100,11 @@ func (rt *Runtime) Start(handler func(id model.ProcessorID, st storage.Store) Ha
 	}
 }
 
-// Do runs fn — a step of processor p's protocol — in the caller's goroutine
-// under the runtime's lock. The messages it sends wait in their
-// destinations' mailboxes for the next Quiesce. A crashed processor is not
-// refused here: the retransmission discipline polls every processor's
-// outbox, down or not.
+// Do runs fn — a step of processor p's protocol — in the caller's
+// goroutine. The messages it sends wait in their destinations' mailboxes for
+// the next Quiesce. A crashed processor is not refused here: the
+// retransmission discipline polls every processor's outbox, down or not.
 func (rt *Runtime) Do(p model.ProcessorID, fn func()) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if err := rt.admit(p); err != nil {
 		return err
 	}
@@ -131,7 +124,10 @@ func (rt *Runtime) admit(p model.ProcessorID) error {
 }
 
 // NextCorr returns a fresh driver-side correlation id for an operation.
-func (rt *Runtime) NextCorr() uint64 { return rt.corr.Add(1) }
+func (rt *Runtime) NextCorr() uint64 {
+	rt.corr++
+	return rt.corr
+}
 
 // Op is one driver-issued operation: Start begins it on processor P, whose
 // protocol calls done once, with the outcome, when it has one. Retry is
@@ -164,8 +160,6 @@ func (rt *Runtime) Perform(op Op) (storage.Version, error) {
 // ErrStalled for an operation still unanswered; the cluster is quiescent on
 // return.
 func (rt *Runtime) PerformAll(ops []Op) []Result {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	out := make([]Result, len(ops))
 	answered := make([]bool, len(ops))
 	pending := make([]int, 0, len(ops)) // operations started and not yet answered
@@ -180,7 +174,7 @@ func (rt *Runtime) PerformAll(ops []Op) []Result {
 	}
 	// settled quiesces and reports whether every operation is answered.
 	settled := func() bool {
-		rt.quiesce()
+		rt.Quiesce()
 		rest := pending[:0]
 		for _, i := range pending {
 			if !answered[i] {
@@ -218,15 +212,8 @@ func (rt *Runtime) PerformAll(ops []Op) []Result {
 // handled in sweeps over the processors, lowest id first, one message per
 // processor per sweep; when a sweep finds nothing the held messages are
 // released, which can make more deliverable, so the two alternate to a
-// fixpoint.
+// fixpoint. It is the one place the next message to handle is chosen.
 func (rt *Runtime) Quiesce() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.quiesce()
-}
-
-// quiesce is the one place the next message to handle is chosen.
-func (rt *Runtime) quiesce() {
 	for {
 		for handled := true; handled; {
 			handled = false
@@ -307,8 +294,6 @@ func (rt *Runtime) ReliabilityOverhead() Overhead { return rt.net.Stats().Overhe
 // Close shuts the network down; every later operation reports ErrClosed.
 // Closing twice is harmless.
 func (rt *Runtime) Close() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.closed = true
 	rt.net.Close()
 }

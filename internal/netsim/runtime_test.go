@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"objalloc/internal/model"
@@ -21,14 +20,14 @@ type relay struct {
 type ring struct {
 	*Runtime
 	relays  []*relay
-	handled atomic.Int64
+	handled int
 	// done, when non-nil, is told when a cascade reaches its last hop: one
 	// cascade runs at a time where it is set.
 	done func(Result)
 }
 
 func (r *relay) HandleMessage(m Message) {
-	r.rg.handled.Add(1)
+	r.rg.handled++
 	switch {
 	case m.Seq > 0:
 		r.forward(m.Seq - 1)
@@ -91,16 +90,14 @@ func TestRuntimeQuiesceUnderDelay(t *testing.T) {
 				t.Fatalf("round %d: Quiesce returned with %d messages in mailbox %d", round, ep.Len(), p)
 			}
 		}
-		rt.net.mu.Lock()
 		for k, l := range rt.net.links {
 			if len(l.held) != 0 {
 				t.Errorf("round %d: Quiesce returned with %d messages held on link %v", round, len(l.held), k)
 			}
 		}
-		rt.net.mu.Unlock()
 		// No loss or duplication in the plan: each cascade is hops+1
 		// messages, all handled by now.
-		if got, want := rt.handled.Load(), int64(round*cascades*(hops+1)); got != want {
+		if got, want := rt.handled, round*cascades*(hops+1); got != want {
 			t.Fatalf("round %d: %d messages handled at quiescence, want %d", round, got, want)
 		}
 	}

@@ -29,7 +29,6 @@ package quorum
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"objalloc/internal/model"
 	"objalloc/internal/netsim"
@@ -135,13 +134,11 @@ type runtime = netsim.Runtime
 // Cluster is a running quorum-replicated system. The embedded processor
 // runtime supplies the network, message delivery, quiescence and the
 // accounting reads (Counts, Cost, HolderSeqs, StoreOf, Network, Quiesce,
-// Close, ...).
+// Close, ...). It is not safe for concurrent use; one owner at a time.
 type Cluster struct {
 	*runtime
-	cfg   Config
-	nodes []*node // protocol state, indexed by processor id
-
-	mu      sync.Mutex
+	cfg     Config
+	nodes   []*node // protocol state, indexed by processor id
 	alive   model.Set
 	seqHint uint64 // highest version number the driver has observed
 }
@@ -182,9 +179,7 @@ func (c *Cluster) Crash(id model.ProcessorID) error {
 	if err := c.runtime.Crash(id); err != nil {
 		return err
 	}
-	c.mu.Lock()
 	c.alive = c.alive.Remove(id)
-	c.mu.Unlock()
 	return nil
 }
 
@@ -195,36 +190,27 @@ func (c *Cluster) Restart(id model.ProcessorID) error {
 	if err := c.runtime.Restart(id); err != nil {
 		return err
 	}
-	c.mu.Lock()
 	c.alive = c.alive.Add(id)
-	c.mu.Unlock()
 	return nil
 }
 
 // Alive returns the set of live processors.
-func (c *Cluster) Alive() model.Set {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.alive
-}
+func (c *Cluster) Alive() model.Set { return c.alive }
 
 // quorumOf selects live processors, preferring self, until the required
 // votes are gathered. It returns an error if the live votes cannot reach
 // the threshold.
 func (c *Cluster) quorumOf(self model.ProcessorID, votes int) (model.Set, error) {
-	c.mu.Lock()
-	alive := c.alive
-	c.mu.Unlock()
 	var q model.Set
 	got := 0
 	take := func(id model.ProcessorID) {
-		if got < votes && alive.Contains(id) && !q.Contains(id) && c.cfg.weight(id) > 0 {
+		if got < votes && c.alive.Contains(id) && !q.Contains(id) && c.cfg.weight(id) > 0 {
 			q = q.Add(id)
 			got += c.cfg.weight(id)
 		}
 	}
 	take(self)
-	alive.ForEach(take)
+	c.alive.ForEach(take)
 	if got < votes {
 		return model.EmptySet, ErrUnavailable
 	}
@@ -249,26 +235,35 @@ func (c *Cluster) Read(p model.ProcessorID) (storage.Version, error) {
 }
 
 func (c *Cluster) read(p model.ProcessorID) (storage.Version, error) {
-	if _, err := c.StoreOf(p); err != nil {
-		return storage.Version{}, err
-	}
-	targets, err := c.quorumOf(p, c.cfg.ReadQuorum)
+	op, err := c.voteOp(p, opRead, nil)
 	if err != nil {
 		return storage.Version{}, err
 	}
-	return c.perform(p, opRead, targets, nil)
+	return c.Perform(op)
 }
 
-// perform runs a read or write on its issuing node and waits for the
-// result. Under the retransmission discipline the driver kicks the node
-// into retransmitting the current phase's outstanding requests, and when
-// the attempt budget is exhausted aborts the operation with an
-// ErrUnavailable-wrapped Unreachable. An operation whose issuing processor
-// is crashed never starts: the runtime refuses it with Unreachable{Peer: p}
-// before a vote request is billed.
-func (c *Cluster) perform(p model.ProcessorID, kind opKind, targets model.Set, data []byte) (storage.Version, error) {
+// voteOp is the runtime operation of one read or write issued by processor
+// p, over a quorum chosen now among the processors alive now. Under the
+// retransmission discipline the driver kicks the node into retransmitting
+// the current phase's outstanding requests, and when the attempt budget is
+// exhausted aborts the operation with an ErrUnavailable-wrapped
+// Unreachable. An operation whose issuing processor is crashed never
+// starts: the runtime refuses it with Unreachable{Peer: p} before a vote
+// request is billed.
+func (c *Cluster) voteOp(p model.ProcessorID, kind opKind, data []byte) (netsim.Op, error) {
+	if _, err := c.StoreOf(p); err != nil {
+		return netsim.Op{}, err
+	}
+	votes := c.cfg.ReadQuorum
+	if kind == opWrite {
+		votes = c.cfg.WriteQuorum
+	}
+	targets, err := c.quorumOf(p, votes)
+	if err != nil {
+		return netsim.Op{}, err
+	}
 	corr := c.NextCorr()
-	return c.Perform(netsim.Op{
+	return netsim.Op{
 		P:     p,
 		Start: func(done func(netsim.Result)) { c.nodes[p].beginVoting(kind, corr, targets, data, done) },
 		Retry: func(attempt int, giveUp bool) {
@@ -278,7 +273,7 @@ func (c *Cluster) perform(p model.ProcessorID, kind opKind, targets model.Set, d
 				c.nodes[p].kick(corr, attempt)
 			}
 		},
-	})
+	}, nil
 }
 
 // Write executes a quorum write issued by processor p: version numbers are
@@ -300,20 +295,13 @@ func (c *Cluster) Write(p model.ProcessorID, data []byte) (storage.Version, erro
 }
 
 func (c *Cluster) write(p model.ProcessorID, data []byte) (storage.Version, error) {
-	if _, err := c.StoreOf(p); err != nil {
-		return storage.Version{}, err
-	}
-	targets, err := c.quorumOf(p, c.cfg.WriteQuorum)
+	op, err := c.voteOp(p, opWrite, data)
 	if err != nil {
 		return storage.Version{}, err
 	}
-	v, err := c.perform(p, opWrite, targets, data)
-	if err == nil {
-		c.mu.Lock()
-		if v.Seq > c.seqHint {
-			c.seqHint = v.Seq
-		}
-		c.mu.Unlock()
+	v, err := c.Perform(op)
+	if err == nil && v.Seq > c.seqHint {
+		c.seqHint = v.Seq
 	}
 	return v, err
 }
@@ -363,8 +351,4 @@ func (c *Cluster) recover(id model.ProcessorID) (missed uint64, err error) {
 
 // LatestSeq returns the highest committed version number the driver has
 // observed (for test assertions).
-func (c *Cluster) LatestSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seqHint
-}
+func (c *Cluster) LatestSeq() uint64 { return c.seqHint }

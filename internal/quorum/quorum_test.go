@@ -2,12 +2,13 @@ package quorum
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"objalloc/internal/cost"
 	"objalloc/internal/model"
+	"objalloc/internal/netsim"
 	"objalloc/internal/storage"
 )
 
@@ -245,32 +246,28 @@ func TestCostAccounting(t *testing.T) {
 	}
 }
 
+// TestConcurrentReaders: twenty reads, four issued at each processor, in
+// flight at once as one burst — every one observes the write before it.
 func TestConcurrentReaders(t *testing.T) {
 	c := newCluster(t, 5)
 	if _, err := c.Write(0, []byte("shared")); err != nil {
 		t.Fatal(err)
 	}
 	latest := c.LatestSeq()
-	var wg sync.WaitGroup
-	errs := make([]error, 20)
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err := c.Read(model.ProcessorID(i % 5))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if v.Seq != latest {
-				errs[i] = errors.New("stale read")
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	burst := make([]netsim.Op, 20)
+	for i := range burst {
+		op, err := c.voteOp(model.ProcessorID(i%5), opRead, nil)
 		if err != nil {
-			t.Errorf("reader %d: %v", i, err)
+			t.Fatal(err)
+		}
+		burst[i] = op
+	}
+	for i, res := range c.PerformAll(burst) {
+		if res.Err == nil && res.Version.Seq != latest {
+			res.Err = fmt.Errorf("stale read: seq %d, latest %d", res.Version.Seq, latest)
+		}
+		if res.Err != nil {
+			t.Errorf("reader %d: %v", i, res.Err)
 		}
 	}
 }

@@ -27,7 +27,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"objalloc/internal/model"
 	"objalloc/internal/netsim"
@@ -128,16 +127,15 @@ func (c Config) validate() error {
 type runtime = netsim.Runtime
 
 // Cluster is a running distributed system executing one protocol for one
-// replicated object.
+// replicated object. It is not safe for concurrent use; one owner at a
+// time. Concurrent reads are a RunConcurrent burst, not concurrent callers.
 type Cluster struct {
 	*runtime
-	cfg    Config
-	nodes  []*node           // protocol state, indexed by processor id
-	core   model.Set         // DA's F (empty for SA)
-	anchor model.ProcessorID // DA's designated p (unused for SA)
-
-	mu      sync.Mutex
-	nextSeq uint64 // write sequencer (the concurrency-control total order)
+	cfg     Config
+	nodes   []*node           // protocol state, indexed by processor id
+	core    model.Set         // DA's F (empty for SA)
+	anchor  model.ProcessorID // DA's designated p (unused for SA)
+	nextSeq uint64            // write sequencer (the concurrency-control total order)
 }
 
 // New builds and starts the cluster: stores are created, the initial
@@ -223,10 +221,8 @@ func (c *Cluster) Write(p model.ProcessorID, data []byte) (storage.Version, erro
 		// The place in the write order is taken here, once the runtime has
 		// admitted p: an unknown or crashed processor must not take one —
 		// a write it "issued" would reach nobody and be acknowledged.
-		c.mu.Lock()
 		c.nextSeq++
 		v := storage.Version{Seq: c.nextSeq, Writer: int(p), Data: data}
-		c.mu.Unlock()
 		done(netsim.Result{Version: v, Err: c.nodes[p].doWrite(v)})
 	}})
 	if err == nil && c.Retries() {
@@ -372,13 +368,9 @@ func (c *Cluster) ResetCounts() {
 // database holds the latest version. It quiesces first so in-flight
 // invalidations settle.
 func (c *Cluster) Scheme() model.Set {
-	seqs := c.HolderSeqs()
-	c.mu.Lock()
-	latest := c.nextSeq
-	c.mu.Unlock()
 	var s model.Set
-	for i, seq := range seqs {
-		if seq == latest {
+	for i, seq := range c.HolderSeqs() {
+		if seq == c.nextSeq {
 			s = s.Add(model.ProcessorID(i))
 		}
 	}

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"objalloc/internal/cost"
@@ -325,76 +323,55 @@ func TestCostPricing(t *testing.T) {
 	}
 }
 
+// runLinearizable runs sched as RunConcurrent bursts on a fresh n-processor
+// cluster and checks that writes take the places of the total order one
+// after another and that every read of a burst observes the latest write.
+func runLinearizable(t *testing.T, p Protocol, n int, sched model.Schedule) *Cluster {
+	t.Helper()
+	c := newCluster(t, p, n, 2)
+	versions, err := c.RunConcurrent(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	latest := uint64(1)
+	for i, q := range sched {
+		if q.IsWrite() {
+			if versions[i].Seq != latest+1 {
+				t.Fatalf("%v, n=%d: write %d (%v) took seq %d after seq %d", p, n, i, q, versions[i].Seq, latest)
+			}
+			latest = versions[i].Seq
+			continue
+		}
+		if versions[i].Seq != latest {
+			t.Fatalf("%v, n=%d: concurrent read %d (%v) saw seq %d, latest %d", p, n, i, q, versions[i].Seq, latest)
+		}
+	}
+	return c
+}
+
 func TestLinearizabilityUnderConcurrentReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, p := range []Protocol{SA, DA} {
-		c := newCluster(t, p, 8, 2)
-		sched := workload.Uniform(rng, 8, 150, 0.25)
-		versions, err := c.RunConcurrent(sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		latest := uint64(1)
-		for i, q := range sched {
-			if q.IsWrite() {
-				latest = versions[i].Seq
-				continue
-			}
-			if versions[i].Seq != latest {
-				t.Fatalf("%v: concurrent read %d (%v) saw seq %d, latest %d", p, i, q, versions[i].Seq, latest)
-			}
-		}
+		runLinearizable(t, p, 8, workload.Uniform(rng, 8, 150, 0.25))
 	}
 }
 
-// TestConcurrentCallersSerialised: the cluster may be called from many
-// goroutines — Cluster.mu orders the writes and Runtime.mu everything that
-// touches protocol state — and stays correct when it is: with twenty readers
-// running against a writer, every read returns a version at least as new as
-// the last write that had returned before the read began. Run under -race.
+// TestConcurrentCallersSerialised: a cluster has one owner, so concurrent
+// readers are a RunConcurrent burst. Forty writes over six processors, each
+// followed by a burst of twenty reads — every processor reads three or four
+// times inside one burst — and every burst read sees the write before it;
+// a final read sees the last write.
 func TestConcurrentCallersSerialised(t *testing.T) {
-	const n, readers, readsEach, writes = 6, 20, 15, 40
-	for _, p := range []Protocol{SA, DA} {
-		c := newCluster(t, p, n, 2)
-		var written atomic.Uint64 // seq of the last write that has returned
-		written.Store(1)
-		var wg sync.WaitGroup
-		errs := make([]error, readers+1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < writes; i++ {
-				v, err := c.Write(model.ProcessorID(i%n), []byte("w"))
-				if err != nil {
-					errs[readers] = err
-					return
-				}
-				written.Store(v.Seq)
-			}
-		}()
+	const n, writes, readers = 6, 40, 20
+	var bursts model.Schedule
+	for i := 0; i < writes; i++ {
+		bursts = append(bursts, model.W(model.ProcessorID(i%n)))
 		for r := 0; r < readers; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				for i := 0; i < readsEach; i++ {
-					floor := written.Load()
-					v, err := c.Read(model.ProcessorID((r + i) % n))
-					if err == nil && v.Seq < floor {
-						err = fmt.Errorf("read %d saw seq %d after write %d had returned", i, v.Seq, floor)
-					}
-					if err != nil {
-						errs[r] = err
-						return
-					}
-				}
-			}(r)
+			bursts = append(bursts, model.R(model.ProcessorID((r+i)%n)))
 		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Errorf("%v: caller %d: %v", p, i, err)
-			}
-		}
+	}
+	for _, p := range []Protocol{SA, DA} {
+		c := runLinearizable(t, p, n, bursts)
 		if v, err := c.Read(n - 1); err != nil || v.Seq != writes+1 {
 			t.Errorf("%v: final read = seq %d, %v; want seq %d", p, v.Seq, err, writes+1)
 		}

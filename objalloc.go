@@ -331,17 +331,20 @@ type ClusterConfig = sim.Config
 
 // Cluster is a running distributed system: one protocol handler per
 // processor, a billed message network, and per-processor local databases,
-// run by a single-threaded deterministic delivery loop. Build one
-// with NewCluster (see options.go for the ClusterOption family).
+// run by a single-threaded deterministic delivery loop. It is not safe for
+// concurrent use; one owner at a time. Build one with NewCluster (see
+// options.go for the ClusterOption family).
 type Cluster = sim.Cluster
 
-// QuorumCluster is a majority/weighted-voting replicated system. Build
-// one with NewQuorumCluster.
+// QuorumCluster is a majority/weighted-voting replicated system. It is not
+// safe for concurrent use; one owner at a time. Build one with
+// NewQuorumCluster.
 type QuorumCluster = quorum.Cluster
 
 // HACluster runs DA in normal mode and fails over to quorum consensus (§2) when
 // a member of F ∪ {p} crashes, failing back after missing-writes recovery.
-// Build one with NewHACluster.
+// It is not safe for concurrent use; one owner at a time. Build one with
+// NewHACluster.
 type HACluster = ha.Cluster
 
 // ---- Chaos layer: deterministic faults and invariant-checked runs ----
@@ -556,6 +559,7 @@ const TemporaryOrders = feed.TemporaryOrders
 type FeedConfig = feed.Config
 
 // Feed is a running append-only object sequence (the §6.2 satellite model).
+// It is not safe for concurrent use; one owner at a time.
 type Feed = feed.Feed
 
 // OpenFeed starts a feed.
