@@ -33,10 +33,12 @@
 # (one owner runs them in one goroutine, a driver call is a method call;
 # their counts are a function of their inputs),
 # depsvet fails if the daemon links the laboratory again (the offline
-# solver, sweeps and generators, or the executed clusters), crossvet runs
-# the OPT solver and the sweeps on the pure-Go row kernels (GOARCH=386,
-# which this box runs natively) and vets the whole tree for arm64, so the
-# platforms without kernels_amd64.s keep building and keep every figure, and
+# solver, sweeps and generators, or the executed clusters), crossvet fails
+# if the OPT kernels' assembly uses anything wider than SSE2 (VEX, POPCNT,
+# LZCNT/TZCNT, BMI), runs the OPT solver and the sweeps on the pure-Go
+# relaxation kernels (GOARCH=386, which runs natively on an amd64 host)
+# and vets the whole tree for arm64, so the platforms without
+# kernels_amd64.s keep building and keep every figure, and
 # staticcheck runs when the tool is installed (it is skipped gracefully
 # otherwise — the build must not depend on network access).
 # Outside verify: bench (the repository's benchmark), allocs (bytes,
@@ -75,7 +77,8 @@ bench:
 # allocs prints what the offline engine asks of the allocator: bytes and
 # mallocs per bench-shaped sweep (the 6×6 figure-1 grid, eight battery seeds
 # in rotation) with GC cycles per 1 000 sweeps, serial and at the default
-# parallelism, and the same per call of opt.Plan.Cost/Costs. The counts
+# parallelism, and the same per opt.Plan.Costs call and per model of the
+# one-model DP, over the shapes BenchmarkCosts lists. The counts
 # repeat run to run; the ns/op beside them are for orientation only — speed
 # claims come from `make bench`. TestSweepAllocationBudget and
 # TestPricingAllocations gate the counts in `make test`.
@@ -186,10 +189,21 @@ depsvet:
 		echo "depsvet: cmd/objallocd links $$(echo "$$deps" | wc -l) internal packages, none of the laboratory"; \
 	fi
 
-# The grid pass's row kernels are SSE2 assembly on amd64 and their Go
-# reference everywhere else; go vet's asmdecl checks the assembly's frames
-# against its declarations on amd64 (vet), this checks the other side.
+# The grid pass's relaxation kernels are SSE2 assembly on amd64 and their
+# Go reference everywhere else; go vet's asmdecl checks the assembly's
+# frames against its declarations on amd64 (vet), this checks the other
+# side. It also holds the assembly to the GOAMD64=v1 baseline, SSE2 and
+# nothing wider, since nothing checks the CPU: it fails on a VEX-encoded
+# (V…) instruction, POPCNT, LZCNT, TZCNT or a BMI1/BMI2 instruction.
 crossvet:
+	@bad=$$(grep -n -E '^[[:space:]]*([A-Za-z_][A-Za-z0-9_]*:[[:space:]]*)?((POPCNT|LZCNT|TZCNT|ANDN|BLSI|BLSMSK|BLSR|BZHI|SHLX|SHRX|SARX|RORX|MULX|PDEP|PEXT)[WLQ]?|V[A-Z0-9]+)([[:space:]]|$$)' internal/opt/*.s || true); \
+	if [ -n "$$bad" ]; then \
+		echo "crossvet: instruction beyond SSE2 and the amd64 baseline in internal/opt assembly:"; \
+		echo "$$bad"; \
+		exit 1; \
+	else \
+		echo "crossvet: internal/opt assembly is SSE2 and baseline amd64 only"; \
+	fi
 	GOARCH=386 go test ./internal/opt ./internal/competitive
 	GOARCH=arm64 go vet ./...
 
@@ -232,12 +246,11 @@ chaos-check:
 # 200×200 (20 k admissible cells, under a second) and the map goes to
 # /dev/null: the 6×6 grid this target used to run finishes in 2 ms, between
 # two samples of the profiler. The
-# hot symbols are the grid pass of internal/opt (opt.(*Plan).costsPass:
-# foldWrite, relaxReadModels, relaxWriteModels, and under them the row
-# kernels foldRow, addRow, addMinRow, minRow), then
-# competitive.(*prepared).measureSchedule; the one-model kernel
-# (opt.(*Plan).run, minTransform) runs only for a grid with a single
-# admissible cell, so it no longer appears here. Nor does the runtime: a
+# hot symbols are the grid pass of internal/opt: its three relaxation
+# kernels opt.foldRows, opt.readRows and opt.writeRows, flat, under
+# opt.(*Plan).costsPass, then competitive.(*prepared).measureSchedule; the
+# one-model DP (opt.(*Plan).run, minTransform) runs only for Solve's
+# traceback, so it does not appear here. Nor does the runtime: a
 # pass used to make and zero a fresh 1 MiB of rows, which put
 # runtime.memclrNoHeapPointers (4-6 % of samples) and the collector's
 # scanblock/greyobject beside costsPass here, and on the small bench-shaped

@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,14 +53,16 @@ func costsInstance(rng *rand.Rand, n, length int, pWrite float64) (model.Schedul
 }
 
 // The grid pass against its reference: for every model of a list, Costs
-// must return the very bits Cost returns — at one model (the one-model
-// pass), a full chunk, a chunk and a one-model tail, and several chunks
-// with a short one.
+// and Cost must return the very bits run — the one-model DP with the full
+// transform, which Solve traces back through — returns: at one model, two
+// and three (a short pass, and an odd one with its pad column), the
+// figure grid's 21, a full chunk, a chunk and a one-model tail, and
+// several chunks with a short one.
 func TestCostsBitIdenticalToCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	ctx := context.Background()
-	for iter := 0; iter < 60; iter++ {
-		n := 2 + iter%6
+	for iter := 0; iter < 64; iter++ {
+		n := 1 + iter%8
 		length := []int{0, 1, 7, 30, 80}[rng.Intn(5)]
 		pWrite := []float64{0, 1, 0.1, 0.5, 0.9}[iter%5]
 		sched, initial, tAvail := costsInstance(rng, n, length, pWrite)
@@ -69,12 +72,19 @@ func TestCostsBitIdenticalToCost(t *testing.T) {
 		}
 		want := make([]float64, len(gridBase))
 		for j, m := range gridBase {
-			if want[j], err = plan.Cost(ctx, m); err != nil {
+			if want[j], _, err = plan.run(ctx, m, nil, new(workspace)); err != nil {
 				t.Fatal(err)
+			}
+			got, err := plan.Cost(ctx, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want[j]) {
+				t.Fatalf("iter %d, %v: Cost %b, run %b\nt=%d initial=%v sched: %v", iter, m, got, want[j], tAvail, initial, sched)
 			}
 		}
 		chunk := ModelChunk(len(plan.ids))
-		for _, count := range []int{1, chunk, chunk + 1, 2*chunk + 3} {
+		for _, count := range []int{1, 2, 3, 21, chunk, chunk + 1, 2*chunk + 3} {
 			got, err := plan.Costs(ctx, gridModels(count))
 			if err != nil {
 				t.Fatal(err)
@@ -84,7 +94,7 @@ func TestCostsBitIdenticalToCost(t *testing.T) {
 			}
 			for j, c := range got {
 				if w := want[j%len(want)]; math.Float64bits(c) != math.Float64bits(w) {
-					t.Fatalf("iter %d, model %d of %d, %v: Costs %b, Cost %b\nt=%d initial=%v sched: %v",
+					t.Fatalf("iter %d, model %d of %d, %v: Costs %b, run %b\nt=%d initial=%v sched: %v",
 						iter, j, count, gridBase[j%len(want)], c, w, tAvail, initial, sched)
 				}
 			}
@@ -149,53 +159,51 @@ func TestCostsCancelledMidPass(t *testing.T) {
 	}
 }
 
-// BenchmarkCosts prices one n = 5 plan of 60 requests under the 21
-// admissible cells of the 6×6 figure-1 grid: cell by cell through Cost,
-// in one grid pass, and — the other side of the decision recorded in
-// DESIGN §5 — one model through each kernel.
+// BenchmarkCosts prices a plan of n processors and L requests (t = 2)
+// under a list of models, two ways: Costs, the grid pass, and run, the
+// one-model DP with the full transform, once per model. The shapes are
+// the bench-shaped sweep's (n = 5, the 21 admissible cells of the 6×6
+// figure-1 grid), the smallest universe an exhaustive enumeration of
+// schedules would price (n = 3, L = 8), a short pass (n = 12, two models)
+// and one model from n = 3 to MaxUniverse, where Cost's grid pass stands
+// against the DP it replaced (DESIGN §5).
 func BenchmarkCosts(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	plan, err := Compile(randomSchedule(rng, 5, 60, 0.3), model.NewSet(0, 1), 2)
-	if err != nil {
-		b.Fatal(err)
-	}
 	ctx := context.Background()
-	models := gridModels(21)
-	b.Run("Cost/models=21", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, m := range models {
-				if _, err := plan.Cost(ctx, m); err != nil {
+	for _, s := range []struct{ n, length, models int }{
+		{5, 60, 21}, {3, 8, 21}, {12, 60, 2},
+		{3, 60, 1}, {5, 60, 1}, {12, 60, 1}, {16, 20, 1},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		sched := randomSchedule(rng, s.n, s.length, 0.3)
+		for k := range s.n { // every processor is in the universe
+			sched[k].Processor = model.ProcessorID(k)
+		}
+		plan, err := Compile(sched, model.NewSet(0, 1), 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		models := gridModels(s.models)
+		name := fmt.Sprintf("n=%d,L=%d,models=%d", s.n, s.length, s.models)
+		b.Run(name+"/Costs", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := plan.Costs(ctx, models); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
-	})
-	b.Run("Costs/models=21", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := plan.Costs(ctx, models); err != nil {
-				b.Fatal(err)
+		})
+		b.Run(name+"/run", func(b *testing.B) {
+			b.ReportAllocs()
+			ws := new(workspace)
+			for i := 0; i < b.N; i++ {
+				for _, m := range models {
+					if _, _, err := plan.run(ctx, m, nil, ws); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
-	})
-	b.Run("Cost/models=1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := plan.Cost(ctx, models[0]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("costsPass/models=1", func(b *testing.B) {
-		b.ReportAllocs()
-		ws, out := new(workspace), make([]float64, 1)
-		for i := 0; i < b.N; i++ {
-			if err := plan.costsPass(ctx, models[:1], ws, out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // A pass may be handed a workspace in any state: here one workspace serves

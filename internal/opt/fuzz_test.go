@@ -62,8 +62,9 @@ func fuzzInstance(data []byte) (sched model.Schedule, initial model.Set, t int, 
 // the package that knows the optimum: exhaustive enumeration on tiny
 // instances, the traceback's own allocation schedule priced step by step,
 // fresh one-shot solves under a second model (a Plan must carry no state
-// from one model's pass into the next), and the grid pass — Costs under
-// both models at once must equal the two Cost calls bit for bit.
+// from one model's pass into the next), and run, the one-model DP Solve
+// traces back through — Cost under either model, and Costs under both at
+// once, must equal it bit for bit.
 func FuzzOptCost(f *testing.F) {
 	f.Add([]byte{})                                              // empty schedule, n = t = 1
 	f.Add([]byte{4, 1, 0x12, 0x85, 0x03})                        // empty schedule, n = 5, t = 2
@@ -131,12 +132,20 @@ func FuzzOptCost(f *testing.F) {
 			t.Fatalf("shared plan: %b then %b under %v, %b under %v; fresh solves %b and %b", got, again, m, got2, m2, fresh, fresh2)
 		}
 
+		// The grid pass against run, which Solve traced back through.
+		ref2, _, err := plan.run(ctx, m2, nil, new(workspace))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got2) != math.Float64bits(ref2) {
+			t.Fatalf("Cost %b under %v, run %b", got2, m2, ref2)
+		}
 		both, err := plan.Costs(ctx, []cost.Model{m, m2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(both[0]) != math.Float64bits(got) || math.Float64bits(both[1]) != math.Float64bits(got2) {
-			t.Fatalf("Costs %b, %b; Cost %b under %v, %b under %v", both[0], both[1], got, m, got2, m2)
+		if math.Float64bits(both[0]) != math.Float64bits(res.Cost) || math.Float64bits(both[1]) != math.Float64bits(ref2) {
+			t.Fatalf("Costs %b, %b; run %b under %v, %b under %v", both[0], both[1], res.Cost, m, ref2, m2)
 		}
 	})
 }

@@ -5,13 +5,10 @@ package opt
 // min does except on NaN and on a ±0 pair, and a DP value is never either.
 
 //go:noescape
-func addRow(dst, a, b []float64)
+func readRows(dp, next []float64, feasible []uint32, ibit uint32, remote, saving, local []float64)
 
 //go:noescape
-func addMinRow(dst, a, b, c, d []float64)
+func foldRows(dp, g []float64, all, ibit uint32, cc []float64)
 
 //go:noescape
-func minRow(dst, a, b []float64)
-
-//go:noescape
-func foldRow(ga, gb, cc []float64)
+func writeRows(g, next []float64, feasible, sizes []uint32, ibit uint32, w int, writeIn, writeOut []float64)

@@ -2,7 +2,14 @@
 
 package opt
 
-func addRow(dst, a, b []float64)          { addRowGeneric(dst, a, b) }
-func addMinRow(dst, a, b, c, d []float64) { addMinRowGeneric(dst, a, b, c, d) }
-func minRow(dst, a, b []float64)          { minRowGeneric(dst, a, b) }
-func foldRow(ga, gb, cc []float64)        { foldRowGeneric(ga, gb, cc) }
+func readRows(dp, next []float64, feasible []uint32, ibit uint32, remote, saving, local []float64) {
+	readRowsGeneric(dp, next, feasible, ibit, remote, saving, local)
+}
+
+func foldRows(dp, g []float64, all, ibit uint32, cc []float64) {
+	foldRowsGeneric(dp, g, all, ibit, cc)
+}
+
+func writeRows(g, next []float64, feasible, sizes []uint32, ibit uint32, w int, writeIn, writeOut []float64) {
+	writeRowsGeneric(g, next, feasible, sizes, ibit, w, writeIn, writeOut)
+}

@@ -38,11 +38,13 @@
 // masks b that contain the writer — and the other n-1 bits over that half
 // alone, 2^(n-1) + (n-1)·2^(n-2) pair updates instead of n·2^(n-1), with
 // every value bit-identical to the full transform's. Its rows are laid out
-// [state][model]: each pair update or relaxation is one contiguous loop
-// over the models, so M models cost one walk over the requests and the
-// masks instead of M. The one-model pass (Plan.Cost, Plan.Solve) keeps the
-// full transform, whose arg table the traceback needs; it is the reference
-// Costs is tested against bit for bit.
+// [state][model], padded to an even number of models: each relaxation is
+// one kernel call that walks the states and, per state, runs one
+// contiguous loop over the models, two at a time, so M models cost one
+// walk over the requests and the masks instead of M. Plan.Cost is that
+// pass at one model. Plan.Solve keeps the full transform, whose arg table
+// the traceback needs; its DP (run) is the reference Cost and Costs are
+// tested against bit for bit.
 //
 // The DP state space limits the universe to MaxUniverse processors; this is
 // a limit of the yardstick only — the online algorithms themselves scale to
@@ -93,6 +95,10 @@ type Plan struct {
 	// feasible lists, ascending, the dense masks Y with |Y| >= t — the
 	// only states the DP can reach.
 	feasible []uint32
+	// sizes[Y] is |Y| for every dense mask Y: the grid pass's write
+	// kernel reads an execution set's size from here rather than count
+	// bits with an instruction the amd64 baseline lacks.
+	sizes []uint32
 }
 
 // planReq is one request of a compiled schedule.
@@ -121,10 +127,14 @@ func Compile(sched model.Schedule, initial model.Set, t int) (*Plan, error) {
 	if len(p.ids) > MaxUniverse {
 		return nil, fmt.Errorf("opt: %d distinct processors exceed the exact solver's limit of %d", len(p.ids), MaxUniverse)
 	}
-	p.feasible = make([]uint32, 0, p.size())
-	for y := uint32(0); y < uint32(p.size()); y++ {
-		if bits.OnesCount32(y) >= t {
-			p.feasible = append(p.feasible, y)
+	// One allocation holds both per-state tables.
+	size := p.size()
+	tab := make([]uint32, 2*size)
+	p.feasible, p.sizes = tab[:0:size], tab[size:]
+	for y := range p.sizes {
+		p.sizes[y] = uint32(bits.OnesCount32(uint32(y)))
+		if int(p.sizes[y]) >= t {
+			p.feasible = append(p.feasible, uint32(y))
 		}
 	}
 	return p, nil
@@ -188,19 +198,27 @@ func SolveContext(ctx context.Context, m cost.Model, sched model.Schedule, initi
 	return p.Solve(ctx, m)
 }
 
-// Cost prices the plan under one model: the optimal offline cost. The DP
-// polls the context between requests and aborts with ctx.Err() when it is
-// cancelled; it relaxes O(n·2^n) states per request, so the check
-// granularity is fine enough to return promptly.
+// Cost prices the plan under one model: the optimal offline cost, through
+// the grid pass of Costs. The DP polls the context between requests and
+// aborts with ctx.Err() when it is cancelled; it relaxes O(n·2^n) states
+// per request, so the check granularity is fine enough to return promptly.
 func (p *Plan) Cost(ctx context.Context, m cost.Model) (float64, error) {
+	if err := m.Validate(); err != nil {
+		return 0, err
+	}
+	var out [1]float64
 	ws := workspaces.Get().(*workspace)
-	best, _, err := p.run(ctx, m, nil, ws)
+	err := p.costsPass(ctx, []cost.Model{m}, ws, out[:])
 	workspaces.Put(ws)
-	return best, err
+	if err != nil {
+		return 0, err
+	}
+	return out[0], nil
 }
 
 // Solve prices the plan under one model and reconstructs one optimal
-// allocation schedule by traceback through the same relaxations as Cost.
+// allocation schedule by traceback through run's relaxations; its cost is
+// Cost's, bit for bit.
 func (p *Plan) Solve(ctx context.Context, m cost.Model) (*Result, error) {
 	// parents[k*size+s] is the DP state before request k that led to
 	// state s after request k.
@@ -215,8 +233,10 @@ func (p *Plan) Solve(ctx context.Context, m cost.Model) (*Result, error) {
 	return &Result{Cost: best, Alloc: alloc, FinalScheme: p.expand(final)}, nil
 }
 
-// run is the DP: it returns the minimum cost and the final state that
-// attains it (the lowest such mask). When parents is non-nil every
+// run is the one-model DP with the full transform — Solve's, and the
+// reference the grid pass is tested against: it returns the minimum cost
+// and the final state that attains it (the lowest such mask). When parents
+// is non-nil every
 // relaxation also records the predecessor state it chose. The rows come
 // from ws (see workspace for why nothing needs clearing).
 func (p *Plan) run(ctx context.Context, m cost.Model, parents []uint32, ws *workspace) (float64, uint32, error) {
