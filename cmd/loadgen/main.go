@@ -1,36 +1,36 @@
-// Command loadgen replays workload streams against the sharded
-// allocation service — over HTTP against a running objallocd, or against
-// an in-process server for soak and benchmark runs — and reports
-// throughput, latency and the overload/drain outcomes.
+// Command loadgen replays workload streams against a running objallocd
+// over HTTP and reports throughput, latency and the daemon's admission
+// counts.
 //
 // Usage:
 //
 //	loadgen -addr 127.0.0.1:8080 [-workload uniform:n=8,pwrite=0.3]
 //	        [-objects 64] [-workers 4] [-requests 10000] [-duration 0]
-//	        [-batch 32] [-seed 1] [-retrywindow 0]
-//	loadgen -inproc [-shards 8] [-engine da] [-adaptive window=8] ...
-//	        [-trace out.jsonl] [-trace-deterministic] (same workload flags)
+//	        [-batch 32] [-seed 1] [-retrywindow 10s]
 //
-// Both paths report throughput, per-batch latency, and end-to-end
-// per-request latency percentiles (p50/p90/p99/max).
-//
-// Every HTTP batch carries a traceparent header derived
-// deterministically from (seed, worker, per-worker batch sequence), so
-// a tracing objallocd parents its spans under reproducible client trace
-// IDs. In-process runs can trace directly: -trace hands the server a
-// tracer and writes the canonical trace JSONL after the drain, and
-// -trace-deterministic zeroes the wall-clock fields so same-seed files
-// are byte-identical at any -shards/-workers.
+// It reports throughput, per-batch latency and end-to-end per-request
+// latency percentiles (p50/p90/p99/max), then the daemon's accepted,
+// completed and rejected counts. The server's model, shards, engine and
+// tracing are objallocd's flags; a library caller that wants the service
+// without HTTP uses objalloc.NewServer and Server.Do.
 //
 // Workers own disjoint object partitions (object index mod workers), so
 // each object's requests stay on one sequential path — the service's
-// determinism contract. Every HTTP request carries a per-object sequence
-// number (starting at 1), so a journaling daemon deduplicates retried
-// batches idempotently. Overloaded batches retry after the server's
-// hint; a draining server ends the run. With -retrywindow each batch
-// additionally retries transport errors with capped jittered backoff for
-// up to that long, so the run survives a daemon kill-and-restart window.
-// The exit is nonzero if any accepted request was lost.
+// determinism contract. Every request carries a per-object sequence
+// number (starting at 1), so a journaling daemon deduplicates resent
+// requests idempotently.
+//
+// Every batch goes through server.Client.BatchAllCtx under a context of
+// -retrywindow (default 10s; a value ≤ 0 is refused). Inside that window
+// an overloaded batch's unserviced tail is resent after the server's
+// hint, and transport errors are retried with capped jittered backoff,
+// so a run survives a daemon kill-and-restart. A draining daemon ends the
+// worker; a fail-stopped shard, a refused batch or an expired window is
+// an error, and the exit is nonzero. Each logical batch carries one
+// traceparent, derived from (seed, worker, per-worker batch sequence), so
+// a resent tail stays under its batch's client span, and a batch's
+// latency is its whole submission, retries included. The per-request
+// latency of a request is the latency of the batch that carried it.
 package main
 
 import (
@@ -45,9 +45,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"objalloc/internal/adaptive"
-	"objalloc/internal/cost"
-	"objalloc/internal/model"
 	"objalloc/internal/server"
 	"objalloc/internal/tracing"
 	"objalloc/internal/workload"
@@ -61,18 +58,14 @@ func main() {
 	}
 }
 
-type counters struct {
-	sent      atomic.Uint64
-	completed atomic.Uint64
-	overloads atomic.Uint64
-	errored   atomic.Uint64
-}
+// reservoirCap bounds each latency sample, so -duration soaks run in
+// O(1) memory.
+const reservoirCap = 1 << 17
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "", "objallocd HTTP address (host:port)")
-		inproc   = fs.Bool("inproc", false, "drive an in-process server instead of HTTP")
 		spec     = fs.String("workload", "uniform:n=8,pwrite=0.3", "workload spec (see internal/workload)")
 		objects  = fs.Int("objects", 64, "distinct objects")
 		workers  = fs.Int("workers", 4, "concurrent workers (each owns objects index mod workers)")
@@ -80,171 +73,28 @@ func run(args []string) error {
 		duration = fs.Duration("duration", 0, "run for this long instead of a fixed request count")
 		batchSz  = fs.Int("batch", 32, "requests per HTTP batch")
 		seed     = fs.Int64("seed", 1, "workload seed (worker w uses seed+w)")
-		retryWin = fs.Duration("retrywindow", 0, "retry each HTTP batch through transport errors for up to this long (0 = fail on the first transport error)")
-
-		shards     = fs.Int("shards", 8, "in-process server: shards")
-		queue      = fs.Int("queue", 256, "in-process server: per-shard queue")
-		engineName = fs.String("engine", "da", "in-process server: engine (da, sa, adaptive)")
-		adaptSpec  = fs.String("adaptive", "", "in-process server: adaptive-controller spec for -engine adaptive")
-		n          = fs.Int("n", 8, "in-process server: processors")
-		t          = fs.Int("t", 3, "in-process server: availability threshold")
-		cc         = fs.Float64("cc", 0.25, "in-process server: control-message cost")
-		cd         = fs.Float64("cd", 1, "in-process server: data-message cost")
-		mobile     = fs.Bool("mobile", false, "in-process server: mobile model")
-		traceFile  = fs.String("trace", "", "in-process server: write request trace spans to this JSONL file")
-		traceDet   = fs.Bool("trace-deterministic", false, "in-process server: zero wall-clock trace fields (same-seed traces byte-identical at any -shards/-workers)")
+		retryWin = fs.Duration("retrywindow", 10*time.Second, "time each batch may take, resending through overload and transport errors (must be > 0)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if (*addr == "") == !*inproc {
-		return fmt.Errorf("exactly one of -addr or -inproc is required")
-	}
-	if *workers < 1 || *objects < 1 {
-		return fmt.Errorf("-workers and -objects must be at least 1")
+	switch {
+	case *addr == "":
+		return fmt.Errorf("-addr is required")
+	case *workers < 1 || *objects < 1 || *batchSz < 1:
+		return fmt.Errorf("-workers, -objects and -batch must be at least 1")
+	case *retryWin <= 0:
+		return fmt.Errorf("-retrywindow must be positive, got %s", *retryWin)
 	}
 	if *workers > *objects {
 		*workers = *objects
 	}
-	if (*traceFile != "" || *traceDet) && !*inproc {
-		return fmt.Errorf("-trace and -trace-deterministic require -inproc (against HTTP, trace on the daemon with objallocd -trace)")
-	}
-	if *retryWin > 0 && *inproc {
-		return fmt.Errorf("-retrywindow requires -addr (the in-process path has no transport to retry)")
-	}
 
-	var do func(worker int, reqs []server.WireRequest) (int, bool, error)
-	var finish func() error
-
-	// Per-request end-to-end latencies: the in-process path times every
-	// Server.Do individually; the HTTP path attributes each batch's round
-	// trip to every request it completed (requests in a batch are
-	// submitted together, so the round trip IS each one's end-to-end
-	// latency). A bounded reservoir keeps duration-mode soaks O(1) memory.
-	reqLats := newLatReservoir(1<<17, *seed)
-
-	if *inproc {
-		eng, err := server.ParseEngine(*engineName)
-		if err != nil {
-			return err
-		}
-		if *adaptSpec != "" && eng != server.EngineAdaptive {
-			return fmt.Errorf("-adaptive requires -engine adaptive (got %s)", eng)
-		}
-		aspec, err := adaptive.ParseSpec(*adaptSpec)
-		if err != nil {
-			return err
-		}
-		m := cost.SC(*cc, *cd)
-		if *mobile {
-			m = cost.MC(*cc, *cd)
-		}
-		var tracer *tracing.Tracer
-		if *traceFile != "" {
-			tracer = tracing.New(tracing.Config{Deterministic: *traceDet})
-		}
-		srv, err := server.New(server.Config{
-			Shards: *shards, Queue: *queue, Engine: eng, Adaptive: aspec, N: *n, T: *t, Model: m,
-			Seed: *seed, Trace: tracer,
-		})
-		if err != nil {
-			return err
-		}
-		do = func(_ int, reqs []server.WireRequest) (int, bool, error) {
-			done := 0
-			for _, wr := range reqs {
-				q := model.R(model.ProcessorID(wr.Processor))
-				if wr.Op == "w" {
-					q = model.W(model.ProcessorID(wr.Processor))
-				}
-				t0 := time.Now()
-				_, err := srv.Do(wr.Object, q)
-				if err != nil {
-					if ov, ok := err.(*server.Overloaded); ok {
-						time.Sleep(ov.RetryAfter)
-						return done, false, nil
-					}
-					if err == server.ErrDraining {
-						return done, true, nil
-					}
-					// Service error (e.g. unreachable): consumed.
-				}
-				reqLats.add(time.Since(t0))
-				done++
-			}
-			return done, false, nil
-		}
-		finish = func() error {
-			srv.Drain()
-			st := srv.Stats()
-			if st.Accepted != st.Complete {
-				return fmt.Errorf("server lost requests: accepted %d, completed %d", st.Accepted, st.Complete)
-			}
-			log.Printf("in-process server: %d accepted, %d completed, %d objects, cost %.1f",
-				st.Accepted, st.Complete, st.Objects, st.Cost)
-			if tracer != nil {
-				f, err := os.Create(*traceFile)
-				if err != nil {
-					return fmt.Errorf("trace file: %w", err)
-				}
-				lines, werr := tracer.WriteTo(f)
-				if serr := f.Sync(); werr == nil {
-					werr = serr
-				}
-				if cerr := f.Close(); werr == nil {
-					werr = cerr
-				}
-				if werr != nil {
-					return fmt.Errorf("trace file: %w", werr)
-				}
-				log.Printf("trace: %d lines written to %s", lines, *traceFile)
-			}
-			return nil
-		}
-	} else {
-		client := &server.Client{Base: "http://" + *addr, Seed: *seed}
-		// Each batch carries a traceparent derived from (seed, worker,
-		// per-worker batch sequence); workers touch only their own slot,
-		// so no locking. A tracing daemon parents its spans under these
-		// reproducible client IDs.
-		batchSeq := make([]uint64, *workers)
-		do = func(w int, reqs []server.WireRequest) (int, bool, error) {
-			sc := tracing.DeriveRequest(*seed, fmt.Sprintf("loadgen-w%d", w), batchSeq[w])
-			batchSeq[w]++
-			t0 := time.Now()
-			if *retryWin > 0 {
-				// The retry window rides out a daemon restart: the tail is
-				// resent through transport errors, and the per-object
-				// sequence numbers make resent requests idempotent.
-				ctx, cancel := context.WithTimeout(context.Background(), *retryWin)
-				results, err := client.BatchAllCtx(ctx, sc, reqs)
-				cancel()
-				if err != nil {
-					return len(results), false, err
-				}
-				reqLats.addN(time.Since(t0), len(results))
-				return len(results), len(results) < len(reqs), nil
-			}
-			resp, err := client.BatchTraced(sc, reqs)
-			if err != nil {
-				return 0, false, err
-			}
-			reqLats.addN(time.Since(t0), resp.Done)
-			if resp.RetryAfterMS > 0 {
-				time.Sleep(time.Duration(resp.RetryAfterMS) * time.Millisecond)
-			}
-			return resp.Done, resp.Draining, nil
-		}
-		finish = func() error {
-			st, err := client.Stats()
-			if err != nil {
-				return fmt.Errorf("final stats: %w", err)
-			}
-			log.Printf("server stats: %d accepted, %d completed, %d rejected",
-				st.Accepted, st.Complete, st.Rejected)
-			return nil
-		}
-	}
+	client := &server.Client{Base: "http://" + *addr, Seed: *seed}
+	// A batch's round trip is the end-to-end latency of every request it
+	// completed: the requests are submitted together.
+	batchLats := newLatReservoir(reservoirCap, *seed)
+	reqLats := newLatReservoir(reservoirCap, *seed)
 
 	perWorker := (*requests + *workers - 1) / *workers
 	deadline := time.Time{}
@@ -252,9 +102,7 @@ func run(args []string) error {
 		deadline = time.Now().Add(*duration)
 	}
 
-	var cnt counters
-	var latMu sync.Mutex
-	var latencies []time.Duration
+	var completed, errored atomic.Uint64
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < *workers; w++ {
@@ -265,7 +113,7 @@ func run(args []string) error {
 			sched, err := workload.FromSpec(rng, *spec)
 			if err != nil {
 				log.Printf("worker %d: %v", w, err)
-				cnt.errored.Add(1)
+				errored.Add(1)
 				return
 			}
 			if len(sched) == 0 {
@@ -280,9 +128,9 @@ func run(args []string) error {
 			// a local map is the authoritative arrival order): a journaling
 			// daemon uses them to deduplicate resent batches.
 			seqs := make(map[string]uint64)
+			trace := fmt.Sprintf("loadgen-w%d", w)
 			sent := 0
-			si := 0
-			for {
+			for si, batchSeq := 0, uint64(0); ; batchSeq++ {
 				if deadline.IsZero() {
 					if sent >= perWorker {
 						return
@@ -311,27 +159,23 @@ func run(args []string) error {
 					})
 					si++
 				}
-				for len(batch) > 0 {
-					t0 := time.Now()
-					done, draining, err := do(w, batch)
-					if err != nil {
-						log.Printf("worker %d: %v", w, err)
-						cnt.errored.Add(1)
-						return
-					}
-					latMu.Lock()
-					latencies = append(latencies, time.Since(t0))
-					latMu.Unlock()
-					cnt.sent.Add(uint64(len(batch)))
-					cnt.completed.Add(uint64(done))
-					sent += done
-					if done < len(batch) {
-						cnt.overloads.Add(1)
-						if draining {
-							return
-						}
-					}
-					batch = batch[done:]
+				sc := tracing.DeriveRequest(*seed, trace, batchSeq)
+				ctx, cancel := context.WithTimeout(context.Background(), *retryWin)
+				t0 := time.Now()
+				results, err := client.BatchAllCtx(ctx, sc, batch)
+				lat := time.Since(t0)
+				cancel()
+				completed.Add(uint64(len(results)))
+				if err != nil {
+					log.Printf("worker %d: %v", w, err)
+					errored.Add(1)
+					return
+				}
+				batchLats.addN(lat, 1)
+				reqLats.addN(lat, len(results))
+				sent += len(results)
+				if len(results) < len(batch) {
+					return // the daemon is draining
 				}
 			}
 		}(w)
@@ -339,35 +183,34 @@ func run(args []string) error {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	completed := cnt.completed.Load()
-	fmt.Printf("loadgen: %d requests completed in %s (%.0f req/s), %d overload backoffs\n",
-		completed, elapsed.Round(time.Millisecond), float64(completed)/elapsed.Seconds(), cnt.overloads.Load())
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	done := completed.Load()
+	fmt.Printf("loadgen: %d requests completed in %s (%.0f req/s)\n",
+		done, elapsed.Round(time.Millisecond), float64(done)/elapsed.Seconds())
+	if n, p50, p90, p99, max := batchLats.percentiles(); n > 0 {
 		fmt.Printf("batch latency: p50 %s  p90 %s  p99 %s  max %s\n",
-			latencies[len(latencies)/2].Round(time.Microsecond),
-			latencies[len(latencies)*90/100].Round(time.Microsecond),
-			latencies[len(latencies)*99/100].Round(time.Microsecond),
-			latencies[len(latencies)-1].Round(time.Microsecond))
+			p50.Round(time.Microsecond), p90.Round(time.Microsecond),
+			p99.Round(time.Microsecond), max.Round(time.Microsecond))
 	}
 	if n, p50, p90, p99, max := reqLats.percentiles(); n > 0 {
 		fmt.Printf("request latency: p50 %s  p90 %s  p99 %s  max %s (%d requests)\n",
 			p50.Round(time.Microsecond), p90.Round(time.Microsecond),
 			p99.Round(time.Microsecond), max.Round(time.Microsecond), n)
 	}
-	if err := finish(); err != nil {
-		return err
+	if n := errored.Load(); n > 0 {
+		return fmt.Errorf("%d workers errored", n)
 	}
-	if cnt.errored.Load() > 0 {
-		return fmt.Errorf("%d workers errored", cnt.errored.Load())
+	st, err := client.Stats()
+	if err != nil {
+		return fmt.Errorf("final stats: %w", err)
 	}
+	log.Printf("server stats: %d accepted, %d completed, %d rejected",
+		st.Accepted, st.Complete, st.Rejected)
 	return nil
 }
 
-// latReservoir keeps a uniform bounded sample of per-request latencies
-// (Vitter's reservoir sampling) plus the exact count and maximum, so
-// percentile reporting costs O(capacity) memory even on unbounded
-// -duration soaks.
+// latReservoir keeps a uniform bounded sample of latencies (Vitter's
+// reservoir sampling) plus the exact count and maximum, so percentile
+// reporting costs O(capacity) memory even on unbounded -duration soaks.
 type latReservoir struct {
 	mu   sync.Mutex
 	rng  *rand.Rand
@@ -381,9 +224,7 @@ func newLatReservoir(capacity int, seed int64) *latReservoir {
 	return &latReservoir{rng: rand.New(rand.NewSource(seed)), cap: capacity}
 }
 
-func (r *latReservoir) add(d time.Duration) { r.addN(d, 1) }
-
-// addN records n requests that each took d (a batch round trip serviced n
+// addN records n samples that each took d (a batch round trip serviced n
 // requests submitted together).
 func (r *latReservoir) addN(d time.Duration, n int) {
 	if n <= 0 {
@@ -406,7 +247,7 @@ func (r *latReservoir) addN(d time.Duration, n int) {
 	}
 }
 
-// percentiles returns the request count and the p50/p90/p99/max of the
+// percentiles returns the sample count and the p50/p90/p99/max of the
 // sample. The maximum is exact, not sampled.
 func (r *latReservoir) percentiles() (n uint64, p50, p90, p99, max time.Duration) {
 	r.mu.Lock()

@@ -165,7 +165,7 @@ func TestClientBatchAllHonorsRetryHint(t *testing.T) {
 		s.Do("filler", model.R(0))
 	}()
 	for len(s.shards[0].mail) == 0 {
-		gosched()
+		runtime.Gosched()
 	}
 
 	// Release the stall only after the server has rejected at least one

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -779,6 +778,3 @@ func (s *Server) ObjectStats() []multiobject.Stats {
 	}
 	return s.allStats()
 }
-
-// Gosched cooperates with spin-waiting shard loops in tests.
-var gosched = runtime.Gosched

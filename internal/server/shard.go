@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 
@@ -220,7 +221,7 @@ func (sh *shard) run(carry []*task) *journalFaultError {
 		}
 		if open && len(sh.held) > 0 && len(batch) == 0 {
 			// Spinning rounds forward to release holds; be polite.
-			gosched()
+			runtime.Gosched()
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"objalloc/internal/cost"
@@ -174,7 +175,7 @@ func TestTraceOverloadSampled(t *testing.T) {
 	// The stalled shard loop cannot consume the mailbox, so once the
 	// first task is visibly enqueued the next submission must bounce.
 	for len(s.shards[0].mail) == 0 {
-		gosched()
+		runtime.Gosched()
 	}
 	if _, err := s.Do("hot2", model.R(0)); err == nil {
 		t.Fatal("second request accepted past the full queue")

@@ -297,15 +297,16 @@ type Config struct {
 	// switches, overloads — are always kept). Zero or less means 1
 	// (keep everything); values above 1 are clamped to 1.
 	SampleRate float64
-	// MaxSpans bounds the span buffer; past it, further requests are
-	// dropped and counted in Summary.DroppedSpans. Zero means 1<<18.
-	// A run that hits the cap loses the byte-identical guarantee (the
-	// cap cuts by completion order).
-	MaxSpans int
+	// maxSpans bounds the span buffer; past it, further requests are
+	// dropped and counted in Summary.DroppedSpans. Zero means 1<<18,
+	// the only value outside this package's tests. A run that hits the
+	// cap loses the byte-identical guarantee (the cap cuts by
+	// completion order).
+	maxSpans int
 	// Stream, when non-nil, receives each completed request's spans
 	// immediately — JSONL, canonically sorted within the request — so a
 	// crash loses only in-flight requests' spans. Streamed spans are not
-	// buffered (MaxSpans does not apply; a failed write counts the
+	// buffered (maxSpans does not apply; a failed write counts the
 	// request's spans in DroppedSpans instead), requests appear in
 	// completion order, and WriteTo emits only the summary line. Stream
 	// is incompatible with Deterministic: completion order is
@@ -341,8 +342,8 @@ func New(cfg Config) *Tracer {
 	if cfg.SampleRate <= 0 || cfg.SampleRate > 1 {
 		cfg.SampleRate = 1
 	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = 1 << 18
+	if cfg.maxSpans <= 0 {
+		cfg.maxSpans = 1 << 18
 	}
 	if cfg.Deterministic {
 		cfg.Stream = nil
@@ -413,7 +414,7 @@ func (t *Tracer) Submit(flagged bool, spans ...Span) {
 			}
 		}
 	} else {
-		if len(t.spans)+len(spans) > t.cfg.MaxSpans {
+		if len(t.spans)+len(spans) > t.cfg.maxSpans {
 			t.dropped += int64(len(spans))
 			return
 		}

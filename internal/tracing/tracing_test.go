@@ -109,7 +109,7 @@ func TestSamplerKeepsFlaggedOnly(t *testing.T) {
 }
 
 func TestMaxSpansCap(t *testing.T) {
-	tr := New(Config{MaxSpans: 3})
+	tr := New(Config{maxSpans: 3})
 	for i := 0; i < 5; i++ {
 		sc := DeriveRequest(1, "o", uint64(i))
 		tr.Submit(true, Span{Trace: sc.Trace.String(), Span: sc.Span.String(), Name: NameRequest})

@@ -6,9 +6,9 @@
 #     SIGTERM, and check the daemon wrote a non-empty trace whose every
 #     line passes schema validation and whose spans reconcile exactly
 #     against the engine's summary (traceview -check).
-#  2. Determinism: two in-process loadgen runs with the same seed and
-#     workload but different shard counts, both under
-#     -trace-deterministic, must produce byte-identical trace files.
+#  2. Determinism: two objallocd -trace-deterministic daemons, one at
+#     -shards 1 and one at -shards 8, driven by the same loadgen run (same
+#     seed, workload and -workers), must write byte-identical trace files.
 #     (Worker-count invariance is asserted by the package test
 #     TestTraceDeterminismAcrossShardsAndWorkers, where per-object
 #     request order is held fixed by construction; loadgen's workload
@@ -29,34 +29,45 @@ go build -o "$dir/objallocd" ./cmd/objallocd
 go build -o "$dir/loadgen" ./cmd/loadgen
 go build -o "$dir/traceview" ./cmd/traceview
 
-"$dir/objallocd" -shards 4 -queue 256 -seed 7 -addr 127.0.0.1:0 \
-    -addrfile "$dir/addr" -trace "$dir/http-trace.jsonl" \
-    >"$dir/daemon.log" 2>&1 &
-daemon_pid=$!
+# start_daemon NAME ARGS...: boot objallocd on a free port with its log in
+# $dir/NAME.log, wait for it to bind, and set daemon_pid and addr.
+start_daemon() {
+    name=$1
+    shift
+    "$dir/objallocd" -addr 127.0.0.1:0 -addrfile "$dir/$name.addr" "$@" \
+        >"$dir/$name.log" 2>&1 &
+    daemon_pid=$!
+    i=0
+    while [ ! -s "$dir/$name.addr" ]; do
+        i=$((i + 1))
+        if [ "$i" -gt 100 ]; then
+            echo "trace-smoke: daemon $name never bound an address" >&2
+            cat "$dir/$name.log" >&2 || true
+            exit 1
+        fi
+        sleep 0.1
+    done
+    addr="$(cat "$dir/$name.addr")"
+}
 
-i=0
-while [ ! -s "$dir/addr" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "trace-smoke: daemon never bound an address" >&2
-        cat "$dir/daemon.log" >&2 || true
+# stop_daemon NAME: SIGTERM the daemon and fail unless it drains cleanly.
+stop_daemon() {
+    kill -TERM "$daemon_pid"
+    if ! wait "$daemon_pid"; then
+        echo "trace-smoke: daemon $1 exited nonzero" >&2
+        cat "$dir/$1.log" >&2 || true
         exit 1
     fi
-    sleep 0.1
-done
-addr="$(cat "$dir/addr")"
+    daemon_pid=
+}
+
+start_daemon http -shards 4 -queue 256 -seed 7 -trace "$dir/http-trace.jsonl"
 echo "trace-smoke: objallocd on $addr, tracing to http-trace.jsonl"
 
 "$dir/loadgen" -addr "$addr" -workers 4 -requests 2000 -batch 32 \
     -objects 32 -workload uniform:n=8,pwrite=0.3 -seed 7
 
-kill -TERM "$daemon_pid"
-if ! wait "$daemon_pid"; then
-    echo "trace-smoke: daemon exited nonzero" >&2
-    cat "$dir/daemon.log" >&2 || true
-    exit 1
-fi
-daemon_pid=
+stop_daemon http
 
 [ -s "$dir/http-trace.jsonl" ] || {
     echo "trace-smoke: HTTP trace file is empty" >&2
@@ -78,24 +89,29 @@ echo "trace-smoke: HTTP trace valid, $(wc -l <"$dir/http-trace.jsonl") lines, co
 
 # Determinism: same seed and workload at different shard counts must
 # produce byte-identical deterministic traces.
-"$dir/loadgen" -inproc -shards 1 -workers 4 -requests 1500 -objects 24 \
-    -workload uniform:n=8,pwrite=0.3 -seed 42 \
-    -trace "$dir/det-a.jsonl" -trace-deterministic >/dev/null 2>&1
-"$dir/loadgen" -inproc -shards 8 -workers 4 -requests 1500 -objects 24 \
-    -workload uniform:n=8,pwrite=0.3 -seed 42 \
-    -trace "$dir/det-b.jsonl" -trace-deterministic >/dev/null 2>&1
+for shards in 1 8; do
+    start_daemon "det-$shards" -shards "$shards" -seed 42 \
+        -trace "$dir/det-$shards.jsonl" -trace-deterministic
+    "$dir/loadgen" -addr "$addr" -workers 4 -requests 1500 -objects 24 \
+        -workload uniform:n=8,pwrite=0.3 -seed 42 >"$dir/loadgen-$shards.log" 2>&1 || {
+        echo "trace-smoke: loadgen against -shards $shards failed" >&2
+        cat "$dir/loadgen-$shards.log" >&2
+        exit 1
+    }
+    stop_daemon "det-$shards"
+done
 
-cmp "$dir/det-a.jsonl" "$dir/det-b.jsonl" || {
-    echo "trace-smoke: deterministic traces differ across shard/worker counts" >&2
+cmp "$dir/det-1.jsonl" "$dir/det-8.jsonl" || {
+    echo "trace-smoke: deterministic traces differ across shard counts" >&2
     exit 1
 }
-[ -s "$dir/det-a.jsonl" ] || {
+[ -s "$dir/det-1.jsonl" ] || {
     echo "trace-smoke: deterministic trace is empty" >&2
     exit 1
 }
-"$dir/traceview" -check "$dir/det-a.jsonl" >/dev/null || {
+"$dir/traceview" -check "$dir/det-1.jsonl" >/dev/null || {
     echo "trace-smoke: deterministic trace failed validation" >&2
     exit 1
 }
 
-echo "trace-smoke: OK — deterministic traces byte-identical ($(wc -l <"$dir/det-a.jsonl") lines)"
+echo "trace-smoke: OK — deterministic traces byte-identical ($(wc -l <"$dir/det-1.jsonl") lines)"
