@@ -14,7 +14,8 @@
 # under real load and asserts a clean zero-loss drain, trace-smoke
 # checks end-to-end request tracing
 # (schema-valid spans, exact cost reconciliation, byte-identical
-# deterministic traces across shard counts), crash-smoke SIGKILLs the
+# deterministic traces across shard counts under message faults),
+# crash-smoke SIGKILLs the
 # daemon mid-load and asserts the journal-recovered accounting is
 # byte-identical to an uninterrupted same-seed run (plus supervised
 # recovery from injected shard panics, transient disk-fault runs that

@@ -31,8 +31,7 @@ func opsCounter(s *Server, name string) int64 {
 // diskFaultConfig is the battery the disk-fault tests share: journal on,
 // an aggressive checkpoint cadence (every commit round tries one, so a
 // targeted op index can hit a checkpoint write deterministically), no
-// message faults (delay holds would make the checkpoint schedule depend
-// on the draw sequence).
+// message faults (the battery isolates the disk).
 func diskFaultConfig(shards int, dir string) Config {
 	return Config{
 		Shards: shards, N: 6, T: 2,

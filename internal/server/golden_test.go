@@ -69,6 +69,10 @@ func TestGoldenJournalReplays(t *testing.T) {
 	var all []byte
 	forRecoveryConfigs(t, func(t *testing.T, mk func(int, string) Config) {
 		dir := filepath.Join("testdata", "golden", filepath.Base(t.Name()))
+		// The step-semantics pin must keep exercising the delay draw.
+		if f := mk(2, dir).Faults; f == nil || f.Delay <= 0 {
+			t.Fatalf("battery row draws no delay faults: %+v", f)
+		}
 		if *updateGolden {
 			writeGolden(t, mk(2, dir), dir)
 		}

@@ -57,10 +57,9 @@ var ckptPrefix = []byte(`{"t":`)
 
 // ckptRecord is a shard checkpoint: shardState's export — the complete
 // per-object engine state plus every table and counter replay would
-// otherwise have to reconstruct from the journal's full history.
-// Checkpoints are only taken when no delay-held task is in flight, so
-// the embedded fault-stream states account exactly for the records
-// preceding the checkpoint.
+// otherwise have to reconstruct from the journal's full history. A
+// checkpoint is taken after a round's records commit, so the embedded
+// fault-stream states account exactly for the records preceding it.
 type ckptRecord struct {
 	T        string                    `json:"t"` // ckptTag
 	Objects  []multiobject.ObjectState `json:"objects"`
@@ -156,21 +155,16 @@ func replayJournal(path string, cfg *Config) (*shardState, int64, error) {
 	return st, validLen, nil
 }
 
-// replay re-services one journaled record through the same step the
-// live shard ran — validate, step, and step again as released if the
-// first drew a delay hold (the hold length only affected scheduling) —
-// then verifies the outcome against the recorded one, so a config
-// mismatch or a corrupt journal fails loudly instead of diverging.
+// replay re-services one journaled record through the same validate and
+// step the live shard ran, then verifies the outcome against the
+// recorded one, so a config mismatch or a corrupt journal fails loudly
+// instead of diverging.
 func (st *shardState) replay(rec *reqRecord) error {
 	q, err := validate(st.cfg, rec.Object, rec.Op, rec.P)
 	if err != nil {
 		return err
 	}
-	out := st.step(rec.Object, q, rec.Seq, false)
-	if out.hold > 0 {
-		out = st.step(rec.Object, q, rec.Seq, true)
-	}
-	r := out.res
+	r := st.step(rec.Object, q, rec.Seq).res
 	if r.Err != nil && rec.Err == "" {
 		return fmt.Errorf("record %s/%s/p%d replays to error %q, record has no error", rec.Object, rec.Op, rec.P, r.Err)
 	}

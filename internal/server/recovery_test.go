@@ -102,7 +102,7 @@ func recoveryConfig(shards int, dir string) Config {
 // under the mobile cost model, where coalescing resolves on (the
 // freshness table must round-trip and coalesced records must verify),
 // with loss heavy enough to exhaust the retry budget (err records),
-// duplication draws and delay holds.
+// duplication draws and delay draws.
 func mobileRecoveryConfig(shards int, dir string) Config {
 	return Config{
 		Shards: shards, N: 6, T: 2,

@@ -10,15 +10,15 @@
 // the engine directory, fault streams, freshness table, dedup horizons,
 // counters — and its step method is the only code that services a
 // request. Scheduling: the shard loop (shard.go) feeds step from a
-// mailbox, holds delayed requests, journals outcomes and releases acks
-// only after the round's commit; the supervisor (supervisor.go) restarts
-// a panicked loop on a state replayed from the journal. Verification:
-// replay (recovery.go) runs journal records through the same step and
-// checks each outcome against the record. Every serving engine honours
-// every guarantee below — determinism, checkpoint/recover, fault
-// streams, coalescing where it is free; the executed HA clusters, which
-// could honour none of them, are exercised by internal/ha, internal/chaos
-// and cmd/chaos instead.
+// mailbox, journals outcomes and releases acks only after the round's
+// commit; the supervisor (supervisor.go) restarts a loop stopped by a
+// journal fault or a panic on a state replayed from the journal.
+// Verification: replay (recovery.go) runs journal records through the
+// same step and checks each outcome against the record. Every serving
+// engine honours every guarantee below — determinism, checkpoint/recover,
+// fault streams, coalescing where it is free; the executed HA clusters,
+// which could honour none of them, are exercised by internal/ha,
+// internal/chaos and cmd/chaos instead.
 //
 // Objects are hashed to shards, so each object's requests are serviced by
 // exactly one shard goroutine in arrival order — which is what keeps the
@@ -355,12 +355,10 @@ func New(cfg Config) (*Server, error) {
 func newShard(s *Server, id int) (*shard, error) {
 	cfg := &s.cfg
 	sh := &shard{
-		id:      id,
-		srv:     s,
-		mail:    make(chan *task, cfg.Queue),
-		inj:     cfg.DiskFaults.Injector(id),
-		heldObj: make(map[string]bool),
-		blocked: make(map[string][]*task),
+		id:   id,
+		srv:  s,
+		mail: make(chan *task, cfg.Queue),
+		inj:  cfg.DiskFaults.Injector(id),
 
 		depthHist: s.ops.Histogram(fmt.Sprintf("shard%d.queue_depth", id), 0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
 		batchHist: s.ops.Histogram(fmt.Sprintf("shard%d.batch_size", id), 1, 2, 4, 8, 16, 32, 64, 128),
@@ -545,9 +543,9 @@ func (s *Server) emitRejected(sh *shard, t *task, ov *Overloaded) {
 }
 
 // Drain gracefully shuts the pipeline down: new requests are refused
-// with ErrDraining, every accepted request (including faulted-delay
-// holds) completes, journals are flushed and fsynced, and the
-// deterministic accounting is emitted into Config.Obs. Drain blocks
+// with ErrDraining, every accepted request completes, journals are
+// flushed and fsynced, and the deterministic accounting is emitted into
+// Config.Obs. Drain blocks
 // until the drain is complete and is idempotent.
 func (s *Server) Drain() {
 	s.mu.Lock()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 
@@ -23,7 +22,6 @@ type task struct {
 	req    model.Request
 	seq    uint64 // client sequence for idempotent retry; 0 = none
 	done   chan Result
-	holds  int       // rounds spent held by an injected delay
 	tr     *reqTrace // tracing state; nil when tracing is off
 	acked  bool      // reply sent; set by the shard goroutine only
 	// reprocessed marks a task whose completion was already traced
@@ -59,12 +57,6 @@ type reqTrace struct {
 	enqueued int64 // after the mailbox accepted the task
 	dequeued int64 // at the shard loop's first touch
 	queueLen int   // mailbox depth at enqueue (left 0 in deterministic mode)
-}
-
-// heldTask is a task held by an injected delay until a release round.
-type heldTask struct {
-	t       *task
-	release uint64
 }
 
 // pendingAck is a completed task whose reply is staged until the
@@ -117,10 +109,6 @@ type shard struct {
 	st atomic.Pointer[shardState]
 
 	// loop-confined scheduling state.
-	round   uint64
-	held    []heldTask
-	heldObj map[string]bool
-	blocked map[string][]*task
 	journal *journalWriter
 	pending []pendingAck // acks staged until the round's commit
 
@@ -163,81 +151,62 @@ type shard struct {
 	restarts atomic.Uint64
 }
 
-// run is the shard's service loop: gather a batch from the mailbox,
-// service it in arrival order, advance one virtual round (releasing due
-// delay-holds), commit the round's journal records and only then send
-// the round's replies — acked implies durable. After the mailbox closes
-// it keeps advancing rounds until every held task has been released —
-// accepted requests never get lost. carry, non-nil after a recovered
-// fault or panic, is the in-flight backlog serviced before any new
-// work. A journal fault ends the loop and is returned; panics propagate
-// to the supervisor.
+// run is the shard's service loop: block for one task, fill the batch
+// with what else the mailbox holds, service the round in arrival order,
+// commit the round's journal records and only then send the round's
+// replies — acked implies durable. It returns nil once the mailbox is
+// closed and empty. carry, non-nil after a recovered fault or panic, is
+// the in-flight backlog, serviced as one round before any new work. A
+// journal fault ends the loop and is returned; panics propagate to the
+// supervisor.
 func (sh *shard) run(carry []*task) *journalFaultError {
-	open := true
-	batch := make([]*task, 0, sh.srv.cfg.Batch)
 	if len(carry) > 0 {
-		sh.round++
 		sh.rounds.Add(1)
 		if fault := sh.serviceRound(carry); fault != nil {
 			return fault
 		}
 	}
-	for open || len(sh.held) > 0 {
+	batch := make([]*task, 0, sh.srv.cfg.Batch)
+	for {
 		if hook := sh.srv.cfg.testBeforeRound; hook != nil {
 			hook(sh.id)
 		}
-		batch = batch[:0]
-		if open && len(sh.held) == 0 {
-			// Idle with nothing held: block for work.
-			t, ok := <-sh.mail
-			if !ok {
-				open = false
-			} else {
-				batch = append(batch, t)
-			}
+		t, ok := <-sh.mail
+		if !ok {
+			return nil
 		}
-		filling := open
-		for filling && len(batch) < cap(batch) {
+		batch = append(batch[:0], t)
+	fill:
+		for len(batch) < cap(batch) {
 			select {
 			case t, ok := <-sh.mail:
 				if !ok {
-					open = false
-					filling = false
-				} else {
-					batch = append(batch, t)
+					break fill
 				}
+				batch = append(batch, t)
 			default:
-				filling = false
+				break fill
 			}
 		}
-		sh.round++
 		sh.rounds.Add(1)
 		sh.depthHist.Observe(int64(len(sh.mail)))
-		if len(batch) > 0 {
-			sh.batchHist.Observe(int64(len(batch)))
-		}
+		sh.batchHist.Observe(int64(len(batch)))
 		if fault := sh.serviceRound(batch); fault != nil {
 			return fault
 		}
-		if open && len(sh.held) > 0 && len(batch) == 0 {
-			// Spinning rounds forward to release holds; be polite.
-			runtime.Gosched()
-		}
 	}
-	return nil
 }
 
-// serviceRound processes one round's batch, releases due holds, commits
-// the journal and flushes the round's staged replies.
+// serviceRound processes one round's batch, commits the journal and
+// flushes the round's staged replies.
 func (sh *shard) serviceRound(batch []*task) *journalFaultError {
 	sh.curBatch, sh.curIdx = batch, 0
 	for i, t := range batch {
 		sh.curIdx = i
-		sh.process(t, false)
+		sh.process(t)
 		sh.cur = nil
 	}
 	sh.curBatch, sh.curIdx = nil, 0
-	sh.tickHeld()
 	return sh.commit()
 }
 
@@ -262,83 +231,21 @@ func (sh *shard) commit() *journalFaultError {
 	}
 	sh.pending = sh.pending[:0]
 	if sh.journal != nil {
-		if err := sh.journal.commitCheckpoint(sh.checkpoint); err != nil {
+		if err := sh.journal.commitCheckpoint(sh.st.Load().export); err != nil {
 			return sh.journalFault("checkpoint", err)
 		}
 	}
 	return nil
 }
 
-// checkpoint exports the request state as a checkpoint record, or nil
-// when one cannot be taken right now: a delay-held task has consumed
-// fault-stream draws for a record not yet journaled, so a snapshot would
-// desync replay's redraws.
-func (sh *shard) checkpoint() (*ckptRecord, error) {
-	if len(sh.held) > 0 {
-		return nil, nil
-	}
-	return sh.st.Load().export()
-}
-
-// tickHeld releases every held task whose round has come, in hold order.
-// A released task may immediately re-hold tasks it unblocks; their
-// release rounds are strictly in the future, so the scan terminates.
-func (sh *shard) tickHeld() {
-	for i := 0; i < len(sh.held); {
-		h := sh.held[i]
-		if h.release <= sh.round {
-			sh.held = append(sh.held[:i], sh.held[i+1:]...)
-			sh.releaseHeld(h.t)
-		} else {
-			i++
-		}
-	}
-}
-
-// releaseHeld services a delay-released task, then drains the tasks that
-// queued behind it on the same object — stopping (and leaving the
-// remainder in the blocked map) if one of them draws a delay of its own.
-// The blocked queue is popped one task at a time so a panic mid-drain
-// leaves the untouched remainder where the supervisor can find it.
-func (sh *shard) releaseHeld(t *task) {
-	delete(sh.heldObj, t.object)
-	sh.process(t, true)
-	sh.cur = nil
-	for !sh.heldObj[t.object] {
-		q := sh.blocked[t.object]
-		if len(q) == 0 {
-			delete(sh.blocked, t.object)
-			return
-		}
-		bt := q[0]
-		if len(q) == 1 {
-			delete(sh.blocked, t.object)
-		} else {
-			sh.blocked[t.object] = q[1:]
-		}
-		sh.process(bt, false)
-		sh.cur = nil
-	}
-}
-
-// process schedules one task through the request state: per-object
-// order behind a delay-held task, wire-level duplicate detection, the
-// chaos failpoint, then one step — which either holds the task for a
-// drawn number of rounds or finishes it. released marks a task coming
-// back from a delay hold, which skips the blocked-object check (and, in
-// step, the already drawn delay fault).
-func (sh *shard) process(t *task, released bool) {
+// process services one task through the request state: wire-level
+// duplicate detection, the chaos failpoint, then one step.
+func (sh *shard) process(t *task) {
 	sh.cur = t
 	if t.tr != nil && t.tr.dequeued == 0 {
-		// First shard-loop touch: the queue span ends here. Time spent
-		// blocked behind a delay-held object or held by a delay counts
-		// toward service (annotated via holds).
+		// First shard-loop touch (a reprocessed task keeps its first):
+		// the queue span ends here.
 		t.tr.dequeued = sh.srv.cfg.Trace.Now()
-	}
-	if !released && sh.heldObj[t.object] {
-		// A delayed task owns this object; preserve per-object order.
-		sh.blocked[t.object] = append(sh.blocked[t.object], t)
-		return
 	}
 	st := sh.st.Load()
 	if t.seq != 0 && t.seq < st.next[t.object] {
@@ -358,20 +265,14 @@ func (sh *shard) process(t *task, released bool) {
 			panic(fmt.Sprintf("shard %d: injected chaos panic after %d requests", sh.id, sh.chaosSeen))
 		}
 	}
-	out := st.step(t.object, t.req, t.seq, released)
-	if out.hold > 0 {
-		t.holds = out.hold
-		sh.held = append(sh.held, heldTask{t: t, release: sh.round + uint64(out.hold)})
-		sh.heldObj[t.object] = true
-		return
-	}
+	out := st.step(t.object, t.req, t.seq)
 	sh.finish(t, out)
 }
 
 // finish completes a stepped task: journal, metrics, trace, and stage
 // (or, unjournaled, send) the reply.
 func (sh *shard) finish(t *task, out outcome) {
-	sh.svcHist.Observe(int64(1 + t.holds))
+	sh.svcHist.Observe(int64(1 + out.holds))
 	if sh.journal != nil {
 		sh.journal.record(t, out.res)
 	}
@@ -455,7 +356,7 @@ func (sh *shard) emitTrace(t *task, out outcome) {
 		Trace: trace, Span: root, Parent: parentID, Name: tracing.NameRequest,
 		Object: t.object, Op: op, Proc: int(t.req.Processor), Seq: seq, Shard: sh.id,
 		Engine: engine, Protocol: a.Protocol, CostMilli: milli(r.Cost),
-		Retransmits: r.Retransmits, Holds: t.holds, Outcome: tag,
+		Retransmits: r.Retransmits, Holds: out.holds, Outcome: tag,
 		StartNS: t.tr.start, DurNS: now - t.tr.start,
 	}, tracing.Span{
 		Trace: trace, Span: tracing.ChildID(sc, tracing.NameAdmission, 0).String(), Parent: root,
@@ -473,7 +374,7 @@ func (sh *shard) emitTrace(t *task, out outcome) {
 		Name: tracing.NameService, Object: t.object, Seq: seq, Shard: sh.id,
 		Engine: engine, Protocol: a.Protocol, CostMilli: milli(r.Cost),
 		Control: a.Counts.Control + r.Retransmits, Data: a.Counts.Data, IO: a.Counts.IO,
-		Retransmits: r.Retransmits, Holds: t.holds, Outcome: tag,
+		Retransmits: r.Retransmits, Holds: out.holds, Outcome: tag,
 		StartNS: t.tr.dequeued, DurNS: now - t.tr.dequeued,
 	})
 	for i, dtr := range a.Transitions {
@@ -598,15 +499,14 @@ func (j *journalWriter) commitRecords() error {
 	return nil
 }
 
-// commitCheckpoint appends a checkpoint record durably when the cadence
-// has elapsed and ckpt yields one. A nil ckpt result (held tasks in
-// flight) just postpones the checkpoint.
+// commitCheckpoint appends the checkpoint record ckpt exports durably
+// when the cadence has elapsed.
 func (j *journalWriter) commitCheckpoint(ckpt func() (*ckptRecord, error)) error {
 	if j.every <= 0 || j.sinceCkpt < j.every {
 		return nil
 	}
 	rec, err := ckpt()
-	if rec == nil {
+	if err != nil {
 		return err
 	}
 	b, err := json.Marshal(rec)

@@ -4,8 +4,7 @@
 // The paper's cost model makes a request's outcome a pure function of
 // (object state, request, fault draws). shardState is that object state
 // for one shard and step is that function. The live shard loop wraps
-// step in scheduling (mailbox, delay holds, journal staging, acks —
-// shard.go); journal replay wraps the very same step in verification
+// step in scheduling (mailbox, journal staging, acks — shard.go); journal replay wraps the very same step in verification
 // against the recorded outcome (recovery.go); a checkpoint is the state's
 // export, and recovery installs a replayed state whole. There is no
 // second copy of any of it to keep in sync.
@@ -127,11 +126,12 @@ func validate(cfg *Config, object, op string, processor int) (model.Request, err
 	return q, nil
 }
 
-// outcome is what one step produced: either a delay hold (hold > 0, no
-// other field meaningful — only fault-stream draws were consumed), or a
-// finished request's result, itemized engine detail and trace sequence.
+// outcome is what one step produced: the request's result, itemized
+// engine detail and trace sequence, and holds, the rounds an injected
+// delay drew (0 for none) — an annotation for the trace and the
+// service-rounds histogram; the request is serviced in the same step.
 type outcome struct {
-	hold     int
+	holds    int
 	res      Result
 	detail   multiobject.Detail
 	traceSeq uint64
@@ -140,19 +140,16 @@ type outcome struct {
 // step services one validated request against the state: fault draws
 // (delay, loss, duplication) from the object's deterministic stream,
 // then coalescing, then the engine, then the completion bookkeeping
-// (dedup horizon, trace sequence, counters). released marks a request
-// coming back from a delay hold, which skips the (already drawn) delay
-// fault. seq is the client sequence number, 0 for none. It is the only
-// place in the package where a request changes state, for live service
-// and replay alike.
-func (st *shardState) step(object string, q model.Request, seq uint64, released bool) (out outcome) {
+// (dedup horizon, trace sequence, counters). seq is the client sequence
+// number, 0 for none. It is the only place in the package where a
+// request changes state, for live service and replay alike.
+func (st *shardState) step(object string, q model.Request, seq uint64) (out outcome) {
 	out.res.Object = object
 	delivered := true
 	if plan := st.cfg.Faults; plan != nil && plan.Active() {
 		s := st.stream(object)
-		if !released && plan.Delay > 0 && s.Float01() < plan.Delay {
-			out.hold = 1 + int(s.Next()%uint64(max(plan.DelayMax, 1)))
-			return out
+		if plan.Delay > 0 && s.Float01() < plan.Delay {
+			out.holds = 1 + int(s.Next()%uint64(max(plan.DelayMax, 1)))
 		}
 		if plan.Loss > 0 {
 			attempts := st.cfg.Retry.Attempts()

@@ -2,7 +2,7 @@
 // that takes the loop's journal faults (typed errors) and recovers its
 // panics (bugs, or the -chaos-panic failpoint), rebuilds the shard's
 // state from its durable journal, requeues the in-flight tasks in
-// per-object order and restarts the loop with capped exponential
+// arrival order and restarts the loop with capped exponential
 // backoff. A transient durability fault heals through that cycle; a
 // persistent one — consecutive journal faults with no committed-byte
 // progress — fail-stops the shard instead of rebuild-looping forever.
@@ -15,7 +15,6 @@ package server
 import (
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"objalloc/internal/tracing"
@@ -179,14 +178,11 @@ func (sh *shard) failTask(t *task, err error) {
 	t.done <- Result{Object: t.object, Err: err}
 }
 
-// collectInflight gathers every unacked task after a recovered panic,
-// in an order that preserves each object's arrival order: staged-but-
-// uncommitted completions first (they arrived earliest), then the
-// panicking task and the queue blocked behind its object, then held
-// tasks and their blocked queues in hold order, then any orphaned
-// blocked queues, then the unprocessed remainder of the round's batch.
-// It also resets the loop-confined queues; recoverState rebuilds the
-// rest of the shard's state from the journal.
+// collectInflight gathers every unacked task after a recovered fault or
+// panic, in arrival order: staged-but-uncommitted completions first,
+// then the task being processed, then the unprocessed remainder of the
+// round's batch. It also resets the loop-confined round state;
+// recoverState rebuilds the rest of the shard's state from the journal.
 func (sh *shard) collectInflight() []*task {
 	seen := make(map[*task]bool)
 	var out []*task
@@ -203,36 +199,11 @@ func (sh *shard) collectInflight() []*task {
 		p.t.reprocessed = true
 		add(p.t)
 	}
-	if sh.cur != nil {
-		add(sh.cur)
-		for _, bt := range sh.blocked[sh.cur.object] {
-			add(bt)
-		}
-	}
-	for _, h := range sh.held {
-		add(h.t)
-		for _, bt := range sh.blocked[h.t.object] {
-			add(bt)
-		}
-	}
-	objs := make([]string, 0, len(sh.blocked))
-	for obj := range sh.blocked {
-		objs = append(objs, obj)
-	}
-	sort.Strings(objs)
-	for _, obj := range objs {
-		for _, bt := range sh.blocked[obj] {
-			add(bt)
-		}
-	}
 	for i := sh.curIdx; i < len(sh.curBatch); i++ {
 		add(sh.curBatch[i])
 	}
 	sh.pending = sh.pending[:0]
 	sh.cur, sh.curBatch, sh.curIdx = nil, nil, 0
-	sh.held = nil
-	sh.heldObj = make(map[string]bool)
-	sh.blocked = make(map[string][]*task)
 	return out
 }
 

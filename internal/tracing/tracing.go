@@ -244,7 +244,7 @@ type Span struct {
 	Data      int   `json:"data,omitempty"`
 	IO        int   `json:"io,omitempty"`
 	// Retransmits and Holds annotate injected faults: lost attempts
-	// retried, and virtual rounds spent held by an injected delay.
+	// retried, and the rounds the injected delay drew.
 	Retransmits int `json:"retransmits,omitempty"`
 	Holds       int `json:"holds,omitempty"`
 	// QueueLen is the mailbox depth observed at enqueue (queue spans;

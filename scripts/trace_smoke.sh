@@ -7,8 +7,10 @@
 #     line passes schema validation and whose spans reconcile exactly
 #     against the engine's summary (traceview -check).
 #  2. Determinism: two objallocd -trace-deterministic daemons, one at
-#     -shards 1 and one at -shards 8, driven by the same loadgen run (same
-#     seed, workload and -workers), must write byte-identical trace files.
+#     -shards 1 and one at -shards 8, both under the same message faults
+#     (loss, duplication, delay), driven by the same loadgen run (same
+#     seed, workload and -workers), must write byte-identical trace files
+#     that carry the fault annotations (holds, retransmits).
 #     (Worker-count invariance is asserted by the package test
 #     TestTraceDeterminismAcrossShardsAndWorkers, where per-object
 #     request order is held fixed by construction; loadgen's workload
@@ -87,10 +89,11 @@ grep -q 'reconciliation: OK' "$dir/traceview.out" || {
 }
 echo "trace-smoke: HTTP trace valid, $(wc -l <"$dir/http-trace.jsonl") lines, cost reconciles"
 
-# Determinism: same seed and workload at different shard counts must
-# produce byte-identical deterministic traces.
+# Determinism: same seed, faults and workload at different shard counts
+# must produce byte-identical deterministic traces.
 for shards in 1 8; do
     start_daemon "det-$shards" -shards "$shards" -seed 42 \
+        -faults loss=0.1,dup=0.05,delay=0.3,delaymax=4 \
         -trace "$dir/det-$shards.jsonl" -trace-deterministic
     "$dir/loadgen" -addr "$addr" -workers 4 -requests 1500 -objects 24 \
         -workload uniform:n=8,pwrite=0.3 -seed 42 >"$dir/loadgen-$shards.log" 2>&1 || {
@@ -109,6 +112,12 @@ cmp "$dir/det-1.jsonl" "$dir/det-8.jsonl" || {
     echo "trace-smoke: deterministic trace is empty" >&2
     exit 1
 }
+for field in holds retransmits; do
+    grep -q "\"$field\"" "$dir/det-1.jsonl" || {
+        echo "trace-smoke: deterministic trace carries no $field field; the fault case went vacuous" >&2
+        exit 1
+    }
+done
 "$dir/traceview" -check "$dir/det-1.jsonl" >/dev/null || {
     echo "trace-smoke: deterministic trace failed validation" >&2
     exit 1
