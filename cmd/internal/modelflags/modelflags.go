@@ -18,11 +18,11 @@ import (
 
 // Flags holds the model flags registered on one flag set.
 type Flags struct {
-	shards, n, t, attempts                         *int
-	engine, adaptive, coalesce, faults, diskFaults *string
-	cc, cd                                         *float64
-	mobile, noretry                                *bool
-	seed                                           *int64
+	shards, n, t, attempts               *int
+	engine, adaptive, faults, diskFaults *string
+	cc, cd                               *float64
+	mobile, noretry                      *bool
+	seed                                 *int64
 }
 
 // Bind registers the model flags on fs.
@@ -36,7 +36,6 @@ func Bind(fs *flag.FlagSet) *Flags {
 		cc:         fs.Float64("cc", 0.25, "control-message cost"),
 		cd:         fs.Float64("cd", 1, "data-message cost"),
 		mobile:     fs.Bool("mobile", false, "mobile-computers model (I/O cost 0) instead of stationary"),
-		coalesce:   fs.String("coalesce", "auto", "read coalescing: auto, on, off"),
 		faults:     fs.String("faults", "", "fault schedule (key=value, comma-separated; empty disables)"),
 		noretry:    fs.Bool("noretry", false, "disable the retransmission discipline"),
 		attempts:   fs.Int("attempts", 0, "retransmission cap per message (0 = default)"),
@@ -60,24 +59,13 @@ func (f *Flags) Config() (server.Config, error) {
 	if err != nil {
 		return server.Config{}, err
 	}
-	var mode server.CoalesceMode
-	switch *f.coalesce {
-	case "auto":
-		mode = server.CoalesceAuto
-	case "on":
-		mode = server.CoalesceOn
-	case "off":
-		mode = server.CoalesceOff
-	default:
-		return server.Config{}, fmt.Errorf("unknown -coalesce %q (want auto, on or off)", *f.coalesce)
-	}
 	m := cost.SC(*f.cc, *f.cd)
 	if *f.mobile {
 		m = cost.MC(*f.cc, *f.cd)
 	}
 	cfg := server.Config{
 		Shards: *f.shards, Engine: eng, Adaptive: aspec, N: *f.n, T: *f.t,
-		Model: m, Coalesce: mode, Seed: *f.seed,
+		Model: m, Seed: *f.seed,
 		Retry: netsim.RetryPolicy{Disabled: *f.noretry, MaxAttempts: *f.attempts},
 	}
 	plan, err := netsim.ParseFaults(*f.faults)

@@ -11,15 +11,15 @@ import (
 	"objalloc/internal/server"
 )
 
-// TestModelFlagParity pins the model flag set both tools share: the 14
-// names and defaults objallocd and journalcheck declared separately
-// before this package existed, registered by each binary through Bind
-// (a second declaration of one of them on the same flag set panics), and
-// a bad -coalesce or -engine value refused in the words both used.
+// TestModelFlagParity pins the model flag set both tools share: 13
+// names and defaults, registered by objallocd and journalcheck through
+// Bind (a second declaration of one of them on the same flag set
+// panics), and a bad -engine or -adaptive value refused in the words
+// both used.
 func TestModelFlagParity(t *testing.T) {
 	want := map[string]string{
 		"shards": "8", "engine": "da", "adaptive": "", "n": "8", "t": "3",
-		"cc": "0.25", "cd": "1", "mobile": "false", "coalesce": "auto",
+		"cc": "0.25", "cd": "1", "mobile": "false",
 		"faults": "", "noretry": "false", "attempts": "0", "seed": "0",
 		"disk-faults": "",
 	}
@@ -50,7 +50,6 @@ func TestModelFlagParity(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct{ arg, wantErr string }{
-		{"-coalesce=sometimes", `unknown -coalesce "sometimes" (want auto, on or off)`},
 		{"-engine=ha", `server: unknown engine "ha" (want da, sa or adaptive; the ha clusters run under cmd/chaos, not the server)`},
 		{"-adaptive=window=8", "-adaptive requires -engine adaptive (got da)"},
 	} {

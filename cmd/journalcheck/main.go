@@ -1,13 +1,13 @@
 // Command journalcheck validates a crash-recovery journal directory
 // offline: it replays every per-shard journal (checkpoint restore plus
-// deterministic tail re-application, exactly the daemon's -recover
-// path) and prints the reconstructed stats. With -statsfile it
-// reconciles the replay against a daemon's final stats snapshot,
-// comparing the deterministic field subset — completed, reads, writes,
-// coalesced, retransmissions, unreachable, duplicates, objects, message
-// counts and billed cost — and exits nonzero on any divergence, so a
-// journal that would not recover to the observed state is caught
-// without starting a daemon.
+// deterministic tail re-application, exactly what the daemon runs when
+// it starts over a journal directory) and prints the reconstructed
+// stats. With -statsfile it reconciles the replay against a daemon's
+// final stats snapshot, comparing the deterministic field subset —
+// completed, reads, writes, coalesced, retransmissions, unreachable,
+// duplicates, objects, message counts and billed cost — and exits
+// nonzero on any divergence, so a journal that would not recover to the
+// observed state is caught without starting a daemon.
 //
 // The model flags must match the run that wrote the journals (engine,
 // processors, costs, faults, seed): replay redraws the fault streams
@@ -20,7 +20,7 @@
 //	journalcheck -journal dir [-statsfile stats.json]
 //	             [-shards 8] [-engine da] [-adaptive spec]
 //	             [-n 8] [-t 3] [-cc 0.25] [-cd 1] [-mobile]
-//	             [-coalesce auto] [-faults spec] [-noretry]
+//	             [-faults spec] [-noretry]
 //	             [-attempts 0] [-seed 0] [-disk-faults spec]
 //
 // -disk-faults is accepted (and validated) for flag parity with

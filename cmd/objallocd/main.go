@@ -9,8 +9,8 @@
 //	objallocd [-shards 8] [-queue 256] [-batch 64] [-engine da]
 //	          [-adaptive window=8,hysteresis=2]
 //	          [-n 8] [-t 3] [-cc 0.25] [-cd 1] [-mobile]
-//	          [-coalesce auto] [-faults loss=0.1,delay=0.2] [-noretry]
-//	          [-attempts 0] [-seed 0] [-journal dir] [-recover]
+//	          [-faults loss=0.1,delay=0.2] [-noretry]
+//	          [-attempts 0] [-seed 0] [-journal dir]
 //	          [-checkpoint 1024] [-chaos-panic 0]
 //	          [-disk-faults writeerr=0.01,syncerr=0.01]
 //	          [-addr 127.0.0.1:0] [-addrfile path] [-statsfile path]
@@ -29,13 +29,18 @@
 //
 // With -journal each shard group-commits a request journal
 // (fsynced once per service round, checkpointed every -checkpoint
-// records); -recover replays the journals on startup, restoring every
-// object's allocation scheme, adaptive-controller state and cumulative
-// accounting, so a SIGKILLed daemon restarted with the same flags
-// continues exactly where the last fsync left it. Shard loops run under
-// a supervisor that recovers panics, rebuilds the shard from its
-// journal and restarts it with capped backoff (-chaos-panic injects one
-// such panic per shard for testing). -disk-faults injects seeded,
+// records), and the directory is the service's state: startup replays
+// whatever journals it holds, restoring every object's allocation
+// scheme, adaptive-controller state and cumulative accounting, so a
+// daemon restarted with the same flags — after SIGTERM or SIGKILL —
+// continues exactly where the last fsync left it. A directory written
+// under another -shards or other model flags is refused at startup,
+// not overwritten; a fresh service takes a fresh directory. Repeat
+// reads are served from the freshness table at zero exactly when the
+// engine would bill them nothing (-engine da with -mobile). Shard loops
+// run under a supervisor that recovers panics, rebuilds the shard from
+// its journal and restarts it with capped backoff (-chaos-panic injects
+// one such panic per shard for testing). -disk-faults injects seeded,
 // deterministic disk faults under the journal (write errors, torn
 // writes, fsync failures, ENOSPC streaks, stalls — see
 // internal/diskfault); transient faults are recovered by journal
@@ -84,8 +89,7 @@ func run(args []string, ready chan<- string) error {
 		model        = modelflags.Bind(fs)
 		queue        = fs.Int("queue", 256, "per-shard mailbox capacity (admission control bound)")
 		batch        = fs.Int("batch", 64, "max requests per shard service round")
-		journal      = fs.String("journal", "", "directory for per-shard request journals (group-committed once per service round)")
-		recoverJ     = fs.Bool("recover", false, "replay the per-shard journals on startup (requires -journal)")
+		journal      = fs.String("journal", "", "directory for per-shard request journals (group-committed once per service round; replayed on startup)")
 		checkpoint   = fs.Int("checkpoint", 0, "journal checkpoint cadence in records, so replay is O(tail) (0 = default 1024)")
 		chaosPanic   = fs.Int64("chaos-panic", 0, "panic each shard loop after this many serviced requests, exercising the supervisor (0 disables)")
 		addr         = fs.String("addr", "127.0.0.1:0", "HTTP listen address")
@@ -135,7 +139,7 @@ func run(args []string, ready chan<- string) error {
 	}
 
 	cfg.Queue, cfg.Batch = *queue, *batch
-	cfg.Journal, cfg.Recover, cfg.CheckpointEvery = *journal, *recoverJ, *checkpoint
+	cfg.Journal, cfg.CheckpointEvery = *journal, *checkpoint
 	cfg.PanicAfter = *chaosPanic
 	cfg.Obs, cfg.Trace = cli.Obs(), tracer
 	srv, err := server.New(cfg)

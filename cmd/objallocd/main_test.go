@@ -103,9 +103,6 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-engine", "bogus"}, nil); err == nil {
 		t.Fatal("bogus engine accepted")
 	}
-	if err := run([]string{"-coalesce", "bogus"}, nil); err == nil {
-		t.Fatal("bogus coalesce mode accepted")
-	}
 	if err := run([]string{"-faults", "loss=2"}, nil); err == nil {
 		t.Fatal("invalid fault plan accepted")
 	}

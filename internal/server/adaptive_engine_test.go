@@ -174,9 +174,6 @@ func TestAdaptiveSnapshotDeterminism(t *testing.T) {
 }
 
 func TestAdaptiveEngineValidation(t *testing.T) {
-	if _, err := New(Config{Engine: EngineAdaptive, Coalesce: CoalesceOn}); err == nil {
-		t.Fatal("CoalesceOn accepted with the adaptive engine")
-	}
 	if _, err := New(Config{Engine: EngineAdaptive, Adaptive: adaptive.Spec{Decay: 2}}); err == nil {
 		t.Fatal("invalid adaptive spec accepted")
 	}

@@ -274,7 +274,7 @@ func TestJournalCloseReportsSyncError(t *testing.T) {
 	plan := diskfault.Plan{SyncErrAt: 2}
 	inj := plan.Injector(0)
 	dir := t.TempDir()
-	j, err := openJournal(filepath.Join(dir, "shard-0.jsonl"), false, 0, inj)
+	j, err := openJournal(filepath.Join(dir, "shard-0.jsonl"), 0, 0, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestJournalCloseReportsSyncError(t *testing.T) {
 		t.Fatalf("close with a failing final fsync: %v, want ErrSync", err)
 	}
 	// And the clean path still returns nil.
-	j2, err := openJournal(filepath.Join(dir, "shard-1.jsonl"), false, 0, nil)
+	j2, err := openJournal(filepath.Join(dir, "shard-1.jsonl"), 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ type ckptRecord struct {
 // replayJournal rebuilds one shard's state from its journal file and
 // returns it together with the length of the valid prefix (everything
 // before a torn final line). A missing file replays to the empty state,
-// so -recover works on first boot.
+// so a first boot comes up through the same rebuild as a restart.
 func replayJournal(path string, cfg *Config) (*shardState, int64, error) {
 	st, err := newShardState(cfg)
 	if err != nil {
@@ -181,7 +181,7 @@ func (st *shardState) replay(rec *reqRecord) error {
 // Stats a drained server reports (Final set; scheduling-dependent
 // fields — rejected, deduped, rounds, queue gauges — are zero). The
 // config must match the one the journals were written under: same
-// engine, model, seed, fault plan, coalescing and shard count.
+// engine, model, seed, fault plan and shard count.
 func ReplayDir(cfg Config) (Stats, error) {
 	if err := cfg.Normalize(); err != nil {
 		return Stats{}, err

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -131,7 +132,7 @@ func forRecoveryConfigs(t *testing.T, body func(t *testing.T, mk func(shards int
 	}
 }
 
-// A run split across a shutdown and a -recover restart must produce
+// A run split across a shutdown and a same-config restart must produce
 // accounting byte-identical to the same workload run uninterrupted:
 // journal replay restores every object's scheme, the adaptive
 // controller's window, and the fault-stream positions.
@@ -155,9 +156,8 @@ func TestRecoverContinuesIdentically(t *testing.T) {
 		driveRange(t, first, objects, 0, perObject/2, workers)
 		first.Drain()
 
-		cfg := mk(2, dir)
-		cfg.Recover = true
-		second, err := New(cfg)
+		// The identical config: a restart over the directory replays it.
+		second, err := New(mk(2, dir))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,10 +236,8 @@ func TestTornFinalLineTolerated(t *testing.T) {
 		t.Fatalf("torn-tail replay diverges:\n  got  %s\n  want %s", got, want)
 	}
 
-	// A recovering server truncates the torn tail away and continues.
-	cfg := recoveryConfig(2, dir)
-	cfg.Recover = true
-	s2, err := New(cfg)
+	// A restarting server truncates the torn tail away and continues.
+	s2, err := New(recoveryConfig(2, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +245,65 @@ func TestTornFinalLineTolerated(t *testing.T) {
 	if got := detStats(s2.Stats()); got != want {
 		t.Fatalf("recovered-from-torn stats diverge:\n  got  %s\n  want %s", got, want)
 	}
+}
+
+// A journal directory replays only under the configuration that wrote
+// it: opened under another shard count, or under another engine, New
+// refuses it and leaves every journal byte as it was.
+func TestForeignJournalDirRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		write, open Config
+	}{
+		{"shard count", Config{Shards: 4, N: 4, T: 2}, Config{Shards: 2, N: 4, T: 2}},
+		{"engine", Config{Shards: 2, N: 4, T: 2, Engine: EngineDA}, Config{Shards: 2, N: 4, T: 2, Engine: EngineSA}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.write.Journal, tc.open.Journal = dir, dir
+			s, err := New(tc.write)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveRange(t, s, 8, 0, 12, 2)
+			s.Drain()
+			before := journalBytes(t, dir)
+			if s2, err := New(tc.open); err == nil {
+				s2.Drain()
+				t.Fatal("New accepted a journal directory written under another config")
+			}
+			after := journalBytes(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("journal files %d before, %d after", len(before), len(after))
+			}
+			for name, b := range before {
+				if !bytes.Equal(after[name], b) {
+					t.Errorf("%s changed: %d bytes before, %d after", name, len(b), len(after[name]))
+				}
+			}
+		})
+	}
+}
+
+// journalBytes reads every shard journal under dir, keyed by file name.
+func journalBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte)
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) == 0 {
+			t.Fatalf("%s is empty: nothing to refuse", p)
+		}
+		out[filepath.Base(p)] = b
+	}
+	return out
 }
 
 // Corruption in the middle of a journal — not a torn tail — must fail

@@ -54,23 +54,6 @@ import (
 	"objalloc/internal/tracing"
 )
 
-// CoalesceMode controls read coalescing: a repeat read by a processor
-// that has already read the object since its last write is served from
-// the shard's freshness table at cost zero.
-type CoalesceMode int
-
-const (
-	// CoalesceAuto enables coalescing exactly when it is provably free:
-	// the mobile-computers model (CIO = 0) under the dynamic-allocation
-	// engine, where the first read installed a local copy and a repeat
-	// local read costs nothing.
-	CoalesceAuto CoalesceMode = iota
-	// CoalesceOn forces coalescing on (da and sa engines only).
-	CoalesceOn
-	// CoalesceOff disables coalescing.
-	CoalesceOff
-)
-
 // Config describes the service. The zero value of most fields resolves
 // to a sensible default in Normalize.
 type Config struct {
@@ -95,8 +78,6 @@ type Config struct {
 	T int
 	// Model prices the accounting; the zero model means cost.SC(0.25, 1).
 	Model cost.Model
-	// Coalesce selects the read-coalescing mode.
-	Coalesce CoalesceMode
 	// Seed perturbs every per-object fault stream; fixed seed + fixed
 	// per-object request order = identical fault outcomes at any Shards.
 	Seed int64
@@ -111,13 +92,12 @@ type Config struct {
 	// per service round) and replies are only sent after the commit, so
 	// an acked request is always durable; checkpoint records every
 	// CheckpointEvery entries keep replay O(tail). See recovery.go for
-	// the record format.
+	// the record format. The directory is the service's state: New
+	// replays whatever journals it holds, so a restart over the same
+	// directory continues where the last commit left it, and one written
+	// under another shard count or other model settings is refused. A
+	// fresh service takes a fresh directory.
 	Journal string
-	// Recover, when set, rebuilds each shard's state from its journal
-	// at startup instead of starting empty: the latest checkpoint is
-	// restored and the tail records are re-applied deterministically.
-	// Requires Journal.
-	Recover bool
 	// CheckpointEvery is the number of journal records between
 	// checkpoints; fewer than 1 means 1024.
 	CheckpointEvery int
@@ -146,8 +126,12 @@ type Config struct {
 	// at any Shards/parallelism — see package tracing.
 	Trace *tracing.Tracer
 
-	// Resolved by Normalize: whether reads coalesce, and the engine's DOM
-	// factory. Every object starts at {0..T-1}.
+	// Resolved by Normalize: the engine's DOM factory, and whether a
+	// repeat read by a processor that has read the object since its last
+	// write is served from the freshness table at cost zero — exactly
+	// when that is what the engine bills: the DA engine under the mobile
+	// model (CIO = 0), where the first read installed a local copy.
+	// Every object starts at {0..T-1}.
 	coalesce bool
 	factory  dom.Factory
 
@@ -205,24 +189,7 @@ func (cfg *Config) Normalize() error {
 	if cfg.CheckpointEvery < 1 {
 		cfg.CheckpointEvery = 1024
 	}
-	if cfg.Recover && cfg.Journal == "" {
-		return fmt.Errorf("server: Recover requires a Journal directory")
-	}
-	switch cfg.Coalesce {
-	case CoalesceAuto:
-		cfg.coalesce = cfg.Model.IsMobile() && cfg.Engine == EngineDA
-	case CoalesceOn:
-		if cfg.Engine == EngineAdaptive {
-			// Coalesced reads never reach the engine, so the controller's
-			// sliding window would miss them and mis-estimate the mix.
-			return fmt.Errorf("server: coalescing is incompatible with the adaptive engine (coalesced reads bypass the controller's window)")
-		}
-		cfg.coalesce = true
-	case CoalesceOff:
-		cfg.coalesce = false
-	default:
-		return fmt.Errorf("server: unknown coalesce mode %d", cfg.Coalesce)
-	}
+	cfg.coalesce = cfg.Model.IsMobile() && cfg.Engine == EngineDA
 	if err := cfg.Adaptive.Normalize(); err != nil {
 		return err
 	}
@@ -323,8 +290,6 @@ func New(cfg Config) (*Server, error) {
 		if err := os.MkdirAll(cfg.Journal, 0o755); err != nil {
 			return nil, fmt.Errorf("server: journal dir: %w", err)
 		}
-	}
-	if cfg.Recover {
 		// Objects are partitioned by hash over Shards; replaying under a
 		// different shard count would scatter each journal's objects
 		// across the wrong shards.
@@ -333,7 +298,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: journal dir: %w", err)
 		}
 		if len(matches) > 0 && len(matches) != cfg.Shards {
-			return nil, fmt.Errorf("server: journal dir has %d shard journals but Shards = %d; recovery requires the original shard count", len(matches), cfg.Shards)
+			return nil, fmt.Errorf("server: journal dir has %d shard journals but Shards = %d; a journal directory replays only under the shard count that wrote it", len(matches), cfg.Shards)
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -364,36 +329,28 @@ func newShard(s *Server, id int) (*shard, error) {
 		batchHist: s.ops.Histogram(fmt.Sprintf("shard%d.batch_size", id), 1, 2, 4, 8, 16, 32, 64, 128),
 		svcHist:   s.ops.Histogram(fmt.Sprintf("shard%d.service_rounds", id), 1, 2, 4, 8, 16, 32),
 	}
-	var st *shardState
-	var err error
-	if cfg.Recover {
-		// Rebuild the shard from its journal: restore the latest
-		// checkpoint, re-apply the tail, truncate any torn final line,
-		// then resume appending. Everything in the valid prefix was acked
-		// (or about to be — the client retries unacked requests and is
-		// answered idempotently), so the admission counter restarts equal
-		// to completed.
-		path := cfg.journalPath(id)
-		var validLen int64
-		if st, validLen, err = replayJournal(path, cfg); err != nil {
-			return nil, err
-		}
-		if err := os.Truncate(path, validLen); err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("server: journal %s: %w", path, err)
-		}
-		sh.accepted.Store(st.ctr.completed.Load())
-	} else {
-		if st, err = newShardState(cfg); err != nil {
-			return nil, err
-		}
-	}
-	sh.st.Store(st)
-	if cfg.Journal != "" {
-		sh.journal, err = openJournal(cfg.journalPath(id), cfg.Recover, cfg.CheckpointEvery, sh.inj)
+	if cfg.Journal == "" {
+		st, err := newShardState(cfg)
 		if err != nil {
 			return nil, err
 		}
+		sh.st.Store(st)
+		return sh, nil
 	}
+	// A journaled shard comes up the way it comes back from a fault,
+	// with the whole file as the durable prefix. Everything in it was
+	// acked (or about to be — the client retries unacked requests and is
+	// answered idempotently), so admission restarts equal to completed.
+	size := int64(0)
+	if fi, err := os.Stat(cfg.journalPath(id)); err == nil {
+		size = fi.Size()
+	} else if !os.IsNotExist(err) {
+		return nil, fmt.Errorf("server: journal: %w", err)
+	}
+	if err := sh.rebuild(size); err != nil {
+		return nil, err
+	}
+	sh.accepted.Store(sh.st.Load().ctr.completed.Load())
 	return sh, nil
 }
 
@@ -511,27 +468,16 @@ func (s *Server) emitRejected(sh *shard, t *task, ov *Overloaded) {
 	// sequence numbers from a separate high range, after every serviced
 	// request in the canonical sort.
 	seq := uint64(1)<<62 + s.rejectSeq.Add(1)
-	parentID := ""
-	var sc tracing.SpanContext
-	if t.tr.parent.Valid() {
-		sc = tracing.SpanContext{Trace: t.tr.parent.Trace, Span: tracing.ChildID(t.tr.parent, t.object, seq)}
-		parentID = t.tr.parent.Span.String()
-	} else {
-		sc = tracing.DeriveRequest(s.cfg.Seed, t.object, seq)
-	}
+	sc, parentID := s.spanRoot(t, seq)
 	now := tc.Now()
 	trace, root := sc.Trace.String(), sc.Span.String()
-	op := "r"
-	if t.req.IsWrite() {
-		op = "w"
-	}
 	queueLen := 0
 	if !tc.Deterministic() {
 		queueLen = ov.QueueLen
 	}
 	tc.Submit(true, tracing.Span{
 		Trace: trace, Span: root, Parent: parentID, Name: tracing.NameRequest,
-		Object: t.object, Op: op, Proc: int(t.req.Processor), Seq: seq, Shard: sh.id,
+		Object: t.object, Op: t.req.Op.String(), Proc: int(t.req.Processor), Seq: seq, Shard: sh.id,
 		Engine: s.cfg.Engine.String(), Outcome: "overloaded",
 		StartNS: t.tr.start, DurNS: now - t.tr.start,
 	}, tracing.Span{
@@ -540,6 +486,16 @@ func (s *Server) emitRejected(sh *shard, t *task, ov *Overloaded) {
 		QueueLen: queueLen, Outcome: "overloaded",
 		StartNS: t.tr.start, DurNS: now - t.tr.start,
 	})
+}
+
+// spanRoot derives the root span of t's request numbered seq and the ID
+// of the span it hangs under: a child of the caller's propagated
+// context, or else a fresh trace derived from (Seed, object, seq).
+func (s *Server) spanRoot(t *task, seq uint64) (sc tracing.SpanContext, parentID string) {
+	if p := t.tr.parent; p.Valid() {
+		return tracing.SpanContext{Trace: p.Trace, Span: tracing.ChildID(p, t.object, seq)}, p.Span.String()
+	}
+	return tracing.DeriveRequest(s.cfg.Seed, t.object, seq), ""
 }
 
 // Drain gracefully shuts the pipeline down: new requests are refused

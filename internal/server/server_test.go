@@ -15,6 +15,7 @@ import (
 
 	"objalloc/internal/cost"
 	"objalloc/internal/model"
+	"objalloc/internal/multiobject"
 	"objalloc/internal/netsim"
 	"objalloc/internal/obs"
 	"objalloc/internal/tracing"
@@ -230,18 +231,51 @@ func TestCoalescingMobileDA(t *testing.T) {
 	}
 }
 
-func TestCoalesceModeValidation(t *testing.T) {
-	if _, err := New(Config{Engine: EngineAdaptive, Coalesce: CoalesceOn}); err == nil {
-		t.Fatal("CoalesceOn accepted with the adaptive engine")
+// Reads coalesce exactly when that is free: the service drains every
+// engine × model row of a repeat-read stream at the cost the engine
+// itself bills for it, and serves reads from the freshness table only
+// under DA with the mobile model, where the engine would bill them
+// nothing.
+func TestCoalescingOnlyWhenFree(t *testing.T) {
+	stream := []model.Request{model.W(0), model.R(3), model.R(3), model.R(3), model.R(3)}
+	for _, eng := range []Engine{EngineSA, EngineDA, EngineAdaptive} {
+		for _, m := range []cost.Model{cost.SC(0.25, 1), cost.MC(0.25, 1)} {
+			name := eng.String() + "/SC"
+			if m.IsMobile() {
+				name = eng.String() + "/MC"
+			}
+			t.Run(name, func(t *testing.T) {
+				s, err := New(Config{Shards: 1, N: 4, T: 2, Engine: eng, Model: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := multiobject.Open(multiobject.Config{Factory: s.cfg.factory, T: 2, Model: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range stream {
+					if _, err := s.Do("x", q); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := ref.Apply("x", q); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.Drain()
+				st := s.Stats()
+				if got, want := milli(st.Cost), milli(ref.TotalCounts().Price(m)); got != want {
+					t.Errorf("drained cost %d milli-units, engine bills %d", got, want)
+				}
+				wantCoalesced := uint64(0)
+				if eng == EngineDA && m.IsMobile() {
+					wantCoalesced = 3
+				}
+				if st.Coalesce != wantCoalesced {
+					t.Errorf("coalesced %d reads, want %d", st.Coalesce, wantCoalesced)
+				}
+			})
+		}
 	}
-	s, err := New(Config{N: 4, T: 2, Model: cost.SC(0.25, 1)}) // stationary: auto stays off
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.cfg.coalesce {
-		t.Fatal("auto coalescing on under SC")
-	}
-	s.Drain()
 }
 
 func TestFaultsTotalLoss(t *testing.T) {

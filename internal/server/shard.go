@@ -112,12 +112,13 @@ type shard struct {
 	journal *journalWriter
 	pending []pendingAck // acks staged until the round's commit
 
-	// panic-recovery bookkeeping: the task being processed, the round's
-	// batch and the cursor into it, so the supervisor can collect every
-	// in-flight task after a recovered panic. cur is reset after each
-	// normal process() return — never by defer, which would run during
-	// the very unwinding the supervisor needs it for.
-	cur       *task
+	// panic-recovery bookkeeping: the round's batch, kept until its
+	// commit succeeds, and the cursor into it — the task being processed,
+	// or len(curBatch) while the round commits — so the supervisor can
+	// collect every in-flight task after a fault or a recovered panic.
+	// Both are reset once the commit succeeds, or by collectInflight —
+	// never by defer, which would run during the very unwinding the
+	// supervisor needs them for.
 	curBatch  []*task
 	curIdx    int
 	lastPanic *task
@@ -200,14 +201,17 @@ func (sh *shard) run(carry []*task) *journalFaultError {
 // serviceRound processes one round's batch, commits the journal and
 // flushes the round's staged replies.
 func (sh *shard) serviceRound(batch []*task) *journalFaultError {
-	sh.curBatch, sh.curIdx = batch, 0
+	sh.curBatch = batch
 	for i, t := range batch {
 		sh.curIdx = i
 		sh.process(t)
-		sh.cur = nil
+	}
+	sh.curIdx = len(batch)
+	if fault := sh.commit(); fault != nil {
+		return fault
 	}
 	sh.curBatch, sh.curIdx = nil, 0
-	return sh.commit()
+	return nil
 }
 
 // commit durably appends the round's journal records (group commit:
@@ -241,7 +245,6 @@ func (sh *shard) commit() *journalFaultError {
 // process services one task through the request state: wire-level
 // duplicate detection, the chaos failpoint, then one step.
 func (sh *shard) process(t *task) {
-	sh.cur = t
 	if t.tr != nil && t.tr.dequeued == 0 {
 		// First shard-loop touch (a reprocessed task keeps its first):
 		// the queue span ends here.
@@ -321,20 +324,9 @@ func milli(c float64) int64 { return int64(math.Round(c * 1000)) }
 func (sh *shard) emitTrace(t *task, out outcome) {
 	tc := sh.srv.cfg.Trace
 	r, a, seq := out.res, out.detail, out.traceSeq
-	parentID := ""
-	var sc tracing.SpanContext
-	if t.tr.parent.Valid() {
-		sc = tracing.SpanContext{Trace: t.tr.parent.Trace, Span: tracing.ChildID(t.tr.parent, t.object, seq)}
-		parentID = t.tr.parent.Span.String()
-	} else {
-		sc = tracing.DeriveRequest(sh.srv.cfg.Seed, t.object, seq)
-	}
+	sc, parentID := sh.srv.spanRoot(t, seq)
 	now := tc.Now()
 	trace, root := sc.Trace.String(), sc.Span.String()
-	op := "r"
-	if t.req.IsWrite() {
-		op = "w"
-	}
 	tag := ""
 	var unreach netsim.Unreachable
 	switch {
@@ -354,7 +346,7 @@ func (sh *shard) emitTrace(t *task, out outcome) {
 	spans := make([]tracing.Span, 0, 4+len(a.Transitions))
 	spans = append(spans, tracing.Span{
 		Trace: trace, Span: root, Parent: parentID, Name: tracing.NameRequest,
-		Object: t.object, Op: op, Proc: int(t.req.Processor), Seq: seq, Shard: sh.id,
+		Object: t.object, Op: t.req.Op.String(), Proc: int(t.req.Processor), Seq: seq, Shard: sh.id,
 		Engine: engine, Protocol: a.Protocol, CostMilli: milli(r.Cost),
 		Retransmits: r.Retransmits, Holds: out.holds, Outcome: tag,
 		StartNS: t.tr.start, DurNS: now - t.tr.start,
@@ -405,7 +397,6 @@ type journalFile interface {
 // records it appends a checkpoint record so replay is O(tail).
 type journalWriter struct {
 	f       journalFile
-	path    string
 	buf     []byte
 	bufRecs int   // records in buf, folded into sinceCkpt on commit
 	size    int64 // committed (write+fsync completed) bytes; the
@@ -414,16 +405,13 @@ type journalWriter struct {
 	sinceCkpt int
 }
 
-// openJournal opens a shard journal. appendTail resumes an existing
-// journal after recovery (the replayed prefix is kept); otherwise any
-// previous journal is truncated. Writes use O_APPEND so a recovery
-// truncation of a torn tail and subsequent appends compose correctly.
-// inj, when non-nil, interposes the seeded disk-fault injector.
-func openJournal(path string, appendTail bool, every int, inj *diskfault.Injector) (*journalWriter, error) {
-	flags := os.O_WRONLY | os.O_CREATE | os.O_APPEND
-	if !appendTail {
-		flags |= os.O_TRUNC
-	}
+// openJournal opens a shard journal for appending after its size
+// committed bytes, which the caller has just replayed. Writes use
+// O_APPEND so a rebuild's truncation and subsequent appends compose
+// correctly. inj, when non-nil, interposes the seeded disk-fault
+// injector.
+func openJournal(path string, size int64, every int, inj *diskfault.Injector) (*journalWriter, error) {
+	const flags = os.O_WRONLY | os.O_CREATE | os.O_APPEND
 	var f journalFile
 	if inj != nil {
 		df, err := inj.Open(path, flags, 0o644)
@@ -438,13 +426,7 @@ func openJournal(path string, appendTail bool, every int, inj *diskfault.Injecto
 		}
 		f = of
 	}
-	j := &journalWriter{f: f, path: path, every: every}
-	if appendTail {
-		if fi, err := os.Stat(path); err == nil {
-			j.size = fi.Size()
-		}
-	}
-	return j, nil
+	return &journalWriter{f: f, size: size, every: every}, nil
 }
 
 // record appends one reqRecord line to the buffer: the bytes

@@ -75,15 +75,18 @@ func (sh *shard) supervise() {
 		} else {
 			lastSize, durFails = -1, 0
 		}
+		// The task the loop stopped in, if any: a journal fault stops it
+		// at the commit, with the cursor past the batch.
 		var abandon *task
-		if sh.cur != nil {
-			if sh.cur == sh.lastPanic {
+		if sh.curIdx < len(sh.curBatch) {
+			cur := sh.curBatch[sh.curIdx]
+			if cur == sh.lastPanic {
 				sh.panics++
 			} else {
-				sh.lastPanic, sh.panics = sh.cur, 1
+				sh.lastPanic, sh.panics = cur, 1
 			}
 			if sh.panics >= 2 {
-				abandon = sh.cur
+				abandon = cur
 			}
 		}
 		carry = sh.collectInflight()
@@ -178,44 +181,35 @@ func (sh *shard) failTask(t *task, err error) {
 	t.done <- Result{Object: t.object, Err: err}
 }
 
-// collectInflight gathers every unacked task after a recovered fault or
-// panic, in arrival order: staged-but-uncommitted completions first,
-// then the task being processed, then the unprocessed remainder of the
-// round's batch. It also resets the loop-confined round state;
+// collectInflight returns the round's unacked tasks in batch order after
+// a recovered fault or panic, and resets the loop-confined round state;
 // recoverState rebuilds the rest of the shard's state from the journal.
+// A task before the cursor was serviced and has emitted its spans; the
+// retry re-emits them tagged "reprocessed".
 func (sh *shard) collectInflight() []*task {
-	seen := make(map[*task]bool)
 	var out []*task
-	add := func(t *task) {
-		if t == nil || t.acked || seen[t] {
-			return
+	for i, t := range sh.curBatch {
+		if t.acked {
+			continue
 		}
-		seen[t] = true
+		if i < sh.curIdx {
+			t.reprocessed = true
+		}
 		out = append(out, t)
 	}
-	for _, p := range sh.pending {
-		// A staged completion already emitted its spans; the retry will
-		// re-emit them tagged "reprocessed".
-		p.t.reprocessed = true
-		add(p.t)
-	}
-	for i := sh.curIdx; i < len(sh.curBatch); i++ {
-		add(sh.curBatch[i])
-	}
 	sh.pending = sh.pending[:0]
-	sh.cur, sh.curBatch, sh.curIdx = nil, nil, 0
+	sh.curBatch, sh.curIdx = nil, 0
 	return out
 }
 
-// recoverState rebuilds the shard from the durable journal prefix:
-// uncommitted records (buffered, or written but never fsync-acked) are
-// discarded, the old file handle is closed and the file truncated by
-// path to the committed size, then the journal is replayed into a fresh
-// request state, which is installed whole, and a fresh handle opened. Closing before
-// truncating is the fsyncgate rule: after a failed fsync the kernel may
-// have dropped the dirty pages and marked them clean, so the old
-// descriptor's state is a lie — the only safe move is discard + reopen
-// + rebuild from the durable prefix, never a retried fsync.
+// recoverState rebuilds the shard from the durable journal prefix after
+// a fault or panic: uncommitted records (buffered, or written but never
+// fsync-acked) are discarded and the old file handle closed, then
+// rebuild cuts the file to the committed size and replays it. Closing
+// before truncating is the fsyncgate rule: after a failed fsync the
+// kernel may have dropped the dirty pages and marked them clean, so the
+// old descriptor's state is a lie — the only safe move is discard +
+// reopen + rebuild from the durable prefix, never a retried fsync.
 // Reprocessing the carried tasks then redraws the same fault-stream
 // values the crashed loop drew, so the recovered shard is
 // indistinguishable from one that never panicked. Without a journal
@@ -227,23 +221,37 @@ func (sh *shard) recoverState() error {
 	}
 	sh.journal.discard()
 	_ = sh.journal.f.Close() // possibly poisoned; close is always safe
-	if err := os.Truncate(sh.journal.path, sh.journal.size); err != nil {
-		return err
+	return sh.rebuild(sh.journal.size)
+}
+
+// rebuild brings a journaled shard up from disk, at startup and after a
+// fault alike: cut the journal to size bytes (its durable prefix), replay
+// it into a fresh request state, cut any torn final line replay found,
+// install the state and reopen the journal for appending. One pointer
+// store swaps the engine, every table and the counters; a concurrent
+// Stats scrape sees the old state or the new, never a mix. The admission
+// counter is the caller's: after a fault the carried tasks are still
+// admitted and will complete (or be failed) by the restarted loop.
+func (sh *shard) rebuild(size int64) error {
+	cfg := &sh.srv.cfg
+	path := cfg.journalPath(sh.id)
+	if err := os.Truncate(path, size); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("server: journal %s: %w", path, err)
 	}
-	st, _, err := replayJournal(sh.journal.path, &sh.srv.cfg)
+	st, valid, err := replayJournal(path, cfg)
 	if err != nil {
 		return err
 	}
-	nj, err := openJournal(sh.journal.path, true, sh.journal.every, sh.inj)
+	if valid < size {
+		if err := os.Truncate(path, valid); err != nil {
+			return fmt.Errorf("server: journal %s: %w", path, err)
+		}
+	}
+	j, err := openJournal(path, valid, cfg.CheckpointEvery, sh.inj)
 	if err != nil {
 		return err
 	}
-	sh.journal = nj
-	// One pointer store swaps the engine, every table and the counters;
-	// a concurrent Stats scrape sees the old state or the new, never a
-	// mix. The admission counter is untouched: carried in-flight tasks
-	// are still admitted and will complete (or be failed) by the
-	// restarted loop.
+	sh.journal = j
 	sh.st.Store(st)
 	return nil
 }

@@ -95,7 +95,7 @@ func TestClusterOptionsFaultSeed(t *testing.T) {
 // the public objalloc surface.
 func TestServerFacade(t *testing.T) {
 	s, err := objalloc.NewServer(objalloc.ServerConfig{
-		Shards: 2, N: 4, T: 2, Model: objalloc.MC(0.25, 1), Coalesce: objalloc.CoalesceAuto,
+		Shards: 2, N: 4, T: 2, Model: objalloc.MC(0.25, 1),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,9 +4,9 @@
 #
 #   1. Baseline: an uninterrupted journaling run, drained cleanly.
 #   2. Crash: the daemon is SIGKILLed mid-load and restarted on the same
-#      address with -recover; loadgen rides out the restart window with
-#      -retrywindow (per-object sequence numbers make the resent batches
-#      idempotent). The recovered run's deterministic accounting —
+#      address with the same flags, which replays its journals; loadgen
+#      rides out the restart window with -retrywindow (per-object
+#      sequence numbers make the resent batches idempotent). The recovered run's deterministic accounting —
 #      completed, reads/writes, coalesced, retransmissions, unreachable,
 #      duplicates, objects, message counts, billed cost — must be
 #      byte-identical to the baseline's.
@@ -108,7 +108,7 @@ if ! wait "$daemon_pid"; then
 fi
 daemon_pid=
 
-# --- Run 2: SIGKILL mid-load, restart with -recover ------------------
+# --- Run 2: SIGKILL mid-load, restart with the same flags -----------
 # shellcheck disable=SC2046
 "$dir/objallocd" $(daemon_flags "$dir/j2" "$dir/stats2a.json") \
     -addr "$addr" -addrfile "$dir/addr2" \
@@ -126,11 +126,11 @@ sleep 0.4
 kill -KILL "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=
-echo "crash-smoke: daemon killed, restarting with -recover"
+echo "crash-smoke: daemon killed, restarting with the same flags"
 
 # shellcheck disable=SC2046
 "$dir/objallocd" $(daemon_flags "$dir/j2" "$dir/stats2.json") \
-    -addr "$addr" -addrfile "$dir/addr2b" -recover \
+    -addr "$addr" -addrfile "$dir/addr2b" \
     >"$dir/daemon2b.log" 2>&1 &
 daemon_pid=$!
 wait_addr "$dir/addr2b" "$dir/daemon2b.log"

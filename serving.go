@@ -32,13 +32,6 @@ type ServerEngine = server.Engine
 // the zero ServerEngine is DA.
 const ServerEngineAdaptive = server.EngineAdaptive
 
-// CoalesceMode controls the service's read coalescing.
-type CoalesceMode = server.CoalesceMode
-
-// CoalesceAuto, the zero CoalesceMode, coalesces reads exactly when that
-// is provably free: the mobile-computers model under the DA engine.
-const CoalesceAuto = server.CoalesceAuto
-
 // ErrServerDraining is returned by Server.Do once the graceful drain has
 // begun.
 var ErrServerDraining = server.ErrDraining
@@ -46,11 +39,13 @@ var ErrServerDraining = server.ErrDraining
 // NewServer starts the sharded allocation service. With
 // ServerConfig.Journal set, each shard group-commits a request journal
 // (fsynced once per service round, checkpointed every CheckpointEvery
-// records); ServerConfig.Recover replays those journals on startup, so
-// a crashed server restarted over the same directory continues with the
-// exact state and accounting the last committed round left. Shard loops
-// run under a supervisor that recovers panics by rebuilding from the
-// journal (state surfaced per shard via /v1/healthz and Stats).
+// records) and replays whatever journals the directory holds on startup,
+// so a server restarted over the same directory continues with the exact
+// state and accounting the last committed round left; a fresh service
+// takes a fresh directory. Repeat reads coalesce at zero cost exactly
+// when the engine would bill them nothing (DA under the mobile model).
+// Shard loops run under a supervisor that recovers panics by rebuilding
+// from the journal (state surfaced per shard via /v1/healthz and Stats).
 func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 
 // ParseServerEngine parses an engine name: "da", "sa" or "adaptive".
