@@ -29,8 +29,9 @@
 # benchvet fails if a _test.go in the repository root declares a
 # Benchmark (bench/ is the only benchmark; paper claims are gated by
 # named tests and experiments-check),
-# seqvet fails if the executed protocols or the feed regrow a goroutine, a
-# channel, a condition variable, a wall-clock wait or a sync/atomic import
+# seqvet fails if the executed protocols, the feed or the multi-object
+# directory regrow a goroutine, a channel, a condition variable, a
+# wall-clock wait or a sync/atomic import
 # (one owner runs them in one goroutine, a driver call is a method call;
 # their counts are a function of their inputs),
 # depsvet fails if the daemon links the laboratory again (the offline
@@ -156,20 +157,22 @@ benchvet:
 # owner, as a bufio.Writer does, so a sync or sync/atomic import is a lock
 # that lets a second caller in, and whichever caller wins it decides which
 # operation starts first: concurrent reads are a PerformAll burst instead.
-# internal/feed wraps a cluster and is held to the same rules.
+# internal/feed wraps a cluster and is held to the same rules, and so is
+# internal/multiobject's directory, which the server's shard loop owns
+# (its ExecutedDB lives in a test file and is not covered).
 # chaos.Search's parallelism is the engine pool over whole scenarios, each
 # of which runs on its own cluster.
 seqvet:
-	@all=$$(ls internal/netsim/*.go internal/sim/*.go internal/quorum/*.go internal/ha/*.go internal/chaos/*.go internal/feed/*.go | grep -v '_test\.go$$'); \
+	@all=$$(ls internal/netsim/*.go internal/sim/*.go internal/quorum/*.go internal/ha/*.go internal/chaos/*.go internal/feed/*.go internal/multiobject/*.go | grep -v '_test\.go$$'); \
 	bad=$$(grep -n -E '^[[:space:]]*go[[:space:]]+[a-zA-Z_(]' $$all; \
 		grep -n -E '(^|[^a-zA-Z_])chan[[:space:]]|<-|sync\.NewCond|time\.After|time\.Sleep' $$all; \
 		grep -n -E '"sync(/atomic)?"' $$all; true); \
 	if [ -n "$$bad" ]; then \
-		echo "seqvet: goroutine, channel, condition variable, wall-clock wait or sync/atomic import in the executed protocols (one owner runs them in one goroutine):"; \
+		echo "seqvet: goroutine, channel, condition variable, wall-clock wait or sync/atomic import in the executed protocols, feed or multiobject (one owner runs them in one goroutine):"; \
 		echo "$$bad"; \
 		exit 1; \
 	else \
-		echo "seqvet: executed protocols and feed start no goroutine, pass no channel, wait on no clock and take no lock"; \
+		echo "seqvet: executed protocols, feed and the multi-object directory start no goroutine, pass no channel, wait on no clock and take no lock"; \
 	fi
 
 # objallocd serves the controller and the two protocols; it does not run

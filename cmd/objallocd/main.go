@@ -47,7 +47,7 @@
 // rebuild, while a persistently failing disk fail-stops its shard,
 // which then refuses requests with 503 + Retry-After and reports
 // "failed" in /v1/healthz. The daemon exits nonzero after drain if any
-// shard suffered a durability loss.
+// shard suffered a durability loss or its books did not balance.
 // On SIGTERM or SIGINT the daemon drains gracefully: accepted requests
 // complete, new ones are refused, journals are flushed and fsynced, the
 // final stats are printed to stdout, and the process exits nonzero if

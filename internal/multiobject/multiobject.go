@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 
 	"objalloc/internal/cost"
 	"objalloc/internal/dom"
@@ -35,9 +34,11 @@ type Config struct {
 	Model cost.Model
 }
 
-// DB is a multi-object distributed database directory.
+// DB is a multi-object distributed database directory. It has one owner
+// and is not safe for concurrent use: it takes no lock, so a caller that
+// shares one orders the calls itself (a server shard's loop owns its
+// directory, and the drain reads it only after the loop has exited).
 type DB struct {
-	mu      sync.Mutex
 	cfg     Config
 	objects map[string]*object
 }
@@ -86,14 +87,16 @@ func Open(cfg Config) (*DB, error) {
 
 // Detail is one request's itemized outcome: its billed cost, the
 // message/I/O counts behind it, any protocol transitions the request
-// triggered (already folded into Counts and Cost), and the protocol in
-// force after the request when the algorithm reports one. The tracing
-// layer turns this into per-request spans.
+// triggered (already folded into Counts and Cost), the protocol in
+// force after the request when the algorithm reports one, and whether
+// the request created the object. The tracing layer turns this into
+// per-request spans.
 type Detail struct {
 	Cost        float64
 	Counts      cost.Counts
 	Transitions []dom.Transition
 	Protocol    string
+	Created     bool
 }
 
 // Apply services one request against the named object, creating the object
@@ -106,8 +109,6 @@ func (db *DB) Apply(name string, q model.Request) (float64, error) {
 // ApplyDetail services one request like Apply but returns the itemized
 // outcome rather than just the priced cost.
 func (db *DB) ApplyDetail(name string, q model.Request) (Detail, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	o, ok := db.objects[name]
 	if !ok {
 		initial := db.cfg.Placement(name)
@@ -121,7 +122,7 @@ func (db *DB) ApplyDetail(name string, q model.Request) (Detail, error) {
 	scheme := o.alg.Scheme()
 	step := o.alg.Step(q)
 	c := cost.StepCounts(step, scheme)
-	var d Detail
+	d := Detail{Created: !ok}
 	// An adaptive algorithm may have switched protocols after servicing
 	// the request; the switch's replica installs and invalidations are
 	// billed with the request that triggered it.
@@ -156,15 +157,11 @@ func (db *DB) Write(name string, p model.ProcessorID) (float64, error) {
 
 // Objects returns the number of objects in the directory.
 func (db *DB) Objects() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	return len(db.objects)
 }
 
 // TotalCounts returns the accounting summed over all objects.
 func (db *DB) TotalCounts() cost.Counts {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	var total cost.Counts
 	for _, o := range db.objects {
 		total = total.Add(o.counts)
@@ -177,22 +174,18 @@ func (db *DB) TotalCost() float64 { return db.TotalCounts().Price(db.cfg.Model) 
 
 // StatsOf returns one object's stats, or false if it does not exist.
 func (db *DB) StatsOf(name string) (Stats, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	o, ok := db.objects[name]
 	if !ok {
 		return Stats{}, false
 	}
-	return db.statsLocked(name, o), true
+	return db.stats(name, o), true
 }
 
 // AllStats returns stats for every object, sorted by name.
 func (db *DB) AllStats() []Stats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	out := make([]Stats, 0, len(db.objects))
 	for name, o := range db.objects {
-		out = append(out, db.statsLocked(name, o))
+		out = append(out, db.stats(name, o))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -215,8 +208,6 @@ type ObjectState struct {
 // object's algorithm does not implement dom.Restorer — a directory
 // running a custom factory without state support cannot checkpoint.
 func (db *DB) Export() ([]ObjectState, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	out := make([]ObjectState, 0, len(db.objects))
 	for name, o := range db.objects {
 		r, ok := o.alg.(dom.Restorer)
@@ -241,8 +232,6 @@ func (db *DB) Export() ([]ObjectState, error) {
 // algorithm state is imported. Restore is meant for a freshly opened
 // directory; restoring over an existing object replaces it.
 func (db *DB) Restore(states []ObjectState) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	for _, st := range states {
 		alg, err := db.cfg.Factory(st.Initial, db.cfg.T)
 		if err != nil {
@@ -269,7 +258,7 @@ func (db *DB) Restore(states []ObjectState) error {
 	return nil
 }
 
-func (db *DB) statsLocked(name string, o *object) Stats {
+func (db *DB) stats(name string, o *object) Stats {
 	st := Stats{
 		Name:     name,
 		Requests: o.requests,

@@ -455,7 +455,9 @@ func FuzzReplayJournal(f *testing.F) {
 		if err2 != nil {
 			t.Fatalf("replay accepted then rejected the same bytes: %v", err2)
 		}
-		if validLen2 != validLen || st.ctr.load() != st2.ctr.load() || st.extra != st2.extra {
+		k, n := st.ctr.books()
+		k2, n2 := st2.ctr.books()
+		if validLen2 != validLen || st.ctr.load() != st2.ctr.load() || k != k2 || n != n2 {
 			t.Fatalf("silent divergence: two replays of the same bytes disagree")
 		}
 	})

@@ -257,10 +257,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics is the Prometheus text exposition: the ops registry
-// (queue depths, batch sizes, request latency) plus — once the drain
-// has finalized it — the deterministic accounting registry. When
-// tracing is on, the slowest sampled request's trace ID is attached to
-// the request-latency histogram as an exemplar.
+// (queue depths, batch sizes, request latency) plus the deterministic
+// accounting counters, read live from the shards' books on every scrape
+// under the names the drain gives Config.Obs. When tracing is on, the
+// slowest sampled request's trace ID is attached to the request-latency
+// histogram as an exemplar.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.measure.Store(true)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -274,9 +275,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	s.Ops().Prometheus(w, "objalloc", exemplars)
-	if s.isFinal.Load() && s.cfg.Obs != nil && s.cfg.Obs.Registry != nil {
-		s.cfg.Obs.Registry.Snapshot().Prometheus(w, "objalloc", nil)
-	}
+	obs.Snapshot{Counters: accounting(s.Stats())}.Prometheus(w, "objalloc", nil)
 }
 
 // HealthShard is one shard's supervision state in the healthz body.

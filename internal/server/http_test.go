@@ -249,8 +249,9 @@ func TestStatsIncludesHistograms(t *testing.T) {
 
 // TestMetricsExposition checks GET /v1/metrics renders the Prometheus
 // text format, including the request-latency histogram (populated once
-// a scrape has armed wall-clock measurement) and, when tracing is on,
-// a slow-request exemplar trace ID.
+// a scrape has armed wall-clock measurement), the accounting counters
+// live before any drain, each family declared once, and, when tracing
+// is on, a slow-request exemplar trace ID.
 func TestMetricsExposition(t *testing.T) {
 	tr := tracing.New(tracing.Config{})
 	s, err := New(Config{
@@ -278,11 +279,14 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE objalloc_shard0_queue_depth histogram",
 		"objalloc_shard0_queue_depth_bucket{le=\"+Inf\"}",
 		"# TYPE objalloc_server_request_latency_us histogram",
+		"objalloc_server_requests 2\n",
+		"# TYPE objalloc_server_msgs_control counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
 	}
+	promCounters(t, text)
 	// The tracer is non-deterministic and saw requests, so the latency
 	// histogram's +Inf line must carry an exemplar trace id.
 	if !strings.Contains(text, `trace_id="`) {
@@ -294,13 +298,15 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text, "objalloc_server_requests 2") {
+	if !strings.Contains(text, "objalloc_server_requests 2\n") {
 		t.Fatalf("post-drain exposition missing accounting counters:\n%s", text)
 	}
+	promCounters(t, text)
 }
 
 // TestMetricsHandlerWithoutObs covers the drained exposition when no
-// accounting registry is attached.
+// accounting registry is attached: the accounting counters come from the
+// shards' books, not from Config.Obs.
 func TestMetricsHandlerWithoutObs(t *testing.T) {
 	s, err := New(Config{Shards: 1, N: 2, T: 1})
 	if err != nil {
@@ -319,6 +325,9 @@ func TestMetricsHandlerWithoutObs(t *testing.T) {
 	}
 	if !strings.Contains(text, "objalloc_shard0_queue_depth_count") {
 		t.Fatalf("ops histograms missing:\n%s", text)
+	}
+	if !strings.Contains(text, "objalloc_server_requests 1\n") {
+		t.Fatalf("accounting counters missing without an Obs registry:\n%s", text)
 	}
 }
 

@@ -74,7 +74,8 @@ type ckptRecord struct {
 // replayJournal rebuilds one shard's state from its journal file and
 // returns it together with the length of the valid prefix (everything
 // before a torn final line). A missing file replays to the empty state,
-// so a first boot comes up through the same rebuild as a restart.
+// so a first boot comes up through the same rebuild as a restart. The
+// replayed state must balance its books (checkBooks) or the replay fails.
 func replayJournal(path string, cfg *Config) (*shardState, int64, error) {
 	st, err := newShardState(cfg)
 	if err != nil {
@@ -152,6 +153,9 @@ func replayJournal(path string, cfg *Config) (*shardState, int64, error) {
 			return nil, 0, fmt.Errorf("server: journal %s: line %d: %w", path, i+1, err)
 		}
 	}
+	if err := st.checkBooks(); err != nil {
+		return nil, 0, fmt.Errorf("server: journal %s: %w", path, err)
+	}
 	return st, validLen, nil
 }
 
@@ -195,7 +199,7 @@ func ReplayDir(cfg Config) (Stats, error) {
 		if err != nil {
 			return Stats{}, err
 		}
-		completed := st.add(rs, true)
+		completed := st.add(rs)
 		st.Accepted += completed
 		st.PerShard = append(st.PerShard, ShardStats{Shard: i, Accepted: completed, Complete: completed})
 	}

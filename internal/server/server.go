@@ -256,7 +256,7 @@ type Server struct {
 	drainErrs []error
 }
 
-// recordDrainErr collects a durability loss for DrainErr.
+// recordDrainErr collects a durability loss or a books mismatch.
 func (s *Server) recordDrainErr(err error) {
 	s.drainMu.Lock()
 	s.drainErrs = append(s.drainErrs, err)
@@ -264,10 +264,10 @@ func (s *Server) recordDrainErr(err error) {
 }
 
 // DrainErr reports every durability loss the shards observed — a failed
-// final commit or close at drain, or a shard fail-stopped by a
-// persistent disk failure — joined, or nil when every journal drained
-// clean. Meaningful after Drain; callers exiting 0 on a clean drain
-// must check it.
+// final commit or close at drain, or a shard fail-stopped by a persistent
+// disk failure — and every shard whose books did not balance, joined, or
+// nil. Meaningful after Drain; callers exiting 0 on a clean drain must
+// check it.
 func (s *Server) DrainErr() error {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
@@ -500,9 +500,10 @@ func (s *Server) spanRoot(t *task, seq uint64) (sc tracing.SpanContext, parentID
 
 // Drain gracefully shuts the pipeline down: new requests are refused
 // with ErrDraining, every accepted request completes, journals are
-// flushed and fsynced, and the deterministic accounting is emitted into
-// Config.Obs. Drain blocks
-// until the drain is complete and is idempotent.
+// flushed and fsynced, every shard's books are checked against its
+// directory (a mismatch is joined into DrainErr), and the deterministic
+// accounting is emitted into Config.Obs. Drain blocks until the drain is
+// complete and is idempotent.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	if s.draining {
@@ -516,6 +517,11 @@ func (s *Server) Drain() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
+	for _, sh := range s.shards {
+		if err := sh.st.Load().checkBooks(); err != nil {
+			s.recordDrainErr(fmt.Errorf("server: shard %d: %w", sh.id, err))
+		}
+	}
 	s.finalize()
 	s.isFinal.Store(true)
 	close(s.drained)
@@ -549,15 +555,15 @@ func (s *Server) finalize() {
 		return
 	}
 	all := s.allStats()
-	total := s.snapshot(true)
+	total := s.Stats()
 	costMilli := o.Histogram("server.object_cost_milli", 0, 100, 300, 1000, 3000, 10000, 30000, 100000)
 	var switches int64
 	for _, st := range all {
-		costMilli.Observe(int64(st.Cost * 1000))
+		costMilli.Observe(milli(st.Cost))
 		o.Emit(obs.Event{Name: "object", Attrs: []obs.Attr{
 			obs.String("name", st.Name),
 			obs.Int("requests", st.Requests),
-			obs.Int64("cost_milli", int64(st.Cost*1000)),
+			obs.Int64("cost_milli", milli(st.Cost)),
 			obs.Uint64("scheme", uint64(st.Scheme)),
 		}})
 		// Adaptive-engine visibility: one policy_switch event per
@@ -572,7 +578,7 @@ func (s *Server) finalize() {
 				obs.Int("step", tr.Step),
 				obs.String("from", tr.From),
 				obs.String("to", tr.To),
-				obs.Int64("cost_milli", int64(tr.Counts.Price(s.cfg.Model)*1000)),
+				obs.Int64("cost_milli", milli(tr.Counts.Price(s.cfg.Model))),
 			}})
 		}
 		if w := st.Window; w != nil && w.Adapting {
@@ -590,18 +596,12 @@ func (s *Server) finalize() {
 	if switches > 0 {
 		o.Counter("server.policy_switches").Add(switches)
 	}
-	o.Counter("server.objects").Add(int64(len(all)))
-	o.Counter("server.requests").Add(int64(total.Complete))
-	o.Counter("server.coalesced").Add(int64(total.Coalesce))
-	o.Counter("server.retransmissions").Add(int64(total.Retrans))
-	o.Counter("server.unreachable").Add(int64(total.Unreach))
-	o.Counter("server.duplicates").Add(int64(total.Dups))
-	o.Counter("server.msgs.control").Add(int64(total.Counts.Control))
-	o.Counter("server.msgs.data").Add(int64(total.Counts.Data))
-	o.Counter("server.io").Add(int64(total.Counts.IO))
+	for _, c := range accounting(total) {
+		o.Counter(c.Name).Add(c.Value)
+	}
 	s.cfg.Trace.SetSummary(tracing.Summary{
 		Requests:  int64(total.Complete),
-		Objects:   len(all),
+		Objects:   total.Objects,
 		Engine:    s.cfg.Engine.String(),
 		CostMilli: milli(total.Cost),
 		Control:   total.Counts.Control,
@@ -624,9 +624,27 @@ func (s *Server) allStats() []multiobject.Stats {
 	return all
 }
 
-// Stats is the service's live operational snapshot. The per-object
-// totals (Objects, Counts, Cost) are engine-confined and appear only
-// once the drain has completed (Final true).
+// accounting is the deterministic accounting as counters, in name order:
+// what finalize adds to Config.Obs at drain and what every /v1/metrics
+// scrape renders live, under the same names and from the same books.
+func accounting(st Stats) []obs.CounterPoint {
+	return []obs.CounterPoint{
+		{Name: "server.coalesced", Value: int64(st.Coalesce)},
+		{Name: "server.duplicates", Value: int64(st.Dups)},
+		{Name: "server.io", Value: int64(st.Counts.IO)},
+		{Name: "server.msgs.control", Value: int64(st.Counts.Control)},
+		{Name: "server.msgs.data", Value: int64(st.Counts.Data)},
+		{Name: "server.objects", Value: int64(st.Objects)},
+		{Name: "server.requests", Value: int64(st.Complete)},
+		{Name: "server.retransmissions", Value: int64(st.Retrans)},
+		{Name: "server.unreachable", Value: int64(st.Unreach)},
+	}
+}
+
+// Stats is the service's snapshot, live at any time: every counter,
+// the accounting totals (Objects, Counts, Cost) included, is a running
+// per-shard value the shard loops advance with each request. Final only
+// marks that the drain has completed.
 type Stats struct {
 	Engine   string       `json:"engine"`
 	Shards   int          `json:"shards"`
@@ -663,11 +681,10 @@ type ShardStats struct {
 	Restarts uint64 `json:"restarts,omitempty"`
 }
 
-// add folds one shard state's request accounting into the snapshot and
-// returns its completed count. final also reads the engine-confined
-// totals (objects, counts, cost), which is legal only once the state's
-// owning loop has exited — or for a state replay just built.
-func (st *Stats) add(ss *shardState, final bool) (completed uint64) {
+// add folds one shard state's request accounting and running books into
+// the snapshot and returns its completed count. It reads only atomics,
+// so a live scrape may call it at any time.
+func (st *Stats) add(ss *shardState) (completed uint64) {
 	c := ss.ctr.load()
 	st.Complete += c.Completed
 	st.Reads += c.Reads
@@ -677,31 +694,26 @@ func (st *Stats) add(ss *shardState, final bool) (completed uint64) {
 	st.Unreach += c.Unreach
 	st.Dups += c.Dups
 	st.Deduped += c.Deduped
-	if final {
-		st.Objects += ss.db.Objects()
-		st.Counts = st.Counts.Add(ss.db.TotalCounts()).Add(ss.extra)
-		st.Cost = st.Counts.Price(ss.cfg.Model)
-	}
+	k, objects := ss.ctr.books()
+	st.Objects += objects
+	st.Counts = st.Counts.Add(k)
+	st.Cost = st.Counts.Price(ss.cfg.Model)
 	return c.Completed
 }
 
-// Stats returns the operational snapshot. Safe to call at any time.
-func (s *Server) Stats() Stats { return s.snapshot(s.isFinal.Load()) }
-
-// snapshot builds Stats; final includes the engine-confined totals and
-// requires every shard loop to have exited.
-func (s *Server) snapshot(final bool) Stats {
+// Stats returns the snapshot. Safe to call at any time.
+func (s *Server) Stats() Stats {
 	st := Stats{
 		Engine:   s.cfg.Engine.String(),
 		Shards:   len(s.shards),
 		Draining: s.Draining(),
-		Final:    final,
+		Final:    s.isFinal.Load(),
 	}
 	for _, sh := range s.shards {
 		ss := ShardStats{
 			Shard:    sh.id,
 			Accepted: sh.accepted.Load(),
-			Complete: st.add(sh.st.Load(), final),
+			Complete: st.add(sh.st.Load()),
 			Rejected: sh.rejected.Load(),
 			QueueLen: len(sh.mail),
 			QueueCap: cap(sh.mail),
@@ -720,8 +732,8 @@ func (s *Server) snapshot(final bool) Stats {
 
 // Ops returns the scheduling-dependent operational metrics (queue depth,
 // batch size and service-round histograms per shard). These are NOT part
-// of the deterministic accounting — two runs with different shard counts
-// or timing produce different ops snapshots.
+// of the deterministic accounting, which Stats reports live — two runs
+// with different shard counts or timing produce different ops snapshots.
 func (s *Server) Ops() obs.Snapshot { return s.ops.Snapshot() }
 
 // ObjectStats returns the merged per-object stats, sorted by name. Only

@@ -40,10 +40,25 @@ type counters struct {
 	Deduped uint64 `json:"deduped,omitempty"`
 }
 
-// liveCounters is the same accounting on a live state: written by the
-// goroutine that owns the state, read by concurrent Stats scrapes.
+// liveCounters is the same accounting on a live state, plus the running
+// books: the billed message and I/O counts and the object count. Written
+// by the goroutine that owns the state, read by concurrent Stats scrapes.
 type liveCounters struct {
 	completed, reads, writes, coalesced, retrans, unreach, dups, deduped atomic.Uint64
+	control, data, io, objects                                           atomic.Int64
+}
+
+// bill advances the running books by k.
+func (c *liveCounters) bill(k cost.Counts) {
+	c.control.Add(int64(k.Control))
+	c.data.Add(int64(k.Data))
+	c.io.Add(int64(k.IO))
+}
+
+// books reads the running books.
+func (c *liveCounters) books() (cost.Counts, int) {
+	k := cost.Counts{Control: int(c.control.Load()), Data: int(c.data.Load()), IO: int(c.io.Load())}
+	return k, int(c.objects.Load())
 }
 
 func (c *liveCounters) load() counters {
@@ -83,7 +98,6 @@ type shardState struct {
 	streams map[string]*netsim.Stream // per-object fault stream states
 	fresh   map[string]model.Set      // processors holding a current copy (coalescing); nil = off
 	seq     map[string]uint64         // per-object trace sequence numbers; nil = tracing off
-	extra   cost.Counts               // retransmission billing (control messages)
 	ctr     liveCounters
 }
 
@@ -165,8 +179,8 @@ func (st *shardState) step(object string, q model.Request, seq uint64) (out outc
 				}
 			}
 			// Every lost attempt was a control message on the wire.
-			st.extra.Control += out.res.Retransmits
 			st.ctr.retrans.Add(uint64(out.res.Retransmits))
+			st.ctr.control.Add(int64(out.res.Retransmits))
 		}
 		if delivered && plan.Dup > 0 && s.Float01() < plan.Dup {
 			st.ctr.dups.Add(1)
@@ -186,6 +200,10 @@ func (st *shardState) step(object string, q model.Request, seq uint64) (out outc
 		st.ctr.reads.Add(1)
 	default:
 		out.detail, out.res.Err = st.db.ApplyDetail(object, q)
+		st.ctr.bill(out.detail.Counts)
+		if out.detail.Created {
+			st.ctr.objects.Add(1)
+		}
 		if st.fresh != nil && out.res.Err == nil {
 			if q.IsRead() {
 				// The saving read installed a copy at the reader.
@@ -241,9 +259,9 @@ func (st *shardState) export() (*ckptRecord, error) {
 		T: ckptTag, Objects: objs, Next: st.next, TraceSeq: st.seq,
 		Streams:  make(map[string]uint64, len(st.streams)),
 		Fresh:    make(map[string]uint64, len(st.fresh)),
-		Extra:    st.extra,
 		counters: st.ctr.load(),
 	}
+	rec.Extra.Control = int(rec.Retrans) // the retransmission billing
 	for obj, s := range st.streams {
 		rec.Streams[obj] = uint64(*s)
 	}
@@ -255,11 +273,17 @@ func (st *shardState) export() (*ckptRecord, error) {
 
 // restore is export's inverse, onto a fresh state nothing else can see
 // yet. Tables the config has switched off (coalescing, tracing) stay
-// off whatever the checkpoint carries.
+// off whatever the checkpoint carries. The books are derived, not stored:
+// its objects' counts plus its retransmission billing (Extra).
 func (st *shardState) restore(c *ckptRecord) error {
 	if err := st.db.Restore(c.Objects); err != nil {
 		return err
 	}
+	for _, o := range c.Objects {
+		st.ctr.bill(o.Counts)
+	}
+	st.ctr.bill(c.Extra)
+	st.ctr.objects.Store(int64(len(c.Objects)))
 	maps.Copy(st.next, c.Next)
 	for obj, v := range c.Streams {
 		s := netsim.Stream(v)
@@ -273,7 +297,20 @@ func (st *shardState) restore(c *ckptRecord) error {
 	if st.seq != nil {
 		maps.Copy(st.seq, c.TraceSeq)
 	}
-	st.extra = c.Extra
 	st.ctr.store(c.counters)
+	return nil
+}
+
+// checkBooks is the books invariant (DESIGN §6, item 10): the running
+// books equal the directory's totals plus the retransmission billing, one
+// control message per lost attempt. It reads the directory, so it runs
+// where nothing else uses the state: after replay, and at drain.
+func (st *shardState) checkBooks() error {
+	books, objects := st.ctr.books()
+	dir, extra := st.db.TotalCounts(), cost.Counts{Control: int(st.ctr.retrans.Load())}
+	if want := dir.Add(extra); books != want || objects != st.db.Objects() {
+		return fmt.Errorf("books %v over %d objects, directory %v + retransmissions %v = %v over %d objects",
+			books, objects, dir, extra, want, st.db.Objects())
+	}
 	return nil
 }

@@ -593,7 +593,9 @@ type Obs = obs.Obs
 // DBConfig describes a multi-object database directory.
 type DBConfig = multiobject.Config
 
-// DB is a directory of independently managed replicated objects.
+// DB is a directory of independently managed replicated objects. It has
+// one owner and is not safe for concurrent use: it takes no lock, so
+// goroutines that share one must order their calls themselves.
 type DB = multiobject.DB
 
 // OpenDB creates an empty multi-object database.
