@@ -159,11 +159,12 @@ benchvet:
 # operation starts first: concurrent reads are a PerformAll burst instead.
 # internal/feed wraps a cluster and is held to the same rules, and so is
 # internal/multiobject's directory, which the server's shard loop owns
-# (its ExecutedDB lives in a test file and is not covered).
+# (its ExecutedDB lives in a test file and is not covered), and so is
+# internal/ddmin, the shrink loop chaos and competitive share.
 # chaos.Search's parallelism is the engine pool over whole scenarios, each
 # of which runs on its own cluster.
 seqvet:
-	@all=$$(ls internal/netsim/*.go internal/sim/*.go internal/quorum/*.go internal/ha/*.go internal/chaos/*.go internal/feed/*.go internal/multiobject/*.go | grep -v '_test\.go$$'); \
+	@all=$$(ls internal/netsim/*.go internal/sim/*.go internal/quorum/*.go internal/ha/*.go internal/chaos/*.go internal/ddmin/*.go internal/feed/*.go internal/multiobject/*.go | grep -v '_test\.go$$'); \
 	bad=$$(grep -n -E '^[[:space:]]*go[[:space:]]+[a-zA-Z_(]' $$all; \
 		grep -n -E '(^|[^a-zA-Z_])chan[[:space:]]|<-|sync\.NewCond|time\.After|time\.Sleep' $$all; \
 		grep -n -E '"sync(/atomic)?"' $$all; true); \
@@ -172,7 +173,7 @@ seqvet:
 		echo "$$bad"; \
 		exit 1; \
 	else \
-		echo "seqvet: executed protocols, feed and the multi-object directory start no goroutine, pass no channel, wait on no clock and take no lock"; \
+		echo "seqvet: executed protocols, ddmin, feed and the multi-object directory start no goroutine, pass no channel, wait on no clock and take no lock"; \
 	fi
 
 # objallocd serves the controller and the two protocols; it does not run

@@ -1,5 +1,5 @@
 // Package modelflags declares the flags that fix a sharded server's
-// deterministic behaviour — engine, system shape, cost model, fault
+// deterministic behaviour — engine, system shape, cost model, loss
 // streams — once, for the two tools that must agree on them: objallocd
 // writes journals under these flags and journalcheck replays them, and a
 // journal only replays under the configuration that wrote it.
@@ -21,7 +21,7 @@ type Flags struct {
 	shards, n, t, attempts               *int
 	engine, adaptive, faults, diskFaults *string
 	cc, cd                               *float64
-	mobile, noretry                      *bool
+	mobile                               *bool
 	seed                                 *int64
 }
 
@@ -36,9 +36,8 @@ func Bind(fs *flag.FlagSet) *Flags {
 		cc:         fs.Float64("cc", 0.25, "control-message cost"),
 		cd:         fs.Float64("cd", 1, "data-message cost"),
 		mobile:     fs.Bool("mobile", false, "mobile-computers model (I/O cost 0) instead of stationary"),
-		faults:     fs.String("faults", "", "fault schedule (key=value, comma-separated; empty disables)"),
-		noretry:    fs.Bool("noretry", false, "disable the retransmission discipline"),
-		attempts:   fs.Int("attempts", 0, "retransmission cap per message (0 = default)"),
+		faults:     fs.String("faults", "", "message-loss plan, loss=P[,seed=S] (the only message fault the cost model prices; dup, delay and flap keys are refused; empty disables)"),
+		attempts:   fs.Int("attempts", 0, "attempts per message before it is unreachable (0 = default 10; 1 = no retransmission)"),
 		seed:       fs.Int64("seed", 0, "fault-stream seed perturbation"),
 		diskFaults: fs.String("disk-faults", "", "deterministic disk-fault plan for the journal (key=value, comma-separated; requires -journal; empty disables; replay validates it but injects nothing)"),
 	}
@@ -66,13 +65,15 @@ func (f *Flags) Config() (server.Config, error) {
 	cfg := server.Config{
 		Shards: *f.shards, Engine: eng, Adaptive: aspec, N: *f.n, T: *f.t,
 		Model: m, Seed: *f.seed,
-		Retry: netsim.RetryPolicy{Disabled: *f.noretry, MaxAttempts: *f.attempts},
+		Retry: netsim.RetryPolicy{MaxAttempts: *f.attempts},
 	}
 	plan, err := netsim.ParseFaults(*f.faults)
 	if err != nil {
 		return server.Config{}, err
 	}
-	if plan.Active() {
+	if plan != (netsim.FaultPlan{}) {
+		// Set, not merely active: Normalize names any key the service
+		// refuses, delaymax or flaplen alone included.
 		cfg.Faults = &plan
 	}
 	dplan, err := diskfault.ParsePlan(*f.diskFaults)

@@ -11,7 +11,7 @@ import (
 	"objalloc/internal/server"
 )
 
-// TestModelFlagParity pins the model flag set both tools share: 13
+// TestModelFlagParity pins the model flag set both tools share: 12
 // names and defaults, registered by objallocd and journalcheck through
 // Bind (a second declaration of one of them on the same flag set
 // panics), and a bad -engine or -adaptive value refused in the words
@@ -20,7 +20,7 @@ func TestModelFlagParity(t *testing.T) {
 	want := map[string]string{
 		"shards": "8", "engine": "da", "adaptive": "", "n": "8", "t": "3",
 		"cc": "0.25", "cd": "1", "mobile": "false",
-		"faults": "", "noretry": "false", "attempts": "0", "seed": "0",
+		"faults": "", "attempts": "0", "seed": "0",
 		"disk-faults": "",
 	}
 	newSet := func(name string) (*flag.FlagSet, *Flags) {
@@ -63,40 +63,51 @@ func TestModelFlagParity(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsLinkFlaps: the service draws faults from per-object
-// streams and has no links, so a plan with flap or flaplen would be an
-// active fault run that injects nothing. Normalize refuses it, and with
-// it New and everything -faults reaches through Config; the plan itself
-// stays legal for cmd/chaos and domsim, which run real links.
+// TestConfigRejectsLinkFlaps: the service injects loss alone, the one
+// message fault the cost model prices. A plan that sets a duplication,
+// delay or link-flap key is refused by Normalize, and with it by New and
+// everything -faults reaches through Config, naming -faults and the key;
+// the plan itself stays legal for cmd/chaos and domsim, which run real
+// links.
 func TestConfigRejectsLinkFlaps(t *testing.T) {
-	refused := func(what string, err error) {
+	refused := func(what, key string, err error) {
 		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "-faults") || !strings.Contains(err.Error(), "flap") {
-			t.Errorf("%s: error %v, want a refusal naming -faults and flap", what, err)
+		if err == nil || !strings.Contains(err.Error(), "-faults") || !strings.Contains(err.Error(), key+"=") {
+			t.Errorf("%s: error %v, want a refusal naming -faults and %s", what, err, key)
 		}
 	}
-	for _, plan := range []netsim.FaultPlan{{Flap: 0.5}, {FlapLen: 3}, {Loss: 0.1, Flap: 0.01, FlapLen: 3}} {
-		cfg := server.Config{Faults: &plan}
-		refused("Normalize", cfg.Normalize())
-		_, err := server.New(server.Config{Faults: &plan})
-		refused("New", err)
-	}
-	for _, arg := range []string{"-faults=flap=0.5,flaplen=3", "-faults=loss=0.1,FLAP=0.01"} {
-		fs := flag.NewFlagSet("flaps", flag.ContinueOnError)
+	for _, tc := range []struct {
+		key  string
+		plan netsim.FaultPlan
+		arg  string
+	}{
+		{"flap", netsim.FaultPlan{Flap: 0.5}, "-faults=flap=0.5,flaplen=3"},
+		{"flaplen", netsim.FaultPlan{FlapLen: 3}, "-faults=flaplen=3"},
+		{"flap", netsim.FaultPlan{Loss: 0.1, Flap: 0.01, FlapLen: 3}, "-faults=loss=0.1,FLAP=0.01"},
+		{"dup", netsim.FaultPlan{Loss: 0.1, Dup: 0.1}, "-faults=loss=0.1,dup=0.1"},
+		{"delay", netsim.FaultPlan{Delay: 0.2, Seed: 3}, "-faults=delay=0.2,seed=3"},
+		{"delaymax", netsim.FaultPlan{Loss: 0.1, DelayMax: 4}, "-faults=delaymax=4"},
+	} {
+		cfg := server.Config{Faults: &tc.plan}
+		refused("Normalize", tc.key, cfg.Normalize())
+		_, err := server.New(server.Config{Faults: &tc.plan})
+		refused("New", tc.key, err)
+
+		fs := flag.NewFlagSet("faults", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		flags := Bind(fs)
-		if err := fs.Parse([]string{arg}); err != nil {
+		if err := fs.Parse([]string{tc.arg}); err != nil {
 			t.Fatal(err)
 		}
-		cfg, err := flags.Config()
+		cfg, err = flags.Config()
 		if err != nil {
-			t.Fatalf("%s: Config refused a legal plan: %v", arg, err)
+			t.Fatalf("%s: Config refused a legal plan: %v", tc.arg, err)
 		}
 		_, err = server.New(cfg)
-		refused(arg, err)
+		refused(tc.arg, tc.key, err)
 	}
-	ok := server.Config{Faults: &netsim.FaultPlan{Loss: 0.1, Dup: 0.1, Delay: 0.1, DelayMax: 3}}
+	ok := server.Config{Faults: &netsim.FaultPlan{Loss: 0.1, Seed: 3}}
 	if err := ok.Normalize(); err != nil {
-		t.Errorf("a plan without flaps is refused: %v", err)
+		t.Errorf("a loss-only plan is refused: %v", err)
 	}
 }

@@ -5,7 +5,7 @@
 // stats. With -statsfile it reconciles the replay against a daemon's
 // final stats snapshot, comparing the deterministic field subset —
 // completed, reads, writes, coalesced, retransmissions, unreachable,
-// duplicates, objects, message counts and billed cost — and exits
+// objects, message counts and billed cost — and exits
 // nonzero on any divergence, so a journal that would not recover to the
 // observed state is caught without starting a daemon.
 //
@@ -20,8 +20,8 @@
 //	journalcheck -journal dir [-statsfile stats.json]
 //	             [-shards 8] [-engine da] [-adaptive spec]
 //	             [-n 8] [-t 3] [-cc 0.25] [-cd 1] [-mobile]
-//	             [-faults spec] [-noretry]
-//	             [-attempts 0] [-seed 0] [-disk-faults spec]
+//	             [-faults loss=P] [-attempts 0] [-seed 0]
+//	             [-disk-faults spec]
 //
 // -disk-faults is accepted (and validated) for flag parity with
 // objallocd, so a harness can hand both tools the same flag set. It
@@ -107,7 +107,6 @@ func run(args []string) error {
 	check("coalesced", st.Coalesce, want.Coalesce)
 	check("retransmissions", st.Retrans, want.Retrans)
 	check("unreachable", st.Unreach, want.Unreach)
-	check("duplicates", st.Dups, want.Dups)
 	check("objects", st.Objects, want.Objects)
 	check("counts", st.Counts, want.Counts)
 	check("cost", st.Cost, want.Cost)

@@ -9,8 +9,8 @@
 //	objallocd [-shards 8] [-queue 256] [-batch 64] [-engine da]
 //	          [-adaptive window=8,hysteresis=2]
 //	          [-n 8] [-t 3] [-cc 0.25] [-cd 1] [-mobile]
-//	          [-faults loss=0.1,delay=0.2] [-noretry]
-//	          [-attempts 0] [-seed 0] [-journal dir]
+//	          [-faults loss=0.1] [-attempts 0] [-seed 0]
+//	          [-journal dir]
 //	          [-checkpoint 1024] [-chaos-panic 0]
 //	          [-disk-faults writeerr=0.01,syncerr=0.01]
 //	          [-addr 127.0.0.1:0] [-addrfile path] [-statsfile path]

@@ -106,4 +106,7 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-faults", "loss=2"}, nil); err == nil {
 		t.Fatal("invalid fault plan accepted")
 	}
+	if err := run([]string{"-faults", "dup=0.1"}, nil); err == nil || !strings.Contains(err.Error(), "-faults") || !strings.Contains(err.Error(), "dup=0.1") {
+		t.Fatalf("-faults dup=0.1: error %v, want a refusal naming -faults and dup", err)
+	}
 }

@@ -1,6 +1,9 @@
 package chaos
 
-import "objalloc/internal/netsim"
+import (
+	"objalloc/internal/ddmin"
+	"objalloc/internal/netsim"
+)
 
 // failsWith replays the scenario and reports whether it still breaches the
 // named invariant (any invariant when the name is empty). Setup/step
@@ -23,9 +26,9 @@ func failsWith(sc Scenario, invariant string) bool {
 	return false
 }
 
-// Shrink minimizes a failing scenario with delta debugging: first ddmin
-// over the expanded step list (removing chunks of decreasing size while
-// the original invariant class still breaks), then zeroing each fault knob
+// Shrink minimizes a failing scenario with delta debugging: first
+// ddmin.Min over the expanded step list (a 1-minimal schedule that still
+// breaks the original invariant class), then zeroing each fault knob
 // that turns out not to be load-bearing. The result has an explicit
 // Schedule and reproduces a violation of the same invariant; if the input
 // does not fail, it is returned unchanged.
@@ -38,42 +41,26 @@ func Shrink(sc Scenario) Scenario {
 		return sc
 	}
 	invariant := first.Violations[0].Invariant
-	stillFails := func(sc Scenario) bool { return failsWith(sc, invariant) }
 	sc.Schedule = sc.Expand()
 	sc.Steps = 0
 
-	// ddmin over the step list.
-	chunk := len(sc.Schedule) / 2
-	for chunk >= 1 {
-		removedAny := false
-		for start := 0; start+chunk <= len(sc.Schedule); {
-			candidate := sc
-			candidate.Schedule = append(append([]Step(nil), sc.Schedule[:start]...), sc.Schedule[start+chunk:]...)
-			if len(candidate.Schedule) > 0 && stillFails(candidate) {
-				sc.Schedule = candidate.Schedule
-				removedAny = true
-				// Do not advance: the next chunk slid into place.
-			} else {
-				start += chunk
-			}
-		}
-		if !removedAny || chunk == 1 {
-			chunk /= 2
-		}
-	}
+	// failsWith counts a run error as "does not reproduce", so Min cannot fail.
+	sc.Schedule, _ = ddmin.Min(sc.Schedule, func(steps []Step) (bool, error) {
+		candidate := sc
+		candidate.Schedule = steps
+		return failsWith(candidate, invariant), nil
+	})
 
 	// Zero out fault knobs the failure does not depend on.
-	knobs := []func(*netsim.FaultPlan){
+	for _, zero := range []func(*netsim.FaultPlan){
 		func(p *netsim.FaultPlan) { p.Flap, p.FlapLen = 0, 0 },
 		func(p *netsim.FaultPlan) { p.Dup = 0 },
 		func(p *netsim.FaultPlan) { p.Delay, p.DelayMax = 0, 0 },
 		func(p *netsim.FaultPlan) { p.Loss = 0 },
-	}
-	for _, zero := range knobs {
+	} {
 		candidate := sc
-		candidate.Faults = sc.Faults
 		zero(&candidate.Faults)
-		if stillFails(candidate) {
+		if failsWith(candidate, invariant) {
 			sc.Faults = candidate.Faults
 		}
 	}

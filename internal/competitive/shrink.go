@@ -4,53 +4,35 @@ import (
 	"fmt"
 
 	"objalloc/internal/cost"
+	"objalloc/internal/ddmin"
 	"objalloc/internal/dom"
 	"objalloc/internal/model"
 )
 
-// Shrink minimizes an adversarial witness: it repeatedly removes requests
-// from the schedule as long as the algorithm's cost ratio stays at or
-// above keepRatio, and returns the shortest schedule found. Minimal
-// witnesses make lower-bound arguments legible — the long random schedules
-// the search produces usually carry a small adversarial core.
-//
-// The procedure is greedy delta-debugging: one pass removes chunks of
-// halving sizes, restarting whenever a removal succeeds, until no single
-// request can be removed.
+// Shrink minimizes an adversarial witness: it removes requests from the
+// schedule as long as the algorithm's cost ratio stays at or above
+// keepRatio, and returns a 1-minimal schedule (ddmin.Min) with its
+// measurement. Minimal witnesses make lower-bound arguments legible — the
+// long random schedules the search produces usually carry a small
+// adversarial core.
 func Shrink(m cost.Model, f dom.Factory, sched model.Schedule, initial model.Set, t int, keepRatio float64) (model.Schedule, Measurement, error) {
-	meas, err := Ratio(m, f, sched, initial, t)
+	best, err := Ratio(m, f, sched, initial, t)
 	if err != nil {
 		return nil, Measurement{}, err
 	}
-	if meas.Ratio < keepRatio {
-		return nil, Measurement{}, fmt.Errorf("competitive: witness ratio %.4f already below target %.4f", meas.Ratio, keepRatio)
+	if best.Ratio < keepRatio {
+		return nil, Measurement{}, fmt.Errorf("competitive: witness ratio %.4f already below target %.4f", best.Ratio, keepRatio)
 	}
-	cur := sched.Clone()
-	best := meas
-	for chunk := len(cur) / 2; chunk >= 1; {
-		removedAny := false
-		for start := 0; start+chunk <= len(cur); start++ {
-			candidate := make(model.Schedule, 0, len(cur)-chunk)
-			candidate = append(candidate, cur[:start]...)
-			candidate = append(candidate, cur[start+chunk:]...)
-			if len(candidate) == 0 {
-				continue
-			}
-			cm, err := Ratio(m, f, candidate, initial, t)
-			if err != nil {
-				return nil, Measurement{}, err
-			}
-			if cm.Ratio >= keepRatio {
-				cur = candidate
-				best = cm
-				removedAny = true
-				// Restart the scan at this chunk size: indices shifted.
-				start = -1
-			}
+	cur, err := ddmin.Min(sched, func(candidate []model.Request) (bool, error) {
+		cm, err := Ratio(m, f, candidate, initial, t)
+		if err != nil || cm.Ratio < keepRatio {
+			return false, err
 		}
-		if !removedAny || chunk > len(cur) {
-			chunk /= 2
-		}
+		best = cm // accepted: Min's current schedule is now candidate
+		return true, nil
+	})
+	if err != nil {
+		return nil, Measurement{}, err
 	}
 	return cur, best, nil
 }

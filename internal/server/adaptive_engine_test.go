@@ -55,7 +55,7 @@ func engineFingerprint(t *testing.T, shards, workers int, eng Engine, spec adapt
 	s, err := New(Config{
 		Shards: shards, Engine: eng, Adaptive: spec, N: 6, T: 3, Seed: 42,
 		Model:  cost.SC(0.25, 1),
-		Faults: &netsim.FaultPlan{Seed: 9, Loss: 0.2, Dup: 0.1, Delay: 0.15, DelayMax: 3},
+		Faults: &netsim.FaultPlan{Seed: 9, Loss: 0.2},
 		Retry:  netsim.RetryPolicy{MaxAttempts: 4},
 		Obs:    &obs.Obs{Registry: reg, Sink: sink},
 	})

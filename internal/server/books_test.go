@@ -31,7 +31,7 @@ func TestStatsLiveBeforeDrain(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/journaled=%t", eng, journaled), func(t *testing.T) {
 				cfg := Config{
 					Shards: 2, N: 5, T: 2, Engine: eng, Seed: 3,
-					Faults:          &netsim.FaultPlan{Seed: 4, Loss: 0.15, Dup: 0.1, Delay: 0.2, DelayMax: 3},
+					Faults:          &netsim.FaultPlan{Seed: 4, Loss: 0.15},
 					Retry:           netsim.RetryPolicy{MaxAttempts: 3},
 					CheckpointEvery: 16,
 				}

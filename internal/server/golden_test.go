@@ -75,9 +75,9 @@ func TestGoldenJournalReplays(t *testing.T) {
 	var all []byte
 	forRecoveryConfigs(t, func(t *testing.T, mk func(int, string) Config) {
 		dir := filepath.Join("testdata", "golden", filepath.Base(t.Name()))
-		// The step-semantics pin must keep exercising the delay draw.
-		if f := mk(2, dir).Faults; f == nil || f.Delay <= 0 {
-			t.Fatalf("battery row draws no delay faults: %+v", f)
+		// The step-semantics pin must keep exercising the loss draw.
+		if f := mk(2, dir).Faults; f == nil || f.Loss <= 0 {
+			t.Fatalf("battery row draws no loss faults: %+v", f)
 		}
 		if *updateGolden {
 			writeGolden(t, mk(2, dir), dir)

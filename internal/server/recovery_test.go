@@ -74,14 +74,14 @@ func requestAt(o, i, n int) model.Request {
 // determinism contract pins down, excluding scheduling-dependent fields
 // (rejected, deduped, queue depths, rounds, restarts).
 func detStats(st Stats) string {
-	return fmt.Sprintf("completed=%d reads=%d writes=%d coalesced=%d retrans=%d unreach=%d dups=%d objects=%d counts=%v cost=%.6f",
-		st.Complete, st.Reads, st.Writes, st.Coalesce, st.Retrans, st.Unreach, st.Dups,
+	return fmt.Sprintf("completed=%d reads=%d writes=%d coalesced=%d retrans=%d unreach=%d objects=%d counts=%v cost=%.6f",
+		st.Complete, st.Reads, st.Writes, st.Coalesce, st.Retrans, st.Unreach,
 		st.Objects, st.Counts, st.Cost)
 }
 
 // recoveryConfig is the battery config the recovery tests share: the
-// adaptive engine (so controller state must round-trip), loss and delay
-// faults (so fault-stream positions must round-trip), and a small
+// adaptive engine (so controller state must round-trip), loss faults
+// (so fault-stream positions must round-trip), and a small
 // checkpoint cadence (so replay crosses checkpoint boundaries).
 func recoveryConfig(shards int, dir string) Config {
 	aspec, err := adaptive.ParseSpec("adaptive:window=8,hysteresis=2")
@@ -92,7 +92,7 @@ func recoveryConfig(shards int, dir string) Config {
 		Shards: shards, N: 6, T: 2,
 		Engine: EngineAdaptive, Adaptive: aspec,
 		Seed:            11,
-		Faults:          &netsim.FaultPlan{Seed: 5, Loss: 0.1, Delay: 0.2, DelayMax: 3},
+		Faults:          &netsim.FaultPlan{Seed: 5, Loss: 0.1},
 		Retry:           netsim.RetryPolicy{MaxAttempts: 4},
 		Journal:         dir,
 		CheckpointEvery: 8,
@@ -102,14 +102,13 @@ func recoveryConfig(shards int, dir string) Config {
 // mobileRecoveryConfig is the battery's second row: dynamic allocation
 // under the mobile cost model, where coalescing resolves on (the
 // freshness table must round-trip and coalesced records must verify),
-// with loss heavy enough to exhaust the retry budget (err records),
-// duplication draws and delay draws.
+// with loss heavy enough to exhaust the retry budget (err records).
 func mobileRecoveryConfig(shards int, dir string) Config {
 	return Config{
 		Shards: shards, N: 6, T: 2,
 		Engine: EngineDA, Model: cost.MC(0.25, 1),
 		Seed:            11,
-		Faults:          &netsim.FaultPlan{Seed: 7, Loss: 0.3, Dup: 0.15, Delay: 0.2, DelayMax: 3},
+		Faults:          &netsim.FaultPlan{Seed: 7, Loss: 0.3},
 		Retry:           netsim.RetryPolicy{MaxAttempts: 2},
 		Journal:         dir,
 		CheckpointEvery: 8,
@@ -186,8 +185,8 @@ func TestReplayDirMatchesStats(t *testing.T) {
 		s.Drain()
 		live := s.Stats()
 		want := detStats(live)
-		if s.cfg.coalesce && (live.Coalesce == 0 || live.Dups == 0 || live.Unreach == 0) {
-			t.Fatalf("coalescing row is vacuous: coalesced=%d dups=%d unreach=%d", live.Coalesce, live.Dups, live.Unreach)
+		if s.cfg.coalesce && (live.Coalesce == 0 || live.Unreach == 0) {
+			t.Fatalf("coalescing row is vacuous: coalesced=%d unreach=%d", live.Coalesce, live.Unreach)
 		}
 
 		st, err := ReplayDir(mk(2, dir))

@@ -28,7 +28,7 @@
 // accounting (per-object stats, totals, the Config.Obs events and
 // counters) is therefore byte-identical for any Shards/parallelism
 // setting under a fixed seed, while the scheduling-dependent operational
-// metrics (queue depths, batch sizes, service rounds) live in a separate
+// metrics (queue depths, batch sizes) live in a separate
 // internal registry exposed via Stats and the HTTP /v1/stats endpoint.
 package server
 
@@ -81,11 +81,16 @@ type Config struct {
 	// Seed perturbs every per-object fault stream; fixed seed + fixed
 	// per-object request order = identical fault outcomes at any Shards.
 	Seed int64
-	// Faults, when non-nil, injects deterministic message faults into
-	// every shard: loss, duplication and delay are drawn from per-object
-	// streams. Link flaps are refused: the service has no links.
+	// Faults, when non-nil, injects deterministic message loss into every
+	// shard, drawn from per-object streams: a lost attempt is billed as a
+	// control message and retried, and a request that exhausts its
+	// attempts ends Unreachable. Loss is the one message fault the cost
+	// model prices, so a plan that sets anything beyond Loss and Seed
+	// (dup, delay, delaymax, flap, flaplen) is refused; the executed
+	// protocols under netsim keep those as real deliveries.
 	Faults *netsim.FaultPlan
 	// Retry is the retransmission discipline applied to lost messages.
+	// Disabled resolves to MaxAttempts = 1 in Normalize.
 	Retry netsim.RetryPolicy
 	// Journal, when non-empty, is a directory receiving one JSONL
 	// journal per shard. Records are group-committed (one write + fsync
@@ -174,9 +179,13 @@ func (cfg *Config) Normalize() error {
 		if err := cfg.Faults.Validate(); err != nil {
 			return err
 		}
-		if cfg.Faults.Flap > 0 || cfg.Faults.FlapLen > 0 {
-			return fmt.Errorf("server: Faults (-faults) sets flap/flaplen: link flaps are per-link; the service draws faults from per-object streams")
+		if rest := *cfg.Faults; rest != (netsim.FaultPlan{Loss: rest.Loss, Seed: rest.Seed}) {
+			rest.Loss, rest.Seed = 0, 0
+			return fmt.Errorf("server: Faults (-faults) sets %s: the service injects loss alone, the one message fault the cost model prices", netsim.FormatFaults(rest))
 		}
+	}
+	if cfg.Retry.Disabled {
+		cfg.Retry = netsim.RetryPolicy{MaxAttempts: 1}
 	}
 	if cfg.DiskFaults != nil {
 		if err := cfg.DiskFaults.Validate(); err != nil {
@@ -327,7 +336,6 @@ func newShard(s *Server, id int) (*shard, error) {
 
 		depthHist: s.ops.Histogram(fmt.Sprintf("shard%d.queue_depth", id), 0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
 		batchHist: s.ops.Histogram(fmt.Sprintf("shard%d.batch_size", id), 1, 2, 4, 8, 16, 32, 64, 128),
-		svcHist:   s.ops.Histogram(fmt.Sprintf("shard%d.service_rounds", id), 1, 2, 4, 8, 16, 32),
 	}
 	if cfg.Journal == "" {
 		st, err := newShardState(cfg)
@@ -630,7 +638,6 @@ func (s *Server) allStats() []multiobject.Stats {
 func accounting(st Stats) []obs.CounterPoint {
 	return []obs.CounterPoint{
 		{Name: "server.coalesced", Value: int64(st.Coalesce)},
-		{Name: "server.duplicates", Value: int64(st.Dups)},
 		{Name: "server.io", Value: int64(st.Counts.IO)},
 		{Name: "server.msgs.control", Value: int64(st.Counts.Control)},
 		{Name: "server.msgs.data", Value: int64(st.Counts.Data)},
@@ -644,7 +651,9 @@ func accounting(st Stats) []obs.CounterPoint {
 // Stats is the service's snapshot, live at any time: every counter,
 // the accounting totals (Objects, Counts, Cost) included, is a running
 // per-shard value the shard loops advance with each request. Final only
-// marks that the drain has completed.
+// marks that the drain has completed. Dups is always 0: the service
+// injects no duplication, and the field stays only because the
+// benchmark's accounting diff still reads it.
 type Stats struct {
 	Engine   string       `json:"engine"`
 	Shards   int          `json:"shards"`
@@ -692,7 +701,6 @@ func (st *Stats) add(ss *shardState) (completed uint64) {
 	st.Coalesce += c.Coalesced
 	st.Retrans += c.Retrans
 	st.Unreach += c.Unreach
-	st.Dups += c.Dups
 	st.Deduped += c.Deduped
 	k, objects := ss.ctr.books()
 	st.Objects += objects
@@ -730,8 +738,8 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Ops returns the scheduling-dependent operational metrics (queue depth,
-// batch size and service-round histograms per shard). These are NOT part
+// Ops returns the scheduling-dependent operational metrics (queue depth
+// and batch size histograms per shard). These are NOT part
 // of the deterministic accounting, which Stats reports live — two runs
 // with different shard counts or timing produce different ops snapshots.
 func (s *Server) Ops() obs.Snapshot { return s.ops.Snapshot() }

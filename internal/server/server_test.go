@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,7 +17,6 @@ import (
 	"objalloc/internal/multiobject"
 	"objalloc/internal/netsim"
 	"objalloc/internal/obs"
-	"objalloc/internal/tracing"
 )
 
 // drive issues a deterministic request stream: objects obj-0..obj-(objects-1),
@@ -307,58 +305,6 @@ func TestFaultsTotalLoss(t *testing.T) {
 	}
 }
 
-func TestFaultsDelayDrainsClean(t *testing.T) {
-	s, err := New(Config{
-		Shards: 2, N: 4, T: 2,
-		Faults: &netsim.FaultPlan{Seed: 3, Delay: 1.0, DelayMax: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(t, s, 8, 20, 4)
-	s.Drain()
-	st := s.Stats()
-	if st.Accepted != 160 || st.Complete != 160 {
-		t.Fatalf("accepted %d completed %d, want 160/160 despite delays", st.Accepted, st.Complete)
-	}
-}
-
-// A delay fault is an annotation, not a schedule: every request below
-// draws a delay, and each is still serviced in the one round that
-// dequeued it, with the drawn rounds on its span.
-func TestDelayedRequestServicedInItsOwnRound(t *testing.T) {
-	tr := tracing.New(tracing.Config{Deterministic: true})
-	s, err := New(Config{
-		Shards: 1, N: 4, T: 2,
-		Faults: &netsim.FaultPlan{Seed: 3, Delay: 1.0, DelayMax: 4},
-		Trace:  tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(t, s, 2, 5, 1)
-	s.Drain()
-	if rounds := s.Stats().PerShard[0].Rounds; rounds != 10 {
-		t.Fatalf("10 requests took %d service rounds, want 10", rounds)
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	a, err := tracing.Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Requests) != 10 {
-		t.Fatalf("trace has %d requests, want 10", len(a.Requests))
-	}
-	for _, rv := range a.Requests {
-		if rv.Holds < 1 {
-			t.Errorf("request %s/%d carries holds=%d, want ≥ 1", rv.Object, rv.Seq, rv.Holds)
-		}
-	}
-}
-
 // snapshotFingerprint runs a fixed workload and returns the JSON of the
 // deterministic registry snapshot plus the finalize event stream.
 func snapshotFingerprint(t *testing.T, shards, workers int) string {
@@ -368,7 +314,7 @@ func snapshotFingerprint(t *testing.T, shards, workers int) string {
 	s, err := New(Config{
 		Shards: shards, N: 6, T: 3, Seed: 42,
 		Model:  cost.MC(0.25, 1),
-		Faults: &netsim.FaultPlan{Seed: 9, Loss: 0.2, Dup: 0.1, Delay: 0.15, DelayMax: 3},
+		Faults: &netsim.FaultPlan{Seed: 9, Loss: 0.2},
 		Retry:  netsim.RetryPolicy{MaxAttempts: 4},
 		Obs:    &obs.Obs{Registry: reg, Sink: sink},
 	})

@@ -140,7 +140,6 @@ type shard struct {
 	// operational metrics (scheduling-dependent, ops registry).
 	depthHist *obs.Histogram
 	batchHist *obs.Histogram
-	svcHist   *obs.Histogram
 
 	// scheduling counters read concurrently by Stats (the request
 	// accounting lives in st).
@@ -275,7 +274,6 @@ func (sh *shard) process(t *task) {
 // finish completes a stepped task: journal, metrics, trace, and stage
 // (or, unjournaled, send) the reply.
 func (sh *shard) finish(t *task, out outcome) {
-	sh.svcHist.Observe(int64(1 + out.holds))
 	if sh.journal != nil {
 		sh.journal.record(t, out.res)
 	}
@@ -348,7 +346,7 @@ func (sh *shard) emitTrace(t *task, out outcome) {
 		Trace: trace, Span: root, Parent: parentID, Name: tracing.NameRequest,
 		Object: t.object, Op: t.req.Op.String(), Proc: int(t.req.Processor), Seq: seq, Shard: sh.id,
 		Engine: engine, Protocol: a.Protocol, CostMilli: milli(r.Cost),
-		Retransmits: r.Retransmits, Holds: out.holds, Outcome: tag,
+		Retransmits: r.Retransmits, Outcome: tag,
 		StartNS: t.tr.start, DurNS: now - t.tr.start,
 	}, tracing.Span{
 		Trace: trace, Span: tracing.ChildID(sc, tracing.NameAdmission, 0).String(), Parent: root,
@@ -366,7 +364,7 @@ func (sh *shard) emitTrace(t *task, out outcome) {
 		Name: tracing.NameService, Object: t.object, Seq: seq, Shard: sh.id,
 		Engine: engine, Protocol: a.Protocol, CostMilli: milli(r.Cost),
 		Control: a.Counts.Control + r.Retransmits, Data: a.Counts.Data, IO: a.Counts.IO,
-		Retransmits: r.Retransmits, Holds: out.holds, Outcome: tag,
+		Retransmits: r.Retransmits, Outcome: tag,
 		StartNS: t.tr.dequeued, DurNS: now - t.tr.dequeued,
 	})
 	for i, dtr := range a.Transitions {

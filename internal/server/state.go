@@ -32,7 +32,6 @@ type counters struct {
 	Coalesced uint64 `json:"coalesced,omitempty"`
 	Retrans   uint64 `json:"retransmits,omitempty"`
 	Unreach   uint64 `json:"unreachable,omitempty"`
-	Dups      uint64 `json:"duplicates,omitempty"`
 	// Deduped counts idempotently answered client retries. Dedups leave
 	// no journal record, so after a recovery the value is the last
 	// checkpoint's — scheduling-dependent, outside the determinism
@@ -44,8 +43,8 @@ type counters struct {
 // books: the billed message and I/O counts and the object count. Written
 // by the goroutine that owns the state, read by concurrent Stats scrapes.
 type liveCounters struct {
-	completed, reads, writes, coalesced, retrans, unreach, dups, deduped atomic.Uint64
-	control, data, io, objects                                           atomic.Int64
+	completed, reads, writes, coalesced, retrans, unreach, deduped atomic.Uint64
+	control, data, io, objects                                     atomic.Int64
 }
 
 // bill advances the running books by k.
@@ -69,7 +68,6 @@ func (c *liveCounters) load() counters {
 		Coalesced: c.coalesced.Load(),
 		Retrans:   c.retrans.Load(),
 		Unreach:   c.unreach.Load(),
-		Dups:      c.dups.Load(),
 		Deduped:   c.deduped.Load(),
 	}
 }
@@ -81,7 +79,6 @@ func (c *liveCounters) store(v counters) {
 	c.coalesced.Store(v.Coalesced)
 	c.retrans.Store(v.Retrans)
 	c.unreach.Store(v.Unreach)
-	c.dups.Store(v.Dups)
 	c.deduped.Store(v.Deduped)
 }
 
@@ -141,18 +138,15 @@ func validate(cfg *Config, object, op string, processor int) (model.Request, err
 }
 
 // outcome is what one step produced: the request's result, itemized
-// engine detail and trace sequence, and holds, the rounds an injected
-// delay drew (0 for none) — an annotation for the trace and the
-// service-rounds histogram; the request is serviced in the same step.
+// engine detail and trace sequence.
 type outcome struct {
-	holds    int
 	res      Result
 	detail   multiobject.Detail
 	traceSeq uint64
 }
 
-// step services one validated request against the state: fault draws
-// (delay, loss, duplication) from the object's deterministic stream,
+// step services one validated request against the state: loss draws
+// from the object's deterministic stream,
 // then coalescing, then the engine, then the completion bookkeeping
 // (dedup horizon, trace sequence, counters). seq is the client sequence
 // number, 0 for none. It is the only place in the package where a
@@ -160,31 +154,19 @@ type outcome struct {
 func (st *shardState) step(object string, q model.Request, seq uint64) (out outcome) {
 	out.res.Object = object
 	delivered := true
-	if plan := st.cfg.Faults; plan != nil && plan.Active() {
+	if plan := st.cfg.Faults; plan != nil && plan.Loss > 0 {
 		s := st.stream(object)
-		if plan.Delay > 0 && s.Float01() < plan.Delay {
-			out.holds = 1 + int(s.Next()%uint64(max(plan.DelayMax, 1)))
-		}
-		if plan.Loss > 0 {
-			attempts := st.cfg.Retry.Attempts()
-			if st.cfg.Retry.Disabled {
-				attempts = 1
+		delivered = false
+		for a := 0; a < st.cfg.Retry.Attempts() && !delivered; a++ {
+			if s.Float01() < plan.Loss {
+				out.res.Retransmits++
+			} else {
+				delivered = true
 			}
-			delivered = false
-			for a := 0; a < attempts && !delivered; a++ {
-				if s.Float01() < plan.Loss {
-					out.res.Retransmits++
-				} else {
-					delivered = true
-				}
-			}
-			// Every lost attempt was a control message on the wire.
-			st.ctr.retrans.Add(uint64(out.res.Retransmits))
-			st.ctr.control.Add(int64(out.res.Retransmits))
 		}
-		if delivered && plan.Dup > 0 && s.Float01() < plan.Dup {
-			st.ctr.dups.Add(1)
-		}
+		// Every lost attempt was a control message on the wire.
+		st.ctr.retrans.Add(uint64(out.res.Retransmits))
+		st.ctr.control.Add(int64(out.res.Retransmits))
 	}
 	switch {
 	case !delivered:

@@ -22,7 +22,7 @@ func traceFingerprint(t *testing.T, shards, workers int) string {
 		Shards: shards, N: 6, T: 3, Seed: 42,
 		Engine: EngineAdaptive,
 		Model:  cost.MC(0.25, 1),
-		Faults: &netsim.FaultPlan{Seed: 9, Loss: 0.2, Dup: 0.1, Delay: 0.15, DelayMax: 3},
+		Faults: &netsim.FaultPlan{Seed: 9, Loss: 0.2},
 		Retry:  netsim.RetryPolicy{MaxAttempts: 4},
 		Trace:  tr,
 	})
@@ -66,7 +66,7 @@ func TestTraceReconcilesExactly(t *testing.T) {
 				Shards: 3, N: 6, T: 3, Seed: 11,
 				Engine: engine,
 				Model:  cost.MC(0.25, 1),
-				Faults: &netsim.FaultPlan{Seed: 5, Loss: 0.15, Delay: 0.1, DelayMax: 2},
+				Faults: &netsim.FaultPlan{Seed: 5, Loss: 0.15},
 				Retry:  netsim.RetryPolicy{MaxAttempts: 4},
 				Trace:  tr,
 			})
@@ -206,7 +206,7 @@ func TestTracedRunMatchesUntracedAccounting(t *testing.T) {
 	run := func(tr *tracing.Tracer) Stats {
 		s, err := New(Config{
 			Shards: 2, N: 6, T: 3, Seed: 42, Model: cost.MC(0.25, 1),
-			Faults: &netsim.FaultPlan{Seed: 9, Loss: 0.2, Delay: 0.15, DelayMax: 3},
+			Faults: &netsim.FaultPlan{Seed: 9, Loss: 0.2},
 			Retry:  netsim.RetryPolicy{MaxAttempts: 4},
 			Trace:  tr,
 		})

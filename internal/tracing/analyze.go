@@ -26,7 +26,6 @@ type RequestView struct {
 	Data        int
 	IO          int
 	Retransmits int
-	Holds       int
 	QueueLen    int
 
 	StartNS     int64 // root span start
@@ -97,7 +96,7 @@ func Parse(r io.Reader) (*Analysis, error) {
 		case NameRequest:
 			rv.Op, rv.Proc, rv.Shard = s.Op, s.Proc, s.Shard
 			rv.Engine, rv.Protocol, rv.Outcome = s.Engine, s.Protocol, s.Outcome
-			rv.Retransmits, rv.Holds = s.Retransmits, s.Holds
+			rv.Retransmits = s.Retransmits
 			rv.StartNS, rv.TotalNS = s.StartNS, s.DurNS
 		case NameAdmission:
 			rv.AdmissionNS = s.DurNS

@@ -243,10 +243,8 @@ type Span struct {
 	Control   int   `json:"ctl,omitempty"`
 	Data      int   `json:"data,omitempty"`
 	IO        int   `json:"io,omitempty"`
-	// Retransmits and Holds annotate injected faults: lost attempts
-	// retried, and the rounds the injected delay drew.
+	// Retransmits annotates injected loss: lost attempts retried.
 	Retransmits int `json:"retransmits,omitempty"`
-	Holds       int `json:"holds,omitempty"`
 	// QueueLen is the mailbox depth observed at enqueue (queue spans;
 	// zeroed in deterministic mode).
 	QueueLen int `json:"queue_len,omitempty"`

@@ -8,8 +8,8 @@
 #      rides out the restart window with -retrywindow (per-object
 #      sequence numbers make the resent batches idempotent). The recovered run's deterministic accounting —
 #      completed, reads/writes, coalesced, retransmissions, unreachable,
-#      duplicates, objects, message counts, billed cost — must be
-#      byte-identical to the baseline's.
+#      objects, message counts, billed cost — must be byte-identical to
+#      the baseline's.
 #   3. Panic: -chaos-panic fires inside every shard loop; the supervisor
 #      must recover each shard back to healthy and the drain must still
 #      lose nothing.
@@ -52,7 +52,7 @@ go build -o "$dir/journalcheck" ./cmd/journalcheck
 # says accounting depends only on the seed and per-object order.
 SHARDS=4
 SEED=7
-FAULTS="loss=0.05,delay=0.1"
+FAULTS="loss=0.05"
 ENGINE=adaptive
 ASPEC="window=8,hysteresis=2"
 LOAD="-workers 4 -requests 60000 -batch 16 -objects 64 -seed 3 -workload uniform:n=8,pwrite=0.3"
@@ -83,7 +83,7 @@ wait_addr() {
 # per-shard queue and restart figures are scheduling-dependent and
 # excluded.
 subset() {
-    sed -n -e 's/^  "\(completed\|reads\|writes\|coalesced\|retransmissions\|unreachable\|duplicates\|objects\|cost\)":.*/&/p' \
+    sed -n -e 's/^  "\(completed\|reads\|writes\|coalesced\|retransmissions\|unreachable\|objects\|cost\)":.*/&/p' \
         -e '/^  "counts": {/,/^  }/p' "$1"
 }
 
