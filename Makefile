@@ -16,10 +16,12 @@
 # (schema-valid spans, exact cost reconciliation, byte-identical
 # deterministic traces across shard counts under message faults),
 # crash-smoke SIGKILLs the
-# daemon mid-load and asserts the journal-recovered accounting is
-# byte-identical to an uninterrupted same-seed run (plus supervised
-# recovery from injected shard panics, transient disk-fault runs that
-# must stay byte-identical, and a dead-disk run that must fail-stop),
+# daemon mid-load, restarts it with the same flags on the same address,
+# and asserts the journal-recovered accounting is byte-identical to an
+# uninterrupted same-seed run and that journalcheck reconciles each
+# run's journal to the other's stats (a dead disk and each transient
+# disk fault at every journal op, and supervised panic recovery, are
+# checked in-process by go test: TestCrashAndFaultAtEveryJournalOp),
 # chaos-check runs the invariant-checked fault-injection pass over all
 # three executed engines and diffs its counts against the committed
 # golden (they are a pure function of the seed, so any changed digit is a

@@ -11,41 +11,39 @@ import (
 
 	"objalloc/internal/adaptive"
 	"objalloc/internal/cost"
-	"objalloc/internal/diskfault"
 	"objalloc/internal/netsim"
 	"objalloc/internal/server"
 )
 
 // Flags holds the model flags registered on one flag set.
 type Flags struct {
-	shards, n, t, attempts               *int
-	engine, adaptive, faults, diskFaults *string
-	cc, cd                               *float64
-	mobile                               *bool
-	seed                                 *int64
+	shards, n, t, attempts   *int
+	engine, adaptive, faults *string
+	cc, cd                   *float64
+	mobile                   *bool
+	seed                     *int64
 }
 
 // Bind registers the model flags on fs.
 func Bind(fs *flag.FlagSet) *Flags {
 	return &Flags{
-		shards:     fs.Int("shards", 8, "independent shards (objects are hashed across them)"),
-		engine:     fs.String("engine", "da", "per-shard engine: da, sa, adaptive (the executed ha clusters run under cmd/chaos)"),
-		adaptive:   fs.String("adaptive", "", "adaptive-controller spec for -engine adaptive, e.g. adaptive:window=8,hysteresis=2,decay=0.1,start=auto,region=on"),
-		n:          fs.Int("n", 8, "processors"),
-		t:          fs.Int("t", 3, "availability threshold"),
-		cc:         fs.Float64("cc", 0.25, "control-message cost"),
-		cd:         fs.Float64("cd", 1, "data-message cost"),
-		mobile:     fs.Bool("mobile", false, "mobile-computers model (I/O cost 0) instead of stationary"),
-		faults:     fs.String("faults", "", "message-loss plan, loss=P[,seed=S] (the only message fault the cost model prices; dup, delay and flap keys are refused; empty disables)"),
-		attempts:   fs.Int("attempts", 0, "attempts per message before it is unreachable (0 = default 10; 1 = no retransmission)"),
-		seed:       fs.Int64("seed", 0, "fault-stream seed perturbation"),
-		diskFaults: fs.String("disk-faults", "", "deterministic disk-fault plan for the journal (key=value, comma-separated; requires -journal; empty disables; replay validates it but injects nothing)"),
+		shards:   fs.Int("shards", 8, "independent shards (objects are hashed across them)"),
+		engine:   fs.String("engine", "da", "per-shard engine: da, sa, adaptive (the executed ha clusters run under cmd/chaos)"),
+		adaptive: fs.String("adaptive", "", "adaptive-controller spec for -engine adaptive, e.g. adaptive:window=8,hysteresis=2,decay=0.1,start=auto,region=on"),
+		n:        fs.Int("n", 8, "processors"),
+		t:        fs.Int("t", 3, "availability threshold"),
+		cc:       fs.Float64("cc", 0.25, "control-message cost"),
+		cd:       fs.Float64("cd", 1, "data-message cost"),
+		mobile:   fs.Bool("mobile", false, "mobile-computers model (I/O cost 0) instead of stationary"),
+		faults:   fs.String("faults", "", "message-loss plan, loss=P[,seed=S] (the only message fault the cost model prices; dup, delay and flap keys are refused; empty disables)"),
+		attempts: fs.Int("attempts", 0, "attempts per message before it is unreachable (0 = default 10; 1 = no retransmission)"),
+		seed:     fs.Int64("seed", 0, "fault-stream seed perturbation"),
 	}
 }
 
 // Config maps the parsed flags to the model half of a server.Config;
 // the caller adds what is its own (queue and batch sizes, the journal
-// directory, instrumentation).
+// directory and its disk faults, instrumentation).
 func (f *Flags) Config() (server.Config, error) {
 	eng, err := server.ParseEngine(*f.engine)
 	if err != nil {
@@ -75,13 +73,6 @@ func (f *Flags) Config() (server.Config, error) {
 		// Set, not merely active: Normalize names any key the service
 		// refuses, delaymax or flaplen alone included.
 		cfg.Faults = &plan
-	}
-	dplan, err := diskfault.ParsePlan(*f.diskFaults)
-	if err != nil {
-		return server.Config{}, err
-	}
-	if dplan.Active() {
-		cfg.DiskFaults = &dplan
 	}
 	return cfg, nil
 }

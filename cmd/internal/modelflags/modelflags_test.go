@@ -11,7 +11,7 @@ import (
 	"objalloc/internal/server"
 )
 
-// TestModelFlagParity pins the model flag set both tools share: 12
+// TestModelFlagParity pins the model flag set both tools share: 11
 // names and defaults, registered by objallocd and journalcheck through
 // Bind (a second declaration of one of them on the same flag set
 // panics), and a bad -engine or -adaptive value refused in the words
@@ -21,7 +21,6 @@ func TestModelFlagParity(t *testing.T) {
 		"shards": "8", "engine": "da", "adaptive": "", "n": "8", "t": "3",
 		"cc": "0.25", "cd": "1", "mobile": "false",
 		"faults": "", "attempts": "0", "seed": "0",
-		"disk-faults": "",
 	}
 	newSet := func(name string) (*flag.FlagSet, *Flags) {
 		fs := flag.NewFlagSet(name, flag.ContinueOnError)

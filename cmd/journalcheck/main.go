@@ -21,13 +21,10 @@
 //	             [-shards 8] [-engine da] [-adaptive spec]
 //	             [-n 8] [-t 3] [-cc 0.25] [-cd 1] [-mobile]
 //	             [-faults loss=P] [-attempts 0] [-seed 0]
-//	             [-disk-faults spec]
 //
-// -disk-faults is accepted (and validated) for flag parity with
-// objallocd, so a harness can hand both tools the same flag set. It
-// does not change the replay: disk faults only perturb journal writes
-// at run time, and the committed bytes a transient-fault run leaves
-// behind replay exactly like a fault-free run's.
+// There is no -disk-faults: disk faults only perturb journal writes at
+// run time, and the committed bytes a transient-fault run leaves behind
+// replay exactly like a fault-free run's.
 package main
 
 import (

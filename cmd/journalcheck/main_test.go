@@ -82,7 +82,9 @@ func TestRunReconcilesOnlyUnderTheWritingFlags(t *testing.T) {
 	if err := check("-faults", "dup=0.1"); err == nil || !strings.Contains(err.Error(), "-faults") || !strings.Contains(err.Error(), "dup=0.1") {
 		t.Errorf("-faults dup=0.1: error %v, want a refusal naming -faults and dup", err)
 	}
-	if err := check("-faults", "loss=0.1", "-noretry"); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -noretry") {
-		t.Errorf("-noretry: error %v, want an undefined flag", err)
+	for _, gone := range [][]string{{"-noretry"}, {"-disk-faults", "writeerr=1"}} {
+		if err := check(append([]string{"-faults", "loss=0.1"}, gone...)...); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+gone[0]) {
+			t.Errorf("%s: error %v, want an undefined flag", gone[0], err)
+		}
 	}
 }

@@ -11,7 +11,7 @@
 //	          [-n 8] [-t 3] [-cc 0.25] [-cd 1] [-mobile]
 //	          [-faults loss=0.1] [-attempts 0] [-seed 0]
 //	          [-journal dir]
-//	          [-checkpoint 1024] [-chaos-panic 0]
+//	          [-checkpoint 1024]
 //	          [-disk-faults writeerr=0.01,syncerr=0.01]
 //	          [-addr 127.0.0.1:0] [-addrfile path] [-statsfile path]
 //	          [-draintimeout 30s] [-metrics out.jsonl] [-pprof addr]
@@ -39,10 +39,9 @@
 // reads are served from the freshness table at zero exactly when the
 // engine would bill them nothing (-engine da with -mobile). Shard loops
 // run under a supervisor that recovers panics, rebuilds the shard from
-// its journal and restarts it with capped backoff (-chaos-panic injects
-// one such panic per shard for testing). -disk-faults injects seeded,
-// deterministic disk faults under the journal (write errors, torn
-// writes, fsync failures, ENOSPC streaks, stalls — see
+// its journal and restarts it with capped backoff. -disk-faults injects
+// seeded, deterministic disk faults under the journal (write errors,
+// torn writes, fsync failures, ENOSPC streaks, stalls — see
 // internal/diskfault); transient faults are recovered by journal
 // rebuild, while a persistently failing disk fail-stops its shard,
 // which then refuses requests with 503 + Retry-After and reports
@@ -68,6 +67,7 @@ import (
 	"time"
 
 	"objalloc/cmd/internal/modelflags"
+	"objalloc/internal/diskfault"
 	"objalloc/internal/obs"
 	"objalloc/internal/server"
 	"objalloc/internal/tracing"
@@ -91,7 +91,7 @@ func run(args []string, ready chan<- string) error {
 		batch        = fs.Int("batch", 64, "max requests per shard service round")
 		journal      = fs.String("journal", "", "directory for per-shard request journals (group-committed once per service round; replayed on startup)")
 		checkpoint   = fs.Int("checkpoint", 0, "journal checkpoint cadence in records, so replay is O(tail) (0 = default 1024)")
-		chaosPanic   = fs.Int64("chaos-panic", 0, "panic each shard loop after this many serviced requests, exercising the supervisor (0 disables)")
+		diskFaults   = fs.String("disk-faults", "", "deterministic disk-fault plan for the journal (key=value, comma-separated; requires -journal; empty disables)")
 		addr         = fs.String("addr", "127.0.0.1:0", "HTTP listen address")
 		addrfile     = fs.String("addrfile", "", "write the bound address to this file once listening")
 		statsfile    = fs.String("statsfile", "", "write the final stats JSON to this file on drain")
@@ -140,7 +140,13 @@ func run(args []string, ready chan<- string) error {
 
 	cfg.Queue, cfg.Batch = *queue, *batch
 	cfg.Journal, cfg.CheckpointEvery = *journal, *checkpoint
-	cfg.PanicAfter = *chaosPanic
+	dplan, err := diskfault.ParsePlan(*diskFaults)
+	if err != nil {
+		return err
+	}
+	if dplan.Active() {
+		cfg.DiskFaults = &dplan
+	}
 	cfg.Obs, cfg.Trace = cli.Obs(), tracer
 	srv, err := server.New(cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -108,5 +109,42 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-faults", "dup=0.1"}, nil); err == nil || !strings.Contains(err.Error(), "-faults") || !strings.Contains(err.Error(), "dup=0.1") {
 		t.Fatalf("-faults dup=0.1: error %v, want a refusal naming -faults and dup", err)
+	}
+	if err := run([]string{"-chaos-panic", "1"}, nil); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -chaos-panic") {
+		t.Fatalf("-chaos-panic 1: error %v, want an undefined flag", err)
+	}
+}
+
+// TestDeadDiskExitsWithDurabilityLoss drives the daemon over a dead disk
+// (every journal op fails from the first): one batch fail-stops its
+// shard and is refused with a 503, and after SIGTERM run reports the
+// durability loss, so the process exits nonzero.
+// TestDiskFaultFailStop in internal/server checks the refusal's
+// Retry-After and healthz's "failed".
+func TestDeadDiskExitsWithDurabilityLoss(t *testing.T) {
+	ready := make(chan string, 1)
+	runErr := make(chan error, 1)
+	go func() {
+		runErr <- run([]string{
+			"-shards", "1", "-addr", "127.0.0.1:0",
+			"-journal", filepath.Join(t.TempDir(), "journal"), "-disk-faults", "persistafter=1",
+		}, ready)
+	}()
+	addr := <-ready
+
+	resp, err := http.Post("http://"+addr+"/v1/batch", "application/json",
+		strings.NewReader(`{"requests":[{"object":"a","op":"r","processor":0}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("batch on a dead disk: HTTP %d, want 503", resp.StatusCode)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-runErr; err == nil || !strings.Contains(err.Error(), "durability loss") {
+		t.Fatalf("run over a dead disk returned %v, want a durability loss", err)
 	}
 }

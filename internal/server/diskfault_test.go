@@ -41,14 +41,15 @@ func diskFaultConfig(shards int, dir string) Config {
 	}
 }
 
-// TestDiskFaultTransientIdentical is the tentpole invariant, table-
-// driven on the failpoint spec: any plan whose faults are transient must
-// leave the final deterministic accounting byte-identical to the same
-// workload on a perfect disk — the supervisor absorbs every fault by
-// rebuilding from the durable prefix and reprocessing. The op indices
-// below are deterministic because a single driver issues one request per
-// round: ops 1-2 are the first round's record write+fsync, ops 3-4 its
-// checkpoint write+fsync.
+// TestDiskFaultTransientIdentical: any plan whose faults are transient
+// must leave the final deterministic accounting byte-identical to the
+// same workload on a perfect disk, under a live 2-shard scrape. The torn
+// writes are pinned here by name because a torn record and a torn
+// checkpoint take different rebuild paths: ops 1-2 are the first round's
+// record write+fsync, ops 3-4 its checkpoint write+fsync. The
+// probabilistic mix puts write errors, torn writes, fsync failures and
+// ENOSPC streaks at op indexes the seed picks. Each single fault at each
+// op index is TestCrashAndFaultAtEveryJournalOp's.
 func TestDiskFaultTransientIdentical(t *testing.T) {
 	// One worker keeps every round at one request, so the journal op
 	// sequence — and with it each at-index and probabilistic fault — is
@@ -67,11 +68,8 @@ func TestDiskFaultTransientIdentical(t *testing.T) {
 		name string
 		spec string
 	}{
-		{"enospc-mid-commit", "enospcat=3,enospclen=2"},
-		{"fsync-fails-once-then-recovers", "syncerrat=2"},
 		{"torn-first-record-write", "shortat=1"},
 		{"torn-checkpoint-write", "shortat=3"},
-		{"write-error", "writeerrat=1"},
 		{"probabilistic-mix", "writeerr=0.01,shortwrite=0.01,syncerr=0.01,enospc=0.005,enospclen=2,seed=3"},
 	}
 	for _, tc := range cases {
@@ -113,8 +111,8 @@ func TestDiskFaultTransientIdentical(t *testing.T) {
 // TestJournalFaultIsNotAPanic pins the two ways a service loop can stop
 // early apart: a journal fault reaches the supervisor as a typed error
 // (server.journal_faults, never server.recovered_panics), a panic — here
-// the PanicAfter failpoint — through recover(). Both rebuild from the
-// durable prefix, so the accounting matches the undisturbed run's.
+// one from the testBeforeStep hook — through recover(). Both rebuild from
+// the durable prefix, so the accounting matches the undisturbed run's.
 func TestJournalFaultIsNotAPanic(t *testing.T) {
 	plan, err := diskfault.ParsePlan("syncerrat=2,enospcat=7,enospclen=2")
 	if err != nil {
@@ -135,8 +133,8 @@ func TestJournalFaultIsNotAPanic(t *testing.T) {
 	if faults, panics, got := run(func(cfg *Config) { cfg.DiskFaults = &plan }); faults < 1 || panics != 0 || got != want {
 		t.Errorf("transient disk faults: journal_faults %d (want >= 1), recovered_panics %d (want 0), accounting\n got %s\nwant %s", faults, panics, got, want)
 	}
-	if faults, panics, got := run(func(cfg *Config) { cfg.PanicAfter = 10 }); faults != 0 || panics < 1 || got != want {
-		t.Errorf("PanicAfter: journal_faults %d (want 0), recovered_panics %d (want >= 1), accounting\n got %s\nwant %s", faults, panics, got, want)
+	if faults, panics, got := run(func(cfg *Config) { panicAfter(cfg, 10) }); faults != 0 || panics < 1 || got != want {
+		t.Errorf("panic at step 10: journal_faults %d (want 0), recovered_panics %d (want >= 1), accounting\n got %s\nwant %s", faults, panics, got, want)
 	}
 }
 
@@ -339,7 +337,7 @@ func TestDrainReportsCloseLoss(t *testing.T) {
 // keeping a live value the journal cannot substantiate.
 func TestDedupedCounterCheckpointAuthority(t *testing.T) {
 	cfg := diskFaultConfig(1, t.TempDir())
-	cfg.PanicAfter = 3 // dedup hits don't tick the chaos counter
+	panicAfter(&cfg, 3) // dedup hits never reach the hook
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +358,7 @@ func TestDedupedCounterCheckpointAuthority(t *testing.T) {
 	if r := do(2, model.W(1)); !r.Duplicate {
 		t.Fatal("resent seq 2 not deduplicated")
 	}
-	// Third serviced request trips PanicAfter mid-round; the supervisor
+	// Third serviced request panics mid-round; the supervisor
 	// rebuilds from the last checkpoint (deduped=1 — the second acked
 	// dedup happened after it and left no journal record) and reprocesses
 	// the carried request.
@@ -370,7 +368,20 @@ func TestDedupedCounterCheckpointAuthority(t *testing.T) {
 		t.Errorf("deduped after in-process recovery = %d, want the checkpoint-authoritative 1", got)
 	}
 	if restarts := s.Stats().PerShard[0].Restarts; restarts == 0 {
-		t.Error("chaos panic did not exercise recovery; the case is vacuous")
+		t.Error("the injected panic did not exercise recovery; the case is vacuous")
+	}
+}
+
+// panicAfter makes each shard's loop panic once, at its n-th step,
+// through the testBeforeStep hook: the failpoint for the supervisor's
+// recovery path. Each shard counts in its own slot, which only that
+// shard's loop touches.
+func panicAfter(cfg *Config, n int) {
+	steps := make([]int, max(cfg.Shards, 1))
+	cfg.testBeforeStep = func(shard int) {
+		if steps[shard]++; steps[shard] == n {
+			panic(fmt.Sprintf("shard %d: injected panic at step %d", shard, n))
+		}
 	}
 }
 

@@ -405,7 +405,7 @@ func TestShardPanicRecovery(t *testing.T) {
 		want := detStats(clean.Stats())
 
 		cfg := mk(2, t.TempDir())
-		cfg.PanicAfter = 5
+		panicAfter(&cfg, 5)
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -114,10 +114,6 @@ type Config struct {
 	// through supervisor rebuilds; persistent ones fail-stop the shard.
 	// Requires Journal.
 	DiskFaults *diskfault.Plan
-	// PanicAfter, when positive, makes each shard panic once after
-	// servicing that many requests — deterministic chaos for exercising
-	// the supervisor's recovery path.
-	PanicAfter int64
 	// Obs receives the deterministic accounting at drain time: sorted
 	// per-object events plus total counters and cost histograms. Nil
 	// disables it.
@@ -142,7 +138,10 @@ type Config struct {
 
 	// testBeforeRound, when non-nil, runs at the top of every service
 	// round; tests use it to stall a shard and force overload.
-	testBeforeRound func(shard int)
+	// testBeforeStep, when non-nil, runs before every step (after the
+	// dedup check, so a deduplicated resend never reaches it); tests
+	// panic from it to drive the supervisor's recovery path.
+	testBeforeRound, testBeforeStep func(shard int)
 }
 
 // Normalize validates the config and resolves its defaults in place. New

@@ -132,11 +132,6 @@ type shard struct {
 	faultSpans uint64
 	failCause  error
 
-	// chaos injection (Config.PanicAfter): latched so one shard panics
-	// at most once per process lifetime.
-	chaosSeen  int64
-	chaosFired bool
-
 	// operational metrics (scheduling-dependent, ops registry).
 	depthHist *obs.Histogram
 	batchHist *obs.Histogram
@@ -242,7 +237,7 @@ func (sh *shard) commit() *journalFaultError {
 }
 
 // process services one task through the request state: wire-level
-// duplicate detection, the chaos failpoint, then one step.
+// duplicate detection, then one step.
 func (sh *shard) process(t *task) {
 	if t.tr != nil && t.tr.dequeued == 0 {
 		// First shard-loop touch (a reprocessed task keeps its first):
@@ -260,12 +255,8 @@ func (sh *shard) process(t *task) {
 		sh.pending = append(sh.pending, pendingAck{t: t, r: Result{Object: t.object, Duplicate: true}})
 		return
 	}
-	if pa := sh.srv.cfg.PanicAfter; pa > 0 && !sh.chaosFired {
-		sh.chaosSeen++
-		if sh.chaosSeen >= pa {
-			sh.chaosFired = true
-			panic(fmt.Sprintf("shard %d: injected chaos panic after %d requests", sh.id, sh.chaosSeen))
-		}
+	if hook := sh.srv.cfg.testBeforeStep; hook != nil {
+		hook(sh.id)
 	}
 	out := st.step(t.object, t.req, t.seq)
 	sh.finish(t, out)

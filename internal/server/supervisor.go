@@ -1,9 +1,8 @@
 // Shard supervision: each shard's service loop runs under a supervisor
 // that takes the loop's journal faults (typed errors) and recovers its
-// panics (bugs, or the -chaos-panic failpoint), rebuilds the shard's
-// state from its durable journal, requeues the in-flight tasks in
-// arrival order and restarts the loop with capped exponential
-// backoff. A transient durability fault heals through that cycle; a
+// panics (bugs), rebuilds the shard's state from its durable journal,
+// requeues the in-flight tasks in arrival order and restarts the loop
+// with capped exponential backoff. A transient durability fault heals through that cycle; a
 // persistent one — consecutive journal faults with no committed-byte
 // progress — fail-stops the shard instead of rebuild-looping forever.
 // The shard's state (healthy | degraded | recovering | failed) and
@@ -157,8 +156,8 @@ func (sh *shard) failStop(carry []*task, cause error) {
 
 // runRecovered runs the service loop. finished reports a normal end
 // (drain complete); otherwise fault is the journal fault that stopped
-// the loop, or nil after a recovered panic — a genuine bug or the
-// -chaos-panic failpoint, which is all recovered_panics counts.
+// the loop, or nil after a recovered panic — a bug, which is all
+// recovered_panics counts.
 func (sh *shard) runRecovered(carry []*task) (fault *journalFaultError, finished bool) {
 	defer func() {
 		if r := recover(); r != nil {
