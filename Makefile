@@ -252,20 +252,21 @@ chaos-check:
 # next to the metrics stream; inspect with `go tool pprof`. The grid is
 # 200×200 (20 k admissible cells, under a second) and the map goes to
 # /dev/null: the 6×6 grid this target used to run finishes in 2 ms, between
-# two samples of the profiler. The
-# hot symbols are the grid pass of internal/opt: its three relaxation
-# kernels opt.foldRows, opt.readRows and opt.writeRows, flat, under
-# opt.(*Plan).costsPass, then competitive.(*prepared).measureSchedule; the
-# one-model DP (opt.(*Plan).run, minTransform) runs only for Solve's
-# traceback, so it does not appear here. Nor does the runtime: a
-# pass used to make and zero a fresh 1 MiB of rows, which put
-# runtime.memclrNoHeapPointers (4-6 % of samples) and the collector's
-# scanblock/greyobject beside costsPass here, and on the small bench-shaped
-# sweep mallocgc, gcBgMarkWorker, memclrNoHeapPointers, bgscavenge/madvise,
-# bgsweep and futex at ~28 % against costsPass's 60 %; with the rows pooled
-# costsPass is ~85 % there and what is left of the runtime is futex (the
-# engine pool parking) and a mark worker at ~2 % each. `make allocs` counts
-# what this profile can only sample.
+# two samples of the profiler. Since the sweep prices only the (schedule,
+# cell) pairs its lower bound cannot rule out, the grid pass of
+# internal/opt is ~42 % of the samples (six runs merged, 2-core Xeon):
+# its three relaxation kernels opt.readRows (19 %), opt.foldRows (13 %)
+# and opt.writeRows (5 %), flat, under opt.(*Plan).costsPass. Writing the
+# metrics stream (competitive.emitSweep through obs.(*JSONLSink).Emit) is
+# ~31 %, RenderGrid ~8 % and the bound's bookkeeping
+# (competitive.(*prepared).worstSADA, bound) ~6 %. The one-model DP
+# (opt.(*Plan).run, minTransform) runs only for Solve's traceback, so it
+# does not appear here. On the small bench-shaped sweep (`go test -bench
+# BenchmarkSweep -cpuprofile`) costsPass is ~46 %,
+# competitive.(*prepared).measureSchedule ~17 %, BatteryConfig.Build ~11 %
+# (math/rand seeding ~3 %), worstSADA ~10 % and the runtime's futex (the
+# engine pool parking) ~3 %. `make allocs` counts what this profile can
+# only sample.
 profile:
 	go run ./cmd/figure1 -steps 200 -cpuprofile figure1.cpu.pprof -metrics figure1.metrics.jsonl -progress > /dev/null
 	@echo "wrote figure1.cpu.pprof and figure1.metrics.jsonl"

@@ -10,9 +10,9 @@ import (
 // Under the race detector sync.Pool drops a quarter of what is Put into it,
 // so the byte and malloc budget of alloc_norace_test.go cannot be held
 // here. What can is the budget of the design, which no pool miss reaches:
-// a sweep is schedule-major — each battery schedule measured and compiled
-// once and priced under all 21 admissible cells by one grid pass — and
-// allocates a few hundred objects; the cell-major design it replaced
+// a sweep is schedule-major — each battery schedule measured once, and
+// compiled and priced by one grid pass per round at the admissible cells
+// its lower bound cannot rule out — and allocates a few hundred objects; the cell-major design it replaced
 // measured 706, and re-running the algorithms per cell, or allocating per
 // request in the DP, 25.7k.
 func TestSweepAllocationBudget(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"objalloc/internal/cost"
-	"objalloc/internal/engine"
 	"objalloc/internal/obs"
 )
 
@@ -60,11 +59,10 @@ func (spec *CrossoverSpec) Normalize() error {
 // [0.5−cc, 1]; the measurement pins it down for a concrete battery.
 //
 // The battery is measured once (see prepared), a schedule per task on the
-// engine's worker pool. The bisection itself is sequential, but each probe
-// needs the OPT cost of every battery schedule under the probed model —
-// those |battery| solves run on the same pool, and both algorithms are
-// priced against them. Cancelling the context aborts the probe in flight
-// and returns ctx.Err().
+// engine's worker pool. The bisection itself is sequential; each probe is
+// the sweep's reduction (worstSADA) at the probed model, whose OPT solves
+// run on the same pool and skip every schedule the lower bound rules out.
+// Cancelling the context aborts the probe in flight and returns ctx.Err().
 func Crossover(ctx context.Context, spec CrossoverSpec) (CrossoverResult, error) {
 	if err := spec.Normalize(); err != nil {
 		return CrossoverResult{}, err
@@ -74,23 +72,16 @@ func Crossover(ctx context.Context, spec CrossoverSpec) (CrossoverResult, error)
 	if err != nil {
 		return CrossoverResult{}, err
 	}
-	if err := engine.Map(ctx, len(prep.scheds), spec.Parallelism, func(_ context.Context, i int) error {
-		return prep.measureSchedule(i)
-	}); err != nil {
+	if err := prep.measureAll(ctx, spec.Parallelism, nil); err != nil {
 		return CrossoverResult{}, err
 	}
 	daWins := func(cd float64) (bool, error) {
-		m := cost.SC(cc, cd)
-		// One task per schedule: its OPT cost under m, shared by both
-		// algorithms; the per-algorithm maxima are reduced in battery
-		// order, matching the serial WorstRatio.
-		optCosts, err := engine.Collect(ctx, len(prep.plans), spec.Parallelism, func(taskCtx context.Context, i int) (float64, error) {
-			return prep.plans[i].Cost(taskCtx, m)
-		})
+		// The sweep's reduction at one model.
+		sas, das, _, err := prep.worstSADA(ctx, []cost.Model{cost.SC(cc, cd)}, 1, spec.Parallelism, nil)
 		if err != nil {
 			return false, err
 		}
-		sa, da := prep.worstSADA(m, optCosts)
+		sa, da := sas[0], das[0]
 		win := da <= sa
 		if o := spec.Obs; o.Enabled() {
 			o.Emit(obs.Event{Name: "probe", Attrs: []obs.Attr{

@@ -46,6 +46,19 @@ func TestSweepObsDeterminism(t *testing.T) {
 		t.Fatal("observed sweep produced no metrics or events")
 	}
 
+	// The bound's work counters are in the compared snapshot, and they
+	// account for every (schedule, admissible cell) pair.
+	pairs := map[string]int64{}
+	for _, c := range serialSnap.Counters {
+		pairs[c.Name] = c.Value
+	}
+	priced, pruned := pairs["sweep.pairs_priced"], pairs["sweep.pairs_pruned"]
+	// The battery is 2 random mixes × 4 write fractions, the skewed mix
+	// and the 3 nemesis families.
+	if want := int64(12 * (pairs["sweep.cells"] - pairs["sweep.cells.skipped"])); priced == 0 || priced+pruned != want {
+		t.Errorf("sweep.pairs_priced %d + sweep.pairs_pruned %d, want %d in all", priced, pruned, want)
+	}
+
 	// Sanity on the stream's content: one "cell" event per grid point.
 	cells := bytes.Count(serialEvents, []byte(`{"event":"cell"`))
 	if want := 3 * 3; cells != want {

@@ -98,24 +98,120 @@ func TestSweepMatchesWorstRatioPerCell(t *testing.T) {
 
 // A schedule the offline DP cannot take fails the sweep with that
 // schedule's error — the first such schedule in battery order, whichever
-// one the pool reached first (the longest are dispatched first).
+// one the pool reached first (the longest are dispatched first), and also
+// when the bound prunes it at every cell, so that no round would compile
+// it.
 func TestSweepReportsFirstFailingSchedule(t *testing.T) {
-	battery := BatteryConfig{N: 20, T: 2, RandomSchedules: 2, RandomLength: 60, NemesisRounds: 4, Seed: 3}
-	var want error
-	for _, s := range battery.Build() {
-		if _, want = opt.Compile(s, battery.Initial(), battery.T); want != nil {
-			break
+	// wide has 17 processors and costs every algorithm its lower bound
+	// but for one write from each outsider: its ratio bounds sit just
+	// above 1, below the nemesis families' ratios at every cell.
+	wide := func(coreWrites int) model.Schedule {
+		var s model.Schedule
+		for i := 0; i < coreWrites; i++ {
+			s = append(s, model.W(0))
 		}
+		for p := model.ProcessorID(2); p < 17; p++ {
+			s = append(s, model.W(p))
+		}
+		return s
 	}
-	if want == nil {
-		t.Fatal("every schedule of a 20-processor battery compiled")
+	daNemesis, err := adversary.DAPunisher([]model.ProcessorID{2, 3, 4}, 0, 12)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, parallelism := range []int{1, 4} {
-		_, err := Sweep(context.Background(), SweepSpec{
-			CDs: []float64{0.5, 1.5}, CCs: []float64{0.2, 0.4}, Battery: battery, Parallelism: parallelism,
+	nemeses := []model.Schedule{adversary.SAPunisher(2, 12), daNemesis}
+	cds, ccs := []float64{0.5, 1.5}, []float64{0.2, 0.4}
+	for _, c := range []struct {
+		name    string
+		battery BatteryConfig
+		scheds  []model.Schedule // nil: battery.Build()
+		pruned  bool             // the first failing schedule is pruned at every cell
+	}{
+		{name: "20-processor battery", battery: BatteryConfig{N: 20, T: 2, RandomSchedules: 2, RandomLength: 60, NemesisRounds: 4, Seed: 3}},
+		{name: "pruned at every cell", battery: BatteryConfig{N: 17, T: 2},
+			scheds: append(nemeses[:2:2], wide(200), wide(400)), pruned: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			scheds, initial := c.scheds, c.battery.Initial()
+			if scheds == nil {
+				scheds = c.battery.Build()
+			}
+			var want error
+			var first model.Schedule
+			for _, s := range scheds {
+				if _, want = opt.Compile(s, initial, c.battery.T); want != nil {
+					first = s
+					break
+				}
+			}
+			if want == nil {
+				t.Fatal("every schedule of the battery compiled")
+			}
+			if c.pruned {
+				assertPrunedEverywhere(t, nemeses, first, initial, c.battery.T, cds, ccs)
+			}
+			for _, parallelism := range []int{1, 4} {
+				spec := SweepSpec{CDs: cds, CCs: ccs, Battery: c.battery, Parallelism: parallelism}
+				_, err := sweep(context.Background(), spec, scheds)
+				if err == nil || err.Error() != want.Error() {
+					t.Errorf("Parallelism %d: err = %v, want %v", parallelism, err, want)
+				}
+			}
 		})
-		if err == nil || err.Error() != want.Error() {
-			t.Errorf("Parallelism %d: err = %v, want %v", parallelism, err, want)
+	}
+}
+
+// assertPrunedEverywhere fails unless, at every admissible SC cell of the
+// grid, both of sched's ratio bounds are strictly below the incumbents
+// round 1 takes from a battery of the compiling schedules nemeses — the
+// ratios of the schedules with the largest SA and DA bounds. Its bounds are
+// then below every nemesis bound, so adding sched changes no lead.
+func assertPrunedEverywhere(t *testing.T, nemeses []model.Schedule, sched model.Schedule, initial model.Set, tAvail int, cds, ccs []float64) {
+	t.Helper()
+	ctx := context.Background()
+	prep, err := newPrepared(saDA, nemeses, initial, tAvail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prep.measureAll(ctx, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, cc := range ccs {
+		for _, cd := range cds {
+			if cc > cd {
+				continue
+			}
+			m := cost.SC(cc, cd)
+			var lead [2]int
+			for f := range lead {
+				for s := range nemeses {
+					if prep.bound(f, s, m) > prep.bound(f, lead[f], m) {
+						lead[f] = s
+					}
+				}
+			}
+			for f, factory := range saDA {
+				incumbent := -1.0
+				for _, s := range lead {
+					p, err := prep.plan(s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					oc, err := p.Cost(ctx, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					incumbent = max(incumbent, prep.measure(f, s, m, oc).Ratio)
+				}
+				alloc, err := dom.RunFactory(factory, initial, tAvail, sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				alg := cost.TotalCounts(alloc, initial).Price(m)
+				if bound := alg / (opt.LowerBound(m, sched, tAvail) * boundMargin); !(bound < incumbent) {
+					t.Fatalf("%v: factory %d's bound %g is not below its incumbent %g", m, f, bound, incumbent)
+				}
+			}
 		}
 	}
 }

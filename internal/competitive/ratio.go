@@ -15,10 +15,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"objalloc/internal/cost"
 	"objalloc/internal/dom"
+	"objalloc/internal/engine"
 	"objalloc/internal/model"
+	"objalloc/internal/obs"
 	"objalloc/internal/opt"
 )
 
@@ -46,15 +49,26 @@ type Measurement struct {
 //
 // The battery is measured a schedule at a time (measureSchedule), each
 // call filling only its own index, so the schedules may be measured
-// concurrently; a measured schedule is read-only from then on.
+// concurrently; a measured schedule is read-only from then on but for its
+// plan, which is compiled on first use (plan) — a schedule the sweep never
+// prices is never compiled.
 type prepared struct {
 	factories []dom.Factory
 	scheds    []model.Schedule
 	initial   model.Set
 	t         int
-	plans     []*opt.Plan
 	// counts[f][i] is the accounting of factory f's run on scheds[i].
 	counts [][]cost.Counts
+	// bounds[i] is scheds[i]'s closed-form lower bound on the optimum.
+	bounds []opt.Bound
+	plans  []lazyPlan
+}
+
+// lazyPlan is a schedule's Plan, compiled by whichever task first needs it.
+type lazyPlan struct {
+	once sync.Once
+	plan *opt.Plan
+	err  error
 }
 
 // newPrepared allocates the battery's tables; nothing is measured yet.
@@ -64,8 +78,9 @@ func newPrepared(factories []dom.Factory, scheds []model.Schedule, initial model
 	}
 	b := &prepared{
 		factories: factories, scheds: scheds, initial: initial, t: t,
-		plans:  make([]*opt.Plan, len(scheds)),
 		counts: make([][]cost.Counts, len(factories)),
+		bounds: make([]opt.Bound, len(scheds)),
+		plans:  make([]lazyPlan, len(scheds)),
 	}
 	for f := range b.counts {
 		b.counts[f] = make([]cost.Counts, len(scheds))
@@ -76,8 +91,8 @@ func newPrepared(factories []dom.Factory, scheds []model.Schedule, initial model
 // measureSchedule runs every factory on schedule i, checking each step the
 // algorithm takes as model.AllocSchedule.Validate would and adding up its
 // counts as cost.TotalCounts would — without holding the allocation
-// schedule, of which only the total is kept — and compiles the schedule
-// for the offline DP.
+// schedule, of which only the total is kept — and takes the schedule's
+// lower bound, which refuses what opt.Compile would refuse.
 func (b *prepared) measureSchedule(i int) error {
 	for f, factory := range b.factories {
 		alg, err := factory(b.initial, b.t)
@@ -100,12 +115,34 @@ func (b *prepared) measureSchedule(i int) error {
 		}
 		b.counts[f][i] = total
 	}
-	p, err := opt.Compile(b.scheds[i], b.initial, b.t)
-	if err != nil {
-		return err
+	var err error
+	b.bounds[i], err = opt.NewBound(b.scheds[i], b.initial, b.t)
+	return err
+}
+
+// measureAll measures the battery on the pool. A failure is that of the
+// first failing schedule in battery order, whichever one the pool reached
+// first: measuring takes no context and is deterministic, so unless the
+// run was cancelled the battery is re-measured in order up to it.
+func (b *prepared) measureAll(ctx context.Context, parallelism int, ob obs.Observer) error {
+	err := engine.MapObserved(ctx, len(b.scheds), parallelism, ob, func(_ context.Context, i int) error {
+		return b.measureSchedule(i)
+	})
+	if err != nil && ctx.Err() == nil {
+		for i := range b.scheds {
+			if err := b.measureSchedule(i); err != nil {
+				return err
+			}
+		}
 	}
-	b.plans[i] = p
-	return nil
+	return err
+}
+
+// plan returns measured schedule i's Plan, compiling it on the first call.
+func (b *prepared) plan(i int) (*opt.Plan, error) {
+	lp := &b.plans[i]
+	lp.once.Do(func() { lp.plan, lp.err = opt.Compile(b.scheds[i], b.initial, b.t) })
+	return lp.plan, lp.err
 }
 
 func invalidSchedule(v *model.Violation) error {
@@ -120,11 +157,15 @@ func (b *prepared) measure(f, i int, m cost.Model, optCost float64) Measurement 
 }
 
 // worst reduces factory f's measurements in battery order with a strict
-// comparison: the first schedule attaining the maximum is the witness.
+// comparison: the first schedule attaining the maximum is the witness. A
+// NaN optimum marks a schedule left unpriced, which the reduction skips.
 func (b *prepared) worst(f int, m cost.Model, optCosts []float64) Worst {
 	var w Worst
 	w.Ratio = -1
 	for i, oc := range optCosts {
+		if math.IsNaN(oc) {
+			continue
+		}
 		if meas := b.measure(f, i, m, oc); meas.Ratio > w.Ratio {
 			w.Measurement = meas
 			w.Schedule = b.scheds[i]
@@ -136,12 +177,6 @@ func (b *prepared) worst(f int, m cost.Model, optCosts []float64) Worst {
 // saDA is the pair of algorithms the paper compares, in the order the
 // sweep and the crossover prepare them.
 var saDA = []dom.Factory{dom.StaticFactory, dom.DynamicFactory}
-
-// worstSADA returns SA's and DA's worst ratios over a battery prepared
-// with saDA.
-func (b *prepared) worstSADA(m cost.Model, optCosts []float64) (sa, da float64) {
-	return b.worst(0, m, optCosts).Ratio, b.worst(1, m, optCosts).Ratio
-}
 
 func ratioOf(alg, optimal float64) float64 {
 	switch {
@@ -186,7 +221,11 @@ func priced(ctx context.Context, m cost.Model, f dom.Factory, scheds []model.Sch
 		if err := b.measureSchedule(i); err != nil {
 			return nil, nil, err
 		}
-		if optCosts[i], err = b.plans[i].Cost(ctx, m); err != nil {
+		p, err := b.plan(i)
+		if err != nil {
+			return nil, nil, err
+		}
+		if optCosts[i], err = p.Cost(ctx, m); err != nil {
 			return nil, nil, err
 		}
 	}

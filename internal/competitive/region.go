@@ -3,11 +3,9 @@ package competitive
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"objalloc/internal/cost"
-	"objalloc/internal/engine"
+	"objalloc/internal/model"
 	"objalloc/internal/obs"
 	"objalloc/internal/opt"
 )
@@ -57,7 +55,8 @@ type SweepSpec struct {
 	// Seed, when nonzero, overrides Battery.Seed.
 	Seed int64
 	// Obs attaches the instrumentation layer: the engine reports the
-	// progress of its (schedule, model-chunk) tasks through the Observer,
+	// progress of its measuring tasks (one per schedule) and its pricing
+	// rounds' (schedule, model-chunk) tasks through the Observer,
 	// and after the sweep completes one "cell" event per grid point is
 	// emitted in grid order (so the event stream is identical for every
 	// Parallelism). Nil disables instrumentation.
@@ -85,18 +84,26 @@ func (spec *SweepSpec) Normalize() error {
 // Points with cc > cd are marked cannot-be-true and skipped.
 //
 // The sweep is schedule-major. SA and DA are cost-oblivious, so a schedule
-// is measured once (see prepared) and then priced under every admissible
-// cell's model in one pass of the offline DP per chunk of models
-// (opt.Plan.Costs). One engine task is one (schedule, model-chunk) pair;
-// the tasks fill a [schedule][cell] matrix of OPT costs by index, and each
-// cell's worst ratios are reduced from its column in battery order
-// afterwards, so the points are byte-identical to a serial run whatever
+// is measured once (see prepared) and then priced under admissible cells'
+// models in one pass of the offline DP per chunk of models
+// (opt.Plan.Costs) — under those cells only where a closed-form bound says
+// it could set the cell's worst ratio (see worstSADA). One engine task is
+// one (schedule, model-chunk) pair; the tasks fill a [cell][schedule]
+// matrix of OPT costs by index, and each cell's worst ratios are reduced
+// from its column in battery order afterwards, so the points are
+// byte-identical to a serial run, and to pricing every pair, whatever
 // order the pool ran the tasks in. Cancelling the context aborts the
 // passes in flight and returns ctx.Err().
 func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
+	return sweep(ctx, spec, spec.Battery.Build())
+}
+
+// sweep is Sweep over a given battery, whose schedules have at most
+// spec.Battery.N processors and assume spec.Battery's initial scheme.
+func sweep(ctx context.Context, spec SweepSpec, battery []model.Schedule) ([]GridPoint, error) {
 	points := make([]GridPoint, 0, len(spec.CCs)*len(spec.CDs))
 	var models []cost.Model // the admissible cells' models, in grid order
 	var cellOf []int        // cellOf[j] is the point models[j] prices
@@ -118,70 +125,23 @@ func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 			points = append(points, p)
 		}
 	}
-	prep, err := newPrepared(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+	prep, err := newPrepared(saDA, battery, spec.Battery.Initial(), spec.Battery.T)
 	if err != nil {
 		return nil, err
 	}
-	nSched, nModels := len(prep.scheds), len(models)
-
-	// Longest schedule first: the nemesis families are several times the
-	// length of the random mixes and the battery lists them last, where
-	// one of them would be the tail a lone worker finishes.
-	order := make([]int, nSched)
-	for i := range order {
-		order[i] = i
+	if err := prep.measureAll(ctx, spec.Parallelism, spec.Obs.Hook()); err != nil {
+		return nil, err
 	}
-	sort.SliceStable(order, func(a, b int) bool { return len(prep.scheds[order[a]]) > len(prep.scheds[order[b]]) })
-
 	// A task's models are at most one pass of the DP (no battery schedule
 	// has more than Battery.N processors), so a large grid spreads each
-	// schedule over the pool instead of pinning it to one worker. Every
-	// schedule has at least one task, which measures it even when no cell
-	// is admissible.
-	chunk := opt.ModelChunk(spec.Battery.N)
-	perSched := max(1, (nModels+chunk-1)/chunk)
-	optCosts := make([]float64, nSched*nModels) // [schedule][cell]
-	measured := make([]struct {
-		once sync.Once
-		err  error
-	}, nSched)
-	measure := func(s int) error { // measures schedule s, once
-		measured[s].once.Do(func() { measured[s].err = prep.measureSchedule(s) })
-		return measured[s].err
-	}
-	err = engine.MapObserved(ctx, nSched*perSched, spec.Parallelism, spec.Obs.Hook(), func(ctx context.Context, i int) error {
-		s, lo := order[i/perSched], i%perSched*chunk
-		if err := measure(s); err != nil {
-			return err
-		}
-		costs, err := prep.plans[s].Costs(ctx, models[lo:min(lo+chunk, nModels)])
-		if err != nil {
-			return err
-		}
-		copy(optCosts[s*nModels+lo:], costs)
-		return nil
-	})
+	// schedule over the pool instead of pinning it to one worker.
+	sa, da, priced, err := prep.worstSADA(ctx, models, opt.ModelChunk(spec.Battery.N), spec.Parallelism, spec.Obs.Hook())
 	if err != nil {
-		// Measuring is deterministic and takes no context, so unless the
-		// run was cancelled, report the failure of the first schedule in
-		// battery order — not of whichever the pool reached first.
-		if ctx.Err() == nil {
-			for s := range measured {
-				if err := measure(s); err != nil {
-					return nil, err
-				}
-			}
-		}
 		return nil, err
 	}
-
-	column := make([]float64, nSched)
-	for j, m := range models {
-		for s := range column {
-			column[s] = optCosts[s*nModels+j]
-		}
+	for j := range models {
 		p := &points[cellOf[j]]
-		p.SAWorst, p.DAWorst = prep.worstSADA(m, column)
+		p.SAWorst, p.DAWorst = sa[j], da[j]
 		switch {
 		case p.SAWorst < p.DAWorst:
 			p.Empirical = RegionSASuperior
@@ -191,18 +151,22 @@ func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 			p.Empirical = RegionUnknown
 		}
 	}
-	emitSweep(spec.Obs, points)
+	emitSweep(spec.Obs, points, priced, len(prep.scheds)*len(models)-priced)
 	return points, nil
 }
 
 // emitSweep renders the finished sweep into the instrumentation layer: one
-// "cell" event per grid point, in grid order, plus registry totals. It runs
-// single-threaded after the points are reduced, so the emission is
+// "cell" event per grid point, in grid order, plus registry totals — among
+// them how many (schedule, cell) pairs the offline DP priced and how many
+// the bound pruned. It runs single-threaded after the points are reduced,
+// and what is pruned depends on no scheduling, so the emission is
 // deterministic regardless of how the tasks were scheduled.
-func emitSweep(o *obs.Obs, points []GridPoint) {
+func emitSweep(o *obs.Obs, points []GridPoint, priced, pruned int) {
 	if !o.Enabled() {
 		return
 	}
+	o.Counter("sweep.pairs_priced").Add(int64(priced))
+	o.Counter("sweep.pairs_pruned").Add(int64(pruned))
 	for _, p := range points {
 		attrs := []obs.Attr{
 			obs.Float("cc", p.CC),

@@ -22,21 +22,10 @@ import (
 //     small enough to solve exactly.
 
 // LowerBound returns a value no larger than COST_OPT(I, ψ) under model m
-// with threshold t, for any number of processors:
-//
-//   - every read inputs the object at least once: >= cio;
-//   - every write outputs at least t copies and transmits at least t-1 of
-//     them (the writer can hold at most one): >= t·cio + (t-1)·cd.
+// with threshold t, for any number of processors: the instance's Bound.
 func LowerBound(m cost.Model, sched model.Schedule, t int) float64 {
-	var lb float64
-	for _, q := range sched {
-		if q.IsRead() {
-			lb += m.CIO
-		} else {
-			lb += float64(t)*m.CIO + float64(t-1)*m.CD
-		}
-	}
-	return lb
+	reads := sched.Reads()
+	return Bound{reads: reads, writes: len(sched) - reads, t: t}.Price(m)
 }
 
 // BeamResult is the outcome of the beam search.

@@ -109,12 +109,6 @@ type planReq struct {
 
 // Compile validates an instance and builds its Plan.
 func Compile(sched model.Schedule, initial model.Set, t int) (*Plan, error) {
-	if t < 1 {
-		return nil, fmt.Errorf("opt: availability threshold t = %d, must be at least 1", t)
-	}
-	if initial.Size() < t {
-		return nil, fmt.Errorf("opt: initial scheme %v has fewer than t = %d members", initial, t)
-	}
 	p := &Plan{
 		t:    t,
 		ids:  make([]model.ProcessorID, 0, MaxUniverse),
@@ -124,8 +118,8 @@ func Compile(sched model.Schedule, initial model.Set, t int) (*Plan, error) {
 	for k, q := range sched {
 		p.reqs[k] = planReq{bit: p.bit(q.Processor), read: q.IsRead()}
 	}
-	if len(p.ids) > MaxUniverse {
-		return nil, fmt.Errorf("opt: %d distinct processors exceed the exact solver's limit of %d", len(p.ids), MaxUniverse)
+	if err := checkInstance(initial, t, len(p.ids)); err != nil {
+		return nil, err
 	}
 	// One allocation holds both per-state tables.
 	size := p.size()
@@ -138,6 +132,21 @@ func Compile(sched model.Schedule, initial model.Set, t int) (*Plan, error) {
 		}
 	}
 	return p, nil
+}
+
+// checkInstance is what Compile refuses in an instance whose processor
+// universe — the initial scheme and the schedule's processors — has n
+// members, in the order it checks.
+func checkInstance(initial model.Set, t, n int) error {
+	switch {
+	case t < 1:
+		return fmt.Errorf("opt: availability threshold t = %d, must be at least 1", t)
+	case initial.Size() < t:
+		return fmt.Errorf("opt: initial scheme %v has fewer than t = %d members", initial, t)
+	case n > MaxUniverse:
+		return fmt.Errorf("opt: %d distinct processors exceed the exact solver's limit of %d", n, MaxUniverse)
+	}
+	return nil
 }
 
 // bit returns the dense mask of a processor, assigning the next free bit
@@ -321,6 +330,34 @@ func newPrices(m cost.Model, n int) prices {
 		pr.writeOut[sz] = float64(sz) * (m.CD + m.CIO)
 	}
 	return pr
+}
+
+// Bound is the closed-form lower bound on COST_OPT(I, ψ) of an instance
+// with R reads, W writes and threshold t:
+//
+//	LB = R·cio + W·(t·cio + (t−1)·cd)
+//
+// A read inputs the object at least once (cio). A write's execution set
+// has |X| >= t members, each of which outputs the new copy, and the writer
+// holds at most one of them, so it pays t outputs and t−1 transmissions.
+// Invalidations cost >= 0 and are left out. The bound needs only the two
+// counts, so an instance has it without being compiled; under the mobile
+// model (cio = 0) it is 0 for reads and, at t = 1, for everything.
+type Bound struct{ reads, writes, t int }
+
+// NewBound returns an instance's Bound, refusing what Compile refuses with
+// the error Compile returns, so an instance it accepts compiles.
+func NewBound(sched model.Schedule, initial model.Set, t int) (Bound, error) {
+	if err := checkInstance(initial, t, sched.Processors().Union(initial).Size()); err != nil {
+		return Bound{}, err
+	}
+	reads := sched.Reads()
+	return Bound{reads: reads, writes: len(sched) - reads, t: t}, nil
+}
+
+// Price returns the bound under m.
+func (b Bound) Price(m cost.Model) float64 {
+	return float64(b.reads)*m.CIO + float64(b.writes)*(float64(b.t)*m.CIO+float64(b.t-1)*m.CD)
 }
 
 // relaxRead performs the DP transition for a read by the processor whose

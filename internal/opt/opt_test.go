@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -367,6 +369,74 @@ func TestOptimalMonotoneInT(t *testing.T) {
 				t.Fatalf("iter %d: OPT decreased from %g to %g as t rose to %d", iter, prev, c, tAvail)
 			}
 			prev = c
+		}
+	}
+}
+
+// The closed-form bound against the DP, over random schedules under SC and
+// MC at every t = 1…n: the bound deflated by a relative 1e-9 (what a sweep
+// prunes with) never exceeds the optimum, and under MC at t = 1 it is 0 —
+// reads and single-copy writes cost nothing there that the bound can see.
+func TestBoundBelowCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	ctx := context.Background()
+	models := []cost.Model{cost.SC(0.2, 0.2), cost.SC(0.5, 1.7), cost.SC(0, 0), cost.MC(0.3, 0.9), cost.MC(0, 1), cost.MC(1.4, 1.7)}
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + rng.Intn(6)
+		sched := randomSchedule(rng, n, rng.Intn(40), rng.Float64())
+		for tAvail := 1; tAvail <= n; tAvail++ {
+			initial := model.FullSet(tAvail)
+			bd, err := NewBound(sched, initial, tAvail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := Compile(sched, initial, tAvail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range models {
+				got, err := plan.Cost(ctx, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lb := bd.Price(m)
+				if lb*(1-1e-9) > got {
+					t.Fatalf("iter %d: bound %g above optimum %g under %v, t=%d\nsched: %v", iter, lb, got, m, tAvail, sched)
+				}
+				if lb != LowerBound(m, sched, tAvail) {
+					t.Fatalf("iter %d: Bound %g, LowerBound %g under %v", iter, lb, LowerBound(m, sched, tAvail), m)
+				}
+				if m.IsMobile() && tAvail == 1 && lb != 0 {
+					t.Fatalf("iter %d: MC bound at t = 1 is %g, want 0", iter, lb)
+				}
+			}
+		}
+	}
+}
+
+// NewBound refuses exactly what Compile refuses, with Compile's error.
+func TestNewBoundRefusesWhatCompileRefuses(t *testing.T) {
+	big := make(model.Schedule, 0, MaxUniverse+1)
+	for i := 0; i <= MaxUniverse; i++ {
+		big = append(big, model.W(model.ProcessorID(i)))
+	}
+	sched := model.MustParseSchedule("r1 w2")
+	for _, c := range []struct {
+		name    string
+		sched   model.Schedule
+		initial model.Set
+		t       int
+	}{
+		{"t = 0", sched, model.NewSet(1), 0},
+		{"initial below t", sched, model.NewSet(1), 2},
+		{"oversized universe", big, model.NewSet(0, 1), 2},
+		{"universe of the limit", big[:MaxUniverse], model.NewSet(0, 1), 2},
+		{"initial outside the schedule", sched, model.NewSet(3, 4, 5), 3},
+	} {
+		_, want := Compile(c.sched, c.initial, c.t)
+		_, got := NewBound(c.sched, c.initial, c.t)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: NewBound error %v, Compile error %v", c.name, got, want)
 		}
 	}
 }
