@@ -81,13 +81,15 @@ bench:
 # allocs prints what the offline engine asks of the allocator: bytes and
 # mallocs per bench-shaped sweep (the 6×6 figure-1 grid, eight battery seeds
 # in rotation) with GC cycles per 1 000 sweeps, serial and at the default
-# parallelism, and the same per opt.Plan.Costs call and per model of the
+# parallelism; the lower bound's share of one such sweep (BenchmarkBound:
+# opt.NewBound over the battery and the lazy pricing rule at the 21 cells);
+# and the same per opt.Plan.Costs call and per model of the
 # one-model DP, over the shapes BenchmarkCosts lists. The counts
 # repeat run to run; the ns/op beside them are for orientation only — speed
 # claims come from `make bench`. TestSweepAllocationBudget and
 # TestPricingAllocations gate the counts in `make test`.
 allocs:
-	go test -run '^$$' -bench BenchmarkSweep -benchtime 200x -benchmem ./internal/competitive
+	go test -run '^$$' -bench 'BenchmarkSweep|BenchmarkBound' -benchtime 200x -benchmem ./internal/competitive
 	go test -run '^$$' -bench BenchmarkCosts -benchtime 200x -benchmem ./internal/opt
 
 # obscheck is the observability slice of vet and race, for local use
@@ -252,21 +254,23 @@ chaos-check:
 # next to the metrics stream; inspect with `go tool pprof`. The grid is
 # 200×200 (20 k admissible cells, under a second) and the map goes to
 # /dev/null: the 6×6 grid this target used to run finishes in 2 ms, between
-# two samples of the profiler. Since the sweep prices only the (schedule,
-# cell) pairs its lower bound cannot rule out, the grid pass of
-# internal/opt is ~42 % of the samples (six runs merged, 2-core Xeon):
-# its three relaxation kernels opt.readRows (19 %), opt.foldRows (13 %)
-# and opt.writeRows (5 %), flat, under opt.(*Plan).costsPass. Writing the
-# metrics stream (competitive.emitSweep through obs.(*JSONLSink).Emit) is
-# ~31 %, RenderGrid ~8 % and the bound's bookkeeping
-# (competitive.(*prepared).worstSADA, bound) ~6 %. The one-model DP
-# (opt.(*Plan).run, minTransform) runs only for Solve's traceback, so it
-# does not appear here. On the small bench-shaped sweep (`go test -bench
-# BenchmarkSweep -cpuprofile`) costsPass is ~46 %,
-# competitive.(*prepared).measureSchedule ~17 %, BatteryConfig.Build ~11 %
-# (math/rand seeding ~3 %), worstSADA ~10 % and the runtime's futex (the
-# engine pool parking) ~3 %. `make allocs` counts what this profile can
-# only sample.
+# two samples of the profiler. Since the sweep's lower bound sees reads
+# (the interval relaxation, opt.Bound.Price) it prices little beyond each
+# cell's two incumbents, and writing the metrics stream
+# (competitive.emitSweep through obs.(*JSONLSink).Emit) is the largest
+# share, ~45 % of the samples (six runs merged, 2-core Xeon); the grid
+# pass of internal/opt, opt.(*Plan).costsPass, is ~13 % (its kernels
+# opt.readRows 7 %, opt.foldRows 4 %, opt.writeRows 1 %, flat),
+# RenderGrid ~10 % and the bound's bookkeeping in
+# competitive.(*prepared).worstSADA ~9 % (the lead search,
+# competitive.(*pairBounds).lead, ~6 %; opt.Bound.Price ~3 %). The
+# one-model DP (opt.(*Plan).run, minTransform) runs only for Solve's
+# traceback, so it does not appear here. On the small bench-shaped sweep
+# (`go test -bench 'BenchmarkSweep/parallelism=1' -cpuprofile`)
+# competitive.(*prepared).measureSchedule is ~27 % (opt.NewBound ~7 %),
+# costsPass ~23 %, BatteryConfig.Build ~18 % (math/rand seeding ~7 %),
+# the bound's bookkeeping ~8 % and the runtime's futex (the engine pool
+# parking) ~4 %. `make allocs` counts what this profile can only sample.
 profile:
 	go run ./cmd/figure1 -steps 200 -cpuprofile figure1.cpu.pprof -metrics figure1.metrics.jsonl -progress > /dev/null
 	@echo "wrote figure1.cpu.pprof and figure1.metrics.jsonl"

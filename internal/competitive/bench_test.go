@@ -4,6 +4,9 @@ import (
 	"context"
 	"runtime"
 	"testing"
+
+	"objalloc/internal/cost"
+	"objalloc/internal/opt"
 )
 
 // benchSweepSpec is the sweep bench/'s sweep_offline workload runs as its
@@ -45,5 +48,53 @@ func BenchmarkSweep(b *testing.B) {
 			_, _, gcCycles := benchSweeps(b, b.N, c.parallelism)
 			b.ReportMetric(1000*float64(gcCycles)/float64(b.N), "gc/kop")
 		})
+	}
+}
+
+// BenchmarkBound is the lower bound's share of a bench-shaped sweep, a
+// measuring aid for `make allocs`: opt.NewBound over the default battery,
+// then the lazy rule at the grid's 21 admissible cells — each cell's two
+// leads, the +Inf test and round 2's test against the worst ratios the
+// sweep found, with the relaxation priced only where the floor cannot
+// decide. A bound that costs more than the DP passes it saves is no gain;
+// this row is where that shows.
+func BenchmarkBound(b *testing.B) {
+	ctx := context.Background()
+	spec := benchSweepSpec(0, 1)
+	var models []cost.Model
+	for _, cc := range spec.CCs {
+		for _, cd := range spec.CDs {
+			if m := cost.SC(cc, cd); m.Region() != RegionCannotBeTrue {
+				models = append(models, m)
+			}
+		}
+	}
+	prep, err := newPrepared(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := prep.measureAll(ctx, 1, nil); err != nil {
+		b.Fatal(err)
+	}
+	sa, da, _, err := prep.worstSADA(ctx, models, opt.ModelChunk(spec.Battery.N), 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for i, s := range prep.scheds {
+			if prep.bounds[i], err = opt.NewBound(s, prep.initial, prep.t); err != nil {
+				b.Fatal(err)
+			}
+		}
+		x := prep.newPairBounds(models)
+		for j := range models {
+			x.lead(0, j)
+			x.lead(1, j)
+			for s := range prep.scheds {
+				_ = x.unbounded(s, j) || x.below(s, j, sa[j], da[j])
+			}
+		}
 	}
 }

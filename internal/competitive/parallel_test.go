@@ -164,8 +164,9 @@ func TestSweepReportsFirstFailingSchedule(t *testing.T) {
 // assertPrunedEverywhere fails unless, at every admissible SC cell of the
 // grid, both of sched's ratio bounds are strictly below the incumbents
 // round 1 takes from a battery of the compiling schedules nemeses — the
-// ratios of the schedules with the largest SA and DA bounds. Its bounds are
-// then below every nemesis bound, so adding sched changes no lead.
+// ratios of the schedules with the largest SA and DA bounds. Its bounds,
+// over the closed form a sweep tries first, are then below every nemesis
+// bound, so adding sched changes no lead.
 func assertPrunedEverywhere(t *testing.T, nemeses []model.Schedule, sched model.Schedule, initial model.Set, tAvail int, cds, ccs []float64) {
 	t.Helper()
 	ctx := context.Background()
@@ -182,10 +183,13 @@ func assertPrunedEverywhere(t *testing.T, nemeses []model.Schedule, sched model.
 				continue
 			}
 			m := cost.SC(cc, cd)
+			bound := func(f, s int) float64 {
+				return prep.counts[f][s].Price(m) / (prep.bounds[s].Price(m) * boundMargin)
+			}
 			var lead [2]int
 			for f := range lead {
 				for s := range nemeses {
-					if prep.bound(f, s, m) > prep.bound(f, lead[f], m) {
+					if bound(f, s) > bound(f, lead[f]) {
 						lead[f] = s
 					}
 				}

@@ -59,7 +59,8 @@ type prepared struct {
 	t         int
 	// counts[f][i] is the accounting of factory f's run on scheds[i].
 	counts [][]cost.Counts
-	// bounds[i] is scheds[i]'s closed-form lower bound on the optimum.
+	// bounds[i] is scheds[i]'s lower bound on the optimum, priced per
+	// model by worstSADA.
 	bounds []opt.Bound
 	plans  []lazyPlan
 }

@@ -12,22 +12,87 @@ import (
 
 // boundMargin deflates a schedule's lower bound on the optimum before it
 // divides. The DP sums its charges in floating point, at most n+1 roundings
-// per request over n processors, and may land that many ulps per request
-// below the bound's exact value; a relative 1e-9 covers it for schedules of
-// up to ~500 000 requests even at opt.MaxUniverse, so a pair's computed
-// ratio never exceeds its computed bound.
+// per request over n processors, and the interval relaxation fewer; the
+// one may land that many ulps per request below its exact value and the
+// other above, and the exact bound is at most the exact optimum. A
+// relative 1e-9 covers both for schedules of up to ~250 000 requests even
+// at opt.MaxUniverse, so a pair's computed ratio never exceeds its
+// computed bound.
 const boundMargin = 1 - 1e-9
 
-// bound is an upper bound on factory f's ratio on measured schedule s
-// under m: the algorithm's cost over the schedule's deflated opt.Bound.
-// A zero lower bound (the mobile model's reads, or t = 1 there) bounds
-// nothing, so the ratio bound is +Inf and the pair is never pruned.
-func (b *prepared) bound(f, s int, m cost.Model) float64 {
-	lb := b.bounds[s].Price(m) * boundMargin
+// pairBounds holds a sweep's lower bounds on the optimum of each (schedule,
+// model) pair in two strengths: opt.Bound.Floor, a closed form that costs
+// nothing, and opt.Bound.Price, the interval relaxation, which is never
+// below it and is computed only where the floor cannot decide, once per
+// pair. A smaller lower bound gives a larger ratio bound, so wherever the
+// floor prunes a pair the relaxation would too.
+type pairBounds struct {
+	b      *prepared
+	models []cost.Model
+	tight  []float64 // [model][schedule]: Price, NaN until first asked
+}
+
+func (b *prepared) newPairBounds(models []cost.Model) pairBounds {
+	x := pairBounds{b: b, models: models, tight: make([]float64, len(models)*len(b.scheds))}
+	for i := range x.tight {
+		x.tight[i] = math.NaN()
+	}
+	return x
+}
+
+func (x *pairBounds) floor(s, j int) float64 { return x.b.bounds[s].Floor(x.models[j]) }
+
+func (x *pairBounds) price(s, j int) float64 {
+	lb := &x.tight[j*len(x.b.scheds)+s]
+	if math.IsNaN(*lb) {
+		*lb = x.b.bounds[s].Price(x.models[j])
+	}
+	return *lb
+}
+
+// ratio is an upper bound on factory f's ratio on measured schedule s
+// under model j: the algorithm's cost over lb, a lower bound on the
+// optimum, deflated. A zero lower bound bounds nothing, so the ratio bound
+// is +Inf, never a 0/0 (unbounded says where).
+func (x *pairBounds) ratio(f, s, j int, lb float64) float64 {
+	lb *= boundMargin
 	if lb <= 0 {
 		return math.Inf(1)
 	}
-	return b.counts[f][s].Price(m) / lb
+	return x.b.counts[f][s].Price(x.models[j]) / lb
+}
+
+// unbounded reports whether pair (s, j) has no finite ratio bound, which
+// no incumbent can prune. The floor is positive almost everywhere, so the
+// relaxation is asked only where it is 0.
+func (x *pairBounds) unbounded(s, j int) bool {
+	return x.floor(s, j)*boundMargin <= 0 && x.price(s, j)*boundMargin <= 0
+}
+
+// below reports whether both of pair (s, j)'s ratio bounds are strictly
+// below the incumbents sa and da, asking the relaxation only when the
+// floor's bounds are not.
+func (x *pairBounds) below(s, j int, sa, da float64) bool {
+	under := func(lb float64) bool { return x.ratio(0, s, j, lb) < sa && x.ratio(1, s, j, lb) < da }
+	return under(x.floor(s, j)) || under(x.price(s, j))
+}
+
+// lead returns the schedule with factory f's largest finite ratio bound
+// over the relaxation at model j — the first in battery order on a tie —
+// or -1. It walks the battery backwards, nemesis families first, and
+// prices the relaxation only for a schedule whose floor's ratio bound,
+// never below the relaxation's, could still reach the best found.
+func (x *pairBounds) lead(f, j int) int {
+	best, lead := -1.0, -1
+	for s := len(x.b.scheds) - 1; s >= 0; s-- {
+		if x.ratio(f, s, j, x.floor(s, j)) < best {
+			continue
+		}
+		if bd := x.ratio(f, s, j, x.price(s, j)); bd >= best && !math.IsInf(bd, 1) {
+			best, lead = bd, s
+		}
+	}
+	return lead
 }
 
 // worstSADA returns, at every model of a list, SA's and DA's worst ratio
@@ -37,13 +102,14 @@ func (b *prepared) bound(f, s int, m cost.Model) float64 {
 //
 // It prices by branch and bound, in two rounds. Round 1 prices, at every
 // model, the schedule with the largest finite SA bound and the one with
-// the largest finite DA bound (see bound), and every schedule whose bound
-// is +Inf, which no incumbent can prune; the largest of their ratios are
-// the model's incumbents. Round 2 prices every other pair unless both its
-// bounds are strictly below the incumbents. A pair left out has ratios at
-// most its bounds, so strictly below the worst ratios: it can neither set
-// one nor be the first schedule in battery order to attain one, and
-// leaving it out changes no value and no witness. What is priced depends
+// the largest finite DA bound (see pairBounds.lead), and every schedule
+// whose bound is +Inf, which no incumbent can prune; the largest of their
+// ratios are the model's incumbents. Round 2 prices every other pair unless both
+// its bounds are strictly below the incumbents. A pair left out has ratios
+// at most its bounds, so strictly below the worst ratios: it can neither
+// set one nor be the first schedule in battery order to attain one, and
+// leaving it out changes no value and no witness. The bounds are asked
+// serially, before each round's tasks start, and what is priced depends
 // on round-1 values alone, so it is the same at every parallelism.
 //
 // A round is one engine run of (schedule, model-chunk) tasks, chunk models
@@ -117,16 +183,11 @@ func (b *prepared) worstSADA(ctx context.Context, models []cost.Model, chunk, pa
 
 	// lead[2j+f] is the schedule with factory f's largest finite bound at
 	// model j, or -1.
+	x := b.newPairBounds(models)
 	lead := make([]int, 2*nModels)
-	for j, m := range models {
+	for j := range models {
 		for f := range 2 {
-			best := -1.0
-			lead[2*j+f] = -1
-			for s := range b.scheds {
-				if bd := b.bound(f, s, m); bd > best && !math.IsInf(bd, 1) {
-					best, lead[2*j+f] = bd, s
-				}
-			}
+			lead[2*j+f] = x.lead(f, j)
 		}
 	}
 	// Round 1 is a few schedules at many models — at the figures' grids
@@ -137,13 +198,12 @@ func (b *prepared) worstSADA(ctx context.Context, models []cost.Model, chunk, pa
 		workers = engine.DefaultParallelism()
 	}
 	if err := price(workers, func(s, j int) bool {
-		return s == lead[2*j] || s == lead[2*j+1] || math.IsInf(b.bound(0, s, models[j]), 1)
+		return s == lead[2*j] || s == lead[2*j+1] || x.unbounded(s, j)
 	}); err != nil {
 		return nil, nil, 0, err
 	}
 	if err := price(1, func(s, j int) bool {
-		m := models[j]
-		return math.IsNaN(optCosts[j*nSched+s]) && !(b.bound(0, s, m) < sa[j] && b.bound(1, s, m) < da[j])
+		return math.IsNaN(optCosts[j*nSched+s]) && !x.below(s, j, sa[j], da[j])
 	}); err != nil {
 		return nil, nil, 0, err
 	}

@@ -86,13 +86,13 @@ func (spec *SweepSpec) Normalize() error {
 // The sweep is schedule-major. SA and DA are cost-oblivious, so a schedule
 // is measured once (see prepared) and then priced under admissible cells'
 // models in one pass of the offline DP per chunk of models
-// (opt.Plan.Costs) — under those cells only where a closed-form bound says
-// it could set the cell's worst ratio (see worstSADA). One engine task is
-// one (schedule, model-chunk) pair; the tasks fill a [cell][schedule]
-// matrix of OPT costs by index, and each cell's worst ratios are reduced
-// from its column in battery order afterwards, so the points are
-// byte-identical to a serial run, and to pricing every pair, whatever
-// order the pool ran the tasks in. Cancelling the context aborts the
+// (opt.Plan.Costs) — under those cells only where a lower bound on the
+// optimum says it could set the cell's worst ratio (see worstSADA). One
+// engine task is one (schedule, model-chunk) pair; the tasks fill a
+// [cell][schedule] matrix of OPT costs by index, and each cell's worst
+// ratios are reduced from its column in battery order afterwards, so the
+// points are byte-identical to a serial run, and to pricing every pair,
+// whatever order the pool ran the tasks in. Cancelling the context aborts the
 // passes in flight and returns ctx.Err().
 func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 	if err := spec.Normalize(); err != nil {

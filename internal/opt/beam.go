@@ -22,10 +22,11 @@ import (
 //     small enough to solve exactly.
 
 // LowerBound returns a value no larger than COST_OPT(I, ψ) under model m
-// with threshold t, for any number of processors: the instance's Bound.
+// with threshold t, for any number of processors: the closed form
+// Bound.Floor, which needs the request counts alone.
 func LowerBound(m cost.Model, sched model.Schedule, t int) float64 {
 	reads := sched.Reads()
-	return Bound{reads: reads, writes: len(sched) - reads, t: t}.Price(m)
+	return Bound{reads: reads, writes: len(sched) - reads, t: t}.Floor(m)
 }
 
 // BeamResult is the outcome of the beam search.

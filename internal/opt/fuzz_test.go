@@ -64,8 +64,8 @@ func fuzzInstance(data []byte) (sched model.Schedule, initial model.Set, t int, 
 // fresh one-shot solves under a second model (a Plan must carry no state
 // from one model's pass into the next), and run, the one-model DP Solve
 // traces back through — Cost under either model, and Costs under both at
-// once, must equal it bit for bit — and the closed-form Bound, which must
-// stay below it.
+// once, must equal it bit for bit — and the Bound, whose Floor must stay
+// below its Price and its Price below the optimum.
 func FuzzOptCost(f *testing.F) {
 	f.Add([]byte{})                                              // empty schedule, n = t = 1
 	f.Add([]byte{4, 1, 0x12, 0x85, 0x03})                        // empty schedule, n = 5, t = 2
@@ -133,17 +133,19 @@ func FuzzOptCost(f *testing.F) {
 			t.Fatalf("shared plan: %b then %b under %v, %b under %v; fresh solves %b and %b", got, again, m, got2, m2, fresh, fresh2)
 		}
 
-		// The closed-form bound lies below the optimum under either model,
-		// after the relative 1e-9 a sweep deflates it by before pruning.
+		// Floor ≤ Price ≤ Cost under either model, Price after the
+		// relative 1e-9 a sweep deflates it by before pruning.
 		bd, err := NewBound(sched, initial, tAvail)
 		if err != nil {
 			t.Fatalf("NewBound rejected an instance Compile accepted: %v", err)
 		}
-		if lb := bd.Price(m); lb*(1-1e-9) > got {
-			t.Fatalf("bound %g above optimum %g under %v, t=%d\nsched: %v", lb, got, m, tAvail, sched)
-		}
-		if lb := bd.Price(m2); lb*(1-1e-9) > got2 {
-			t.Fatalf("bound %g above optimum %g under %v, t=%d\nsched: %v", lb, got2, m2, tAvail, sched)
+		for _, c := range []struct {
+			m   cost.Model
+			opt float64
+		}{{m, got}, {m2, got2}} {
+			if floor, lb := bd.Floor(c.m), bd.Price(c.m); floor > lb || lb*(1-1e-9) > c.opt {
+				t.Fatalf("Floor %g, Price %g, optimum %g under %v, t=%d\nsched: %v", floor, lb, c.opt, c.m, tAvail, sched)
+			}
 		}
 
 		// The grid pass against run, which Solve traced back through.

@@ -56,6 +56,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"objalloc/internal/cost"
 	"objalloc/internal/model"
@@ -332,18 +333,40 @@ func newPrices(m cost.Model, n int) prices {
 	return pr
 }
 
-// Bound is the closed-form lower bound on COST_OPT(I, ψ) of an instance
-// with R reads, W writes and threshold t:
+// Bound is a lower bound on COST_OPT(I, ψ): the interval relaxation of the
+// DP. Cut the schedule at its writes. A write picks its execution set X,
+// |X| >= t, and the reads up to the next write are served against X, which
+// only saving reads can grow, each by its own reader:
 //
-//	LB = R·cio + W·(t·cio + (t−1)·cd)
+//   - a reader in X reads locally, k·cio for its k reads;
+//   - a reader outside X pays at least out(k) = min(k·remote,
+//     saving + (k−1)·cio): it reads remotely throughout, or saves once and
+//     reads locally after;
+//   - the write pays (|X|−1)·cd + |X|·cio with the writer in X and
+//     |X|·(cd + cio) with it outside.
 //
-// A read inputs the object at least once (cio). A write's execution set
-// has |X| >= t members, each of which outputs the new copy, and the writer
-// holds at most one of them, so it pays t outputs and t−1 transmissions.
-// Invalidations cost >= 0 and are left out. The bound needs only the two
-// counts, so an instance has it without being compiled; under the mobile
-// model (cio = 0) it is 0 for reads and, at t = 1, for everything.
-type Bound struct{ reads, writes, t int }
+// Reads before the first write are served the same way against the
+// initial scheme. Only invalidations, cc·|Y \ X'| >= 0, tie one interval
+// to the next; leaving them out makes each interval's minimum over X its
+// own, and the bound is the prefix plus the sum of the intervals' minima.
+//
+// What membership is worth to a reader, out(k) − k·cio =
+// min(k·(cc + cd), cc + cd + cio), never falls as k grows, so a cheapest X
+// of each size holds the writer or not and then the most frequent other
+// readers, whatever the model. An
+// interval is priced from its signature — the writer's own reads and the
+// other readers' counts, sorted — and a run of identical intervals, which
+// is what the periodic nemesis families are made of, is stored once with
+// its length.
+type Bound struct {
+	reads, writes, t int
+	// sig is the relaxation's input, flat: the number p of processors
+	// outside the initial scheme that read before the first write and
+	// their p read counts; then, per run of identical intervals, its
+	// length, the writer's reads, the number r of other readers and their
+	// r read counts in descending order.
+	sig []int32
+}
 
 // NewBound returns an instance's Bound, refusing what Compile refuses with
 // the error Compile returns, so an instance it accepts compiles.
@@ -351,13 +374,98 @@ func NewBound(sched model.Schedule, initial model.Set, t int) (Bound, error) {
 	if err := checkInstance(initial, t, sched.Processors().Union(initial).Size()); err != nil {
 		return Bound{}, err
 	}
-	reads := sched.Reads()
-	return Bound{reads: reads, writes: len(sched) - reads, t: t}, nil
+	b := Bound{t: t}
+	var buf [256]int32
+	sig := buf[:1]
+	var count [model.MaxProcessors]int32 // reads per processor in the open interval
+	var readers uint64                   // the model.Set of who read in it
+	run, writer := -1, -1                // sig offset of the last run; the open interval's writer, -1 in the prefix
+	for k := 0; k <= len(sched); k++ {
+		if k < len(sched) && sched[k].IsRead() {
+			p := sched[k].Processor
+			b.reads++
+			count[p]++
+			readers |= 1 << uint(p)
+			continue
+		}
+		// A write, or the end, closes the open interval.
+		if writer < 0 {
+			for v := readers &^ uint64(initial); v != 0; v &= v - 1 {
+				sig = append(sig, count[bits.TrailingZeros64(v)])
+			}
+			sig[0] = int32(len(sig) - 1)
+		} else {
+			at := len(sig)
+			sig = append(sig, 1, count[writer], 0)
+			for v := readers &^ (1 << uint(writer)); v != 0; v &= v - 1 {
+				i := len(sig)
+				sig = append(sig, count[bits.TrailingZeros64(v)])
+				for ; i > at+3 && sig[i-1] < sig[i]; i-- {
+					sig[i-1], sig[i] = sig[i], sig[i-1]
+				}
+			}
+			sig[at+2] = int32(len(sig) - at - 3)
+			if run >= 0 && slices.Equal(sig[run+1:at], sig[at+1:]) {
+				sig[run]++
+				sig = sig[:at]
+			} else {
+				run = at
+			}
+		}
+		for v := readers; v != 0; v &= v - 1 {
+			count[bits.TrailingZeros64(v)] = 0
+		}
+		readers = 0
+		if k < len(sched) {
+			b.writes++
+			writer = int(sched[k].Processor)
+		}
+	}
+	b.sig = slices.Clone(sig)
+	return b, nil
 }
 
-// Price returns the bound under m.
-func (b Bound) Price(m cost.Model) float64 {
+// Floor is the closed form the relaxation never falls below, for R reads
+// and W writes:
+//
+//	LB = R·cio + W·(t·cio + (t−1)·cd)
+//
+// A read inputs the object at least once, and a write outputs at t
+// members and transmits to at least t−1 of them. It needs only the two
+// counts and costs nothing to evaluate, but it sees no read's message
+// cost: under the mobile model (cio = 0) it is 0 for reads and, at t = 1,
+// for everything.
+func (b Bound) Floor(m cost.Model) float64 {
 	return float64(b.reads)*m.CIO + float64(b.writes)*(float64(b.t)*m.CIO+float64(b.t-1)*m.CD)
+}
+
+// Price returns the bound under m. Both it and Floor are lower bounds, so
+// it returns the larger: Floor(m) <= Price(m) holds in floating point
+// too, which is what lets a caller try the free Floor first.
+func (b Bound) Price(m cost.Model) float64 {
+	pad := m.CC + m.CD // a remote read's charge over a local one
+	gain := func(k int32) float64 { return min(float64(k)*pad, pad+m.CIO) }
+	lb := float64(b.reads) * m.CIO
+	p := b.sig[0]
+	for _, k := range b.sig[1 : 1+p] {
+		lb += gain(k)
+	}
+	for s := b.sig[1+p:]; len(s) > 0; {
+		runs, w, cs := s[0], s[1], s[3:3+s[2]]
+		s = s[3+len(cs):]
+		best, rest := inf, 0.0 // rest is the gain of the readers left out of X
+		for j := len(cs); j >= 0; j-- {
+			// X holds the j most frequent other readers, and the writer
+			// or not, padded to t members.
+			in, out := max(b.t, j+1), max(b.t, j)
+			best = min(best, float64(in-1)*m.CD+float64(in)*m.CIO+rest, float64(out)*(m.CD+m.CIO)+rest+gain(w))
+			if j > 0 {
+				rest += gain(cs[j-1])
+			}
+		}
+		lb += float64(runs) * best
+	}
+	return max(lb, b.Floor(m))
 }
 
 // relaxRead performs the DP transition for a read by the processor whose

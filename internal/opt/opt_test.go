@@ -373,19 +373,24 @@ func TestOptimalMonotoneInT(t *testing.T) {
 	}
 }
 
-// The closed-form bound against the DP, over random schedules under SC and
-// MC at every t = 1…n: the bound deflated by a relative 1e-9 (what a sweep
-// prunes with) never exceeds the optimum, and under MC at t = 1 it is 0 —
-// reads and single-copy writes cost nothing there that the bound can see.
+// The bound against the DP, over random schedules and random initial
+// schemes under SC, MC and edge models, n ≤ 7 and every t = 1…n: the
+// closed form Floor is LowerBound's and lies below the interval
+// relaxation Price, and Price deflated by a relative 1e-9 (what a sweep
+// prunes with) never exceeds the optimum — and equals it where the
+// relaxation leaves nothing out.
 func TestBoundBelowCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	ctx := context.Background()
-	models := []cost.Model{cost.SC(0.2, 0.2), cost.SC(0.5, 1.7), cost.SC(0, 0), cost.MC(0.3, 0.9), cost.MC(0, 1), cost.MC(1.4, 1.7)}
+	models := []cost.Model{cost.SC(0.2, 0.2), cost.SC(0.5, 1.7), cost.SC(0, 0), cost.MC(0.3, 0.9), cost.MC(0, 1), cost.MC(1.4, 1.7), cost.MC(0, 0)}
 	for iter := 0; iter < 200; iter++ {
-		n := 1 + rng.Intn(6)
+		n := 1 + rng.Intn(7)
 		sched := randomSchedule(rng, n, rng.Intn(40), rng.Float64())
 		for tAvail := 1; tAvail <= n; tAvail++ {
-			initial := model.FullSet(tAvail)
+			var initial model.Set
+			for _, p := range rng.Perm(n)[:tAvail+rng.Intn(n-tAvail+1)] {
+				initial = initial.Add(model.ProcessorID(p))
+			}
 			bd, err := NewBound(sched, initial, tAvail)
 			if err != nil {
 				t.Fatal(err)
@@ -399,16 +404,47 @@ func TestBoundBelowCost(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lb := bd.Price(m)
+				floor, lb := bd.Floor(m), bd.Price(m)
+				if floor != LowerBound(m, sched, tAvail) || floor > lb {
+					t.Fatalf("iter %d: Floor %g, LowerBound %g, Price %g under %v", iter, floor, LowerBound(m, sched, tAvail), lb, m)
+				}
 				if lb*(1-1e-9) > got {
-					t.Fatalf("iter %d: bound %g above optimum %g under %v, t=%d\nsched: %v", iter, lb, got, m, tAvail, sched)
+					t.Fatalf("iter %d: bound %g above optimum %g under %v, t=%d, initial %v\nsched: %v", iter, lb, got, m, tAvail, initial, sched)
 				}
-				if lb != LowerBound(m, sched, tAvail) {
-					t.Fatalf("iter %d: Bound %g, LowerBound %g under %v", iter, lb, LowerBound(m, sched, tAvail), m)
-				}
-				if m.IsMobile() && tAvail == 1 && lb != 0 {
-					t.Fatalf("iter %d: MC bound at t = 1 is %g, want 0", iter, lb)
-				}
+			}
+		}
+	}
+
+	// BLIS Type-1 rows where the relaxation is exact: a read run from
+	// outside the initial scheme — SA's nemesis — which the optimum reads
+	// remotely or saves once, and one processor under MC at t = 1, which
+	// reads and writes its own copy for nothing (the bound is 0 there).
+	readRun := make(model.Schedule, 60)
+	for i := range readRun {
+		readRun[i] = model.R(3)
+	}
+	for _, c := range []struct {
+		sched   model.Schedule
+		initial model.Set
+		tAvail  int
+		models  []cost.Model
+	}{
+		{readRun[:1], model.FullSet(2), 2, models},
+		{readRun[:5], model.FullSet(2), 1, models},
+		{readRun, model.FullSet(2), 2, models},
+		{model.MustParseSchedule("r0 w0 r0 r0 w0 w0 r0"), model.NewSet(0), 1, []cost.Model{cost.MC(0.3, 0.9), cost.MC(0, 1)}},
+	} {
+		bd, err := NewBound(c.sched, c.initial, c.tAvail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range c.models {
+			got, err := SolveCost(m, c.sched, c.initial, c.tAvail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lb := bd.Price(m); lb*(1-1e-9) > got || lb < got*(1-1e-9) {
+				t.Errorf("%v under %v, t=%d: bound %g, optimum %g, want equal", c.sched, m, c.tAvail, lb, got)
 			}
 		}
 	}
