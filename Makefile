@@ -82,7 +82,9 @@ bench:
 # mallocs per bench-shaped sweep (the 6×6 figure-1 grid, eight battery seeds
 # in rotation) with GC cycles per 1 000 sweeps, serial and at the default
 # parallelism; the lower bound's share of one such sweep (BenchmarkBound:
-# opt.NewBound over the battery and the lazy pricing rule at the 21 cells);
+# in SA's lane and DA's, opt.BoundOf over the battery from the measured
+# counts, the signatures built on first ask, and the lane's lead and
+# round-2 test at the 21 cells);
 # and the same per opt.Plan.Costs call and per model of the
 # one-model DP, over the shapes BenchmarkCosts lists. The counts
 # repeat run to run; the ns/op beside them are for orientation only — speed
@@ -258,19 +260,20 @@ chaos-check:
 # (the interval relaxation, opt.Bound.Price) it prices little beyond each
 # cell's two incumbents, and writing the metrics stream
 # (competitive.emitSweep through obs.(*JSONLSink).Emit) is the largest
-# share, ~45 % of the samples (six runs merged, 2-core Xeon); the grid
-# pass of internal/opt, opt.(*Plan).costsPass, is ~13 % (its kernels
-# opt.readRows 7 %, opt.foldRows 4 %, opt.writeRows 1 %, flat),
-# RenderGrid ~10 % and the bound's bookkeeping in
-# competitive.(*prepared).worstSADA ~9 % (the lead search,
-# competitive.(*pairBounds).lead, ~6 %; opt.Bound.Price ~3 %). The
-# one-model DP (opt.(*Plan).run, minTransform) runs only for Solve's
-# traceback, so it does not appear here. On the small bench-shaped sweep
-# (`go test -bench 'BenchmarkSweep/parallelism=1' -cpuprofile`)
-# competitive.(*prepared).measureSchedule is ~27 % (opt.NewBound ~7 %),
-# costsPass ~23 %, BatteryConfig.Build ~18 % (math/rand seeding ~7 %),
-# the bound's bookkeeping ~8 % and the runtime's futex (the engine pool
-# parking) ~4 %. `make allocs` counts what this profile can only sample.
+# share, ~42 % of the samples (six runs merged, 2-core Xeon); the lanes'
+# tasks, competitive.(*lane).price, are ~29 %: the grid pass of
+# internal/opt, opt.(*Plan).costsPass, ~11 % (its kernels opt.foldRows 5 %,
+# opt.readRows 5 %, flat) and the bound's bookkeeping ~12 % (each lane's
+# lead search, competitive.(*pairBounds).lead, ~8 % with opt.(*Bound).Price
+# ~3 %; the round-2 test ~3 %); RenderGrid is ~11 %. The one-model DP
+# (opt.(*Plan).run, minTransform) runs only for Solve's traceback, so it
+# does not appear here. On the small bench-shaped sweep (`go test -bench
+# 'BenchmarkSweep/parallelism=1' -cpuprofile`) competitive.(*lane).measure
+# is ~26 % (model.CheckStep ~5 %, model.Set.Add ~4 %), costsPass ~22 %,
+# BatteryConfig.Build ~14 % (math/rand seeding ~5 %), the bound's
+# bookkeeping ~15 % (the lead search ~8 %, the signatures ~3 % of it) and
+# the runtime's futex (the engine pool parking) ~2.5 %. `make allocs`
+# counts what this profile can only sample.
 profile:
 	go run ./cmd/figure1 -steps 200 -cpuprofile figure1.cpu.pprof -metrics figure1.metrics.jsonl -progress > /dev/null
 	@echo "wrote figure1.cpu.pprof and figure1.metrics.jsonl"

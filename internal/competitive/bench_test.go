@@ -5,7 +5,7 @@ import (
 	"runtime"
 	"testing"
 
-	"objalloc/internal/cost"
+	"objalloc/internal/model"
 	"objalloc/internal/opt"
 )
 
@@ -52,48 +52,49 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkBound is the lower bound's share of a bench-shaped sweep, a
-// measuring aid for `make allocs`: opt.NewBound over the default battery,
-// then the lazy rule at the grid's 21 admissible cells — each cell's two
-// leads, the +Inf test and round 2's test against the worst ratios the
+// measuring aid for `make allocs`: in each lane, the bounds over the
+// default battery from what measuring counted (opt.BoundOf), then the
+// lazy rule at the grid's 21 admissible cells on the task's own copies,
+// each building its signature on its first Price — the lane's lead per
+// cell, the +Inf test and round 2's test against the worst ratios the
 // sweep found, with the relaxation priced only where the floor cannot
 // decide. A bound that costs more than the DP passes it saves is no gain;
 // this row is where that shows.
 func BenchmarkBound(b *testing.B) {
 	ctx := context.Background()
 	spec := benchSweepSpec(0, 1)
-	var models []cost.Model
-	for _, cc := range spec.CCs {
-		for _, cd := range spec.CDs {
-			if m := cost.SC(cc, cd); m.Region() != RegionCannotBeTrue {
-				models = append(models, m)
-			}
-		}
+	if err := spec.Normalize(); err != nil {
+		b.Fatal(err)
 	}
-	prep, err := newPrepared(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+	models := gridModels(goldenAxis, false)
+	ls, err := newLanes(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := prep.measureAll(ctx, 1, nil); err != nil {
-		b.Fatal(err)
-	}
-	sa, da, _, err := prep.worstSADA(ctx, models, opt.ModelChunk(spec.Battery.N), 1, nil)
+	worst, _, err := ls.worst(ctx, models, opt.ModelChunk(spec.Battery.N), 1, nil)
 	if err != nil {
 		b.Fatal(err)
+	}
+	scheds := ls[0].scheds
+	procs, reads := make([]model.Set, len(scheds)), make([]int, len(scheds))
+	for i, s := range scheds {
+		procs[i], reads[i] = s.Processors(), s.Reads()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		for i, s := range prep.scheds {
-			if prep.bounds[i], err = opt.NewBound(s, prep.initial, prep.t); err != nil {
-				b.Fatal(err)
+		for f, l := range ls {
+			for i, s := range scheds {
+				if l.bounds[i], err = opt.BoundOf(s, l.initial, l.t, procs[i], reads[i]); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		x := prep.newPairBounds(models)
-		for j := range models {
-			x.lead(0, j)
-			x.lead(1, j)
-			for s := range prep.scheds {
-				_ = x.unbounded(s, j) || x.below(s, j, sa[j], da[j])
+			x := l.newPairBounds(models)
+			for j := range models {
+				x.lead(j)
+				for s := range scheds {
+					_ = x.unbounded(s, j) || x.under(s, j, worst[f][j])
+				}
 			}
 		}
 	}

@@ -30,9 +30,9 @@ type CrossoverSpec struct {
 	// Battery is the schedule battery whose worst-case ratios decide the
 	// winner at each probed cd.
 	Battery BatteryConfig
-	// Parallelism bounds the concurrent OPT solves inside each
-	// bisection step (the steps themselves are inherently sequential);
-	// zero or negative selects engine.DefaultParallelism.
+	// Parallelism bounds the concurrent tasks inside each bisection step,
+	// SA's lane and DA's (the steps themselves are inherently
+	// sequential); zero or negative selects engine.DefaultParallelism.
 	Parallelism int
 	// Obs attaches the instrumentation layer: each bisection probe emits
 	// one "probe" event. Probes are sequential, so emission order is the
@@ -58,30 +58,27 @@ func (spec *CrossoverSpec) Normalize() error {
 // worst-case ratios. The paper's bounds only bracket this point inside
 // [0.5−cc, 1]; the measurement pins it down for a concrete battery.
 //
-// The battery is measured once (see prepared), a schedule per task on the
-// engine's worker pool. The bisection itself is sequential; each probe is
-// the sweep's reduction (worstSADA) at the probed model, whose OPT solves
-// run on the same pool and skip every schedule the lower bound rules out.
-// Cancelling the context aborts the probe in flight and returns ctx.Err().
+// The bisection is sequential; each probe is the sweep's lanes (see
+// lanes.worst) at the probed model, which skip every schedule the lower
+// bound rules out. Each lane measures the battery in the first probe's
+// run and keeps it for the rest. Cancelling the context aborts the probe
+// in flight and returns ctx.Err().
 func Crossover(ctx context.Context, spec CrossoverSpec) (CrossoverResult, error) {
 	if err := spec.Normalize(); err != nil {
 		return CrossoverResult{}, err
 	}
 	cc, cdMax, iters := spec.CC, spec.CDMax, spec.Iters
-	prep, err := newPrepared(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+	ls, err := newLanes(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
 	if err != nil {
 		return CrossoverResult{}, err
 	}
-	if err := prep.measureAll(ctx, spec.Parallelism, nil); err != nil {
-		return CrossoverResult{}, err
-	}
 	daWins := func(cd float64) (bool, error) {
-		// The sweep's reduction at one model.
-		sas, das, _, err := prep.worstSADA(ctx, []cost.Model{cost.SC(cc, cd)}, 1, spec.Parallelism, nil)
+		// The sweep's lanes at one model.
+		worst, _, err := ls.worst(ctx, []cost.Model{cost.SC(cc, cd)}, 1, spec.Parallelism, nil)
 		if err != nil {
 			return false, err
 		}
-		sa, da := sas[0], das[0]
+		sa, da := worst[0][0], worst[1][0]
 		win := da <= sa
 		if o := spec.Obs; o.Enabled() {
 			o.Emit(obs.Event{Name: "probe", Attrs: []obs.Attr{

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"objalloc/internal/cost"
 	"objalloc/internal/dom"
 	"objalloc/internal/model"
+	"objalloc/internal/obs"
 	"objalloc/internal/opt"
 )
 
@@ -98,9 +100,11 @@ func TestSweepMatchesWorstRatioPerCell(t *testing.T) {
 
 // A schedule the offline DP cannot take fails the sweep with that
 // schedule's error — the first such schedule in battery order, whichever
-// one the pool reached first (the longest are dispatched first), and also
-// when the bound prunes it at every cell, so that no round would compile
-// it.
+// one the pool reached first, and also when the bound prunes it at every
+// cell, so that no task would compile it. So does an algorithm that takes
+// an illegal step: the first schedule in battery order on which SA or DA
+// does, SA's error before DA's on the same schedule, whichever lane's task
+// failed first.
 func TestSweepReportsFirstFailingSchedule(t *testing.T) {
 	// wide has 17 processors and costs every algorithm its lower bound
 	// but for one write from each outsider: its ratio bounds sit just
@@ -152,8 +156,75 @@ func TestSweepReportsFirstFailingSchedule(t *testing.T) {
 			}
 			for _, parallelism := range []int{1, 4} {
 				spec := SweepSpec{CDs: cds, CCs: ccs, Battery: c.battery, Parallelism: parallelism}
-				_, err := sweep(context.Background(), spec, scheds)
+				ls, err := newLanes(saDA, scheds, initial, c.battery.T)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = sweep(context.Background(), spec, ls)
 				if err == nil || err.Error() != want.Error() {
+					t.Errorf("Parallelism %d: err = %v, want %v", parallelism, err, want)
+				}
+			}
+		})
+	}
+
+	// spoiled is factory's algorithm with an empty execution set at step
+	// at of every schedule longer than that: on the default battery, below
+	// step 60 the SA nemesis is the first to fail, from step 60 to 119 the
+	// DA nemesis.
+	spoiled := func(factory dom.Factory, at int) dom.Factory {
+		return func(initial model.Set, t int) (dom.Algorithm, error) {
+			alg, err := factory(initial, t)
+			return &saboteur{Algorithm: alg, at: at, spoil: func(st model.Step) model.Step { st.Exec = 0; return st }}, err
+		}
+	}
+	battery := DefaultBattery()
+	scheds, initial := battery.Build(), battery.Initial()
+	for _, c := range []struct {
+		name       string
+		saAt, daAt int // -1: unspoiled
+		step       int // the step of the violation the sweep reports
+	}{
+		{"SA fails", 100, -1, 100},
+		{"DA fails", -1, 50, 50},
+		{"DA fails on an earlier schedule", 100, 50, 50},
+		{"both fail on the same schedule", 55, 50, 55},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			factories := saDA
+			for f, at := range []int{c.saAt, c.daAt} {
+				if at >= 0 {
+					factories[f] = spoiled(saDA[f], at)
+				}
+			}
+			var want *model.Violation
+		battery:
+			for _, s := range scheds {
+				for _, factory := range factories {
+					las, err := dom.RunFactory(factory, initial, battery.T, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := las.Validate(initial, battery.T); err != nil {
+						if !errors.As(err, &want) {
+							t.Fatal(err)
+						}
+						break battery
+					}
+				}
+			}
+			if want == nil || want.Index != c.step {
+				t.Fatalf("the battery's first violation is %v, want one at step %d", want, c.step)
+			}
+			for _, parallelism := range []int{1, 4, 0} {
+				ls, err := newLanes(factories, scheds, initial, battery.T)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec := SweepSpec{CDs: goldenAxis, CCs: goldenAxis, Battery: battery, Parallelism: parallelism}
+				_, err = sweep(context.Background(), spec, ls)
+				var got *model.Violation
+				if !errors.As(err, &got) || *got != *want {
 					t.Errorf("Parallelism %d: err = %v, want %v", parallelism, err, want)
 				}
 			}
@@ -162,51 +233,37 @@ func TestSweepReportsFirstFailingSchedule(t *testing.T) {
 }
 
 // assertPrunedEverywhere fails unless, at every admissible SC cell of the
-// grid, both of sched's ratio bounds are strictly below the incumbents
-// round 1 takes from a battery of the compiling schedules nemeses — the
-// ratios of the schedules with the largest SA and DA bounds. Its bounds,
-// over the closed form a sweep tries first, are then below every nemesis
-// bound, so adding sched changes no lead.
+// grid and for SA and DA alike, sched's ratio bound is strictly below the
+// incumbent that algorithm's lane takes in round 1 from a battery of the
+// compiling schedules nemeses — its ratio on the schedule with its largest
+// bound. Its bound, over the closed form a sweep tries first, is then
+// below every nemesis bound, so adding sched changes no lead.
 func assertPrunedEverywhere(t *testing.T, nemeses []model.Schedule, sched model.Schedule, initial model.Set, tAvail int, cds, ccs []float64) {
 	t.Helper()
 	ctx := context.Background()
-	prep, err := newPrepared(saDA, nemeses, initial, tAvail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prep.measureAll(ctx, 1, nil); err != nil {
-		t.Fatal(err)
-	}
+	ls := measuredLanes(t, nemeses, initial, tAvail)
 	for _, cc := range ccs {
 		for _, cd := range cds {
 			if cc > cd {
 				continue
 			}
 			m := cost.SC(cc, cd)
-			bound := func(f, s int) float64 {
-				return prep.counts[f][s].Price(m) / (prep.bounds[s].Price(m) * boundMargin)
-			}
-			var lead [2]int
-			for f := range lead {
-				for s := range nemeses {
-					if bound(f, s) > bound(f, lead[f]) {
-						lead[f] = s
-					}
-				}
-			}
 			for f, factory := range saDA {
-				incumbent := -1.0
-				for _, s := range lead {
-					p, err := prep.plan(s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					oc, err := p.Cost(ctx, m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					incumbent = max(incumbent, prep.measure(f, s, m, oc).Ratio)
+				l := ls[f]
+				bound := func(s int) float64 {
+					return l.counts[s].Price(m) / (l.bounds[s].Price(m) * boundMargin)
 				}
+				lead := 0
+				for s := range nemeses {
+					if bound(s) > bound(lead) {
+						lead = s
+					}
+				}
+				oc, err := opt.SolveCostContext(ctx, m, nemeses[lead], initial, tAvail)
+				if err != nil {
+					t.Fatal(err)
+				}
+				incumbent := l.measurement(lead, m, oc).Ratio
 				alloc, err := dom.RunFactory(factory, initial, tAvail, sched)
 				if err != nil {
 					t.Fatal(err)
@@ -217,6 +274,48 @@ func assertPrunedEverywhere(t *testing.T, nemeses []model.Schedule, sched model.
 				}
 			}
 		}
+	}
+}
+
+// forkCounter is an obs.Observer that counts a sweep's engine runs and the
+// tasks they announce and start.
+type forkCounter struct{ runs, tasks, started atomic.Int64 }
+
+func (c *forkCounter) RunStart(total int)  { c.runs.Add(1); c.tasks.Add(int64(total)) }
+func (c *forkCounter) TaskStart(int)       { c.started.Add(1) }
+func (c *forkCounter) TaskDone(int, error) {}
+func (c *forkCounter) RunDone()            {}
+
+// A sweep is one engine run of (algorithm, model-chunk) tasks: the
+// bench-shaped sweep, whose 21 models are one chunk, runs exactly two
+// tasks, and a sweep over a 12-processor battery, whose chunk is 10
+// models, runs two per chunk — at Parallelism 4, so that under -race the
+// lane's measuring, which its first task does while the others wait, is
+// raced.
+func TestSweepForksOnce(t *testing.T) {
+	wide := BatteryConfig{N: 12, T: 3, RandomSchedules: 2, RandomLength: 16, NemesisRounds: 12, Seed: 5}
+	chunks := (21 + opt.ModelChunk(wide.N) - 1) / opt.ModelChunk(wide.N)
+	if chunks < 2 {
+		t.Fatalf("21 models are one chunk of %d at n = %d", opt.ModelChunk(wide.N), wide.N)
+	}
+	for _, c := range []struct {
+		name  string
+		spec  SweepSpec
+		tasks int64
+	}{
+		{"bench-shaped", benchSweepSpec(0, 0), 2},
+		{"n=12", SweepSpec{CDs: goldenAxis, CCs: goldenAxis, Battery: wide, Parallelism: 4}, 2 * int64(chunks)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var fc forkCounter
+			c.spec.Obs = &obs.Obs{Observer: &fc}
+			if _, err := Sweep(context.Background(), c.spec); err != nil {
+				t.Fatal(err)
+			}
+			if runs, tasks, started := fc.runs.Load(), fc.tasks.Load(), fc.started.Load(); runs != 1 || tasks != c.tasks || started != c.tasks {
+				t.Errorf("%d engine runs of %d tasks, %d started; want 1 run of %d", runs, tasks, started, c.tasks)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"objalloc/internal/cost"
+	"objalloc/internal/model"
 	"objalloc/internal/obs"
+	"objalloc/internal/opt"
 )
 
 // unprunedSweep is the reduction the bound must not change: every battery
@@ -19,13 +21,8 @@ func unprunedSweep(t *testing.T, spec SweepSpec) []GridPoint {
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := newPrepared(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prep.measureAll(ctx, 1, nil); err != nil {
-		t.Fatal(err)
-	}
+	ls := measuredLanes(t, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+	scheds := ls[0].scheds
 	var points []GridPoint
 	var models []cost.Model
 	for _, cc := range spec.CCs {
@@ -41,10 +38,10 @@ func unprunedSweep(t *testing.T, spec SweepSpec) []GridPoint {
 	}
 	columns := make([][]float64, len(models)) // [cell][schedule]
 	for j := range columns {
-		columns[j] = make([]float64, len(prep.scheds))
+		columns[j] = make([]float64, len(scheds))
 	}
-	for s := range prep.scheds {
-		p, err := prep.plan(s)
+	for s, sched := range scheds {
+		p, err := opt.Compile(sched, spec.Battery.Initial(), spec.Battery.T)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,10 +54,25 @@ func unprunedSweep(t *testing.T, spec SweepSpec) []GridPoint {
 		}
 	}
 	for j, m := range models {
-		points[j].SAWorst = prep.worst(0, m, columns[j]).Ratio
-		points[j].DAWorst = prep.worst(1, m, columns[j]).Ratio
+		points[j].SAWorst = ls[0].worst(m, columns[j]).Ratio
+		points[j].DAWorst = ls[1].worst(m, columns[j]).Ratio
 	}
 	return points
+}
+
+// measuredLanes returns SA's and DA's lanes over a battery, measured.
+func measuredLanes(t *testing.T, scheds []model.Schedule, initial model.Set, tAvail int) lanes {
+	t.Helper()
+	ls, err := newLanes(saDA, scheds, initial, tAvail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range ls {
+		if err := l.measured(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ls
 }
 
 // BLIS Type-1 exactness of the bound: over battery seeds 1–8, both cost
@@ -138,11 +150,13 @@ func sweepCounters(t *testing.T, spec SweepSpec) (priced, pruned int64) {
 // battery the 6×6 sweep prices at most 2 pairs per admissible cell, 42 of
 // 420, in SC and in MC, at battery seeds 1–8 and every Parallelism — the
 // closed form alone priced 68–108 in SC and ~400 in MC, and this gate
-// keeps the gain from rotting. And a zero lower bound prunes nothing: on
-// a one-processor battery under MC every read is local and every write
-// keeps the one copy, so the optimum and both of every schedule's lower
-// bounds are 0, every pair's ratio bound is +Inf (never a 0/0), and every
-// pair is priced.
+// keeps the gain from rotting. Each lane searches its own algorithm's worst
+// case, so a pair both need is priced by both; on the default battery, on
+// the 6×6 grid and a 10×10 one, no pair is. And a zero lower bound prunes
+// nothing: on a one-processor battery under MC every read is local and
+// every write keeps the one copy, so the optimum and both of every
+// schedule's lower bounds are 0, every pair's ratio bound is +Inf (never a
+// 0/0), and every pair is priced.
 func TestSweepPairCounters(t *testing.T) {
 	cells := 21 * len(DefaultBattery().Build())
 	for _, mobile := range []bool{false, true} {
@@ -158,23 +172,72 @@ func TestSweepPairCounters(t *testing.T) {
 		}
 	}
 
+	tenByTen := make([]float64, 10)
+	for i := range tenByTen {
+		tenByTen[i] = 0.1 + float64(i)*0.2
+	}
+	ctx := context.Background()
+	for _, axis := range [][]float64{goldenAxis, tenByTen} {
+		for _, mobile := range []bool{false, true} {
+			for seed := int64(1); seed <= 8; seed++ {
+				battery := DefaultBattery()
+				battery.Seed = seed
+				ls := measuredLanes(t, battery.Build(), battery.Initial(), battery.T)
+				models := gridModels(axis, mobile)
+				nSched := len(ls[0].scheds)
+				var optCosts [2][]float64
+				for f, l := range ls {
+					optCosts[f] = make([]float64, len(models)*nSched)
+					for i := range optCosts[f] {
+						optCosts[f][i] = math.NaN()
+					}
+					if err := l.price(ctx, models, optCosts[f], make([]float64, len(models))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				both := 0
+				for k := range optCosts[0] {
+					if !math.IsNaN(optCosts[0][k]) && !math.IsNaN(optCosts[1][k]) {
+						both++
+					}
+				}
+				if both != 0 {
+					t.Errorf("%d×%d grid, mobile=%t, seed %d: %d pairs priced by both lanes, want 0", len(axis), len(axis), mobile, seed, both)
+				}
+			}
+		}
+	}
+
 	battery := BatteryConfig{N: 1, T: 1, RandomSchedules: 2, RandomLength: 12, Seed: 7}
 	scheds := battery.Build()
-	prep, err := newPrepared(saDA, scheds, battery.Initial(), battery.T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prep.measureAll(context.Background(), 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	x := prep.newPairBounds([]cost.Model{cost.MC(0.2, 0.5)})
-	for s := range scheds {
-		if x.floor(s, 0) != 0 || x.price(s, 0) != 0 || !x.unbounded(s, 0) {
-			t.Fatalf("one processor, MC: schedule %d: floor %g, relaxation %g, unbounded %t; want 0, 0, true", s, x.floor(s, 0), x.price(s, 0), x.unbounded(s, 0))
+	for _, l := range measuredLanes(t, scheds, battery.Initial(), battery.T) {
+		x := l.newPairBounds([]cost.Model{cost.MC(0.2, 0.5)})
+		for s := range scheds {
+			if x.floor(s, 0) != 0 || x.price(s, 0) != 0 || !x.unbounded(s, 0) {
+				t.Fatalf("one processor, MC: schedule %d: floor %g, relaxation %g, unbounded %t; want 0, 0, true", s, x.floor(s, 0), x.price(s, 0), x.unbounded(s, 0))
+			}
 		}
 	}
 	spec := SweepSpec{CDs: goldenAxis, CCs: goldenAxis, Mobile: true, Battery: battery}
 	if priced, pruned := sweepCounters(t, spec); priced != int64(21*len(scheds)) || pruned != 0 {
 		t.Errorf("one processor, MC: %d pairs priced and %d pruned, want %d and 0", priced, pruned, 21*len(scheds))
 	}
+}
+
+// gridModels returns the admissible cells' models of a square grid over
+// axis, in a sweep's order.
+func gridModels(axis []float64, mobile bool) []cost.Model {
+	var models []cost.Model
+	for _, cc := range axis {
+		for _, cd := range axis {
+			m := cost.SC(cc, cd)
+			if mobile {
+				m = cost.MC(cc, cd)
+			}
+			if m.Region() != RegionCannotBeTrue {
+				models = append(models, m)
+			}
+		}
+	}
+	return models
 }

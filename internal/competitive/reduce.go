@@ -3,11 +3,14 @@ package competitive
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"objalloc/internal/cost"
+	"objalloc/internal/dom"
 	"objalloc/internal/engine"
+	"objalloc/internal/model"
 	"objalloc/internal/obs"
+	"objalloc/internal/opt"
 )
 
 // boundMargin deflates a schedule's lower bound on the optimum before it
@@ -20,46 +23,191 @@ import (
 // computed bound.
 const boundMargin = 1 - 1e-9
 
-// pairBounds holds a sweep's lower bounds on the optimum of each (schedule,
-// model) pair in two strengths: opt.Bound.Floor, a closed form that costs
-// nothing, and opt.Bound.Price, the interval relaxation, which is never
-// below it and is computed only where the floor cannot decide, once per
-// pair. A smaller lower bound gives a larger ratio bound, so wherever the
-// floor prunes a pair the relaxation would too.
+// saDA is the pair of algorithms the paper compares, in the order the
+// sweep and the crossover report them.
+var saDA = [2]dom.Factory{dom.StaticFactory, dom.DynamicFactory}
+
+// lanes are the two algorithms' lanes over one battery, SA's and DA's in
+// a sweep.
+type lanes [2]*lane
+
+func newLanes(factories [2]dom.Factory, scheds []model.Schedule, initial model.Set, t int) (lanes, error) {
+	var ls lanes
+	for f, factory := range factories {
+		var err error
+		if ls[f], err = newLane(factory, scheds, initial, t); err != nil {
+			return lanes{}, err
+		}
+	}
+	return ls, nil
+}
+
+// worst returns, at every model of a list, SA's and DA's worst ratio over
+// the battery — the value each lane's worst takes over every schedule —
+// and the number of distinct (schedule, model) pairs the offline DP ran
+// for to find them.
+//
+// It is one engine run of (algorithm, model-chunk) tasks, chunk models at
+// most, DA's first: DA's nemesis is the battery's longest pass. Each task
+// measures its lane's battery if no task of the lane has yet (lane.measured)
+// and then searches its algorithm's worst case at its models alone (see
+// lane.price), writing only its own models' rows, so dispatch order cannot
+// change a byte. A pair both lanes price is priced twice and counted once.
+//
+// A failure is that of the first failing schedule in battery order, SA's
+// before DA's on the same schedule, whichever task failed first: the
+// engine skips the tasks that had not started, so unless the run was
+// cancelled the battery is re-measured in that order. Cancelling the
+// context aborts the passes in flight and returns ctx.Err().
+func (ls lanes) worst(ctx context.Context, models []cost.Model, chunk, parallelism int, ob obs.Observer) (worst [2][]float64, priced int, err error) {
+	nSched, nModels := len(ls[0].scheds), len(models)
+	chunks := max(1, (nModels+chunk-1)/chunk) // a lane with no models still measures
+	var optCosts [2][]float64                 // per lane, [model][schedule]: NaN until priced
+	for f := range ls {
+		worst[f] = make([]float64, nModels)
+		optCosts[f] = make([]float64, nModels*nSched)
+		for i := range optCosts[f] {
+			optCosts[f][i] = math.NaN()
+		}
+	}
+	err = engine.MapObserved(ctx, len(ls)*chunks, parallelism, ob, func(ctx context.Context, i int) error {
+		f, lo := len(ls)-1-i/chunks, i%chunks*chunk
+		hi := min(lo+chunk, nModels)
+		return ls[f].price(ctx, models[lo:hi], optCosts[f][lo*nSched:hi*nSched], worst[f][lo:hi])
+	})
+	if err != nil {
+		if ctx.Err() == nil {
+			for i := range nSched {
+				for _, l := range ls {
+					if err := l.measure(i); err != nil {
+						return [2][]float64{}, 0, err
+					}
+				}
+			}
+		}
+		return [2][]float64{}, 0, err
+	}
+	for k := range optCosts[0] {
+		if !math.IsNaN(optCosts[0][k]) || !math.IsNaN(optCosts[1][k]) {
+			priced++
+		}
+	}
+	return worst, priced, nil
+}
+
+// price sets worst to the lane's worst ratio at each of models, filling
+// optCosts, the models' rows of a [model][schedule] matrix of OPT costs,
+// NaN where a pair is left unpriced.
+//
+// It prices by branch and bound, in two rounds. Round 1 prices, at every
+// model, the schedule with the largest finite ratio bound (see
+// pairBounds.lead) and every schedule whose bound is +Inf, which no
+// incumbent can prune; the largest of their ratios is the model's
+// incumbent. Round 2 prices every other pair whose bound reaches the
+// incumbent. A pair left out has a ratio at most its bound, so strictly
+// below the worst ratio: it can neither set it nor be the first schedule
+// in battery order to attain it, and leaving it out changes no value and
+// no witness. What is priced depends on the lane's own bounds and
+// round-1 values alone, so it is the same at every parallelism.
+//
+// A round calls the offline DP once per schedule, at the models that want
+// it, and the task compiles each schedule it prices itself.
+func (l *lane) price(ctx context.Context, models []cost.Model, optCosts, worst []float64) error {
+	if err := l.measured(); err != nil {
+		return err
+	}
+	nSched := len(l.scheds)
+	x := l.newPairBounds(models)
+	plans := make([]*opt.Plan, nSched)
+	cells := make([]int, 0, len(models)) // the models that want schedule s
+	sub := make([]cost.Model, 0, len(models))
+	round := func(want func(s, j int) bool) error {
+		for s := range nSched {
+			cells, sub = cells[:0], sub[:0]
+			for j, m := range models {
+				if want(s, j) {
+					cells, sub = append(cells, j), append(sub, m)
+				}
+			}
+			if len(cells) == 0 {
+				continue
+			}
+			if plans[s] == nil {
+				p, err := opt.Compile(l.scheds[s], l.initial, l.t)
+				if err != nil {
+					return err
+				}
+				plans[s] = p
+			}
+			costs, err := plans[s].Costs(ctx, sub)
+			if err != nil {
+				return err
+			}
+			for k, j := range cells {
+				optCosts[j*nSched+s] = costs[k]
+			}
+		}
+		for j, m := range models {
+			worst[j] = l.worst(m, optCosts[j*nSched:(j+1)*nSched]).Ratio
+		}
+		return nil
+	}
+
+	lead := make([]int, len(models))
+	for j := range models {
+		lead[j] = x.lead(j)
+	}
+	if err := round(func(s, j int) bool { return s == lead[j] || x.unbounded(s, j) }); err != nil {
+		return err
+	}
+	return round(func(s, j int) bool {
+		return math.IsNaN(optCosts[j*nSched+s]) && !x.under(s, j, worst[j])
+	})
+}
+
+// pairBounds holds one task's lower bounds on the optimum of each
+// (schedule, model) pair in two strengths: opt.Bound.Floor, a closed form
+// that costs nothing, and opt.Bound.Price, the interval relaxation, which
+// is never below it and is computed only where the floor cannot decide,
+// once per pair. A smaller lower bound gives a larger ratio bound, so
+// wherever the floor prunes a pair the relaxation would too. The task
+// prices its own copies of the lane's bounds, each building its signature
+// on its first Price, so no task waits on another.
 type pairBounds struct {
-	b      *prepared
+	l      *lane
+	bounds []opt.Bound
 	models []cost.Model
 	tight  []float64 // [model][schedule]: Price, NaN until first asked
 }
 
-func (b *prepared) newPairBounds(models []cost.Model) pairBounds {
-	x := pairBounds{b: b, models: models, tight: make([]float64, len(models)*len(b.scheds))}
+func (l *lane) newPairBounds(models []cost.Model) pairBounds {
+	x := pairBounds{l: l, bounds: slices.Clone(l.bounds), models: models, tight: make([]float64, len(models)*len(l.scheds))}
 	for i := range x.tight {
 		x.tight[i] = math.NaN()
 	}
 	return x
 }
 
-func (x *pairBounds) floor(s, j int) float64 { return x.b.bounds[s].Floor(x.models[j]) }
+func (x *pairBounds) floor(s, j int) float64 { return x.bounds[s].Floor(x.models[j]) }
 
 func (x *pairBounds) price(s, j int) float64 {
-	lb := &x.tight[j*len(x.b.scheds)+s]
+	lb := &x.tight[j*len(x.bounds)+s]
 	if math.IsNaN(*lb) {
-		*lb = x.b.bounds[s].Price(x.models[j])
+		*lb = x.bounds[s].Price(x.models[j])
 	}
 	return *lb
 }
 
-// ratio is an upper bound on factory f's ratio on measured schedule s
-// under model j: the algorithm's cost over lb, a lower bound on the
-// optimum, deflated. A zero lower bound bounds nothing, so the ratio bound
-// is +Inf, never a 0/0 (unbounded says where).
-func (x *pairBounds) ratio(f, s, j int, lb float64) float64 {
+// ratio is an upper bound on the lane's ratio on schedule s under model j:
+// the algorithm's cost over lb, a lower bound on the optimum, deflated. A
+// zero lower bound bounds nothing, so the ratio bound is +Inf, never a 0/0
+// (unbounded says where).
+func (x *pairBounds) ratio(s, j int, lb float64) float64 {
 	lb *= boundMargin
 	if lb <= 0 {
 		return math.Inf(1)
 	}
-	return x.b.counts[f][s].Price(x.models[j]) / lb
+	return x.l.counts[s].Price(x.models[j]) / lb
 }
 
 // unbounded reports whether pair (s, j) has no finite ratio bound, which
@@ -69,148 +217,26 @@ func (x *pairBounds) unbounded(s, j int) bool {
 	return x.floor(s, j)*boundMargin <= 0 && x.price(s, j)*boundMargin <= 0
 }
 
-// below reports whether both of pair (s, j)'s ratio bounds are strictly
-// below the incumbents sa and da, asking the relaxation only when the
-// floor's bounds are not.
-func (x *pairBounds) below(s, j int, sa, da float64) bool {
-	under := func(lb float64) bool { return x.ratio(0, s, j, lb) < sa && x.ratio(1, s, j, lb) < da }
-	return under(x.floor(s, j)) || under(x.price(s, j))
+// under reports whether pair (s, j)'s ratio bound is strictly below the
+// incumbent, asking the relaxation only when the floor's bound is not.
+func (x *pairBounds) under(s, j int, incumbent float64) bool {
+	return x.ratio(s, j, x.floor(s, j)) < incumbent || x.ratio(s, j, x.price(s, j)) < incumbent
 }
 
-// lead returns the schedule with factory f's largest finite ratio bound
-// over the relaxation at model j — the first in battery order on a tie —
-// or -1. It walks the battery backwards, nemesis families first, and
-// prices the relaxation only for a schedule whose floor's ratio bound,
-// never below the relaxation's, could still reach the best found.
-func (x *pairBounds) lead(f, j int) int {
+// lead returns the schedule with the largest finite ratio bound over the
+// relaxation at model j — the first in battery order on a tie — or -1. It
+// walks the battery backwards, nemesis families first, and prices the
+// relaxation only for a schedule whose floor's ratio bound, never below
+// the relaxation's, could still reach the best found.
+func (x *pairBounds) lead(j int) int {
 	best, lead := -1.0, -1
-	for s := len(x.b.scheds) - 1; s >= 0; s-- {
-		if x.ratio(f, s, j, x.floor(s, j)) < best {
+	for s := len(x.bounds) - 1; s >= 0; s-- {
+		if x.ratio(s, j, x.floor(s, j)) < best {
 			continue
 		}
-		if bd := x.ratio(f, s, j, x.price(s, j)); bd >= best && !math.IsInf(bd, 1) {
+		if bd := x.ratio(s, j, x.price(s, j)); bd >= best && !math.IsInf(bd, 1) {
 			best, lead = bd, s
 		}
 	}
 	return lead
-}
-
-// worstSADA returns, at every model of a list, SA's and DA's worst ratio
-// over a battery measured with saDA — the value worst's reduction takes
-// over every schedule — and the number of (schedule, model) pairs it ran
-// the offline DP for to find them.
-//
-// It prices by branch and bound, in two rounds. Round 1 prices, at every
-// model, the schedule with the largest finite SA bound and the one with
-// the largest finite DA bound (see pairBounds.lead), and every schedule
-// whose bound is +Inf, which no incumbent can prune; the largest of their
-// ratios are the model's incumbents. Round 2 prices every other pair unless both
-// its bounds are strictly below the incumbents. A pair left out has ratios
-// at most its bounds, so strictly below the worst ratios: it can neither
-// set one nor be the first schedule in battery order to attain one, and
-// leaving it out changes no value and no witness. The bounds are asked
-// serially, before each round's tasks start, and what is priced depends
-// on round-1 values alone, so it is the same at every parallelism.
-//
-// A round is one engine run of (schedule, model-chunk) tasks, chunk models
-// at most, longest schedule first: the nemesis families are several times
-// the length of the random mixes and the battery lists them last, where
-// one of them would be the tail a lone worker finishes. A task compiles
-// its schedule on first use and fills its cells of a [model][schedule]
-// matrix by index; each model's column is reduced in battery order once
-// the round is done, so dispatch order cannot change a byte. Cancelling
-// the context aborts the passes in flight and returns ctx.Err().
-func (b *prepared) worstSADA(ctx context.Context, models []cost.Model, chunk, parallelism int, ob obs.Observer) (sa, da []float64, priced int, err error) {
-	nSched, nModels := len(b.scheds), len(models)
-	optCosts := make([]float64, nModels*nSched) // NaN until priced
-	for i := range optCosts {
-		optCosts[i] = math.NaN()
-	}
-	order := make([]int, nSched)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool { return len(b.scheds[order[x]]) > len(b.scheds[order[y]]) })
-
-	// price runs the DP for every pair (s, j) want selects — asked about
-	// every pair before the first task starts — dealing each schedule's
-	// cells in at least spread tasks, and reduces every model's column.
-	var tasks []struct{ s, lo, hi int }
-	cells := make([]int, 0, nSched*nModels) // a task's models are models[cells[lo:hi]]
-	sa, da = make([]float64, nModels), make([]float64, nModels)
-	price := func(spread int, want func(s, j int) bool) error {
-		tasks, cells = tasks[:0], cells[:0]
-		for _, s := range order {
-			lo := len(cells)
-			for j := range models {
-				if want(s, j) {
-					cells = append(cells, j)
-				}
-			}
-			step := min(chunk, (len(cells)-lo+spread-1)/spread)
-			for ; lo < len(cells); lo += step {
-				tasks = append(tasks, struct{ s, lo, hi int }{s, lo, min(lo+step, len(cells))})
-			}
-		}
-		ms := make([]cost.Model, len(cells))
-		for k, j := range cells {
-			ms[k] = models[j]
-		}
-		err := engine.MapObserved(ctx, len(tasks), parallelism, ob, func(ctx context.Context, i int) error {
-			t := tasks[i]
-			p, err := b.plan(t.s)
-			if err != nil {
-				return err
-			}
-			costs, err := p.Costs(ctx, ms[t.lo:t.hi])
-			if err != nil {
-				return err
-			}
-			for k, c := range costs {
-				optCosts[cells[t.lo+k]*nSched+t.s] = c
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		for j, m := range models {
-			column := optCosts[j*nSched : (j+1)*nSched]
-			sa[j], da[j] = b.worst(0, m, column).Ratio, b.worst(1, m, column).Ratio
-		}
-		return nil
-	}
-
-	// lead[2j+f] is the schedule with factory f's largest finite bound at
-	// model j, or -1.
-	x := b.newPairBounds(models)
-	lead := make([]int, 2*nModels)
-	for j := range models {
-		for f := range 2 {
-			lead[2*j+f] = x.lead(f, j)
-		}
-	}
-	// Round 1 is a few schedules at many models — at the figures' grids
-	// the DA nemesis, by far the longest pass, at every cell — so its
-	// schedules are spread over the workers; round 2 deals whole ones.
-	workers := parallelism
-	if workers <= 0 {
-		workers = engine.DefaultParallelism()
-	}
-	if err := price(workers, func(s, j int) bool {
-		return s == lead[2*j] || s == lead[2*j+1] || x.unbounded(s, j)
-	}); err != nil {
-		return nil, nil, 0, err
-	}
-	if err := price(1, func(s, j int) bool {
-		return math.IsNaN(optCosts[j*nSched+s]) && !x.below(s, j, sa[j], da[j])
-	}); err != nil {
-		return nil, nil, 0, err
-	}
-	for _, oc := range optCosts {
-		if !math.IsNaN(oc) {
-			priced++
-		}
-	}
-	return sa, da, priced, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"objalloc/internal/cost"
-	"objalloc/internal/model"
 	"objalloc/internal/obs"
 	"objalloc/internal/opt"
 )
@@ -48,18 +47,18 @@ type SweepSpec struct {
 	// Battery is the schedule battery every grid point is measured over.
 	Battery BatteryConfig
 	// Parallelism bounds the number of engine tasks run concurrently — a
-	// task is one battery schedule priced under one chunk of the grid's
-	// models; zero or negative selects engine.DefaultParallelism
-	// (GOMAXPROCS). Results are identical for every value of Parallelism.
+	// task is one algorithm's worst case searched over one chunk of the
+	// grid's models (opt.ModelChunk); zero or negative selects
+	// engine.DefaultParallelism (GOMAXPROCS). Results are identical for
+	// every value of Parallelism.
 	Parallelism int
 	// Seed, when nonzero, overrides Battery.Seed.
 	Seed int64
 	// Obs attaches the instrumentation layer: the engine reports the
-	// progress of its measuring tasks (one per schedule) and its pricing
-	// rounds' (schedule, model-chunk) tasks through the Observer,
-	// and after the sweep completes one "cell" event per grid point is
-	// emitted in grid order (so the event stream is identical for every
-	// Parallelism). Nil disables instrumentation.
+	// progress of the sweep's one run of (algorithm, model-chunk) tasks
+	// through the Observer, and after the sweep completes one "cell"
+	// event per grid point is emitted in grid order (so the event stream
+	// is identical for every Parallelism). Nil disables instrumentation.
 	Obs *obs.Obs
 }
 
@@ -83,27 +82,32 @@ func (spec *SweepSpec) Normalize() error {
 // grid and classifies each point both analytically and empirically.
 // Points with cc > cd are marked cannot-be-true and skipped.
 //
-// The sweep is schedule-major. SA and DA are cost-oblivious, so a schedule
-// is measured once (see prepared) and then priced under admissible cells'
-// models in one pass of the offline DP per chunk of models
-// (opt.Plan.Costs) — under those cells only where a lower bound on the
-// optimum says it could set the cell's worst ratio (see worstSADA). One
-// engine task is one (schedule, model-chunk) pair; the tasks fill a
-// [cell][schedule] matrix of OPT costs by index, and each cell's worst
-// ratios are reduced from its column in battery order afterwards, so the
-// points are byte-identical to a serial run, and to pricing every pair,
-// whatever order the pool ran the tasks in. Cancelling the context aborts the
-// passes in flight and returns ctx.Err().
+// A cell's two figures are two separate maxima, SA's worst ratio and DA's,
+// so the sweep searches them in two lanes (see lanes.worst). SA and DA are
+// cost-oblivious, so each lane measures the battery once (see lane) and
+// then prices a schedule under the admissible cells' models in one pass of
+// the offline DP per chunk of models (opt.Plan.Costs) — under those cells
+// only where a lower bound on the optimum says it could set the lane's
+// worst ratio there. The sweep is one engine run of (algorithm,
+// model-chunk) tasks; a task writes only its own cells and reduces them in
+// battery order, so the points are byte-identical to a serial run, and to
+// pricing every pair, whatever order the pool ran the tasks in.
+// Cancelling the context aborts the passes in flight and returns
+// ctx.Err().
 func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
-	return sweep(ctx, spec, spec.Battery.Build())
+	ls, err := newLanes(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+	if err != nil {
+		return nil, err
+	}
+	return sweep(ctx, spec, ls)
 }
 
-// sweep is Sweep over a given battery, whose schedules have at most
-// spec.Battery.N processors and assume spec.Battery's initial scheme.
-func sweep(ctx context.Context, spec SweepSpec, battery []model.Schedule) ([]GridPoint, error) {
+// sweep is Sweep over the lanes of a given battery, whose schedules have at
+// most spec.Battery.N processors.
+func sweep(ctx context.Context, spec SweepSpec, ls lanes) ([]GridPoint, error) {
 	points := make([]GridPoint, 0, len(spec.CCs)*len(spec.CDs))
 	var models []cost.Model // the admissible cells' models, in grid order
 	var cellOf []int        // cellOf[j] is the point models[j] prices
@@ -125,23 +129,16 @@ func sweep(ctx context.Context, spec SweepSpec, battery []model.Schedule) ([]Gri
 			points = append(points, p)
 		}
 	}
-	prep, err := newPrepared(saDA, battery, spec.Battery.Initial(), spec.Battery.T)
-	if err != nil {
-		return nil, err
-	}
-	if err := prep.measureAll(ctx, spec.Parallelism, spec.Obs.Hook()); err != nil {
-		return nil, err
-	}
 	// A task's models are at most one pass of the DP (no battery schedule
 	// has more than Battery.N processors), so a large grid spreads each
-	// schedule over the pool instead of pinning it to one worker.
-	sa, da, priced, err := prep.worstSADA(ctx, models, opt.ModelChunk(spec.Battery.N), spec.Parallelism, spec.Obs.Hook())
+	// lane over the pool instead of pinning it to one worker.
+	worst, priced, err := ls.worst(ctx, models, opt.ModelChunk(spec.Battery.N), spec.Parallelism, spec.Obs.Hook())
 	if err != nil {
 		return nil, err
 	}
 	for j := range models {
 		p := &points[cellOf[j]]
-		p.SAWorst, p.DAWorst = sa[j], da[j]
+		p.SAWorst, p.DAWorst = worst[0][j], worst[1][j]
 		switch {
 		case p.SAWorst < p.DAWorst:
 			p.Empirical = RegionSASuperior
@@ -151,7 +148,7 @@ func sweep(ctx context.Context, spec SweepSpec, battery []model.Schedule) ([]Gri
 			p.Empirical = RegionUnknown
 		}
 	}
-	emitSweep(spec.Obs, points, priced, len(prep.scheds)*len(models)-priced)
+	emitSweep(spec.Obs, points, priced, len(ls[0].scheds)*len(models)-priced)
 	return points, nil
 }
 

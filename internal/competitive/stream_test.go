@@ -27,7 +27,7 @@ func (s *saboteur) Step(q model.Request) model.Step {
 	return st
 }
 
-// measureSchedule reduces an algorithm's run to its counts one step at a
+// lane.measure reduces an algorithm's run to its counts one step at a
 // time; what it keeps must be the total of the materialised allocation
 // schedule, and what it rejects must be rejected as Validate rejects it.
 func TestMeasureStreamEqualsMaterialised(t *testing.T) {
@@ -37,21 +37,21 @@ func TestMeasureStreamEqualsMaterialised(t *testing.T) {
 		tAvail := 1 + rng.Intn(min(n, 3))
 		initial := model.FullSet(tAvail + rng.Intn(n-tAvail+1))
 		sched := workload.Uniform(rng, n, rng.Intn(60), []float64{0.05, 0.3, 0.7}[iter%3])
-		b, err := newPrepared(saDA, []model.Schedule{sched}, initial, tAvail)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.measureSchedule(0); err != nil {
-			t.Fatal(err)
-		}
 		for f, factory := range saDA {
+			l, err := newLane(factory, []model.Schedule{sched}, initial, tAvail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.measure(0); err != nil {
+				t.Fatal(err)
+			}
 			las, err := dom.RunFactory(factory, initial, tAvail, sched)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want, _ := cost.ScheduleCounts(las, initial); b.counts[f][0] != want {
+			if want, _ := cost.ScheduleCounts(las, initial); l.counts[0] != want {
 				t.Fatalf("iter %d, factory %d: streamed %v, materialised %v\nt=%d initial=%v sched: %v",
-					iter, f, b.counts[f][0], want, tAvail, initial, sched)
+					iter, f, l.counts[0], want, tAvail, initial, sched)
 			}
 		}
 	}
@@ -88,12 +88,12 @@ func TestMeasureStreamEqualsMaterialised(t *testing.T) {
 			if err := las.Validate(initial, tAvail); err != nil && !errors.As(err, &want) {
 				t.Fatal(err)
 			}
-			b, err := newPrepared([]dom.Factory{bad}, []model.Schedule{sched}, initial, tAvail)
+			l, err := newLane(bad, []model.Schedule{sched}, initial, tAvail)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got *model.Violation
-			if err := b.measureSchedule(0); err != nil && !errors.As(err, &got) {
+			if err := l.measure(0); err != nil && !errors.As(err, &got) {
 				t.Fatal(err)
 			}
 			switch {

@@ -26,7 +26,8 @@ import (
 // Bound.Floor, which needs the request counts alone.
 func LowerBound(m cost.Model, sched model.Schedule, t int) float64 {
 	reads := sched.Reads()
-	return Bound{reads: reads, writes: len(sched) - reads, t: t}.Floor(m)
+	b := Bound{reads: reads, writes: len(sched) - reads, t: t}
+	return b.Floor(m)
 }
 
 // BeamResult is the outcome of the beam search.

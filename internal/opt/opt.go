@@ -357,24 +357,39 @@ func newPrices(m cost.Model, n int) prices {
 // interval is priced from its signature — the writer's own reads and the
 // other readers' counts, sorted — and a run of identical intervals, which
 // is what the periodic nemesis families are made of, is stored once with
-// its length.
+// its length. The signatures are built by the first Price, so a bound
+// only ever asked for its Floor costs one walk over the schedule, which
+// its caller may have made already (BoundOf).
 type Bound struct {
 	reads, writes, t int
-	// sig is the relaxation's input, flat: the number p of processors
-	// outside the initial scheme that read before the first write and
-	// their p read counts; then, per run of identical intervals, its
-	// length, the writer's reads, the number r of other readers and their
-	// r read counts in descending order.
+	sched            model.Schedule
+	initial          model.Set
+	// sig is the relaxation's input, flat, nil until the first Price: the
+	// number p of processors outside the initial scheme that read before
+	// the first write and their p read counts; then, per run of identical
+	// intervals, its length, the writer's reads, the number r of other
+	// readers and their r read counts in descending order.
 	sig []int32
 }
 
 // NewBound returns an instance's Bound, refusing what Compile refuses with
 // the error Compile returns, so an instance it accepts compiles.
 func NewBound(sched model.Schedule, initial model.Set, t int) (Bound, error) {
-	if err := checkInstance(initial, t, sched.Processors().Union(initial).Size()); err != nil {
+	return BoundOf(sched, initial, t, sched.Processors(), sched.Reads())
+}
+
+// BoundOf is NewBound for a caller that has walked the schedule already:
+// procs is the set of its processors and reads the number of its reads.
+func BoundOf(sched model.Schedule, initial model.Set, t int, procs model.Set, reads int) (Bound, error) {
+	if err := checkInstance(initial, t, procs.Union(initial).Size()); err != nil {
 		return Bound{}, err
 	}
-	b := Bound{t: t}
+	return Bound{reads: reads, writes: len(sched) - reads, t: t, sched: sched, initial: initial}, nil
+}
+
+// signature returns the relaxation's input for sched from initial (see
+// Bound.sig).
+func signature(sched model.Schedule, initial model.Set) []int32 {
 	var buf [256]int32
 	sig := buf[:1]
 	var count [model.MaxProcessors]int32 // reads per processor in the open interval
@@ -383,7 +398,6 @@ func NewBound(sched model.Schedule, initial model.Set, t int) (Bound, error) {
 	for k := 0; k <= len(sched); k++ {
 		if k < len(sched) && sched[k].IsRead() {
 			p := sched[k].Processor
-			b.reads++
 			count[p]++
 			readers |= 1 << uint(p)
 			continue
@@ -417,12 +431,10 @@ func NewBound(sched model.Schedule, initial model.Set, t int) (Bound, error) {
 		}
 		readers = 0
 		if k < len(sched) {
-			b.writes++
 			writer = int(sched[k].Processor)
 		}
 	}
-	b.sig = slices.Clone(sig)
-	return b, nil
+	return slices.Clone(sig)
 }
 
 // Floor is the closed form the relaxation never falls below, for R reads
@@ -435,14 +447,19 @@ func NewBound(sched model.Schedule, initial model.Set, t int) (Bound, error) {
 // counts and costs nothing to evaluate, but it sees no read's message
 // cost: under the mobile model (cio = 0) it is 0 for reads and, at t = 1,
 // for everything.
-func (b Bound) Floor(m cost.Model) float64 {
+func (b *Bound) Floor(m cost.Model) float64 {
 	return float64(b.reads)*m.CIO + float64(b.writes)*(float64(b.t)*m.CIO+float64(b.t-1)*m.CD)
 }
 
 // Price returns the bound under m. Both it and Floor are lower bounds, so
 // it returns the larger: Floor(m) <= Price(m) holds in floating point
-// too, which is what lets a caller try the free Floor first.
-func (b Bound) Price(m cost.Model) float64 {
+// too, which is what lets a caller try the free Floor first. The first
+// call builds the signatures, so Price is not safe for concurrent use
+// with itself on one Bound.
+func (b *Bound) Price(m cost.Model) float64 {
+	if b.sig == nil {
+		b.sig = signature(b.sched, b.initial)
+	}
 	pad := m.CC + m.CD // a remote read's charge over a local one
 	gain := func(k int32) float64 { return min(float64(k)*pad, pad+m.CIO) }
 	lb := float64(b.reads) * m.CIO
