@@ -36,8 +36,9 @@
 # wall-clock wait or a sync/atomic import
 # (one owner runs them in one goroutine, a driver call is a method call;
 # their counts are a function of their inputs),
-# depsvet fails if the daemon links the laboratory again (the offline
-# solver, sweeps and generators, or the executed clusters), crossvet fails
+# depsvet fails if objallocd or journalcheck links the laboratory again
+# (the offline solver, sweeps and generators, or the executed clusters and
+# their network simulator), crossvet fails
 # if the OPT kernels' assembly uses anything wider than SSE2 (VEX, POPCNT,
 # LZCNT/TZCNT, BMI), runs the OPT solver and the sweeps on the pure-Go
 # relaxation kernels (GOARCH=386, which runs natively on an amd64 host)
@@ -186,19 +187,24 @@ seqvet:
 # the laboratory. The offline side (competitive, opt, engine, workload,
 # adversary) came in once through internal/adaptive, for two pure functions
 # of (cc, cd) and a harness only tests call; the executed clusters (sim,
-# quorum, ha, chaos) run under cmd/chaos and domsim. An import that brings
-# any of them back belongs on the other side of that line.
+# quorum, ha, chaos) and their network simulator (netsim, with storage
+# behind it) run under cmd/chaos and domsim — the server draws its loss
+# from its own per-object streams. journalcheck replays what objallocd
+# wrote under the same model flags, so the same line holds for it. An
+# import that brings any of them back belongs on the other side of that
+# line.
 depsvet:
-	@deps=$$(go list -deps ./cmd/objallocd) || exit 1; \
-	deps=$$(echo "$$deps" | grep '^objalloc/internal/'); \
-	bad=$$(echo "$$deps" | grep -E '^objalloc/internal/(competitive|opt|engine|workload|adversary|sim|quorum|ha|chaos)$$' || true); \
-	if [ -n "$$bad" ]; then \
-		echo "depsvet: cmd/objallocd links packages the daemon does not serve (go list -deps ./cmd/objallocd):"; \
-		echo "$$bad"; \
-		exit 1; \
-	else \
-		echo "depsvet: cmd/objallocd links $$(echo "$$deps" | wc -l) internal packages, none of the laboratory"; \
-	fi
+	@for cmd in objallocd journalcheck; do \
+		deps=$$(go list -deps ./cmd/$$cmd) || exit 1; \
+		deps=$$(echo "$$deps" | grep '^objalloc/internal/'); \
+		bad=$$(echo "$$deps" | grep -E '^objalloc/internal/(competitive|opt|engine|workload|adversary|sim|quorum|ha|chaos|netsim|storage)$$' || true); \
+		if [ -n "$$bad" ]; then \
+			echo "depsvet: cmd/$$cmd links packages the service does not run (go list -deps ./cmd/$$cmd):"; \
+			echo "$$bad"; \
+			exit 1; \
+		fi; \
+		echo "depsvet: cmd/$$cmd links $$(echo "$$deps" | wc -l) internal packages, none of the laboratory"; \
+	done
 
 # The grid pass's relaxation kernels are SSE2 assembly on amd64 and their
 # Go reference everywhere else; go vet's asmdecl checks the assembly's

@@ -11,7 +11,7 @@ import (
 
 	"objalloc/internal/adaptive"
 	"objalloc/internal/cost"
-	"objalloc/internal/netsim"
+	"objalloc/internal/kvspec"
 	"objalloc/internal/server"
 )
 
@@ -43,7 +43,10 @@ func Bind(fs *flag.FlagSet) *Flags {
 
 // Config maps the parsed flags to the model half of a server.Config;
 // the caller adds what is its own (queue and batch sizes, the journal
-// directory and its disk faults, instrumentation).
+// directory and its disk faults, instrumentation). -faults is a kvspec
+// list with two keys: loss, the per-attempt loss probability (Loss,
+// default 0), and seed, an unsigned integer (LossSeed, default 0).
+// -attempts is Attempts.
 func (f *Flags) Config() (server.Config, error) {
 	eng, err := server.ParseEngine(*f.engine)
 	if err != nil {
@@ -62,17 +65,26 @@ func (f *Flags) Config() (server.Config, error) {
 	}
 	cfg := server.Config{
 		Shards: *f.shards, Engine: eng, Adaptive: aspec, N: *f.n, T: *f.t,
-		Model: m, Seed: *f.seed,
-		Retry: netsim.RetryPolicy{MaxAttempts: *f.attempts},
+		Model: m, Seed: *f.seed, Attempts: *f.attempts,
 	}
-	plan, err := netsim.ParseFaults(*f.faults)
+	kv, err := kvspec.ParseList("modelflags", *f.faults)
 	if err != nil {
 		return server.Config{}, err
 	}
-	if plan != (netsim.FaultPlan{}) {
-		// Set, not merely active: Normalize names any key the service
-		// refuses, delaymax or flaplen alone included.
-		cfg.Faults = &plan
+	// The network simulator's link faults are refused by name, set at all
+	// (zero included): the daemon has no links to duplicate, delay or
+	// flap. The list mirrors the link keys of netsim.ParseFaults's key
+	// table; a key netsim adds later is still refused, by kv.Err below as
+	// an unknown parameter.
+	for _, key := range []string{"dup", "delay", "delaymax", "flap", "flaplen"} {
+		if v, ok := kv.Lookup(key); ok {
+			return server.Config{}, fmt.Errorf("-faults sets %s=%s: the service injects loss alone, the one message fault the cost model prices", key, v)
+		}
+	}
+	cfg.Loss = kv.Float("loss", 0) // Normalize checks it is in [0,1]
+	cfg.LossSeed = kv.Uint64("seed", 0)
+	if err := kv.Err(); err != nil {
+		return server.Config{}, err
 	}
 	return cfg, nil
 }

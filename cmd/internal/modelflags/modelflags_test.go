@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"objalloc/internal/netsim"
 	"objalloc/internal/server"
 )
 
@@ -63,50 +62,49 @@ func TestModelFlagParity(t *testing.T) {
 }
 
 // TestConfigRejectsLinkFlaps: the service injects loss alone, the one
-// message fault the cost model prices. A plan that sets a duplication,
-// delay or link-flap key is refused by Normalize, and with it by New and
-// everything -faults reaches through Config, naming -faults and the key;
-// the plan itself stays legal for cmd/chaos and domsim, which run real
-// links.
+// message fault the cost model prices. A -faults value that sets a
+// duplication, delay or link-flap key is refused by Config, naming
+// -faults and the key — set alone, beside loss, or set to zero; the same keys stay legal for cmd/chaos and domsim,
+// which run real links. loss and seed map to Loss and LossSeed, and
+// -attempts to Attempts.
 func TestConfigRejectsLinkFlaps(t *testing.T) {
-	refused := func(what, key string, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "-faults") || !strings.Contains(err.Error(), key+"=") {
-			t.Errorf("%s: error %v, want a refusal naming -faults and %s", what, err, key)
-		}
-	}
-	for _, tc := range []struct {
-		key  string
-		plan netsim.FaultPlan
-		arg  string
-	}{
-		{"flap", netsim.FaultPlan{Flap: 0.5}, "-faults=flap=0.5,flaplen=3"},
-		{"flaplen", netsim.FaultPlan{FlapLen: 3}, "-faults=flaplen=3"},
-		{"flap", netsim.FaultPlan{Loss: 0.1, Flap: 0.01, FlapLen: 3}, "-faults=loss=0.1,FLAP=0.01"},
-		{"dup", netsim.FaultPlan{Loss: 0.1, Dup: 0.1}, "-faults=loss=0.1,dup=0.1"},
-		{"delay", netsim.FaultPlan{Delay: 0.2, Seed: 3}, "-faults=delay=0.2,seed=3"},
-		{"delaymax", netsim.FaultPlan{Loss: 0.1, DelayMax: 4}, "-faults=delaymax=4"},
-	} {
-		cfg := server.Config{Faults: &tc.plan}
-		refused("Normalize", tc.key, cfg.Normalize())
-		_, err := server.New(server.Config{Faults: &tc.plan})
-		refused("New", tc.key, err)
-
+	config := func(args ...string) (server.Config, error) {
 		fs := flag.NewFlagSet("faults", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		flags := Bind(fs)
-		if err := fs.Parse([]string{tc.arg}); err != nil {
+		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		cfg, err = flags.Config()
-		if err != nil {
-			t.Fatalf("%s: Config refused a legal plan: %v", tc.arg, err)
-		}
-		_, err = server.New(cfg)
-		refused(tc.arg, tc.key, err)
+		return flags.Config()
 	}
-	ok := server.Config{Faults: &netsim.FaultPlan{Loss: 0.1, Seed: 3}}
-	if err := ok.Normalize(); err != nil {
-		t.Errorf("a loss-only plan is refused: %v", err)
+	for _, tc := range []struct{ key, arg string }{
+		{"flap", "-faults=flap=0.5,flaplen=3"},
+		{"flaplen", "-faults=flaplen=3"},
+		{"flap", "-faults=loss=0.1,FLAP=0.01"},
+		{"dup", "-faults=loss=0.1,dup=0.1"},
+		{"delay", "-faults=delay=0.2,seed=3"},
+		{"delaymax", "-faults=delaymax=4"},
+		{"delaymax", "-faults=loss=0.1,delaymax=4"},
+		{"dup", "-faults=dup=0"},
+	} {
+		_, err := config(tc.arg)
+		if err == nil || !strings.Contains(err.Error(), "-faults") || !strings.Contains(err.Error(), tc.key+"=") {
+			t.Errorf("%s: error %v, want a refusal naming -faults and %s", tc.arg, err, tc.key)
+		}
+	}
+	for _, arg := range []string{"-faults=loss=x", "-faults=loss=0.1,loss=0.2", "-faults=seed=-1", "-faults=bogus=1"} {
+		if _, err := config(arg); err == nil {
+			t.Errorf("%s accepted", arg)
+		}
+	}
+	cfg, err := config("-faults=loss=0.1,seed=3", "-attempts=3")
+	if err != nil {
+		t.Fatalf("a loss-only plan is refused: %v", err)
+	}
+	if cfg.Loss != 0.1 || cfg.LossSeed != 3 || cfg.Attempts != 3 {
+		t.Errorf("-faults=loss=0.1,seed=3 -attempts=3: Loss = %v, LossSeed = %d, Attempts = %d", cfg.Loss, cfg.LossSeed, cfg.Attempts)
+	}
+	if err := cfg.Normalize(); err != nil {
+		t.Errorf("Normalize refuses a loss-only config: %v", err)
 	}
 }

@@ -194,7 +194,7 @@ func (r DropReason) Structural() bool {
 // counter (the link's virtual clock), the end tick of the current flap
 // burst, and the delivery queue of held (delayed) messages.
 type link struct {
-	rng       Stream
+	rng       stream
 	tick      uint64
 	downUntil uint64
 	held      []heldMessage
@@ -206,13 +206,12 @@ type heldMessage struct {
 	m   Message
 }
 
-// Stream is a seeded splitmix64 stream, the generator behind every draw a
-// FaultPlan causes: one per link here, one per object in package server.
-// The value is the whole state, so a checkpoint stores it as a uint64.
-type Stream uint64
+// stream is a seeded splitmix64 stream, the generator behind every draw a
+// FaultPlan causes, one per link.
+type stream uint64
 
-// Next advances the stream and returns the next 64-bit value.
-func (s *Stream) Next() uint64 {
+// next advances the stream and returns the next 64-bit value.
+func (s *stream) next() uint64 {
 	*s += 0x9E3779B97F4A7C15
 	z := uint64(*s)
 	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
@@ -220,13 +219,13 @@ func (s *Stream) Next() uint64 {
 	return z ^ z>>31
 }
 
-// Float01 draws a uniform float in [0,1).
-func (s *Stream) Float01() float64 { return float64(s.Next()>>11) / (1 << 53) }
+// float01 draws a uniform float in [0,1).
+func (s *stream) float01() float64 { return float64(s.next()>>11) / (1 << 53) }
 
-func linkSeed(root uint64, from, to model.ProcessorID) Stream {
-	s := Stream(root ^ (uint64(from)+1)*0xA24BAED4963EE407 ^ (uint64(to)+1)*0x9FB21C651E98DF25)
+func linkSeed(root uint64, from, to model.ProcessorID) stream {
+	s := stream(root ^ (uint64(from)+1)*0xA24BAED4963EE407 ^ (uint64(to)+1)*0x9FB21C651E98DF25)
 	// One scramble so adjacent (from,to) pairs decorrelate.
-	return Stream(s.Next())
+	return stream(s.next())
 }
 
 func (nw *Network) linkOf(from, to model.ProcessorID) *link {

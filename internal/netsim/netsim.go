@@ -296,10 +296,10 @@ func (nw *Network) Send(m Message) {
 		switch {
 		case l.tick <= l.downUntil:
 			reason = DropFlap
-		case nw.plan.Flap > 0 && l.rng.Float01() < nw.plan.Flap:
+		case nw.plan.Flap > 0 && l.rng.float01() < nw.plan.Flap:
 			l.downUntil = l.tick + nw.plan.flapLen()
 			reason = DropFlap
-		case nw.plan.Loss > 0 && l.rng.Float01() < nw.plan.Loss:
+		case nw.plan.Loss > 0 && l.rng.float01() < nw.plan.Loss:
 			reason = DropLoss
 		}
 	}
@@ -307,18 +307,18 @@ func (nw *Network) Send(m Message) {
 		nw.drop(m, reason)
 	} else {
 		delayed := false
-		if l != nil && nw.plan.Delay > 0 && l.rng.Float01() < nw.plan.Delay {
+		if l != nil && nw.plan.Delay > 0 && l.rng.float01() < nw.plan.Delay {
 			delayed = true
 			nw.stats.Delayed++
 			nw.holdSeq++
-			due := l.tick + 1 + l.rng.Next()%nw.plan.delayMax()
+			due := l.tick + 1 + l.rng.next()%nw.plan.delayMax()
 			l.held = append(l.held, heldMessage{due: due, seq: nw.holdSeq, m: m})
 			nw.emitFault("net.delay", m, DropNone)
 		}
 		if !delayed {
 			nw.deliver(m)
 		}
-		if l != nil && nw.plan.Dup > 0 && l.rng.Float01() < nw.plan.Dup {
+		if l != nil && nw.plan.Dup > 0 && l.rng.float01() < nw.plan.Dup {
 			nw.stats.Duplicated++
 			nw.emitFault("net.dup", m, DropNone)
 			nw.deliver(m)

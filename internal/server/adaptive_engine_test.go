@@ -12,7 +12,6 @@ import (
 	"objalloc/internal/adversary"
 	"objalloc/internal/cost"
 	"objalloc/internal/model"
-	"objalloc/internal/netsim"
 	"objalloc/internal/obs"
 )
 
@@ -54,10 +53,9 @@ func engineFingerprint(t *testing.T, shards, workers int, eng Engine, spec adapt
 	sink := &obs.MemSink{}
 	s, err := New(Config{
 		Shards: shards, Engine: eng, Adaptive: spec, N: 6, T: 3, Seed: 42,
-		Model:  cost.SC(0.25, 1),
-		Faults: &netsim.FaultPlan{Seed: 9, Loss: 0.2},
-		Retry:  netsim.RetryPolicy{MaxAttempts: 4},
-		Obs:    &obs.Obs{Registry: reg, Sink: sink},
+		Model: cost.SC(0.25, 1),
+		Loss:  0.2, LossSeed: 9, Attempts: 4,
+		Obs: &obs.Obs{Registry: reg, Sink: sink},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,6 @@ import (
 
 	"objalloc/internal/cost"
 	"objalloc/internal/multiobject"
-	"objalloc/internal/netsim"
 	"objalloc/internal/obs"
 )
 
@@ -31,8 +30,7 @@ func TestStatsLiveBeforeDrain(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/journaled=%t", eng, journaled), func(t *testing.T) {
 				cfg := Config{
 					Shards: 2, N: 5, T: 2, Engine: eng, Seed: 3,
-					Faults:          &netsim.FaultPlan{Seed: 4, Loss: 0.15},
-					Retry:           netsim.RetryPolicy{MaxAttempts: 3},
+					Loss: 0.15, LossSeed: 4, Attempts: 3,
 					CheckpointEvery: 16,
 				}
 				if journaled {
@@ -69,8 +67,7 @@ func TestBooksCheckNamesShardAndTotals(t *testing.T) {
 	cfg := func(dir string) Config {
 		return Config{
 			Shards: 2, N: 4, T: 2, Seed: 1,
-			Faults:          &netsim.FaultPlan{Seed: 2, Loss: 0.2},
-			Retry:           netsim.RetryPolicy{MaxAttempts: 3},
+			Loss: 0.2, LossSeed: 2, Attempts: 3,
 			Journal:         dir,
 			CheckpointEvery: 8,
 		}

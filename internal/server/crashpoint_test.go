@@ -12,7 +12,6 @@ import (
 
 	"objalloc/internal/ddmin"
 	"objalloc/internal/diskfault"
-	"objalloc/internal/netsim"
 	"objalloc/internal/tracing"
 )
 
@@ -253,7 +252,7 @@ func (c *crashCheck) restart(ref crashRef, sched []schedReq, dir, tail string) e
 	}
 	for _, r := range sched {
 		res, err := s.do(r.object(), requestAt(r.o, r.i, s.cfg.N), tracing.SpanContext{}, r.seq())
-		if err != nil && !errors.As(err, new(netsim.Unreachable)) {
+		if err != nil && !errors.As(err, new(Unreachable)) {
 			s.Drain()
 			return fmt.Errorf("resend %v: %w", r, err)
 		}
@@ -316,7 +315,7 @@ func sendSchedule(s *Server, sched []schedReq) ([]schedReq, error) {
 	for _, r := range sched {
 		_, err := s.do(r.object(), requestAt(r.o, r.i, s.cfg.N), tracing.SpanContext{}, r.seq())
 		switch {
-		case err == nil || errors.As(err, new(netsim.Unreachable)):
+		case err == nil || errors.As(err, new(Unreachable)):
 			acked = append(acked, r)
 		case errors.As(err, new(*Unavailable)):
 		default:

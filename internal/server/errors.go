@@ -4,11 +4,29 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"objalloc/internal/model"
 )
 
 // ErrDraining is returned by Do once the server has begun its graceful
 // drain: already-accepted requests complete, new ones are refused.
 var ErrDraining = errors.New("server: draining")
+
+// Unreachable is the service error of a request whose every delivery
+// attempt was lost (Config.Loss, Config.Attempts): the request was
+// accepted and consumed, billed for its retransmissions, and never
+// reached the engine. Peer is the processor that issued it.
+type Unreachable struct {
+	Peer model.ProcessorID
+}
+
+// Error implements error. The text keeps the "netsim:" prefix it had
+// when the service borrowed the network simulator's error: it is written
+// into the journals' err field, sent in /v1/batch results and pinned by
+// the golden journals, so changing it would change the journal format.
+func (u Unreachable) Error() string {
+	return fmt.Sprintf("netsim: processor %d unreachable", u.Peer)
+}
 
 // Overloaded is the admission-control rejection: the target shard's
 // mailbox is full. The request was NOT accepted; the caller may retry

@@ -76,8 +76,8 @@ func TestGoldenJournalReplays(t *testing.T) {
 	forRecoveryConfigs(t, func(t *testing.T, mk func(int, string) Config) {
 		dir := filepath.Join("testdata", "golden", filepath.Base(t.Name()))
 		// The step-semantics pin must keep exercising the loss draw.
-		if f := mk(2, dir).Faults; f == nil || f.Loss <= 0 {
-			t.Fatalf("battery row draws no loss faults: %+v", f)
+		if loss := mk(2, dir).Loss; loss <= 0 {
+			t.Fatalf("battery row draws no loss: Loss = %v", loss)
 		}
 		if *updateGolden {
 			writeGolden(t, mk(2, dir), dir)

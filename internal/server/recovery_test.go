@@ -17,7 +17,6 @@ import (
 	"objalloc/internal/adaptive"
 	"objalloc/internal/cost"
 	"objalloc/internal/model"
-	"objalloc/internal/netsim"
 	"objalloc/internal/tracing"
 )
 
@@ -41,7 +40,7 @@ func driveRange(t *testing.T, s *Server, objects, from, to, workers int) {
 							i-- // retry: per-object order still intact
 							continue
 						}
-						var unreachable netsim.Unreachable
+						var unreachable Unreachable
 						if errors.As(err, &unreachable) {
 							continue // consumed, just failed
 						}
@@ -91,9 +90,8 @@ func recoveryConfig(shards int, dir string) Config {
 	return Config{
 		Shards: shards, N: 6, T: 2,
 		Engine: EngineAdaptive, Adaptive: aspec,
-		Seed:            11,
-		Faults:          &netsim.FaultPlan{Seed: 5, Loss: 0.1},
-		Retry:           netsim.RetryPolicy{MaxAttempts: 4},
+		Seed: 11,
+		Loss: 0.1, LossSeed: 5, Attempts: 4,
 		Journal:         dir,
 		CheckpointEvery: 8,
 	}
@@ -107,9 +105,8 @@ func mobileRecoveryConfig(shards int, dir string) Config {
 	return Config{
 		Shards: shards, N: 6, T: 2,
 		Engine: EngineDA, Model: cost.MC(0.25, 1),
-		Seed:            11,
-		Faults:          &netsim.FaultPlan{Seed: 7, Loss: 0.3},
-		Retry:           netsim.RetryPolicy{MaxAttempts: 2},
+		Seed: 11,
+		Loss: 0.3, LossSeed: 7, Attempts: 2,
 		Journal:         dir,
 		CheckpointEvery: 8,
 	}

@@ -49,7 +49,6 @@ import (
 	"objalloc/internal/dom"
 	"objalloc/internal/model"
 	"objalloc/internal/multiobject"
-	"objalloc/internal/netsim"
 	"objalloc/internal/obs"
 	"objalloc/internal/tracing"
 )
@@ -78,20 +77,25 @@ type Config struct {
 	T int
 	// Model prices the accounting; the zero model means cost.SC(0.25, 1).
 	Model cost.Model
-	// Seed perturbs every per-object fault stream; fixed seed + fixed
-	// per-object request order = identical fault outcomes at any Shards.
+	// Seed perturbs every per-object loss stream (fixed seed + fixed
+	// per-object request order = identical loss outcomes at any Shards)
+	// and roots the trace IDs the service derives for requests that
+	// arrive without a trace context.
 	Seed int64
-	// Faults, when non-nil, injects deterministic message loss into every
-	// shard, drawn from per-object streams: a lost attempt is billed as a
-	// control message and retried, and a request that exhausts its
-	// attempts ends Unreachable. Loss is the one message fault the cost
-	// model prices, so a plan that sets anything beyond Loss and Seed
-	// (dup, delay, delaymax, flap, flaplen) is refused; the executed
-	// protocols under netsim keep those as real deliveries.
-	Faults *netsim.FaultPlan
-	// Retry is the retransmission discipline applied to lost messages.
-	// Disabled resolves to MaxAttempts = 1 in Normalize.
-	Retry netsim.RetryPolicy
+	// Loss, when positive, injects deterministic message loss into every
+	// shard: each attempt to deliver a request is lost with probability
+	// Loss, drawn from the object's own stream. A lost attempt is billed
+	// as a control message and retried; a request that exhausts its
+	// Attempts ends Unreachable. Loss is the one message fault the cost
+	// model prices, so it is the only one the service injects; the
+	// executed protocols under netsim keep duplication, delay and link
+	// flaps as real deliveries. Must lie in [0, 1].
+	Loss float64
+	// LossSeed is XORed with Seed to seed the per-object loss streams.
+	LossSeed uint64
+	// Attempts caps the delivery attempts per request under Loss; fewer
+	// than 1 means 10, and 1 means no retransmission.
+	Attempts int
 	// Journal, when non-empty, is a directory receiving one JSONL
 	// journal per shard. Records are group-committed (one write + fsync
 	// per service round) and replies are only sent after the commit, so
@@ -174,17 +178,11 @@ func (cfg *Config) Normalize() error {
 	if err := cfg.Model.Validate(); err != nil {
 		return err
 	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			return err
-		}
-		if rest := *cfg.Faults; rest != (netsim.FaultPlan{Loss: rest.Loss, Seed: rest.Seed}) {
-			rest.Loss, rest.Seed = 0, 0
-			return fmt.Errorf("server: Faults (-faults) sets %s: the service injects loss alone, the one message fault the cost model prices", netsim.FormatFaults(rest))
-		}
+	if !(cfg.Loss >= 0 && cfg.Loss <= 1) { // NaN fails both
+		return fmt.Errorf("server: Loss = %v outside [0,1]", cfg.Loss)
 	}
-	if cfg.Retry.Disabled {
-		cfg.Retry = netsim.RetryPolicy{MaxAttempts: 1}
+	if cfg.Attempts < 1 {
+		cfg.Attempts = 10
 	}
 	if cfg.DiskFaults != nil {
 		if err := cfg.DiskFaults.Validate(); err != nil {
@@ -227,9 +225,9 @@ type Result struct {
 	// Coalesced reports the request was served from the shard's
 	// freshness table without touching the engine.
 	Coalesced bool
-	// Retransmits counts lost attempts retried under the retry policy.
+	// Retransmits counts the lost delivery attempts (see Config.Loss).
 	Retransmits int
-	// Err is the service error, e.g. netsim.Unreachable after the retry
+	// Err is the service error, e.g. Unreachable after the retry
 	// budget is exhausted. An errored request still consumed its slot in
 	// the object's schedule.
 	Err error
@@ -370,7 +368,7 @@ func (s *Server) shardOf(object string) *shard {
 // Do submits one request and blocks until it is serviced. Admission
 // failures return before the request enters any schedule: *Overloaded
 // when the target shard's mailbox is full, ErrDraining after Drain
-// begins. A non-nil service error (e.g. netsim.Unreachable) means the
+// begins. A non-nil service error (e.g. Unreachable) means the
 // request WAS accepted and consumed — its Result carries the billed
 // retransmission cost.
 //

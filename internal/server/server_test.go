@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -15,7 +16,6 @@ import (
 	"objalloc/internal/cost"
 	"objalloc/internal/model"
 	"objalloc/internal/multiobject"
-	"objalloc/internal/netsim"
 	"objalloc/internal/obs"
 )
 
@@ -44,7 +44,7 @@ func drive(t *testing.T, s *Server, objects, perObject, workers int) {
 							i-- // retry: per-object order still intact
 							continue
 						}
-						var unreachable netsim.Unreachable
+						var unreachable Unreachable
 						if errors.As(err, &unreachable) {
 							continue // consumed, just failed
 						}
@@ -279,15 +279,14 @@ func TestCoalescingOnlyWhenFree(t *testing.T) {
 func TestFaultsTotalLoss(t *testing.T) {
 	s, err := New(Config{
 		Shards: 2, N: 4, T: 2,
-		Faults: &netsim.FaultPlan{Seed: 7, Loss: 1.0},
-		Retry:  netsim.RetryPolicy{MaxAttempts: 3},
+		Loss: 1.0, LossSeed: 7, Attempts: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
 		_, err := s.Do(fmt.Sprintf("o%d", i), model.R(0))
-		var unreachable netsim.Unreachable
+		var unreachable Unreachable
 		if !errors.As(err, &unreachable) {
 			t.Fatalf("total loss returned %v, want Unreachable", err)
 		}
@@ -313,10 +312,9 @@ func snapshotFingerprint(t *testing.T, shards, workers int) string {
 	sink := &obs.MemSink{}
 	s, err := New(Config{
 		Shards: shards, N: 6, T: 3, Seed: 42,
-		Model:  cost.MC(0.25, 1),
-		Faults: &netsim.FaultPlan{Seed: 9, Loss: 0.2},
-		Retry:  netsim.RetryPolicy{MaxAttempts: 4},
-		Obs:    &obs.Obs{Registry: reg, Sink: sink},
+		Model: cost.MC(0.25, 1),
+		Loss:  0.2, LossSeed: 9, Attempts: 4,
+		Obs: &obs.Obs{Registry: reg, Sink: sink},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -476,8 +474,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{N: 100}); err == nil {
 		t.Fatal("N > 64 accepted")
 	}
-	if _, err := New(Config{Faults: &netsim.FaultPlan{Loss: 2}}); err == nil {
-		t.Fatal("invalid fault plan accepted")
+	for _, loss := range []float64{2, math.NaN(), -0.1} {
+		if _, err := New(Config{Loss: loss}); err == nil {
+			t.Fatalf("Loss = %v accepted", loss)
+		}
 	}
 }
 

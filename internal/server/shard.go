@@ -11,7 +11,6 @@ import (
 
 	"objalloc/internal/diskfault"
 	"objalloc/internal/model"
-	"objalloc/internal/netsim"
 	"objalloc/internal/obs"
 	"objalloc/internal/tracing"
 )
@@ -317,7 +316,7 @@ func (sh *shard) emitTrace(t *task, out outcome) {
 	now := tc.Now()
 	trace, root := sc.Trace.String(), sc.Span.String()
 	tag := ""
-	var unreach netsim.Unreachable
+	var unreach Unreachable
 	switch {
 	case errors.As(r.Err, &unreach):
 		tag = "unreachable"
@@ -509,7 +508,7 @@ func (j *journalWriter) close() error {
 }
 
 // fnv64a is the 64-bit FNV-1a hash, used for the object→shard mapping
-// and per-object fault-stream seeding.
+// and per-object loss-stream seeding.
 func fnv64a(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

@@ -18,7 +18,6 @@ import (
 	"objalloc/internal/cost"
 	"objalloc/internal/model"
 	"objalloc/internal/multiobject"
-	"objalloc/internal/netsim"
 )
 
 // counters is a shard's deterministic request accounting as plain
@@ -91,10 +90,10 @@ type shardState struct {
 	cfg *Config // normalized, immutable
 
 	db      *multiobject.DB
-	next    map[string]uint64         // per-object next expected client seq (wire dedup horizon)
-	streams map[string]*netsim.Stream // per-object fault stream states
-	fresh   map[string]model.Set      // processors holding a current copy (coalescing); nil = off
-	seq     map[string]uint64         // per-object trace sequence numbers; nil = tracing off
+	next    map[string]uint64    // per-object next expected client seq (wire dedup horizon)
+	streams map[string]*splitmix // per-object loss stream states
+	fresh   map[string]model.Set // processors holding a current copy (coalescing); nil = off
+	seq     map[string]uint64    // per-object trace sequence numbers; nil = tracing off
 	ctr     liveCounters
 }
 
@@ -107,7 +106,7 @@ func newShardState(cfg *Config) (*shardState, error) {
 		cfg:     cfg,
 		db:      db,
 		next:    make(map[string]uint64),
-		streams: make(map[string]*netsim.Stream),
+		streams: make(map[string]*splitmix),
 	}
 	if cfg.coalesce {
 		st.fresh = make(map[string]model.Set)
@@ -154,11 +153,11 @@ type outcome struct {
 func (st *shardState) step(object string, q model.Request, seq uint64) (out outcome) {
 	out.res.Object = object
 	delivered := true
-	if plan := st.cfg.Faults; plan != nil && plan.Loss > 0 {
+	if st.cfg.Loss > 0 {
 		s := st.stream(object)
 		delivered = false
-		for a := 0; a < st.cfg.Retry.Attempts() && !delivered; a++ {
-			if s.Float01() < plan.Loss {
+		for a := 0; a < st.cfg.Attempts && !delivered; a++ {
+			if s.float01() < st.cfg.Loss {
 				out.res.Retransmits++
 			} else {
 				delivered = true
@@ -172,7 +171,7 @@ func (st *shardState) step(object string, q model.Request, seq uint64) (out outc
 	case !delivered:
 		// The retry budget ran out: the request is consumed, billed for
 		// its retransmissions, and never reaches the engine.
-		out.res.Err = netsim.Unreachable{Peer: q.Processor}
+		out.res.Err = Unreachable{Peer: q.Processor}
 		st.ctr.unreach.Add(1)
 	case st.fresh != nil && q.IsRead() && st.fresh[object].Contains(q.Processor):
 		// Coalesced: this processor already holds a current copy, the
@@ -213,21 +212,39 @@ func (st *shardState) step(object string, q model.Request, seq uint64) (out outc
 	return out
 }
 
-// stream returns the object's fault stream state, seeding it on first
-// touch from (plan seed ⊕ config seed, object hash) — a function of the
-// object alone, never of the shard or the batch, so fault outcomes are
+// stream returns the object's loss stream state, seeding it on first
+// touch from (loss seed ⊕ config seed, object hash) — a function of the
+// object alone, never of the shard or the batch, so loss outcomes are
 // identical at any shard count.
-func (st *shardState) stream(object string) *netsim.Stream {
+func (st *shardState) stream(object string) *splitmix {
 	s, ok := st.streams[object]
 	if !ok {
-		seed := (st.cfg.Faults.Seed ^ uint64(st.cfg.Seed)) * 0x9e3779b97f4a7c15
-		v := netsim.Stream(seed ^ fnv64a(object))
+		seed := (st.cfg.LossSeed ^ uint64(st.cfg.Seed)) * 0x9e3779b97f4a7c15
+		v := splitmix(seed ^ fnv64a(object))
 		s = &v
-		s.Next() // burn one draw to decorrelate nearby seeds
+		s.next() // burn one draw to decorrelate nearby seeds
 		st.streams[object] = s
 	}
 	return s
 }
+
+// splitmix is a seeded splitmix64 stream, the generator behind the
+// per-object loss draws and the client's retry jitter. The value is the
+// whole state, so a checkpoint stores it as a uint64; the constants are
+// part of the journal format (a checkpoint's streams and every replayed
+// loss draw depend on them).
+type splitmix uint64
+
+func (s *splitmix) next() uint64 {
+	*s += 0x9E3779B97F4A7C15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+// float01 draws a uniform float in [0,1).
+func (s *splitmix) float01() float64 { return float64(s.next()>>11) / (1 << 53) }
 
 // export serializes the state as a checkpoint record. The three engines
 // all export, so a failure here is a bug surfacing as a checkpoint fault.
@@ -268,7 +285,7 @@ func (st *shardState) restore(c *ckptRecord) error {
 	st.ctr.objects.Store(int64(len(c.Objects)))
 	maps.Copy(st.next, c.Next)
 	for obj, v := range c.Streams {
-		s := netsim.Stream(v)
+		s := splitmix(v)
 		st.streams[obj] = &s
 	}
 	if st.fresh != nil {

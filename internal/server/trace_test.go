@@ -8,7 +8,6 @@ import (
 
 	"objalloc/internal/cost"
 	"objalloc/internal/model"
-	"objalloc/internal/netsim"
 	"objalloc/internal/tracing"
 )
 
@@ -22,9 +21,8 @@ func traceFingerprint(t *testing.T, shards, workers int) string {
 		Shards: shards, N: 6, T: 3, Seed: 42,
 		Engine: EngineAdaptive,
 		Model:  cost.MC(0.25, 1),
-		Faults: &netsim.FaultPlan{Seed: 9, Loss: 0.2},
-		Retry:  netsim.RetryPolicy{MaxAttempts: 4},
-		Trace:  tr,
+		Loss:   0.2, LossSeed: 9, Attempts: 4,
+		Trace: tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +64,8 @@ func TestTraceReconcilesExactly(t *testing.T) {
 				Shards: 3, N: 6, T: 3, Seed: 11,
 				Engine: engine,
 				Model:  cost.MC(0.25, 1),
-				Faults: &netsim.FaultPlan{Seed: 5, Loss: 0.15},
-				Retry:  netsim.RetryPolicy{MaxAttempts: 4},
-				Trace:  tr,
+				Loss:   0.15, LossSeed: 5, Attempts: 4,
+				Trace: tr,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -206,9 +203,8 @@ func TestTracedRunMatchesUntracedAccounting(t *testing.T) {
 	run := func(tr *tracing.Tracer) Stats {
 		s, err := New(Config{
 			Shards: 2, N: 6, T: 3, Seed: 42, Model: cost.MC(0.25, 1),
-			Faults: &netsim.FaultPlan{Seed: 9, Loss: 0.2},
-			Retry:  netsim.RetryPolicy{MaxAttempts: 4},
-			Trace:  tr,
+			Loss: 0.2, LossSeed: 9, Attempts: 4,
+			Trace: tr,
 		})
 		if err != nil {
 			t.Fatal(err)

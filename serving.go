@@ -19,7 +19,10 @@ import (
 // cmd/objallocd serves, cmd/loadgen drives, cmd/journalcheck reconciles
 // and cmd/traceview reads traces.
 
-// ServerConfig describes the sharded allocation service.
+// ServerConfig describes the sharded allocation service. Its message
+// faults are loss alone, the one the cost model prices: Loss, LossSeed
+// and Attempts. FaultPlan, with duplication, delay and link flaps, is
+// for the executed clusters, whose links are real.
 type ServerConfig = server.Config
 
 // Server is the running service.
