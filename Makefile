@@ -87,8 +87,9 @@ bench:
 # counts, the signatures built on first ask, and the lane's lead and
 # round-2 test at the 21 cells);
 # and the same per opt.Plan.Costs call and per model of the
-# one-model DP, over the shapes BenchmarkCosts lists. The counts
-# repeat run to run; the ns/op beside them are for orientation only — speed
+# one-model DP, over the shapes BenchmarkCosts lists. A serial sweep reads
+# ~57 700 B in 123 mallocs: the battery's build ~23 000 B in 25 of them,
+# the bound 10 680 B in 9 (2-core Xeon). The counts repeat run to run; the ns/op beside them are for orientation only — speed
 # claims come from `make bench`. TestSweepAllocationBudget and
 # TestPricingAllocations gate the counts in `make test`.
 allocs:
@@ -266,19 +267,21 @@ chaos-check:
 # (the interval relaxation, opt.Bound.Price) it prices little beyond each
 # cell's two incumbents, and writing the metrics stream
 # (competitive.emitSweep through obs.(*JSONLSink).Emit) is the largest
-# share, ~42 % of the samples (six runs merged, 2-core Xeon); the lanes'
-# tasks, competitive.(*lane).price, are ~29 %: the grid pass of
-# internal/opt, opt.(*Plan).costsPass, ~11 % (its kernels opt.foldRows 5 %,
-# opt.readRows 5 %, flat) and the bound's bookkeeping ~12 % (each lane's
-# lead search, competitive.(*pairBounds).lead, ~8 % with opt.(*Bound).Price
-# ~3 %; the round-2 test ~3 %); RenderGrid is ~11 %. The one-model DP
+# share, ~39 % of the samples (six runs merged, 2-core Xeon); the lanes'
+# tasks, competitive.(*lane).price, are ~30 %: the grid pass of
+# internal/opt, opt.(*Plan).costsPass, ~14 % (its kernels opt.readRows 7 %,
+# opt.foldRows 3 %, flat) and the bound's bookkeeping ~10 % (each lane's
+# lead search, competitive.(*pairBounds).lead, ~6 % with opt.(*Bound).Price
+# ~5 %; the round-2 test ~4 %); RenderGrid is ~13 %. The one-model DP
 # (opt.(*Plan).run, minTransform) runs only for Solve's traceback, so it
 # does not appear here. On the small bench-shaped sweep (`go test -bench
-# 'BenchmarkSweep/parallelism=1' -cpuprofile`) competitive.(*lane).measure
-# is ~26 % (model.CheckStep ~5 %, model.Set.Add ~4 %), costsPass ~22 %,
-# BatteryConfig.Build ~14 % (math/rand seeding ~5 %), the bound's
-# bookkeeping ~15 % (the lead search ~8 %, the signatures ~3 % of it) and
-# the runtime's futex (the engine pool parking) ~2.5 %. `make allocs`
+# 'BenchmarkSweep/parallelism=1' -cpuprofile`) costsPass is ~26 %,
+# competitive.(*lane).measure ~23 % (cost.StepCounts ~4 %, model.Set.Add
+# ~3 %, model.CheckStep ~2 %), the battery's build, competitive.(*slots).fill,
+# ~16 % (math/rand seeding ~5 %), the bound's bookkeeping ~12 % (the lead
+# search ~10 %, the signatures ~4 % of it) and the runtime's futex (the
+# engine pool parking) ~2 %. At the default parallelism the build is task 0
+# of the sweep's run and DA's measuring streams behind it. `make allocs`
 # counts what this profile can only sample.
 profile:
 	go run ./cmd/figure1 -steps 200 -cpuprofile figure1.cpu.pprof -metrics figure1.metrics.jsonl -progress > /dev/null

@@ -44,7 +44,7 @@ func Parse(name string, cpuProfile bool) *Run {
 	flag.IntVar(&r.T, "t", 2, "availability threshold")
 	flag.Int64Var(&r.seed, "seed", 1994, "battery seed")
 	flag.IntVar(&r.rounds, "rounds", 60, "nemesis schedule rounds")
-	flag.IntVar(&r.parallel, "parallel", engine.DefaultParallelism(), "concurrent sweep tasks (one algorithm's worst case over a chunk of the grid)")
+	flag.IntVar(&r.parallel, "parallel", engine.DefaultParallelism(), "concurrent sweep tasks (the battery's build, then one algorithm's worst case over a chunk of the grid each)")
 	flag.StringVar(&r.metrics, "metrics", "", "write instrumentation events and a final registry snapshot to this JSONL file")
 	flag.BoolVar(&r.progress, "progress", false, "report sweep progress on stderr")
 	flag.StringVar(&r.pprof, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")

@@ -46,7 +46,7 @@ func DAPunisher(readers []model.ProcessorID, writer model.ProcessorID, rounds in
 	if len(readers) == 0 {
 		return nil, fmt.Errorf("adversary: DAPunisher needs at least one reader")
 	}
-	var sched model.Schedule
+	sched := make(model.Schedule, 0, max(rounds, 0)*(len(readers)+1))
 	for r := 0; r < rounds; r++ {
 		for _, p := range readers {
 			sched = append(sched, model.R(p))
@@ -60,7 +60,7 @@ func DAPunisher(readers []model.ProcessorID, writer model.ProcessorID, rounds in
 // the pattern on which any eager-replication policy (DA, FullRepl) wastes
 // a save-then-invalidate cycle per round. Used in the ablation benches.
 func PingPong(writer, reader model.ProcessorID, rounds int) model.Schedule {
-	var sched model.Schedule
+	sched := make(model.Schedule, 0, 2*max(rounds, 0))
 	for r := 0; r < rounds; r++ {
 		sched = append(sched, model.W(writer), model.R(reader))
 	}
@@ -83,9 +83,11 @@ func PingPong(writer, reader model.ProcessorID, rounds int) model.Schedule {
 // can track the flips and beat both fixed protocols despite paying for its
 // switches; a fixed protocol is wrong half the time.
 func MixFlip(reader, writer model.ProcessorID, phase, flips int) model.Schedule {
-	var sched model.Schedule
+	sched := make(model.Schedule, 0, 2*max(phase, 0)*max(flips, 0))
 	for f := 0; f < flips; f++ {
-		sched = append(sched, workload.ReadRun(reader, phase)...)
+		for i := 0; i < phase; i++ {
+			sched = append(sched, model.R(reader))
+		}
 		for i := 0; i < phase; i++ {
 			if i%2 == 0 {
 				sched = append(sched, model.W(writer))

@@ -1,7 +1,10 @@
 package competitive
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 
 	"objalloc/internal/adversary"
 	"objalloc/internal/model"
@@ -39,40 +42,106 @@ func (c BatteryConfig) Initial() model.Set { return model.FullSet(c.T) }
 
 // Build constructs the battery: uniform random mixes across write
 // fractions, a skewed mix, and the nemesis families for both SA and DA so
-// that every algorithm's bad case is represented.
+// that every algorithm's bad case is represented. It is the whole battery
+// at once; a sweep builds it inside its engine run instead (see slots).
 func (c BatteryConfig) Build() []model.Schedule {
-	rng := rand.New(rand.NewSource(c.Seed))
-	var battery []model.Schedule
+	b := c.layout()
+	b.fill()
+	return b.scheds
+}
 
+// slots are a schedule battery's slots, laid out before any schedule is
+// in them: 4·RandomSchedules+1 random mixes, then, when N > T, the three
+// nemesis families. fill builds the schedules into the slots in landing
+// order — the nemesis families first, which draw nothing from the
+// generator, then the random mixes in battery order, so every schedule is
+// the one a build in battery order draws — and publishes each as it
+// lands, so that a lane measures one schedule while the next is built.
+type slots struct {
+	cfg     BatteryConfig
+	scheds  []model.Schedule
+	nemeses int          // how many slots, at the end of scheds, land first
+	landed  atomic.Int64 // how many slots have landed, in landing order
+}
+
+// layout returns the battery's slots, none of them landed.
+func (c BatteryConfig) layout() *slots {
+	b := &slots{cfg: c}
+	if c.N > c.T {
+		b.nemeses = 3
+	}
+	b.scheds = make([]model.Schedule, 4*max(c.RandomSchedules, 0)+1+b.nemeses)
+	return b
+}
+
+// landedSlots are the slots of a battery of given schedules, landed whole
+// in battery order.
+func landedSlots(scheds []model.Schedule) *slots {
+	b := &slots{scheds: scheds}
+	b.landed.Store(int64(len(scheds)))
+	return b
+}
+
+// slot returns the battery index of the k-th schedule to land.
+func (b *slots) slot(k int) int {
+	if k < b.nemeses {
+		return len(b.scheds) - b.nemeses + k
+	}
+	return k - b.nemeses
+}
+
+// fill builds the battery into its slots in landing order; a battery that
+// has landed is left as it is.
+func (b *slots) fill() {
+	if int(b.landed.Load()) == len(b.scheds) {
+		return
+	}
+	c := b.cfg
+	if c.N > c.T {
+		// SA's nemesis: a long read run from a processor outside the
+		// initial scheme (Propositions 1 and 3).
+		outsider := model.ProcessorID(c.T) // first processor outside {0..T-1}
+		b.land(adversary.SAPunisher(outsider, c.NemesisRounds))
+
+		// DA's nemesis: rounds of distinct outsider reads punctuated by
+		// core writes (Proposition 2). It fails only without readers.
+		readers := make([]model.ProcessorID, 0, c.N-c.T)
+		for p := c.T; p < c.N; p++ {
+			readers = append(readers, model.ProcessorID(p))
+		}
+		daNemesis, _ := adversary.DAPunisher(readers, 0, c.NemesisRounds)
+		b.land(daNemesis)
+
+		// Ping-pong between a scheme member and an outsider.
+		b.land(adversary.PingPong(0, outsider, c.NemesisRounds))
+	}
+	rng := rand.New(rand.NewSource(c.Seed))
 	for _, pWrite := range []float64{0.05, 0.2, 0.5, 0.8} {
 		for i := 0; i < c.RandomSchedules; i++ {
-			battery = append(battery, workload.Uniform(rng, c.N, c.RandomLength, pWrite))
+			b.land(workload.Uniform(rng, c.N, c.RandomLength, pWrite))
 		}
 	}
-	battery = append(battery, workload.Zipf(rng, c.N, c.RandomLength, 0.2, 1.8))
+	b.land(workload.Zipf(rng, c.N, c.RandomLength, 0.2, 1.8))
+}
 
-	// SA's nemesis: a long read run from a processor outside the initial
-	// scheme (Propositions 1 and 3).
-	outsider := model.ProcessorID(c.T) // first processor outside {0..T-1}
-	if c.N > c.T {
-		battery = append(battery, adversary.SAPunisher(outsider, c.NemesisRounds))
-	}
+// land puts the next schedule in landing order into its slot and
+// publishes it.
+func (b *slots) land(s model.Schedule) {
+	k := int(b.landed.Load())
+	b.scheds[b.slot(k)] = s
+	b.landed.Store(int64(k + 1))
+}
 
-	// DA's nemesis: rounds of distinct outsider reads punctuated by core
-	// writes (Proposition 2).
-	var readers []model.ProcessorID
-	for p := c.T; p < c.N; p++ {
-		readers = append(readers, model.ProcessorID(p))
-	}
-	if len(readers) > 0 {
-		if s, err := adversary.DAPunisher(readers, 0, c.NemesisRounds); err == nil {
-			battery = append(battery, s)
+// wait returns once the k-th schedule in landing order has landed, or the
+// context's error. It spins, yielding the processor, and never parks: the
+// builder lands a schedule every few microseconds, and waking a parked
+// goroutine takes longer than that.
+func (b *slots) wait(ctx context.Context, k int) error {
+	for int(b.landed.Load()) <= k {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		runtime.Gosched()
 	}
-
-	// Ping-pong between a scheme member and an outsider.
-	if c.N > c.T {
-		battery = append(battery, adversary.PingPong(0, outsider, c.NemesisRounds))
-	}
-	return battery
+	return nil
 }

@@ -67,7 +67,7 @@ func BenchmarkBound(b *testing.B) {
 		b.Fatal(err)
 	}
 	models := gridModels(goldenAxis, false)
-	ls, err := newLanes(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+	ls, err := newLanes(saDA, landedSlots(spec.Battery.Build()), spec.Battery.Initial(), spec.Battery.T)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func Crossover(ctx context.Context, spec CrossoverSpec) (CrossoverResult, error)
 		return CrossoverResult{}, err
 	}
 	cc, cdMax, iters := spec.CC, spec.CDMax, spec.Iters
-	ls, err := newLanes(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+	ls, err := newLanes(saDA, landedSlots(spec.Battery.Build()), spec.Battery.Initial(), spec.Battery.T)
 	if err != nil {
 		return CrossoverResult{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -156,7 +157,7 @@ func TestSweepReportsFirstFailingSchedule(t *testing.T) {
 			}
 			for _, parallelism := range []int{1, 4} {
 				spec := SweepSpec{CDs: cds, CCs: ccs, Battery: c.battery, Parallelism: parallelism}
-				ls, err := newLanes(saDA, scheds, initial, c.battery.T)
+				ls, err := newLanes(saDA, landedSlots(scheds), initial, c.battery.T)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -170,8 +171,8 @@ func TestSweepReportsFirstFailingSchedule(t *testing.T) {
 
 	// spoiled is factory's algorithm with an empty execution set at step
 	// at of every schedule longer than that: on the default battery, below
-	// step 60 the SA nemesis is the first to fail, from step 60 to 119 the
-	// DA nemesis.
+	// step 36 every schedule fails, from 36 to 59 the SA nemesis is the
+	// first to fail, from step 60 to 119 the DA nemesis.
 	spoiled := func(factory dom.Factory, at int) dom.Factory {
 		return func(initial model.Set, t int) (dom.Algorithm, error) {
 			alg, err := factory(initial, t)
@@ -180,15 +181,43 @@ func TestSweepReportsFirstFailingSchedule(t *testing.T) {
 	}
 	battery := DefaultBattery()
 	scheds, initial := battery.Build(), battery.Initial()
+	// firstViolation is the violation of the first schedule, in the order
+	// given, on which one of factories takes an illegal step, the first
+	// factory's before the second's on the same schedule.
+	firstViolation := func(t *testing.T, factories [2]dom.Factory, order []model.Schedule) *model.Violation {
+		t.Helper()
+		for _, s := range order {
+			for _, factory := range factories {
+				las, err := dom.RunFactory(factory, initial, battery.T, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := las.Validate(initial, battery.T); err != nil {
+					var v *model.Violation
+					if !errors.As(err, &v) {
+						t.Fatal(err)
+					}
+					return v
+				}
+			}
+		}
+		return nil
+	}
 	for _, c := range []struct {
 		name       string
 		saAt, daAt int // -1: unspoiled
 		step       int // the step of the violation the sweep reports
+		// landsFirst: a nemesis schedule that lands before the first
+		// failing schedule of a sweep's build fails too, with another
+		// violation.
+		landsFirst bool
 	}{
-		{"SA fails", 100, -1, 100},
-		{"DA fails", -1, 50, 50},
-		{"DA fails on an earlier schedule", 100, 50, 50},
-		{"both fail on the same schedule", 55, 50, 55},
+		{"SA fails", 100, -1, 100, false},
+		{"DA fails", -1, 50, 50, false},
+		{"DA fails on an earlier schedule", 100, 50, 50, false},
+		{"both fail on the same schedule", 55, 50, 55, false},
+		{"DA fails on a nemesis and an earlier random schedule", -1, 20, 20, true},
+		{"DA fails only on a nemesis schedule", -1, 100, 100, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			factories := saDA
@@ -197,35 +226,38 @@ func TestSweepReportsFirstFailingSchedule(t *testing.T) {
 					factories[f] = spoiled(saDA[f], at)
 				}
 			}
-			var want *model.Violation
-		battery:
-			for _, s := range scheds {
-				for _, factory := range factories {
-					las, err := dom.RunFactory(factory, initial, battery.T, s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := las.Validate(initial, battery.T); err != nil {
-						if !errors.As(err, &want) {
-							t.Fatal(err)
-						}
-						break battery
-					}
-				}
-			}
+			want := firstViolation(t, factories, scheds)
 			if want == nil || want.Index != c.step {
 				t.Fatalf("the battery's first violation is %v, want one at step %d", want, c.step)
 			}
-			for _, parallelism := range []int{1, 4, 0} {
-				ls, err := newLanes(factories, scheds, initial, battery.T)
-				if err != nil {
-					t.Fatal(err)
+			if c.landsFirst {
+				b := battery.layout()
+				b.fill()
+				landing := make([]model.Schedule, len(b.scheds))
+				for k := range landing {
+					landing[k] = b.scheds[b.slot(k)]
 				}
-				spec := SweepSpec{CDs: goldenAxis, CCs: goldenAxis, Battery: battery, Parallelism: parallelism}
-				_, err = sweep(context.Background(), spec, ls)
-				var got *model.Violation
-				if !errors.As(err, &got) || *got != *want {
-					t.Errorf("Parallelism %d: err = %v, want %v", parallelism, err, want)
+				if first := firstViolation(t, factories, landing); first == nil || *first == *want || !slices.Equal(landing[0], scheds[len(scheds)-3]) {
+					t.Fatalf("in landing order the first violation is %v, in battery order %v; want a nemesis schedule's, and another", first, want)
+				}
+			}
+			// The sweep's own build, which lands the nemesis families
+			// first, and a battery landed whole in battery order.
+			for name, slotsOf := range map[string]func() *slots{
+				"built in the run": battery.layout,
+				"landed":           func() *slots { return landedSlots(scheds) },
+			} {
+				for _, parallelism := range []int{1, 4, 0} {
+					ls, err := newLanes(factories, slotsOf(), initial, battery.T)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spec := SweepSpec{CDs: goldenAxis, CCs: goldenAxis, Battery: battery, Parallelism: parallelism}
+					_, err = sweep(context.Background(), spec, ls)
+					var got *model.Violation
+					if !errors.As(err, &got) || *got != *want {
+						t.Errorf("%s, Parallelism %d: err = %v, want %v", name, parallelism, err, want)
+					}
 				}
 			}
 		})
@@ -278,20 +310,31 @@ func assertPrunedEverywhere(t *testing.T, nemeses []model.Schedule, sched model.
 }
 
 // forkCounter is an obs.Observer that counts a sweep's engine runs and the
-// tasks they announce and start.
-type forkCounter struct{ runs, tasks, started atomic.Int64 }
+// tasks they announce and start, and records whether the battery's slots
+// had all landed when task 0 was done.
+type forkCounter struct {
+	runs, tasks, started atomic.Int64
+	slots                *slots
+	builtBy0             atomic.Bool
+}
 
-func (c *forkCounter) RunStart(total int)  { c.runs.Add(1); c.tasks.Add(int64(total)) }
-func (c *forkCounter) TaskStart(int)       { c.started.Add(1) }
-func (c *forkCounter) TaskDone(int, error) {}
-func (c *forkCounter) RunDone()            {}
+func (c *forkCounter) RunStart(total int) { c.runs.Add(1); c.tasks.Add(int64(total)) }
+func (c *forkCounter) TaskStart(int)      { c.started.Add(1) }
+func (c *forkCounter) TaskDone(i int, _ error) {
+	if i == 0 && c.slots != nil {
+		c.builtBy0.Store(int(c.slots.landed.Load()) == len(c.slots.scheds))
+	}
+}
+func (c *forkCounter) RunDone() {}
 
-// A sweep is one engine run of (algorithm, model-chunk) tasks: the
-// bench-shaped sweep, whose 21 models are one chunk, runs exactly two
-// tasks, and a sweep over a 12-processor battery, whose chunk is 10
-// models, runs two per chunk — at Parallelism 4, so that under -race the
-// lane's measuring, which its first task does while the others wait, is
-// raced.
+// A sweep is one engine run: task 0 builds the battery, then come the
+// (algorithm, model-chunk) tasks. The bench-shaped sweep, whose 21 models
+// are one chunk, runs exactly three tasks, and a sweep over a 12-processor
+// battery, whose chunk is 10 models, runs the build and two per chunk — at
+// Parallelism 4, so that under -race the build races DA's first task,
+// which measures each schedule as it lands, and a lane's measuring, which
+// its first task does while the others wait, is raced. When task 0 is done
+// the battery has landed whole.
 func TestSweepForksOnce(t *testing.T) {
 	wide := BatteryConfig{N: 12, T: 3, RandomSchedules: 2, RandomLength: 16, NemesisRounds: 12, Seed: 5}
 	chunks := (21 + opt.ModelChunk(wide.N) - 1) / opt.ModelChunk(wide.N)
@@ -303,17 +346,28 @@ func TestSweepForksOnce(t *testing.T) {
 		spec  SweepSpec
 		tasks int64
 	}{
-		{"bench-shaped", benchSweepSpec(0, 0), 2},
-		{"n=12", SweepSpec{CDs: goldenAxis, CCs: goldenAxis, Battery: wide, Parallelism: 4}, 2 * int64(chunks)},
+		{"bench-shaped", benchSweepSpec(0, 0), 1 + 2},
+		{"n=12", SweepSpec{CDs: goldenAxis, CCs: goldenAxis, Battery: wide, Parallelism: 4}, 1 + 2*int64(chunks)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			var fc forkCounter
+			// Sweep, with the battery's slots in the test's hands.
+			if err := c.spec.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			fc := forkCounter{slots: c.spec.Battery.layout()}
 			c.spec.Obs = &obs.Obs{Observer: &fc}
-			if _, err := Sweep(context.Background(), c.spec); err != nil {
+			ls, err := newLanes(saDA, fc.slots, c.spec.Battery.Initial(), c.spec.Battery.T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sweep(context.Background(), c.spec, ls); err != nil {
 				t.Fatal(err)
 			}
 			if runs, tasks, started := fc.runs.Load(), fc.tasks.Load(), fc.started.Load(); runs != 1 || tasks != c.tasks || started != c.tasks {
 				t.Errorf("%d engine runs of %d tasks, %d started; want 1 run of %d", runs, tasks, started, c.tasks)
+			}
+			if !fc.builtBy0.Load() {
+				t.Error("the battery had not landed whole when task 0 was done")
 			}
 		})
 	}

@@ -63,12 +63,12 @@ func unprunedSweep(t *testing.T, spec SweepSpec) []GridPoint {
 // measuredLanes returns SA's and DA's lanes over a battery, measured.
 func measuredLanes(t *testing.T, scheds []model.Schedule, initial model.Set, tAvail int) lanes {
 	t.Helper()
-	ls, err := newLanes(saDA, scheds, initial, tAvail)
+	ls, err := newLanes(saDA, landedSlots(scheds), initial, tAvail)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range ls {
-		if err := l.measured(); err != nil {
+		if err := l.measured(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -44,11 +44,12 @@ type Measurement struct {
 // the stored counts yields the very float a fresh run would.
 //
 // A sweep runs one lane per algorithm (see lanes). Its battery is measured
-// by whichever of its tasks starts first (measured); from then on counts
-// and bounds are read-only.
+// by whichever of its tasks starts first (measured), as the schedules land;
+// from then on counts and bounds are read-only.
 type lane struct {
 	factory dom.Factory
-	scheds  []model.Schedule
+	slots   *slots
+	scheds  []model.Schedule // the slots' schedules: read one once it has landed
 	initial model.Set
 	t       int
 	// counts[i] is the accounting of the algorithm's run on scheds[i].
@@ -57,18 +58,19 @@ type lane struct {
 	// its own copies (see pairBounds).
 	bounds []opt.Bound
 	once   sync.Once
-	err    error // the first failure of measuring, in battery order
+	err    error // the first failure of measuring, in landing order
 }
 
-// newLane allocates a lane's tables; nothing is measured yet.
-func newLane(factory dom.Factory, scheds []model.Schedule, initial model.Set, t int) (*lane, error) {
-	if len(scheds) == 0 {
+// newLane allocates a lane's tables over a battery; nothing is measured
+// yet.
+func newLane(factory dom.Factory, b *slots, initial model.Set, t int) (*lane, error) {
+	if len(b.scheds) == 0 {
 		return nil, fmt.Errorf("competitive: empty schedule battery")
 	}
 	return &lane{
-		factory: factory, scheds: scheds, initial: initial, t: t,
-		counts: make([]cost.Counts, len(scheds)),
-		bounds: make([]opt.Bound, len(scheds)),
+		factory: factory, slots: b, scheds: b.scheds, initial: initial, t: t,
+		counts: make([]cost.Counts, len(b.scheds)),
+		bounds: make([]opt.Bound, len(b.scheds)),
 	}, nil
 }
 
@@ -106,13 +108,17 @@ func (l *lane) measure(i int) error {
 	return err
 }
 
-// measured measures the battery in order on its first call and returns
-// the first failure; later calls, from the lane's other tasks, wait for
-// the first and return what it returned.
-func (l *lane) measured() error {
+// measured measures the battery in landing order on its first call, each
+// schedule as soon as it has landed, and returns the first failure in that
+// order, or the context's error; later calls, from the lane's other tasks,
+// wait for the first and return what it returned.
+func (l *lane) measured(ctx context.Context) error {
 	l.once.Do(func() {
-		for i := range l.scheds {
-			if l.err = l.measure(i); l.err != nil {
+		for k := range l.scheds {
+			if l.err = l.slots.wait(ctx, k); l.err != nil {
+				return
+			}
+			if l.err = l.measure(l.slots.slot(k)); l.err != nil {
 				return
 			}
 		}
@@ -184,7 +190,7 @@ func RatioContext(ctx context.Context, m cost.Model, f dom.Factory, sched model.
 // its optimum under m. The DP polls the context per request, so
 // cancelling aborts mid-battery.
 func priced(ctx context.Context, m cost.Model, f dom.Factory, scheds []model.Schedule, initial model.Set, t int) (*lane, []float64, error) {
-	l, err := newLane(f, scheds, initial, t)
+	l, err := newLane(f, landedSlots(scheds), initial, t)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -31,11 +31,11 @@ var saDA = [2]dom.Factory{dom.StaticFactory, dom.DynamicFactory}
 // a sweep.
 type lanes [2]*lane
 
-func newLanes(factories [2]dom.Factory, scheds []model.Schedule, initial model.Set, t int) (lanes, error) {
+func newLanes(factories [2]dom.Factory, b *slots, initial model.Set, t int) (lanes, error) {
 	var ls lanes
 	for f, factory := range factories {
 		var err error
-		if ls[f], err = newLane(factory, scheds, initial, t); err != nil {
+		if ls[f], err = newLane(factory, b, initial, t); err != nil {
 			return lanes{}, err
 		}
 	}
@@ -47,18 +47,24 @@ func newLanes(factories [2]dom.Factory, scheds []model.Schedule, initial model.S
 // and the number of distinct (schedule, model) pairs the offline DP ran
 // for to find them.
 //
-// It is one engine run of (algorithm, model-chunk) tasks, chunk models at
-// most, DA's first: DA's nemesis is the battery's longest pass. Each task
-// measures its lane's battery if no task of the lane has yet (lane.measured)
-// and then searches its algorithm's worst case at its models alone (see
-// lane.price), writing only its own models' rows, so dispatch order cannot
-// change a byte. A pair both lanes price is priced twice and counted once.
+// It is one engine run: the build, then (algorithm, model-chunk) tasks,
+// chunk models at most, DA's first: DA's nemesis is the battery's longest
+// pass. Task 0 builds the battery (slots.fill; nothing when it has
+// landed). Each other task measures its lane's battery as it lands if no
+// task of the lane has yet (lane.measured) and then searches its
+// algorithm's worst case at its models alone (see lane.price), writing only
+// its own models' rows, so dispatch order cannot change a byte. A task
+// waits only for the build, and the engine starts tasks in index order, so
+// a serial run never waits. A pair both lanes price is priced twice and
+// counted once.
 //
 // A failure is that of the first failing schedule in battery order, SA's
-// before DA's on the same schedule, whichever task failed first: the
-// engine skips the tasks that had not started, so unless the run was
-// cancelled the battery is re-measured in that order. Cancelling the
-// context aborts the passes in flight and returns ctx.Err().
+// before DA's on the same schedule, whichever task failed first and
+// whichever schedule landed first: the engine skips the tasks that had not
+// started, so unless the run was cancelled the battery — landed whole, as
+// a task fails only on a schedule that landed and the build runs to its
+// end — is re-measured in that order. Cancelling the context aborts the
+// passes in flight and returns ctx.Err().
 func (ls lanes) worst(ctx context.Context, models []cost.Model, chunk, parallelism int, ob obs.Observer) (worst [2][]float64, priced int, err error) {
 	nSched, nModels := len(ls[0].scheds), len(models)
 	chunks := max(1, (nModels+chunk-1)/chunk) // a lane with no models still measures
@@ -70,7 +76,12 @@ func (ls lanes) worst(ctx context.Context, models []cost.Model, chunk, paralleli
 			optCosts[f][i] = math.NaN()
 		}
 	}
-	err = engine.MapObserved(ctx, len(ls)*chunks, parallelism, ob, func(ctx context.Context, i int) error {
+	err = engine.MapObserved(ctx, 1+len(ls)*chunks, parallelism, ob, func(ctx context.Context, i int) error {
+		if i == 0 {
+			ls[0].slots.fill()
+			return nil
+		}
+		i--
 		f, lo := len(ls)-1-i/chunks, i%chunks*chunk
 		hi := min(lo+chunk, nModels)
 		return ls[f].price(ctx, models[lo:hi], optCosts[f][lo*nSched:hi*nSched], worst[f][lo:hi])
@@ -113,7 +124,7 @@ func (ls lanes) worst(ctx context.Context, models []cost.Model, chunk, paralleli
 // A round calls the offline DP once per schedule, at the models that want
 // it, and the task compiles each schedule it prices itself.
 func (l *lane) price(ctx context.Context, models []cost.Model, optCosts, worst []float64) error {
-	if err := l.measured(); err != nil {
+	if err := l.measured(ctx); err != nil {
 		return err
 	}
 	nSched := len(l.scheds)

@@ -46,19 +46,20 @@ type SweepSpec struct {
 	Mobile bool
 	// Battery is the schedule battery every grid point is measured over.
 	Battery BatteryConfig
-	// Parallelism bounds the number of engine tasks run concurrently — a
-	// task is one algorithm's worst case searched over one chunk of the
-	// grid's models (opt.ModelChunk); zero or negative selects
-	// engine.DefaultParallelism (GOMAXPROCS). Results are identical for
-	// every value of Parallelism.
+	// Parallelism bounds the number of engine tasks run concurrently — the
+	// build of the battery, then DA's and SA's tasks, each one algorithm's
+	// worst case searched over one chunk of the grid's models
+	// (opt.ModelChunk); zero or negative selects engine.DefaultParallelism
+	// (GOMAXPROCS). Results are identical for every value of Parallelism.
 	Parallelism int
 	// Seed, when nonzero, overrides Battery.Seed.
 	Seed int64
 	// Obs attaches the instrumentation layer: the engine reports the
-	// progress of the sweep's one run of (algorithm, model-chunk) tasks
-	// through the Observer, and after the sweep completes one "cell"
-	// event per grid point is emitted in grid order (so the event stream
-	// is identical for every Parallelism). Nil disables instrumentation.
+	// progress of the sweep's one run — the build, then (algorithm,
+	// model-chunk) tasks — through the Observer, and after the sweep
+	// completes one "cell" event per grid point is emitted in grid order
+	// (so the event stream is identical for every Parallelism). Nil
+	// disables instrumentation.
 	Obs *obs.Obs
 }
 
@@ -83,22 +84,23 @@ func (spec *SweepSpec) Normalize() error {
 // Points with cc > cd are marked cannot-be-true and skipped.
 //
 // A cell's two figures are two separate maxima, SA's worst ratio and DA's,
-// so the sweep searches them in two lanes (see lanes.worst). SA and DA are
-// cost-oblivious, so each lane measures the battery once (see lane) and
-// then prices a schedule under the admissible cells' models in one pass of
-// the offline DP per chunk of models (opt.Plan.Costs) — under those cells
-// only where a lower bound on the optimum says it could set the lane's
-// worst ratio there. The sweep is one engine run of (algorithm,
-// model-chunk) tasks; a task writes only its own cells and reduces them in
-// battery order, so the points are byte-identical to a serial run, and to
-// pricing every pair, whatever order the pool ran the tasks in.
-// Cancelling the context aborts the passes in flight and returns
-// ctx.Err().
+// so the sweep searches them in two lanes (see lanes.worst). The battery is
+// built inside the run, and a lane measures each schedule as it lands (see
+// slots). SA and DA are cost-oblivious, so each lane measures the battery
+// once (see lane) and then prices a schedule under the admissible cells'
+// models in one pass of the offline DP per chunk of models
+// (opt.Plan.Costs) — under those cells only where a lower bound on the
+// optimum says it could set the lane's worst ratio there. The sweep is one
+// engine run of the build and (algorithm, model-chunk) tasks; a task
+// writes only its own cells and reduces them in battery order, so the
+// points are byte-identical to a serial run, and to pricing every pair,
+// whatever order the pool ran the tasks in. Cancelling the context aborts
+// the passes in flight and returns ctx.Err().
 func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
-	ls, err := newLanes(saDA, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+	ls, err := newLanes(saDA, spec.Battery.layout(), spec.Battery.Initial(), spec.Battery.T)
 	if err != nil {
 		return nil, err
 	}
@@ -109,8 +111,8 @@ func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 // most spec.Battery.N processors.
 func sweep(ctx context.Context, spec SweepSpec, ls lanes) ([]GridPoint, error) {
 	points := make([]GridPoint, 0, len(spec.CCs)*len(spec.CDs))
-	var models []cost.Model // the admissible cells' models, in grid order
-	var cellOf []int        // cellOf[j] is the point models[j] prices
+	models := make([]cost.Model, 0, cap(points)) // the admissible cells' models, in grid order
+	cellOf := make([]int, 0, cap(points))        // cellOf[j] is the point models[j] prices
 	for _, ccv := range spec.CCs {
 		for _, cdv := range spec.CDs {
 			m := cost.SC(ccv, cdv)

@@ -38,7 +38,7 @@ func TestMeasureStreamEqualsMaterialised(t *testing.T) {
 		initial := model.FullSet(tAvail + rng.Intn(n-tAvail+1))
 		sched := workload.Uniform(rng, n, rng.Intn(60), []float64{0.05, 0.3, 0.7}[iter%3])
 		for f, factory := range saDA {
-			l, err := newLane(factory, []model.Schedule{sched}, initial, tAvail)
+			l, err := newLane(factory, landedSlots([]model.Schedule{sched}), initial, tAvail)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestMeasureStreamEqualsMaterialised(t *testing.T) {
 			if err := las.Validate(initial, tAvail); err != nil && !errors.As(err, &want) {
 				t.Fatal(err)
 			}
-			l, err := newLane(bad, []model.Schedule{sched}, initial, tAvail)
+			l, err := newLane(bad, landedSlots([]model.Schedule{sched}), initial, tAvail)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -130,33 +130,23 @@ func (c Counts) String() string {
 // is transmitted to every member of X other than the writer and output to
 // the local database at every member of X.
 func StepCounts(st model.Step, scheme model.Set) Counts {
-	i := st.Request.Processor
-	x := st.Exec
-	switch {
-	case st.Request.IsRead():
-		var c Counts
-		if x.Contains(i) {
-			c = Counts{Control: x.Size() - 1, Data: x.Size() - 1, IO: x.Size()}
-		} else {
-			c = Counts{Control: x.Size(), Data: x.Size(), IO: x.Size()}
-		}
+	x, i := st.Exec, st.Request.Processor
+	n, own := x.Size(), 0 // own: the requester is a member of X
+	if x.Contains(i) {
+		own = 1
+	}
+	if st.Request.IsRead() {
+		c := Counts{Control: n - own, Data: n - own, IO: n}
 		if st.Saving {
 			c.IO++
 		}
 		return c
-	default: // write
-		obsolete := scheme.Diff(x)
-		if !x.Contains(i) {
-			obsolete = obsolete.Remove(i)
-		}
-		c := Counts{Control: obsolete.Size(), IO: x.Size()}
-		if x.Contains(i) {
-			c.Data = x.Size() - 1
-		} else {
-			c.Data = x.Size()
-		}
-		return c
 	}
+	obsolete := scheme.Diff(x)
+	if own == 0 {
+		obsolete = obsolete.Remove(i)
+	}
+	return Counts{Control: obsolete.Size(), Data: n - own, IO: n}
 }
 
 // StepCost prices one step of an allocation schedule under model m, given

@@ -157,7 +157,29 @@ func CheckInitial(initial Set, t int) *Violation {
 // CheckStep is checks 2 to 5 of Validate for step i of an allocation
 // schedule, given the allocation scheme before it: it returns the scheme
 // after the step, or the step's first violation.
+//
+// It is a branch-only accept test, with nothing to format on its path: a
+// step it does not accept goes to explainStep, which makes the checks one
+// by one in the order above and says which one failed.
 func CheckStep(i int, st Step, scheme Set, t int) (Set, *Violation) {
+	next, ok := st.Exec, st.Exec != 0 && !st.Saving && st.Request.Op == Write
+	if st.Request.Op == Read {
+		next, ok = scheme, st.Exec&scheme != 0
+		if p := uint(st.Request.Processor); st.Saving {
+			next, ok = scheme|Set(1)<<p, ok && p < MaxProcessors
+		}
+	}
+	if ok && next.Size() >= t {
+		return next, nil
+	}
+	return explainStep(i, st, scheme, t)
+}
+
+// explainStep is CheckStep one check at a time: the scheme after step i,
+// or the step's first violation.
+//
+//go:noinline
+func explainStep(i int, st Step, scheme Set, t int) (Set, *Violation) {
 	if st.Exec.IsEmpty() {
 		return scheme, &Violation{Index: i, Reason: fmt.Sprintf("%v has an empty execution set", st.Request)}
 	}
