@@ -624,99 +624,130 @@ func TestShrinkRejectsWeakWitness(t *testing.T) {
 	}
 }
 
-// The asymptotic fit recovers Theorem 1's tight factor exactly from small
-// nemesis instances: the slope of COST_SA vs COST_OPT on the read-run
-// family is 1+cc+cd to machine precision, with the additive constant
-// absorbed into the intercept.
-func TestFitAsymptoticRecoverstightSABound(t *testing.T) {
-	m := cost.SC(0.4, 1.1)
-	initial := model.NewSet(0, 1)
-	fit, err := FitAsymptotic(context.Background(), FitSpec{
-		Model: m, Factory: dom.StaticFactory,
-		Family:  func(k int) model.Schedule { return adversary.SAPunisher(5, k) },
-		Ks:      []int{5, 10, 20, 40},
-		Initial: initial, T: 2,
-	})
+// replay is the finite-schedule certificate of an exact factor: the
+// algorithm's cost and the optimum (opt.SolveCost) over the count periods
+// after the first skip, in whole units, as a ratio.
+func replay(t *testing.T, m cost.Model, f dom.Factory, period model.Schedule, initial model.Set, avail, skip, count int) float64 {
+	t.Helper()
+	wm, err := whole(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := SABound(m) // 2.5
-	if math.Abs(fit.Alpha-want) > 1e-9 {
-		t.Errorf("fitted alpha = %.6f, want %.6f", fit.Alpha, want)
+	var alg, optimal [2]float64
+	for i, reps := range []int{skip, skip + count} {
+		var sched model.Schedule
+		for range reps {
+			sched = append(sched, period...)
+		}
+		meas, err := Ratio(wm, f, sched, initial, avail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alg[i] = meas.AlgCost
+		if optimal[i], err = opt.SolveCost(wm, sched, initial, avail); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if fit.MaxResidual > 1e-9 {
-		t.Errorf("family not affine: residual %g", fit.MaxResidual)
+	return ratioOf(alg[1]-alg[0], optimal[1]-optimal[0])
+}
+
+// checkFactor asserts an exact factor and certifies it by a 1 000-period
+// replay past the first 8.
+func checkFactor(t *testing.T, m cost.Model, f dom.Factory, period model.Schedule, initial model.Set, avail int, want float64) {
+	t.Helper()
+	got, err := Factor(context.Background(), m, f, period, initial, avail)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The intercept is the cost OPT pays to set up its saving-read,
-	// scaled — finite and positive.
-	if fit.Beta >= 0 {
-		// SA has no setup advantage, so the intercept is negative
-		// (OPT pays a constant SA doesn't recoup).
-		t.Errorf("intercept = %.4f, expected negative", fit.Beta)
+	if got != want {
+		t.Errorf("%v on %v: factor %v, want %v", m, period, got, want)
+	}
+	if r := replay(t, m, f, period, initial, avail, 8, 1000); r != got {
+		t.Errorf("%v on %v: factor %v, a 1 000-period replay reads %v", m, period, got, r)
 	}
 }
 
-// In the mobile model the family's OPT cost is constant, so the fit must
-// fail loudly instead of dividing by zero — and the divergence shows up as
-// an unbounded plain ratio instead.
-func TestFitAsymptoticDegenerateFamily(t *testing.T) {
-	m := cost.MC(0.3, 1.0)
-	initial := model.NewSet(0, 1)
-	_, err := FitAsymptotic(context.Background(), FitSpec{
-		Model: m, Factory: dom.StaticFactory,
-		Family:  func(k int) model.Schedule { return adversary.SAPunisher(5, k) },
-		Ks:      []int{5, 10, 20},
-		Initial: initial, T: 2,
-	})
-	if err == nil {
-		t.Error("constant-OPT family fitted without error")
-	}
-}
-
-func TestFitAsymptoticValidation(t *testing.T) {
-	m := cost.SC(0.4, 1.1)
-	if _, err := FitAsymptotic(context.Background(), FitSpec{
-		Model: m, Factory: dom.StaticFactory,
-		Family:  func(k int) model.Schedule { return adversary.SAPunisher(5, k) },
-		Ks:      []int{5},
-		Initial: model.NewSet(0, 1), T: 2,
-	}); err == nil {
-		t.Error("single size accepted")
-	}
-}
-
-// The DA nemesis family's fitted slope gives the sharpened empirical lower
-// bound of E21 directly, well above the paper's 1.5. (No closed form is
-// asserted: the exact optimum is cleverer than the obvious per-round
-// analysis — it floats one reader into each write's execution set — so the
-// DP, not hand algebra, defines the denominator.)
-func TestFitAsymptoticDALowerBound(t *testing.T) {
-	m := cost.SC(0.05, 0.1)
-	initial := model.NewSet(0, 1)
-	readers := []model.ProcessorID{2, 3, 4, 5}
-	fit, err := FitAsymptotic(context.Background(), FitSpec{
-		Model: m, Factory: dom.DynamicFactory,
-		Family: func(k int) model.Schedule {
-			s, err := adversary.DAPunisher(readers, 0, k)
-			if err != nil {
-				panic(err)
+// Proposition 1, exactly: on the read run SA's factor is 1+cc+cd at every
+// cell of the figure-1 plane. The want is taken in whole units, since
+// SABound's float sum rounds (2.5999999999999996 at (0.2, 1.4)).
+func TestFactorSAReadRunIsTight(t *testing.T) {
+	for _, cc := range goldenAxis {
+		for _, cd := range goldenAxis {
+			if cc > cd {
+				continue
 			}
-			return s
-		},
-		Ks:      []int{5, 10, 20, 40},
-		Initial: initial, T: 2,
-	})
+			m := cost.SC(cc, cd)
+			wm, err := whole(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := (wm.CIO + wm.CC + wm.CD) / wm.CIO
+			checkFactor(t, m, dom.StaticFactory, adversary.SAPunisher(5, 1), model.NewSet(0, 1), 2, want)
+		}
+	}
+}
+
+// Proposition 3, exactly: in the mobile model the optimum's cost stops
+// growing on the read run while SA's does not.
+func TestFactorSAMobileIsInfinite(t *testing.T) {
+	checkFactor(t, cost.MC(0.3, 1.0), dom.StaticFactory, adversary.SAPunisher(5, 1), model.NewSet(0, 1), 2, math.Inf(1))
+}
+
+func TestFactorValidation(t *testing.T) {
+	ctx := context.Background()
+	read := adversary.SAPunisher(5, 1)
+	for _, c := range []struct {
+		m       cost.Model
+		period  model.Schedule
+		initial model.Set
+		want    string
+	}{
+		{cost.SC(0.4, 1.1), nil, model.NewSet(0, 1), "and a request, got cost(cc=4,cd=11,cio=10) and 0"},
+		{cost.SC(0.00001, 1.1), read, model.NewSet(0, 1), "no scale up to 10000"},
+		{cost.SC(0.4, 1.1), read, model.NewSet(0), "fewer than t = 2"},
+	} {
+		if _, err := Factor(ctx, c.m, dom.StaticFactory, c.period, c.initial, 2); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v on %v from %v: err = %v, want one naming %q", c.m, c.period, c.initial, err, c.want)
+		}
+	}
+}
+
+// E21's exact factors of the DA nemesis, above the paper's 1.5 (and
+// strictly: no closed form was asserted while the fit stood, because the
+// optimum floats one reader into each write's execution set), and two
+// ping-pong factors at n = 3: 25/17 in SC, below 1.5, and 3 in MC.
+func TestFactorDALowerBound(t *testing.T) {
+	initial := model.NewSet(0, 1)
+	nemesis, err := adversary.DAPunisher([]model.ProcessorID{2, 3, 4, 5}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fit.Alpha <= DALowerBound {
-		t.Errorf("fitted alpha %.4f does not sharpen the paper's 1.5", fit.Alpha)
+	for _, c := range []struct {
+		m      cost.Model
+		period model.Schedule
+		want   float64
+	}{
+		{cost.SC(0.05, 0.1), nemesis, 109.0 / 65},
+		{cost.SC(0.1, 0.4), nemesis, 64.0 / 39},
+		{cost.SC(0.2, 0.7), nemesis, 151.0 / 92},
+		{cost.SC(0.3, 0.9), nemesis, 169.0 / 102},
+		{cost.SC(0.1, 0.4), adversary.PingPong(0, 2, 1), 25.0 / 17},
+		{cost.MC(0.5, 1), adversary.PingPong(0, 2, 1), 3},
+	} {
+		checkFactor(t, c.m, dom.DynamicFactory, c.period, initial, 2, c.want)
 	}
-	if fit.Alpha > 2+2*m.CC {
-		t.Errorf("fitted alpha %.4f exceeds the upper bound", fit.Alpha)
+}
+
+// Writes rotating over three processors give the optimum a two-period
+// cycle: the factor is over its growth per period, not per cycle.
+func TestFactorOverATwoPeriodCycle(t *testing.T) {
+	period, initial := model.MustParseSchedule("w2 w1 w0"), model.NewSet(0, 1)
+	plan, err := opt.Compile(period, initial, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The family is affine up to boundary effects in the first rounds.
-	if fit.MaxResidual > 0.5 {
-		t.Errorf("residual %.4f too large for an affine family", fit.MaxResidual)
+	if _, periods, _, err := plan.Rate(context.Background(), cost.Model{CC: 1, CD: 4, CIO: 10}); err != nil || periods != 2 {
+		t.Fatalf("Rate: a %d-period cycle, err %v; want 2 periods", periods, err)
 	}
+	checkFactor(t, cost.SC(0.1, 0.4), dom.DynamicFactory, period, initial, 2, 148.0/147)
 }

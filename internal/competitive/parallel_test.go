@@ -487,8 +487,7 @@ func TestSweepCancellationPromptAndLeakFree(t *testing.T) {
 	t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
-// A context cancelled before the call must abort Search and FitAsymptotic
-// too.
+// A context cancelled before the call must abort Search and Factor too.
 func TestSearchAndFitPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -498,12 +497,7 @@ func TestSearchAndFitPreCancelled(t *testing.T) {
 	}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Search err = %v, want context.Canceled", err)
 	}
-	if _, err := FitAsymptotic(ctx, FitSpec{
-		Model: cost.SC(0.4, 1.1), Factory: dom.StaticFactory,
-		Family:  func(k int) model.Schedule { return adversary.SAPunisher(5, k) },
-		Ks:      []int{5, 10},
-		Initial: DefaultBattery().Initial(), T: 2,
-	}); err == nil {
-		t.Error("FitAsymptotic accepted a cancelled context")
+	if _, err := Factor(ctx, cost.SC(0.4, 1.1), dom.StaticFactory, adversary.SAPunisher(5, 1), DefaultBattery().Initial(), 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("Factor err = %v, want context.Canceled", err)
 	}
 }

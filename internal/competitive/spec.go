@@ -15,5 +15,4 @@ var (
 	_ Spec = (*SweepSpec)(nil)
 	_ Spec = (*SearchConfig)(nil)
 	_ Spec = (*CrossoverSpec)(nil)
-	_ Spec = (*FitSpec)(nil)
 )

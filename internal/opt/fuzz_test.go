@@ -64,8 +64,9 @@ func fuzzInstance(data []byte) (sched model.Schedule, initial model.Set, t int, 
 // fresh one-shot solves under a second model (a Plan must carry no state
 // from one model's pass into the next), and run, the one-model DP Solve
 // traces back through — Cost under either model, and Costs under both at
-// once, must equal it bit for bit — and the Bound, whose Floor must stay
-// below its Price and its Price below the optimum.
+// once, must equal it bit for bit — the Bound, whose Floor must stay
+// below its Price and its Price below the optimum, and Rate, which must
+// predict the optimum's growth over the schedule repeated.
 func FuzzOptCost(f *testing.F) {
 	f.Add([]byte{})                                              // empty schedule, n = t = 1
 	f.Add([]byte{4, 1, 0x12, 0x85, 0x03})                        // empty schedule, n = 5, t = 2
@@ -162,6 +163,31 @@ func FuzzOptCost(f *testing.F) {
 		}
 		if math.Float64bits(both[0]) != math.Float64bits(res.Cost) || math.Float64bits(both[1]) != math.Float64bits(ref2) {
 			t.Fatalf("Costs %b, %b; run %b under %v, %b under %v", both[0], both[1], res.Cost, m, ref2, m2)
+		}
+
+		// The schedule as a period, at the model's prices ×20 (whole):
+		// past the cycle's start, the optimum grows by Rate's growth over
+		// every whole cycle, exactly.
+		if len(sched) == 0 {
+			return
+		}
+		wm := cost.Model{CC: math.Round(20 * m.CC), CD: math.Round(20 * m.CD), CIO: 20 * m.CIO}
+		growth, periods, start, err := plan.Rate(ctx, wm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var at [2]float64
+		for i, reps := range []int{start, start + 3*periods} {
+			var run model.Schedule
+			for range reps {
+				run = append(run, sched...)
+			}
+			if at[i], err = SolveCost(wm, run, initial, tAvail); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if at[1]-at[0] != 3*growth {
+			t.Fatalf("Rate: growth %g over %d periods from %d; a replay of 3 cycles grows %g\nmodel %v t=%d initial=%v period: %v", growth, periods, start, at[1]-at[0], wm, tAvail, initial, sched)
 		}
 	})
 }

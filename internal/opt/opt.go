@@ -253,29 +253,51 @@ func (p *Plan) run(ctx context.Context, m cost.Model, parents []uint32, ws *work
 	if err := m.Validate(); err != nil {
 		return 0, 0, err
 	}
-	n, size := len(p.ids), p.size()
+	dp, next, g := p.startRows(ws)
+	var arg []uint32 // minTransform's minimizing Y per Z, for traceback
+	if parents != nil {
+		arg = make([]uint32, p.size())
+	}
+	dp, _, err := p.pass(ctx, m, dp, next, g, arg, parents)
+	if err != nil {
+		return 0, 0, err
+	}
 
-	// Three rows: dp and next keep +Inf at every infeasible mask for the
-	// whole pass (the relaxations write feasible masks only); g is the
-	// write transform's scratch row.
+	best, final := inf, uint32(0)
+	for _, y := range p.feasible {
+		if dp[y] < best {
+			best, final = dp[y], y
+		}
+	}
+	if math.IsInf(best, 1) {
+		return 0, 0, fmt.Errorf("opt: no feasible allocation schedule (universe of %d processors, t = %d)", len(p.ids), p.t)
+	}
+	return best, final, nil
+}
+
+// startRows returns the one-model DP's rows out of ws: dp (0 at the initial
+// scheme) and next, +Inf at every other mask, and g, minTransform's.
+func (p *Plan) startRows(ws *workspace) (dp, next, g []float64) {
+	size := p.size()
 	rows := ws.floats(3 * size)
-	dp, next, g := rows[:size], rows[size:2*size], rows[2*size:]
 	for i := range rows[:2*size] {
 		rows[i] = inf
 	}
-	dp[p.init] = 0
-	var arg []uint32 // minTransform's minimizing Y per Z, for traceback
-	if parents != nil {
-		arg = make([]uint32, size)
-	}
+	rows[p.init] = 0
+	return rows[:size], rows[size : 2*size], rows[2*size:]
+}
 
-	pr := newPrices(m, n)
-
+// pass relaxes the plan's requests in order from dp, polling the context
+// between them, and returns the row after the last and the other; with
+// parents non-nil it records each predecessor state, arg holding
+// minTransform's.
+func (p *Plan) pass(ctx context.Context, m cost.Model, dp, next, g []float64, arg, parents []uint32) ([]float64, []float64, error) {
+	size, pr := len(dp), newPrices(m, len(p.ids))
 	done := ctx.Done()
 	for k, q := range p.reqs {
 		select {
 		case <-done:
-			return 0, 0, ctx.Err()
+			return nil, nil, ctx.Err()
 		default:
 		}
 		var parent []uint32
@@ -291,17 +313,7 @@ func (p *Plan) run(ctx context.Context, m cost.Model, parents []uint32, ws *work
 		}
 		dp, next = next, dp
 	}
-
-	best, final := inf, uint32(0)
-	for _, y := range p.feasible {
-		if dp[y] < best {
-			best, final = dp[y], y
-		}
-	}
-	if math.IsInf(best, 1) {
-		return 0, 0, fmt.Errorf("opt: no feasible allocation schedule (universe of %d processors, t = %d)", n, p.t)
-	}
-	return best, final, nil
+	return dp, next, nil
 }
 
 // prices is a cost model laid out for the relaxations: every per-request

@@ -60,7 +60,7 @@ import (
 // ---- Parallel evaluation engine ----
 //
 // Every long-running evaluation entry point (plane sweeps, adversarial
-// search, crossover bisection, asymptotic fits, the offline optimum) has a
+// search, crossover bisection, the offline optimum) has a
 // context-aware form that runs on a shared bounded worker pool and can be
 // cancelled. Parallel runs are deterministic: for the same seed the
 // results are byte-identical to a serial (Parallelism: 1) run.
@@ -205,7 +205,7 @@ func SABound(m CostModel) float64 { return competitive.SABound(m) }
 func DABound(m CostModel) float64 { return competitive.DABound(m) }
 
 // Spec is the contract shared by every evaluation spec (SweepSpec,
-// SearchConfig, CrossoverSpec, FitSpec): Normalize validates the spec and
+// SearchConfig, CrossoverSpec): Normalize validates the spec and
 // resolves its defaults in place. Every evaluation entry point calls its
 // spec's Normalize first, so a caller that wants early errors — a CLI
 // validating flags before a long run, say — can call Normalize itself and
@@ -279,23 +279,11 @@ func CrossoverContext(ctx context.Context, spec CrossoverSpec) (CrossoverResult,
 	return competitive.Crossover(ctx, spec)
 }
 
-// ScheduleFamily generates the k-th member of a growing schedule family.
-type ScheduleFamily = competitive.Family
-
-// AsymptoticFit separates an algorithm's competitive factor (slope) from
-// its additive constant (intercept) on a schedule family.
-type AsymptoticFit = competitive.AsymptoticFit
-
-// FitSpec configures an asymptotic fit; see FitAsymptoticContext.
-type FitSpec = competitive.FitSpec
-
-// FitAsymptoticContext least-squares-fits COST_A ≈ α·COST_OPT + β over a
-// schedule family. Family members are measured concurrently on the
-// parallel engine (one task per k, bounded by spec.Parallelism); the fit
-// over the ordered measurements is identical to a serial run. Cancelling
-// the context aborts outstanding measurements.
-func FitAsymptoticContext(ctx context.Context, spec FitSpec) (AsymptoticFit, error) {
-	return competitive.FitAsymptotic(ctx, spec)
+// AsymptoticFactor is SA's or DA's exact asymptotic competitive factor on
+// the endless repetition of period, the limit of COST_A / COST_OPT, at
+// prices some q ≤ 10 000 makes whole. Cancelling ctx aborts OPT's DP.
+func AsymptoticFactor(ctx context.Context, m CostModel, f Factory, period Schedule, initial Set, t int) (float64, error) {
+	return competitive.Factor(ctx, m, f, period, initial, t)
 }
 
 // ---- Executable distributed system ----

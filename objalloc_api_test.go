@@ -15,7 +15,6 @@ func TestSpecNormalize(t *testing.T) {
 		&objalloc.SweepSpec{},
 		&objalloc.SearchConfig{},
 		&objalloc.CrossoverSpec{},
-		&objalloc.FitSpec{},
 	}
 	for i, s := range specs {
 		if err := s.Normalize(); err == nil {

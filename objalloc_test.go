@@ -383,22 +383,13 @@ func TestFacadeTopologyAwareDAAndFit(t *testing.T) {
 		t.Errorf("aware DA served from %v", st.Exec)
 	}
 
-	fit, err := objalloc.FitAsymptoticContext(context.Background(), objalloc.FitSpec{
-		Model: objalloc.SC(0.4, 1.1), Factory: objalloc.StaticFactory,
-		Family: func(k int) objalloc.Schedule {
-			var s objalloc.Schedule
-			for i := 0; i < k; i++ {
-				s = append(s, objalloc.R(5))
-			}
-			return s
-		},
-		Ks: []int{5, 10, 20}, Initial: objalloc.NewSet(0, 1), T: 2,
-	})
+	factor, err := objalloc.AsymptoticFactor(context.Background(), objalloc.SC(0.4, 1.1), objalloc.StaticFactory,
+		objalloc.Schedule{objalloc.R(5)}, objalloc.NewSet(0, 1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fit.Alpha < 2.49 || fit.Alpha > 2.51 {
-		t.Errorf("fitted alpha = %g, want 2.5", fit.Alpha)
+	if factor != 2.5 {
+		t.Errorf("SA's factor on a read run = %v, want 2.5", factor)
 	}
 }
 
