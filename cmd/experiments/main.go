@@ -585,8 +585,8 @@ func e18Beam() {
 	m := cost.SC(0.3, 1.2)
 	initial := model.NewSet(0, 1)
 
-	// Small instances: beam vs the exact optimum.
-	var worstGap float64 = 1
+	// Small instances: beam and the interval bound vs the exact optimum.
+	worstGap, lo, hi := 1.0, math.Inf(1), 0.0
 	for iter := 0; iter < 20; iter++ {
 		sched := workload.Uniform(rng, 6, 40, 0.3)
 		exact, err := opt.SolveCostContext(runCtx, m, sched, initial, 2)
@@ -597,22 +597,33 @@ func e18Beam() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if exact > 0 && beam.Cost/exact > worstGap {
-			worstGap = beam.Cost / exact
+		bd, err := opt.NewBound(sched, initial, 2)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if exact > 0 {
+			r := bd.Price(m) / exact
+			worstGap, lo, hi = max(worstGap, beam.Cost/exact), min(lo, r), max(hi, r)
 		}
 	}
-	fmt.Printf("beam(64) vs exact optimum on 20 solvable instances: worst gap %.2f%%\n\n", 100*(worstGap-1))
+	fmt.Printf("beam(64) vs exact optimum on 20 solvable instances: worst gap %.2f%%\n", 100*(worstGap-1))
+	fmt.Printf("interval bound / exact optimum on the same instances: %.3f to %.3f\n\n", lo, hi)
 
-	// Large instance: 30 processors, beyond the exact solver.
+	// Large instance: 30 processors, beyond the exact solver, where OPT
+	// lies between the interval bound and beam's cost.
 	sched := workload.Uniform(rng, 30, 400, 0.25)
 	beam, err := opt.BeamContext(runCtx, m, sched, initial, 2, 32)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lb := opt.LowerBound(m, sched, 2)
-	tbl := stats.NewTable("quantity", "cost (30 processors, 400 requests)")
-	tbl.AddRow("closed-form lower bound", lb)
-	tbl.AddRow("beam-search offline (upper bound on OPT)", beam.Cost)
+	bd, err := opt.NewBound(sched, initial, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	lb := bd.Price(m)
+	tbl := stats.NewTable("quantity", "cost (30 processors, 400 requests)", "ratio bracket [cost/beam, cost/bound]")
+	tbl.AddRow("interval lower bound on OPT", lb, "")
+	tbl.AddRow("beam-search offline (upper bound on OPT)", beam.Cost, "")
 	for _, f := range []struct {
 		name    string
 		factory dom.Factory
@@ -621,10 +632,11 @@ func e18Beam() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tbl.AddRow(f.name, cost.ScheduleCost(m, las, initial))
+		c := cost.ScheduleCost(m, las, initial)
+		tbl.AddRow(f.name, c, fmt.Sprintf("[%.3f, %.3f]", c/beam.Cost, c/lb))
 	}
 	fmt.Print(tbl.String())
-	fmt.Println("\nonline-DA / beam upper-bounds DA's true ratio at this scale.")
+	fmt.Println("\neach online algorithm's true ratio on this instance lies in its bracket.")
 }
 
 // e21Gap attacks the open problem the paper leaves (§6.1: "the gap between

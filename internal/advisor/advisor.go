@@ -87,8 +87,9 @@ type Evaluation struct {
 	Name string
 	// Cost is the candidate's total cost on the sample.
 	Cost float64
-	// Ratio is Cost divided by the exact offline optimum, when the
-	// sample was small enough to solve exactly; 0 otherwise.
+	// Ratio is Cost divided by Advice.OptimalCost, 0 when that is 0: the
+	// ratio to the optimum when the sample was solved exactly, and a
+	// value no larger than it when beam search stood in.
 	Ratio float64
 }
 
@@ -100,8 +101,9 @@ type Advice struct {
 	Best string
 	// Evaluations lists every candidate, cheapest first.
 	Evaluations []Evaluation
-	// OptimalCost is the exact offline optimum on the sample (0 when the
-	// instance exceeded the exact solver and the beam bound was used).
+	// OptimalCost is the exact offline optimum on the sample, or, when the
+	// instance exceeded the exact solver, the cost of beam search's
+	// schedule, an upper bound on the optimum.
 	OptimalCost float64
 	// Exact reports whether OptimalCost came from the exact solver.
 	Exact bool
@@ -127,7 +129,7 @@ func Recommend(m cost.Model, sample model.Schedule, initial model.Set, t int, ca
 		adv.Exact = true
 	} else {
 		// Instance too large for the exact solver: fall back to the beam
-		// upper bound so ratios stay meaningful (they over-estimate).
+		// upper bound so ratios stay meaningful (they under-estimate).
 		beam, berr := opt.Beam(m, sample, initial, t, 32)
 		if berr != nil {
 			return nil, fmt.Errorf("advisor: no offline yardstick: exact: %v; beam: %w", err, berr)

@@ -52,8 +52,9 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkBound is the lower bound's share of a bench-shaped sweep, a
-// measuring aid for `make allocs`: in each lane, the bounds over the
-// default battery from what measuring counted (opt.BoundOf), then the
+// measuring aid for `make allocs`: in each lane, the universe check and
+// the bounds over the default battery from what measuring counted
+// (opt.CheckInstance, opt.BoundOf), then the
 // lazy rule at the grid's 21 admissible cells on the task's own copies,
 // each building its signature on its first Price — the lane's lead per
 // cell, the +Inf test and round 2's test against the worst ratios the
@@ -85,9 +86,10 @@ func BenchmarkBound(b *testing.B) {
 	for range b.N {
 		for f, l := range ls {
 			for i, s := range scheds {
-				if l.bounds[i], err = opt.BoundOf(s, l.initial, l.t, procs[i], reads[i]); err != nil {
+				if err := opt.CheckInstance(l.initial, l.t, procs[i].Union(l.initial).Size()); err != nil {
 					b.Fatal(err)
 				}
+				l.bounds[i] = opt.BoundOf(s, l.initial, l.t, reads[i])
 			}
 			x := l.newPairBounds(models)
 			for j := range models {

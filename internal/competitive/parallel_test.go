@@ -274,6 +274,10 @@ func assertPrunedEverywhere(t *testing.T, nemeses []model.Schedule, sched model.
 	t.Helper()
 	ctx := context.Background()
 	ls := measuredLanes(t, nemeses, initial, tAvail)
+	bd, err := opt.NewBound(sched, initial, tAvail)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, cc := range ccs {
 		for _, cd := range cds {
 			if cc > cd {
@@ -301,7 +305,7 @@ func assertPrunedEverywhere(t *testing.T, nemeses []model.Schedule, sched model.
 					t.Fatal(err)
 				}
 				alg := cost.TotalCounts(alloc, initial).Price(m)
-				if bound := alg / (opt.LowerBound(m, sched, tAvail) * boundMargin); !(bound < incumbent) {
+				if bound := alg / (bd.Floor(m) * boundMargin); !(bound < incumbent) {
 					t.Fatalf("%v: factory %d's bound %g is not below its incumbent %g", m, f, bound, incumbent)
 				}
 			}

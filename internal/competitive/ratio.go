@@ -78,7 +78,8 @@ func newLane(factory dom.Factory, b *slots, initial model.Set, t int) (*lane, er
 // step it takes as model.AllocSchedule.Validate would, adds up its counts
 // as cost.TotalCounts would — without holding the allocation schedule, of
 // which only the total is kept — and counts what the schedule's lower
-// bound needs, which then refuses what opt.Compile would refuse.
+// bound needs and what opt.CheckInstance needs to refuse what opt.Compile
+// would refuse, also where the bound prunes the schedule at every cell.
 func (l *lane) measure(i int) error {
 	alg, err := l.factory(l.initial, l.t)
 	if err != nil {
@@ -104,8 +105,8 @@ func (l *lane) measure(i int) error {
 		}
 	}
 	l.counts[i] = total
-	l.bounds[i], err = opt.BoundOf(l.scheds[i], l.initial, l.t, procs, reads)
-	return err
+	l.bounds[i] = opt.BoundOf(l.scheds[i], l.initial, l.t, reads)
+	return opt.CheckInstance(l.initial, l.t, procs.Union(l.initial).Size())
 }
 
 // measured measures the battery in landing order on its first call, each

@@ -10,25 +10,11 @@ import (
 )
 
 // The exact DP materializes 2^n states and is limited to MaxUniverse
-// processors. For larger systems this file provides the two practical
-// companions:
-//
-//   - LowerBound: a closed-form bound below the optimum, valid for any n —
-//     useful as a denominator that over-estimates (never under-estimates)
-//     a measured competitive ratio;
-//   - Beam: beam search over allocation schemes with protocol-shaped
-//     candidate execution sets — an upper bound on the optimum that the
-//     tests show stays within a few percent of the exact DP on instances
-//     small enough to solve exactly.
-
-// LowerBound returns a value no larger than COST_OPT(I, ψ) under model m
-// with threshold t, for any number of processors: the closed form
-// Bound.Floor, which needs the request counts alone.
-func LowerBound(m cost.Model, sched model.Schedule, t int) float64 {
-	reads := sched.Reads()
-	b := Bound{reads: reads, writes: len(sched) - reads, t: t}
-	return b.Floor(m)
-}
+// processors. For larger systems OPT is bracketed: Bound gives the lower
+// side, and Beam — beam search over allocation schemes with
+// protocol-shaped candidate execution sets — the upper side, which the
+// tests show stays within a few percent of the exact DP on instances
+// small enough to solve exactly.
 
 // BeamResult is the outcome of the beam search.
 type BeamResult struct {
@@ -68,11 +54,8 @@ func BeamContext(ctx context.Context, m cost.Model, sched model.Schedule, initia
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if t < 1 {
-		return nil, fmt.Errorf("opt: availability threshold t = %d", t)
-	}
-	if initial.Size() < t {
-		return nil, fmt.Errorf("opt: initial scheme %v smaller than t = %d", initial, t)
+	if err := checkThreshold(initial, t); err != nil {
+		return nil, err
 	}
 	if width < 1 {
 		width = 1
@@ -165,9 +148,9 @@ func candidateSteps(q model.Request, scheme, initial, universe model.Set, upcomi
 	// Keep the whole current scheme (no invalidations).
 	add(scheme)
 	// Writer plus the hottest upcoming readers.
-	add(topReaders(upcoming, universe, t-1))
+	add(pickTop(upcoming, universe, t-1))
 	// Writer plus the t-1 current members that will read soonest.
-	add(topReadersFrom(upcoming, scheme, t-1))
+	add(pickTop(upcoming, scheme, t-1))
 	// Return to the initial placement.
 	add(trimTo(initial, t))
 
@@ -203,16 +186,8 @@ func trimTo(x model.Set, t int) model.Set {
 	return out
 }
 
-// topReaders returns the k processors with the most upcoming reads.
-func topReaders(upcoming map[model.ProcessorID]int, universe model.Set, k int) model.Set {
-	return pickTop(upcoming, universe, k)
-}
-
-// topReadersFrom restricts the pick to the given candidate set.
-func topReadersFrom(upcoming map[model.ProcessorID]int, candidates model.Set, k int) model.Set {
-	return pickTop(upcoming, candidates, k)
-}
-
+// pickTop returns the k candidates with the most upcoming reads, ties to
+// the smaller id.
 func pickTop(upcoming map[model.ProcessorID]int, candidates model.Set, k int) model.Set {
 	type pair struct {
 		p model.ProcessorID

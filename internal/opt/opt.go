@@ -47,7 +47,8 @@
 // tested against bit for bit.
 //
 // The DP state space limits the universe to MaxUniverse processors; this is
-// a limit of the yardstick only — the online algorithms themselves scale to
+// a limit of the exact yardstick only — the online algorithms, the lower
+// bound (Bound) and beam search (Beam) take any universe up to
 // model.MaxProcessors.
 package opt
 
@@ -119,7 +120,7 @@ func Compile(sched model.Schedule, initial model.Set, t int) (*Plan, error) {
 	for k, q := range sched {
 		p.reqs[k] = planReq{bit: p.bit(q.Processor), read: q.IsRead()}
 	}
-	if err := checkInstance(initial, t, len(p.ids)); err != nil {
+	if err := CheckInstance(initial, t, len(p.ids)); err != nil {
 		return nil, err
 	}
 	// One allocation holds both per-state tables.
@@ -135,17 +136,29 @@ func Compile(sched model.Schedule, initial model.Set, t int) (*Plan, error) {
 	return p, nil
 }
 
-// checkInstance is what Compile refuses in an instance whose processor
+// CheckInstance is what Compile refuses in an instance whose processor
 // universe — the initial scheme and the schedule's processors — has n
-// members, in the order it checks.
-func checkInstance(initial model.Set, t, n int) error {
+// members, in the order it checks: checkThreshold's refusals, then a
+// universe beyond MaxUniverse.
+func CheckInstance(initial model.Set, t, n int) error {
+	if err := checkThreshold(initial, t); err != nil {
+		return err
+	}
+	if n > MaxUniverse {
+		return fmt.Errorf("opt: %d distinct processors exceed the exact solver's limit of %d", n, MaxUniverse)
+	}
+	return nil
+}
+
+// checkThreshold is what every entry point of the package refuses,
+// whatever the instance's universe: a threshold t below 1, or an initial
+// scheme with fewer than t members.
+func checkThreshold(initial model.Set, t int) error {
 	switch {
 	case t < 1:
 		return fmt.Errorf("opt: availability threshold t = %d, must be at least 1", t)
 	case initial.Size() < t:
 		return fmt.Errorf("opt: initial scheme %v has fewer than t = %d members", initial, t)
-	case n > MaxUniverse:
-		return fmt.Errorf("opt: %d distinct processors exceed the exact solver's limit of %d", n, MaxUniverse)
 	}
 	return nil
 }
@@ -384,19 +397,19 @@ type Bound struct {
 	sig []int32
 }
 
-// NewBound returns an instance's Bound, refusing what Compile refuses with
-// the error Compile returns, so an instance it accepts compiles.
+// NewBound returns an instance's Bound, for any universe a model.Set
+// holds, refusing only checkThreshold's refusals.
 func NewBound(sched model.Schedule, initial model.Set, t int) (Bound, error) {
-	return BoundOf(sched, initial, t, sched.Processors(), sched.Reads())
-}
-
-// BoundOf is NewBound for a caller that has walked the schedule already:
-// procs is the set of its processors and reads the number of its reads.
-func BoundOf(sched model.Schedule, initial model.Set, t int, procs model.Set, reads int) (Bound, error) {
-	if err := checkInstance(initial, t, procs.Union(initial).Size()); err != nil {
+	if err := checkThreshold(initial, t); err != nil {
 		return Bound{}, err
 	}
-	return Bound{reads: reads, writes: len(sched) - reads, t: t, sched: sched, initial: initial}, nil
+	return BoundOf(sched, initial, t, sched.Reads()), nil
+}
+
+// BoundOf is NewBound for a caller that has checked the instance already
+// (CheckInstance) and counted its reads while walking the schedule.
+func BoundOf(sched model.Schedule, initial model.Set, t, reads int) Bound {
+	return Bound{reads: reads, writes: len(sched) - reads, t: t, sched: sched, initial: initial}
 }
 
 // signature returns the relaxation's input for sched from initial (see

@@ -375,10 +375,9 @@ func TestOptimalMonotoneInT(t *testing.T) {
 
 // The bound against the DP, over random schedules and random initial
 // schemes under SC, MC and edge models, n ≤ 7 and every t = 1…n: the
-// closed form Floor is LowerBound's and lies below the interval
-// relaxation Price, and Price deflated by a relative 1e-9 (what a sweep
-// prunes with) never exceeds the optimum — and equals it where the
-// relaxation leaves nothing out.
+// closed form Floor lies below the interval relaxation Price, and Price
+// deflated by a relative 1e-9 (what a sweep prunes with) never exceeds
+// the optimum — and equals it where the relaxation leaves nothing out.
 func TestBoundBelowCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	ctx := context.Background()
@@ -405,8 +404,8 @@ func TestBoundBelowCost(t *testing.T) {
 					t.Fatal(err)
 				}
 				floor, lb := bd.Floor(m), bd.Price(m)
-				if floor != LowerBound(m, sched, tAvail) || floor > lb {
-					t.Fatalf("iter %d: Floor %g, LowerBound %g, Price %g under %v", iter, floor, LowerBound(m, sched, tAvail), lb, m)
+				if floor > lb {
+					t.Fatalf("iter %d: Floor %g above Price %g under %v", iter, floor, lb, m)
 				}
 				if lb*(1-1e-9) > got {
 					t.Fatalf("iter %d: bound %g above optimum %g under %v, t=%d, initial %v\nsched: %v", iter, lb, got, m, tAvail, initial, sched)
@@ -450,7 +449,8 @@ func TestBoundBelowCost(t *testing.T) {
 	}
 }
 
-// NewBound refuses exactly what Compile refuses, with Compile's error.
+// CheckInstance refuses exactly what Compile refuses, with Compile's
+// error, and NewBound refuses the same but for a universe beyond the DP's.
 func TestNewBoundRefusesWhatCompileRefuses(t *testing.T) {
 	big := make(model.Schedule, 0, MaxUniverse+1)
 	for i := 0; i <= MaxUniverse; i++ {
@@ -470,9 +470,14 @@ func TestNewBoundRefusesWhatCompileRefuses(t *testing.T) {
 		{"initial outside the schedule", sched, model.NewSet(3, 4, 5), 3},
 	} {
 		_, want := Compile(c.sched, c.initial, c.t)
-		_, got := NewBound(c.sched, c.initial, c.t)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s: NewBound error %v, Compile error %v", c.name, got, want)
+		if got := CheckInstance(c.initial, c.t, c.sched.Processors().Union(c.initial).Size()); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: CheckInstance error %v, Compile error %v", c.name, got, want)
+		}
+		if c.name == "oversized universe" {
+			want = nil
+		}
+		if _, got := NewBound(c.sched, c.initial, c.t); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: NewBound error %v, want %v", c.name, got, want)
 		}
 	}
 }

@@ -394,12 +394,6 @@ func FormatFaults(p FaultPlan) string { return netsim.FormatFaults(p) }
 
 // ---- Offline approximations for large systems ----
 
-// OptimalLowerBound returns a closed-form value no larger than the optimal
-// offline cost, valid for any number of processors.
-func OptimalLowerBound(m CostModel, sched Schedule, t int) float64 {
-	return opt.LowerBound(m, sched, t)
-}
-
 // BeamResult carries the beam-search approximation of the offline optimum.
 type BeamResult = opt.BeamResult
 

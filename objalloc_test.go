@@ -194,13 +194,12 @@ func TestFacadeOfflineApproximations(t *testing.T) {
 	initial := objalloc.NewSet(0, 1)
 	m := objalloc.SC(0.3, 1.2)
 
-	lb := objalloc.OptimalLowerBound(m, sched, 2)
 	beam, err := objalloc.OptimalBeamContext(context.Background(), m, sched, initial, 2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(lb > 0 && lb <= beam.Cost) {
-		t.Errorf("lower bound %g vs beam %g", lb, beam.Cost)
+	if !(beam.Cost > 0) {
+		t.Errorf("beam cost %g", beam.Cost)
 	}
 	if err := beam.Alloc.Validate(initial, 2); err != nil {
 		t.Fatal(err)
