@@ -10,7 +10,10 @@
 # bit for bit),
 # experiments-check reruns every experiment and diffs the output against
 # the committed experiments_output.txt (the run is deterministic, so any
-# difference is a changed figure), serve-smoke boots the service daemon
+# difference is a changed figure), cmd-check does the same for the figure,
+# simulator and adversary CLIs against goldens in each cmd/<name>/testdata/
+# (the five examples/ programs are checked by go test, each an Example
+# with its whole output), serve-smoke boots the service daemon
 # under real load and asserts a clean zero-loss drain, trace-smoke
 # checks end-to-end request tracing
 # (schema-valid spans, exact cost reconciliation, byte-identical
@@ -38,7 +41,8 @@
 # their counts are a function of their inputs),
 # depsvet fails if objallocd or journalcheck links the laboratory again
 # (the offline solver, sweeps and generators, or the executed clusters and
-# their network simulator), crossvet fails
+# their network simulator), or if an internal package has no non-test
+# importer (code that only a test reaches belongs in a test file), crossvet fails
 # if the OPT kernels' assembly uses anything wider than SSE2 (VEX, POPCNT,
 # LZCNT/TZCNT, BMI), runs the OPT solver and the sweeps on the pure-Go
 # relaxation kernels (GOARCH=386, which runs natively on an amd64 host)
@@ -49,9 +53,9 @@
 # Outside verify: bench (the repository's benchmark), allocs (bytes,
 # mallocs and GC cycles of a figure-1 sweep and of one grid pass — a
 # measuring aid), profile, loc, chaos, obscheck.
-.PHONY: verify build fmtcheck vet test race bench allocs obscheck fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet depsvet crossvet staticcheck loc chaos profile
+.PHONY: verify build fmtcheck vet test race bench allocs obscheck fuzzsmoke experiments-check cmd-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet depsvet crossvet staticcheck loc chaos profile
 
-verify: build fmtcheck vet test race fuzzsmoke experiments-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet depsvet crossvet staticcheck
+verify: build fmtcheck vet test race fuzzsmoke experiments-check cmd-check chaos-check serve-smoke trace-smoke crash-smoke syncvet benchvet seqvet depsvet crossvet staticcheck
 
 build:
 	go build ./...
@@ -116,6 +120,18 @@ fuzzsmoke:
 
 experiments-check:
 	go run ./cmd/experiments | diff - experiments_output.txt
+
+# cmd-check is experiments-check for the other CLIs readers see the paper
+# through. Each run is deterministic, so any difference from its golden
+# is a changed figure, protocol or search; regenerate a golden (the same
+# command, redirected) only for a deliberate change in what it prints.
+cmd-check:
+	go run ./cmd/figure1 | diff - cmd/figure1/testdata/default.golden
+	go run ./cmd/figure2 | diff - cmd/figure2/testdata/default.golden
+	go run ./cmd/domsim | diff - cmd/domsim/testdata/default.golden
+	go run ./cmd/domsim -protocol sa -verify | diff - cmd/domsim/testdata/sa_verify.golden
+	go run ./cmd/domsim -failover | diff - cmd/domsim/testdata/failover.golden
+	go run ./cmd/adversary | diff - cmd/adversary/testdata/default.golden
 
 serve-smoke:
 	sh scripts/serve_smoke.sh
@@ -187,13 +203,19 @@ seqvet:
 # objallocd serves the controller and the two protocols; it does not run
 # the laboratory. The offline side (competitive, opt, engine, workload,
 # adversary) came in once through internal/adaptive, for two pure functions
-# of (cc, cd) and a harness only tests call; the executed clusters (sim,
-# quorum, ha, chaos) and their network simulator (netsim, with storage
-# behind it) run under cmd/chaos and domsim — the server draws its loss
+# of (cc, cd) and the regret harness, which only its test calls and which
+# lives in that test's file now; the executed clusters (sim, quorum, ha,
+# chaos) and their network simulator (netsim, with storage behind it) run
+# under cmd/chaos and domsim — the server draws its loss
 # from its own per-object streams. journalcheck replays what objallocd
 # wrote under the same model flags, so the same line holds for it. An
 # import that brings any of them back belongs on the other side of that
 # line.
+# The second half fails on an internal package that no non-test code
+# imports (go list's .Imports leaves out test imports): nothing that make
+# verify runs reaches it except its own tests, so it is either a test
+# helper, which belongs in the _test.go file of the package it tests, or
+# dead.
 depsvet:
 	@for cmd in objallocd journalcheck; do \
 		deps=$$(go list -deps ./cmd/$$cmd) || exit 1; \
@@ -206,6 +228,15 @@ depsvet:
 		fi; \
 		echo "depsvet: cmd/$$cmd links $$(echo "$$deps" | wc -l) internal packages, none of the laboratory"; \
 	done
+	@imports=$$(go list -f '{{.ImportPath}} {{join .Imports " "}}' ./...) || exit 1; \
+	orphans=$$(echo "$$imports" | \
+		awk '{ pkg[NR] = $$1; for (i = 2; i <= NF; i++) used[$$i] = 1 } END { for (k = 1; k <= NR; k++) if (pkg[k] ~ /\/internal\// && !used[pkg[k]]) print pkg[k] }'); \
+	if [ -n "$$orphans" ]; then \
+		echo "depsvet: internal packages that no non-test code imports (move them into the _test.go files that use them, or delete them):"; \
+		echo "$$orphans"; \
+		exit 1; \
+	fi; \
+	echo "depsvet: every internal package has a non-test importer"
 
 # The grid pass's relaxation kernels are SSE2 assembly on amd64 and their
 # Go reference everywhere else; go vet's asmdecl checks the assembly's

@@ -101,9 +101,13 @@ func main() {
 	// Hand-built nemesis families first.
 	initial := model.FullSet(*t)
 	outsider := model.ProcessorID(*t)
-	nemeses := map[string]model.Schedule{
-		"read-run (Prop 1/3)": adversary.SAPunisher(outsider, 8**length),
-		"ping-pong":           adversary.PingPong(0, outsider, 2**length),
+	type nemesis struct {
+		name  string
+		sched model.Schedule
+	}
+	nemeses := []nemesis{
+		{"read-run (Prop 1/3)", adversary.SAPunisher(outsider, 8**length)},
+		{"ping-pong", adversary.PingPong(0, outsider, 2**length)},
 	}
 	var readers []model.ProcessorID
 	for p := *t; p < *n; p++ {
@@ -111,15 +115,15 @@ func main() {
 	}
 	if len(readers) > 0 {
 		if s, err := adversary.DAPunisher(readers, 0, 2**length); err == nil {
-			nemeses["outsider rounds (Prop 2)"] = s
+			nemeses = append(nemeses, nemesis{"outsider rounds (Prop 2)", s})
 		}
 	}
-	for name, sched := range nemeses {
-		meas, err := competitive.Ratio(m, factory, sched, initial, *t)
+	for _, nm := range nemeses {
+		meas, err := competitive.Ratio(m, factory, nm.sched, initial, *t)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-26s ratio %8.4f  (alg %.3f / opt %.3f)\n", name, meas.Ratio, meas.AlgCost, meas.OptCost)
+		fmt.Printf("%-26s ratio %8.4f  (alg %.3f / opt %.3f)\n", nm.name, meas.Ratio, meas.AlgCost, meas.OptCost)
 	}
 
 	// Randomized hill-climbing search; restarts run concurrently.

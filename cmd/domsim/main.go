@@ -37,7 +37,6 @@ import (
 	"objalloc/internal/obs"
 	"objalloc/internal/sim"
 	"objalloc/internal/storage"
-	"objalloc/internal/trace"
 	"objalloc/internal/workload"
 )
 
@@ -60,8 +59,6 @@ func main() {
 		concurrent = flag.Bool("concurrent", false, "issue each run of reads between writes as one burst, all in flight at once")
 		verify     = flag.Bool("verify", false, "cross-check executed counts against the analytic cost model")
 		showLoads  = flag.Bool("loads", false, "print per-processor load distribution")
-		recordPath = flag.String("record", "", "capture the run as a JSON trace at this path")
-		replayPath = flag.String("replay", "", "replay a recorded JSON trace and verify it (ignores other workload flags)")
 		failover   = flag.Bool("failover", false, "demonstrate DA -> quorum failover and recovery mid-run")
 		metrics    = flag.String("metrics", "", "write instrumentation events and a final registry snapshot to this JSONL file")
 		progress   = flag.Bool("progress", false, "report request progress on stderr")
@@ -80,18 +77,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}()
-
-	if *replayPath != "" {
-		rec, err := trace.Load(*replayPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rec.Replay(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("replay of %s: %d requests reproduced %v exactly\n", *replayPath, len(rec.Schedule), rec.Counts)
-		return
-	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	var sched model.Schedule
@@ -182,17 +167,6 @@ func main() {
 			fmt.Printf("%4d %8d %8d %8d %8d %8d %8d\n", l.ID, l.IO.Inputs, l.IO.Outputs,
 				l.Net.ControlSent, l.Net.ControlReceived, l.Net.DataSent, l.Net.DataReceived)
 		}
-	}
-
-	if *recordPath != "" && !*concurrent && *diskDir == "" {
-		rec, err := trace.Capture(proto, *n, *t, initial, sched)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rec.Save(*recordPath); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("recorded trace to %s\n", *recordPath)
 	}
 
 	if *verify && !*concurrent {

@@ -81,7 +81,7 @@ func main() {
 	}
 
 	// 4. Execute the same schedule on the real distributed system: one
-	// goroutine per processor, billed messages, local databases.
+	// message handler per processor, billed messages, local databases.
 	cluster, err := objalloc.NewCluster(5,
 		objalloc.WithProtocol(objalloc.ProtocolDA),
 		objalloc.WithAvailability(t),

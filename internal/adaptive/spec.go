@@ -14,7 +14,7 @@
 // hysteresis run of consecutive requests. Every switch is billed through
 // cost.TransitionCounts — replica installs and invalidations at paper
 // prices — so adaptive cost is directly comparable to pure SA, pure DA and
-// the offline optimum. The regret harness (package adaptive/regret)
+// the offline optimum. The regret harness in this package's regret_test.go
 // measures exactly those ratios.
 package adaptive
 

@@ -53,7 +53,6 @@ import (
 	"objalloc/internal/quorum"
 	"objalloc/internal/sim"
 	"objalloc/internal/storage"
-	"objalloc/internal/trace"
 	"objalloc/internal/workload"
 )
 
@@ -546,20 +545,6 @@ type Feed = feed.Feed
 
 // OpenFeed starts a feed.
 func OpenFeed(cfg FeedConfig) (*Feed, error) { return feed.Open(cfg) }
-
-// ---- Run traces ----
-
-// TraceRecord captures one executed run for replay-based regression checks.
-type TraceRecord = trace.Record
-
-// CaptureTrace executes a schedule on a fresh cluster and records its
-// accounting.
-func CaptureTrace(protocol Protocol, n, t int, initial Set, sched Schedule) (*TraceRecord, error) {
-	return trace.Capture(protocol, n, t, initial, sched)
-}
-
-// LoadTrace reads a record saved with TraceRecord.Save.
-func LoadTrace(path string) (*TraceRecord, error) { return trace.Load(path) }
 
 // ---- Instrumentation layer ----
 

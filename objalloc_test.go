@@ -291,23 +291,6 @@ func TestFacadeFeedAndTrace(t *testing.T) {
 	if seq != 1 || string(data) != "img" {
 		t.Errorf("latest = %d %q", seq, data)
 	}
-
-	rec, err := objalloc.CaptureTrace(objalloc.ProtocolSA, 4, 2, objalloc.NewSet(0, 1),
-		objalloc.MustParseSchedule("w0 r3 r3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/run.json"
-	if err := rec.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := objalloc.LoadTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.Replay(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFacadeCacheManager(t *testing.T) {
