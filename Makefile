@@ -125,6 +125,8 @@ experiments-check:
 # through. Each run is deterministic, so any difference from its golden
 # is a changed figure, protocol or search; regenerate a golden (the same
 # command, redirected) only for a deliberate change in what it prints.
+# domsim must refuse -verify with -concurrent or -failover, which it
+# cannot check, rather than exit 0 without a verify line.
 cmd-check:
 	go run ./cmd/figure1 | diff - cmd/figure1/testdata/default.golden
 	go run ./cmd/figure2 | diff - cmd/figure2/testdata/default.golden
@@ -132,6 +134,13 @@ cmd-check:
 	go run ./cmd/domsim -protocol sa -verify | diff - cmd/domsim/testdata/sa_verify.golden
 	go run ./cmd/domsim -failover | diff - cmd/domsim/testdata/failover.golden
 	go run ./cmd/adversary | diff - cmd/adversary/testdata/default.golden
+	go run ./cmd/adversary -alg sa | diff - cmd/adversary/testdata/sa.golden
+	@for flags in "-concurrent -verify" "-failover -verify"; do \
+		if out=$$(go run ./cmd/domsim $$flags 2>&1); then \
+			echo "domsim $$flags exited 0, want a refusal"; exit 1; \
+		fi; \
+		echo "$$out" | grep -q 'cannot be combined' || { echo "domsim $$flags: $$out"; exit 1; }; \
+	done
 
 serve-smoke:
 	sh scripts/serve_smoke.sh

@@ -5,6 +5,8 @@
 // message/I/O accounting, the priced cost under both the stationary and
 // mobile models, the final allocation scheme, and — with -verify —
 // cross-checks the executed counts against the analytic cost model.
+// -verify checks a sequential run only: it is refused with -concurrent
+// or -failover.
 //
 // With -failover, the run uses the highly-available cluster: it crashes a
 // member of F mid-run, demonstrates the quorum-consensus fallback of §2,
@@ -65,6 +67,11 @@ func main() {
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if *verify && (*concurrent || *failover) {
+		// -verify replays the schedule through the analytic algorithm one
+		// request at a time; a burst or a failover run is not that.
+		log.Fatal("-verify cannot be combined with -concurrent or -failover")
+	}
 
 	cli, err := obs.StartCLI(obs.CLIOptions{
 		Metrics: *metrics, Progress: *progress, PprofAddr: *pprofAddr, Label: "domsim",
@@ -169,7 +176,7 @@ func main() {
 		}
 	}
 
-	if *verify && !*concurrent {
+	if *verify {
 		las, err := dom.RunFactory(factory, initial, *t, sched)
 		if err != nil {
 			log.Fatal(err)

@@ -10,7 +10,7 @@
 //	            [-metrics out.jsonl] [-progress] [-pprof addr]
 //
 // -metrics streams the instrumented experiments' events (sweep cells,
-// search restarts, crossover probes, quorum operations) plus
+// certified-search restarts, quorum operations) plus
 // a final registry snapshot, -progress reports task progress on stderr,
 // and -pprof serves net/http/pprof and expvar on the given address.
 package main
@@ -50,7 +50,7 @@ import (
 var (
 	quick     = flag.Bool("quick", false, "smaller batteries (for CI smoke runs)")
 	only      = flag.String("experiment", "", "run a single experiment, e.g. E5")
-	parallel  = flag.Int("parallel", engine.DefaultParallelism(), "worker-pool size for sweeps, searches and crossovers")
+	parallel  = flag.Int("parallel", engine.DefaultParallelism(), "worker-pool size for sweeps and searches")
 	metrics   = flag.String("metrics", "", "write instrumentation events and a final registry snapshot to this JSONL file")
 	progress  = flag.Bool("progress", false, "report task progress on stderr")
 	pprofAddr = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
@@ -113,8 +113,8 @@ func main() {
 		{"E18", "Offline approximation at scale (beam vs exact vs bound)", e18Beam},
 		{"E19", "Advisor — operationalizing figures 1 and 2", e19Advisor},
 		{"E20", "Bounded storage (§5.2 CDVM contrast)", e20Cache},
-		{"E21", "Probing the open gap: empirical lower bounds for DA", e21Gap},
-		{"E22", "The empirical SA/DA crossover curve", e22Crossover},
+		{"E21", "Probing the open gap: certified lower bounds for DA", e21Gap},
+		{"E22", "The certified SA/DA crossover curve", e22Crossover},
 		{"E23", "§6.2 standing orders — executed feed policies", e23Feed},
 	}
 	for _, e := range all {
@@ -168,6 +168,22 @@ func e1Figure1() {
 		}
 	}
 	fmt.Printf("\nagreement on analytically decided points: %d/%d\n", agree, decided)
+
+	fmt.Println("\nunknown-band cells certified SA-better (a pool period's exact DA factor")
+	fmt.Println("exceeds SA's exact 1+cc+cd; the pool is E22's):")
+	certifiedCells := 0
+	for _, p := range points {
+		if p.Analytic != competitive.RegionUnknown {
+			continue
+		}
+		if w, ok := saBetter(cost.SC(p.CC, p.CD)); ok {
+			certifiedCells++
+			fmt.Printf("  cc=%.1f cd=%.1f: DA %.4f > SA %.4f on %v\n", p.CC, p.CD, w.da, w.sa, w.period)
+		}
+	}
+	if certifiedCells == 0 {
+		fmt.Println("  none")
+	}
 }
 
 func e2Figure2() {
@@ -299,10 +315,35 @@ func e8Proposition3() {
 	fmt.Print(tbl.String())
 }
 
+// e9Theorem4 checks Theorem 4 on the battery and prices DA's certified
+// search at each cell: the ping-pong period reads 2+2cc/cd exactly.
 func e9Theorem4() {
-	models := []cost.Model{cost.MC(0.05, 0.1), cost.MC(0.2, 0.5), cost.MC(0.5, 1.0), cost.MC(1.0, 2.5), cost.MC(2.0, 2.0)}
-	boundCheck("DA worst-case ratio vs Theorem 4's (2+3cc/cd) (all <= 5 since cc<=cd):",
-		dom.DynamicFactory, models, competitive.DABound)
+	cfg := battery()
+	scheds := cfg.Build()
+	tbl := stats.NewTable("model", "measured worst", "paper bound", "within", "best certified", "2+2cc/cd", "period")
+	var off []string
+	for _, m := range e9Models {
+		w, err := competitive.WorstRatio(m, dom.DynamicFactory, scheds, cfg.Initial(), cfg.T)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, b, pingPong := certifiedSearch(m), competitive.DABound(m), 2+2*m.CC/m.CD
+		ok := "yes"
+		if w.Ratio > b+1e-9 || res.Factor > b+1e-9 {
+			ok = "VIOLATED"
+		}
+		if math.Abs(res.Factor-pingPong) > 1e-9 {
+			off = append(off, m.String())
+		}
+		tbl.AddRow(m.String(), w.Ratio, b, ok, res.Factor, pingPong, res.Period.String())
+	}
+	fmt.Println("DA worst-case ratio vs Theorem 4's (2+3cc/cd) (all <= 5 since cc<=cd):")
+	fmt.Print(tbl.String())
+	if len(off) == 0 {
+		fmt.Println("the certified search reads 2+2cc/cd at every cell")
+	} else {
+		fmt.Printf("the certified search departs from 2+2cc/cd at %s\n", strings.Join(off, ", "))
+	}
 }
 
 func e10WorkedExample() {
@@ -641,59 +682,44 @@ func e18Beam() {
 
 // e21Gap attacks the open problem the paper leaves (§6.1: "the gap between
 // the upper and lower bound on the competitiveness of the DA algorithm ...
-// is the subject of future research"): hill-climbing search plus the
-// nemesis family give empirical lower bounds on DA's competitiveness
-// factor across the unknown band.
+// is the subject of future research"): the nemesis family and the
+// certified search give lower bounds on DA's competitiveness factor across
+// the unknown band, each exact on a period's endless repetition.
 func e21Gap() {
-	tbl := stats.NewTable("cc", "cd", "paper lower", "nemesis ratio", "exact factor", "search ratio", "paper upper")
-	for _, pt := range []struct{ cc, cd float64 }{
-		{0.05, 0.1}, {0.1, 0.4}, {0.2, 0.7}, {0.3, 0.9},
-	} {
-		m := cost.SC(pt.cc, pt.cd)
+	tbl := stats.NewTable("cc", "cd", "paper lower", "nemesis ratio", "exact factor", "best certified", "period", "paper upper")
+	for _, m := range e21Models {
 		nmeas, err := competitive.Ratio(m, dom.DynamicFactory, daNemesis(80), model.NewSet(0, 1), 2)
 		if err != nil {
 			log.Fatal(err)
 		}
-		steps := 400
-		if *quick {
-			steps = 80
-		}
-		res, err := competitive.Search(runCtx, competitive.SearchConfig{
-			Model: m, Factory: dom.DynamicFactory,
-			N: 5, T: 2, Length: 18, Restarts: 4, Steps: steps, Seed: 13,
-			Parallelism: *parallel, Obs: runObs,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		tbl.AddRow(pt.cc, pt.cd, competitive.DALowerBound, nmeas.Ratio, exactFactor(m, dom.DynamicFactory, daNemesis(1)), res.Ratio, 2+2*pt.cc)
+		res := certifiedSearch(m)
+		tbl.AddRow(m.CC, m.CD, competitive.DALowerBound, nmeas.Ratio, exactFactor(m, dom.DynamicFactory, daNemesis(1)), res.Factor, res.Period.String(), 2+2*m.CC)
 	}
-	fmt.Println("every measured ratio is a valid lower bound on DA's true factor;")
+	fmt.Println("every factor is a certified lower bound on DA's true factor;")
 	fmt.Println("the nemesis family already beats the paper's 1.5 everywhere probed:")
 	fmt.Print(tbl.String())
 }
 
-// e22Crossover bisects, for each cc, the cd at which the measured
-// worst-case winner flips from SA to DA. The paper's bounds only bracket
-// the flip inside [0.5-cc, 1]; the measurement locates it.
+// e22Crossover certifies, for each cc, the largest cd on a 0.01 grid at
+// which SA is strictly better than DA: some pool period's exact DA factor
+// exceeds SA's exact factor, 1+cc+cd. The paper's bounds only bracket the
+// flip inside [0.5-cc, 1]; the certified cd is a lower bound on it.
 func e22Crossover() {
-	cfg := battery()
-	tbl := stats.NewTable("cc", "paper bracket", "measured crossover cd")
+	tbl := stats.NewTable("cc", "paper bracket", "SA better at cd", "DA factor", "SA factor", "period")
 	for _, cc := range []float64{0.05, 0.1, 0.2, 0.3} {
-		res, err := competitive.Crossover(runCtx, competitive.CrossoverSpec{
-			CC: cc, CDMax: 2.0, Iters: 12, Battery: cfg, Parallelism: *parallel, Obs: runObs,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
 		bracket := fmt.Sprintf("[%.2f, 1.00]", 0.5-cc)
-		if res.DAEverywhere {
-			tbl.AddRow(cc, bracket, "<= cc (DA everywhere)")
-			continue
+		row := []interface{}{cc, bracket, "none certified", "", "", ""}
+		for k := 99; float64(k)/100 >= max(cc, 0.5-cc); k-- {
+			if w, ok := saBetter(cost.SC(cc, float64(k)/100)); ok {
+				row = []interface{}{cc, bracket, float64(k) / 100, w.da, w.sa, w.period.String()}
+				break
+			}
 		}
-		tbl.AddRow(cc, bracket, res.CD)
+		tbl.AddRow(row...)
 	}
-	fmt.Println("where the worst-case winner actually flips, vs the band the bounds allow:")
+	fmt.Println("the largest cd at which a period certifies SA strictly better than DA,")
+	fmt.Println("vs the band the bounds allow (the pool: the nemesis families and every")
+	fmt.Println("period the E9 and E21 searches return):")
 	fmt.Print(tbl.String())
 }
 
@@ -818,6 +844,79 @@ func exactFactor(m cost.Model, f dom.Factory, period model.Schedule) float64 {
 		log.Fatal(err)
 	}
 	return factor
+}
+
+// e9Models and e21Models are the cells of E9's and E21's certified
+// searches.
+var (
+	e9Models  = []cost.Model{cost.MC(0.05, 0.1), cost.MC(0.2, 0.5), cost.MC(0.5, 1.0), cost.MC(1.0, 2.5), cost.MC(2.0, 2.0)}
+	e21Models = []cost.Model{cost.SC(0.05, 0.1), cost.SC(0.1, 0.4), cost.SC(0.2, 0.7), cost.SC(0.3, 0.9)}
+)
+
+// searches memoizes certifiedSearch, so that the pool E1 and E22 price is
+// the same whichever experiments run.
+var searches = map[cost.Model]competitive.SearchResult{}
+
+// certifiedSearch is DA's certified search at m over six processors from
+// {0, 1} at t = 2: its first restarts climb from the nemesis families,
+// daNemesis's period among them.
+func certifiedSearch(m cost.Model) competitive.SearchResult {
+	if res, ok := searches[m]; ok {
+		return res
+	}
+	steps := 400
+	if *quick {
+		steps = 80
+	}
+	res, err := competitive.Search(runCtx, competitive.SearchConfig{
+		Model: m, Factory: dom.DynamicFactory,
+		N: 6, T: 2, Length: 8, Restarts: 4, Steps: steps, Seed: 13,
+		Parallelism: *parallel, Obs: runObs,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	searches[m] = res
+	return res
+}
+
+// pool is the periods E1 and E22 price, each once: the nemesis families
+// and every period a certified search returns.
+func pool() []model.Schedule {
+	var periods []model.Schedule
+	seen := map[string]bool{}
+	add := func(p model.Schedule) {
+		if !seen[p.String()] {
+			seen[p.String()] = true
+			periods = append(periods, p)
+		}
+	}
+	for _, fam := range adversary.Families(6, 2) {
+		add(fam.Period)
+	}
+	for _, m := range append(append([]cost.Model{}, e9Models...), e21Models...) {
+		add(certifiedSearch(m).Period)
+	}
+	return periods
+}
+
+// witness is a period on which DA's exact factor exceeds SA's.
+type witness struct {
+	period model.Schedule
+	da, sa float64
+}
+
+// saBetter returns the first pool period on which DA's exact factor at m
+// exceeds SA's, which is 1+cc+cd exactly (Theorem 1 with Proposition 1:
+// the read run attains it), and whether there is one.
+func saBetter(m cost.Model) (witness, bool) {
+	sa := exactFactor(m, dom.StaticFactory, adversary.SAPunisher(2, 1))
+	for _, p := range pool() {
+		if da := exactFactor(m, dom.DynamicFactory, p); da > sa {
+			return witness{p, da, sa}, true
+		}
+	}
+	return witness{}, false
 }
 
 // offlineOptimalCost computes the optimum via the ratio helper to keep e10 readable.

@@ -56,6 +56,35 @@ func DAPunisher(readers []model.ProcessorID, writer model.ProcessorID, rounds in
 	return sched, nil
 }
 
+// Family is one period of a nemesis family: the family is its endless
+// repetition, and competitive.Factor prices that exactly.
+type Family struct {
+	Name   string
+	Period model.Schedule
+}
+
+// Families returns one period of each nemesis family for n processors from
+// the initial scheme {0..t-1}: SA's read run from the first outsider t,
+// the ping-pong of member 0 and that outsider, and Proposition 2's round
+// of reads from every outsider t..n-1 closed by a write from member 0.
+// With no outsider (n <= t) there is none.
+func Families(n, t int) []Family {
+	if n <= t {
+		return nil
+	}
+	outsider := model.ProcessorID(t)
+	readers := make([]model.ProcessorID, 0, n-t)
+	for p := t; p < n; p++ {
+		readers = append(readers, model.ProcessorID(p))
+	}
+	rounds, _ := DAPunisher(readers, 0, 1) // it fails only without readers
+	return []Family{
+		{"read-run (Prop 1/3)", SAPunisher(outsider, 1)},
+		{"ping-pong", PingPong(0, outsider, 1)},
+		{"outsider rounds (Prop 2)", rounds},
+	}
+}
+
 // PingPong alternates a write from one processor with a read from another,
 // the pattern on which any eager-replication policy (DA, FullRepl) wastes
 // a save-then-invalidate cycle per round. Used in the ablation benches.

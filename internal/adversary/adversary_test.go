@@ -57,3 +57,23 @@ func TestConvergentPunisher(t *testing.T) {
 		t.Errorf("reads = %d, want 4", reads)
 	}
 }
+
+// One period of each family, outsiders from t on; none without outsiders.
+func TestFamilies(t *testing.T) {
+	var got []string
+	for _, f := range Families(5, 2) {
+		got = append(got, f.Name+": "+f.Period.String())
+	}
+	want := []string{"read-run (Prop 1/3): r2", "ping-pong: w0 r2", "outsider rounds (Prop 2): r2 r3 r4 w0"}
+	if len(got) != len(want) {
+		t.Fatalf("Families(5, 2) = %q, want %q", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("Families(5, 2)[%d] = %q, want %q", i, got[i], want[i])
+		}
+	}
+	if f := Families(2, 2); f != nil {
+		t.Errorf("Families(2, 2) = %v, want none", f)
+	}
+}

@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"objalloc/internal/obs"
 )
 
 // updateGolden regenerates testdata/golden from the code under test. The
@@ -49,25 +47,9 @@ func renderGoldenSweep(t *testing.T, mobile bool, parallelism int) []byte {
 	return buf.Bytes()
 }
 
-// renderGoldenCrossover prints one bisection: its probe events (shortest
-// round-trip floats, so exact) followed by the result.
-func renderGoldenCrossover(t *testing.T, parallelism int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	res, err := Crossover(context.Background(), CrossoverSpec{
-		CC: 0.2, CDMax: 2.0, Iters: 12, Battery: DefaultBattery(), Parallelism: parallelism,
-		Obs: &obs.Obs{Registry: obs.NewRegistry(), Sink: obs.NewJSONL(&buf)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(&buf, "cc=%b cd=%b da_everywhere=%t\n", res.CC, res.CD, res.DAEverywhere)
-	return buf.Bytes()
-}
-
-// TestGoldenSweep replays sweeps and a crossover recorded by an earlier
-// commit: at Parallelism 1 and at the default, every cell's ratios and
-// regions and every bisection probe must match the stored bits.
+// TestGoldenSweep replays sweeps recorded by an earlier commit: at
+// Parallelism 1 and at the default, every cell's ratios and regions must
+// match the stored bits.
 func TestGoldenSweep(t *testing.T) {
 	cases := []struct {
 		file   string
@@ -75,7 +57,6 @@ func TestGoldenSweep(t *testing.T) {
 	}{
 		{"sweep_sc.txt", func(t *testing.T, p int) []byte { return renderGoldenSweep(t, false, p) }},
 		{"sweep_mc.txt", func(t *testing.T, p int) []byte { return renderGoldenSweep(t, true, p) }},
-		{"crossover.txt", renderGoldenCrossover},
 	}
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {

@@ -395,53 +395,14 @@ func TestSearchParallelIdenticalToSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if serial.Ratio != parallel.Ratio ||
+			if serial.Factor != parallel.Factor ||
 				serial.Evaluations != parallel.Evaluations ||
-				serial.Schedule.String() != parallel.Schedule.String() {
-				t.Errorf("parallel search differs from serial:\nserial:   ratio %.6f evals %d %v\nparallel: ratio %.6f evals %d %v",
-					serial.Ratio, serial.Evaluations, serial.Schedule,
-					parallel.Ratio, parallel.Evaluations, parallel.Schedule)
+				serial.Period.String() != parallel.Period.String() {
+				t.Errorf("parallel search differs from serial:\nserial:   factor %.6f evals %d %v\nparallel: factor %.6f evals %d %v",
+					serial.Factor, serial.Evaluations, serial.Period,
+					parallel.Factor, parallel.Evaluations, parallel.Period)
 			}
 		})
-	}
-}
-
-// Crossover through the engine must agree with a hand-rolled serial
-// bisection over the same battery (the pre-engine algorithm).
-func TestCrossoverParallelMatchesSerialBisection(t *testing.T) {
-	battery := DefaultBattery()
-	got, err := Crossover(context.Background(), CrossoverSpec{CC: 0.2, CDMax: 2.0, Iters: 8, Battery: battery, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheds := battery.Build()
-	initial := battery.Initial()
-	daWins := func(cd float64) bool {
-		m := cost.SC(0.2, cd)
-		sa, err := WorstRatio(m, dom.StaticFactory, scheds, initial, battery.T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		da, err := WorstRatio(m, dom.DynamicFactory, scheds, initial, battery.T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return da.Ratio <= sa.Ratio
-	}
-	lo, hi := 0.2, 2.0
-	if daWins(lo) {
-		t.Fatal("DA wins at cd=cc; cannot compare bisections")
-	}
-	for i := 0; i < 8; i++ {
-		mid := (lo + hi) / 2
-		if daWins(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	if want := (lo + hi) / 2; got.CD != want {
-		t.Errorf("engine crossover cd=%.6f, serial bisection cd=%.6f", got.CD, want)
 	}
 }
 

@@ -6,8 +6,9 @@
 // empirically. For an algorithm A and a schedule ψ it computes
 // COST_A(I, ψ) / COST_OPT(I, ψ) with the exact offline optimum of package
 // opt, takes worst cases over schedule batteries (random mixes plus the
-// nemesis families of package adversary, plus hill-climbing adversarial
-// search), and sweeps the (cd, cc) plane to regenerate the superiority
+// nemesis families of package adversary), prices a period's endless
+// repetition exactly (Factor) and climbs periods by that exact factor
+// (Search), and sweeps the (cd, cc) plane to regenerate the superiority
 // region maps of the paper's figures 1 and 2.
 package competitive
 
@@ -170,17 +171,9 @@ func ratioOf(alg, optimal float64) float64 {
 
 // Ratio runs the algorithm produced by the factory on the schedule,
 // validates the resulting allocation schedule, and compares its cost
-// against the exact offline optimum.
+// against the exact offline optimum. It is the one-schedule battery.
 func Ratio(m cost.Model, f dom.Factory, sched model.Schedule, initial model.Set, t int) (Measurement, error) {
-	return RatioContext(context.Background(), m, f, sched, initial, t)
-}
-
-// RatioContext is Ratio with cancellation: the dominating cost — the
-// offline-optimum DP — checks the context per request, so even a single
-// long measurement aborts promptly with ctx.Err(). It is the
-// one-schedule battery.
-func RatioContext(ctx context.Context, m cost.Model, f dom.Factory, sched model.Schedule, initial model.Set, t int) (Measurement, error) {
-	l, optCosts, err := priced(ctx, m, f, []model.Schedule{sched}, initial, t)
+	l, optCosts, err := priced(context.Background(), m, f, []model.Schedule{sched}, initial, t)
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -24,7 +24,7 @@ import (
 const boundMargin = 1 - 1e-9
 
 // saDA is the pair of algorithms the paper compares, in the order the
-// sweep and the crossover report them.
+// sweep reports them.
 var saDA = [2]dom.Factory{dom.StaticFactory, dom.DynamicFactory}
 
 // lanes are the two algorithms' lanes over one battery, SA's and DA's in

@@ -14,5 +14,4 @@ type Spec interface {
 var (
 	_ Spec = (*SweepSpec)(nil)
 	_ Spec = (*SearchConfig)(nil)
-	_ Spec = (*CrossoverSpec)(nil)
 )

@@ -1,10 +1,10 @@
 // Package engine is the shared parallel evaluation runner behind every
 // grid-shaped workload in the repository: the (cd, cc) plane sweeps of
-// figures 1 and 2, the adversarial search restarts, the crossover
-// bisection, and the cmd/experiments harness. All of these are
-// embarrassingly parallel — many independent evaluations whose results
-// are combined by an order-insensitive or index-ordered reduction — so
-// one bounded worker pool serves them all.
+// figures 1 and 2, the certified search's restarts, and the
+// cmd/experiments harness. All of these are embarrassingly parallel —
+// many independent evaluations whose results are combined by an
+// order-insensitive or index-ordered reduction — so one bounded worker
+// pool serves them all.
 //
 // The engine makes three guarantees the evaluation stack depends on:
 //

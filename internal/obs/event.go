@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"sync"
 )
@@ -29,7 +30,9 @@ func Int64(k string, v int64) Attr { return Attr{Key: k, Value: v} }
 func Uint64(k string, v uint64) Attr { return Attr{Key: k, Value: v} }
 
 // Float returns a float64 attribute, encoded with strconv's shortest
-// round-trip form — deterministic for deterministic values.
+// round-trip form — deterministic for deterministic values. JSON has no
+// infinity or NaN, so those are encoded as the strings "+Inf", "-Inf" and
+// "NaN".
 func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
 
 // Bool returns a bool attribute.
@@ -139,6 +142,9 @@ func appendJSONValue(b []byte, v any) []byte {
 	case int:
 		return strconv.AppendInt(b, int64(x), 10)
 	case float64:
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return strconv.AppendQuote(b, strconv.FormatFloat(x, 'g', -1, 64))
+		}
 		return strconv.AppendFloat(b, x, 'g', -1, 64)
 	case bool:
 		return strconv.AppendBool(b, x)

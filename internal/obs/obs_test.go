@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -132,10 +134,14 @@ func TestJSONLEncoding(t *testing.T) {
 		Bool("ok", true),
 		Int64s("buckets", []int64{1, 2}),
 		String("quote", `a"b`),
+		Float("factor", math.Inf(1)),
 	}})
-	want := `{"event":"request","kind":"read","proc":3,"ctl":-1,"seq":9,"ratio":1.5,"ok":true,"buckets":[1,2],"quote":"a\"b"}` + "\n"
+	want := `{"event":"request","kind":"read","proc":3,"ctl":-1,"seq":9,"ratio":1.5,"ok":true,"buckets":[1,2],"quote":"a\"b","factor":"+Inf"}` + "\n"
 	if got := buf.String(); got != want {
 		t.Fatalf("JSONL encoding:\ngot  %q\nwant %q", got, want)
+	}
+	if !json.Valid(buf.Bytes()) {
+		t.Fatalf("JSONL line is not JSON: %q", buf.String())
 	}
 	if err := s.Err(); err != nil {
 		t.Fatal(err)

@@ -58,8 +58,8 @@ import (
 
 // ---- Parallel evaluation engine ----
 //
-// Every long-running evaluation entry point (plane sweeps, adversarial
-// search, crossover bisection, the offline optimum) has a
+// Every long-running evaluation entry point (plane sweeps, the certified
+// adversarial search, the offline optimum) has a
 // context-aware form that runs on a shared bounded worker pool and can be
 // cancelled. Parallel runs are deterministic: for the same seed the
 // results are byte-identical to a serial (Parallelism: 1) run.
@@ -203,8 +203,8 @@ func SABound(m CostModel) float64 { return competitive.SABound(m) }
 // DABound is Theorems 2-4: 2+2cc (SC), 2+cc (SC with cd>1), 2+3cc/cd (MC).
 func DABound(m CostModel) float64 { return competitive.DABound(m) }
 
-// Spec is the contract shared by every evaluation spec (SweepSpec,
-// SearchConfig, CrossoverSpec): Normalize validates the spec and
+// Spec is the contract shared by every evaluation spec (SweepSpec and
+// SearchConfig): Normalize validates the spec and
 // resolves its defaults in place. Every evaluation entry point calls its
 // spec's Normalize first, so a caller that wants early errors — a CLI
 // validating flags before a long run, say — can call Normalize itself and
@@ -240,42 +240,22 @@ func RenderGrid(points []GridPoint, empirical bool) string {
 	return competitive.RenderGrid(points, empirical)
 }
 
-// SearchConfig drives the adversarial worst-case schedule search
-// (hill-climbing or simulated annealing).
+// SearchConfig drives the adversarial period search: hill-climbing over
+// periods, scored by their exact factor (AsymptoticFactor).
 type SearchConfig = competitive.SearchConfig
 
-// SearchResult is the best adversarial schedule found.
+// SearchResult is the worst period found, with its exact factor: a
+// certified lower bound on the algorithm's competitiveness.
 type SearchResult = competitive.SearchResult
 
-// SearchWorstCaseContext looks for schedules maximizing an algorithm's
-// cost ratio against the offline optimum. Restarts run concurrently on the
-// parallel engine (bounded by cfg.Parallelism), each with an RNG stream
-// derived from (Seed, restart index), so the outcome is identical for any
-// parallelism. Cancelling the context aborts outstanding restarts.
+// SearchWorstCaseContext looks for periods maximizing SA's or DA's exact
+// factor on their endless repetition, starting from the nemesis families,
+// and shrinks the best to a 1-minimal period. Restarts run concurrently
+// on the parallel engine (bounded by cfg.Parallelism), each with an RNG
+// stream derived from (Seed, restart index), so the outcome is identical
+// for any parallelism. Cancelling the context aborts outstanding restarts.
 func SearchWorstCaseContext(ctx context.Context, cfg SearchConfig) (SearchResult, error) {
 	return competitive.Search(ctx, cfg)
-}
-
-// ShrinkWitness minimizes an adversarial witness while keeping its ratio
-// at or above keepRatio.
-func ShrinkWitness(m CostModel, f Factory, sched Schedule, initial Set, t int, keepRatio float64) (Schedule, Measurement, error) {
-	return competitive.Shrink(m, f, sched, initial, t, keepRatio)
-}
-
-// CrossoverResult locates the measured SA/DA crossover on the cd axis.
-type CrossoverResult = competitive.CrossoverResult
-
-// CrossoverSpec configures a crossover bisection; see CrossoverContext.
-type CrossoverSpec = competitive.CrossoverSpec
-
-// CrossoverContext bisects the cd at which the measured worst-case winner
-// flips from SA to DA for a fixed cc. The bisection itself is sequential
-// (each probe depends on the last), but every probe measures the whole
-// schedule battery for both algorithms concurrently on the parallel
-// engine, bounded by spec.Parallelism. Cancelling the context aborts the
-// probe in flight.
-func CrossoverContext(ctx context.Context, spec CrossoverSpec) (CrossoverResult, error) {
-	return competitive.Crossover(ctx, spec)
 }
 
 // AsymptoticFactor is SA's or DA's exact asymptotic competitive factor on

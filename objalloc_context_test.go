@@ -9,12 +9,6 @@ import (
 	"objalloc"
 )
 
-func contextBattery() objalloc.BatteryConfig {
-	battery := objalloc.DefaultBattery()
-	battery.RandomSchedules, battery.RandomLength, battery.NemesisRounds = 2, 12, 10
-	return battery
-}
-
 // Cancelling mid-sweep through the facade must surface context.Canceled.
 func TestFacadeSweepContextCancellation(t *testing.T) {
 	// Large enough (11k admissible cells, over a second of work) that the
@@ -66,11 +60,6 @@ func TestFacadePreCancelledContexts(t *testing.T) {
 	}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SearchWorstCaseContext err = %v, want context.Canceled", err)
 	}
-	if _, err := objalloc.CrossoverContext(ctx, objalloc.CrossoverSpec{
-		CC: 0.2, CDMax: 2.0, Iters: 4, Battery: contextBattery(),
-	}); !errors.Is(err, context.Canceled) {
-		t.Errorf("CrossoverContext err = %v, want context.Canceled", err)
-	}
 }
 
 // SearchWorstCaseContext must be deterministic across parallelism through
@@ -90,9 +79,9 @@ func TestFacadeSearchContextDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Ratio != parallel.Ratio || serial.Schedule.String() != parallel.Schedule.String() {
+	if serial.Factor != parallel.Factor || serial.Period.String() != parallel.Period.String() {
 		t.Errorf("facade search not deterministic: serial %.6f %v, parallel %.6f %v",
-			serial.Ratio, serial.Schedule, parallel.Ratio, parallel.Schedule)
+			serial.Factor, serial.Period, parallel.Factor, parallel.Period)
 	}
 
 	cfg.Parallelism = 0
@@ -100,8 +89,8 @@ func TestFacadeSearchContextDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if byDefault.Ratio != serial.Ratio {
-		t.Errorf("default-parallelism ratio %.6f != serial %.6f", byDefault.Ratio, serial.Ratio)
+	if byDefault.Factor != serial.Factor {
+		t.Errorf("default-parallelism factor %.6f != serial %.6f", byDefault.Factor, serial.Factor)
 	}
 }
 

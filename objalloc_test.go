@@ -312,34 +312,39 @@ func TestFacadeCacheManager(t *testing.T) {
 	_ = objalloc.CacheMRU
 }
 
+// The certified search, its shrunk period and a certified crossover point,
+// through the facade.
 func TestFacadeSearchShrinkCrossover(t *testing.T) {
-	m := objalloc.SC(0.4, 1.1)
-	res, err := objalloc.SearchWorstCaseContext(context.Background(), objalloc.SearchConfig{
-		Model: m, Factory: objalloc.StaticFactory,
-		N: 4, T: 2, Length: 10, Restarts: 2, Steps: 60, Seed: 3, Anneal: true,
+	ctx := context.Background()
+	initial := objalloc.NewSet(0, 1)
+	m := objalloc.SC(0.3, 0.9)
+	res, err := objalloc.SearchWorstCaseContext(ctx, objalloc.SearchConfig{
+		Model: m, Factory: objalloc.DynamicFactory,
+		N: 5, T: 2, Length: 8, Restarts: 4, Steps: 150, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ratio <= 1 {
-		t.Errorf("search ratio = %g", res.Ratio)
+	if res.Factor <= 1.5 || res.Factor > objalloc.DABound(m) {
+		t.Errorf("certified factor %v on %v outside (1.5, %v]", res.Factor, res.Period, objalloc.DABound(m))
 	}
-	small, meas, err := objalloc.ShrinkWitness(m, objalloc.StaticFactory, res.Schedule, objalloc.NewSet(0, 1), 2, res.Ratio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meas.Ratio < res.Ratio-1e-9 || len(small) > len(res.Schedule) {
-		t.Errorf("shrink went backwards: %d reqs ratio %g", len(small), meas.Ratio)
+	// The period is shrunk: dropping any one request lowers its factor.
+	for i := range res.Period {
+		less := append(append(objalloc.Schedule{}, res.Period[:i]...), res.Period[i+1:]...)
+		if f, err := objalloc.AsymptoticFactor(ctx, m, objalloc.DynamicFactory, less, initial, 2); err == nil && f >= res.Factor {
+			t.Errorf("%v without request %d still reads %v >= %v", res.Period, i, f, res.Factor)
+		}
 	}
 
-	battery := objalloc.DefaultBattery()
-	battery.RandomSchedules, battery.RandomLength, battery.NemesisRounds = 1, 12, 10
-	cr, err := objalloc.CrossoverContext(context.Background(), objalloc.CrossoverSpec{CC: 0.2, CDMax: 2.0, Iters: 6, Battery: battery})
+	// At SC(0.3, 0.49), inside the band the bounds leave open, a 6-request
+	// period gives DA a factor above SA's exact 1+cc+cd: SA is better there.
+	at := objalloc.SC(0.3, 0.49)
+	f, err := objalloc.AsymptoticFactor(ctx, at, objalloc.DynamicFactory, objalloc.MustParseSchedule("w1 r4 r3 w2 r3 r4"), initial, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cr.DAEverywhere && (cr.CD <= 0.2 || cr.CD >= 2.0) {
-		t.Errorf("crossover = %+v", cr)
+	if f <= objalloc.SABound(at) {
+		t.Errorf("DA's factor %v at %v does not exceed SA's %v", f, at, objalloc.SABound(at))
 	}
 
 	// Closed-loop latency through the facade.
