@@ -653,6 +653,39 @@ func TestFactorValidation(t *testing.T) {
 	}
 }
 
+// priceScale finds what scanning every q ≤ maxScale finds, for prices
+// whole at some scale, near one, and not: the continued fraction only
+// lets it skip the scan where the scan finds nothing. A sweep cell's
+// pricing from the larger of its prices' scales is pricing from 1.
+func TestPriceScaleIsTheScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	xs := []float64{0, 1, 0.5, 1e-300, 1e-9, 1 << 52, 1<<53 + 2, math.MaxFloat64, 1.23456789, 0.123456789, 1.0 / 9973, 2.0 / 10007}
+	for range 300 {
+		b := float64(1 + rng.Intn(12000))
+		x := float64(rng.Intn(3*int(b)+1)) / b
+		xs = append(xs, x, x*(1+[]float64{1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-8}[rng.Intn(6)]),
+			rng.Float64()*5, rng.Float64()*1e6, rng.Float64()*1e-6)
+	}
+	for _, x := range xs {
+		want := scale(cost.Model{CC: x}, 1, maxScale)
+		if got := priceScale(x); got != want {
+			t.Errorf("priceScale(%v) = %v, the scan finds %v", x, got, want)
+		}
+	}
+	for i := 0; i+1 < len(xs); i += 2 {
+		cc, cd := min(xs[i], xs[i+1]), max(xs[i], xs[i+1])
+		qcc, qcd := priceScale(cc), priceScale(cd)
+		if qcc == 0 || qcd == 0 {
+			continue
+		}
+		for _, m := range []cost.Model{cost.SC(cc, cd), cost.MC(cc, cd)} {
+			if got, want := pricing(m, max(qcc, qcd)), pricing(m, 1); got != want {
+				t.Errorf("pricing(%v) from %v = %v, from 1 %v", m, max(qcc, qcd), got, want)
+			}
+		}
+	}
+}
+
 // E21's exact factors of the DA nemesis, above the paper's 1.5 (and
 // strictly: no closed form was asserted while the fit stood, because the
 // optimum floats one reader into each write's execution set), and two

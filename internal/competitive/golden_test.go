@@ -11,11 +11,11 @@ import (
 )
 
 // updateGolden regenerates testdata/golden from the code under test. The
-// committed files were written by the commit BEFORE the battery was
-// prepared once per sweep and the OPT solver split into compile + cost
-// pass, which is what lets TestGoldenSweep pin every ratio bit for bit
-// independently of that rewrite; regenerating re-anchors the pin to the
-// current code.
+// committed files were last written when the sweep began pricing each
+// cell in whole units: every value is the correctly rounded exact ratio,
+// which TestSweepIsExact checks independently of the sweep's machinery, so
+// TestGoldenSweep pins those bits against later rewrites; regenerating
+// re-anchors the pin to the current code.
 var updateGolden = flag.Bool("update-golden", false, "rewrite internal/competitive/testdata/golden from the current code")
 
 // goldenAxis is the benchmark's 6×6 figure-1 plane; goldenSeeds are the

@@ -53,7 +53,7 @@ func TestSweepParallelIdenticalToSerial(t *testing.T) {
 // The schedule-major sweep against the cell-by-cell definition: on a grid
 // of 820 admissible cells — five model chunks per schedule at n = 8 —
 // every 37th admissible cell must carry the very bits WorstRatioContext
-// computes for that cell's model alone, at Parallelism 1 and 4.
+// computes for that cell's pricing model alone, at Parallelism 1 and 4.
 func TestSweepMatchesWorstRatioPerCell(t *testing.T) {
 	axis := make([]float64, 40)
 	for i := range axis {
@@ -78,7 +78,7 @@ func TestSweepMatchesWorstRatioPerCell(t *testing.T) {
 			if admissible++; admissible%37 != 0 {
 				continue
 			}
-			m := cost.SC(p.CC, p.CD)
+			m := pricing(cost.SC(p.CC, p.CD), 1)
 			sa, err := WorstRatioContext(ctx, m, dom.StaticFactory, scheds, initial, battery.T)
 			if err != nil {
 				t.Fatal(err)
@@ -406,13 +406,32 @@ func TestSearchParallelIdenticalToSerial(t *testing.T) {
 	}
 }
 
+// cancelAtTask is an engine Observer that cancels a context as the engine
+// starts task index at.
+type cancelAtTask struct {
+	at     int
+	cancel context.CancelFunc
+}
+
+func (c cancelAtTask) RunStart(int) {}
+func (c cancelAtTask) TaskStart(i int) {
+	if i == c.at {
+		c.cancel()
+	}
+}
+func (c cancelAtTask) TaskDone(int, error) {}
+func (c cancelAtTask) RunDone()            {}
+
 // Cancelling mid-sweep must return ctx.Err() promptly and leave no
-// goroutines behind (acceptance criterion of the engine PR).
+// goroutines behind (acceptance criterion of the engine PR). The cancel
+// lands as the engine starts the sweep's second pricing task, with the
+// first in flight and 16 more to go: a 20 ms timer, which this test used,
+// stopped landing mid-sweep once the 150×150 grid's sweep took ~11 ms
+// (2-core Xeon, before the periodic pass as after it).
 func TestSweepCancellationPromptAndLeakFree(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	// A grid large enough (11k admissible cells, over a second of work)
-	// that it cannot finish before the cancel lands.
+	// 11k admissible cells: 18 (algorithm, model-chunk) tasks.
 	grid := make([]float64, 150)
 	for i := range grid {
 		grid[i] = 0.05 + float64(i)*0.05
@@ -425,11 +444,10 @@ func TestSweepCancellationPromptAndLeakFree(t *testing.T) {
 			CDs: grid, CCs: grid,
 			Battery:     DefaultBattery(),
 			Parallelism: 4,
+			Obs:         &obs.Obs{Observer: cancelAtTask{at: 2, cancel: cancel}},
 		})
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let a few cells start
-	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/big"
 	"testing"
 
 	"objalloc/internal/cost"
@@ -13,8 +14,9 @@ import (
 )
 
 // unprunedSweep is the reduction the bound must not change: every battery
-// schedule priced at every admissible cell of the sweep's grid, each
-// cell's worst ratios reduced by worst over its whole column.
+// schedule priced at every admissible cell of the sweep's grid, at the
+// cell's pricing model as the sweep prices it, each cell's worst ratios
+// reduced by worst over its whole column.
 func unprunedSweep(t *testing.T, spec SweepSpec) []GridPoint {
 	t.Helper()
 	ctx := context.Background()
@@ -32,7 +34,7 @@ func unprunedSweep(t *testing.T, spec SweepSpec) []GridPoint {
 				m = cost.MC(cc, cd)
 			}
 			if m.Region() != RegionCannotBeTrue {
-				points, models = append(points, GridPoint{CC: cc, CD: cd}), append(models, m)
+				points, models = append(points, GridPoint{CC: cc, CD: cd}), append(models, pricing(m, 1))
 			}
 		}
 	}
@@ -224,8 +226,8 @@ func TestSweepPairCounters(t *testing.T) {
 	}
 }
 
-// gridModels returns the admissible cells' models of a square grid over
-// axis, in a sweep's order.
+// gridModels returns the admissible cells' pricing models of a square grid
+// over axis, in a sweep's order.
 func gridModels(axis []float64, mobile bool) []cost.Model {
 	var models []cost.Model
 	for _, cc := range axis {
@@ -235,9 +237,72 @@ func gridModels(axis []float64, mobile bool) []cost.Model {
 				m = cost.MC(cc, cd)
 			}
 			if m.Region() != RegionCannotBeTrue {
-				models = append(models, m)
+				models = append(models, pricing(m, 1))
 			}
 		}
 	}
 	return models
+}
+
+// BLIS Type-1 exactness of the sweep itself: over battery seeds 1–8, both
+// cost models and the bench's 6×6 grid, every worst ratio the sweep
+// reports is the correctly rounded quotient of two exact costs — the
+// largest over the battery of big.Rat(algCost, OPT).Float64(), with OPT
+// from opt.Solve, the one-model DP with the full transform and no period
+// shortcut, and algCost the lane's integer counts, both at the cell's
+// pricing model, whose prices are whole.
+func TestSweepIsExact(t *testing.T) {
+	for _, mobile := range []bool{false, true} {
+		for seed := int64(1); seed <= 8; seed++ {
+			spec := SweepSpec{CDs: goldenAxis, CCs: goldenAxis, Mobile: mobile, Battery: DefaultBattery(), Seed: seed}
+			points, err := Sweep(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := spec.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			ls := measuredLanes(t, spec.Battery.Build(), spec.Battery.Initial(), spec.Battery.T)
+			models := gridModels(goldenAxis, mobile)
+			k := 0
+			for _, p := range points {
+				if p.Analytic == RegionCannotBeTrue {
+					continue
+				}
+				m := models[k]
+				k++
+				if !opt.Whole(m) {
+					t.Fatalf("cc=%g cd=%g prices at %v, not whole", p.CC, p.CD, m)
+				}
+				var worst [2]float64
+				for s, sched := range ls[0].scheds {
+					res, err := opt.Solve(m, sched, spec.Battery.Initial(), spec.Battery.T)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for f, l := range ls {
+						worst[f] = max(worst[f], exactRatio(t, l.counts[s].Price(m), res.Cost))
+					}
+				}
+				if math.Float64bits(p.SAWorst) != math.Float64bits(worst[0]) || math.Float64bits(p.DAWorst) != math.Float64bits(worst[1]) {
+					t.Errorf("mobile=%t, seed %d, cc=%g cd=%g: sweep SA %b DA %b, exact SA %b DA %b",
+						mobile, seed, p.CC, p.CD, p.SAWorst, p.DAWorst, worst[0], worst[1])
+				}
+			}
+		}
+	}
+}
+
+// exactRatio is alg/optimal by ratioOf's rules, computed from the two
+// whole costs as exact integers and rounded once.
+func exactRatio(t *testing.T, alg, optimal float64) float64 {
+	t.Helper()
+	if alg != math.Trunc(alg) || optimal != math.Trunc(optimal) || max(alg, optimal) >= 1<<53 {
+		t.Fatalf("costs %g and %g are not whole numbers below 2^53", alg, optimal)
+	}
+	if optimal == 0 {
+		return ratioOf(alg, optimal)
+	}
+	r, _ := new(big.Rat).SetFrac(big.NewInt(int64(alg)), big.NewInt(int64(optimal))).Float64()
+	return r
 }

@@ -14,13 +14,15 @@ import (
 )
 
 // boundMargin deflates a schedule's lower bound on the optimum before it
-// divides. The DP sums its charges in floating point, at most n+1 roundings
-// per request over n processors, and the interval relaxation fewer; the
-// one may land that many ulps per request below its exact value and the
-// other above, and the exact bound is at most the exact optimum. A
-// relative 1e-9 covers both for schedules of up to ~250 000 requests even
-// at opt.MaxUniverse, so a pair's computed ratio never exceeds its
-// computed bound.
+// divides. A sweep prices every cell it can at whole prices (pricing),
+// where the DP's sums and the relaxation's are exact and the margin only
+// costs a little pruning. At a cell left at float prices the DP sums its
+// charges in floating point, at most n+1 roundings per request over n
+// processors, and the interval relaxation fewer; the one may land that
+// many ulps per request below its exact value and the other above, and
+// the exact bound is at most the exact optimum. A relative 1e-9 covers
+// both for schedules of up to ~250 000 requests even at opt.MaxUniverse,
+// so a pair's computed ratio never exceeds its computed bound.
 const boundMargin = 1 - 1e-9
 
 // saDA is the pair of algorithms the paper compares, in the order the

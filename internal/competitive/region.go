@@ -90,7 +90,9 @@ func (spec *SweepSpec) Normalize() error {
 // once (see lane) and then prices a schedule under the admissible cells'
 // models in one pass of the offline DP per chunk of models
 // (opt.Plan.Costs) — under those cells only where a lower bound on the
-// optimum says it could set the lane's worst ratio there. The sweep is one
+// optimum says it could set the lane's worst ratio there. A cell is priced
+// at its model in whole units where one exists (pricing), so its ratios
+// are the correctly rounded quotients of exact costs. The sweep is one
 // engine run of the build and (algorithm, model-chunk) tasks; a task
 // writes only its own cells and reduces them in battery order, so the
 // points are byte-identical to a serial run, and to pricing every pair,
@@ -111,10 +113,18 @@ func Sweep(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
 // most spec.Battery.N processors.
 func sweep(ctx context.Context, spec SweepSpec, ls lanes) ([]GridPoint, error) {
 	points := make([]GridPoint, 0, len(spec.CCs)*len(spec.CDs))
-	models := make([]cost.Model, 0, cap(points)) // the admissible cells' models, in grid order
+	models := make([]cost.Model, 0, cap(points)) // the admissible cells' pricing models, in grid order
 	cellOf := make([]int, 0, cap(points))        // cellOf[j] is the point models[j] prices
+	// Each cd's own smallest scale (see pricing), on the stack for grids of
+	// up to 32 columns.
+	var scales [32]float64
+	cdScale := scales[:0]
+	for _, cdv := range spec.CDs {
+		cdScale = append(cdScale, priceScale(cdv))
+	}
 	for _, ccv := range spec.CCs {
-		for _, cdv := range spec.CDs {
+		ccScale := priceScale(ccv)
+		for i, cdv := range spec.CDs {
 			m := cost.SC(ccv, cdv)
 			if spec.Mobile {
 				m = cost.MC(ccv, cdv)
@@ -126,7 +136,11 @@ func sweep(ctx context.Context, spec SweepSpec, ls lanes) ([]GridPoint, error) {
 				if err := m.Validate(); err != nil {
 					return nil, fmt.Errorf("competitive: sweep at cc=%g cd=%g: %w", ccv, cdv, err)
 				}
-				models, cellOf = append(models, m), append(cellOf, len(points))
+				from := max(ccScale, cdScale[i])
+				if min(ccScale, cdScale[i]) == 0 {
+					from = 0
+				}
+				models, cellOf = append(models, pricing(m, from)), append(cellOf, len(points))
 			}
 			points = append(points, p)
 		}

@@ -39,16 +39,24 @@ func ModelChunk(n int) int {
 func rowWidth(m int) int { return m + m&1 }
 
 // workspace is the scratch memory of a DP pass — its three rows and, for a
-// grid pass, the transposed price table — kept from one pass to the next so
+// grid pass, the transposed price table, the periodic pass's per-column
+// figures and its kept boundaries — kept from one pass to the next so
 // that pricing a schedule allocates nothing in the steady state. A pass
 // takes the floats it needs with whatever an earlier pass left in them and
 // never reads one it has not written first: dp and next are filled with
 // +Inf before the first request, g is written whole by every write (copy
 // in run; foldRows' first loop covers every mask writeRows reads) before
-// it is read, and of the price table only the rows of execution-set size 0
-// stay unwritten, which no relaxation reads (|X| >= t >= 1).
+// it is read, of the price table only the rows of execution-set size 0
+// stay unwritten, which no relaxation reads (|X| >= t >= 1), and the
+// periodic pass sets its per-column figures before its first boundary.
 // TestWorkspaceReuseIsExact prices out of a workspace poisoned with NaN.
-type workspace struct{ buf []float64 }
+type workspace struct {
+	buf []float64
+	// keys and rows are the periodic pass's kept boundaries (see
+	// boundaries), appended to and so never read before written.
+	keys []uint64
+	rows []float64
+}
 
 // floats returns n floats of the workspace, growing it first if need be.
 func (w *workspace) floats(n int) []float64 {
@@ -59,8 +67,9 @@ func (w *workspace) floats(n int) []float64 {
 }
 
 // workspaces holds the idle workspaces, at most one pass's memory each
-// (rowBudget plus a price table for a grid pass, three rows of 2^n for a
-// traceback), and only until the collector next clears the pool.
+// (rowBudget plus a price table for a grid pass, and about rowBudget more
+// of kept boundary rows, three rows of 2^n for a traceback), and only
+// until the collector next clears the pool.
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
 // Costs prices the plan under every model of a list: Costs(ctx, ms)[j] is,
@@ -116,9 +125,10 @@ func priceTableLen(w, n int) int { return (4 + 2*(n+1)) * w }
 func newModelPrices(models []cost.Model, n, w int, tab []float64) modelPrices {
 	mp := modelPrices{cc: tab[:w], local: tab[w : 2*w], remote: tab[2*w : 3*w], saving: tab[3*w : 4*w]}
 	mp.writeIn, mp.writeOut = tab[4*w:(4+n+1)*w], tab[(4+n+1)*w:]
+	var pr prices
 	for j := range w {
 		mod := models[min(j, len(models)-1)]
-		pr := newPrices(mod, n)
+		pr.set(mod, n)
 		mp.cc[j], mp.local[j], mp.remote[j], mp.saving[j] = mod.CC, pr.local, pr.remote, pr.saving
 		for sz := 1; sz <= n; sz++ {
 			mp.writeIn[sz*w+j], mp.writeOut[sz*w+j] = pr.writeIn[sz], pr.writeOut[sz]
@@ -127,27 +137,42 @@ func newModelPrices(models []cost.Model, n, w int, tab []float64) modelPrices {
 	return mp
 }
 
-// costsPass is the DP of run for len(models) >= 1 validated models at
-// once, without traceback. The rows are laid out [state][model]: the w
-// floats of state Y are rows[Y*w : (Y+1)*w], and every relaxation is one
-// call of a kernel (kernels.go) that walks the states itself. Per model it
-// evaluates the float expressions run evaluates, in an order that cannot
-// change their value (see foldRowsGeneric), which is what makes a sweep
-// priced through it bit-identical to one priced cell by cell.
-func (p *Plan) costsPass(ctx context.Context, models []cost.Model, ws *workspace, out []float64) error {
+// grid is one grid pass's rows and price table, out of a workspace: dp
+// and next hold 2^n states of w floats each ([state][model], see
+// costsPass), g the write fold's, and scratch 3w floats more for the
+// periodic pass's per-column figures (see boundaries).
+type grid struct {
+	dp, next, g []float64
+	mp          modelPrices
+	w           int
+	scratch     []float64
+}
+
+// start lays out gr for a grid pass over models out of ws: dp starts at 0
+// in every column at the initial scheme and +Inf at every other mask, next
+// at +Inf.
+func (p *Plan) start(gr *grid, models []cost.Model, ws *workspace) {
 	n, w := len(p.ids), rowWidth(len(models))
-	span := p.size() * w
-	mem := ws.floats(3*span + priceTableLen(w, n))
-	dp, next, g := mem[:span], mem[span:2*span], mem[2*span:3*span]
+	span, prices := p.size()*w, priceTableLen(w, n)
+	mem := ws.floats(3*span + prices + 3*w)
 	for i := range mem[:2*span] {
 		mem[i] = inf
 	}
-	clear(dp[int(p.init)*w : int(p.init+1)*w])
-	mp := newModelPrices(models, n, w, mem[3*span:])
-	all := uint32(p.size() - 1)
+	gr.dp, gr.next, gr.g, gr.w = mem[:span], mem[span:2*span], mem[2*span:3*span], w
+	clear(gr.dp[int(p.init)*w : int(p.init+1)*w])
+	gr.mp = newModelPrices(models, n, w, mem[3*span:3*span+prices])
+	gr.scratch = mem[3*span+prices:]
+}
 
+// walk relaxes reqs in order over the grid's rows, polling the context
+// between requests; gr.dp is the row after the last.
+func (p *Plan) walk(ctx context.Context, gr *grid, reqs []planReq) error {
+	// The loop works on locals, the price table's slices copied: read
+	// through gr they cost a one-model pass at n = 3 ~1.5 % more.
+	dp, next, g, mp, w := gr.dp, gr.next, gr.g, gr.mp, gr.w
+	all := uint32(p.size() - 1)
 	done := ctx.Done()
-	for _, q := range p.reqs {
+	for _, q := range reqs {
 		select {
 		case <-done:
 			return ctx.Err()
@@ -161,20 +186,59 @@ func (p *Plan) costsPass(ctx context.Context, models []cost.Model, ws *workspace
 		}
 		dp, next = next, dp
 	}
+	gr.dp, gr.next = dp, next
+	return nil
+}
 
-	for j := range out {
-		out[j] = inf
+// mins sets lo[j], for each column j < len(lo) of rows w floats wide, to
+// the column's minimum over the feasible states.
+func (p *Plan) mins(dp []float64, w int, lo []float64) {
+	for j := range lo {
+		lo[j] = inf
 	}
 	for _, y := range p.feasible {
-		for j, v := range dp[int(y)*w:][:len(out)] {
-			if v < out[j] {
-				out[j] = v
-			}
+		row := dp[int(y)*w:][:len(lo)]
+		for j, v := range row {
+			lo[j] = min(lo[j], v) // no DP value is NaN or -0, so min is <'s
 		}
+	}
+}
+
+// costsPass is the DP of run for len(models) >= 1 validated models at
+// once, without traceback. The rows are laid out [state][model]: the w
+// floats of state Y are rows[Y*w : (Y+1)*w], and every relaxation is one
+// call of a kernel (kernels.go) that walks the states itself. Per model it
+// evaluates the float expressions run evaluates, in an order that cannot
+// change their value (see foldRowsGeneric), which is what makes a sweep
+// priced through it bit-identical to one priced cell by cell.
+//
+// A plan that repeats its period and models whose sums are all exact
+// (stretches) take the periodic pass instead: it walks a stretch of
+// periods at a time and stops once the row repeats (repeat), then
+// extrapolates, with the full walk's value, bit for bit, since every sum
+// either walk makes is a whole number it holds exactly.
+func (p *Plan) costsPass(ctx context.Context, models []cost.Model, ws *workspace, out []float64) error {
+	var gr grid
+	p.start(&gr, models, ws)
+	if stretch, ends := p.stretches(models); ends >= 2 {
+		bs := p.newBoundaries(&gr, ws, len(models))
+		// A finite pass that runs out of room walks on to its end, so it
+		// keeps no more rows than rowBudget holds.
+		bs.keep = min(bs.keep, rowBudget/(8*bs.record()))
+		a, b, err := p.repeat(ctx, &gr, &bs, stretch, ends)
+		if err != nil {
+			return err
+		}
+		bs.extrapolate(a, b, ends, out)
+	} else {
+		if err := p.walk(ctx, &gr, p.reqs); err != nil {
+			return err
+		}
+		p.mins(gr.dp, gr.w, out)
 	}
 	for _, best := range out {
 		if math.IsInf(best, 1) {
-			return fmt.Errorf("opt: no feasible allocation schedule (universe of %d processors, t = %d)", n, p.t)
+			return fmt.Errorf("opt: no feasible allocation schedule (universe of %d processors, t = %d)", len(p.ids), p.t)
 		}
 	}
 	return nil

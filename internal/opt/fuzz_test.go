@@ -66,7 +66,8 @@ func fuzzInstance(data []byte) (sched model.Schedule, initial model.Set, t int, 
 // traces back through — Cost under either model, and Costs under both at
 // once, must equal it bit for bit — the Bound, whose Floor must stay
 // below its Price and its Price below the optimum, and Rate, which must
-// predict the optimum's growth over the schedule repeated.
+// predict the optimum's growth over the schedule repeated, which Cost's
+// periodic pass must price as run does.
 func FuzzOptCost(f *testing.F) {
 	f.Add([]byte{})                                              // empty schedule, n = t = 1
 	f.Add([]byte{4, 1, 0x12, 0x85, 0x03})                        // empty schedule, n = 5, t = 2
@@ -77,6 +78,12 @@ func FuzzOptCost(f *testing.F) {
 	f.Add([]byte{1, 0, 0x00, 0x80, 0x00, 1, 1, 1, 9, 1, 1}) // free messages; MC with cc = cd = 0
 	// Write-heavy, n = 6, t = 3: most requests run the write fold.
 	f.Add([]byte{5, 2, 0x12, 0x21, 0x23, 8, 13, 10, 4, 9, 12, 11, 8, 2, 13, 13, 9, 10, 5, 12, 8, 11})
+	// Periodic, under whole models SC(1, 2) and MC(1, 2), so that Cost and
+	// Costs take the periodic pass: the outsider rounds at n = 5, a
+	// ping-pong and a read run at n = 3.
+	f.Add([]byte{4, 1, 0x23, 0xa3, 0x03, 2, 3, 4, 8, 2, 3, 4, 8, 2, 3, 4, 8, 2, 3, 4, 8, 2, 3, 4, 8, 2, 3, 4, 8})
+	f.Add([]byte{2, 1, 0x23, 0xa3, 0x03, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2})
+	f.Add([]byte{2, 1, 0x23, 0xa3, 0x03, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sched, initial, tAvail, m, m2 := fuzzInstance(data)
 		ctx := context.Background()
@@ -167,7 +174,9 @@ func FuzzOptCost(f *testing.F) {
 
 		// The schedule as a period, at the model's prices ×20 (whole):
 		// past the cycle's start, the optimum grows by Rate's growth over
-		// every whole cycle, exactly.
+		// every whole cycle, exactly. The replays are priced by run, the
+		// full walk, and must carry its bits through Cost too, which takes
+		// the periodic pass for two periods or more.
 		if len(sched) == 0 {
 			return
 		}
@@ -182,8 +191,15 @@ func FuzzOptCost(f *testing.F) {
 			for range reps {
 				run = append(run, sched...)
 			}
-			if at[i], err = SolveCost(wm, run, initial, tAvail); err != nil {
+			replay, err := Compile(run, initial, tAvail)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if at[i], _, err = replay.run(ctx, wm, nil, new(workspace)); err != nil {
+				t.Fatal(err)
+			}
+			if c, err := replay.Cost(ctx, wm); err != nil || math.Float64bits(c) != math.Float64bits(at[i]) {
+				t.Fatalf("%d periods of %v under %v: Cost %b (%v), run %b", reps, sched, wm, c, err, at[i])
 			}
 		}
 		if at[1]-at[0] != 3*growth {

@@ -46,6 +46,15 @@
 // the traceback needs; its DP (run) is the reference Cost and Costs are
 // tested against bit for bit.
 //
+// A plan that is two or more repetitions of one period, priced at whole
+// prices whose sums stay below 2^53, is walked a stretch of periods at a
+// time instead: at each boundary every column less its minimum, cut K
+// above it, is compared with the earlier boundaries' rows, and once one
+// repeats the rest of the walk is extrapolated from the kept totals.
+// Whole sums are exact, so the value is the full walk's, bit for bit
+// (DESIGN §5, "Periodic schedules are priced a period at a time"). Plan.Rate
+// is the same pass with no end.
+//
 // The DP state space limits the universe to MaxUniverse processors; this is
 // a limit of the exact yardstick only — the online algorithms, the lower
 // bound (Bound) and beam search (Beam) take any universe up to
@@ -101,6 +110,10 @@ type Plan struct {
 	// kernel reads an execution set's size from here rather than count
 	// bits with an instruction the amd64 baseline lacks.
 	sizes []uint32
+	// period is the length of the requests' shortest period that divides
+	// their number (see shortestPeriod): the plan is len(reqs)/period
+	// repetitions of its first period requests.
+	period int
 }
 
 // planReq is one request of a compiled schedule.
@@ -120,6 +133,7 @@ func Compile(sched model.Schedule, initial model.Set, t int) (*Plan, error) {
 	for k, q := range sched {
 		p.reqs[k] = planReq{bit: p.bit(q.Processor), read: q.IsRead()}
 	}
+	p.period = shortestPeriod(p.reqs)
 	if err := CheckInstance(initial, t, len(p.ids)); err != nil {
 		return nil, err
 	}
@@ -134,6 +148,38 @@ func Compile(sched model.Schedule, initial model.Set, t int) (*Plan, error) {
 		}
 	}
 	return p, nil
+}
+
+// shortestPeriod returns the length of the shortest period of reqs that
+// divides len(reqs): len(reqs) − border, where border is the longest
+// proper prefix of reqs that is also its suffix (the prefix function, in
+// O(L)), when that divides len(reqs), and len(reqs) otherwise — a
+// dividing period d < L and the shortest period π would make gcd(π, d) a
+// period too (Fine and Wilf), so π would divide d and L.
+func shortestPeriod(reqs []planReq) int {
+	if len(reqs) == 0 {
+		return 0
+	}
+	// border[i] is the longest proper border of reqs[:i+1]; border[0] = 0.
+	var buf [256]int32
+	border := buf[:1]
+	if len(reqs) > len(buf) {
+		border = make([]int32, 1, len(reqs))
+	}
+	k := int32(0)
+	for _, q := range reqs[1:] {
+		for k > 0 && q != reqs[k] {
+			k = border[k-1]
+		}
+		if q == reqs[k] {
+			k++
+		}
+		border = append(border, k)
+	}
+	if pi := len(reqs) - int(k); len(reqs)%pi == 0 {
+		return pi
+	}
+	return len(reqs)
 }
 
 // CheckInstance is what Compile refuses in an instance whose processor
@@ -257,60 +303,33 @@ func (p *Plan) Solve(ctx context.Context, m cost.Model) (*Result, error) {
 }
 
 // run is the one-model DP with the full transform — Solve's, and the
-// reference the grid pass is tested against: it returns the minimum cost
+// reference the grid pass is tested against: it relaxes every request in
+// order, polling the context between them, and returns the minimum cost
 // and the final state that attains it (the lowest such mask). When parents
-// is non-nil every
-// relaxation also records the predecessor state it chose. The rows come
-// from ws (see workspace for why nothing needs clearing).
+// is non-nil every relaxation also records the predecessor state it chose.
+// The rows come from ws (see workspace for why nothing needs clearing).
 func (p *Plan) run(ctx context.Context, m cost.Model, parents []uint32, ws *workspace) (float64, uint32, error) {
 	if err := m.Validate(); err != nil {
 		return 0, 0, err
 	}
-	dp, next, g := p.startRows(ws)
-	var arg []uint32 // minTransform's minimizing Y per Z, for traceback
-	if parents != nil {
-		arg = make([]uint32, p.size())
-	}
-	dp, _, err := p.pass(ctx, m, dp, next, g, arg, parents)
-	if err != nil {
-		return 0, 0, err
-	}
-
-	best, final := inf, uint32(0)
-	for _, y := range p.feasible {
-		if dp[y] < best {
-			best, final = dp[y], y
-		}
-	}
-	if math.IsInf(best, 1) {
-		return 0, 0, fmt.Errorf("opt: no feasible allocation schedule (universe of %d processors, t = %d)", len(p.ids), p.t)
-	}
-	return best, final, nil
-}
-
-// startRows returns the one-model DP's rows out of ws: dp (0 at the initial
-// scheme) and next, +Inf at every other mask, and g, minTransform's.
-func (p *Plan) startRows(ws *workspace) (dp, next, g []float64) {
 	size := p.size()
 	rows := ws.floats(3 * size)
 	for i := range rows[:2*size] {
 		rows[i] = inf
 	}
 	rows[p.init] = 0
-	return rows[:size], rows[size : 2*size], rows[2*size:]
-}
-
-// pass relaxes the plan's requests in order from dp, polling the context
-// between them, and returns the row after the last and the other; with
-// parents non-nil it records each predecessor state, arg holding
-// minTransform's.
-func (p *Plan) pass(ctx context.Context, m cost.Model, dp, next, g []float64, arg, parents []uint32) ([]float64, []float64, error) {
-	size, pr := len(dp), newPrices(m, len(p.ids))
+	dp, next, g := rows[:size], rows[size:2*size], rows[2*size:]
+	var arg []uint32 // minTransform's minimizing Y per Z, for traceback
+	if parents != nil {
+		arg = make([]uint32, size)
+	}
+	var pr prices
+	pr.set(m, len(p.ids))
 	done := ctx.Done()
 	for k, q := range p.reqs {
 		select {
 		case <-done:
-			return nil, nil, ctx.Err()
+			return 0, 0, ctx.Err()
 		default:
 		}
 		var parent []uint32
@@ -326,7 +345,17 @@ func (p *Plan) pass(ctx context.Context, m cost.Model, dp, next, g []float64, ar
 		}
 		dp, next = next, dp
 	}
-	return dp, next, nil
+
+	best, final := inf, uint32(0)
+	for _, y := range p.feasible {
+		if dp[y] < best {
+			best, final = dp[y], y
+		}
+	}
+	if math.IsInf(best, 1) {
+		return 0, 0, fmt.Errorf("opt: no feasible allocation schedule (universe of %d processors, t = %d)", len(p.ids), p.t)
+	}
+	return best, final, nil
 }
 
 // prices is a cost model laid out for the relaxations: every per-request
@@ -339,15 +368,16 @@ type prices struct {
 	writeIn, writeOut [MaxUniverse + 1]float64
 }
 
-// newPrices lays m out for a universe of n processors. Both passes (run
-// and costsPass) take their charges from here, so a charge is the same
-// float in either — also where the compiler fuses a multiply-add.
-func newPrices(m cost.Model, n int) prices {
-	pr := prices{
-		local:  m.CIO,               // read served by the reader's own copy
-		remote: m.CC + m.CIO + m.CD, // read served by one remote data processor
-	}
-	pr.saving = pr.remote + m.CIO // remote read that also saves locally
+// set lays m out for a universe of n processors, writing the write
+// charges of sizes 1 to n only. Both passes (run and costsPass) take their
+// charges from here, so a charge is the same float in either — also where
+// the compiler fuses a multiply-add. It fills pr in place: the grid pass
+// lays out a model per column, and a whole struct built per column
+// (zeroed, then copied) was ~7 % of a 60-read pass's profile.
+func (pr *prices) set(m cost.Model, n int) {
+	pr.local = m.CIO                // read served by the reader's own copy
+	pr.remote = m.CC + m.CIO + m.CD // read served by one remote data processor
+	pr.saving = pr.remote + m.CIO   // remote read that also saves locally
 	for sz := 1; sz <= n; sz++ {
 		// Writer inside X: transmit to the other |X|-1 members, output
 		// at all |X|. Writer outside X: transmit to all |X| members,
@@ -355,7 +385,6 @@ func newPrices(m cost.Model, n int) prices {
 		pr.writeIn[sz] = float64(sz-1)*m.CD + float64(sz)*m.CIO
 		pr.writeOut[sz] = float64(sz) * (m.CD + m.CIO)
 	}
-	return pr
 }
 
 // Bound is a lower bound on COST_OPT(I, ψ): the interval relaxation of the

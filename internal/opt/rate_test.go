@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -35,6 +36,46 @@ func TestRateReadRunRepeatsUnderTheCut(t *testing.T) {
 	// pass K, and Rate gives up at maxPeriods.
 	if _, _, _, err := plan.Rate(ctx, cost.Model{CC: 0, CD: 1, CIO: 2000}); err == nil || !strings.Contains(err.Error(), "did not repeat within 1024 periods") {
 		t.Errorf("Rate past maxPeriods: err = %v", err)
+	}
+}
+
+// Past n = 6 a pass's kept rows would outgrow rowBudget before maxPeriods,
+// but Rate, which cannot walk on without them, still runs as long: a read
+// run by a processor outside an n−1-member scheme settles only once the
+// gap of cc+cd a period has passed K = n·(2cc+cd+cio), after 25 periods
+// at n = 12 and 27 at n = 13, as a period-at-a-time replay of the
+// one-model DP with a text key per row found them.
+func TestRateRunsPastRowBudget(t *testing.T) {
+	for _, c := range []struct {
+		n, t, start int
+	}{{12, 2, 25}, {13, 3, 27}} {
+		scheme := model.NewSet()
+		for i := range c.n - 1 {
+			scheme = scheme.Add(model.ProcessorID(i))
+		}
+		plan, err := Compile(model.Schedule{model.R(model.ProcessorID(c.n - 1))}, scheme, c.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		growth, periods, start, err := plan.Rate(context.Background(), cost.Model{CC: 4, CD: 11, CIO: 10})
+		if err != nil || growth != 10 || periods != 1 || start != c.start {
+			t.Errorf("n = %d: Rate = growth %v over %d periods from %d, %v; want 10 over 1 from %d",
+				c.n, growth, periods, start, err, c.start)
+		}
+	}
+}
+
+// Whole is math.Trunc's test on each price, including where int64 no
+// longer holds the value.
+func TestWhole(t *testing.T) {
+	xs := []float64{0, math.Copysign(0, -1), 1, 0.5, 3, -2, -2.5, 1e-300, 1<<52 - 0.5, 1 << 52, 1<<53 + 2,
+		1 << 63, 1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, x := range xs {
+		for _, m := range []cost.Model{{CC: x, CD: 2, CIO: 1}, {CC: 1, CD: x, CIO: 0}, {CC: 0, CD: 1, CIO: x}} {
+			if got, want := Whole(m), x == math.Trunc(x); got != want {
+				t.Errorf("Whole(%+v) = %t, want %t", m, got, want)
+			}
+		}
 	}
 }
 
