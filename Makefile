@@ -89,7 +89,9 @@ bench:
 # parallelism; the lower bound's share of one such sweep (BenchmarkBound:
 # in SA's lane and DA's, opt.BoundOf over the battery from the measured
 # counts, the signatures built on first ask, and the lane's lead and
-# round-2 test at the 21 cells);
+# round-2 test at the 21 cells); the states, edges and ns per
+# work-function graph (BenchmarkWorkFunctionGraph: SA and DA at n = 3,
+# t = 2, at E3's SC(0.3, 1.2) and E9's MC(0.5, 1));
 # and the same per opt.Plan.Costs call and per model of the
 # one-model DP, over the shapes BenchmarkCosts lists. A serial sweep reads
 # ~57 700 B in 123 mallocs: the battery's build ~23 000 B in 25 of them,
@@ -98,6 +100,7 @@ bench:
 # TestPricingAllocations gate the counts in `make test`.
 allocs:
 	go test -run '^$$' -bench 'BenchmarkSweep|BenchmarkBound' -benchtime 200x -benchmem ./internal/competitive
+	go test -run '^$$' -bench BenchmarkWorkFunctionGraph -benchtime 3x -benchmem ./internal/competitive
 	go test -run '^$$' -bench BenchmarkCosts -benchtime 200x -benchmem ./internal/opt
 
 # obscheck is the observability slice of vet and race, for local use
@@ -134,7 +137,6 @@ cmd-check:
 	go run ./cmd/domsim -protocol sa -verify | diff - cmd/domsim/testdata/sa_verify.golden
 	go run ./cmd/domsim -failover | diff - cmd/domsim/testdata/failover.golden
 	go run ./cmd/adversary | diff - cmd/adversary/testdata/default.golden
-	go run ./cmd/adversary -alg sa | diff - cmd/adversary/testdata/sa.golden
 	@for flags in "-concurrent -verify" "-failover -verify"; do \
 		if out=$$(go run ./cmd/domsim $$flags 2>&1); then \
 			echo "domsim $$flags exited 0, want a refusal"; exit 1; \

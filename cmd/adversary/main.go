@@ -1,14 +1,16 @@
 // Command adversary prices the hand-built nemesis families behind the
 // paper's lower-bound propositions and searches, by randomized
-// hill-climbing, for a period on which SA or DA does worse. Every factor
-// it prints is exact: the algorithm's cost ratio against the offline
-// optimum on the period's endless repetition, so each is a certified lower
-// bound on the algorithm's competitiveness, printed next to the paper's
-// analytic bound.
+// hill-climbing, for a period on which DA does worse. Every factor it
+// prints is exact: DA's cost ratio against the offline optimum on the
+// period's endless repetition, so each is a certified lower bound on DA's
+// competitiveness, printed next to the paper's analytic bound. SA needs no
+// search: its factor is 1+cc+cd in SC and +Inf in MC at every n
+// (Theorem 1 and Propositions 1 and 3), and at n = 3 the exact factors of
+// both are competitive.ExactFactor's.
 //
 // Usage:
 //
-//	adversary [-alg da] [-cc 0.3] [-cd 1.2] [-mobile] [-n 5] [-t 2]
+//	adversary [-cc 0.3] [-cd 1.2] [-mobile] [-n 5] [-t 2]
 //	          [-len 16] [-restarts 8] [-steps 300] [-seed 1]
 //	          [-metrics out.jsonl] [-progress] [-pprof addr]
 //
@@ -22,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"os/signal"
 
@@ -39,7 +40,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("adversary: ")
 	var (
-		algName  = flag.String("alg", "da", "algorithm under attack: sa or da")
 		cc       = flag.Float64("cc", 0.3, "control message cost")
 		cd       = flag.Float64("cd", 1.2, "data message cost")
 		mobile   = flag.Bool("mobile", false, "use the mobile-computing model (cio = 0)")
@@ -81,23 +81,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var factory dom.Factory
-	var bound float64
-	switch *algName {
-	case "sa":
-		factory, bound = dom.StaticFactory, competitive.SABound(m)
-	case "da":
-		factory, bound = dom.DynamicFactory, competitive.DABound(m)
-	default:
-		log.Fatalf("unknown algorithm %q (sa, da)", *algName)
-	}
-
-	fmt.Printf("model %v, algorithm %s\n\n", m, *algName)
+	fmt.Printf("model %v, algorithm da\n\n", m)
 
 	// Hand-built nemesis families first, each priced on one period.
 	initial := model.FullSet(*t)
 	for _, fam := range adversary.Families(*n, *t) {
-		factor, err := competitive.Factor(ctx, m, factory, fam.Period, initial, *t)
+		factor, err := competitive.Factor(ctx, m, dom.DynamicFactory, fam.Period, initial, *t)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -106,8 +95,7 @@ func main() {
 
 	// Randomized hill-climbing search; restarts run concurrently.
 	res, err := competitive.Search(ctx, competitive.SearchConfig{
-		Model: m, Factory: factory,
-		N: *n, T: *t, Length: *length,
+		Model: m, N: *n, T: *t, Length: *length,
 		Restarts: *restarts, Steps: *steps, Seed: *seed,
 		Parallelism: *parallel,
 		Obs:         cli.Obs(),
@@ -118,9 +106,6 @@ func main() {
 	}
 	fmt.Printf("\ncertified search (%d evaluations):\n", res.Evaluations)
 	fmt.Printf("best factor %8.4f  period %v\n", res.Factor, res.Period)
-	if math.IsInf(bound, 1) {
-		fmt.Println("paper's bound: none (Proposition 3: SA is not competitive)")
-	} else {
-		fmt.Printf("paper's bound: %.4f  (certified/bound = %.1f%%)\n", bound, 100*res.Factor/bound)
-	}
+	bound := competitive.DABound(m)
+	fmt.Printf("paper's bound: %.4f  (certified/bound = %.1f%%)\n", bound, 100*res.Factor/bound)
 }

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-experiment E5]
+//	experiments [-experiment E5]
 //	            [-metrics out.jsonl] [-progress] [-pprof addr]
 //
 // -metrics streams the instrumented experiments' events (sweep cells,
@@ -48,7 +48,6 @@ import (
 )
 
 var (
-	quick     = flag.Bool("quick", false, "smaller batteries (for CI smoke runs)")
 	only      = flag.String("experiment", "", "run a single experiment, e.g. E5")
 	parallel  = flag.Int("parallel", engine.DefaultParallelism(), "worker-pool size for sweeps and searches")
 	metrics   = flag.String("metrics", "", "write instrumentation events and a final registry snapshot to this JSONL file")
@@ -126,14 +125,6 @@ func main() {
 	}
 }
 
-func battery() competitive.BatteryConfig {
-	cfg := competitive.DefaultBattery()
-	if *quick {
-		cfg.RandomSchedules, cfg.RandomLength, cfg.NemesisRounds = 2, 20, 20
-	}
-	return cfg
-}
-
 func gridValues(steps int) []float64 {
 	out := make([]float64, steps)
 	for i := range out {
@@ -143,13 +134,9 @@ func gridValues(steps int) []float64 {
 }
 
 func e1Figure1() {
-	steps := 10
-	if *quick {
-		steps = 5
-	}
 	points, err := competitive.Sweep(runCtx, competitive.SweepSpec{
-		CDs: gridValues(steps), CCs: gridValues(steps),
-		Battery: battery(), Parallelism: *parallel, Obs: runObs,
+		CDs: gridValues(10), CCs: gridValues(10),
+		Battery: competitive.DefaultBattery(), Parallelism: *parallel, Obs: runObs,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -187,13 +174,9 @@ func e1Figure1() {
 }
 
 func e2Figure2() {
-	steps := 10
-	if *quick {
-		steps = 5
-	}
 	points, err := competitive.Sweep(runCtx, competitive.SweepSpec{
-		CDs: gridValues(steps), CCs: gridValues(steps), Mobile: true,
-		Battery: battery(), Parallelism: *parallel, Obs: runObs,
+		CDs: gridValues(10), CCs: gridValues(10), Mobile: true,
+		Battery: competitive.DefaultBattery(), Parallelism: *parallel, Obs: runObs,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -213,26 +196,24 @@ func e2Figure2() {
 	fmt.Printf("\nDA wins %d/%d admissible points\n", daWins, admissible)
 }
 
-// boundCheck measures an algorithm's worst ratio against its bound at
-// several cost points.
-func boundCheck(title string, factory dom.Factory, models []cost.Model, bound func(cost.Model) float64) {
-	cfg := battery()
-	scheds := cfg.Build()
-	tbl := stats.NewTable("model", "measured worst", "paper bound", "within")
+// boundCheck prints an algorithm's exact factor at n = 3 (atThree) against
+// its bound at several cost points, and returns whether every factor
+// equals its bound.
+func boundCheck(title string, f dom.Factory, models []cost.Model, bound func(cost.Model) float64) bool {
+	tbl := stats.NewTable("model", "exact, n = 3", "as a fraction", "cycle", "paper bound", "within")
+	tight := true
 	for _, m := range models {
-		w, err := competitive.WorstRatio(m, factory, scheds, cfg.Initial(), cfg.T)
-		if err != nil {
-			log.Fatal(err)
-		}
-		b := bound(m)
+		ex, b := atThree(m, f), bound(m)
 		ok := "yes"
-		if w.Ratio > b+1e-9 {
+		if ex.Factor() > b+1e-9 {
 			ok = "VIOLATED"
 		}
-		tbl.AddRow(m.String(), w.Ratio, b, ok)
+		tight = tight && math.Abs(ex.Factor()-b) <= 1e-9
+		tbl.AddRow(m.String(), ex.Factor(), fraction(ex), ex.Period.String(), b, ok)
 	}
 	fmt.Println(title)
 	fmt.Print(tbl.String())
+	return tight
 }
 
 func scModels() []cost.Model {
@@ -243,8 +224,11 @@ func scModels() []cost.Model {
 }
 
 func e3Theorem1() {
-	boundCheck("SA worst-case ratio vs Theorem 1's (1+cc+cd):",
+	tight := boundCheck("SA's exact factor over every schedule on 3 processors vs Theorem 1's (1+cc+cd):",
 		dom.StaticFactory, scModels(), competitive.SABound)
+	if tight {
+		fmt.Println("the exact factor is 1+cc+cd at every cell: Theorem 1 is tight at n = 3")
+	}
 }
 
 func e4Proposition1() {
@@ -264,7 +248,7 @@ func e4Proposition1() {
 }
 
 func e5Theorem2() {
-	boundCheck("DA worst-case ratio vs Theorem 2's (2+2cc):",
+	boundCheck("DA's exact factor over every schedule on 3 processors vs Theorem 2's (2+2cc):",
 		dom.DynamicFactory, scModels(), func(m cost.Model) float64 { return 2 + 2*m.CC })
 }
 
@@ -275,7 +259,7 @@ func e6Theorem3() {
 			models = append(models, m)
 		}
 	}
-	boundCheck("DA worst-case ratio vs Theorem 3's (2+cc), cd>1 only:",
+	boundCheck("DA's exact factor over every schedule on 3 processors vs Theorem 3's (2+cc), cd>1 only:",
 		dom.DynamicFactory, models, func(m cost.Model) float64 { return 2 + m.CC })
 }
 
@@ -315,34 +299,29 @@ func e8Proposition3() {
 	fmt.Print(tbl.String())
 }
 
-// e9Theorem4 checks Theorem 4 on the battery and prices DA's certified
-// search at each cell: the ping-pong period reads 2+2cc/cd exactly.
+// e9Theorem4 checks Theorem 4 by DA's exact factor at n = 3 and prices
+// DA's certified search at n = 6 at each cell: both read 2+2cc/cd.
 func e9Theorem4() {
-	cfg := battery()
-	scheds := cfg.Build()
-	tbl := stats.NewTable("model", "measured worst", "paper bound", "within", "best certified", "2+2cc/cd", "period")
+	tbl := stats.NewTable("model", "exact, n = 3", "cycle", "paper bound", "within", "best certified, n = 6", "2+2cc/cd", "period")
 	var off []string
 	for _, m := range e9Models {
-		w, err := competitive.WorstRatio(m, dom.DynamicFactory, scheds, cfg.Initial(), cfg.T)
-		if err != nil {
-			log.Fatal(err)
-		}
+		ex := atThree(m, dom.DynamicFactory)
 		res, b, pingPong := certifiedSearch(m), competitive.DABound(m), 2+2*m.CC/m.CD
 		ok := "yes"
-		if w.Ratio > b+1e-9 || res.Factor > b+1e-9 {
+		if ex.Factor() > b+1e-9 || res.Factor > b+1e-9 {
 			ok = "VIOLATED"
 		}
-		if math.Abs(res.Factor-pingPong) > 1e-9 {
+		if math.Abs(ex.Factor()-pingPong) > 1e-9 || math.Abs(res.Factor-pingPong) > 1e-9 {
 			off = append(off, m.String())
 		}
-		tbl.AddRow(m.String(), w.Ratio, b, ok, res.Factor, pingPong, res.Period.String())
+		tbl.AddRow(m.String(), ex.Factor(), ex.Period.String(), b, ok, res.Factor, pingPong, res.Period.String())
 	}
-	fmt.Println("DA worst-case ratio vs Theorem 4's (2+3cc/cd) (all <= 5 since cc<=cd):")
+	fmt.Println("DA's exact factor over every schedule on 3 processors vs Theorem 4's (2+3cc/cd):")
 	fmt.Print(tbl.String())
 	if len(off) == 0 {
-		fmt.Println("the certified search reads 2+2cc/cd at every cell")
+		fmt.Println("the exact factor and the certified search read 2+2cc/cd at every cell")
 	} else {
-		fmt.Printf("the certified search departs from 2+2cc/cd at %s\n", strings.Join(off, ", "))
+		fmt.Printf("the exact factor or the certified search departs from 2+2cc/cd at %s\n", strings.Join(off, ", "))
 	}
 }
 
@@ -378,7 +357,7 @@ func e11TSensitivity() {
 	m := cost.SC(0.3, 1.2)
 	tbl := stats.NewTable("t", "SA worst", "SA bound", "DA worst", "DA bound")
 	for _, tAvail := range []int{2, 3, 4, 5} {
-		cfg := battery()
+		cfg := competitive.DefaultBattery()
 		cfg.T = tAvail
 		cfg.N = tAvail + 3 // keep outsiders around as t grows
 		scheds := cfg.Build()
@@ -400,9 +379,6 @@ func e12AverageCase() {
 	rng := rand.New(rand.NewSource(123))
 	initial := model.NewSet(0, 1)
 	nScheds := 20
-	if *quick {
-		nScheds = 8
-	}
 	tbl := stats.NewTable("model", "region", "SA mean ratio", "DA mean ratio", "avg-case winner")
 	for _, p := range []struct {
 		m      cost.Model
@@ -526,9 +502,6 @@ func e14Convergent() {
 func e15Fidelity() {
 	rng := rand.New(rand.NewSource(12))
 	trials := 20
-	if *quick {
-		trials = 5
-	}
 	matches := 0
 	for trial := 0; trial < trials; trial++ {
 		n := 3 + rng.Intn(6)
@@ -799,11 +772,7 @@ func e23Feed() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			objects := 40
-			if *quick {
-				objects = 10
-			}
-			for obj := 0; obj < objects; obj++ {
+			for obj := 0; obj < 40; obj++ {
 				if _, err := f.Publish(model.ProcessorID(rng.Intn(6)), []byte("img")); err != nil {
 					log.Fatal(err)
 				}
@@ -846,6 +815,25 @@ func exactFactor(m cost.Model, f dom.Factory, period model.Schedule) float64 {
 	return factor
 }
 
+// atThree is the algorithm's exact factor over every schedule on the
+// processors 0, 1 and 2 from {0, 1} at t = 2: the maximum cycle ratio of
+// its work-function graph, certified.
+func atThree(m cost.Model, f dom.Factory) competitive.Exact {
+	ex, err := competitive.ExactFactor(runCtx, m, f, 3, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return ex
+}
+
+// fraction prints an exact factor as the fraction it is.
+func fraction(ex competitive.Exact) string {
+	if ex.Den == 0 {
+		return "+Inf"
+	}
+	return fmt.Sprintf("%d/%d", ex.Num, ex.Den)
+}
+
 // e9Models and e21Models are the cells of E9's and E21's certified
 // searches.
 var (
@@ -864,13 +852,8 @@ func certifiedSearch(m cost.Model) competitive.SearchResult {
 	if res, ok := searches[m]; ok {
 		return res
 	}
-	steps := 400
-	if *quick {
-		steps = 80
-	}
 	res, err := competitive.Search(runCtx, competitive.SearchConfig{
-		Model: m, Factory: dom.DynamicFactory,
-		N: 6, T: 2, Length: 8, Restarts: 4, Steps: steps, Seed: 13,
+		Model: m, N: 6, T: 2, Length: 8, Restarts: 4, Steps: 400, Seed: 13,
 		Parallelism: *parallel, Obs: runObs,
 	})
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"objalloc/internal/cost"
+	"objalloc/internal/dom"
 	"objalloc/internal/model"
 	"objalloc/internal/opt"
 )
@@ -98,6 +100,32 @@ func BenchmarkBound(b *testing.B) {
 					_ = x.unbounded(s, j) || x.under(s, j, worst[f][j])
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkWorkFunctionGraph is one exact factor at n = 3, t = 2 (build,
+// solve, certify), a measuring aid for `make allocs`: each row reports the
+// graph's states and edges beside its time, for SA and DA at E3's
+// SC(0.3, 1.2) and E9's MC(0.5, 1).
+func BenchmarkWorkFunctionGraph(b *testing.B) {
+	for _, m := range []cost.Model{cost.SC(0.3, 1.2), cost.MC(0.5, 1)} {
+		for _, alg := range []struct {
+			name string
+			f    dom.Factory
+		}{{"SA", dom.StaticFactory}, {"DA", dom.DynamicFactory}} {
+			b.Run(alg.name+"/"+m.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				var ex Exact
+				for range b.N {
+					var err error
+					if ex, err = ExactFactor(context.Background(), m, alg.f, 3, 2); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(ex.States), "states")
+				b.ReportMetric(float64(ex.Edges), "edges")
+			})
 		}
 	}
 }

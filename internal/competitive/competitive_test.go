@@ -373,34 +373,9 @@ func TestRenderGrid(t *testing.T) {
 	}
 }
 
-// SA's certified search reads Theorem 1's bound exactly: the read run it
-// starts from is tight (Proposition 1), and no period beats the bound. The
-// want is taken in whole units, as in TestFactorSAReadRunIsTight.
-func TestSearchFindsBadSchedulesForSA(t *testing.T) {
-	m := cost.SC(0.4, 1.1)
-	res, err := Search(context.Background(), SearchConfig{
-		Model: m, Factory: dom.StaticFactory,
-		N: 5, T: 2, Length: 16, Restarts: 3, Steps: 120, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wm, err := whole(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (wm.CIO + wm.CC + wm.CD) / wm.CIO; res.Factor != want {
-		t.Errorf("certified factor %v on %v, want 1+cc+cd = %v", res.Factor, res.Period, want)
-	}
-	if res.Evaluations < 100 {
-		t.Errorf("evaluations = %d", res.Evaluations)
-	}
-}
-
 func TestSearchDeterministic(t *testing.T) {
 	cfg := SearchConfig{
-		Model: cost.SC(0.2, 0.8), Factory: dom.DynamicFactory,
-		N: 4, T: 2, Length: 10, Restarts: 2, Steps: 40, Seed: 99,
+		Model: cost.SC(0.2, 0.8), N: 4, T: 2, Length: 10, Restarts: 2, Steps: 40, Seed: 99,
 	}
 	a, err := Search(context.Background(), cfg)
 	if err != nil {
@@ -416,7 +391,7 @@ func TestSearchDeterministic(t *testing.T) {
 }
 
 func TestSearchValidation(t *testing.T) {
-	if _, err := Search(context.Background(), SearchConfig{N: 0, Length: 5, T: 2, Model: cost.SC(0.1, 0.5), Factory: dom.StaticFactory}); err == nil {
+	if _, err := Search(context.Background(), SearchConfig{N: 0, Length: 5, T: 2, Model: cost.SC(0.1, 0.5)}); err == nil {
 		t.Error("N = 0 accepted")
 	}
 }
@@ -502,8 +477,7 @@ func TestPrefixCompetitivenessUniform(t *testing.T) {
 func TestSearchRespectsTheorem4(t *testing.T) {
 	m := cost.MC(0.4, 1.0)
 	res, err := Search(context.Background(), SearchConfig{
-		Model: m, Factory: dom.DynamicFactory,
-		N: 5, T: 2, Length: 14, Restarts: 3, Steps: 150, Seed: 21,
+		Model: m, N: 5, T: 2, Length: 14, Restarts: 3, Steps: 150, Seed: 21,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,8 +19,8 @@ const maxScale = 10000
 // per period over the optimum's growth per period (opt.Plan.Rate at m
 // scaled whole by the smallest q ≤ maxScale), by ratioOf's rules. It steps
 // the algorithm through model.CheckStep and cost.StepCounts until its
-// scheme repeats at a period boundary; the scheme is SA's and DA's whole
-// state, and an algorithm with more is not for Factor.
+// scheme repeats at a period boundary, so it takes SA and DA only, whose
+// scheme is their whole state (schemeIsState).
 func Factor(ctx context.Context, m cost.Model, f dom.Factory, period model.Schedule, initial model.Set, t int) (float64, error) {
 	wm, err := whole(m)
 	if err != nil {
@@ -36,6 +36,9 @@ func Factor(ctx context.Context, m cost.Model, f dom.Factory, period model.Sched
 	}
 	alg, err := f(initial, t)
 	if err != nil {
+		return 0, err
+	}
+	if err := schemeIsState(alg); err != nil {
 		return 0, err
 	}
 	seen := make(map[model.Set]int) // a boundary's scheme → the boundary

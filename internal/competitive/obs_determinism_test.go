@@ -3,13 +3,10 @@ package competitive
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
 
 	"objalloc/internal/cost"
-	"objalloc/internal/dom"
 	"objalloc/internal/obs"
 )
 
@@ -76,8 +73,7 @@ func TestSearchObsDeterminism(t *testing.T) {
 		var buf bytes.Buffer
 		r := obs.NewRegistry()
 		cfg := SearchConfig{
-			Model: cost.SC(0.3, 1.2), Factory: dom.DynamicFactory,
-			N: 4, T: 2, Length: 10,
+			Model: cost.SC(0.3, 1.2), N: 4, T: 2, Length: 10,
 			Restarts: 6, Steps: 40, Seed: 3,
 			Parallelism: parallelism,
 			Obs:         &obs.Obs{Registry: r, Sink: obs.NewJSONL(&buf)},
@@ -99,47 +95,5 @@ func TestSearchObsDeterminism(t *testing.T) {
 	}
 	if restarts := bytes.Count(serialEvents, []byte(`{"event":"restart"`)); restarts != 6 {
 		t.Fatalf("event stream has %d restart events, want 6", restarts)
-	}
-}
-
-// SA's factor under MC is +Inf (Proposition 3). The search reports it as
-// such, the restart events carry it as JSON, and the registry counts the
-// infinite factors instead of converting them to milli-units.
-func TestSearchInfiniteFactorObs(t *testing.T) {
-	var buf bytes.Buffer
-	r := obs.NewRegistry()
-	res, err := Search(context.Background(), SearchConfig{
-		Model: cost.MC(0.3, 1), Factory: dom.StaticFactory,
-		N: 5, T: 2, Length: 6, Restarts: 4, Steps: 30, Seed: 1,
-		Obs: &obs.Obs{Registry: r, Sink: obs.NewJSONL(&buf)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(res.Factor, 1) {
-		t.Errorf("factor %v on %v, want +Inf", res.Factor, res.Period)
-	}
-	snap := r.Snapshot()
-	counters := map[string]int64{}
-	for _, c := range snap.Counters {
-		counters[c.Name] = c.Value
-	}
-	var finite int64
-	for _, h := range snap.Histograms {
-		if h.Name == "search.factor_milli" {
-			finite = h.Count
-		}
-	}
-	if counters["search.restarts"] != 4 || counters["search.factor_infinite"] < 1 || counters["search.factor_infinite"]+finite != 4 {
-		t.Errorf("restarts %d, infinite factors %d, finite %d; want 4 = infinite + finite, infinite >= 1",
-			counters["search.restarts"], counters["search.factor_infinite"], finite)
-	}
-	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
-		if !json.Valid(line) {
-			t.Errorf("event is not JSON: %s", line)
-		}
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"factor":"+Inf"`)) {
-		t.Errorf("no restart event carries the infinite factor:\n%s", buf.Bytes())
 	}
 }

@@ -382,8 +382,7 @@ func TestSearchParallelIdenticalToSerial(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := SearchConfig{
-				Model: cost.SC(0.3, 1.1), Factory: dom.DynamicFactory,
-				N: 5, T: 2, Length: 10, Restarts: 6, Steps: 30, Seed: seed,
+				Model: cost.SC(0.3, 1.1), N: 5, T: 2, Length: 10, Restarts: 6, Steps: 30, Seed: seed,
 			}
 			cfg.Parallelism = 1
 			serial, err := Search(context.Background(), cfg)
@@ -475,8 +474,7 @@ func TestSearchAndFitPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := Search(ctx, SearchConfig{
-		Model: cost.SC(0.2, 0.8), Factory: dom.StaticFactory,
-		N: 4, T: 2, Length: 8, Restarts: 2, Steps: 20,
+		Model: cost.SC(0.2, 0.8), N: 4, T: 2, Length: 8, Restarts: 2, Steps: 20,
 	}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Search err = %v, want context.Canceled", err)
 	}

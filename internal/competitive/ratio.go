@@ -7,9 +7,10 @@
 // COST_A(I, ψ) / COST_OPT(I, ψ) with the exact offline optimum of package
 // opt, takes worst cases over schedule batteries (random mixes plus the
 // nemesis families of package adversary), prices a period's endless
-// repetition exactly (Factor) and climbs periods by that exact factor
-// (Search), and sweeps the (cd, cc) plane to regenerate the superiority
-// region maps of the paper's figures 1 and 2.
+// repetition exactly (Factor), solves SA's and DA's exact factor over
+// every schedule at small n (ExactFactor), climbs DA's periods by Factor
+// where n is beyond that (Search), and sweeps the (cd, cc) plane to
+// regenerate the superiority region maps of the paper's figures 1 and 2.
 package competitive
 
 import (

@@ -3,7 +3,7 @@ package competitive
 import (
 	"context"
 	"fmt"
-	"math"
+
 	"math/rand"
 	"slices"
 
@@ -15,21 +15,21 @@ import (
 	"objalloc/internal/obs"
 )
 
-// SearchConfig drives the adversarial period search: randomized
-// hill-climbing over periods, maximizing the algorithm's exact factor on
-// a period's endless repetition (Factor). Every factor it reports is a
-// certified lower bound on the algorithm's competitiveness at Model, for
-// every number of processors from N on: a processor a period never names
-// changes neither the algorithm's cost nor the optimum's. The search
-// complements the hand-built nemesis families, which its first restarts
-// start from — it probes whether worse periods than the analytic ones
-// exist (tightness of the bounds).
+// SearchConfig drives DA's adversarial period search: randomized
+// hill-climbing over periods, maximizing DA's exact factor on a period's
+// endless repetition (Factor). Every factor it reports is a certified
+// lower bound on DA's competitiveness at Model, for every number of
+// processors from N on: a processor a period never names changes neither
+// DA's cost nor the optimum's. The search complements the hand-built
+// nemesis families, which its first restarts start from — it probes
+// whether worse periods than the analytic ones exist (tightness of the
+// bounds). It is for DA at N ≥ 4, where no exact factor is at hand: at
+// N = 3 ExactFactor is DA's factor over every schedule, and SA's is
+// known at every N (1+cc+cd in SC, Theorem 1 with the read run; +Inf in
+// MC).
 type SearchConfig struct {
 	// Model is the cost model at which the factor is maximized.
 	Model cost.Model
-	// Factory builds the algorithm under attack: SA or DA, whose scheme
-	// is their whole state (see Factor).
-	Factory dom.Factory
 	// N is the number of processors requests may come from.
 	N int
 	// T is the availability threshold; the initial scheme is {0..T-1}.
@@ -72,11 +72,10 @@ func (cfg *SearchConfig) Normalize() error {
 	return nil
 }
 
-// SearchResult is the worst period found: a certified lower bound on the
-// algorithm's competitive factor.
+// SearchResult is the worst period found: a certified lower bound on DA's
+// competitive factor.
 type SearchResult struct {
-	// Factor is the algorithm's exact factor on Period's endless
-	// repetition (+Inf where the optimum's cost stops growing).
+	// Factor is DA's exact factor on Period's endless repetition.
 	Factor float64
 	// Period is the best climb's period, shrunk to be 1-minimal.
 	Period model.Schedule
@@ -129,16 +128,10 @@ func Search(ctx context.Context, cfg SearchConfig) (SearchResult, error) {
 			}})
 			o.Counter("search.restarts").Inc()
 			o.Counter("search.evaluations").Add(int64(c.Evaluations))
-			// A float-to-integer conversion of +Inf is implementation-
-			// defined, so an infinite factor is counted, not observed.
-			if math.IsInf(c.Factor, 1) {
-				o.Counter("search.factor_infinite").Inc()
-			} else {
-				o.Histogram("search.factor_milli", 1000, 1250, 1500, 2000, 3000, 4000, 6000).Observe(int64(c.Factor * 1000))
-			}
+			o.Histogram("search.factor_milli", 1000, 1250, 1500, 2000, 3000, 4000, 6000).Observe(int64(c.Factor * 1000))
 		}
 	}
-	best.Period, best.Factor, err = Shrink(ctx, cfg.Model, cfg.Factory, best.Period, model.FullSet(cfg.T), cfg.T, best.Factor)
+	best.Period, best.Factor, err = Shrink(ctx, cfg.Model, dom.DynamicFactory, best.Period, model.FullSet(cfg.T), cfg.T, best.Factor)
 	if err != nil {
 		return SearchResult{}, err
 	}
@@ -164,7 +157,7 @@ func (cfg SearchConfig) climb(ctx context.Context, rng *rand.Rand, start model.S
 		}
 	}
 	var err error
-	if best.Factor, err = Factor(ctx, cfg.Model, cfg.Factory, best.Period, initial, cfg.T); err != nil {
+	if best.Factor, err = Factor(ctx, cfg.Model, dom.DynamicFactory, best.Period, initial, cfg.T); err != nil {
 		return SearchResult{}, err
 	}
 
@@ -176,7 +169,7 @@ func (cfg SearchConfig) climb(ctx context.Context, rng *rand.Rand, start model.S
 		if next == nil {
 			continue
 		}
-		f, err := Factor(ctx, cfg.Model, cfg.Factory, next, initial, cfg.T)
+		f, err := Factor(ctx, cfg.Model, dom.DynamicFactory, next, initial, cfg.T)
 		best.Evaluations++
 		if err != nil {
 			if ctx.Err() != nil {

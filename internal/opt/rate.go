@@ -60,6 +60,54 @@ func (p *Plan) Rate(ctx context.Context, m cost.Model) (growth float64, periods,
 	return bs.total[0] - bs.totals(a)[0], b - a, a, nil
 }
 
+// Steps is Rate's walk one request at a time, at one whole-priced model:
+// from row, the values of the plan's feasible states in ascending mask
+// order (nil for the start row, 0 at the initial scheme and +Inf
+// elsewhere), it relaxes each request of the plan in turn, and normalises
+// and cuts each new row as Rate does at a boundary. It appends the plan's
+// len(reqs) new rows to dst, one after another, and the rise of each
+// one's minimum to rises. Such rows are OPT's work function, so a caller
+// that keys them by value walks OPT as a finite-state player.
+func (p *Plan) Steps(m cost.Model, row, dst, rises []float64) ([]float64, []float64, error) {
+	if err := m.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if !Whole(m) || row != nil && len(row) != len(p.feasible) {
+		return nil, nil, fmt.Errorf("opt: a step needs whole prices and a row of the plan's %d feasible states, got %v and %d values", len(p.feasible), m, len(row))
+	}
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	models := []cost.Model{m}
+	var gr grid
+	p.start(&gr, models, ws)
+	w := gr.w
+	for k := range p.reqs {
+		// Every row starts from row; the states outside the feasible
+		// ones stay +Inf in both of the grid's rows.
+		for i, y := range p.feasible {
+			v := inf
+			if row != nil {
+				v = row[i]
+			} else if y == p.init {
+				v = 0
+			}
+			for j := range w {
+				gr.dp[int(y)*w+j] = v
+			}
+		}
+		bs := p.newBoundaries(&gr, ws, len(models))
+		if err := p.walk(context.Background(), &gr, p.reqs[k:k+1]); err != nil {
+			return nil, nil, err
+		}
+		bs.step(gr.dp, 1) // boundary 1 with none kept: normalise and cut only
+		for _, y := range p.feasible {
+			dst = append(dst, gr.dp[int(y)*w])
+		}
+		rises = append(rises, bs.total[0])
+	}
+	return dst, rises, nil
+}
+
 // Whole reports whether every price of m is a whole number, as
 // x == math.Trunc(x) says, without the call: below 2^52 through int64,
 // and from there up every finite float is whole (and +Inf is its own

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -91,5 +92,54 @@ func TestRateRefusals(t *testing.T) {
 	cancel()
 	if _, _, _, err := plan.Rate(ctx, cost.SC(1, 2)); !errors.Is(err, context.Canceled) {
 		t.Errorf("Rate under a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// Steps is Rate's walk a request at a time: along a random walk over the
+// plan's requests from the start row, the rises add up to the optimum of
+// the walked schedule (run, with no cut), at t = 1 and t = 2.
+func TestStepsWalkTheOptimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := cost.Model{CC: 3, CD: 12, CIO: 10}
+	reqs := model.MustParseSchedule("r0 w0 r1 w1 r2 w2 r3 w3")
+	for _, avail := range []int{1, 2} {
+		initial := model.FullSet(avail)
+		plan, err := Compile(reqs, initial, avail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for walk := 0; walk < 20; walk++ {
+			var row, next, rises []float64
+			var sched model.Schedule
+			total := 0.0
+			for len(sched) < 30 {
+				if next, rises, err = plan.Steps(m, row, next[:0], rises[:0]); err != nil {
+					t.Fatal(err)
+				}
+				k, width := rng.Intn(len(reqs)), len(next)/len(reqs)
+				row = append(row[:0], next[k*width:][:width]...)
+				sched, total = append(sched, reqs[k]), total+rises[k]
+			}
+			res, err := Solve(m, sched, initial, avail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if total != res.Cost {
+				t.Errorf("t = %d, %v: the rises add to %v, the optimum is %v", avail, sched, total, res.Cost)
+			}
+		}
+	}
+}
+
+func TestStepsRefusals(t *testing.T) {
+	plan, err := Compile(model.MustParseSchedule("r2 w0"), model.NewSet(0, 1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := plan.Steps(cost.SC(0.5, 1), nil, nil, nil); err == nil {
+		t.Error("Steps accepted a price that is not whole")
+	}
+	if _, _, err := plan.Steps(cost.SC(1, 2), []float64{0, 1}, nil, nil); err == nil {
+		t.Error("Steps accepted a row of 2 values for 4 feasible states")
 	}
 }

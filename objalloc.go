@@ -240,27 +240,26 @@ func RenderGrid(points []GridPoint, empirical bool) string {
 	return competitive.RenderGrid(points, empirical)
 }
 
-// SearchConfig drives the adversarial period search: hill-climbing over
+// SearchConfig drives DA's adversarial period search: hill-climbing over
 // periods, scored by their exact factor (AsymptoticFactor).
 type SearchConfig = competitive.SearchConfig
 
-// SearchResult is the worst period found, with its exact factor: a
-// certified lower bound on the algorithm's competitiveness.
+// SearchResult is the worst period found; its factor bounds DA's from below.
 type SearchResult = competitive.SearchResult
 
-// SearchWorstCaseContext looks for periods maximizing SA's or DA's exact
-// factor on their endless repetition, starting from the nemesis families,
-// and shrinks the best to a 1-minimal period. Restarts run concurrently
-// on the parallel engine (bounded by cfg.Parallelism), each with an RNG
-// stream derived from (Seed, restart index), so the outcome is identical
-// for any parallelism. Cancelling the context aborts outstanding restarts.
+// SearchWorstCaseContext looks for periods maximizing DA's exact factor on
+// their endless repetition, from the nemesis families, and shrinks the
+// best to a 1-minimal period. Restarts run concurrently (cfg.Parallelism),
+// each on an RNG stream derived from (Seed, restart index), so the outcome
+// is identical for any parallelism. Cancelling ctx aborts the restarts.
 func SearchWorstCaseContext(ctx context.Context, cfg SearchConfig) (SearchResult, error) {
 	return competitive.Search(ctx, cfg)
 }
 
 // AsymptoticFactor is SA's or DA's exact asymptotic competitive factor on
 // the endless repetition of period, the limit of COST_A / COST_OPT, at
-// prices some q ≤ 10 000 makes whole. Cancelling ctx aborts OPT's DP.
+// prices some q ≤ 10 000 makes whole; it refuses other algorithms, whose
+// scheme is not their whole state. Cancelling ctx aborts OPT's DP.
 func AsymptoticFactor(ctx context.Context, m CostModel, f Factory, period Schedule, initial Set, t int) (float64, error) {
 	return competitive.Factor(ctx, m, f, period, initial, t)
 }

@@ -21,8 +21,7 @@ func TestSpecNormalize(t *testing.T) {
 		}
 	}
 	good := &objalloc.SearchConfig{
-		Model: objalloc.SC(0.25, 1), Factory: objalloc.DynamicFactory,
-		N: 4, T: 2, Length: 8,
+		Model: objalloc.SC(0.25, 1), N: 4, T: 2, Length: 8,
 	}
 	if err := good.Normalize(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)

@@ -55,8 +55,7 @@ func TestFacadePreCancelledContexts(t *testing.T) {
 		t.Errorf("OptimalBeamContext err = %v, want context.Canceled", err)
 	}
 	if _, err := objalloc.SearchWorstCaseContext(ctx, objalloc.SearchConfig{
-		Model: m, Factory: objalloc.DynamicFactory,
-		N: 4, T: 2, Length: 8, Restarts: 2, Steps: 20,
+		Model: m, N: 4, T: 2, Length: 8, Restarts: 2, Steps: 20,
 	}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SearchWorstCaseContext err = %v, want context.Canceled", err)
 	}
@@ -66,8 +65,7 @@ func TestFacadePreCancelledContexts(t *testing.T) {
 // the facade, and the deprecated form must match Parallelism-default runs.
 func TestFacadeSearchContextDeterministic(t *testing.T) {
 	cfg := objalloc.SearchConfig{
-		Model: objalloc.SC(0.3, 1.1), Factory: objalloc.DynamicFactory,
-		N: 5, T: 2, Length: 10, Restarts: 4, Steps: 25, Seed: 7,
+		Model: objalloc.SC(0.3, 1.1), N: 5, T: 2, Length: 10, Restarts: 4, Steps: 25, Seed: 7,
 	}
 	cfg.Parallelism = 1
 	serial, err := objalloc.SearchWorstCaseContext(context.Background(), cfg)

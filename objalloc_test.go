@@ -185,6 +185,12 @@ func TestFacadeBaselines(t *testing.T) {
 		if err := las.Validate(objalloc.NewSet(0, 1), 2); err != nil {
 			t.Fatal(err)
 		}
+		// Their state is more than their scheme, so no exact factor is
+		// theirs: KThreshold(2) repeats its scheme on r2 while its read
+		// counter does not.
+		if f, err := objalloc.AsymptoticFactor(context.Background(), objalloc.SC(0.3, 1.2), f, objalloc.MustParseSchedule("r2"), objalloc.NewSet(0, 1), 2); err == nil {
+			t.Errorf("AsymptoticFactor = %v for %s, want a refusal", f, alg.Name())
+		}
 	}
 }
 
@@ -319,8 +325,7 @@ func TestFacadeSearchShrinkCrossover(t *testing.T) {
 	initial := objalloc.NewSet(0, 1)
 	m := objalloc.SC(0.3, 0.9)
 	res, err := objalloc.SearchWorstCaseContext(ctx, objalloc.SearchConfig{
-		Model: m, Factory: objalloc.DynamicFactory,
-		N: 5, T: 2, Length: 8, Restarts: 4, Steps: 150, Seed: 3,
+		Model: m, N: 5, T: 2, Length: 8, Restarts: 4, Steps: 150, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
