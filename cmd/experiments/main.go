@@ -375,11 +375,12 @@ func e11TSensitivity() {
 	fmt.Print(tbl.String())
 }
 
+// e12AverageCase checks §2's claim that the worst case predicts the
+// average case by exact long-run ratios at n = 3, t = 2: at one cell per
+// analytic region, then at every cell of a 5×5 SC grid where the bounds
+// name a winner, at two write fractions.
 func e12AverageCase() {
-	rng := rand.New(rand.NewSource(123))
-	initial := model.NewSet(0, 1)
-	nScheds := 20
-	tbl := stats.NewTable("model", "region", "SA mean ratio", "DA mean ratio", "avg-case winner")
+	tbl := stats.NewTable("model", "region", "SA long-run ratio", "DA long-run ratio", "avg-case winner")
 	for _, p := range []struct {
 		m      cost.Model
 		region string
@@ -388,26 +389,56 @@ func e12AverageCase() {
 		{cost.SC(0.3, 0.7), "unknown"},
 		{cost.SC(0.2, 2.0), "DA (cd>1)"},
 	} {
-		var scheds []model.Schedule
-		for i := 0; i < nScheds; i++ {
-			scheds = append(scheds, workload.Uniform(rng, 5, 40, 0.15))
-		}
-		sa, err := competitive.MeanRatio(p.m, dom.StaticFactory, scheds, initial, 2)
-		if err != nil {
-			log.Fatal(err)
-		}
-		da, err := competitive.MeanRatio(p.m, dom.DynamicFactory, scheds, initial, 2)
-		if err != nil {
-			log.Fatal(err)
-		}
-		winner := "SA"
-		if da < sa {
-			winner = "DA"
-		}
-		tbl.AddRow(p.m.String(), p.region, sa, da, winner)
+		sa, da := longRun(p.m, []float64{0.15})
+		tbl.AddRow(p.m.String(), p.region, sa[0], da[0], winner(sa[0], da[0]))
 	}
-	fmt.Println("mean ratios on random read-heavy workloads, by worst-case region:")
+	fmt.Println("exact long-run ratios on 3 processors, reads 85 % and writes 15 % of independent requests, spread evenly:")
 	fmt.Print(tbl.String())
+
+	axis, pwrites := []float64{0.2, 0.4, 0.8, 1.2, 2}, []float64{0.15, 0.5}
+	flips := stats.NewTable("model", "pwrite", "worst-case winner", "SA long-run ratio", "DA long-run ratio")
+	cells, flipped := 0, make([]int, len(pwrites))
+	for _, cc := range axis {
+		for _, cd := range axis {
+			m := cost.SC(cc, cd)
+			if r := m.Region(); r == cost.RegionSASuperior || r == cost.RegionDASuperior {
+				cells++
+				sa, da := longRun(m, pwrites)
+				for i, pw := range pwrites {
+					if winner(sa[i], da[i]) != r.String() {
+						flipped[i]++
+						flips.AddRow(m.String(), pw, r.String(), sa[i], da[i])
+					}
+				}
+			}
+		}
+	}
+	fmt.Printf("\nthe SC grid cc, cd in {0.2, 0.4, 0.8, 1.2, 2}: of its %d cells where the bounds name a winner, those where the other wins on average:\n", cells)
+	fmt.Print(flips.String())
+	for i, pw := range pwrites {
+		fmt.Printf("pwrite %v: %d of %d cells flip\n", pw, flipped[i], cells)
+	}
+}
+
+// longRun is SA's and DA's exact long-run ratios at m on 3 processors from
+// {0, 1} at t = 2, one per write fraction.
+func longRun(m cost.Model, pwrites []float64) (sa, da []float64) {
+	sa, err := competitive.AverageFactor(runCtx, m, dom.StaticFactory, 3, 2, pwrites)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if da, err = competitive.AverageFactor(runCtx, m, dom.DynamicFactory, 3, 2, pwrites); err != nil {
+		log.Fatal(err)
+	}
+	return sa, da
+}
+
+// winner is the algorithm of the lower ratio, SA on a tie.
+func winner(sa, da float64) string {
+	if da < sa {
+		return "DA"
+	}
+	return "SA"
 }
 
 func e13Failover() {

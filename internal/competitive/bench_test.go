@@ -107,7 +107,9 @@ func BenchmarkBound(b *testing.B) {
 // BenchmarkWorkFunctionGraph is one exact factor at n = 3, t = 2 (build,
 // solve, certify), a measuring aid for `make allocs`: each row reports the
 // graph's states and edges beside its time, for SA and DA at E3's
-// SC(0.3, 1.2) and E9's MC(0.5, 1).
+// SC(0.3, 1.2) and E9's MC(0.5, 1). The average row is one of E12's
+// long-run ratios (AverageFactor: build, then the stationary pass at
+// pwrite 0.15) for DA at its largest cell, SC(0.1, 0.2).
 func BenchmarkWorkFunctionGraph(b *testing.B) {
 	for _, m := range []cost.Model{cost.SC(0.3, 1.2), cost.MC(0.5, 1)} {
 		for _, alg := range []struct {
@@ -128,4 +130,20 @@ func BenchmarkWorkFunctionGraph(b *testing.B) {
 			})
 		}
 	}
+	e12 := cost.SC(0.1, 0.2)
+	b.Run("average/DA/"+e12.String(), func(b *testing.B) {
+		ctx := context.Background()
+		g, err := buildGraph(ctx, e12, dom.DynamicFactory, 3, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			if _, err := AverageFactor(ctx, e12, dom.DynamicFactory, 3, 2, []float64{0.15}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(g.head)/g.d), "states")
+	})
 }

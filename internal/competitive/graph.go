@@ -223,40 +223,38 @@ func onlineSide(f dom.Factory, wm cost.Model, reqs model.Schedule, initial model
 }
 
 // workSide steps OPT's rows (opt.Plan.Steps) from the start row, row 0,
-// through every row they reach. A row is keyed by its entries, each a
-// whole number up to the cut k or +Inf, as the digits of one uint64.
+// through every row they reach, a breadth-first layer per Steps call:
+// rows holds the layer's rows, found the next layer's. A row is keyed by
+// its entries, each a whole number up to the cut k or +Inf, as the digits
+// of one uint64.
 func workSide(ctx context.Context, plan *opt.Plan, wm cost.Model, k int64) (side, error) {
 	var off side
 	ids := map[uint64]int32{}
-	keys := []uint64{0} // row 0 is the start row, which Steps takes as nil
-	var row, next, rises []float64
-	for r := 0; r < len(keys); r++ {
+	var rows, found, next, rises []float64
+	for lo, hi := 0, 1; lo < hi; lo, hi = hi, 1+len(ids) {
 		if err := ctx.Err(); err != nil {
 			return side{}, err
 		}
-		var from []float64
-		if r > 0 {
-			row = unpack(keys[r], len(next)/len(rises), k, row[:0])
-			from = row
-		}
 		var err error
-		if next, rises, err = plan.Steps(wm, from, next[:0], rises[:0]); err != nil {
+		if next, rises, err = plan.Steps(wm, rows, next[:0], rises[:0]); err != nil {
 			return side{}, err
 		}
 		width := len(next) / len(rises)
+		found = found[:0]
 		for q, rise := range rises {
-			key, err := pack(next[q*width:][:width], k)
+			row := next[q*width:][:width]
+			key, err := pack(row, k)
 			if err != nil {
 				return side{}, err
 			}
 			id, ok := ids[key]
 			if !ok {
-				if len(keys) == maxStates {
+				if len(ids)+1 == maxStates {
 					return side{}, fmt.Errorf("competitive: OPT's rows at %v outgrow %d", wm, maxStates)
 				}
-				id = int32(len(keys))
+				id = int32(1 + len(ids))
 				ids[key] = id
-				keys = append(keys, key)
+				found = append(found, row...)
 			}
 			r, err := units(rise)
 			if err != nil {
@@ -264,6 +262,7 @@ func workSide(ctx context.Context, plan *opt.Plan, wm cost.Model, k int64) (side
 			}
 			off.next, off.cost = append(off.next, id), append(off.cost, r)
 		}
+		rows, found = found, rows
 	}
 	return off, nil
 }
@@ -295,21 +294,6 @@ func pack(row []float64, k int64) (uint64, error) {
 		key = key*base + digit
 	}
 	return key, nil
-}
-
-// unpack appends the width entries of a packed row to dst.
-func unpack(key uint64, width int, k int64, dst []float64) []float64 {
-	base := uint64(k + 2)
-	dst = slices.Grow(dst, width)[:width]
-	for i := width - 1; i >= 0; i-- {
-		digit := key % base
-		key /= base
-		dst[i] = float64(digit)
-		if digit == uint64(k+1) {
-			dst[i] = math.Inf(1)
-		}
-	}
-	return dst
 }
 
 // errNoConvergence is solve's report that policy iteration or the
@@ -508,19 +492,7 @@ func (g *graph) potentials(ctx context.Context, r ratio, lam []ratio, phi []int6
 			pot[v] = phi[v]
 		}
 	}
-	// in lists each node's predecessors, a node once per edge.
-	start := make([]int32, n+1)
-	for _, u := range g.head {
-		start[u+1]++
-	}
-	for v := range n {
-		start[v+1] += start[v]
-	}
-	in, fill := make([]int32, len(g.head)), slices.Clone(start[:n])
-	for e, u := range g.head {
-		in[fill[u]] = int32(e / d)
-		fill[u]++
-	}
+	at, in := g.preds()
 	// A ring of the nodes to relax, each in it at most once.
 	queued, rises := make([]bool, n), make([]int32, n)
 	ring := make([]int32, n)
@@ -547,8 +519,8 @@ func (g *graph) potentials(ctx context.Context, r ratio, lam []ratio, phi []int6
 			return nil, errNoConvergence
 		}
 		pot[v] = top
-		for _, x := range in[start[v]:start[v+1]] {
-			if !queued[x] {
+		for _, e := range in[at[v]:at[v+1]] {
+			if x := e / int32(d); !queued[x] {
 				queued[x] = true
 				ring[(head+size)%n] = x
 				size++
@@ -556,6 +528,24 @@ func (g *graph) potentials(ctx context.Context, r ratio, lam []ratio, phi []int6
 		}
 	}
 	return pot, nil
+}
+
+// preds lists each node's in-edges: node u's are in[at[u]:at[u+1]].
+func (g *graph) preds() (at, in []int32) {
+	n := len(g.head) / g.d
+	at = make([]int32, n+1)
+	for _, u := range g.head {
+		at[u+1]++
+	}
+	for v := range n {
+		at[v+1] += at[v]
+	}
+	in, fill := make([]int32, len(g.head)), slices.Clone(at[:n])
+	for e, u := range g.head {
+		in[fill[u]] = int32(e)
+		fill[u]++
+	}
+	return at, in
 }
 
 // fits refuses a graph whose sums could overflow an int64: a cycle's

@@ -3,9 +3,16 @@
 package competitive
 
 import (
+	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"objalloc/internal/cost"
+	"objalloc/internal/dom"
+	"objalloc/internal/model"
+	"objalloc/internal/opt"
+	"objalloc/internal/workload"
 )
 
 // The self-checks over the figure grids' shape, at n = 3, t = 2: every
@@ -40,5 +47,48 @@ func TestExactFactorSelfChecksGrid(t *testing.T) {
 	}
 	if len(regions) != 3 {
 		t.Errorf("the cells cover %d admissible regions, want SA-superior, unknown and DA-superior", len(regions))
+	}
+}
+
+// E12's exact long-run ratios are what long random runs read: at each of
+// its three cells, for SA and DA, 20 independent uniform runs of 2 000
+// requests (reads 85 %, writes 15 %), each priced against opt.SolveCost,
+// give the ratio estimate ΣCOST_A/ΣCOST_OPT, which must lie within four
+// standard errors of the exact value, the error estimated from the runs
+// as batches (the ratio estimator's delta method). A chain weighted
+// otherwise, the read and write probabilities swapped say, fails it.
+func TestAverageFactorMatchesSampledRuns(t *testing.T) {
+	const runs, length, pw = 20, 2000, 0.15
+	rng := rand.New(rand.NewSource(45))
+	initial := model.NewSet(0, 1)
+	for _, m := range []cost.Model{cost.SC(0.1, 0.2), cost.SC(0.3, 0.7), cost.SC(0.2, 2)} {
+		for _, f := range []dom.Factory{dom.StaticFactory, dom.DynamicFactory} {
+			exact, err := AverageFactor(context.Background(), m, f, 3, 2, []float64{pw})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var online, offline [runs]float64
+			var sumA, sumO float64
+			for i := range runs {
+				sched := workload.Uniform(rng, 3, length, pw)
+				las, err := dom.RunFactory(f, initial, 2, sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if offline[i], err = opt.SolveCost(m, sched, initial, 2); err != nil {
+					t.Fatal(err)
+				}
+				online[i] = cost.ScheduleCost(m, las, initial)
+				sumA, sumO = sumA+online[i], sumO+offline[i]
+			}
+			r, ss := sumA/sumO, 0.0
+			for i := range runs {
+				ss += (online[i] - r*offline[i]) * (online[i] - r*offline[i])
+			}
+			se := math.Sqrt(ss/(runs-1)/runs) / (sumO / runs)
+			if math.Abs(r-exact[0]) > 4*se {
+				t.Errorf("%v: %d runs read %.4f ± %.4f, the exact long-run ratio is %.4f", m, runs, r, se, exact[0])
+			}
+		}
 	}
 }

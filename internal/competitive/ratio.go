@@ -8,9 +8,11 @@
 // opt, takes worst cases over schedule batteries (random mixes plus the
 // nemesis families of package adversary), prices a period's endless
 // repetition exactly (Factor), solves SA's and DA's exact factor over
-// every schedule at small n (ExactFactor), climbs DA's periods by Factor
-// where n is beyond that (Search), and sweeps the (cd, cc) plane to
-// regenerate the superiority region maps of the paper's figures 1 and 2.
+// every schedule at small n (ExactFactor) and, on the same graph, their
+// long-run ratio under random requests (AverageFactor), climbs DA's
+// periods by Factor where n is beyond that (Search), and sweeps the
+// (cd, cc) plane to regenerate the superiority region maps of the
+// paper's figures 1 and 2.
 package competitive
 
 import (
@@ -226,18 +228,4 @@ func WorstRatioContext(ctx context.Context, m cost.Model, f dom.Factory, scheds 
 		return Worst{}, err
 	}
 	return l.worst(m, optCosts), nil
-}
-
-// MeanRatio measures the algorithm on every schedule and returns the mean
-// ratio — the average-case view used by experiment E12.
-func MeanRatio(m cost.Model, f dom.Factory, scheds []model.Schedule, initial model.Set, t int) (float64, error) {
-	l, optCosts, err := priced(context.Background(), m, f, scheds, initial, t)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for i, oc := range optCosts {
-		sum += l.measurement(i, m, oc).Ratio
-	}
-	return sum / float64(len(scheds)), nil
 }

@@ -60,50 +60,75 @@ func (p *Plan) Rate(ctx context.Context, m cost.Model) (growth float64, periods,
 	return bs.total[0] - bs.totals(a)[0], b - a, a, nil
 }
 
-// Steps is Rate's walk one request at a time, at one whole-priced model:
-// from row, the values of the plan's feasible states in ascending mask
-// order (nil for the start row, 0 at the initial scheme and +Inf
-// elsewhere), it relaxes each request of the plan in turn, and normalises
-// and cuts each new row as Rate does at a boundary. It appends the plan's
-// len(reqs) new rows to dst, one after another, and the rise of each
-// one's minimum to rises. Such rows are OPT's work function, so a caller
-// that keys them by value walks OPT as a finite-state player.
-func (p *Plan) Steps(m cost.Model, row, dst, rises []float64) ([]float64, []float64, error) {
+// stepsChunk is the most rows Steps steps in one grid pass: up to 1 024
+// rows share the fixed part of a pass's setup, and the workspace stays
+// small, which matters because a caller's own allocations empty the pool
+// between calls (at ModelChunk's 5 460 rows a pass at n = 3, the largest
+// work-function graph allocated ~22 MB more, most of it workspaces).
+const stepsChunk = 1 << 10
+
+// Steps is Rate's walk one request at a time, at one whole-priced model,
+// from a batch of rows: rows holds whole rows back to back, each the
+// values of the plan's feasible states in ascending mask order (empty for
+// the start row alone, 0 at the initial scheme and +Inf elsewhere). From
+// each row it relaxes each request of the plan in turn, and normalises and
+// cuts each new row as Rate does at a boundary. For each row in order it
+// appends the plan's len(reqs) new rows to dst, one after another, and the
+// rise of each one's minimum to rises. Such rows are OPT's work function,
+// so a caller that keys them by value walks OPT as a finite-state player.
+// The rows of a batch are the columns of one grid pass, up to
+// stepsChunk of them at a time, so a pass's setup is paid per chunk and
+// not per row.
+func (p *Plan) Steps(m cost.Model, rows, dst, rises []float64) ([]float64, []float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if !Whole(m) || row != nil && len(row) != len(p.feasible) {
-		return nil, nil, fmt.Errorf("opt: a step needs whole prices and a row of the plan's %d feasible states, got %v and %d values", len(p.feasible), m, len(row))
+	f := len(p.feasible)
+	if !Whole(m) || len(rows)%f != 0 {
+		return nil, nil, fmt.Errorf("opt: a step needs whole prices and rows of the plan's %d feasible states, got %v and %d values", f, m, len(rows))
+	}
+	count, d := max(1, len(rows)/f), len(p.reqs)
+	at, atRise := len(dst), len(rises)
+	dst, rises = slices.Grow(dst, count*d*f)[:at+count*d*f], slices.Grow(rises, count*d)[:atRise+count*d]
+	models := make([]cost.Model, min(count, ModelChunk(len(p.ids)), stepsChunk))
+	for j := range models {
+		models[j] = m
 	}
 	ws := workspaces.Get().(*workspace)
 	defer workspaces.Put(ws)
-	models := []cost.Model{m}
-	var gr grid
-	p.start(&gr, models, ws)
-	w := gr.w
-	for k := range p.reqs {
-		// Every row starts from row; the states outside the feasible
-		// ones stay +Inf in both of the grid's rows.
-		for i, y := range p.feasible {
-			v := inf
-			if row != nil {
-				v = row[i]
-			} else if y == p.init {
-				v = 0
+	for lo := 0; lo < count; lo += len(models) {
+		c := min(len(models), count-lo)
+		var gr grid
+		p.start(&gr, models[:c], ws)
+		w := gr.w
+		bs := p.newBoundaries(&gr, ws, c)
+		for k := range p.reqs {
+			// Every request starts from the rows, a pad column from the
+			// last; the states outside the feasible ones stay +Inf in both
+			// of the grid's rows.
+			for i, y := range p.feasible {
+				col := gr.dp[int(y)*w:][:w]
+				for j := range col {
+					if len(rows) > 0 {
+						col[j] = rows[(lo+min(j, c-1))*f+i]
+					} else if col[j] = inf; y == p.init {
+						col[j] = 0
+					}
+				}
 			}
-			for j := range w {
-				gr.dp[int(y)*w+j] = v
+			clear(bs.total)
+			if err := p.walk(context.Background(), &gr, p.reqs[k:k+1]); err != nil {
+				return nil, nil, err
+			}
+			bs.step(gr.dp, 1) // boundary 1 with none kept: normalise and cut only
+			for j := range c {
+				out := dst[at+((lo+j)*d+k)*f:][:f]
+				for i, y := range p.feasible {
+					out[i] = gr.dp[int(y)*w+j]
+				}
+				rises[atRise+(lo+j)*d+k] = bs.total[j]
 			}
 		}
-		bs := p.newBoundaries(&gr, ws, len(models))
-		if err := p.walk(context.Background(), &gr, p.reqs[k:k+1]); err != nil {
-			return nil, nil, err
-		}
-		bs.step(gr.dp, 1) // boundary 1 with none kept: normalise and cut only
-		for _, y := range p.feasible {
-			dst = append(dst, gr.dp[int(y)*w])
-		}
-		rises = append(rises, bs.total[0])
 	}
 	return dst, rises, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,6 +128,47 @@ func TestStepsWalkTheOptimum(t *testing.T) {
 			if total != res.Cost {
 				t.Errorf("t = %d, %v: the rises add to %v, the optimum is %v", avail, sched, total, res.Cost)
 			}
+		}
+	}
+}
+
+// A batch of rows steps as each row does alone, bit for bit, across grid
+// passes' chunk boundaries and with an odd chunk's pad column: the rows a
+// random walk from the start reaches, repeated to 2·stepsChunk + 3 rows.
+func TestStepsBatchIsEachRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	m := cost.Model{CC: 3, CD: 12, CIO: 10}
+	reqs := model.MustParseSchedule("r0 w0 r1 w1 r2 w2 r3 w3")
+	plan, err := Compile(reqs, model.FullSet(2), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walked, row []float64
+	for range 40 {
+		next, _, err := plan.Steps(m, row, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, width := rng.Intn(len(reqs)), len(next)/len(reqs)
+		row = append(row[:0], next[k*width:][:width]...)
+		walked = append(walked, row...)
+	}
+	var batch []float64
+	for len(batch) < (2*stepsChunk+3)*len(row) {
+		batch = append(batch, walked...)
+	}
+	batch = batch[:(2*stepsChunk+3)*len(row)]
+	all, allRises, err := plan.Steps(m, batch, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(batch)/len(row); i++ {
+		one, rises, err := plan.Steps(m, batch[i*len(row):][:len(row)], nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(one, all[i*len(one):][:len(one)]) || !slices.Equal(rises, allRises[i*len(rises):][:len(rises)]) {
+			t.Fatalf("row %d of the batch steps to %v, %v; alone to %v, %v", i, all[i*len(one):][:len(one)], allRises[i*len(rises):][:len(rises)], one, rises)
 		}
 	}
 }

@@ -203,14 +203,6 @@ func SABound(m CostModel) float64 { return competitive.SABound(m) }
 // DABound is Theorems 2-4: 2+2cc (SC), 2+cc (SC with cd>1), 2+3cc/cd (MC).
 func DABound(m CostModel) float64 { return competitive.DABound(m) }
 
-// Spec is the contract shared by every evaluation spec (SweepSpec and
-// SearchConfig): Normalize validates the spec and
-// resolves its defaults in place. Every evaluation entry point calls its
-// spec's Normalize first, so a caller that wants early errors — a CLI
-// validating flags before a long run, say — can call Normalize itself and
-// pass the normalized spec on.
-type Spec = competitive.Spec
-
 // GridPoint is one measured point of a (cd, cc) plane sweep.
 type GridPoint = competitive.GridPoint
 

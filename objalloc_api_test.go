@@ -8,17 +8,14 @@ import (
 	"objalloc/internal/sim"
 )
 
-// Every evaluation spec shares the Normalize contract, and the entry
-// points surface its validation errors.
+// Every evaluation spec validates and defaults itself in Normalize, and
+// the entry points surface its validation errors.
 func TestSpecNormalize(t *testing.T) {
-	specs := []objalloc.Spec{
-		&objalloc.SweepSpec{},
-		&objalloc.SearchConfig{},
+	if err := (&objalloc.SweepSpec{}).Normalize(); err == nil {
+		t.Error("the zero SweepSpec normalized without error")
 	}
-	for i, s := range specs {
-		if err := s.Normalize(); err == nil {
-			t.Errorf("spec %d: zero value normalized without error", i)
-		}
+	if err := (&objalloc.SearchConfig{}).Normalize(); err == nil {
+		t.Error("the zero SearchConfig normalized without error")
 	}
 	good := &objalloc.SearchConfig{
 		Model: objalloc.SC(0.25, 1), N: 4, T: 2, Length: 8,
