@@ -17,6 +17,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -196,14 +197,15 @@ func e2Figure2() {
 	fmt.Printf("\nDA wins %d/%d admissible points\n", daWins, admissible)
 }
 
-// boundCheck prints an algorithm's exact factor at n = 3 (atThree) against
+// boundCheck prints an algorithm's exact factor at n = 3 (exactAt) against
 // its bound at several cost points, and returns whether every factor
 // equals its bound.
 func boundCheck(title string, f dom.Factory, models []cost.Model, bound func(cost.Model) float64) bool {
 	tbl := stats.NewTable("model", "exact, n = 3", "as a fraction", "cycle", "paper bound", "within")
 	tight := true
 	for _, m := range models {
-		ex, b := atThree(m, f), bound(m)
+		ex, _ := exactAt(m, f, 3, 2)
+		b := bound(m)
 		ok := "yes"
 		if ex.Factor() > b+1e-9 {
 			ok = "VIOLATED"
@@ -305,7 +307,7 @@ func e9Theorem4() {
 	tbl := stats.NewTable("model", "exact, n = 3", "cycle", "paper bound", "within", "best certified, n = 6", "2+2cc/cd", "period")
 	var off []string
 	for _, m := range e9Models {
-		ex := atThree(m, dom.DynamicFactory)
+		ex, _ := exactAt(m, dom.DynamicFactory, 3, 2)
 		res, b, pingPong := certifiedSearch(m), competitive.DABound(m), 2+2*m.CC/m.CD
 		ok := "yes"
 		if ex.Factor() > b+1e-9 || res.Factor > b+1e-9 {
@@ -341,38 +343,43 @@ func e10WorkedExample() {
 		}
 		dynamic = append(dynamic, model.Step{Request: q, Exec: target})
 	}
-	optCost, err := offlineOptimalCost(m, sched, initial, 1)
+	optimum, err := competitive.Ratio(m, dom.StaticFactory, sched, initial, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	tbl := stats.NewTable("strategy", "cost")
 	tbl.AddRow("static at {1}", cost.ScheduleCost(m, static, initial))
 	tbl.AddRow("dynamic {1}->{2} at the write (paper)", cost.ScheduleCost(m, dynamic, initial))
-	tbl.AddRow("offline optimum", optCost)
+	tbl.AddRow("offline optimum", optimum.OptCost)
 	fmt.Println("schedule r1 r1 r2 w2 r2 r2 r2, initial {1}, SC(0.25, 1):")
 	fmt.Print(tbl.String())
 }
 
+// e11TSensitivity checks §2's claim that the factors are independent of t
+// by DA's exact factor at (n, t) = (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)
+// at one SC and one MC cell, the ten graphs built on the pool.
 func e11TSensitivity() {
-	m := cost.SC(0.3, 1.2)
-	tbl := stats.NewTable("t", "SA worst", "SA bound", "DA worst", "DA bound")
-	for _, tAvail := range []int{2, 3, 4, 5} {
-		cfg := competitive.DefaultBattery()
-		cfg.T = tAvail
-		cfg.N = tAvail + 3 // keep outsiders around as t grows
-		scheds := cfg.Build()
-		sa, err := competitive.WorstRatio(m, dom.StaticFactory, scheds, cfg.Initial(), tAvail)
-		if err != nil {
-			log.Fatal(err)
+	models, ns, ts := []cost.Model{cost.SC(0.3, 1.2), cost.MC(0.5, 1)}, []int{3, 3, 4, 4, 4}, []int{1, 2, 1, 2, 3}
+	cells, err := engine.Collect(runCtx, len(models)*len(ns), *parallel, func(_ context.Context, i int) (any, error) {
+		ex, ok := exactAt(models[i/len(ns)], dom.DynamicFactory, ns[i%len(ns)], ts[i%len(ns)])
+		if !ok {
+			return "refused (key)", nil
 		}
-		da, err := competitive.WorstRatio(m, dom.DynamicFactory, scheds, cfg.Initial(), tAvail)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tbl.AddRow(tAvail, sa.Ratio, competitive.SABound(m), da.Ratio, competitive.DABound(m))
+		return fraction(ex) + " " + ex.Period.String(), nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Println("the bounds are t-independent; measured worst cases stay flat:")
+	tbl := stats.NewTable("model", "n = 3, t = 1", "n = 3, t = 2", "n = 4, t = 1", "n = 4, t = 2", "n = 4, t = 3", "DA bound")
+	for i, m := range models {
+		tbl.AddRow(append(append([]any{m.String()}, cells[i*len(ns):(i+1)*len(ns)]...), competitive.DABound(m))...)
+	}
+	fmt.Println("DA's exact factor over every schedule on n processors from {0..t-1}, as a fraction with its cycle:")
 	fmt.Print(tbl.String())
+	fmt.Println("the bounds do not involve t; DA's exact factor does, and stays within them")
+	fmt.Println("at t = 1 F is empty, so every write leaves DA one copy, at the writer, and on r0 w1 r0 w2 the reader fetches it anew after each write")
+	fmt.Println("at n = 4, t = 2 MC reads 3 = 2+2cc/cd, as at n = 3, not Theorem 4's 2+3cc/cd = 3.5")
+	fmt.Println("SA's exact factor is 1+cc+cd = 2.5 in SC and +Inf in MC at every (n, t) above")
 }
 
 // e12AverageCase checks §2's claim that the worst case predicts the
@@ -846,15 +853,16 @@ func exactFactor(m cost.Model, f dom.Factory, period model.Schedule) float64 {
 	return factor
 }
 
-// atThree is the algorithm's exact factor over every schedule on the
-// processors 0, 1 and 2 from {0, 1} at t = 2: the maximum cycle ratio of
-// its work-function graph, certified.
-func atThree(m cost.Model, f dom.Factory) competitive.Exact {
-	ex, err := competitive.ExactFactor(runCtx, m, f, 3, 2)
-	if err != nil {
+// exactAt is the algorithm's exact factor over every schedule on the
+// processors 0..n−1 from {0..t−1}: the maximum cycle ratio of its
+// work-function graph, certified, and false where OPT's rows outgrow the
+// graph's key (competitive.ErrRowKey), which no n = 3 graph does.
+func exactAt(m cost.Model, f dom.Factory, n, t int) (competitive.Exact, bool) {
+	ex, err := competitive.ExactFactor(runCtx, m, f, n, t)
+	if err != nil && !errors.Is(err, competitive.ErrRowKey) {
 		log.Fatal(err)
 	}
-	return ex
+	return ex, err == nil
 }
 
 // fraction prints an exact factor as the fraction it is.
@@ -931,13 +939,4 @@ func saBetter(m cost.Model) (witness, bool) {
 		}
 	}
 	return witness{}, false
-}
-
-// offlineOptimalCost computes the optimum via the ratio helper to keep e10 readable.
-func offlineOptimalCost(m cost.Model, sched model.Schedule, initial model.Set, t int) (float64, error) {
-	meas, err := competitive.Ratio(m, dom.StaticFactory, sched, initial, t)
-	if err != nil {
-		return 0, err
-	}
-	return meas.OptCost, nil
 }

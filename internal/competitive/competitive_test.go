@@ -2,6 +2,7 @@ package competitive
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -28,27 +29,6 @@ var mcPoints = []cost.Model{
 	cost.MC(0.05, 0.1), cost.MC(0.2, 0.5), cost.MC(0.5, 1.0), cost.MC(1.0, 2.5),
 }
 
-func battery(t *testing.T) ([]model.Schedule, model.Set, int) {
-	t.Helper()
-	cfg := DefaultBattery()
-	return cfg.Build(), cfg.Initial(), cfg.T
-}
-
-// E3 / Theorem 1: SA never exceeds (1 + cc + cd) x OPT in the SC model.
-func TestTheorem1SAWithinBound(t *testing.T) {
-	scheds, initial, tAvail := battery(t)
-	for _, m := range scPoints {
-		w, err := WorstRatio(m, dom.StaticFactory, scheds, initial, tAvail)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound := SABound(m)
-		if w.Ratio > bound+eps {
-			t.Errorf("%v: SA worst ratio %.4f exceeds Theorem 1 bound %.4f\nwitness: %v", m, w.Ratio, bound, w.Schedule)
-		}
-	}
-}
-
 // E4 / Proposition 1: the read-run nemesis drives SA's ratio arbitrarily
 // close to 1 + cc + cd, so no smaller factor is competitive.
 func TestProposition1SATight(t *testing.T) {
@@ -69,42 +49,6 @@ func TestProposition1SATight(t *testing.T) {
 	}
 	if bound-prev > 0.05*bound {
 		t.Errorf("nemesis ratio %.4f not within 5%% of the tight bound %.4f", prev, bound)
-	}
-}
-
-// E5 / Theorem 2: DA never exceeds (2 + 2cc) x OPT in the SC model.
-func TestTheorem2DAWithinBound(t *testing.T) {
-	scheds, initial, tAvail := battery(t)
-	for _, m := range scPoints {
-		w, err := WorstRatio(m, dom.DynamicFactory, scheds, initial, tAvail)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound := 2 + 2*m.CC
-		if w.Ratio > bound+eps {
-			t.Errorf("%v: DA worst ratio %.4f exceeds Theorem 2 bound %.4f\nwitness: %v", m, w.Ratio, bound, w.Schedule)
-		}
-	}
-}
-
-// E6 / Theorem 3: when cd > 1 the bound tightens to 2 + cc.
-func TestTheorem3DAWithinBoundCdAbove1(t *testing.T) {
-	scheds, initial, tAvail := battery(t)
-	for _, m := range scPoints {
-		if m.CD <= 1 {
-			continue
-		}
-		w, err := WorstRatio(m, dom.DynamicFactory, scheds, initial, tAvail)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound := DABound(m) // 2 + cc here
-		if bound != 2+m.CC {
-			t.Fatalf("DABound(%v) = %g, want 2+cc", m, bound)
-		}
-		if w.Ratio > bound+eps {
-			t.Errorf("%v: DA worst ratio %.4f exceeds Theorem 3 bound %.4f\nwitness: %v", m, w.Ratio, bound, w.Schedule)
-		}
 	}
 }
 
@@ -152,56 +96,109 @@ func TestProposition3SANotCompetitiveMobile(t *testing.T) {
 	}
 }
 
-// E9 / Theorem 4: DA stays within (2 + 3cc/cd) x OPT in the MC model.
-func TestTheorem4DAWithinBoundMobile(t *testing.T) {
-	scheds, initial, tAvail := battery(t)
-	for _, m := range mcPoints {
-		w, err := WorstRatio(m, dom.DynamicFactory, scheds, initial, tAvail)
+// E3, E5, E6 and E9 over the battery: at every cell of scPoints and
+// mcPoints the sweep's worst ratios over the n = 5 battery are within the
+// paper's bounds, SA's within Theorem 1 (+Inf in MC, Proposition 3) and
+// DA's within Theorems 2–4, the least bound that applies: 2+cc where
+// cd > 1 (Theorem 3), 2+2cc elsewhere in SC (Theorem 2), and 2+3cc/cd,
+// at most 5 since cc ≤ cd, in MC (Theorem 4). The exact factors over every
+// schedule at n = 3 are TestExactFactorSelfChecksGrid's.
+func TestSweepWithinTheoremBounds(t *testing.T) {
+	for _, m := range append(append([]cost.Model{}, scPoints...), mcPoints...) {
+		bound := 2 + 2*m.CC
+		switch {
+		case m.IsMobile():
+			bound = 2 + 3*m.CC/m.CD
+			if bound > 5 {
+				t.Errorf("%v: Theorem 4's bound %v exceeds 5", m, bound)
+			}
+		case m.CD > 1:
+			bound = 2 + m.CC
+		}
+		if DABound(m) != bound {
+			t.Errorf("DABound(%v) = %v, want %v", m, DABound(m), bound)
+		}
+		points, err := Sweep(context.Background(), SweepSpec{
+			CDs: []float64{m.CD}, CCs: []float64{m.CC}, Mobile: m.IsMobile(), Battery: DefaultBattery(),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := DABound(m)
-		if w.Ratio > bound+eps {
-			t.Errorf("%v: DA worst ratio %.4f exceeds Theorem 4 bound %.4f\nwitness: %v", m, w.Ratio, bound, w.Schedule)
-		}
-		// Since cc <= cd the factor is at most 5 (§4.3).
-		if bound > 5+eps {
-			t.Errorf("%v: Theorem 4 bound %.4f exceeds 5", m, bound)
+		if p := points[0]; p.SAWorst > SABound(m)+eps || p.DAWorst > bound+eps {
+			t.Errorf("%v: worst ratios SA %.4f, DA %.4f exceed the bounds %.4f, %.4f", m, p.SAWorst, p.DAWorst, SABound(m), bound)
 		}
 	}
 }
 
-// E11: the measured worst-case ratios are (nearly) independent of t, as the
-// paper's competitiveness factors are.
+// e11Table is what E11 prints: DA's exact factor at two cells over
+// (n, t), with the cycle that attains it, or a row key pack refuses.
+var e11Table = []struct {
+	m        cost.Model
+	n, t     int
+	num, den int64 // 0/0 where the key is refused
+	period   string
+}{
+	{cost.SC(0.3, 1.2), 3, 1, 51, 32, "r0 w1 r0 w2"},
+	{cost.SC(0.3, 1.2), 3, 2, 5, 3, "w0 r2"},
+	{cost.SC(0.3, 1.2), 4, 1, 0, 0, ""},
+	{cost.SC(0.3, 1.2), 4, 2, 0, 0, ""},
+	{cost.SC(0.3, 1.2), 4, 3, 23, 16, "w0 r3"},
+	{cost.MC(0.5, 1), 3, 1, 5, 2, "r0 w1 r0 w2"},
+	{cost.MC(0.5, 1), 3, 2, 3, 1, "w0 r2"},
+	{cost.MC(0.5, 1), 4, 1, 5, 2, "r0 w1 r0 w2"},
+	{cost.MC(0.5, 1), 4, 2, 3, 1, "w1 r2"},
+	{cost.MC(0.5, 1), 4, 3, 2, 1, "w0 r3"},
+}
+
+// checkE11 holds SA's and DA's exact factors at e11Table's cells on n
+// processors to the table: DA's fraction and cycle as printed, within
+// DABound, and no lower than at n = 3 for the same t (a factor found on
+// fewer processors holds on more, DESIGN §5); SA's 1+cc+cd in SC and +Inf
+// in MC; and a refused key refused for both.
+func checkE11(t *testing.T, n int) {
+	t.Helper()
+	ctx := context.Background()
+	for _, c := range e11Table {
+		if c.n != n {
+			continue
+		}
+		da, err := ExactFactor(ctx, c.m, dom.DynamicFactory, c.n, c.t)
+		sa, saErr := ExactFactor(ctx, c.m, dom.StaticFactory, c.n, c.t)
+		if c.den == 0 {
+			if !errors.Is(err, ErrRowKey) || !errors.Is(saErr, ErrRowKey) {
+				t.Errorf("%v, n = %d, t = %d: DA err = %v, SA err = %v; want ErrRowKey", c.m, c.n, c.t, err, saErr)
+			}
+			continue
+		}
+		if err != nil || saErr != nil {
+			t.Fatalf("%v, n = %d, t = %d: %v, %v", c.m, c.n, c.t, err, saErr)
+		}
+		if da.Num != c.num || da.Den != c.den || da.Period.String() != c.period {
+			t.Errorf("%v, n = %d, t = %d: DA reads %d/%d on %v, want %d/%d on %s", c.m, c.n, c.t, da.Num, da.Den, da.Period, c.num, c.den, c.period)
+		}
+		if da.Factor() > DABound(c.m) {
+			t.Errorf("%v, n = %d, t = %d: DA's %d/%d exceeds DABound %v", c.m, c.n, c.t, da.Num, da.Den, DABound(c.m))
+		}
+		for _, d := range e11Table {
+			if d.n == 3 && d.t == c.t && d.m == c.m && d.den != 0 && da.Num*d.den < d.num*da.Den {
+				t.Errorf("%v, t = %d: DA falls from %d/%d at n = 3 to %d/%d at n = %d", c.m, c.t, d.num, d.den, da.Num, da.Den, n)
+			}
+		}
+		wm, err := whole(c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.m.IsMobile() && sa.Den != 0 || !c.m.IsMobile() && sa.Num*int64(wm.CIO) != sa.Den*int64(wm.CIO+wm.CC+wm.CD) {
+			t.Errorf("%v, n = %d, t = %d: SA reads %d/%d on %v, want 1+cc+cd in SC, +Inf in MC", c.m, c.n, c.t, sa.Num, sa.Den, sa.Period)
+		}
+	}
+}
+
+// E11: §2's factors do not involve t, and DA's exact factor does: at n = 3
+// it is pinned at t = 1 and 2 (e11Table); n = 4 is
+// TestRatiosIndependentOfTAtFour, in the build without the race detector.
 func TestRatiosIndependentOfT(t *testing.T) {
-	m := cost.SC(0.3, 1.2)
-	var saByT, daByT []float64
-	for _, tAvail := range []int{2, 3, 4} {
-		cfg := DefaultBattery()
-		cfg.T = tAvail
-		scheds := cfg.Build()
-		initial := cfg.Initial()
-		sa, err := WorstRatio(m, dom.StaticFactory, scheds, initial, tAvail)
-		if err != nil {
-			t.Fatal(err)
-		}
-		da, err := WorstRatio(m, dom.DynamicFactory, scheds, initial, tAvail)
-		if err != nil {
-			t.Fatal(err)
-		}
-		saByT = append(saByT, sa.Ratio)
-		daByT = append(daByT, da.Ratio)
-	}
-	// The bounds are t-independent; measured worst cases should stay in a
-	// narrow band (the battery itself shifts slightly with t).
-	for i := 1; i < len(saByT); i++ {
-		if math.Abs(saByT[i]-saByT[0]) > 0.35*saByT[0] {
-			t.Errorf("SA worst ratio varies with t: %v", saByT)
-		}
-		if math.Abs(daByT[i]-daByT[0]) > 0.35*daByT[0] {
-			t.Errorf("DA worst ratio varies with t: %v", daByT)
-		}
-	}
+	checkE11(t, 3)
 }
 
 func TestRatioEdgeCases(t *testing.T) {
@@ -229,7 +226,7 @@ func TestRatioEdgeCases(t *testing.T) {
 }
 
 func TestWorstRatioEmptyBattery(t *testing.T) {
-	if _, err := WorstRatio(cost.SC(0.1, 0.5), dom.StaticFactory, nil, model.NewSet(0, 1), 2); err == nil {
+	if _, err := WorstRatioContext(context.Background(), cost.SC(0.1, 0.5), dom.StaticFactory, nil, model.NewSet(0, 1), 2); err == nil {
 		t.Error("empty battery accepted")
 	}
 }

@@ -61,7 +61,8 @@ func (e Exact) Factor() float64 {
 // cycle's repetition. The factor is solved by Howard's policy iteration
 // and certified edge by edge in integers (certify) before it is returned.
 // The algorithm must be SA or DA (schemeIsState), and a row must fit a
-// 64-bit key: at n = 3 and t = 2 it is four entries of at most K.
+// 64-bit key, else the error is ErrRowKey: at n = 3 and t = 2 it is four
+// entries of at most K.
 func ExactFactor(ctx context.Context, m cost.Model, f dom.Factory, n, t int) (Exact, error) {
 	g, err := buildGraph(ctx, m, f, n, t)
 	if err != nil {
@@ -275,6 +276,10 @@ func units(x float64) (int32, error) {
 	return int32(x), nil
 }
 
+// ErrRowKey is ExactFactor's and AverageFactor's refusal of a graph whose
+// OPT rows do not fit the 64-bit key pack makes of them.
+var ErrRowKey = errors.New("competitive: OPT's row does not fit a 64-bit key")
+
 // pack keys a row whose entries are whole numbers in [0, k], or +Inf (the
 // digit k+1), in base k+2.
 func pack(row []float64, k int64) (uint64, error) {
@@ -289,7 +294,7 @@ func pack(row []float64, k int64) (uint64, error) {
 			digit = uint64(v)
 		}
 		if key > (math.MaxUint64-digit)/base {
-			return 0, fmt.Errorf("competitive: a row of %d entries up to %d does not fit a 64-bit key", len(row), k)
+			return 0, fmt.Errorf("%w: %d entries up to %d", ErrRowKey, len(row), k)
 		}
 		key = key*base + digit
 	}

@@ -92,3 +92,28 @@ func TestAverageFactorMatchesSampledRuns(t *testing.T) {
 		}
 	}
 }
+
+// E11 at n = 4 (see TestRatiosIndependentOfT): four graphs of 70 000 to
+// 240 000 states for DA, four for SA, ~0.2–1 s each, and two refused.
+func TestRatiosIndependentOfTAtFour(t *testing.T) {
+	checkE11(t, 4)
+}
+
+// Theorem 4's bound is not tight at n = 4 either: at t = 2 DA's exact
+// factor reads 2+2cc/cd, as at n = 3, at every cell of E9 (MC(0.5, 1)'s 3
+// is e11Table's), ~1 s each.
+func TestTheorem4NotTightAtFour(t *testing.T) {
+	for _, m := range []cost.Model{cost.MC(0.05, 0.1), cost.MC(0.2, 0.5), cost.MC(1, 2.5), cost.MC(2, 2)} {
+		ex, err := ExactFactor(context.Background(), m, dom.DynamicFactory, 4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wm, err := whole(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cc, cd := int64(wm.CC), int64(wm.CD); ex.Num*cd != ex.Den*(2*cd+2*cc) {
+			t.Errorf("%v: DA reads %d/%d on %v, want 2+2cc/cd = %d/%d", m, ex.Num, ex.Den, ex.Period, 2*cd+2*cc, cd)
+		}
+	}
+}

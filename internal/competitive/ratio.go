@@ -214,14 +214,9 @@ type Worst struct {
 	Schedule model.Schedule
 }
 
-// WorstRatio measures the algorithm on every schedule and returns the
-// maximum ratio together with the witness schedule.
-func WorstRatio(m cost.Model, f dom.Factory, scheds []model.Schedule, initial model.Set, t int) (Worst, error) {
-	return WorstRatioContext(context.Background(), m, f, scheds, initial, t)
-}
-
-// WorstRatioContext is WorstRatio with cancellation threaded into every
-// OPT solve (the DP checks the context per request).
+// WorstRatioContext measures the algorithm on every schedule and returns
+// the maximum ratio together with the witness schedule. Cancellation is
+// threaded into every OPT solve (the DP checks the context per request).
 func WorstRatioContext(ctx context.Context, m cost.Model, f dom.Factory, scheds []model.Schedule, initial model.Set, t int) (Worst, error) {
 	l, optCosts, err := priced(ctx, m, f, scheds, initial, t)
 	if err != nil {
