@@ -89,10 +89,13 @@ bench:
 # parallelism; the lower bound's share of one such sweep (BenchmarkBound:
 # in SA's lane and DA's, opt.BoundOf over the battery from the measured
 # counts, the signatures built on first ask, and the lane's lead and
-# round-2 test at the 21 cells); the states, edges and ns per
-# work-function graph (BenchmarkWorkFunctionGraph: SA and DA at n = 3,
-# t = 2, at E3's SC(0.3, 1.2) and E9's MC(0.5, 1), and one E12 long-run
-# ratio, the graph and its stationary pass for DA at SC(0.1, 0.2));
+# round-2 test at the 21 cells); what the exact tools cost at n = 3,
+# t = 2 (BenchmarkWorkFunctionGraph: an arena row, NewArena alone with
+# OPT's rows, at E3's SC(0.3, 1.2), E9's MC(0.5, 1) and E12's
+# SC(0.1, 0.2); then each question on a prebuilt arena: SA's and DA's
+# exact factor, with the graph's states and edges, at the first two, and
+# DA's E12 long-run ratio, the graph and its stationary pass, at the
+# third);
 # and the same per opt.Plan.Costs call and per model of the
 # one-model DP, over the shapes BenchmarkCosts lists. A serial sweep reads
 # ~57 700 B in 123 mallocs: the battery's build ~23 000 B in 25 of them,

@@ -6,7 +6,7 @@
 // competitiveness, printed next to the paper's analytic bound. SA needs no
 // search: its factor is 1+cc+cd in SC and +Inf in MC at every n
 // (Theorem 1 and Propositions 1 and 3), and at n = 3 the exact factors of
-// both are competitive.ExactFactor's.
+// both are competitive.Arena.Exact's.
 //
 // Usage:
 //

@@ -25,8 +25,8 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-
 	"strings"
+	"sync"
 
 	"objalloc/internal/adversary"
 	"objalloc/internal/advisor"
@@ -430,11 +430,12 @@ func e12AverageCase() {
 // longRun is SA's and DA's exact long-run ratios at m on 3 processors from
 // {0, 1} at t = 2, one per write fraction.
 func longRun(m cost.Model, pwrites []float64) (sa, da []float64) {
-	sa, err := competitive.AverageFactor(runCtx, m, dom.StaticFactory, 3, 2, pwrites)
+	a := arenaAt(m, 3, 2)
+	sa, err := a.Average(runCtx, dom.StaticFactory, pwrites)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if da, err = competitive.AverageFactor(runCtx, m, dom.DynamicFactory, 3, 2, pwrites); err != nil {
+	if da, err = a.Average(runCtx, dom.DynamicFactory, pwrites); err != nil {
 		log.Fatal(err)
 	}
 	return sa, da
@@ -856,13 +857,33 @@ func exactFactor(m cost.Model, f dom.Factory, period model.Schedule) float64 {
 // exactAt is the algorithm's exact factor over every schedule on the
 // processors 0..n−1 from {0..t−1}: the maximum cycle ratio of its
 // work-function graph, certified, and false where OPT's rows outgrow the
-// graph's key (competitive.ErrRowKey), which no n = 3 graph does.
+// graph's key.
 func exactAt(m cost.Model, f dom.Factory, n, t int) (competitive.Exact, bool) {
-	ex, err := competitive.ExactFactor(runCtx, m, f, n, t)
+	a := arenaAt(m, n, t)
+	if a == nil {
+		return competitive.Exact{}, false
+	}
+	ex, err := a.Exact(runCtx, f)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return ex, true
+}
+
+// arenas is the run's arenas by (model, n, t), each built on first ask
+// (E11 asks from the pool) and kept with the error that refused it: SA,
+// DA and every experiment that asks about a cell share its OPT side.
+var arenas sync.Map
+
+// arenaAt is the run's arena at m on the processors 0..n−1 from {0..t−1},
+// nil where OPT's rows outgrow the graph's key (competitive.ErrRowKey).
+func arenaAt(m cost.Model, n, t int) *competitive.Arena {
+	get, _ := arenas.LoadOrStore([3]any{m, n, t}, sync.OnceValues(func() (*competitive.Arena, error) { return competitive.NewArena(runCtx, m, n, t) }))
+	a, err := get.(func() (*competitive.Arena, error))()
 	if err != nil && !errors.Is(err, competitive.ErrRowKey) {
 		log.Fatal(err)
 	}
-	return ex, err == nil
+	return a
 }
 
 // fraction prints an exact factor as the fraction it is.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"objalloc/internal/cost"
 	"objalloc/internal/dom"
 )
 
@@ -19,34 +18,34 @@ const (
 
 var errNoSettle = errors.New("competitive: the stationary distribution did not settle")
 
-// AverageFactor is f's long-run ratio at m on n processors from {0..t−1}
-// under independent requests, one value per write fraction pw: a read at
-// each processor with probability (1−pw)/n, a write with pw/n. Then the
-// work-function graph (ExactFactor) is a Markov chain, OPT's cost is its
-// start row's minimum plus the rises it walks, and on a chain with one
-// closed class COST_A/COST_OPT of a random schedule tends almost surely
-// to E_π[online cost per request] / E_π[rise per request], π the
-// stationary distribution (the ergodic theorem, for each sum apart). A
-// chain with a second closed class reachable from the start is refused.
-func AverageFactor(ctx context.Context, m cost.Model, f dom.Factory, n, t int, pwrites []float64) ([]float64, error) {
+// Average is f's long-run ratio on a's model and universe under
+// independent requests, one value per write fraction pw: a read at each
+// processor with probability (1−pw)/n, a write with pw/n. Then the
+// work-function graph (Arena) is a Markov chain, OPT's cost is its start
+// row's minimum plus the rises it walks, and on a chain with one closed
+// class COST_A/COST_OPT of a random schedule tends almost surely to
+// E_π[online cost per request] / E_π[rise per request], π the stationary
+// distribution (the ergodic theorem, for each sum apart). A chain with a
+// second closed class reachable from the start is refused.
+func (a *Arena) Average(ctx context.Context, f dom.Factory, pwrites []float64) ([]float64, error) {
 	for _, pw := range pwrites {
 		if !(pw >= 0 && pw <= 1) {
 			return nil, fmt.Errorf("competitive: a write fraction must be in [0, 1], got %v", pw)
 		}
 	}
-	g, err := buildGraph(ctx, m, f, n, t)
+	g, err := a.graph(ctx, f)
 	if err != nil {
 		return nil, err
 	}
 	out, p := make([]float64, len(pwrites)), make([]float64, g.d)
 	for i, pw := range pwrites {
 		for k, q := range g.reqs {
-			if p[k] = pw / float64(n); q.IsRead() {
-				p[k] = (1 - pw) / float64(n)
+			if p[k] = pw / float64(a.n); q.IsRead() {
+				p[k] = (1 - pw) / float64(a.n)
 			}
 		}
 		if out[i], err = g.average(ctx, p); err != nil {
-			return nil, fmt.Errorf("%w at %v, pwrite %v", err, m, pw)
+			return nil, fmt.Errorf("%w at %v, pwrite %v", err, a.m, pw)
 		}
 	}
 	return out, nil

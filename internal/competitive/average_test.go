@@ -59,11 +59,12 @@ func TestAveragePassRefusesTwoClosedClasses(t *testing.T) {
 	}
 }
 
-// A write fraction that is NaN or outside [0, 1] is refused before any
+// A write fraction that is NaN or outside [0, 1] is refused before the
 // graph is built.
 func TestAverageFactorRefusesBadWriteFractions(t *testing.T) {
+	a := arena(t, cost.SC(0.3, 0.7), 3, 2)
 	for _, pw := range []float64{math.NaN(), -0.1, 1.5, math.Inf(1)} {
-		if _, err := AverageFactor(context.Background(), cost.SC(0.3, 0.7), dom.DynamicFactory, 3, 2, []float64{0.15, pw}); err == nil || !strings.Contains(err.Error(), "write fraction") {
+		if _, err := a.Average(context.Background(), dom.DynamicFactory, []float64{0.15, pw}); err == nil || !strings.Contains(err.Error(), "write fraction") {
 			t.Errorf("pwrite %v: err = %v, want a refusal", pw, err)
 		}
 	}

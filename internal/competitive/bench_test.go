@@ -104,14 +104,33 @@ func BenchmarkBound(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkFunctionGraph is one exact factor at n = 3, t = 2 (build,
-// solve, certify), a measuring aid for `make allocs`: each row reports the
-// graph's states and edges beside its time, for SA and DA at E3's
-// SC(0.3, 1.2) and E9's MC(0.5, 1). The average row is one of E12's
-// long-run ratios (AverageFactor: build, then the stationary pass at
-// pwrite 0.15) for DA at its largest cell, SC(0.1, 0.2).
+// BenchmarkWorkFunctionGraph prices the exact tools at n = 3, t = 2 a
+// question at a time, a measuring aid for `make allocs`. The arena rows
+// are NewArena alone, OPT's side, with its rows; the SA and DA rows are
+// one exact factor (graph, solve, certify) on a prebuilt arena, with the
+// graph's states and edges, at E3's SC(0.3, 1.2) and E9's MC(0.5, 1); the
+// average row is one of E12's long-run ratios (graph, then the stationary
+// pass at pwrite 0.15) for DA on a prebuilt arena at its largest cell,
+// SC(0.1, 0.2).
 func BenchmarkWorkFunctionGraph(b *testing.B) {
-	for _, m := range []cost.Model{cost.SC(0.3, 1.2), cost.MC(0.5, 1)} {
+	ctx := context.Background()
+	e12 := cost.SC(0.1, 0.2)
+	for _, m := range []cost.Model{cost.SC(0.3, 1.2), cost.MC(0.5, 1), e12} {
+		b.Run("arena/"+m.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var a *Arena
+			for range b.N {
+				var err error
+				if a, err = NewArena(ctx, m, 3, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(a.off.next)/len(a.reqs)), "rows")
+		})
+		if m == e12 {
+			break
+		}
+		a := arena(b, m, 3, 2)
 		for _, alg := range []struct {
 			name string
 			f    dom.Factory
@@ -121,7 +140,7 @@ func BenchmarkWorkFunctionGraph(b *testing.B) {
 				var ex Exact
 				for range b.N {
 					var err error
-					if ex, err = ExactFactor(context.Background(), m, alg.f, 3, 2); err != nil {
+					if ex, err = a.Exact(ctx, alg.f); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -130,17 +149,16 @@ func BenchmarkWorkFunctionGraph(b *testing.B) {
 			})
 		}
 	}
-	e12 := cost.SC(0.1, 0.2)
 	b.Run("average/DA/"+e12.String(), func(b *testing.B) {
-		ctx := context.Background()
-		g, err := buildGraph(ctx, e12, dom.DynamicFactory, 3, 2)
+		a := arena(b, e12, 3, 2)
+		g, err := a.graph(ctx, dom.DynamicFactory)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for range b.N {
-			if _, err := AverageFactor(ctx, e12, dom.DynamicFactory, 3, 2, []float64{0.15}); err != nil {
+			if _, err := a.Average(ctx, dom.DynamicFactory, []float64{0.15}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -162,14 +162,18 @@ func checkE11(t *testing.T, n int) {
 		if c.n != n {
 			continue
 		}
-		da, err := ExactFactor(ctx, c.m, dom.DynamicFactory, c.n, c.t)
-		sa, saErr := ExactFactor(ctx, c.m, dom.StaticFactory, c.n, c.t)
+		a, err := NewArena(ctx, c.m, c.n, c.t)
 		if c.den == 0 {
-			if !errors.Is(err, ErrRowKey) || !errors.Is(saErr, ErrRowKey) {
-				t.Errorf("%v, n = %d, t = %d: DA err = %v, SA err = %v; want ErrRowKey", c.m, c.n, c.t, err, saErr)
+			if !errors.Is(err, ErrRowKey) {
+				t.Errorf("%v, n = %d, t = %d: err = %v; want ErrRowKey", c.m, c.n, c.t, err)
 			}
 			continue
 		}
+		if err != nil {
+			t.Fatalf("%v, n = %d, t = %d: %v", c.m, c.n, c.t, err)
+		}
+		da, err := a.Exact(ctx, dom.DynamicFactory)
+		sa, saErr := a.Exact(ctx, dom.StaticFactory)
 		if err != nil || saErr != nil {
 			t.Fatalf("%v, n = %d, t = %d: %v, %v", c.m, c.n, c.t, err, saErr)
 		}
@@ -379,12 +383,12 @@ func TestSearchValidation(t *testing.T) {
 // by the exact long-run ratios on read-heavy independent requests.
 func TestAverageCaseFollowsWorstCase(t *testing.T) {
 	ctx := context.Background()
-	m := cost.SC(0.2, 2.0)
-	sa, err := AverageFactor(ctx, m, dom.StaticFactory, 3, 2, []float64{0.15})
+	a := arena(t, cost.SC(0.2, 2.0), 3, 2)
+	sa, err := a.Average(ctx, dom.StaticFactory, []float64{0.15})
 	if err != nil {
 		t.Fatal(err)
 	}
-	da, err := AverageFactor(ctx, m, dom.DynamicFactory, 3, 2, []float64{0.15})
+	da, err := a.Average(ctx, dom.DynamicFactory, []float64{0.15})
 	if err != nil {
 		t.Fatal(err)
 	}

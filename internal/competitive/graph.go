@@ -18,7 +18,7 @@ import (
 const maxStates = 1 << 21
 
 // Exact is SA's or DA's exact competitive factor at one model, n and t:
-// the maximum cycle ratio of its work-function graph (ExactFactor), with
+// the maximum cycle ratio of its work-function graph (Arena.Exact), with
 // the cycle that attains it and the potentials that prove no cycle does
 // better.
 type Exact struct {
@@ -49,30 +49,58 @@ func (e Exact) Factor() float64 {
 	return float64(e.Num) / float64(e.Den)
 }
 
-// ExactFactor is f's exact competitive factor at m over the n processors
-// 0..n−1 from the initial scheme {0..t−1}, for every schedule: the
-// maximum cycle ratio of the work-function graph. A node is a pair (the
-// algorithm's scheme, OPT's row of opt.Plan.Steps: its DP row less its
-// minimum, cut K = n·(2cc + cd + cio) above it, DESIGN §5) at m scaled
-// whole (whole); each of the 2n requests r0 w0 r1 w1 … is an edge,
-// carrying the algorithm's cost and the rise of OPT's minimum. OPT's cost
-// is its start row's minimum plus the rises, so COST_A/COST_OPT tends to
-// at most the factor on every schedule, and to it on the attaining
-// cycle's repetition. The factor is solved by Howard's policy iteration
-// and certified edge by edge in integers (certify) before it is returned.
-// The algorithm must be SA or DA (schemeIsState), and a row must fit a
-// 64-bit key, else the error is ErrRowKey: at n = 3 and t = 2 it is four
-// entries of at most K.
-func ExactFactor(ctx context.Context, m cost.Model, f dom.Factory, n, t int) (Exact, error) {
-	g, err := buildGraph(ctx, m, f, n, t)
+// Arena is OPT's side of the work-function graphs at one model, n and t,
+// stepped once and shared by SA's and DA's: OPT's rows of opt.Plan.Steps
+// (its DP row less its minimum, cut K = n·(2cc + cd + cio) above it,
+// DESIGN §5) at m scaled whole, under the 2n requests r0 w0 r1 w1 ….
+// It is read-only once built: Exact and Average may run concurrently.
+type Arena struct {
+	m, wm cost.Model
+	n, t  int
+	reqs  model.Schedule
+	off   side
+}
+
+// NewArena steps OPT's rows at m on the processors 0..n−1 from {0..t−1}.
+// A row must fit a 64-bit key, else the error is ErrRowKey.
+func NewArena(ctx context.Context, m cost.Model, n, t int) (*Arena, error) {
+	if n < 1 || n > model.MaxProcessors || t < 1 || t > n {
+		return nil, fmt.Errorf("competitive: a work-function graph needs 1 <= t <= n <= %d, got n = %d, t = %d", model.MaxProcessors, n, t)
+	}
+	wm, err := whole(m)
+	if err != nil {
+		return nil, err
+	}
+	reqs := make(model.Schedule, 0, 2*n)
+	for i := range n {
+		reqs = append(reqs, model.R(model.ProcessorID(i)), model.W(model.ProcessorID(i)))
+	}
+	plan, err := opt.Compile(reqs, model.FullSet(t), t)
+	if err != nil {
+		return nil, err
+	}
+	off, err := workSide(ctx, plan, wm, int64(n)*int64(2*wm.CC+wm.CD+wm.CIO))
+	if err != nil {
+		return nil, err
+	}
+	return &Arena{m: m, wm: wm, n: n, t: t, reqs: reqs, off: off}, nil
+}
+
+// Exact is f's exact competitive factor for every schedule: the maximum
+// cycle ratio of the work-function graph (a node per pair of f's scheme
+// and OPT's row, an edge per request carrying f's cost and the rise of
+// OPT's minimum), solved by Howard's policy iteration and certified edge
+// by edge in integers (certify). f must be SA or DA (schemeIsState).
+func (a *Arena) Exact(ctx context.Context, f dom.Factory) (Exact, error) {
+	g, err := a.graph(ctx, f)
 	if err != nil {
 		return Exact{}, err
 	}
 	ex, err := g.solve(ctx)
-	if err != nil {
-		return Exact{}, err
+	if err == nil {
+		err = g.certify(ex)
 	}
-	if err := g.certify(ex); err != nil {
+	if err != nil {
 		return Exact{}, err
 	}
 	return ex, nil
@@ -100,40 +128,18 @@ type graph struct {
 	cost, rise []int32
 }
 
-// buildGraph builds f's work-function graph at m (see ExactFactor): the
-// algorithm's schemes and OPT's rows each explored on their own, then
-// their product from the start.
-func buildGraph(ctx context.Context, m cost.Model, f dom.Factory, n, t int) (*graph, error) {
-	if n < 1 || n > model.MaxProcessors || t < 1 || t > n {
-		return nil, fmt.Errorf("competitive: a work-function graph needs 1 <= t <= n <= %d, got n = %d, t = %d", model.MaxProcessors, n, t)
-	}
-	wm, err := whole(m)
+// graph builds f's work-function graph: f's schemes explored on their
+// own, then their product with a's rows from the start.
+func (a *Arena) graph(ctx context.Context, f dom.Factory) (*graph, error) {
+	on, err := onlineSide(f, a.wm, a.reqs, model.FullSet(a.t), a.t)
 	if err != nil {
 		return nil, err
 	}
-	reqs := make(model.Schedule, 0, 2*n)
-	for i := range n {
-		reqs = append(reqs, model.R(model.ProcessorID(i)), model.W(model.ProcessorID(i)))
-	}
-	initial := model.FullSet(t)
-	on, err := onlineSide(f, wm, reqs, initial, t)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := opt.Compile(reqs, initial, t)
-	if err != nil {
-		return nil, err
-	}
-	off, err := workSide(ctx, plan, wm, int64(n)*int64(2*wm.CC+wm.CD+wm.CIO))
-	if err != nil {
-		return nil, err
-	}
-
 	// The product, breadth first from (initial scheme, start row): a node
 	// (scheme s, row r) is nodes[v] = r·schemes + s, and ids the inverse,
 	// −1 where no node is yet. The edges are laid out once the nodes are
 	// known.
-	d := len(reqs)
+	d, off := len(a.reqs), a.off
 	schemes := len(on.next) / d
 	ids := make([]int32, len(off.next)/d*schemes)
 	for i := range ids {
@@ -141,10 +147,10 @@ func buildGraph(ctx context.Context, m cost.Model, f dom.Factory, n, t int) (*gr
 	}
 	ids[0] = 0
 	nodes := []int32{0}
-	edge := func(v, k int) (a, b int, next int32) {
+	edge := func(v, k int) (i, j int, next int32) {
 		s, r := int(nodes[v])%schemes, int(nodes[v])/schemes
-		a, b = s*d+k, r*d+k
-		return a, b, off.next[b]*int32(schemes) + on.next[a]
+		i, j = s*d+k, r*d+k
+		return i, j, off.next[j]*int32(schemes) + on.next[i]
 	}
 	for v := 0; v < len(nodes); v++ {
 		if err := ctx.Err(); err != nil {
@@ -153,19 +159,19 @@ func buildGraph(ctx context.Context, m cost.Model, f dom.Factory, n, t int) (*gr
 		for k := range d {
 			if _, _, next := edge(v, k); ids[next] < 0 {
 				if len(nodes) == maxStates {
-					return nil, fmt.Errorf("competitive: the work-function graph at %v, n = %d, t = %d outgrows %d states", m, n, t, maxStates)
+					return nil, fmt.Errorf("competitive: the work-function graph at %v, n = %d, t = %d outgrows %d states", a.m, a.n, a.t, maxStates)
 				}
 				ids[next] = int32(len(nodes))
 				nodes = append(nodes, next)
 			}
 		}
 	}
-	g := &graph{reqs: reqs, d: d, head: make([]int32, len(nodes)*d), cost: make([]int32, len(nodes)*d), rise: make([]int32, len(nodes)*d)}
+	g := &graph{reqs: a.reqs, d: d, head: make([]int32, len(nodes)*d), cost: make([]int32, len(nodes)*d), rise: make([]int32, len(nodes)*d)}
 	for v := range nodes {
 		for k := range d {
-			a, b, next := edge(v, k)
+			i, j, next := edge(v, k)
 			e := v*d + k
-			g.head[e], g.cost[e], g.rise[e] = ids[next], on.cost[a], off.cost[b]
+			g.head[e], g.cost[e], g.rise[e] = ids[next], on.cost[i], off.cost[j]
 		}
 	}
 	return g, nil
@@ -224,44 +230,48 @@ func onlineSide(f dom.Factory, wm cost.Model, reqs model.Schedule, initial model
 }
 
 // workSide steps OPT's rows (opt.Plan.Steps) from the start row, row 0,
-// through every row they reach, a breadth-first layer per Steps call:
-// rows holds the layer's rows, found the next layer's. A row is keyed by
-// its entries, each a whole number up to the cut k or +Inf, as the digits
-// of one uint64.
+// through every row they reach, a breadth-first layer at a time and
+// stepsBatch rows a call (a layer's new rows at once were 16 MiB at
+// n = 4): rows holds the layer's rows, found the next layer's. A row is
+// keyed by its entries, whole numbers up to the cut k or +Inf, in a uint64.
 func workSide(ctx context.Context, plan *opt.Plan, wm cost.Model, k int64) (side, error) {
+	const stepsBatch = 1 << 10
 	var off side
 	ids := map[uint64]int32{}
 	var rows, found, next, rises []float64
+	width := 0
 	for lo, hi := 0, 1; lo < hi; lo, hi = hi, 1+len(ids) {
-		if err := ctx.Err(); err != nil {
-			return side{}, err
-		}
-		var err error
-		if next, rises, err = plan.Steps(wm, rows, next[:0], rises[:0]); err != nil {
-			return side{}, err
-		}
-		width := len(next) / len(rises)
 		found = found[:0]
-		for q, rise := range rises {
-			row := next[q*width:][:width]
-			key, err := pack(row, k)
-			if err != nil {
+		for i := lo; i < hi; i += stepsBatch {
+			if err := ctx.Err(); err != nil {
 				return side{}, err
 			}
-			id, ok := ids[key]
-			if !ok {
-				if len(ids)+1 == maxStates {
-					return side{}, fmt.Errorf("competitive: OPT's rows at %v outgrow %d", wm, maxStates)
+			var err error
+			if next, rises, err = plan.Steps(wm, rows[(i-lo)*width:(min(hi, i+stepsBatch)-lo)*width], next[:0], rises[:0]); err != nil {
+				return side{}, err
+			}
+			width = len(next) / len(rises)
+			for q, rise := range rises {
+				row := next[q*width:][:width]
+				key, err := pack(row, k)
+				if err != nil {
+					return side{}, err
 				}
-				id = int32(1 + len(ids))
-				ids[key] = id
-				found = append(found, row...)
+				id, ok := ids[key]
+				if !ok {
+					if len(ids)+1 == maxStates {
+						return side{}, fmt.Errorf("competitive: OPT's rows at %v outgrow %d", wm, maxStates)
+					}
+					id = int32(1 + len(ids))
+					ids[key] = id
+					found = append(found, row...)
+				}
+				r, err := units(rise)
+				if err != nil {
+					return side{}, err
+				}
+				off.next, off.cost = append(off.next, id), append(off.cost, r)
 			}
-			r, err := units(rise)
-			if err != nil {
-				return side{}, err
-			}
-			off.next, off.cost = append(off.next, id), append(off.cost, r)
 		}
 		rows, found = found, rows
 	}
@@ -276,8 +286,8 @@ func units(x float64) (int32, error) {
 	return int32(x), nil
 }
 
-// ErrRowKey is ExactFactor's and AverageFactor's refusal of a graph whose
-// OPT rows do not fit the 64-bit key pack makes of them.
+// ErrRowKey is NewArena's refusal of OPT rows that do not fit the 64-bit
+// key pack makes of them.
 var ErrRowKey = errors.New("competitive: OPT's row does not fit a 64-bit key")
 
 // pack keys a row whose entries are whole numbers in [0, k], or +Inf (the

@@ -50,6 +50,63 @@ func TestExactFactorSelfChecksGrid(t *testing.T) {
 	}
 }
 
+// The exact factors bound COST_A by c·COST_OPT with no additive constant
+// on every short schedule, priced without the graph: each of the 335 922
+// schedules of one to seven requests over n = 3's six, from {0, 1} at
+// t = 2, priced by opt.SolveCost and by a run of the algorithm
+// (dom.RunFactory, cost.ScheduleCost) at whole prices, satisfies
+// Den·COST_A ≤ Num·COST_OPT in integers, for SA and DA at SC(0.3, 1.2)
+// and DA at SC(1, 3) and MC(0.5, 1). A factor understated by one unit of
+// Num fails it.
+func TestExactFactorsBoundShortSchedules(t *testing.T) {
+	ctx := context.Background()
+	initial := model.NewSet(0, 1)
+	for _, c := range []struct {
+		m  cost.Model
+		fs []dom.Factory
+	}{
+		{cost.SC(0.3, 1.2), []dom.Factory{dom.StaticFactory, dom.DynamicFactory}},
+		{cost.SC(1, 3), []dom.Factory{dom.DynamicFactory}},
+		{cost.MC(0.5, 1), []dom.Factory{dom.DynamicFactory}},
+	} {
+		wm, err := whole(c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := arena(t, c.m, 3, 2)
+		exs := make([]Exact, len(c.fs))
+		for i, f := range c.fs {
+			if exs[i], err = a.Exact(ctx, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var visit func(sched model.Schedule)
+		visit = func(sched model.Schedule) {
+			if len(sched) > 0 {
+				best, err := opt.SolveCost(wm, sched, initial, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, f := range c.fs {
+					las, err := dom.RunFactory(f, initial, 2, sched)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if online := cost.ScheduleCost(wm, las, initial); exs[i].Den*int64(online) > exs[i].Num*int64(best) {
+						t.Fatalf("%v, factory %d: %v costs %v against OPT's %v, above %d/%d", c.m, i, sched, online, best, exs[i].Num, exs[i].Den)
+					}
+				}
+			}
+			if len(sched) < 7 {
+				for _, q := range a.reqs {
+					visit(append(sched, q))
+				}
+			}
+		}
+		visit(make(model.Schedule, 0, 7))
+	}
+}
+
 // E12's exact long-run ratios are what long random runs read: at each of
 // its three cells, for SA and DA, 20 independent uniform runs of 2 000
 // requests (reads 85 %, writes 15 %), each priced against opt.SolveCost,
@@ -62,8 +119,9 @@ func TestAverageFactorMatchesSampledRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	initial := model.NewSet(0, 1)
 	for _, m := range []cost.Model{cost.SC(0.1, 0.2), cost.SC(0.3, 0.7), cost.SC(0.2, 2)} {
+		a := arena(t, m, 3, 2)
 		for _, f := range []dom.Factory{dom.StaticFactory, dom.DynamicFactory} {
-			exact, err := AverageFactor(context.Background(), m, f, 3, 2, []float64{pw})
+			exact, err := a.Average(context.Background(), f, []float64{pw})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +162,7 @@ func TestRatiosIndependentOfTAtFour(t *testing.T) {
 // is e11Table's), ~1 s each.
 func TestTheorem4NotTightAtFour(t *testing.T) {
 	for _, m := range []cost.Model{cost.MC(0.05, 0.1), cost.MC(0.2, 0.5), cost.MC(1, 2.5), cost.MC(2, 2)} {
-		ex, err := ExactFactor(context.Background(), m, dom.DynamicFactory, 4, 2)
+		ex, err := arena(t, m, 4, 2).Exact(context.Background(), dom.DynamicFactory)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,9 @@ package competitive
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"objalloc/internal/adversary"
@@ -14,21 +16,31 @@ import (
 	"objalloc/internal/opt"
 )
 
-// solved builds f's work-function graph at m, n = 3, t = 2, solves it and
-// certifies the solution, each step on its own.
-func solved(t *testing.T, m cost.Model, f dom.Factory) (*graph, Exact) {
+// arena is OPT's side at m on n processors from {0..t−1}.
+func arena(tb testing.TB, m cost.Model, n, t int) *Arena {
+	tb.Helper()
+	a, err := NewArena(context.Background(), m, n, t)
+	if err != nil {
+		tb.Fatalf("%v, n = %d, t = %d: %v", m, n, t, err)
+	}
+	return a
+}
+
+// solved builds f's work-function graph on a, solves it and certifies the
+// solution, each step on its own.
+func solved(t *testing.T, a *Arena, f dom.Factory) (*graph, Exact) {
 	t.Helper()
 	ctx := context.Background()
-	g, err := buildGraph(ctx, m, f, 3, 2)
+	g, err := a.graph(ctx, f)
 	if err != nil {
-		t.Fatalf("%v: %v", m, err)
+		t.Fatalf("%v: %v", a.m, err)
 	}
 	ex, err := g.solve(ctx)
 	if err != nil {
-		t.Fatalf("%v: %v", m, err)
+		t.Fatalf("%v: %v", a.m, err)
 	}
 	if err := g.certify(ex); err != nil {
-		t.Fatalf("%v: %v", m, err)
+		t.Fatalf("%v: %v", a.m, err)
 	}
 	return g, ex
 }
@@ -47,8 +59,9 @@ func selfCheck(t *testing.T, m cost.Model, periods []model.Schedule) {
 		t.Fatal(err)
 	}
 	cc, cd, cio := int64(wm.CC), int64(wm.CD), int64(wm.CIO)
-	_, sa := solved(t, m, dom.StaticFactory)
-	_, da := solved(t, m, dom.DynamicFactory)
+	a := arena(t, m, 3, 2)
+	_, sa := solved(t, a, dom.StaticFactory)
+	_, da := solved(t, a, dom.DynamicFactory)
 	if m.IsMobile() {
 		if sa.Den != 0 {
 			t.Errorf("%v: SA's factor %d/%d on %v, want +Inf (Proposition 3)", m, sa.Num, sa.Den, sa.Period)
@@ -130,8 +143,9 @@ func TestWorkFunctionGraphWalksPriceSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		a := arena(t, m, 3, 2)
 		for _, f := range []dom.Factory{dom.StaticFactory, dom.DynamicFactory} {
-			g, _ := solved(t, m, f)
+			g, _ := solved(t, a, f)
 			for walk := 0; walk < 40; walk++ {
 				var sched model.Schedule
 				var online, rise int64
@@ -160,12 +174,67 @@ func TestWorkFunctionGraphWalksPriceSchedules(t *testing.T) {
 	}
 }
 
+// An arena is read-only once built: SA's and DA's exact factors and
+// long-run ratios, asked of one arena from four goroutines at once, are
+// what the serial calls read, to the last potential. The race build
+// checks that no call writes what another reads.
+func TestArenaSharedAcrossGoroutines(t *testing.T) {
+	type answer struct {
+		ex  Exact
+		avg []float64
+	}
+	ctx := context.Background()
+	a := arena(t, cost.SC(1, 3), 3, 2)
+	fs := []dom.Factory{dom.StaticFactory, dom.DynamicFactory}
+	ask := func(f dom.Factory) (ans answer, err error) {
+		if ans.ex, err = a.Exact(ctx, f); err == nil {
+			ans.avg, err = a.Average(ctx, f, []float64{0.15, 0.5})
+		}
+		return ans, err
+	}
+	want := make([]answer, len(fs))
+	for i, f := range fs {
+		var err error
+		if want[i], err = ask(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, errs := make([][]answer, 4), make([]error, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = make([]answer, len(fs))
+			for j := range fs {
+				i := (g + j) % len(fs) // half the goroutines ask DA first
+				if got[g][i], errs[g] = ask(fs[i]); errs[g] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		for i := range fs {
+			if !reflect.DeepEqual(got[g][i], want[i]) {
+				t.Errorf("goroutine %d, factory %d: %d/%d on %v in %d states, long-run %v; serially %d/%d on %v in %d states, long-run %v",
+					g, i, got[g][i].ex.Num, got[g][i].ex.Den, got[g][i].ex.Period, got[g][i].ex.States, got[g][i].avg,
+					want[i].ex.Num, want[i].ex.Den, want[i].ex.Period, want[i].ex.States, want[i].avg)
+			}
+		}
+	}
+}
+
 // certify reads every edge: raising any one edge's online cost past its
 // slack makes the potentials fail there. The graph is n = 2, t = 1 at
 // SC(1, 1), small enough to certify once per edge.
 func TestCertifyReadsEveryEdge(t *testing.T) {
 	ctx := context.Background()
-	g, err := buildGraph(ctx, cost.SC(1, 1), dom.DynamicFactory, 2, 1)
+	g, err := arena(t, cost.SC(1, 1), 2, 1).graph(ctx, dom.DynamicFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +262,7 @@ func TestCertifyReadsEveryEdge(t *testing.T) {
 // certify refuses a factor one unit low, a potential off by one on the
 // attaining cycle, and a cycle that does not close.
 func TestCertifyRefusesBrokenCertificates(t *testing.T) {
-	g, ex := solved(t, cost.SC(0.3, 1.2), dom.DynamicFactory)
+	g, ex := solved(t, arena(t, cost.SC(0.3, 1.2), 3, 2), dom.DynamicFactory)
 	low := ex
 	low.Num--
 	if err := g.certify(low); err == nil {
@@ -220,25 +289,26 @@ func TestCertifyRefusesBrokenCertificates(t *testing.T) {
 func TestExactFactorsRefuseOtherAlgorithms(t *testing.T) {
 	ctx := context.Background()
 	m := cost.SC(0.3, 1.2)
+	a := arena(t, m, 3, 2)
 	for _, f := range []dom.Factory{baseline.KThresholdFactory(2), baseline.ConvergentFactory(4)} {
 		if got, err := Factor(ctx, m, f, model.MustParseSchedule("r2"), model.NewSet(0, 1), 2); err == nil || !strings.Contains(err.Error(), "whole state") {
 			t.Errorf("Factor = %v, %v; want a refusal", got, err)
 		}
-		if _, err := ExactFactor(ctx, m, f, 3, 2); err == nil || !strings.Contains(err.Error(), "whole state") {
-			t.Errorf("ExactFactor err = %v; want a refusal", err)
+		if _, err := a.Exact(ctx, f); err == nil || !strings.Contains(err.Error(), "whole state") {
+			t.Errorf("Exact err = %v; want a refusal", err)
 		}
 	}
 }
 
-// ExactFactor refuses what its graph cannot hold: a universe out of range
-// and a row too long for a 64-bit key (n = 6, t = 1: 63 entries).
+// NewArena refuses what a graph cannot hold: a universe out of range and
+// a row too long for a 64-bit key (n = 6, t = 1: 63 entries).
 func TestExactFactorValidation(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct {
 		n, t int
 		want string
 	}{{0, 1, "1 <= t <= n"}, {3, 4, "1 <= t <= n"}, {6, 1, "64-bit key"}} {
-		if _, err := ExactFactor(ctx, cost.SC(0.3, 1.2), dom.DynamicFactory, c.n, c.t); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := NewArena(ctx, cost.SC(0.3, 1.2), c.n, c.t); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("n = %d, t = %d: err = %v, want %q", c.n, c.t, err, c.want)
 		}
 	}
@@ -258,7 +328,7 @@ func TestWorkFunctionGraphSizes(t *testing.T) {
 		{cost.MC(0.5, 1), dom.StaticFactory, 1998, 11988},
 		{cost.MC(0.5, 1), dom.DynamicFactory, 2000, 12000},
 	} {
-		if _, ex := solved(t, c.m, c.f); ex.States != c.states || ex.Edges != c.edges {
+		if _, ex := solved(t, arena(t, c.m, 3, 2), c.f); ex.States != c.states || ex.Edges != c.edges {
 			t.Errorf("%v: %d states, %d edges; want %d, %d", c.m, ex.States, ex.Edges, c.states, c.edges)
 		}
 	}

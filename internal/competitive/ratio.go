@@ -8,8 +8,8 @@
 // opt, takes worst cases over schedule batteries (random mixes plus the
 // nemesis families of package adversary), prices a period's endless
 // repetition exactly (Factor), solves SA's and DA's exact factor over
-// every schedule at small n (ExactFactor) and, on the same graph, their
-// long-run ratio under random requests (AverageFactor), climbs DA's
+// every schedule at small n (Arena.Exact) and, on the same graph, their
+// long-run ratio under random requests (Arena.Average), climbs DA's
 // periods by Factor where n is beyond that (Search), and sweeps the
 // (cd, cc) plane to regenerate the superiority region maps of the
 // paper's figures 1 and 2.

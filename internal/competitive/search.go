@@ -24,7 +24,7 @@ import (
 // nemesis families, which its first restarts start from — it probes
 // whether worse periods than the analytic ones exist (tightness of the
 // bounds). It is for DA at N ≥ 4, where no exact factor is at hand: at
-// N = 3 ExactFactor is DA's factor over every schedule, and SA's is
+// N = 3 Arena.Exact is DA's factor over every schedule, and SA's is
 // known at every N (1+cc+cd in SC, Theorem 1 with the read run; +Inf in
 // MC).
 type SearchConfig struct {
