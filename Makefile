@@ -305,31 +305,22 @@ chaos-check:
 	@$(MAKE) -s chaos | diff - internal/chaos/testdata/make_chaos.golden
 	@echo "chaos-check: counts match internal/chaos/testdata/make_chaos.golden"
 
-# profile runs a figure-1 sweep under CPU profiling and leaves the profile
-# next to the metrics stream; inspect with `go tool pprof`. The grid is
-# 200×200 (20 k admissible cells, under a second) and the map goes to
-# /dev/null: the 6×6 grid this target used to run finishes in 2 ms, between
-# two samples of the profiler. Since the sweep's lower bound sees reads
-# (the interval relaxation, opt.Bound.Price) it prices little beyond each
-# cell's two incumbents, and writing the metrics stream
-# (competitive.emitSweep through obs.(*JSONLSink).Emit) is the largest
-# share, ~39 % of the samples (six runs merged, 2-core Xeon); the lanes'
-# tasks, competitive.(*lane).price, are ~30 %: the grid pass of
-# internal/opt, opt.(*Plan).costsPass, ~14 % (its kernels opt.readRows 7 %,
-# opt.foldRows 3 %, flat) and the bound's bookkeeping ~10 % (each lane's
-# lead search, competitive.(*pairBounds).lead, ~6 % with opt.(*Bound).Price
-# ~5 %; the round-2 test ~4 %); RenderGrid is ~13 %. The one-model DP
+# profile writes a CPU profile of the bench-shaped sweep, the one
+# bench/'s sweep_offline runs (BenchmarkSweep/parallelism=default: the 6×6
+# figure-1 grid over the default battery, eight seeds in rotation, for 5 s),
+# to sweep.cpu.pprof; inspect with `go tool pprof sweep.cpu.pprof`. The
+# figure tools no longer run a sweep: they print exact factors. On this
+# sweep (`parallelism=1`) costsPass is ~26 %, competitive.(*lane).measure
+# ~23 % (cost.StepCounts ~4 %, model.Set.Add ~3 %, model.CheckStep ~2 %),
+# the battery's build, competitive.(*slots).fill, ~16 % (math/rand seeding
+# ~5 %), the bound's bookkeeping ~12 % (the lead search ~10 %, the
+# signatures ~4 % of it) and the runtime's futex (the engine pool parking)
+# ~2 %. At the default parallelism the build is task 0 of the sweep's run
+# and DA's measuring streams behind it. The one-model DP
 # (opt.(*Plan).run, minTransform) runs only for Solve's traceback, so it
-# does not appear here. On the small bench-shaped sweep (`go test -bench
-# 'BenchmarkSweep/parallelism=1' -cpuprofile`) costsPass is ~26 %,
-# competitive.(*lane).measure ~23 % (cost.StepCounts ~4 %, model.Set.Add
-# ~3 %, model.CheckStep ~2 %), the battery's build, competitive.(*slots).fill,
-# ~16 % (math/rand seeding ~5 %), the bound's bookkeeping ~12 % (the lead
-# search ~10 %, the signatures ~4 % of it) and the runtime's futex (the
-# engine pool parking) ~2 %. At the default parallelism the build is task 0
-# of the sweep's run and DA's measuring streams behind it. `make allocs`
-# counts what this profile can only sample.
+# does not appear here. `make allocs` counts what this profile can only
+# sample.
 profile:
-	go run ./cmd/figure1 -steps 200 -cpuprofile figure1.cpu.pprof -metrics figure1.metrics.jsonl -progress > /dev/null
-	@echo "wrote figure1.cpu.pprof and figure1.metrics.jsonl"
-	@echo "inspect with: go tool pprof figure1.cpu.pprof"
+	go test -run '^$$' -bench 'BenchmarkSweep/parallelism=default' -benchtime 5s -cpuprofile sweep.cpu.pprof ./internal/competitive
+	@echo "wrote sweep.cpu.pprof"
+	@echo "inspect with: go tool pprof sweep.cpu.pprof"

@@ -9,7 +9,7 @@
 //	experiments [-experiment E5]
 //	            [-metrics out.jsonl] [-progress] [-pprof addr]
 //
-// -metrics streams the instrumented experiments' events (sweep cells,
+// -metrics streams the instrumented experiments' events (figure cells,
 // certified-search restarts, quorum operations) plus
 // a final registry snapshot, -progress reports task progress on stderr,
 // and -pprof serves net/http/pprof and expvar on the given address.
@@ -25,9 +25,10 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
-	"sync"
 
+	"objalloc/cmd/internal/figure"
 	"objalloc/internal/adversary"
 	"objalloc/internal/advisor"
 	"objalloc/internal/baseline"
@@ -126,75 +127,17 @@ func main() {
 	}
 }
 
-func gridValues(steps int) []float64 {
-	out := make([]float64, steps)
-	for i := range out {
-		out[i] = 2.0 * float64(i+1) / float64(steps)
-	}
-	return out
-}
+func e1Figure1() { printFigure(false, "Figure 1 — stationary-computing cost model (cio = 1)") }
 
-func e1Figure1() {
-	points, err := competitive.Sweep(runCtx, competitive.SweepSpec{
-		CDs: gridValues(10), CCs: gridValues(10),
-		Battery: competitive.DefaultBattery(), Parallelism: *parallel, Obs: runObs,
-	})
+func e2Figure2() { printFigure(true, "Figure 2 — mobile-computing cost model (cio = 0)") }
+
+// printFigure prints cmd/figure1's or cmd/figure2's report at its defaults.
+func printFigure(mobile bool, title string) {
+	cells, err := figure.Grid(runCtx, mobile, 2, 10, *parallel, runObs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("analytic (paper):")
-	fmt.Print(competitive.RenderGrid(points, false))
-	fmt.Println("\nmeasured:")
-	fmt.Print(competitive.RenderGrid(points, true))
-	agree, decided := 0, 0
-	for _, p := range points {
-		if p.Analytic == competitive.RegionSASuperior || p.Analytic == competitive.RegionDASuperior {
-			decided++
-			if p.Empirical == p.Analytic {
-				agree++
-			}
-		}
-	}
-	fmt.Printf("\nagreement on analytically decided points: %d/%d\n", agree, decided)
-
-	fmt.Println("\nunknown-band cells certified SA-better (a pool period's exact DA factor")
-	fmt.Println("exceeds SA's exact 1+cc+cd; the pool is E22's):")
-	certifiedCells := 0
-	for _, p := range points {
-		if p.Analytic != competitive.RegionUnknown {
-			continue
-		}
-		if w, ok := saBetter(cost.SC(p.CC, p.CD)); ok {
-			certifiedCells++
-			fmt.Printf("  cc=%.1f cd=%.1f: DA %.4f > SA %.4f on %v\n", p.CC, p.CD, w.da, w.sa, w.period)
-		}
-	}
-	if certifiedCells == 0 {
-		fmt.Println("  none")
-	}
-}
-
-func e2Figure2() {
-	points, err := competitive.Sweep(runCtx, competitive.SweepSpec{
-		CDs: gridValues(10), CCs: gridValues(10), Mobile: true,
-		Battery: competitive.DefaultBattery(), Parallelism: *parallel, Obs: runObs,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("measured (paper: DA superior on the whole admissible plane):")
-	fmt.Print(competitive.RenderGrid(points, true))
-	daWins, admissible := 0, 0
-	for _, p := range points {
-		if p.Analytic == competitive.RegionCannotBeTrue {
-			continue
-		}
-		admissible++
-		if p.Empirical == competitive.RegionDASuperior {
-			daWins++
-		}
-	}
-	fmt.Printf("\nDA wins %d/%d admissible points\n", daWins, admissible)
+	figure.Print(cells, title)
 }
 
 // boundCheck prints an algorithm's exact factor at n = 3 (exactAt) against
@@ -211,7 +154,7 @@ func boundCheck(title string, f dom.Factory, models []cost.Model, bound func(cos
 			ok = "VIOLATED"
 		}
 		tight = tight && math.Abs(ex.Factor()-b) <= 1e-9
-		tbl.AddRow(m.String(), ex.Factor(), fraction(ex), ex.Period.String(), b, ok)
+		tbl.AddRow(m.String(), ex.Factor(), fmt.Sprintf("%d/%d", ex.Num, ex.Den), ex.Period.String(), b, ok)
 	}
 	fmt.Println(title)
 	fmt.Print(tbl.String())
@@ -365,7 +308,7 @@ func e11TSensitivity() {
 		if !ok {
 			return "refused (key)", nil
 		}
-		return fraction(ex) + " " + ex.Period.String(), nil
+		return fmt.Sprintf("%d/%d %v", ex.Num, ex.Den, ex.Period), nil
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -430,12 +373,14 @@ func e12AverageCase() {
 // longRun is SA's and DA's exact long-run ratios at m on 3 processors from
 // {0, 1} at t = 2, one per write fraction.
 func longRun(m cost.Model, pwrites []float64) (sa, da []float64) {
-	a := arenaAt(m, 3, 2)
-	sa, err := a.Average(runCtx, dom.StaticFactory, pwrites)
-	if err != nil {
-		log.Fatal(err)
+	a, err := competitive.NewArena(runCtx, m, 3, 2)
+	if err == nil {
+		sa, err = a.Average(runCtx, dom.StaticFactory, pwrites)
 	}
-	if da, err = a.Average(runCtx, dom.DynamicFactory, pwrites); err != nil {
+	if err == nil {
+		da, err = a.Average(runCtx, dom.DynamicFactory, pwrites)
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 	return sa, da
@@ -713,17 +658,23 @@ func e21Gap() {
 }
 
 // e22Crossover certifies, for each cc, the largest cd on a 0.01 grid at
-// which SA is strictly better than DA: some pool period's exact DA factor
-// exceeds SA's exact factor, 1+cc+cd. The paper's bounds only bracket the
-// flip inside [0.5-cc, 1]; the certified cd is a lower bound on it.
+// which SA is strictly better than DA: competitive.Classify marks the cell
+// S, from DA's graph at n = 3 or a pool period. The paper's bounds only
+// bracket the flip inside [0.5-cc, 1]; the certified cd is a lower bound
+// on it.
 func e22Crossover() {
 	tbl := stats.NewTable("cc", "paper bracket", "SA better at cd", "DA factor", "SA factor", "period")
+	periods := pool()
 	for _, cc := range []float64{0.05, 0.1, 0.2, 0.3} {
 		bracket := fmt.Sprintf("[%.2f, 1.00]", 0.5-cc)
 		row := []interface{}{cc, bracket, "none certified", "", "", ""}
 		for k := 99; float64(k)/100 >= max(cc, 0.5-cc); k-- {
-			if w, ok := saBetter(cost.SC(cc, float64(k)/100)); ok {
-				row = []interface{}{cc, bracket, float64(k) / 100, w.da, w.sa, w.period.String()}
+			c, err := competitive.Classify(runCtx, cost.SC(cc, float64(k)/100), periods)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if c.Mark == 'S' {
+				row = []interface{}{cc, bracket, float64(k) / 100, c.Witness, c.SA, c.Period.String()}
 				break
 			}
 		}
@@ -857,41 +808,20 @@ func exactFactor(m cost.Model, f dom.Factory, period model.Schedule) float64 {
 // exactAt is the algorithm's exact factor over every schedule on the
 // processors 0..n−1 from {0..t−1}: the maximum cycle ratio of its
 // work-function graph, certified, and false where OPT's rows outgrow the
-// graph's key.
+// graph's key. Each call builds its own arena, which is dropped after.
 func exactAt(m cost.Model, f dom.Factory, n, t int) (competitive.Exact, bool) {
-	a := arenaAt(m, n, t)
-	if a == nil {
+	a, err := competitive.NewArena(runCtx, m, n, t)
+	if errors.Is(err, competitive.ErrRowKey) {
 		return competitive.Exact{}, false
 	}
-	ex, err := a.Exact(runCtx, f)
+	var ex competitive.Exact
+	if err == nil {
+		ex, err = a.Exact(runCtx, f)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
 	return ex, true
-}
-
-// arenas is the run's arenas by (model, n, t), each built on first ask
-// (E11 asks from the pool) and kept with the error that refused it: SA,
-// DA and every experiment that asks about a cell share its OPT side.
-var arenas sync.Map
-
-// arenaAt is the run's arena at m on the processors 0..n−1 from {0..t−1},
-// nil where OPT's rows outgrow the graph's key (competitive.ErrRowKey).
-func arenaAt(m cost.Model, n, t int) *competitive.Arena {
-	get, _ := arenas.LoadOrStore([3]any{m, n, t}, sync.OnceValues(func() (*competitive.Arena, error) { return competitive.NewArena(runCtx, m, n, t) }))
-	a, err := get.(func() (*competitive.Arena, error))()
-	if err != nil && !errors.Is(err, competitive.ErrRowKey) {
-		log.Fatal(err)
-	}
-	return a
-}
-
-// fraction prints an exact factor as the fraction it is.
-func fraction(ex competitive.Exact) string {
-	if ex.Den == 0 {
-		return "+Inf"
-	}
-	return fmt.Sprintf("%d/%d", ex.Num, ex.Den)
 }
 
 // e9Models and e21Models are the cells of E9's and E21's certified
@@ -901,8 +831,8 @@ var (
 	e21Models = []cost.Model{cost.SC(0.05, 0.1), cost.SC(0.1, 0.4), cost.SC(0.2, 0.7), cost.SC(0.3, 0.9)}
 )
 
-// searches memoizes certifiedSearch, so that the pool E1 and E22 price is
-// the same whichever experiments run.
+// searches memoizes certifiedSearch, so that the pool E22 prices is the
+// same whichever experiments run.
 var searches = map[cost.Model]competitive.SearchResult{}
 
 // certifiedSearch is DA's certified search at m over six processors from
@@ -923,41 +853,17 @@ func certifiedSearch(m cost.Model) competitive.SearchResult {
 	return res
 }
 
-// pool is the periods E1 and E22 price, each once: the nemesis families
+// pool is the periods E22 prices, each once: the nemesis families
 // and every period a certified search returns.
 func pool() []model.Schedule {
 	var periods []model.Schedule
-	seen := map[string]bool{}
-	add := func(p model.Schedule) {
-		if !seen[p.String()] {
-			seen[p.String()] = true
+	for _, fam := range adversary.Families(6, 2) {
+		periods = append(periods, fam.Period)
+	}
+	for _, m := range append(append([]cost.Model{}, e9Models...), e21Models...) {
+		if p := certifiedSearch(m).Period; !slices.ContainsFunc(periods, func(q model.Schedule) bool { return slices.Equal(p, q) }) {
 			periods = append(periods, p)
 		}
 	}
-	for _, fam := range adversary.Families(6, 2) {
-		add(fam.Period)
-	}
-	for _, m := range append(append([]cost.Model{}, e9Models...), e21Models...) {
-		add(certifiedSearch(m).Period)
-	}
 	return periods
-}
-
-// witness is a period on which DA's exact factor exceeds SA's.
-type witness struct {
-	period model.Schedule
-	da, sa float64
-}
-
-// saBetter returns the first pool period on which DA's exact factor at m
-// exceeds SA's, which is 1+cc+cd exactly (Theorem 1 with Proposition 1:
-// the read run attains it), and whether there is one.
-func saBetter(m cost.Model) (witness, bool) {
-	sa := exactFactor(m, dom.StaticFactory, adversary.SAPunisher(2, 1))
-	for _, p := range pool() {
-		if da := exactFactor(m, dom.DynamicFactory, p); da > sa {
-			return witness{p, da, sa}, true
-		}
-	}
-	return witness{}, false
 }

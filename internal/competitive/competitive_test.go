@@ -346,10 +346,6 @@ func TestRenderGrid(t *testing.T) {
 	if !strings.ContainsRune(out, 'D') || !strings.ContainsRune(out, 'x') {
 		t.Errorf("render missing regions:\n%s", out)
 	}
-	tab := RenderRatios(points)
-	if !strings.Contains(tab, "SA worst") {
-		t.Errorf("ratio table malformed:\n%s", tab)
-	}
 	if RenderGrid(nil, true) != "(empty sweep)\n" {
 		t.Error("empty sweep render wrong")
 	}
