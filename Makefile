@@ -111,7 +111,7 @@ allocs:
 # after touching internal/obs; verify runs both over ./... already.
 obscheck:
 	go vet ./internal/obs
-	go test -race -run 'TestSweepObsDeterminism|TestSearchObsDeterminism' ./internal/competitive
+	go test -race -run 'TestSearchObsDeterminism' ./internal/competitive
 	go test -race ./internal/obs
 
 fuzzsmoke:

@@ -76,23 +76,6 @@ func main() {
 	log.SetPrefix("experiments: ")
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	runCtx = ctx
-
-	cli, err := obs.StartCLI(obs.CLIOptions{
-		Metrics: *metrics, Progress: *progress, PprofAddr: *pprofAddr, Label: "experiments",
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		if err := cli.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}()
-	runObs = cli.Obs()
-
 	all := []experiment{
 		{"E1", "Figure 1 — SC superiority regions", e1Figure1},
 		{"E2", "Figure 2 — MC superiority regions", e2Figure2},
@@ -118,6 +101,27 @@ func main() {
 		{"E22", "The certified SA/DA crossover curve", e22Crossover},
 		{"E23", "§6.2 standing orders — executed feed policies", e23Feed},
 	}
+	if *only != "" && !slices.ContainsFunc(all, func(e experiment) bool { return strings.EqualFold(e.id, *only) }) {
+		log.Fatalf("no experiment %q: the experiments are E1 to E%d", *only, len(all))
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	runCtx = ctx
+
+	cli, err := obs.StartCLI(obs.CLIOptions{
+		Metrics: *metrics, Progress: *progress, PprofAddr: *pprofAddr, Label: "experiments",
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		if err := cli.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}()
+	runObs = cli.Obs()
+
 	for _, e := range all {
 		if *only != "" && !strings.EqualFold(*only, e.id) {
 			continue
@@ -140,14 +144,14 @@ func printFigure(mobile bool, title string) {
 	figure.Print(cells, title)
 }
 
-// boundCheck prints an algorithm's exact factor at n = 3 (exactAt) against
-// its bound at several cost points, and returns whether every factor
-// equals its bound.
-func boundCheck(title string, f dom.Factory, models []cost.Model, bound func(cost.Model) float64) bool {
+// boundCheck prints SA's (alg 0) or DA's (alg 1) exact factor at n = 3
+// (exactSC) against its bound at several of scModels' cells, and returns
+// whether every factor equals its bound.
+func boundCheck(title string, alg int, models []cost.Model, bound func(cost.Model) float64) bool {
 	tbl := stats.NewTable("model", "exact, n = 3", "as a fraction", "cycle", "paper bound", "within")
 	tight := true
 	for _, m := range models {
-		ex, _ := exactAt(m, f, 3, 2)
+		ex := exactSC(m)[alg]
 		b := bound(m)
 		ok := "yes"
 		if ex.Factor() > b+1e-9 {
@@ -168,9 +172,35 @@ func scModels() []cost.Model {
 	}
 }
 
+// scExact memoizes exactSC, so that E3, E5 and E6 build each arena once
+// whichever of them run.
+var scExact = map[cost.Model][2]competitive.Exact{}
+
+// exactSC is SA's and DA's exact factors at m over every schedule on 3
+// processors from {0, 1}, potentials dropped: both from one arena, which
+// is not kept.
+func exactSC(m cost.Model) [2]competitive.Exact {
+	if ex, ok := scExact[m]; ok {
+		return ex
+	}
+	a, err := competitive.NewArena(runCtx, m, 3, 2)
+	var ex [2]competitive.Exact
+	for i, f := range []dom.Factory{dom.StaticFactory, dom.DynamicFactory} {
+		if err == nil {
+			ex[i], err = a.Exact(runCtx, f)
+			ex[i].Phi = nil
+		}
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	scExact[m] = ex
+	return ex
+}
+
 func e3Theorem1() {
 	tight := boundCheck("SA's exact factor over every schedule on 3 processors vs Theorem 1's (1+cc+cd):",
-		dom.StaticFactory, scModels(), competitive.SABound)
+		0, scModels(), competitive.SABound)
 	if tight {
 		fmt.Println("the exact factor is 1+cc+cd at every cell: Theorem 1 is tight at n = 3")
 	}
@@ -194,7 +224,7 @@ func e4Proposition1() {
 
 func e5Theorem2() {
 	boundCheck("DA's exact factor over every schedule on 3 processors vs Theorem 2's (2+2cc):",
-		dom.DynamicFactory, scModels(), func(m cost.Model) float64 { return 2 + 2*m.CC })
+		1, scModels(), func(m cost.Model) float64 { return 2 + 2*m.CC })
 }
 
 func e6Theorem3() {
@@ -205,7 +235,7 @@ func e6Theorem3() {
 		}
 	}
 	boundCheck("DA's exact factor over every schedule on 3 processors vs Theorem 3's (2+cc), cd>1 only:",
-		dom.DynamicFactory, models, func(m cost.Model) float64 { return 2 + m.CC })
+		1, models, func(m cost.Model) float64 { return 2 + m.CC })
 }
 
 func e7Proposition2() {

@@ -11,13 +11,10 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"slices"
 
-	"objalloc/internal/adversary"
 	"objalloc/internal/competitive"
 	"objalloc/internal/cost"
 	"objalloc/internal/engine"
-	"objalloc/internal/model"
 	"objalloc/internal/obs"
 	"objalloc/internal/stats"
 )
@@ -85,18 +82,11 @@ func (r *Run) Report(mobile bool, title string) (done func()) {
 
 // Grid classifies (competitive.Classify) every (cd, cc) cell, cc-major, of
 // the grid of steps points per axis up to maxCost in the stationary (mobile
-// false) or mobile model, on a pool of parallel workers, with witnesses the
-// nemesis families on 3 to 6 processors, each period once. The cells, and
-// their "cell" events to o in grid order, are the same at every parallelism.
+// false) or mobile model, on a pool of parallel workers, with witnesses
+// competitive.Witnesses. The cells, and their "cell" events to o in grid
+// order, are the same at every parallelism.
 func Grid(ctx context.Context, mobile bool, maxCost float64, steps, parallel int, o *obs.Obs) ([]competitive.Proved, error) {
-	var periods []model.Schedule
-	for n := 3; n <= 6; n++ {
-		for _, f := range adversary.Families(n, 2) {
-			if !slices.ContainsFunc(periods, func(p model.Schedule) bool { return slices.Equal(p, f.Period) }) {
-				periods = append(periods, f.Period)
-			}
-		}
-	}
+	periods := competitive.Witnesses()
 	cells, err := engine.CollectObserved(ctx, steps*steps, parallel, o.Hook(), func(ctx context.Context, i int) (competitive.Proved, error) {
 		m := cost.SC(maxCost*float64(i/steps+1)/float64(steps), maxCost*float64(i%steps+1)/float64(steps))
 		if mobile {

@@ -74,7 +74,7 @@ func BenchmarkBound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	worst, _, err := ls.worst(ctx, models, opt.ModelChunk(spec.Battery.N), 1, nil)
+	worst, _, err := ls.worst(ctx, models, opt.ModelChunk(spec.Battery.N), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -330,24 +330,32 @@ func TestRegionStringsAndRunes(t *testing.T) {
 	}
 }
 
-func TestRenderGrid(t *testing.T) {
-	points, err := Sweep(context.Background(), SweepSpec{
-		CDs: []float64{0.2, 1.5}, CCs: []float64{0.1, 1.0},
-		Battery: BatteryConfig{N: 4, T: 2, RandomSchedules: 1, RandomLength: 12, NemesisRounds: 10, Seed: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
+// RenderProved draws each cell's mark, or the paper's region, under the
+// legend of what it draws, and an empty grid as such.
+func TestRenderProved(t *testing.T) {
+	var cells []Proved
+	for _, m := range []cost.Model{cost.SC(0.1, 0.2), cost.SC(0.1, 1.5), cost.SC(1.0, 0.2), cost.SC(1.0, 1.5)} {
+		c, err := Classify(context.Background(), m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, c)
 	}
-	out := RenderGrid(points, false)
-	if !strings.Contains(out, "legend") || !strings.Contains(out, "cc\\cd") {
-		t.Errorf("render missing parts:\n%s", out)
+	for _, analytic := range []bool{false, true} {
+		out := RenderProved(cells, analytic)
+		if !strings.Contains(out, "cc\\cd") || strings.Contains(out, "d = DA better at n = 3") == analytic {
+			t.Errorf("analytic=%t: header or legend wrong:\n%s", analytic, out)
+		}
+		// cc=0.1, cd=0.2 is SA-superior, cd=1.5 > 1 DA-superior; cc=1.0 >
+		// cd=0.2 is impossible.
+		for _, r := range "SDx" {
+			if !strings.ContainsRune(out, r) {
+				t.Errorf("analytic=%t: no %c in\n%s", analytic, r, out)
+			}
+		}
 	}
-	// cd=1.5 > 1 with cc=0.1 is DA-superior; cc=1.0 > cd=0.2 is impossible.
-	if !strings.ContainsRune(out, 'D') || !strings.ContainsRune(out, 'x') {
-		t.Errorf("render missing regions:\n%s", out)
-	}
-	if RenderGrid(nil, true) != "(empty sweep)\n" {
-		t.Error("empty sweep render wrong")
+	if RenderProved(nil, true) != "(empty grid)\n" {
+		t.Error("empty grid render wrong")
 	}
 }
 
@@ -371,6 +379,10 @@ func TestSearchDeterministic(t *testing.T) {
 func TestSearchValidation(t *testing.T) {
 	if _, err := Search(context.Background(), SearchConfig{N: 0, Length: 5, T: 2, Model: cost.SC(0.1, 0.5)}); err == nil {
 		t.Error("N = 0 accepted")
+	}
+	// The initial scheme {0..T-1} does not fit on N < T processors.
+	if _, err := Search(context.Background(), SearchConfig{N: 2, Length: 5, T: 3, Model: cost.SC(0.1, 0.5)}); err == nil {
+		t.Error("T = 3 > N = 2 accepted")
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"objalloc/internal/cost"
 	"objalloc/internal/dom"
 	"objalloc/internal/model"
-	"objalloc/internal/obs"
 	"objalloc/internal/opt"
 )
 
@@ -313,65 +312,56 @@ func assertPrunedEverywhere(t *testing.T, nemeses []model.Schedule, sched model.
 	}
 }
 
-// forkCounter is an obs.Observer that counts a sweep's engine runs and the
-// tasks they announce and start, and records whether the battery's slots
-// had all landed when task 0 was done.
-type forkCounter struct {
-	runs, tasks, started atomic.Int64
-	slots                *slots
-	builtBy0             atomic.Bool
-}
-
-func (c *forkCounter) RunStart(total int) { c.runs.Add(1); c.tasks.Add(int64(total)) }
-func (c *forkCounter) TaskStart(int)      { c.started.Add(1) }
-func (c *forkCounter) TaskDone(i int, _ error) {
-	if i == 0 && c.slots != nil {
-		c.builtBy0.Store(int(c.slots.landed.Load()) == len(c.slots.scheds))
-	}
-}
-func (c *forkCounter) RunDone() {}
-
-// A sweep is one engine run: task 0 builds the battery, then come the
-// (algorithm, model-chunk) tasks. The bench-shaped sweep, whose 21 models
-// are one chunk, runs exactly three tasks, and a sweep over a 12-processor
-// battery, whose chunk is 10 models, runs the build and two per chunk — at
-// Parallelism 4, so that under -race the build races DA's first task,
-// which measures each schedule as it lands, and a lane's measuring, which
-// its first task does while the others wait, is raced. When task 0 is done
-// the battery has landed whole.
+// A sweep's lanes measure the battery once each, whichever of a lane's
+// (algorithm, model-chunk) tasks starts first, while task 0 builds it: the
+// bench-shaped sweep, whose 21 models are one chunk, and a sweep over a
+// 12-processor battery, whose chunk is 10 models, so that each lane has
+// several tasks — at Parallelism 4, so that under -race the build races
+// DA's first task, which measures each schedule as it lands, and a lane's
+// measuring, which its first task does while the others wait, is raced.
+// Each lane makes one algorithm per schedule, and the battery has landed
+// whole when the sweep returns.
 func TestSweepForksOnce(t *testing.T) {
 	wide := BatteryConfig{N: 12, T: 3, RandomSchedules: 2, RandomLength: 16, NemesisRounds: 12, Seed: 5}
-	chunks := (21 + opt.ModelChunk(wide.N) - 1) / opt.ModelChunk(wide.N)
-	if chunks < 2 {
+	if chunks := (21 + opt.ModelChunk(wide.N) - 1) / opt.ModelChunk(wide.N); chunks < 2 {
 		t.Fatalf("21 models are one chunk of %d at n = %d", opt.ModelChunk(wide.N), wide.N)
 	}
 	for _, c := range []struct {
-		name  string
-		spec  SweepSpec
-		tasks int64
+		name string
+		spec SweepSpec
 	}{
-		{"bench-shaped", benchSweepSpec(0, 0), 1 + 2},
-		{"n=12", SweepSpec{CDs: goldenAxis, CCs: goldenAxis, Battery: wide, Parallelism: 4}, 1 + 2*int64(chunks)},
+		{"bench-shaped", benchSweepSpec(0, 0)},
+		{"n=12", SweepSpec{CDs: goldenAxis, CCs: goldenAxis, Battery: wide, Parallelism: 4}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			// Sweep, with the battery's slots in the test's hands.
+			// Sweep, with the battery's slots and the factories in the
+			// test's hands.
 			if err := c.spec.Normalize(); err != nil {
 				t.Fatal(err)
 			}
-			fc := forkCounter{slots: c.spec.Battery.layout()}
-			c.spec.Obs = &obs.Obs{Observer: &fc}
-			ls, err := newLanes(saDA, fc.slots, c.spec.Battery.Initial(), c.spec.Battery.T)
+			var made [2]atomic.Int64
+			var factories [2]dom.Factory
+			for f, factory := range saDA {
+				factories[f] = func(initial model.Set, t int) (dom.Algorithm, error) {
+					made[f].Add(1)
+					return factory(initial, t)
+				}
+			}
+			b := c.spec.Battery.layout()
+			ls, err := newLanes(factories, b, c.spec.Battery.Initial(), c.spec.Battery.T)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := sweep(context.Background(), c.spec, ls); err != nil {
 				t.Fatal(err)
 			}
-			if runs, tasks, started := fc.runs.Load(), fc.tasks.Load(), fc.started.Load(); runs != 1 || tasks != c.tasks || started != c.tasks {
-				t.Errorf("%d engine runs of %d tasks, %d started; want 1 run of %d", runs, tasks, started, c.tasks)
+			if landed := int(b.landed.Load()); landed != len(b.scheds) {
+				t.Errorf("%d of %d schedules landed", landed, len(b.scheds))
 			}
-			if !fc.builtBy0.Load() {
-				t.Error("the battery had not landed whole when task 0 was done")
+			for f := range made {
+				if n := made[f].Load(); n != int64(len(b.scheds)) {
+					t.Errorf("lane %d made %d algorithms over %d schedules", f, n, len(b.scheds))
+				}
 			}
 		})
 	}
@@ -405,28 +395,12 @@ func TestSearchParallelIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// cancelAtTask is an engine Observer that cancels a context as the engine
-// starts task index at.
-type cancelAtTask struct {
-	at     int
-	cancel context.CancelFunc
-}
-
-func (c cancelAtTask) RunStart(int) {}
-func (c cancelAtTask) TaskStart(i int) {
-	if i == c.at {
-		c.cancel()
-	}
-}
-func (c cancelAtTask) TaskDone(int, error) {}
-func (c cancelAtTask) RunDone()            {}
-
 // Cancelling mid-sweep must return ctx.Err() promptly and leave no
 // goroutines behind (acceptance criterion of the engine PR). The cancel
-// lands as the engine starts the sweep's second pricing task, with the
-// first in flight and 16 more to go: a 20 ms timer, which this test used,
-// stopped landing mid-sweep once the 150×150 grid's sweep took ~11 ms
-// (2-core Xeon, before the periodic pass as after it).
+// lands as SA's lane makes its first algorithm, as its first task starts
+// with DA's last tasks in flight and more of SA's to go: a 20 ms timer,
+// which this test used, stopped landing mid-sweep once the 150×150 grid's
+// sweep took ~11 ms (2-core Xeon, before the periodic pass as after it).
 func TestSweepCancellationPromptAndLeakFree(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -436,15 +410,18 @@ func TestSweepCancellationPromptAndLeakFree(t *testing.T) {
 		grid[i] = 0.05 + float64(i)*0.05
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	spec := SweepSpec{CDs: grid, CCs: grid, Battery: DefaultBattery(), Parallelism: 4}
+	sa := func(initial model.Set, t int) (dom.Algorithm, error) {
+		cancel()
+		return dom.StaticFactory(initial, t)
+	}
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, err := Sweep(ctx, SweepSpec{
-			CDs: grid, CCs: grid,
-			Battery:     DefaultBattery(),
-			Parallelism: 4,
-			Obs:         &obs.Obs{Observer: cancelAtTask{at: 2, cancel: cancel}},
-		})
+		ls, err := newLanes([2]dom.Factory{sa, dom.DynamicFactory}, spec.Battery.layout(), spec.Battery.Initial(), spec.Battery.T)
+		if err == nil {
+			_, err = sweep(ctx, spec, ls)
+		}
 		done <- err
 	}()
 	select {

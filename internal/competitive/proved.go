@@ -3,7 +3,9 @@ package competitive
 import (
 	"context"
 	"math/bits"
+	"slices"
 
+	"objalloc/internal/adversary"
 	"objalloc/internal/cost"
 	"objalloc/internal/dom"
 	"objalloc/internal/model"
@@ -81,4 +83,19 @@ func Classify(ctx context.Context, m cost.Model, periods []model.Schedule) (Prov
 		c.Mark = 'd'
 	}
 	return c, nil
+}
+
+// Witnesses are the periods the figure tools and the facade pass Classify:
+// one of each nemesis family on 3 to 6 processors from {0, 1} at t = 2
+// (adversary.Families), each period once.
+func Witnesses() []model.Schedule {
+	var periods []model.Schedule
+	for n := 3; n <= 6; n++ {
+		for _, f := range adversary.Families(n, 2) {
+			if !slices.ContainsFunc(periods, func(p model.Schedule) bool { return slices.Equal(p, f.Period) }) {
+				periods = append(periods, f.Period)
+			}
+		}
+	}
+	return periods
 }

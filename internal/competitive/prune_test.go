@@ -9,7 +9,6 @@ import (
 
 	"objalloc/internal/cost"
 	"objalloc/internal/model"
-	"objalloc/internal/obs"
 	"objalloc/internal/opt"
 )
 
@@ -137,15 +136,23 @@ func TestSweepPruningIsExact(t *testing.T) {
 	}
 }
 
-// sweepCounters returns a sweep's priced and pruned pair counters.
-func sweepCounters(t *testing.T, spec SweepSpec) (priced, pruned int64) {
+// sweepCounters returns how many (schedule, cell) pairs a sweep of spec's
+// square grid (its CCs are its CDs) prices and how many the bound prunes,
+// from the count lanes.worst keeps.
+func sweepCounters(t *testing.T, spec SweepSpec) (priced, pruned int) {
 	t.Helper()
-	r := obs.NewRegistry()
-	spec.Obs = &obs.Obs{Registry: r}
-	if _, err := Sweep(context.Background(), spec); err != nil {
+	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	return r.Counter("sweep.pairs_priced").Value(), r.Counter("sweep.pairs_pruned").Value()
+	ls, err := newLanes(saDA, spec.Battery.layout(), spec.Battery.Initial(), spec.Battery.T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := gridModels(spec.CDs, spec.Mobile)
+	if _, priced, err = ls.worst(context.Background(), models, opt.ModelChunk(spec.Battery.N), spec.Parallelism); err != nil {
+		t.Fatal(err)
+	}
+	return priced, len(ls[0].scheds)*len(models) - priced
 }
 
 // The bound prunes all but each cell's two incumbents: on the default
@@ -166,7 +173,7 @@ func TestSweepPairCounters(t *testing.T) {
 			for _, parallelism := range []int{1, 4, 0} {
 				spec := SweepSpec{CDs: goldenAxis, CCs: goldenAxis, Mobile: mobile, Battery: DefaultBattery(), Seed: seed, Parallelism: parallelism}
 				priced, pruned := sweepCounters(t, spec)
-				if priced+pruned != int64(cells) || priced > 2*21 {
+				if priced+pruned != cells || priced > 2*21 {
 					t.Errorf("mobile=%t, seed %d, Parallelism %d: %d pairs priced and %d pruned, want %d in all and at most 42 priced",
 						mobile, seed, parallelism, priced, pruned, cells)
 				}
@@ -221,7 +228,7 @@ func TestSweepPairCounters(t *testing.T) {
 		}
 	}
 	spec := SweepSpec{CDs: goldenAxis, CCs: goldenAxis, Mobile: true, Battery: battery}
-	if priced, pruned := sweepCounters(t, spec); priced != int64(21*len(scheds)) || pruned != 0 {
+	if priced, pruned := sweepCounters(t, spec); priced != 21*len(scheds) || pruned != 0 {
 		t.Errorf("one processor, MC: %d pairs priced and %d pruned, want %d and 0", priced, pruned, 21*len(scheds))
 	}
 }

@@ -10,9 +10,10 @@
 // repetition exactly (Factor), solves SA's and DA's exact factor over
 // every schedule at small n (Arena.Exact) and, on the same graph, their
 // long-run ratio under random requests (Arena.Average), climbs DA's
-// periods by Factor where n is beyond that (Search), and sweeps the
-// (cd, cc) plane to regenerate the superiority region maps of the
-// paper's figures 1 and 2.
+// periods by Factor where n is beyond that (Search), marks the cells of
+// the paper's figures 1 and 2 from what is proved (Classify), and sweeps
+// the (cd, cc) plane over a sampled battery (Sweep, the offline benchmark's
+// workload).
 package competitive
 
 import (

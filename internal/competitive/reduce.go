@@ -9,7 +9,6 @@ import (
 	"objalloc/internal/dom"
 	"objalloc/internal/engine"
 	"objalloc/internal/model"
-	"objalloc/internal/obs"
 	"objalloc/internal/opt"
 )
 
@@ -67,7 +66,7 @@ func newLanes(factories [2]dom.Factory, b *slots, initial model.Set, t int) (lan
 // a task fails only on a schedule that landed and the build runs to its
 // end — is re-measured in that order. Cancelling the context aborts the
 // passes in flight and returns ctx.Err().
-func (ls lanes) worst(ctx context.Context, models []cost.Model, chunk, parallelism int, ob obs.Observer) (worst [2][]float64, priced int, err error) {
+func (ls lanes) worst(ctx context.Context, models []cost.Model, chunk, parallelism int) (worst [2][]float64, priced int, err error) {
 	nSched, nModels := len(ls[0].scheds), len(models)
 	chunks := max(1, (nModels+chunk-1)/chunk) // a lane with no models still measures
 	var optCosts [2][]float64                 // per lane, [model][schedule]: NaN until priced
@@ -78,7 +77,7 @@ func (ls lanes) worst(ctx context.Context, models []cost.Model, chunk, paralleli
 			optCosts[f][i] = math.NaN()
 		}
 	}
-	err = engine.MapObserved(ctx, 1+len(ls)*chunks, parallelism, ob, func(ctx context.Context, i int) error {
+	err = engine.Map(ctx, 1+len(ls)*chunks, parallelism, func(ctx context.Context, i int) error {
 		if i == 0 {
 			ls[0].slots.fill()
 			return nil

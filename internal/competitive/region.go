@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"objalloc/internal/cost"
-	"objalloc/internal/obs"
 	"objalloc/internal/opt"
 )
 
@@ -54,13 +53,6 @@ type SweepSpec struct {
 	Parallelism int
 	// Seed, when nonzero, overrides Battery.Seed.
 	Seed int64
-	// Obs attaches the instrumentation layer: the engine reports the
-	// progress of the sweep's one run — the build, then (algorithm,
-	// model-chunk) tasks — through the Observer, and after the sweep
-	// completes one "cell" event per grid point is emitted in grid order
-	// (so the event stream is identical for every Parallelism). Nil
-	// disables instrumentation.
-	Obs *obs.Obs
 }
 
 // Normalize validates the spec and resolves its defaults in place: a
@@ -148,7 +140,7 @@ func sweep(ctx context.Context, spec SweepSpec, ls lanes) ([]GridPoint, error) {
 	// A task's models are at most one pass of the DP (no battery schedule
 	// has more than Battery.N processors), so a large grid spreads each
 	// lane over the pool instead of pinning it to one worker.
-	worst, priced, err := ls.worst(ctx, models, opt.ModelChunk(spec.Battery.N), spec.Parallelism, spec.Obs.Hook())
+	worst, _, err := ls.worst(ctx, models, opt.ModelChunk(spec.Battery.N), spec.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -164,42 +156,5 @@ func sweep(ctx context.Context, spec SweepSpec, ls lanes) ([]GridPoint, error) {
 			p.Empirical = RegionUnknown
 		}
 	}
-	emitSweep(spec.Obs, points, priced, len(ls[0].scheds)*len(models)-priced)
 	return points, nil
-}
-
-// emitSweep renders the finished sweep into the instrumentation layer: one
-// "cell" event per grid point, in grid order, plus registry totals — among
-// them how many (schedule, cell) pairs the offline DP priced and how many
-// the bound pruned. It runs single-threaded after the points are reduced,
-// and what is pruned depends on no scheduling, so the emission is
-// deterministic regardless of how the tasks were scheduled.
-func emitSweep(o *obs.Obs, points []GridPoint, priced, pruned int) {
-	if !o.Enabled() {
-		return
-	}
-	o.Counter("sweep.pairs_priced").Add(int64(priced))
-	o.Counter("sweep.pairs_pruned").Add(int64(pruned))
-	for _, p := range points {
-		attrs := []obs.Attr{
-			obs.Float("cc", p.CC),
-			obs.Float("cd", p.CD),
-			obs.String("analytic", p.Analytic.String()),
-			obs.String("empirical", p.Empirical.String()),
-		}
-		if p.Analytic != RegionCannotBeTrue {
-			attrs = append(attrs,
-				obs.Float("sa_worst", p.SAWorst),
-				obs.Float("da_worst", p.DAWorst))
-			// Histograms are integer-only (determinism), so ratios are
-			// recorded in milli-units.
-			o.Histogram("sweep.sa_ratio_milli", 1000, 1250, 1500, 2000, 3000, 4000, 6000).Observe(int64(p.SAWorst * 1000))
-			o.Histogram("sweep.da_ratio_milli", 1000, 1250, 1500, 2000, 3000, 4000, 6000).Observe(int64(p.DAWorst * 1000))
-		} else {
-			o.Counter("sweep.cells.skipped").Inc()
-		}
-		o.Emit(obs.Event{Name: "cell", Attrs: attrs})
-		o.Counter("sweep.cells").Inc()
-		o.Counter("sweep.cells." + p.Empirical.String()).Inc()
-	}
 }

@@ -66,6 +66,9 @@ func (cfg *SearchConfig) Normalize() error {
 	if cfg.T < 1 {
 		return fmt.Errorf("competitive: search needs T >= 1, got %d", cfg.T)
 	}
+	if cfg.T > cfg.N {
+		return fmt.Errorf("competitive: search T (%d) exceeds N (%d)", cfg.T, cfg.N)
+	}
 	if cfg.Restarts < 1 {
 		cfg.Restarts = 1
 	}

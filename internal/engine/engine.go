@@ -1,7 +1,7 @@
 // Package engine is the shared parallel evaluation runner behind every
-// grid-shaped workload in the repository: the (cd, cc) plane sweeps of
-// figures 1 and 2, the certified search's restarts, and the
-// cmd/experiments harness. All of these are embarrassingly parallel —
+// grid-shaped workload in the repository: the (cd, cc) cells of figures 1
+// and 2, the offline benchmark's plane sweep, the certified search's
+// restarts, and the cmd/experiments harness. All of these are embarrassingly parallel —
 // many independent evaluations whose results are combined by an
 // order-insensitive or index-ordered reduction — so one bounded worker
 // pool serves them all.

@@ -19,8 +19,8 @@
 //     ScheduleCost — the formal model of §3.
 //   - Online algorithms: NewStatic, NewDynamic, Run — §4.2.
 //   - The offline optimum and competitive measurement:
-//     OptimalCostContext, Ratio, SweepContext — §4.1's methodology and
-//     the figures.
+//     OptimalCostContext, Ratio, AsymptoticFactor — §4.1's methodology —
+//     and Classify, RenderProved — the figures' cells from exact factors.
 //   - The executable distributed system: NewCluster (SA/DA protocols over
 //     a simulated network and per-processor databases) and NewHACluster
 //     (DA with quorum-consensus failover, §2).
@@ -58,11 +58,11 @@ import (
 
 // ---- Parallel evaluation engine ----
 //
-// Every long-running evaluation entry point (plane sweeps, the certified
-// adversarial search, the offline optimum) has a
-// context-aware form that runs on a shared bounded worker pool and can be
-// cancelled. Parallel runs are deterministic: for the same seed the
-// results are byte-identical to a serial (Parallelism: 1) run.
+// Every long-running evaluation entry point (the certified adversarial
+// search, the offline optimum, a figure cell's classification) takes a
+// context and can be cancelled. The search's restarts run on a shared
+// bounded worker pool, deterministically: for the same seed the result is
+// byte-identical to a serial (Parallelism: 1) run.
 
 // DefaultParallelism is the worker count used when a spec leaves its
 // Parallelism field at zero: one worker per usable CPU.
@@ -203,33 +203,28 @@ func SABound(m CostModel) float64 { return competitive.SABound(m) }
 // DABound is Theorems 2-4: 2+2cc (SC), 2+cc (SC with cd>1), 2+3cc/cd (MC).
 func DABound(m CostModel) float64 { return competitive.DABound(m) }
 
-// GridPoint is one measured point of a (cd, cc) plane sweep.
-type GridPoint = competitive.GridPoint
+// Proved is one (cc, cd) cell classified from what is proved (Classify):
+// its Mark, SA's exact factor, DA's exact factor at n = 3 where the graph
+// was built, and the witness period that certifies an 'S'.
+type Proved = competitive.Proved
 
-// BatteryConfig configures the schedule battery for sweeps.
-type BatteryConfig = competitive.BatteryConfig
-
-// DefaultBattery is the battery used by the figure sweeps.
-func DefaultBattery() BatteryConfig { return competitive.DefaultBattery() }
-
-// SweepSpec bundles a plane sweep's grid, cost-model family (Mobile),
-// battery, Parallelism and Seed. The zero Parallelism means
-// DefaultParallelism; a nonzero Seed overrides Battery.Seed.
-type SweepSpec = competitive.SweepSpec
-
-// SweepContext measures SA and DA over a (cd, cc) grid on the parallel
-// engine, reproducing figure 1 (Mobile: false) or figure 2 (Mobile: true).
-// Battery schedules are priced concurrently, each under every cell's model;
-// the results are in grid order and byte-identical to a serial run of the
-// same seed. Cancelling the context aborts the sweep and returns ctx.Err().
-func SweepContext(ctx context.Context, spec SweepSpec) ([]GridPoint, error) {
-	return competitive.Sweep(ctx, spec)
+// Classify marks the cell at m as the paper's figures 1 and 2 would, from
+// exact factors only: 'x' where cc > cd, the paper's 'S' or 'D' where its
+// bounds decide, and in the band they leave open 'S' from N processors on
+// where DA's exact factor at n = 3 (a work-function graph, built at a
+// price scale up to 10) or one of the nemesis families on 3 to 6
+// processors beats SA's exact 1+cc+cd, else 'd' where DA's factor at n = 3
+// is below SA's, '·' where no graph was built and '?' otherwise; the
+// figure tools mark their cells with the same witnesses. Cancelling ctx
+// aborts the graph's build.
+func Classify(ctx context.Context, m CostModel) (Proved, error) {
+	return competitive.Classify(ctx, m, competitive.Witnesses())
 }
 
-// RenderGrid draws a sweep as an ASCII region map in the style of the
-// paper's figures.
-func RenderGrid(points []GridPoint, empirical bool) string {
-	return competitive.RenderGrid(points, empirical)
+// RenderProved draws classified cells as an ASCII map in the style of the
+// paper's figures: each cell's mark, or, with analytic, the paper's region.
+func RenderProved(cells []Proved, analytic bool) string {
+	return competitive.RenderProved(cells, analytic)
 }
 
 // SearchConfig drives DA's adversarial period search: hill-climbing over

@@ -11,11 +11,11 @@ import (
 // Every evaluation spec validates and defaults itself in Normalize, and
 // the entry points surface its validation errors.
 func TestSpecNormalize(t *testing.T) {
-	if err := (&objalloc.SweepSpec{}).Normalize(); err == nil {
-		t.Error("the zero SweepSpec normalized without error")
-	}
 	if err := (&objalloc.SearchConfig{}).Normalize(); err == nil {
 		t.Error("the zero SearchConfig normalized without error")
+	}
+	if err := (&objalloc.SearchConfig{Model: objalloc.SC(0.25, 1), N: 2, T: 3, Length: 8}).Normalize(); err == nil {
+		t.Error("a SearchConfig with T > N normalized without error")
 	}
 	good := &objalloc.SearchConfig{
 		Model: objalloc.SC(0.25, 1), N: 4, T: 2, Length: 8,

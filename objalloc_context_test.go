@@ -9,31 +9,46 @@ import (
 	"objalloc"
 )
 
-// Cancelling mid-sweep through the facade must surface context.Canceled.
-func TestFacadeSweepContextCancellation(t *testing.T) {
-	// Large enough (11k admissible cells, over a second of work) that the
-	// sweep cannot finish before the cancel lands.
-	grid := make([]float64, 150)
-	for i := range grid {
-		grid[i] = 0.05 + float64(i)*0.06
+// Cancelling Classify through the facade must surface context.Canceled
+// promptly, mid-build and before it: SC(0.9, 0.9) is in the band the
+// bounds leave open, at a whole-price scale of 10, and its graph at n = 3
+// takes ~0.1 s to build (2-core Xeon), while a cancel is seen within
+// ~0.3 ms. Each cancelled call must return within a quarter of an
+// uncancelled one.
+func TestFacadeClassifyCancellation(t *testing.T) {
+	m := objalloc.SC(0.9, 0.9)
+	start := time.Now()
+	if _, err := objalloc.Classify(context.Background(), m); err != nil {
+		t.Fatal(err)
 	}
+	full := time.Since(start)
+
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := objalloc.SweepContext(ctx, objalloc.SweepSpec{
-			CDs: grid, CCs: grid, Battery: objalloc.DefaultBattery(), Parallelism: 4,
-		})
+		_, err := objalloc.Classify(ctx, m)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	time.Sleep(full / 5)
+	cancelled := time.Now()
 	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
+		if d := time.Since(cancelled); d > full/4 {
+			t.Errorf("Classify returned %v after the cancel; a whole call takes %v", d, full)
+		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("sweep did not return after cancellation")
+		t.Fatal("Classify did not return after cancellation")
+	}
+	start = time.Now()
+	if _, err := objalloc.Classify(ctx, m); !errors.Is(err, context.Canceled) {
+		t.Errorf("Classify on a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > full/4 {
+		t.Errorf("Classify on a cancelled context took %v; a whole call takes %v", d, full)
 	}
 }
 

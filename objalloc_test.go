@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"objalloc"
@@ -125,16 +126,21 @@ func TestFacadeWorkloadsAndSweep(t *testing.T) {
 		t.Error("append-only trace writes wrong")
 	}
 
-	battery := objalloc.DefaultBattery()
-	battery.RandomSchedules = 1
-	battery.RandomLength = 10
-	battery.NemesisRounds = 5
-	points, err := objalloc.SweepContext(context.Background(), objalloc.SweepSpec{CDs: []float64{0.5, 1.5}, CCs: []float64{0.2}, Battery: battery})
-	if err != nil {
-		t.Fatal(err)
+	// A one-row grid, cd 0.5 and 1.5 at cc 0.2: the band the bounds leave
+	// open, then DA's region.
+	var cells []objalloc.Proved
+	for _, cd := range []float64{0.5, 1.5} {
+		c, err := objalloc.Classify(context.Background(), objalloc.SC(0.2, cd))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, c)
 	}
-	if out := objalloc.RenderGrid(points, true); out == "" {
-		t.Error("empty render")
+	if cells[0].DA3.States == 0 || cells[1].Mark != 'D' {
+		t.Errorf("cells %c with %d states and %c, want a graph at n = 3 and D", cells[0].Mark, cells[0].DA3.States, cells[1].Mark)
+	}
+	if out := objalloc.RenderProved(cells, false); !strings.ContainsRune(out, 'D') {
+		t.Errorf("render has no D:\n%s", out)
 	}
 }
 
@@ -385,17 +391,32 @@ func TestFacadeTopologyAwareDAAndFit(t *testing.T) {
 	}
 }
 
-// ExampleSweepContext regenerates a miniature Figure 1.
-func ExampleSweepContext() {
-	battery := objalloc.DefaultBattery()
-	battery.RandomSchedules, battery.RandomLength, battery.NemesisRounds = 1, 12, 20
-	points, _ := objalloc.SweepContext(context.Background(), objalloc.SweepSpec{CDs: []float64{0.2, 1.5}, CCs: []float64{0.1}, Battery: battery})
-	for _, p := range points {
-		fmt.Printf("cc=%.1f cd=%.1f analytic=%v\n", p.CC, p.CD, p.Analytic)
+// ExampleClassify marks cells of Figure 1 from exact factors: the paper's
+// regions where its bounds decide, and in the band they leave open a
+// nemesis period that makes DA worse than SA from 4 processors on, or DA's
+// exact factor on 3 processors where no witness beats SA's.
+func ExampleClassify() {
+	for _, m := range []objalloc.CostModel{objalloc.SC(0.1, 0.2), objalloc.SC(0.2, 0.4), objalloc.SC(0.3, 0.7), objalloc.SC(0.2, 1.5), objalloc.SC(0.5, 0.2)} {
+		c, err := objalloc.Classify(context.Background(), m)
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		fmt.Printf("cc=%.1f cd=%.1f %c", m.CC, m.CD, c.Mark)
+		switch {
+		case c.N > 0:
+			fmt.Printf(": DA %.4g > SA %.4g from n = %d on %v", c.Witness, c.SA, c.N, c.Period)
+		case c.DA3.States > 0:
+			fmt.Printf(": DA %d/%d < SA %.4g at n = 3", c.DA3.Num, c.DA3.Den, c.SA)
+		}
+		fmt.Println()
 	}
 	// Output:
-	// cc=0.1 cd=0.2 analytic=SA
-	// cc=0.1 cd=1.5 analytic=DA
+	// cc=0.1 cd=0.2 S
+	// cc=0.2 cd=0.4 S: DA 1.667 > SA 1.6 from n = 4 on r2 r3 w0
+	// cc=0.3 cd=0.7 d: DA 60/37 < SA 2 at n = 3
+	// cc=0.2 cd=1.5 D
+	// cc=0.5 cd=0.2 x
 }
 
 // TestGrandTour exercises the whole public surface end to end in one
@@ -487,13 +508,11 @@ func TestGrandTour(t *testing.T) {
 	}
 
 	// 5. The figure cell this deployment sits in: DA superior.
-	battery := objalloc.DefaultBattery()
-	battery.RandomSchedules, battery.RandomLength, battery.NemesisRounds = 2, 20, 30
-	points, err := objalloc.SweepContext(context.Background(), objalloc.SweepSpec{CDs: []float64{1.5}, CCs: []float64{0.2}, Battery: battery})
+	cell, err := objalloc.Classify(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if points[0].Empirical.String() != "DA" {
-		t.Fatalf("figure cell = %v", points[0].Empirical)
+	if cell.Mark != 'D' {
+		t.Fatalf("figure cell = %c", cell.Mark)
 	}
 }
